@@ -51,10 +51,12 @@ from .oracle import (
 from .tavis_cummings import (
     PATTERN_MASK,
     ThreeQubitDensityMatrix,
+    closed_form_grid,
     closed_form_rho,
     diagonal_probabilities,
     one_atom_unitary,
     pattern_violations,
+    rho_from_elements,
     two_atom_unitary,
 )
 
@@ -74,6 +76,8 @@ __all__ = [
     "pattern_violations",
     "two_atom_unitary",
     "one_atom_unitary",
+    "closed_form_grid",
+    "rho_from_elements",
     "closed_form_rho",
     "diagonal_probabilities",
     "QubitLabel",

@@ -21,7 +21,13 @@ from dataclasses import dataclass
 from .entanglement import QubitLabel, negativity_report
 from .fock_field import FieldConfig, truncation_deficit
 from .oracle import compare_states, full_evolution
-from .tavis_cummings import closed_form_rho, diagonal_probabilities
+from .tavis_cummings import (
+    ThreeQubitDensityMatrix,
+    closed_form_grid,
+    closed_form_rho,
+    diagonal_probabilities,
+    rho_from_elements,
+)
 
 __all__ = [
     "SweepConfig",
@@ -107,14 +113,13 @@ def _grid(start: float, end: float, steps: int) -> list[float]:
     return [start + i * (end - start) / (steps - 1) for i in range(steps)]
 
 
-def evaluate_point(tau: float, field: FieldConfig) -> list[float]:
-    """All CSV column values at one (tau, field configuration) point."""
-    rho = closed_form_rho(tau, field)
+def evaluate_point(rho: ThreeQubitDensityMatrix) -> list[float]:
+    """All CSV column values for the closed-form state at one (tau, s) point."""
     probs = diagonal_probabilities(rho)
     report = negativity_report(rho)
     return [
-        tau,
-        field.s,
+        rho.tau,
+        rho.s,
         *(float(p) for p in probs),
         report.n_g[QubitLabel.B],
         report.n_g_b_analytic,
@@ -127,7 +132,7 @@ def evaluate_point(tau: float, field: FieldConfig) -> list[float]:
         report.linear_entropy_b,
         report.w1_fidelity,
         report.bell_projection,
-        truncation_deficit(field),
+        truncation_deficit(FieldConfig(rho.s, rho.theta, rho.n_max)),
     ]
 
 
@@ -145,8 +150,12 @@ def _csv_text(cfg: SweepConfig, header_extra: list[str], rows: list[list[float]]
 
 
 def run_tau_sweep(cfg: SweepConfig) -> str:
-    field = FieldConfig(cfg.s, cfg.theta, cfg.n_max)
-    rows = [evaluate_point(tau, field) for tau in _grid(cfg.tau_start, cfg.tau_end, cfg.tau_steps)]
+    taus = _grid(cfg.tau_start, cfg.tau_end, cfg.tau_steps)
+    elements = closed_form_grid(taus, [cfg.s], cfg.theta, cfg.n_max)[:, 0]
+    rows = [
+        evaluate_point(rho_from_elements(point, tau, cfg.s, cfg.theta, cfg.n_max))
+        for tau, point in zip(taus, elements)
+    ]
     extra = [
         f"# tau_start={_fmt(cfg.tau_start)} tau_end={_fmt(cfg.tau_end)} tau_steps={cfg.tau_steps}"
     ]
@@ -154,9 +163,12 @@ def run_tau_sweep(cfg: SweepConfig) -> str:
 
 
 def run_s_sweep(cfg: SweepConfig) -> str:
-    rows = []
-    for s in _grid(cfg.s_start, cfg.s_end, cfg.s_steps):
-        rows.append(evaluate_point(cfg.tau, FieldConfig(s, cfg.theta, cfg.n_max)))
+    squeezes = _grid(cfg.s_start, cfg.s_end, cfg.s_steps)
+    elements = closed_form_grid([cfg.tau], squeezes, cfg.theta, cfg.n_max)[0]
+    rows = [
+        evaluate_point(rho_from_elements(point, cfg.tau, s, cfg.theta, cfg.n_max))
+        for s, point in zip(squeezes, elements)
+    ]
     extra = [
         f"# tau={_fmt(cfg.tau)} s_start={_fmt(cfg.s_start)} s_end={_fmt(cfg.s_end)} s_steps={cfg.s_steps}"
     ]
@@ -164,8 +176,7 @@ def run_s_sweep(cfg: SweepConfig) -> str:
 
 
 def run_single_point(cfg: SweepConfig) -> str:
-    field = FieldConfig(cfg.s, cfg.theta, cfg.n_max)
-    rows = [evaluate_point(cfg.tau, field)]
+    rows = [evaluate_point(closed_form_rho(cfg.tau, FieldConfig(cfg.s, cfg.theta, cfg.n_max)))]
     return _csv_text(cfg, [f"# tau={_fmt(cfg.tau)}"], rows)
 
 

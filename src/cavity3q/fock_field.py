@@ -59,6 +59,21 @@ def _half_angle(theta: float) -> tuple[float, float]:
     return cos_half, sin_half
 
 
+def require_finite_nonnegative(name: str, values) -> np.ndarray:
+    """``values`` as a float array, or a ValueError naming ``name`` and the first bad value."""
+    array = np.asarray(values, dtype=float)
+    bad = array[~(np.isfinite(array) & (array >= 0.0))]
+    if bad.size:
+        raise ValueError(f"{name} must be finite and >= 0, got {bad.flat[0]}")
+    return array
+
+
+def require_n_max(n_max) -> None:
+    """Reject anything but a non-negative integer truncation (bools included)."""
+    if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)) or n_max < 0:
+        raise ValueError(f"n_max must be a non-negative integer, got {n_max!r}")
+
+
 @dataclass(frozen=True)
 class FieldConfig:
     """Squeezed-field parameters and the Fock-space truncation.
@@ -75,12 +90,10 @@ class FieldConfig:
     n_max: int
 
     def __post_init__(self) -> None:
-        if self.s < 0.0:
-            raise ValueError(f"squeeze parameter must be >= 0, got {self.s}")
+        require_finite_nonnegative("squeeze parameter s", self.s)
         if not 0.0 <= self.theta <= math.pi:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
-        if not isinstance(self.n_max, (int, np.integer)) or self.n_max < 0:
-            raise ValueError(f"n_max must be a non-negative integer, got {self.n_max!r}")
+        require_n_max(self.n_max)
 
 
 class FieldTermWeight(NamedTuple):

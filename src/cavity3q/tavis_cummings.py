@@ -8,6 +8,13 @@ block for the symmetric two-atom ladder in c1 and a 2x2 block in c2.  With
 them against the injected-field weights yields the 8x8 reduced density
 matrix of the three atomic qubits directly, with no Hilbert-space evolution.
 
+Each independent matrix element is a bilinear form ``a(tau) . W(s) b(tau)``
+in block amplitudes indexed by the photons left in each cavity.  The weight
+tables factor exactly as ``W(s) = U.T @ diag(norm(s)) @ U`` with ``U``
+depending only on (theta, n_max) and the squeezed-pair norms carrying all of
+the s dependence, so a whole (tau, s) grid costs a few small matrix
+products: `closed_form_grid`.  `closed_form_rho` is its grid of one.
+
 Computational basis order throughout: |000>, |100>, |010>, |110>, |001>,
 |101>, |011>, |111>, where the first two slots are the c1 atoms (A1, A2)
 and the third is the c2 atom (B); the flat index is i1 + 2*i2 + 4*i3.
@@ -21,7 +28,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock_field import FieldConfig, binomial_amplitude_row, squeezed_weight
+from .fock_field import (
+    FieldConfig,
+    binomial_amplitude_row,
+    require_finite_nonnegative,
+    require_n_max,
+)
 
 __all__ = [
     "ThreeQubitDensityMatrix",
@@ -29,6 +41,8 @@ __all__ = [
     "pattern_violations",
     "two_atom_unitary",
     "one_atom_unitary",
+    "closed_form_grid",
+    "rho_from_elements",
     "closed_form_rho",
     "diagonal_probabilities",
 ]
@@ -133,53 +147,45 @@ def pattern_violations(matrix: np.ndarray, tol: float = 1e-10) -> list[tuple[int
     return out
 
 
-def _compensated_add(total: np.ndarray, carry: np.ndarray, delta: np.ndarray) -> None:
-    """Neumaier update of ``total`` (+ ``carry``) by ``delta``, elementwise."""
-    fresh = total + delta
-    big = np.abs(total) >= np.abs(delta)
-    carry += np.where(big, (total - fresh) + delta, (delta - fresh) + total)
-    total[...] = fresh
+@lru_cache(maxsize=8)
+def _field_factors(theta: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rank factors of the field-weight tables, independent of the squeezing.
 
-
-@lru_cache(maxsize=32)
-def _weight_tables(config: FieldConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Field weights regrouped by surviving photon numbers.
-
-    ``W0[q, p]`` collects every diagonal-band weight whose c1/c2 cavities hold
-    q = n - k and p = n - l photons; ``W1[q, p]`` does the same for the
-    m = n + 1 coherence band.  Grouping is exact algebra; accumulation runs in
-    ascending n with compensated summation.
+    The diagonal-band weights regroup by the photon numbers q, p left in the
+    c1 and c2 cavities as ``W0 = U0.T @ diag(norm0) @ U0`` and the m = n + 1
+    coherence band as ``W1 = U1.T @ diag(norm1) @ U1``.  Row n of ``U0`` is the
+    squared binomial row of n photons reversed (so it is indexed by
+    q = n - k); row n of ``U1`` is the reversed product of the rows for n and
+    n + 1.  The squeezing only enters through the norms, see
+    `_squeeze_norms`.
     """
-    size = config.n_max + 1
-    w0 = np.zeros((size, size))
-    c0 = np.zeros((size, size))
-    w1 = np.zeros((size, size))
-    c1 = np.zeros((size, size))
-    for n in range(size):
-        amps = binomial_amplitude_row(n, config.theta)
-        norm0 = squeezed_weight(n, config.s) ** 2
-        if norm0 != 0.0:
-            rev_sq = (amps * amps)[::-1]
-            _compensated_add(
-                w0[: n + 1, : n + 1], c0[: n + 1, : n + 1], norm0 * np.outer(rev_sq, rev_sq)
-            )
-        if n + 1 < size:
-            norm1 = squeezed_weight(n, config.s) * squeezed_weight(n + 1, config.s)
-            if norm1 != 0.0:
-                amps_next = binomial_amplitude_row(n + 1, config.theta)
-                rev_pair = (amps * amps_next[: n + 1])[::-1]
-                _compensated_add(
-                    w1[: n + 1, : n + 1], c1[: n + 1, : n + 1], norm1 * np.outer(rev_pair, rev_pair)
-                )
-    w0 += c0
-    w1 += c1
-    w0.setflags(write=False)
-    w1.setflags(write=False)
-    return w0, w1
+    size = n_max + 1
+    rows = [binomial_amplitude_row(n, theta) for n in range(size)]
+    u0 = np.zeros((size, size))
+    u1 = np.zeros((size - 1, size))
+    for n, amps in enumerate(rows):
+        u0[n, : n + 1] = (amps * amps)[::-1]
+    for n, (amps, amps_next) in enumerate(zip(rows, rows[1:])):
+        u1[n, : n + 1] = (amps * amps_next[: n + 1])[::-1]
+    u0.setflags(write=False)
+    u1.setflags(write=False)
+    return u0, u1
 
 
-def _pair_block_amplitudes(tau: float, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Two-atom block amplitudes against photon number q = 0..count-1.
+def _squeeze_norms(squeezes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Squeezed-pair norms per squeeze value (rows) and photon number n (columns).
+
+    ``norm0[n] = tanh(s)^(2n) / cosh^2(s)`` weighs the diagonal band and
+    ``norm1[n] = tanh(s)^(2n+1) / cosh^2(s)``, n < n_max, the m = n + 1 band.
+    """
+    tanh_s = np.tanh(squeezes)[:, None]
+    inv_cosh2 = 1.0 / np.cosh(squeezes)[:, None] ** 2
+    power = 2 * np.arange(size)
+    return tanh_s**power * inv_cosh2, tanh_s ** (power[:-1] + 1) * inv_cosh2
+
+
+def _pair_block_amplitudes(taus: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Two-atom block amplitudes per tau (rows) against photon number q = 0..count-1.
 
     Returns (stay, one_up, two_up): the amplitudes for the symmetric pair to
     absorb zero, one or two photons out of q.  The generic expressions
@@ -187,79 +193,110 @@ def _pair_block_amplitudes(tau: float, count: int) -> tuple[np.ndarray, np.ndarr
     entries (stay = 1, others 0) are set directly; at q = 1 the two-photon
     rung vanishes through its sqrt(q(q-1)) factor.
     """
-    q = np.arange(count, dtype=float)
-    stay = np.ones(count)
-    one_up = np.zeros(count)
-    two_up = np.zeros(count)
-    if count > 1:
-        qq = q[1:]
-        f = np.sqrt(2.0 * (2.0 * qq - 1.0))
-        cos_f = np.cos(f * tau)
-        sin_f = np.sin(f * tau)
-        denom = 2.0 * qq - 1.0
-        stay[1:] = ((qq - 1.0) + qq * cos_f) / denom
-        one_up[1:] = np.sqrt(qq) * sin_f / np.sqrt(denom)
-        two_up[1:] = np.sqrt(qq * (qq - 1.0)) * (cos_f - 1.0) / denom
+    shape = (len(taus), count)
+    stay = np.ones(shape)
+    one_up = np.zeros(shape)
+    two_up = np.zeros(shape)
+    q = np.arange(1, count, dtype=float)
+    phase = np.multiply.outer(taus, np.sqrt(2.0 * (2.0 * q - 1.0)))
+    cos_f = np.cos(phase)
+    sin_f = np.sin(phase)
+    denom = 2.0 * q - 1.0
+    stay[:, 1:] = ((q - 1.0) + q * cos_f) / denom
+    one_up[:, 1:] = np.sqrt(q) * sin_f / np.sqrt(denom)
+    two_up[:, 1:] = np.sqrt(q * (q - 1.0)) * (cos_f - 1.0) / denom
     return stay, one_up, two_up
 
 
-def _fsum(values: np.ndarray) -> float:
-    return math.fsum(values.ravel().tolist())
+# Tau points evaluated together.  Bounds the (points, n_max + 1) work arrays,
+# which for a whole 600-point sweep would raise the peak resident set by MBs.
+_TAU_CHUNK = 64
 
 
-def closed_form_rho(tau: float, config: FieldConfig) -> ThreeQubitDensityMatrix:
-    """Analytic 8x8 reduced state of the three qubits at interaction time tau.
+def _chunk_elements(
+    taus: np.ndarray, u0: np.ndarray, u1: np.ndarray, norm0: np.ndarray, norm1: np.ndarray
+) -> np.ndarray:
+    """`closed_form_grid` for one block of tau values, shape (len(taus), S, 8)."""
+    size = u0.shape[0]
+    # one extra slot so the shifted (q+1, p+1) bra factors of the coherence
+    # band stay in range
+    stay, one_up, two_up = _pair_block_amplitudes(taus, size + 1)
+    phase = np.multiply.outer(taus, np.sqrt(np.arange(size + 1, dtype=float)))
+    cos_b = np.cos(phase)
+    sin_b = np.sin(phase)
 
-    Populations come from the diagonal field band, the two surviving
+    stay0, one0, two0 = stay[:, :size], one_up[:, :size], two_up[:, :size]
+    cos0, sin0 = cos_b[:, :size], sin_b[:, :size]
+
+    # Each element is sum_{q,p} W[q, p] a[q] b[p] = sum_n norm[n] (U a)[n] (U b)[n].
+    pair0 = [(x * x) @ u0.T for x in (stay0, one0, two0)]
+    cos_u0 = (cos0 * cos0) @ u0.T
+    sin_u0 = (sin0 * sin0) @ u0.T
+    band0 = np.stack([a * cos_u0 for a in pair0] + [a * sin_u0 for a in pair0])
+    coh_u1 = (cos0 * sin_b[:, 1:]) @ u1.T
+    band1 = np.stack(
+        [-((stay0 * one_up[:, 1:]) @ u1.T * coh_u1), (one0 * two_up[:, 1:]) @ u1.T * coh_u1]
+    )
+    elements = np.concatenate([band0 @ norm0.T, band1 @ norm1.T])
+    return np.moveaxis(elements, 0, -1)
+
+
+def closed_form_grid(taus, squeezes, theta: float, n_max: int) -> np.ndarray:
+    """The independent real elements of the analytic state on a (tau, s) grid.
+
+    Returns an array of shape (len(taus), len(squeezes), 8) holding, per
+    point, the populations r11, r22, r33, r44, r55, r66 (r22 and r55 are the
+    weights of the symmetric one-excitation states of the c1 pair) and the
+    coherences r15, r26; `rho_from_elements` assembles one point into the
+    8x8 matrix.  Populations come from the diagonal field band, the two
     coherences from the m = n + 1 band.  With the exp(-i H tau) convention in
     both cavities the |000><101|-type coherence is minus the product of the
     four real block amplitudes; the |100><111|-type coherence is plus.
     """
-    if tau < 0.0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
-    w0, w1 = _weight_tables(config)
-    size = config.n_max + 1
+    taus = require_finite_nonnegative("tau", taus).reshape(-1)
+    squeezes = require_finite_nonnegative("squeeze parameter s", squeezes).reshape(-1)
+    require_n_max(n_max)
+    u0, u1 = _field_factors(float(theta), int(n_max))
+    norm0, norm1 = _squeeze_norms(squeezes, n_max + 1)
+    out = np.empty((taus.size, squeezes.size, 8))
+    for start in range(0, taus.size, _TAU_CHUNK):
+        block = slice(start, start + _TAU_CHUNK)
+        out[block] = _chunk_elements(taus[block], u0, u1, norm0, norm1)
+    return out
 
-    # one extra slot so the shifted (q+1, p+1) bra factors of the coherence
-    # band stay in range
-    stay, one_up, two_up = _pair_block_amplitudes(tau, size + 1)
-    root = np.sqrt(np.arange(size + 1, dtype=float))
-    cos_b = np.cos(root * tau)
-    sin_b = np.sin(root * tau)
 
-    stay0, one0, two0 = stay[:size], one_up[:size], two_up[:size]
-    cos0, sin0 = cos_b[:size], sin_b[:size]
-    sin_up = sin_b[1:]
+# Where each element of `closed_form_grid` lands in the 8x8 state, and the
+# divisor it is stored with.  r22 and r55 weigh states symmetric in the c1
+# pair, (|100>+|010>)/sqrt2 and (|101>+|011>)/sqrt2, so each fills a 2x2
+# block at half weight; each coherence links a basis state to one of them.
+_ELEMENT_SLOTS = (
+    ((0, 0),),
+    ((1, 1), (1, 2), (2, 1), (2, 2)),
+    ((3, 3),),
+    ((4, 4),),
+    ((5, 5), (5, 6), (6, 5), (6, 6)),
+    ((7, 7),),
+    ((0, 5), (0, 6), (5, 0), (6, 0)),
+    ((1, 7), (2, 7), (7, 1), (7, 2)),
+)
+_ELEMENT_DIVISORS = np.array([1.0, 2.0, 1.0, 1.0, 2.0, 1.0, math.sqrt(2.0), math.sqrt(2.0)])
+_SLOT_SOURCE = np.array([k for k, slots in enumerate(_ELEMENT_SLOTS) for _ in slots])
+_SLOT_ROWS, _SLOT_COLS = np.array([ij for slots in _ELEMENT_SLOTS for ij in slots]).T
 
-    r11 = _fsum(w0 * np.outer(stay0**2, cos0**2))
-    r22 = _fsum(w0 * np.outer(one0**2, cos0**2))
-    r33 = _fsum(w0 * np.outer(two0**2, cos0**2))
-    r44 = _fsum(w0 * np.outer(stay0**2, sin0**2))
-    r55 = _fsum(w0 * np.outer(one0**2, sin0**2))
-    r66 = _fsum(w0 * np.outer(two0**2, sin0**2))
-    r15 = -_fsum(w1 * np.outer(stay0 * one_up[1:], cos0 * sin_up))
-    r26 = _fsum(w1 * np.outer(one0 * two_up[1:], cos0 * sin_up))
 
+def rho_from_elements(
+    elements: np.ndarray, tau: float, s: float, theta: float, n_max: int
+) -> ThreeQubitDensityMatrix:
+    """The 8x8 state from one point's eight elements of `closed_form_grid`."""
     m = np.zeros((8, 8), dtype=complex)
-    m[0, 0] = r11
-    m[3, 3] = r33
-    m[4, 4] = r44
-    m[7, 7] = r66
-    for i in (1, 2):
-        for j in (1, 2):
-            m[i, j] = 0.5 * r22
-    for i in (5, 6):
-        for j in (5, 6):
-            m[i, j] = 0.5 * r55
-    coh15 = r15 / math.sqrt(2.0)
-    coh26 = r26 / math.sqrt(2.0)
-    for j in (5, 6):
-        m[0, j] = coh15
-        m[j, 0] = coh15
-    for i in (1, 2):
-        m[i, 7] = coh26
-        m[7, i] = coh26
-    return ThreeQubitDensityMatrix(m, float(tau), config.s, config.theta, config.n_max)
+    m[_SLOT_ROWS, _SLOT_COLS] = (elements / _ELEMENT_DIVISORS)[_SLOT_SOURCE]
+    return ThreeQubitDensityMatrix(m, tau, s, theta, n_max)
+
+
+def closed_form_rho(tau: float, config: FieldConfig) -> ThreeQubitDensityMatrix:
+    """Analytic 8x8 reduced state of the three qubits at interaction time tau."""
+    elements = closed_form_grid([tau], [config.s], config.theta, config.n_max)[0, 0]
+    return rho_from_elements(elements, float(tau), config.s, config.theta, config.n_max)
 
 
 def diagonal_probabilities(rho: ThreeQubitDensityMatrix | np.ndarray) -> np.ndarray:

@@ -189,3 +189,14 @@ def test_beam_splitter_reproduces_binomial_amplitudes():
                 amp = column[k * dim + (n - k)]
                 expected = (-1.0) ** (n - k) * binomial_amplitude(n, k, theta)
                 assert abs(amp - expected) < 1e-10
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_squeezing(s):
+    with pytest.raises(ValueError, match="squeeze parameter s must be finite and >= 0"):
+        FieldConfig(s, 1.0, 5)
+
+
+def test_config_rejects_bool_n_max():
+    with pytest.raises(ValueError, match="n_max must be a non-negative integer, got True"):
+        FieldConfig(0.5, 1.0, True)
