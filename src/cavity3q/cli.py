@@ -18,15 +18,17 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .entanglement import QubitLabel, negativity_report
-from .fock_field import FieldConfig, truncation_deficit
+import numpy as np
+
+from .entanglement import QubitLabel, negativity_batch
+from .fock_field import FieldConfig, truncation_deficits
 from .oracle import compare_states, full_evolution
 from .tavis_cummings import (
     ThreeQubitDensityMatrix,
     closed_form_grid,
     closed_form_rho,
     diagonal_probabilities,
-    rho_from_elements,
+    states_from_elements,
 )
 
 __all__ = [
@@ -72,6 +74,10 @@ ORACLE_CHECK_TAUS = (0.3, 0.8, 2.0, 14.5)
 ORACLE_CHECK_SQUEEZES = (0.3, 0.6, 0.9)
 ORACLE_CHECK_THETAS = (math.pi / 3.0, math.pi / 2.0, math.pi)
 
+# A sweep that drops more norm than this to the Fock truncation (the oracle
+# tolerance) prints a warning to stderr; the CSV itself is unchanged.
+TRUNCATION_WARNING = 1e-8
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -99,8 +105,8 @@ class SweepConfig:
             raise ValueError("sweep ranges must be non-empty")
         if not 0.0 <= self.theta <= math.pi:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
+            raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
 
 
 def _fmt(value: float) -> str:
@@ -113,27 +119,61 @@ def _grid(start: float, end: float, steps: int) -> list[float]:
     return [start + i * (end - start) / (steps - 1) for i in range(steps)]
 
 
+def _stack_rows(states: np.ndarray, taus, squeezes, deficits) -> list[list[float]]:
+    """CSV column values for a stack of states, from one diagnostics kernel call."""
+    batch = negativity_batch(states)
+    B, A1 = QubitLabel.B, QubitLabel.A1
+    columns = [
+        taus,
+        squeezes,
+        *diagonal_probabilities(states).T,
+        batch.n_g[B],
+        batch.n_g_b_analytic,
+        batch.n_psdg[B],
+        batch.n_psdg[A1],
+        batch.e_3[B],
+        batch.e_psd["B-BA1"],
+        batch.e_psd["A1-A1A2"],
+        batch.e_psd["A1-A1B"],
+        batch.linear_entropy_b,
+        batch.w1_fidelity,
+        batch.bell_projection,
+        deficits,
+    ]
+    return np.column_stack(columns).tolist()
+
+
 def evaluate_point(rho: ThreeQubitDensityMatrix) -> list[float]:
     """All CSV column values for the closed-form state at one (tau, s) point."""
-    probs = diagonal_probabilities(rho)
-    report = negativity_report(rho)
-    return [
-        rho.tau,
-        rho.s,
-        *(float(p) for p in probs),
-        report.n_g[QubitLabel.B],
-        report.n_g_b_analytic,
-        report.n_psdg[QubitLabel.B],
-        report.n_psdg[QubitLabel.A1],
-        report.e_3[QubitLabel.B],
-        report.e_psd["B-BA1"],
-        report.e_psd["A1-A1A2"],
-        report.e_psd["A1-A1B"],
-        report.linear_entropy_b,
-        report.w1_fidelity,
-        report.bell_projection,
-        truncation_deficit(FieldConfig(rho.s, rho.theta, rho.n_max)),
-    ]
+    deficits = truncation_deficits([rho.s], rho.n_max)
+    return _stack_rows(rho.matrix[None], [rho.tau], [rho.s], deficits)[0]
+
+
+def _sweep_rows(cfg: SweepConfig, elements: np.ndarray, taus, squeezes) -> list[list[float]]:
+    """Rows for a sweep, from one diagnostics kernel call over all its points.
+
+    ``taus`` and ``squeezes`` give each point's parameters; the truncation
+    deficit is computed once per distinct squeeze value.
+    """
+    distinct, which = np.unique(np.broadcast_to(squeezes, len(elements)), return_inverse=True)
+    deficits = truncation_deficits(distinct, cfg.n_max)
+    _warn_truncation(deficits, distinct, cfg.n_max)
+    return _stack_rows(
+        states_from_elements(elements),
+        np.broadcast_to(taus, len(elements)),
+        distinct[which],
+        deficits[which],
+    )
+
+
+def _warn_truncation(deficits: np.ndarray, squeezes: np.ndarray, n_max: int) -> None:
+    worst = int(np.argmax(deficits))
+    if deficits[worst] > TRUNCATION_WARNING:
+        print(
+            f"warning: n_max={n_max} truncation drops {deficits[worst]:.3g} of the norm "
+            f"at s={_fmt(squeezes[worst])} (above {TRUNCATION_WARNING:g}); raise --n-max",
+            file=sys.stderr,
+        )
 
 
 def _csv_text(cfg: SweepConfig, header_extra: list[str], rows: list[list[float]]) -> str:
@@ -152,10 +192,7 @@ def _csv_text(cfg: SweepConfig, header_extra: list[str], rows: list[list[float]]
 def run_tau_sweep(cfg: SweepConfig) -> str:
     taus = _grid(cfg.tau_start, cfg.tau_end, cfg.tau_steps)
     elements = closed_form_grid(taus, [cfg.s], cfg.theta, cfg.n_max)[:, 0]
-    rows = [
-        evaluate_point(rho_from_elements(point, tau, cfg.s, cfg.theta, cfg.n_max))
-        for tau, point in zip(taus, elements)
-    ]
+    rows = _sweep_rows(cfg, elements, taus, cfg.s)
     extra = [
         f"# tau_start={_fmt(cfg.tau_start)} tau_end={_fmt(cfg.tau_end)} tau_steps={cfg.tau_steps}"
     ]
@@ -165,10 +202,7 @@ def run_tau_sweep(cfg: SweepConfig) -> str:
 def run_s_sweep(cfg: SweepConfig) -> str:
     squeezes = _grid(cfg.s_start, cfg.s_end, cfg.s_steps)
     elements = closed_form_grid([cfg.tau], squeezes, cfg.theta, cfg.n_max)[0]
-    rows = [
-        evaluate_point(rho_from_elements(point, cfg.tau, s, cfg.theta, cfg.n_max))
-        for s, point in zip(squeezes, elements)
-    ]
+    rows = _sweep_rows(cfg, elements, cfg.tau, squeezes)
     extra = [
         f"# tau={_fmt(cfg.tau)} s_start={_fmt(cfg.s_start)} s_end={_fmt(cfg.s_end)} s_steps={cfg.s_steps}"
     ]
@@ -176,7 +210,8 @@ def run_s_sweep(cfg: SweepConfig) -> str:
 
 
 def run_single_point(cfg: SweepConfig) -> str:
-    rows = [evaluate_point(closed_form_rho(cfg.tau, FieldConfig(cfg.s, cfg.theta, cfg.n_max)))]
+    elements = closed_form_grid([cfg.tau], [cfg.s], cfg.theta, cfg.n_max)[:, 0]
+    rows = _sweep_rows(cfg, elements, cfg.tau, cfg.s)
     return _csv_text(cfg, [f"# tau={_fmt(cfg.tau)}"], rows)
 
 

@@ -6,15 +6,40 @@ decomposition of the reduced state, the decomposition-based negativities that
 flag bound entanglement, and the auxiliary measures (linear entropy, W-state
 fidelity, Bell-sector weight).
 
+The diagnostic suite is one batched kernel, `negativity_batch`, which takes a
+stack of states and evaluates it in fixed blocks of `_DIAGNOSTIC_BLOCK` rows:
+
+* the zero pattern of every row is checked once against `PATTERN_MASK`;
+* the pure-state decomposition is computed in closed form for rows that pass
+  and by a stacked eigendecomposition for the rest;
+* the global negativities and their K-way split come from one stacked
+  `negative_eigenpairs` call per transposed qubit;
+* the decomposition negativity uses the pure-state identity
+  ``N_G^p(phi) = 2 sqrt(det rho_p)``, with ``rho_p`` the reduced state of
+  qubit p, so it needs no eigensolver;
+* the pairwise shares solve the two-way transposes of the decomposition
+  states of positive weight only.
+
+`negativity_report`, `decompose`, `psdg_negativity`, `psd_partial_negativity`
+and `partial_kway_negativity` are the kernel's grids of one, so each of them
+except `decompose` (which checks only the states it cannot decompose in
+closed form) raises ValueError for a state that is not Hermitian to 1e-9.
+Every eigensolve, in the kernel and in the scalar functions alike, goes
+through `negative_eigenpairs` or the generic decomposition, which share one
+Hermiticity check and one symmetrised solver.
+
 All functions are pure and accept either a bare 8x8 ndarray or a
-`ThreeQubitDensityMatrix`.
+`ThreeQubitDensityMatrix`; the transposes, `negative_eigenpairs`,
+`negative_eigensum`, `global_negativity` and `partial_trace` also take
+stacks of states.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +51,7 @@ __all__ = [
     "NEGATIVE_EIGENVALUE_CUTOFF",
     "PureStateDecomposition",
     "NegativityReport",
+    "NegativityBatch",
     "partial_transpose_global",
     "partial_transpose_kway",
     "selective_partial_transpose",
@@ -41,6 +67,7 @@ __all__ = [
     "linear_entropy",
     "w1_fidelity",
     "bell_projection_probability",
+    "negativity_batch",
     "negativity_report",
     "W1_STATE",
 ]
@@ -49,6 +76,12 @@ __all__ = [
 # O(1e-14) noise and the gate inequalities of the analytic negativity become
 # fragile near equality.
 NEGATIVE_EIGENVALUE_CUTOFF = 1e-12
+
+# States evaluated together by `negativity_batch`.  Bounds the per-block
+# stacks of transposed matrices, about 35 KB of temporaries per state at the
+# peak: on the 600-point sweep, blocks of 64 raise the peak resident set by
+# about 2 MB over blocks of 16.
+_DIAGNOSTIC_BLOCK = 16
 
 _HERMITICITY_TOL = 1e-9
 _PATTERN_TOL = 1e-8
@@ -84,13 +117,19 @@ for _b in range(3):
     _SWAP_ROW[_b] = _ROW ^ _delta
     _SWAP_COL[_b] = _COL ^ _delta
 
+# Basis indices with qubit p's bit clear, ascending; setting the bit gives
+# the partner index.  A ket split this way is the 2x4 matrix of qubit p
+# against the other two.
+_BIT_CLEAR = {p: np.array([i for i in range(8) if not (i >> p.value) & 1]) for p in QubitLabel}
+_BIT_SET = {p: idx | (1 << p.value) for p, idx in _BIT_CLEAR.items()}
+# Column pairs (j < k) of the 2x2 minors of a 2x4 matrix.
+_MINOR_FIRST, _MINOR_SECOND = np.triu_indices(4, k=1)
+
 _SQRT2 = math.sqrt(2.0)
+_INV_SQRT2 = 1.0 / _SQRT2
 
 _BASIS = np.eye(8, dtype=complex)
-_SYM_GROUND = (_BASIS[1] + _BASIS[2]) / _SQRT2  # (|100> + |010>) / sqrt2
 _SYM_EXCITED = (_BASIS[5] + _BASIS[6]) / _SQRT2  # (|101> + |011>) / sqrt2
-_ASYM_GROUND = (_BASIS[1] - _BASIS[2]) / _SQRT2
-_ASYM_EXCITED = (_BASIS[5] - _BASIS[6]) / _SQRT2
 
 W1_STATE = (_BASIS[0] + _BASIS[5] + _BASIS[6]) / math.sqrt(3.0)
 W1_STATE.setflags(write=False)
@@ -104,20 +143,30 @@ def _as_matrix(rho) -> np.ndarray:
     return m
 
 
+def _as_states(rho) -> np.ndarray:
+    """One 8x8 state or a stack of them, shape (..., 8, 8)."""
+    m = np.asarray(getattr(rho, "matrix", rho))
+    if m.ndim < 2 or m.shape[-2:] != (8, 8):
+        raise ValueError(f"expected 8x8 matrices, got shape {m.shape}")
+    return m
+
+
+def _transposed(m: np.ndarray, p: QubitLabel, mask) -> np.ndarray:
+    """``m`` with qubit ``p``'s row and column bits swapped on the entries in ``mask``."""
+    b = p.value
+    return m[..., np.where(mask, _SWAP_ROW[b], _ROW), np.where(mask, _SWAP_COL[b], _COL)]
+
+
 def partial_transpose_global(rho, p: QubitLabel) -> np.ndarray:
     """Full partial transpose with respect to qubit ``p``."""
-    m = _as_matrix(rho)
-    b = p.value
-    return m[_SWAP_ROW[b], _SWAP_COL[b]].copy()
+    return _transposed(_as_states(rho), p, True)
 
 
 def partial_transpose_kway(rho, p: QubitLabel, k: int) -> np.ndarray:
     """Transpose qubit ``p`` only on elements whose indices differ in exactly ``k`` slots."""
     if k not in (2, 3):
         raise ValueError(f"k must be 2 or 3, got {k}")
-    m = _as_matrix(rho)
-    b = p.value
-    return np.where(_DIFF_COUNT == k, m[_SWAP_ROW[b], _SWAP_COL[b]], m)
+    return _transposed(_as_states(rho), p, _DIFF_COUNT == k)
 
 
 def selective_partial_transpose(rho, spec: str) -> np.ndarray:
@@ -130,10 +179,23 @@ def selective_partial_transpose(rho, spec: str) -> np.ndarray:
     if spec not in SELECTIVE_SPECS:
         raise ValueError(f"unknown selective transpose {spec!r}; options: {sorted(SELECTIVE_SPECS)}")
     p, q = SELECTIVE_SPECS[spec]
-    m = _as_matrix(rho)
-    b = p.value
-    pair_mask = _XOR == ((1 << p.value) | (1 << q.value))
-    return np.where(pair_mask, m[_SWAP_ROW[b], _SWAP_COL[b]], m)
+    return _transposed(_as_states(rho), p, _XOR == ((1 << p.value) | (1 << q.value)))
+
+
+def _hermitian_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs, ascending, of each matrix of a stack (..., n, n).
+
+    Raises unless every matrix is Hermitian to 1e-9 (NaN fails); the check
+    passes noise of that size, so the matrix is symmetrised before the solve.
+    """
+    residual = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    bad = np.flatnonzero(~(residual <= _HERMITICITY_TOL))
+    if bad.size:
+        where = f" (matrix {bad[0]} of the stack)" if m.ndim > 2 else ""
+        raise ValueError(
+            f"input matrix is not Hermitian{where}: residual {residual.flat[bad[0]]:.3g}"
+        )
+    return np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2.0)
 
 
 def negative_eigenpairs(
@@ -141,56 +203,94 @@ def negative_eigenpairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues below ``-cutoff`` of a Hermitian matrix, with eigenvectors.
 
-    Raises if the input is not Hermitian to 1e-9.  Returns the negative
-    eigenvalues (ascending) and the matching eigenvectors as columns.
+    ``matrix`` is one n x n matrix or a stack (..., n, n).  Raises if any
+    matrix is not Hermitian to 1e-9.  Returns all n eigenvalues (ascending)
+    and eigenvectors (as columns) of each matrix, with the eigenvalues at or
+    above ``-cutoff`` and their eigenvectors set to zero, so every matrix of
+    a stack gives arrays of the same shape.
     """
     m = np.asarray(getattr(matrix, "matrix", matrix))
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if np.abs(m - m.conj().T).max() > _HERMITICITY_TOL:
-        raise ValueError("input matrix is not Hermitian")
-    vals, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
+    vals, vecs = _hermitian_eigh(m)
     keep = vals < -cutoff
-    return vals[keep], vecs[:, keep]
+    return np.where(keep, vals, 0.0), vecs * keep[..., None, :]
 
 
-def negative_eigensum(matrix: np.ndarray, cutoff: float = NEGATIVE_EIGENVALUE_CUTOFF) -> float:
-    """Negativity of a Hermitian matrix: -2 times the sum of its negative eigenvalues."""
+def negative_eigensum(matrix, cutoff: float = NEGATIVE_EIGENVALUE_CUTOFF):
+    """Negativity of a Hermitian matrix: -2 times the sum of its negative eigenvalues.
+
+    A float for one matrix, an array for a stack.
+    """
     vals, _ = negative_eigenpairs(matrix, cutoff)
-    return -2.0 * math.fsum(vals.tolist())
+    total = -2.0 * vals.sum(axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
-def global_negativity(rho, p: QubitLabel) -> float:
-    """Negativity of the global partial transpose with respect to qubit ``p``."""
+def global_negativity(rho, p: QubitLabel):
+    """Negativity of the global partial transpose with respect to qubit ``p``.
+
+    A float for one state, an array for a stack.
+    """
     return negative_eigensum(partial_transpose_global(rho, p))
 
 
-def _pattern_elements(m: np.ndarray, tol: float = _PATTERN_TOL) -> dict[str, float]:
-    """Extract the eight independent real elements of the structured state.
+# Failure codes of `_pattern_check` beyond the zero pattern itself (code 1).
+_PATTERN_ERRORS = {
+    2: "state pattern requires real matrix elements",
+    3: "state pattern requires equal entries across the symmetric blocks",
+}
 
-    Validates the zero pattern, the symmetric-block equalities and realness;
-    raises ValueError on violation.
+
+def _pattern_check(m: np.ndarray, tol: float = _PATTERN_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Validate the structured-state pattern of each state in an (N, 8, 8) stack.
+
+    Returns a failure code per state (0 passes; 1 an entry outside
+    `PATTERN_MASK`, 2 a complex pattern entry, 3 unequal entries across a
+    symmetric block) and the eight independent real elements r11, r22, r33,
+    r44, r55, r66, r15, r26 (meaningful where the code is 0).
     """
-    bad = pattern_violations(m, tol)
-    if bad:
-        i, j, v = bad[0]
+    outside = ((np.abs(m) > tol) & ~PATTERN_MASK).any(axis=(-2, -1))
+    complex_entries = np.abs(m.imag[:, PATTERN_MASK]).max(axis=-1) > tol
+    real = m.real
+    unequal = (np.ptp(real[:, [1, 2, 1, 2], [1, 2, 2, 1]], axis=-1) > tol) | (
+        np.ptp(real[:, [5, 6, 5, 6], [5, 6, 6, 5]], axis=-1) > tol
+    )
+    codes = np.select([outside, complex_entries, unequal], [1, 2, 3], 0)
+    elements = np.stack(
+        [
+            m[:, 0, 0].real,
+            (m[:, 1, 1] + m[:, 2, 2] + m[:, 1, 2] + m[:, 2, 1]).real / 2.0,
+            m[:, 3, 3].real,
+            m[:, 4, 4].real,
+            (m[:, 5, 5] + m[:, 6, 6] + m[:, 5, 6] + m[:, 6, 5]).real / 2.0,
+            m[:, 7, 7].real,
+            (m[:, 0, 5] + m[:, 0, 6]).real / _SQRT2,
+            (m[:, 1, 7] + m[:, 2, 7]).real / _SQRT2,
+        ],
+        axis=-1,
+    )
+    return codes, elements
+
+
+def _require_pattern(m: np.ndarray) -> np.ndarray:
+    """The eight independent elements of one state, or a ValueError naming the failure."""
+    codes, elements = _pattern_check(m[None])
+    code = int(codes[0])
+    if code == 1:
+        i, j, v = pattern_violations(m, _PATTERN_TOL)[0]
         raise ValueError(f"state does not have the expected zero pattern: entry [{i},{j}] = {v}")
-    if np.abs(np.imag(m[PATTERN_MASK])).max() > tol:
-        raise ValueError("state pattern requires real matrix elements")
-    r22_entries = [m[1, 1], m[2, 2], m[1, 2], m[2, 1]]
-    r55_entries = [m[5, 5], m[6, 6], m[5, 6], m[6, 5]]
-    if (np.ptp(np.real(r22_entries)) > tol) or (np.ptp(np.real(r55_entries)) > tol):
-        raise ValueError("state pattern requires equal entries across the symmetric blocks")
-    return {
-        "r11": float(np.real(m[0, 0])),
-        "r22": float(np.real(m[1, 1] + m[2, 2] + m[1, 2] + m[2, 1])) / 2.0,
-        "r33": float(np.real(m[3, 3])),
-        "r44": float(np.real(m[4, 4])),
-        "r55": float(np.real(m[5, 5] + m[6, 6] + m[5, 6] + m[6, 5])) / 2.0,
-        "r66": float(np.real(m[7, 7])),
-        "r15": float(np.real(m[0, 5] + m[0, 6])) / _SQRT2,
-        "r26": float(np.real(m[1, 7] + m[2, 7])) / _SQRT2,
-    }
+    if code:
+        raise ValueError(_PATTERN_ERRORS[code])
+    return elements[0]
+
+
+def _analytic_negativity_b(elements: np.ndarray, cutoff: float) -> np.ndarray:
+    """`analytic_negativity_b` for each row of an (N, 8) element array."""
+    r11, r22, r33, r44, r55, r66, r15, r26 = elements.T
+    lam1 = 0.5 * (r33 + r55) - 0.5 * np.hypot(r33 - r55, 2.0 * r26)
+    lam2 = 0.5 * (r22 + r44) - 0.5 * np.hypot(r22 - r44, 2.0 * r15)
+    return -2.0 * (np.where(lam1 < -cutoff, lam1, 0.0) + np.where(lam2 < -cutoff, lam2, 0.0))
 
 
 def analytic_negativity_b(rho, cutoff: float = NEGATIVE_EIGENVALUE_CUTOFF) -> float:
@@ -204,23 +304,8 @@ def analytic_negativity_b(rho, cutoff: float = NEGATIVE_EIGENVALUE_CUTOFF) -> fl
     contribute -2*lam only while strictly negative (each gate is one block's
     discriminant inequality); all other eigenvalues are populations.
     """
-    e = _pattern_elements(_as_matrix(rho))
-    lam1 = 0.5 * (e["r33"] + e["r55"]) - 0.5 * math.hypot(e["r33"] - e["r55"], 2.0 * e["r26"])
-    lam2 = 0.5 * (e["r22"] + e["r44"]) - 0.5 * math.hypot(e["r22"] - e["r44"], 2.0 * e["r15"])
-    total = 0.0
-    if lam1 < -cutoff:
-        total += lam1
-    if lam2 < -cutoff:
-        total += lam2
-    return -2.0 * total
-
-
-def _projected_sum(matrix: np.ndarray, vectors: np.ndarray) -> float:
-    """Sum of <v| matrix |v> over the columns of ``vectors`` (real part)."""
-    if vectors.shape[1] == 0:
-        return 0.0
-    vals = np.einsum("ik,ij,jk->k", vectors.conj(), matrix, vectors)
-    return math.fsum(np.real(vals).tolist())
+    elements = _require_pattern(_as_matrix(rho))
+    return float(_analytic_negativity_b(elements[None], cutoff)[0])
 
 
 def partial_kway_negativity(rho, p: QubitLabel, k: int) -> float:
@@ -233,10 +318,8 @@ def partial_kway_negativity(rho, p: QubitLabel, k: int) -> float:
     """
     if k not in (0, 2, 3):
         raise ValueError(f"k must be 0, 2 or 3, got {k}")
-    m = _as_matrix(rho)
-    _, vecs = negative_eigenpairs(partial_transpose_global(m, p))
-    target = m if k == 0 else partial_transpose_kway(m, p, k)
-    return -2.0 * _projected_sum(target, vecs)
+    batch = negativity_batch(_as_matrix(rho)[None])
+    return float({0: batch.e_0, 2: batch.e_2, 3: batch.e_3}[k][p][0])
 
 
 @dataclass(frozen=True)
@@ -256,52 +339,83 @@ class PureStateDecomposition:
         return (self.vectors * self.probabilities) @ self.vectors.conj().T
 
 
-def _fix_phase(vec: np.ndarray) -> np.ndarray:
-    """Deterministic phase: the largest-magnitude component is real positive."""
-    idx = int(np.argmax(np.abs(vec)))
-    pivot = vec[idx]
-    if pivot == 0:
-        return vec
-    return vec * (abs(pivot) / pivot)
+def _fix_phase(vectors: np.ndarray) -> np.ndarray:
+    """Deterministic phase per column: its largest-magnitude component is real positive."""
+    idx = np.argmax(np.abs(vectors), axis=-2)[..., None, :]
+    pivot = np.take_along_axis(vectors, idx, axis=-2)
+    pivot = np.where(pivot == 0, 1.0, pivot)
+    return vectors * (np.abs(pivot) / pivot)
 
 
-def _two_level_pairs(
-    d_first: float, d_second: float, off: float, cutoff: float
-) -> list[tuple[float, tuple[float, float]]]:
-    """Eigenpairs of [[d_first, off], [off, d_second]], smaller eigenvalue first.
+def _two_level_pairs(d_first: np.ndarray, d_second: np.ndarray, off: np.ndarray, cutoff: float):
+    """Eigenpairs of [[d_first, off], [off, d_second]] per row, smaller eigenvalue first.
 
-    With a negligible off-diagonal the basis vectors are returned unrotated
-    (first basis vector first when also degenerate), which keeps the
-    decomposition deterministic where the pair is degenerate.
+    Returns ``[(lam, x, y), (lam, x, y)]`` of arrays, the eigenvector being
+    ``(x, y)``.  With a negligible off-diagonal the basis vectors are returned
+    unrotated (first basis vector first when also degenerate), which keeps
+    the decomposition deterministic where the pair is degenerate.
     """
-    if abs(off) < cutoff:
-        if abs(d_first - d_second) < cutoff or d_first <= d_second:
-            return [(d_first, (1.0, 0.0)), (d_second, (0.0, 1.0))]
-        return [(d_second, (0.0, 1.0)), (d_first, (1.0, 0.0))]
-    half_gap = 0.5 * math.hypot(d_first - d_second, 2.0 * off)
-    mean = 0.5 * (d_first + d_second)
-    pairs = []
-    for lam in (mean - half_gap, mean + half_gap):
+    in_order = (np.abs(d_first - d_second) < cutoff) | (d_first <= d_second)
+    first = in_order.astype(float)  # 1 where the first basis vector comes first
+    pairs = [  # distinct arrays, filled in below on the rotated rows
+        [np.where(in_order, d_first, d_second), first, 1.0 - first],
+        [np.where(in_order, d_second, d_first), 1.0 - first, first.copy()],
+    ]
+    rotated = np.abs(off) >= cutoff
+    d1, d2, c = d_first[rotated], d_second[rotated], off[rotated]
+    half_gap = 0.5 * np.hypot(d1 - d2, 2.0 * c)
+    mean = 0.5 * (d1 + d2)
+    for pair, lam in zip(pairs, (mean - half_gap, mean + half_gap)):
         # pick the better-conditioned of the two eigenvector formulas
-        v_a = (off, lam - d_first)
-        v_b = (lam - d_second, off)
-        v = v_a if math.hypot(*v_a) >= math.hypot(*v_b) else v_b
-        norm = math.hypot(*v)
-        v = (v[0] / norm, v[1] / norm)
-        if abs(v[0]) < abs(v[1]):
-            sign = 1.0 if v[1] > 0 else -1.0
-        else:
-            sign = 1.0 if v[0] > 0 else -1.0
-        pairs.append((lam, (sign * v[0], sign * v[1])))
+        use_a = np.hypot(c, lam - d1) >= np.hypot(lam - d2, c)
+        x = np.where(use_a, c, lam - d2)
+        y = np.where(use_a, lam - d1, c)
+        norm = np.hypot(x, y)
+        x, y = x / norm, y / norm
+        sign = np.where(np.where(np.abs(x) < np.abs(y), y, x) > 0, 1.0, -1.0)
+        for out, value in zip(pair, (lam, sign * x, sign * y)):
+            out[rotated] = value
     return pairs
 
 
-def _generic_decomposition(m: np.ndarray) -> PureStateDecomposition:
-    """Fallback: plain Hermitian eigendecomposition, ascending, fixed phases."""
-    vals, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
-    cols = [_fix_phase(vecs[:, i]) for i in range(vecs.shape[1])]
-    probs = np.clip(vals, 0.0, None)
-    return PureStateDecomposition(probs, np.column_stack(cols))
+def _generic_decomposition(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fallback for an (N, 8, 8) stack: Hermitian eigendecomposition, ascending, fixed phases."""
+    vals, vecs = _hermitian_eigh(m)
+    return np.clip(vals, 0.0, None), _fix_phase(vecs)
+
+
+def _decompose_stack(
+    m: np.ndarray, codes: np.ndarray, elements: np.ndarray, cutoff: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """`decompose` for each state of an (N, 8, 8) stack.
+
+    Returns the probabilities (N, 8) and the unit vectors as columns
+    (N, 8, 8).  States whose pattern code is nonzero go through
+    `_generic_decomposition`, all of them in one call.
+    """
+    probs = np.zeros(m.shape[:2])
+    vectors = np.zeros(m.shape, dtype=np.result_type(m, complex))
+    ok = codes == 0
+    r11, r22, r33, r44, r55, r66, r15, r26 = elements[ok].T
+    lams = []
+    kets = np.zeros((len(r11), 8, 8))
+    for col, (lam, x, y) in enumerate(_two_level_pairs(r11, r55, r15, cutoff)):
+        lams.append(lam)
+        kets[:, 0, col] = x
+        kets[:, 5, col] = kets[:, 6, col] = y * _INV_SQRT2
+    for col, (lam, x, y) in enumerate(_two_level_pairs(r22, r66, r26, cutoff), start=2):
+        lams.append(lam)
+        kets[:, 1, col] = kets[:, 2, col] = x * _INV_SQRT2
+        kets[:, 7, col] = y
+    kets[:, 3, 4] = kets[:, 4, 5] = 1.0
+    kets[:, 1, 6] = kets[:, 5, 7] = _INV_SQRT2
+    kets[:, 2, 6] = kets[:, 6, 7] = -_INV_SQRT2
+    zero = np.zeros_like(r33)
+    probs[ok] = np.maximum(np.stack([*lams, r33, r44, zero, zero], axis=-1), 0.0)
+    vectors[ok] = _fix_phase(kets)
+    if not ok.all():
+        probs[~ok], vectors[~ok] = _generic_decomposition(m[~ok])
+    return probs, vectors
 
 
 def decompose(rho, cutoff: float = NEGATIVE_EIGENVALUE_CUTOFF) -> PureStateDecomposition:
@@ -311,27 +425,33 @@ def decompose(rho, cutoff: float = NEGATIVE_EIGENVALUE_CUTOFF) -> PureStateDecom
     |110>, |001> plus the two antisymmetric null directions, so six analytic
     eigenpairs (plus two zero-weight completions) suffice.  States without
     the expected zero pattern fall back to a generic eigendecomposition with
-    eigenvalues ascending and phases fixed.
+    eigenvalues ascending and phases fixed; that fallback raises ValueError
+    unless the state is Hermitian to 1e-9.
     """
-    m = _as_matrix(rho)
-    try:
-        e = _pattern_elements(m)
-    except ValueError:
-        return _generic_decomposition(m)
+    m = _as_matrix(rho)[None]
+    codes, elements = _pattern_check(m)
+    probs, vectors = _decompose_stack(m, codes, elements, cutoff)
+    return PureStateDecomposition(probs[0], vectors[0])
 
-    entries: list[tuple[float, np.ndarray]] = []
-    for lam, (x, y) in _two_level_pairs(e["r11"], e["r55"], e["r15"], cutoff):
-        entries.append((lam, x * _BASIS[0] + y * _SYM_EXCITED))
-    for lam, (x, y) in _two_level_pairs(e["r22"], e["r66"], e["r26"], cutoff):
-        entries.append((lam, x * _SYM_GROUND + y * _BASIS[7]))
-    entries.append((e["r33"], _BASIS[3].copy()))
-    entries.append((e["r44"], _BASIS[4].copy()))
-    entries.append((0.0, _ASYM_GROUND.copy()))
-    entries.append((0.0, _ASYM_EXCITED.copy()))
 
-    probs = np.array([max(p, 0.0) for p, _ in entries])
-    vectors = np.column_stack([_fix_phase(v) for _, v in entries])
-    return PureStateDecomposition(probs, vectors)
+def _pure_negativity(kets: np.ndarray, p: QubitLabel, cutoff: float) -> np.ndarray:
+    """Global negativity for qubit ``p`` of each pure state in the columns of ``kets``.
+
+    A ket split by qubit p's bit is a 2x4 matrix M with reduced state
+    ``rho_p = M M^H``; its partial transpose has one negative eigenvalue,
+    ``-sqrt(det rho_p)``, so ``N_G^p = 2 sqrt(det rho_p)``.  By Cauchy-Binet
+    ``det rho_p`` is the sum of the squared moduli of the 2x2 minors of M,
+    which avoids the cancellation of ``rho_00 rho_11 - |rho_01|^2``.  Gated at
+    the eigenvalue cutoff like every other negativity.
+    """
+    clear = kets[..., _BIT_CLEAR[p], :]
+    set_ = kets[..., _BIT_SET[p], :]
+    minors = (
+        clear[..., _MINOR_FIRST, :] * set_[..., _MINOR_SECOND, :]
+        - clear[..., _MINOR_SECOND, :] * set_[..., _MINOR_FIRST, :]
+    )
+    root = np.sqrt((np.abs(minors) ** 2).sum(axis=-2))
+    return np.where(root > cutoff, 2.0 * root, 0.0)
 
 
 def psdg_negativity(rho, p: QubitLabel) -> float:
@@ -339,16 +459,10 @@ def psdg_negativity(rho, p: QubitLabel) -> float:
 
     Not an entanglement monotone, but an upper bound on the convex-roof
     negativity, so a nonzero value while the global negativity vanishes
-    flags bound entanglement.
+    flags bound entanglement.  Evaluated by `negativity_batch` on a grid of
+    one, so it raises ValueError unless the state is Hermitian to 1e-9.
     """
-    m = _as_matrix(rho)
-    terms = []
-    for prob, vec in decompose(m):
-        if prob <= 0.0:
-            continue
-        pure = np.outer(vec, vec.conj())
-        terms.append(prob * global_negativity(pure, p))
-    return math.fsum(terms)
+    return float(negativity_batch(_as_matrix(rho)[None]).n_psdg[p][0])
 
 
 def psd_partial_negativity(rho, spec: str) -> float:
@@ -358,44 +472,44 @@ def psd_partial_negativity(rho, spec: str) -> float:
     projected on the negative eigenvectors of that state's own two-way
     transpose with respect to the qubit named first in ``spec``; the -2 weight
     makes the pair of shares add up to the decomposition negativity.
+    Evaluated by `negativity_batch` on a grid of one, so it raises ValueError
+    unless the state is Hermitian to 1e-9.
     """
     if spec not in SELECTIVE_SPECS:
         raise ValueError(f"unknown selective transpose {spec!r}; options: {sorted(SELECTIVE_SPECS)}")
-    p, _ = SELECTIVE_SPECS[spec]
-    m = _as_matrix(rho)
-    terms = []
-    for prob, vec in decompose(m):
-        if prob <= 0.0:
-            continue
-        pure = np.outer(vec, vec.conj())
-        _, vecs = negative_eigenpairs(partial_transpose_kway(pure, p, 2))
-        if vecs.shape[1] == 0:
-            continue
-        terms.append(prob * _projected_sum(selective_partial_transpose(pure, spec), vecs))
-    return -2.0 * math.fsum(terms)
+    return float(negativity_batch(_as_matrix(rho)[None]).e_psd[spec][0])
 
 
 def partial_trace(rho, keep) -> np.ndarray:
     """Reduced density matrix over the given subset of qubits.
 
     ``keep`` is an iterable of QubitLabel.  Kept qubits retain their relative
-    order (A1 fastest, B slowest) in the returned matrix.
+    order (A1 fastest, B slowest) in the returned matrix.  A stack of states
+    gives the stack of reduced states.
     """
     keep_set = {QubitLabel(q) for q in keep}
     if not keep_set:
         raise ValueError("keep must name at least one qubit")
-    m = _as_matrix(rho)
+    m = _as_states(rho)
+    lead = m.shape[:-2]
     # axes of the (2,2,2, 2,2,2) view: (B, A2, A1) x (B, A2, A1)
-    tensor = m.reshape(2, 2, 2, 2, 2, 2)
+    tensor = m.reshape(*lead, 2, 2, 2, 2, 2, 2)
     remaining = [QubitLabel.B, QubitLabel.A2, QubitLabel.A1]
     for q in (QubitLabel.B, QubitLabel.A2, QubitLabel.A1):
         if q in keep_set:
             continue
-        axis = remaining.index(q)
-        tensor = np.trace(tensor, axis1=axis, axis2=axis + tensor.ndim // 2)
+        axis = len(lead) + remaining.index(q)
+        tensor = np.trace(tensor, axis1=axis, axis2=axis + len(remaining))
         remaining.remove(q)
     dim = 2 ** len(keep_set)
-    return tensor.reshape(dim, dim)
+    return tensor.reshape(*lead, dim, dim)
+
+
+def _linear_entropy(m: np.ndarray) -> np.ndarray:
+    """`linear_entropy` of each square matrix in a stack (..., d, d)."""
+    d = m.shape[-1]
+    purity = np.real(np.trace(m @ m, axis1=-2, axis2=-1))
+    return (d / (d - 1.0)) * (1.0 - purity)
 
 
 def linear_entropy(rho_reduced: np.ndarray) -> float:
@@ -403,17 +517,27 @@ def linear_entropy(rho_reduced: np.ndarray) -> float:
     m = np.asarray(rho_reduced)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("linear entropy needs a square matrix")
-    d = m.shape[0]
-    if d < 2:
+    if m.shape[0] < 2:
         raise ValueError("linear entropy needs dimension >= 2")
-    purity = float(np.real(np.trace(m @ m)))
-    return (d / (d - 1.0)) * (1.0 - purity)
+    return float(_linear_entropy(m))
+
+
+def _expectation(vector: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Real part of <v| m |v> for each state of a stack (..., 8, 8).
+
+    Elementwise, so each state's value does not depend on the stack around it
+    (a matrix-vector product over a stack may take another BLAS path).
+    """
+    return np.real((vector.conj()[:, None] * m * vector).sum(axis=(-2, -1)))
 
 
 def w1_fidelity(rho) -> float:
     """Overlap with the W state (|000> + |101> + |011>)/sqrt(3)."""
-    m = _as_matrix(rho)
-    return float(np.real(W1_STATE.conj() @ m @ W1_STATE))
+    return float(_expectation(W1_STATE, _as_matrix(rho)))
+
+
+def _bell_projection(m: np.ndarray) -> np.ndarray:
+    return np.real(m[..., 0, 0]) + _expectation(_SYM_EXCITED, m)
 
 
 def bell_projection_probability(rho) -> float:
@@ -423,9 +547,7 @@ def bell_projection_probability(rho) -> float:
     pair, conditioned on finding B excited, is projected into the symmetric
     Bell state.
     """
-    m = _as_matrix(rho)
-    sym = float(np.real(_SYM_EXCITED.conj() @ m @ _SYM_EXCITED))
-    return float(np.real(m[0, 0])) + sym
+    return float(_bell_projection(_as_matrix(rho)))
 
 
 @dataclass(frozen=True)
@@ -444,50 +566,137 @@ class NegativityReport:
     bell_projection: float
 
 
-def negativity_report(rho) -> NegativityReport:
-    """Evaluate the full diagnostic suite, sharing the decomposition work."""
-    m = _as_matrix(rho)
+class NegativityBatch(NamedTuple):
+    """The `NegativityReport` quantities of a stack of N states, as length-N arrays.
 
-    n_g: dict[QubitLabel, float] = {}
-    e_3: dict[QubitLabel, float] = {}
-    e_2: dict[QubitLabel, float] = {}
-    e_0: dict[QubitLabel, float] = {}
+    ``n_g_b_analytic`` is NaN where the state lacks the structured zero
+    pattern; ``pattern_ok`` marks the states that have it.  The others were
+    decomposed by the generic eigendecomposition fallback.  (A named tuple
+    rather than a frozen dataclass: the dataclass costs about 1.5 ms of
+    import time, which every command-line call pays.)
+    """
+
+    n_g: dict[QubitLabel, np.ndarray]
+    n_g_b_analytic: np.ndarray
+    e_3: dict[QubitLabel, np.ndarray]
+    e_2: dict[QubitLabel, np.ndarray]
+    e_0: dict[QubitLabel, np.ndarray]
+    n_psdg: dict[QubitLabel, np.ndarray]
+    e_psd: dict[str, np.ndarray]
+    linear_entropy_b: np.ndarray
+    w1_fidelity: np.ndarray
+    bell_projection: np.ndarray
+    pattern_ok: np.ndarray
+
+    def report(self, index: int) -> NegativityReport:
+        """The report of state ``index``, as Python floats."""
+
+        def pick(value):
+            if isinstance(value, dict):
+                return {key: float(array[index]) for key, array in value.items()}
+            return float(value[index])
+
+        return NegativityReport(
+            **{f.name: pick(getattr(self, f.name)) for f in fields(NegativityReport)}
+        )
+
+
+def _join(parts: tuple):
+    if isinstance(parts[0], dict):
+        return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
+    return np.concatenate(parts)
+
+
+def _projector(vecs: np.ndarray) -> np.ndarray:
+    """Sum of the outer products of the columns of ``vecs``, per state."""
+    return vecs @ vecs.conj().swapaxes(-1, -2)
+
+
+def _projected_trace(target: np.ndarray, projector: np.ndarray) -> np.ndarray:
+    """``Re tr(target @ projector)`` per state: the summed ``Re <v| target |v>``."""
+    return np.real((target * projector.swapaxes(-1, -2)).sum(axis=(-2, -1)))
+
+
+def _pairwise_shares(
+    probs: np.ndarray, vectors: np.ndarray, cutoff: float
+) -> dict[str, np.ndarray]:
+    """`psd_partial_negativity` for every spec, solving positive-weight states only."""
+    rows, cols = np.nonzero(probs > 0.0)
+    kets = vectors[rows, :, cols]
+    pure = kets[:, :, None] * kets[:, None, :].conj()
+    shares = {}
+    for p in (QubitLabel.B, QubitLabel.A1):
+        _, vecs = negative_eigenpairs(partial_transpose_kway(pure, p, 2), cutoff)
+        projector = _projector(vecs)
+        for spec, (first, _) in SELECTIVE_SPECS.items():
+            if first is not p:
+                continue
+            share = np.zeros(probs.shape)
+            share[rows, cols] = _projected_trace(selective_partial_transpose(pure, spec), projector)
+            shares[spec] = -2.0 * (probs * share).sum(axis=-1)
+    return {spec: shares[spec] for spec in SELECTIVE_SPECS}
+
+
+def _negativity_block(m: np.ndarray, cutoff: float) -> NegativityBatch:
+    """`negativity_batch` for one block of at most `_DIAGNOSTIC_BLOCK` states."""
+    n_g, e_3, e_2, e_0 = {}, {}, {}, {}
     for p in QubitLabel:
-        vals, vecs = negative_eigenpairs(partial_transpose_global(m, p))
-        n_g[p] = -2.0 * math.fsum(vals.tolist())
-        e_3[p] = -2.0 * _projected_sum(partial_transpose_kway(m, p, 3), vecs)
-        e_2[p] = -2.0 * _projected_sum(partial_transpose_kway(m, p, 2), vecs)
-        e_0[p] = -2.0 * _projected_sum(m, vecs)
+        vals, vecs = negative_eigenpairs(partial_transpose_global(m, p), cutoff)
+        n_g[p] = -2.0 * vals.sum(axis=-1)
+        projector = _projector(vecs)
+        e_3[p] = -2.0 * _projected_trace(partial_transpose_kway(m, p, 3), projector)
+        e_2[p] = -2.0 * _projected_trace(partial_transpose_kway(m, p, 2), projector)
+        e_0[p] = -2.0 * _projected_trace(m, projector)
 
-    decomposition = decompose(m)
-    psdg_terms: dict[QubitLabel, list[float]] = {p: [] for p in QubitLabel}
-    psd_terms: dict[str, list[float]] = {spec: [] for spec in SELECTIVE_SPECS}
-    for prob, vec in decomposition:
-        if prob <= 0.0:
-            continue
-        pure = np.outer(vec, vec.conj())
-        for p in QubitLabel:
-            psdg_terms[p].append(prob * global_negativity(pure, p))
-        neg_vecs = {
-            p: negative_eigenpairs(partial_transpose_kway(pure, p, 2))[1]
-            for p in (QubitLabel.B, QubitLabel.A1)
-        }
-        for spec, (p, _) in SELECTIVE_SPECS.items():
-            basis = neg_vecs[p]
-            if basis.shape[1]:
-                psd_terms[spec].append(
-                    prob * _projected_sum(selective_partial_transpose(pure, spec), basis)
-                )
-
-    return NegativityReport(
+    codes, elements = _pattern_check(m)
+    pattern_ok = codes == 0
+    probs, vectors = _decompose_stack(m, codes, elements, cutoff)
+    return NegativityBatch(
         n_g=n_g,
-        n_g_b_analytic=analytic_negativity_b(m),
+        n_g_b_analytic=np.where(pattern_ok, _analytic_negativity_b(elements, cutoff), np.nan),
         e_3=e_3,
         e_2=e_2,
         e_0=e_0,
-        n_psdg={p: math.fsum(terms) for p, terms in psdg_terms.items()},
-        e_psd={spec: -2.0 * math.fsum(terms) for spec, terms in psd_terms.items()},
-        linear_entropy_b=linear_entropy(partial_trace(m, {QubitLabel.B})),
-        w1_fidelity=w1_fidelity(m),
-        bell_projection=bell_projection_probability(m),
+        n_psdg={p: (probs * _pure_negativity(vectors, p, cutoff)).sum(axis=-1) for p in QubitLabel},
+        e_psd=_pairwise_shares(probs, vectors, cutoff),
+        linear_entropy_b=_linear_entropy(partial_trace(m, {QubitLabel.B})),
+        w1_fidelity=_expectation(W1_STATE, m),
+        bell_projection=_bell_projection(m),
+        pattern_ok=pattern_ok,
     )
+
+
+def negativity_batch(states) -> NegativityBatch:
+    """Evaluate the full diagnostic suite for a stack of states at once.
+
+    ``states`` is an (N, 8, 8) array or a sequence of 8x8 states.  The stack
+    is processed in blocks of `_DIAGNOSTIC_BLOCK`, so the temporaries do not
+    grow with N, and every state's values are independent of its block-mates.
+    Raises ValueError if any state is not Hermitian to 1e-9 (or not finite).
+    """
+    if isinstance(states, np.ndarray):
+        stack = states
+    else:
+        stack = np.array([getattr(rho, "matrix", rho) for rho in states])
+    if stack.ndim != 3 or stack.shape[1:] != (8, 8):
+        raise ValueError(f"expected an (N, 8, 8) stack of states, got shape {stack.shape}")
+    blocks = [
+        _negativity_block(stack[start : start + _DIAGNOSTIC_BLOCK], NEGATIVE_EIGENVALUE_CUTOFF)
+        for start in range(0, max(len(stack), 1), _DIAGNOSTIC_BLOCK)
+    ]
+    if len(blocks) == 1:
+        return blocks[0]
+    return NegativityBatch(*(_join(parts) for parts in zip(*blocks)))
+
+
+def negativity_report(rho) -> NegativityReport:
+    """Evaluate the full diagnostic suite at one state: `negativity_batch` on a grid of one.
+
+    Raises ValueError for a state without the structured zero pattern, which
+    the analytic B negativity needs.
+    """
+    m = _as_matrix(rho)
+    batch = negativity_batch(m[None])
+    if not batch.pattern_ok[0]:
+        _require_pattern(m)
+    return batch.report(0)

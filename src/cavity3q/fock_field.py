@@ -35,6 +35,7 @@ __all__ = [
     "squeezed_weight",
     "enumerate_field_terms",
     "truncation_deficit",
+    "truncation_deficits",
 ]
 
 # cos(theta/2) or sin(theta/2) below this is treated as an exact zero so the
@@ -207,12 +208,18 @@ def enumerate_field_terms(config: FieldConfig, band: int) -> Iterator[FieldTermW
                     yield FieldTermWeight(n, m, k, l, float(w))
 
 
-def truncation_deficit(config: FieldConfig) -> float:
-    """Norm lost by truncating the squeezed-pair sum at ``n_max``.
+def truncation_deficits(squeezes, n_max: int) -> np.ndarray:
+    """Norm lost by truncating the squeezed-pair sum at ``n_max``, per squeeze value.
 
     Equals ``1 - sum_{n=0}^{n_max} (tanh s)^{2n} / cosh^2(s)``.  The tail is
     geometric, so this is computed in closed form as ``tanh(s)^(2 n_max + 2)``,
     which avoids the cancellation of subtracting a partial sum from 1.
     """
-    t = math.tanh(config.s)
-    return t ** (2 * config.n_max + 2)
+    squeezes = require_finite_nonnegative("squeeze parameter s", squeezes)
+    require_n_max(n_max)
+    return np.tanh(squeezes) ** (2 * n_max + 2)
+
+
+def truncation_deficit(config: FieldConfig) -> float:
+    """`truncation_deficits` of one field configuration."""
+    return float(truncation_deficits(config.s, config.n_max))

@@ -215,9 +215,11 @@ def compare_states(a, b, pattern_tol: float = 1e-10) -> ComparisonReport:
     diff = np.abs(ma - mb)
     worst_flat = int(np.argmax(diff))
     worst = (worst_flat // 8, worst_flat % 8)
-    violations = []
-    for i in range(8):
-        for j in range(8):
-            if not PATTERN_MASK[i, j] and max(abs(ma[i, j]), abs(mb[i, j])) > pattern_tol:
-                violations.append((i, j, complex(ma[i, j]), complex(mb[i, j])))
+    abs_a, abs_b = np.abs(ma), np.abs(mb)
+    # Python's max(|a|, |b|), NaNs included: a NaN in ``a`` wins, one in ``b`` loses
+    larger = np.where(abs_b > abs_a, abs_b, abs_a)
+    rows, cols = np.nonzero(~PATTERN_MASK & (larger > pattern_tol))
+    violations = [
+        (int(i), int(j), complex(ma[i, j]), complex(mb[i, j])) for i, j in zip(rows, cols)
+    ]
     return ComparisonReport(float(diff.max()), worst, diff, violations)

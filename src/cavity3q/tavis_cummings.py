@@ -42,6 +42,7 @@ __all__ = [
     "two_atom_unitary",
     "one_atom_unitary",
     "closed_form_grid",
+    "states_from_elements",
     "rho_from_elements",
     "closed_form_rho",
     "diagonal_probabilities",
@@ -138,13 +139,10 @@ PATTERN_MASK.setflags(write=False)
 
 
 def pattern_violations(matrix: np.ndarray, tol: float = 1e-10) -> list[tuple[int, int, complex]]:
-    """Entries outside the allowed zero pattern whose magnitude exceeds ``tol``."""
-    out = []
-    for i in range(8):
-        for j in range(8):
-            if not PATTERN_MASK[i, j] and abs(matrix[i, j]) > tol:
-                out.append((i, j, complex(matrix[i, j])))
-    return out
+    """Entries outside the allowed zero pattern whose magnitude exceeds ``tol``, row-major."""
+    m = np.asarray(matrix)
+    rows, cols = np.nonzero(~PATTERN_MASK & (np.abs(m) > tol))
+    return [(int(i), int(j), complex(m[i, j])) for i, j in zip(rows, cols)]
 
 
 @lru_cache(maxsize=8)
@@ -284,13 +282,19 @@ _SLOT_SOURCE = np.array([k for k, slots in enumerate(_ELEMENT_SLOTS) for _ in sl
 _SLOT_ROWS, _SLOT_COLS = np.array([ij for slots in _ELEMENT_SLOTS for ij in slots]).T
 
 
+def states_from_elements(elements: np.ndarray) -> np.ndarray:
+    """The 8x8 states, shape (..., 8, 8), from elements of `closed_form_grid` (..., 8)."""
+    elements = np.asarray(elements)
+    m = np.zeros(elements.shape[:-1] + (8, 8), dtype=complex)
+    m[..., _SLOT_ROWS, _SLOT_COLS] = (elements / _ELEMENT_DIVISORS)[..., _SLOT_SOURCE]
+    return m
+
+
 def rho_from_elements(
     elements: np.ndarray, tau: float, s: float, theta: float, n_max: int
 ) -> ThreeQubitDensityMatrix:
     """The 8x8 state from one point's eight elements of `closed_form_grid`."""
-    m = np.zeros((8, 8), dtype=complex)
-    m[_SLOT_ROWS, _SLOT_COLS] = (elements / _ELEMENT_DIVISORS)[_SLOT_SOURCE]
-    return ThreeQubitDensityMatrix(m, tau, s, theta, n_max)
+    return ThreeQubitDensityMatrix(states_from_elements(elements), tau, s, theta, n_max)
 
 
 def closed_form_rho(tau: float, config: FieldConfig) -> ThreeQubitDensityMatrix:
@@ -300,6 +304,6 @@ def closed_form_rho(tau: float, config: FieldConfig) -> ThreeQubitDensityMatrix:
 
 
 def diagonal_probabilities(rho: ThreeQubitDensityMatrix | np.ndarray) -> np.ndarray:
-    """The eight basis-state occupation probabilities, in basis order."""
-    matrix = getattr(rho, "matrix", rho)
-    return np.real(np.diag(matrix)).copy()
+    """The eight basis-state occupation probabilities, in basis order (per state of a stack)."""
+    matrix = np.asarray(getattr(rho, "matrix", rho))
+    return np.real(np.diagonal(matrix, axis1=-2, axis2=-1)).copy()

@@ -1,8 +1,13 @@
+import numpy as np
 import pytest
 
+import cavity3q.cli as cli
+import cavity3q.tavis_cummings as tc
+from cavity3q import FieldConfig, closed_form_rho
 from cavity3q.cli import (
     COLUMNS,
     SweepConfig,
+    evaluate_point,
     main,
     run_oracle_check,
     run_s_sweep,
@@ -171,3 +176,73 @@ def test_main_unwritable_output_path(tmp_path):
         ]
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_tolerance_is_a_usage_error(value, capsys):
+    with pytest.raises(ValueError, match="tolerance"):
+        SweepConfig(mode="oracle-check", tolerance=float(value))
+    assert main(["--mode", "oracle-check", "--oracle-n-max", "4", "--tolerance", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: tolerance must be finite and > 0, got {value}\n"
+
+
+def test_truncation_warning_on_default_s_sweep(capsys):
+    text = run_s_sweep(SweepConfig(mode="s-sweep", tau=14.5, s_steps=200))
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("warning: n_max=80 truncation drops 0.00265 of the norm at s=2 ")
+    # the CSV carries no trace of the warning
+    assert "warning" not in text
+    header, rows = parse_csv(text)
+    assert max(r[header.index("truncation_deficit")] for r in rows) > 1e-8
+
+
+def test_no_truncation_warning_on_default_tau_sweep(capsys):
+    text = run_tau_sweep(SweepConfig())
+    assert capsys.readouterr().err == ""
+    header, rows = parse_csv(text)
+    assert rows[0][header.index("truncation_deficit")] == pytest.approx(1.6e-13, rel=0.05)
+
+
+def test_evaluate_point_is_the_single_point_row():
+    cfg = SweepConfig(mode="single-point", tau=2.3, **SMALL)
+    _, rows = parse_csv(run_single_point(cfg))
+    row = evaluate_point(closed_form_rho(cfg.tau, FieldConfig(cfg.s, cfg.theta, cfg.n_max)))
+    assert [float(f"{v + 0.0:.12g}") for v in row] == rows[0]
+
+
+def _variant_1(matrix):
+    # DISCREPANCIES.md 1: opposite sign of the |000> <-> sym-excited coherence
+    for i, j in ((0, 5), (0, 6), (5, 0), (6, 0)):
+        matrix[i, j] = -matrix[i, j]
+    return matrix
+
+
+def test_oracle_check_rejects_discrepancy_variants(monkeypatch):
+    cfg = SweepConfig(mode="oracle-check", oracle_n_max=8, tolerance=1e-8)
+    report, status = run_oracle_check(cfg, corrupt=_variant_1)
+    assert status == 1 and "# result: FAIL" in report
+    assert "entry=[0,5]" in report
+
+    # DISCREPANCIES.md 2: sqrt(q-1)/sqrt(2q-1) leading the sym-ground <-> |111>
+    # coherence; only that element (r26, the last) is taken from the slipped run
+    amplitudes = tc._pair_block_amplitudes
+
+    def slipped(taus, count):
+        stay, one_up, two_up = amplitudes(taus, count)
+        q = np.arange(count, dtype=float)
+        return stay, one_up * np.sqrt(np.maximum(q - 1.0, 0.0) / np.maximum(q, 1.0)), two_up
+
+    def variant_2(tau, field):
+        elements = tc.closed_form_grid([tau], [field.s], field.theta, field.n_max)[0, 0]
+        monkeypatch.setattr(tc, "_pair_block_amplitudes", slipped)
+        elements[7] = tc.closed_form_grid([tau], [field.s], field.theta, field.n_max)[0, 0, 7]
+        monkeypatch.setattr(tc, "_pair_block_amplitudes", amplitudes)
+        return tc.rho_from_elements(elements, tau, field.s, field.theta, field.n_max)
+
+    monkeypatch.setattr(cli, "closed_form_rho", variant_2)
+    report, status = run_oracle_check(cfg)
+    assert status == 1 and "# result: FAIL" in report
+    assert "entry=[1,7]" in report

@@ -1,0 +1,500 @@
+"""The batched diagnostics kernel against the per-point suite it replaced.
+
+`reference_report` below is the per-point `negativity_report` that preceded
+`negativity_batch`: its own decomposition, one 8x8 eigensolve per global
+transpose, per pure decomposition state and per two-way transpose, and
+compensated sums.  It is kept here only as the reference.  The kernel's
+sums run in another order and the decomposition negativity uses the
+pure-state identity instead of an eigensolve, so agreement is required to
+1e-14, a few hundred ulps of the O(1) values.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import cavity3q.entanglement as ent
+from cavity3q import (
+    PATTERN_MASK,
+    SELECTIVE_SPECS,
+    W1_STATE,
+    FieldConfig,
+    QubitLabel,
+    closed_form_grid,
+    closed_form_rho,
+    compare_states,
+    negativity_batch,
+    negativity_report,
+    pattern_violations,
+    states_from_elements,
+)
+from cavity3q.entanglement import (
+    partial_transpose_global,
+    partial_transpose_kway,
+    selective_partial_transpose,
+)
+
+TOL = 1e-14
+CUTOFF = 1e-12
+SQRT2 = math.sqrt(2.0)
+BASIS = np.eye(8, dtype=complex)
+SYM_GROUND = (BASIS[1] + BASIS[2]) / SQRT2
+SYM_EXCITED = (BASIS[5] + BASIS[6]) / SQRT2
+ASYM_GROUND = (BASIS[1] - BASIS[2]) / SQRT2
+ASYM_EXCITED = (BASIS[5] - BASIS[6]) / SQRT2
+
+
+# ------------------------------------------------------ per-point reference
+
+
+def ref_negative_eigenpairs(m):
+    assert np.abs(m - m.conj().T).max() <= 1e-9
+    vals, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
+    keep = vals < -CUTOFF
+    return vals[keep], vecs[:, keep]
+
+
+def ref_projected_sum(matrix, vectors):
+    if vectors.shape[1] == 0:
+        return 0.0
+    vals = np.einsum("ik,ij,jk->k", vectors.conj(), matrix, vectors)
+    return math.fsum(np.real(vals).tolist())
+
+
+def ref_pattern_elements(m, tol=1e-8):
+    for i in range(8):
+        for j in range(8):
+            if not PATTERN_MASK[i, j] and abs(m[i, j]) > tol:
+                return None
+    if np.abs(np.imag(m[PATTERN_MASK])).max() > tol:
+        return None
+    r22_entries = [m[1, 1], m[2, 2], m[1, 2], m[2, 1]]
+    r55_entries = [m[5, 5], m[6, 6], m[5, 6], m[6, 5]]
+    if (np.ptp(np.real(r22_entries)) > tol) or (np.ptp(np.real(r55_entries)) > tol):
+        return None
+    return {
+        "r11": float(np.real(m[0, 0])),
+        "r22": float(np.real(m[1, 1] + m[2, 2] + m[1, 2] + m[2, 1])) / 2.0,
+        "r33": float(np.real(m[3, 3])),
+        "r44": float(np.real(m[4, 4])),
+        "r55": float(np.real(m[5, 5] + m[6, 6] + m[5, 6] + m[6, 5])) / 2.0,
+        "r66": float(np.real(m[7, 7])),
+        "r15": float(np.real(m[0, 5] + m[0, 6])) / SQRT2,
+        "r26": float(np.real(m[1, 7] + m[2, 7])) / SQRT2,
+    }
+
+
+def ref_two_level_pairs(d_first, d_second, off):
+    if abs(off) < CUTOFF:
+        if abs(d_first - d_second) < CUTOFF or d_first <= d_second:
+            return [(d_first, (1.0, 0.0)), (d_second, (0.0, 1.0))]
+        return [(d_second, (0.0, 1.0)), (d_first, (1.0, 0.0))]
+    half_gap = 0.5 * math.hypot(d_first - d_second, 2.0 * off)
+    mean = 0.5 * (d_first + d_second)
+    pairs = []
+    for lam in (mean - half_gap, mean + half_gap):
+        v_a = (off, lam - d_first)
+        v_b = (lam - d_second, off)
+        v = v_a if math.hypot(*v_a) >= math.hypot(*v_b) else v_b
+        norm = math.hypot(*v)
+        v = (v[0] / norm, v[1] / norm)
+        if abs(v[0]) < abs(v[1]):
+            sign = 1.0 if v[1] > 0 else -1.0
+        else:
+            sign = 1.0 if v[0] > 0 else -1.0
+        pairs.append((lam, (sign * v[0], sign * v[1])))
+    return pairs
+
+
+def ref_fix_phase(vec):
+    idx = int(np.argmax(np.abs(vec)))
+    pivot = vec[idx]
+    if pivot == 0:
+        return vec
+    return vec * (abs(pivot) / pivot)
+
+
+def ref_decompose(m):
+    e = ref_pattern_elements(m)
+    if e is None:
+        vals, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
+        cols = [ref_fix_phase(vecs[:, i]) for i in range(8)]
+        return np.clip(vals, 0.0, None), np.column_stack(cols)
+    entries = []
+    for lam, (x, y) in ref_two_level_pairs(e["r11"], e["r55"], e["r15"]):
+        entries.append((lam, x * BASIS[0] + y * SYM_EXCITED))
+    for lam, (x, y) in ref_two_level_pairs(e["r22"], e["r66"], e["r26"]):
+        entries.append((lam, x * SYM_GROUND + y * BASIS[7]))
+    entries.append((e["r33"], BASIS[3].copy()))
+    entries.append((e["r44"], BASIS[4].copy()))
+    entries.append((0.0, ASYM_GROUND.copy()))
+    entries.append((0.0, ASYM_EXCITED.copy()))
+    probs = np.array([max(p, 0.0) for p, _ in entries])
+    return probs, np.column_stack([ref_fix_phase(v) for _, v in entries])
+
+
+def ref_analytic_negativity_b(e):
+    lam1 = 0.5 * (e["r33"] + e["r55"]) - 0.5 * math.hypot(e["r33"] - e["r55"], 2.0 * e["r26"])
+    lam2 = 0.5 * (e["r22"] + e["r44"]) - 0.5 * math.hypot(e["r22"] - e["r44"], 2.0 * e["r15"])
+    total = 0.0
+    if lam1 < -CUTOFF:
+        total += lam1
+    if lam2 < -CUTOFF:
+        total += lam2
+    return -2.0 * total
+
+
+def ref_partial_trace_b(m):
+    tensor = m.reshape(2, 2, 2, 2, 2, 2)
+    tensor = np.trace(tensor, axis1=1, axis2=4)  # A2
+    tensor = np.trace(tensor, axis1=1, axis2=3)  # A1
+    return tensor
+
+
+def reference_report(m):
+    """Every diagnostic of one state, per point, as a flat dict of floats."""
+    out = {}
+    for p in QubitLabel:
+        vals, vecs = ref_negative_eigenpairs(partial_transpose_global(m, p))
+        out[("n_g", p)] = -2.0 * math.fsum(vals.tolist())
+        out[("e_3", p)] = -2.0 * ref_projected_sum(partial_transpose_kway(m, p, 3), vecs)
+        out[("e_2", p)] = -2.0 * ref_projected_sum(partial_transpose_kway(m, p, 2), vecs)
+        out[("e_0", p)] = -2.0 * ref_projected_sum(m, vecs)
+
+    probs, vectors = ref_decompose(m)
+    psdg_terms = {p: [] for p in QubitLabel}
+    psd_terms = {spec: [] for spec in SELECTIVE_SPECS}
+    for prob, vec in zip(probs, vectors.T):
+        if prob <= 0.0:
+            continue
+        pure = np.outer(vec, vec.conj())
+        for p in QubitLabel:
+            vals, _ = ref_negative_eigenpairs(partial_transpose_global(pure, p))
+            psdg_terms[p].append(prob * -2.0 * math.fsum(vals.tolist()))
+        neg_vecs = {
+            p: ref_negative_eigenpairs(partial_transpose_kway(pure, p, 2))[1]
+            for p in (QubitLabel.B, QubitLabel.A1)
+        }
+        for spec, (p, _) in SELECTIVE_SPECS.items():
+            basis = neg_vecs[p]
+            if basis.shape[1]:
+                psd_terms[spec].append(
+                    prob * ref_projected_sum(selective_partial_transpose(pure, spec), basis)
+                )
+    for p in QubitLabel:
+        out[("n_psdg", p)] = math.fsum(psdg_terms[p])
+    for spec in SELECTIVE_SPECS:
+        out[("e_psd", spec)] = -2.0 * math.fsum(psd_terms[spec])
+
+    elements = ref_pattern_elements(m)
+    out["n_g_b_analytic"] = math.nan if elements is None else ref_analytic_negativity_b(elements)
+    reduced = ref_partial_trace_b(m)
+    out["linear_entropy_b"] = 2.0 * (1.0 - float(np.real(np.trace(reduced @ reduced))))
+    out["w1_fidelity"] = float(np.real(W1_STATE.conj() @ m @ W1_STATE))
+    out["bell_projection"] = float(np.real(m[0, 0])) + float(
+        np.real(SYM_EXCITED.conj() @ m @ SYM_EXCITED)
+    )
+    return out
+
+
+def flatten(batch, index):
+    """One state's values of a `NegativityBatch`, keyed like `reference_report`."""
+    out = {}
+    for name in ("n_g", "e_3", "e_2", "e_0", "n_psdg", "e_psd"):
+        for key, values in getattr(batch, name).items():
+            out[(name, key)] = float(values[index])
+    for name in ("n_g_b_analytic", "linear_entropy_b", "w1_fidelity", "bell_projection"):
+        out[name] = float(getattr(batch, name)[index])
+    return out
+
+
+def sweep_states(theta, squeezes, taus, n_max=80):
+    elements = closed_form_grid(taus, squeezes, theta, n_max)
+    return states_from_elements(elements.reshape(-1, 8))
+
+
+def assert_bit_identical(a, b):
+    for name in ("n_g", "e_3", "e_2", "e_0", "n_psdg", "e_psd"):
+        for key in getattr(a, name):
+            assert np.array_equal(getattr(a, name)[key], getattr(b, name)[key]), (name, key)
+    for name in ("n_g_b_analytic", "linear_entropy_b", "w1_fidelity", "bell_projection", "pattern_ok"):
+        assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
+
+
+# ------------------------------------------------------------------- tests
+
+
+@pytest.mark.parametrize("theta", [math.pi, math.pi / 2.0, math.pi / 3.0])
+def test_kernel_matches_per_point_reference(theta):
+    taus = [0.0, 0.3, 0.8, 2.0, 7.1, 14.5]
+    squeezes = [0.0, 0.3, 1.2, 2.0]
+    states = sweep_states(theta, squeezes, taus)
+    batch = negativity_batch(states)
+    assert batch.pattern_ok.all()
+    worst = 0.0
+    for index, m in enumerate(states):
+        expected = reference_report(m)
+        got = flatten(batch, index)
+        assert got.keys() == expected.keys()
+        for key, value in expected.items():
+            worst = max(worst, abs(got[key] - value))
+            assert got[key] == pytest.approx(value, abs=TOL), (theta, index, key)
+    assert worst <= TOL
+
+
+def test_kernel_matches_reference_on_degenerate_pairs():
+    # exact degeneracies and zero coherences take the unrotated branches of
+    # the two-level solve, in both orders
+    states = []
+    for r11, r55, r15 in ((0.25, 0.25, 0.0), (0.5, 0.1, 0.0), (0.1, 0.5, 0.0), (0.3, 0.3, 0.1)):
+        m = np.zeros((8, 8), dtype=complex)
+        m[0, 0] = r11
+        m[5:7, 5:7] = r55 / 2.0
+        m[0, 5] = m[0, 6] = m[5, 0] = m[6, 0] = r15 / SQRT2
+        m[3, 3] = 1.0 - r11 - r55
+        states.append(m)
+    batch = negativity_batch(np.array(states))
+    assert batch.pattern_ok.all()
+    for index, m in enumerate(states):
+        expected = reference_report(m)
+        got = flatten(batch, index)
+        for key, value in expected.items():
+            assert got[key] == pytest.approx(value, abs=TOL), (index, key)
+        probs, vectors = ref_decompose(m)
+        dec = ent.decompose(m)
+        assert np.abs(dec.probabilities - probs).max() <= TOL
+        assert np.abs(dec.vectors - vectors).max() <= TOL
+
+
+def test_kernel_matches_reference_on_generic_states():
+    rng = np.random.default_rng(31)
+    a = rng.standard_normal((5, 8, 8)) + 1j * rng.standard_normal((5, 8, 8))
+    states = a @ a.conj().swapaxes(-1, -2)
+    states /= np.trace(states, axis1=1, axis2=2).real[:, None, None]
+    batch = negativity_batch(states)
+    assert not batch.pattern_ok.any()
+    for index, m in enumerate(states):
+        expected = reference_report(m)
+        got = flatten(batch, index)
+        for key, value in expected.items():
+            if key == "n_g_b_analytic":
+                assert math.isnan(got[key])
+                continue
+            assert got[key] == pytest.approx(value, abs=TOL), (index, key)
+
+
+def test_eigenvalues_inside_cutoff_count_as_zero():
+    # the B transpose moves the |000><101| coherence onto the |100>, |001>
+    # populations: eigenvalues 1e-13 -+ 5e-13, the negative one inside the cutoff
+    m = np.zeros((8, 8), dtype=complex)
+    m[0, 0] = 0.5
+    m[5, 5] = 0.5 - 2e-13
+    m[1, 1] = m[4, 4] = 1e-13
+    m[0, 5] = m[5, 0] = 5e-13
+    assert np.linalg.eigvalsh(partial_transpose_global(m, QubitLabel.B)).min() < 0.0
+    got = flatten(negativity_batch(m[None]), 0)
+    for key, value in reference_report(m).items():
+        if key != "n_g_b_analytic":
+            assert got[key] == pytest.approx(value, abs=TOL), key
+    for name in ("n_g", "e_3", "e_2", "e_0"):
+        assert got[(name, QubitLabel.B)] == 0.0
+
+
+def test_product_states_have_exactly_zero_decomposition_negativity():
+    # every decomposition state of a full-rank product state is a product
+    # ket, whose negativity is rounding noise far inside the cutoff
+    rng = np.random.default_rng(3)
+    factors = []
+    for _ in range(3):
+        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        factor = a @ a.conj().T
+        factors.append(factor / np.trace(factor).real)
+    m = np.kron(factors[2], np.kron(factors[1], factors[0]))  # B slowest, A1 fastest
+    batch = negativity_batch(m[None])
+    expected = reference_report(m)
+    for p in QubitLabel:
+        assert batch.n_psdg[p][0] == expected[("n_psdg", p)] == 0.0
+
+
+def test_pairwise_solves_only_positive_weight_states(monkeypatch):
+    states = sweep_states(math.pi, [0.0, 1.2], [0.0, 0.7, 3.0, 14.5])
+    positive = sum(int((ent.decompose(m).probabilities > 0.0).sum()) for m in states)
+    solved = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        solved.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    negativity_batch(states)
+    # three global transposes per state, two two-way transposes per
+    # decomposition state of positive weight
+    assert sum(solved) == 3 * len(states) + 2 * positive
+    assert positive < 8 * len(states)
+
+
+def test_only_non_pattern_rows_take_generic_fallback(monkeypatch):
+    states = sweep_states(math.pi, [1.2], [0.5, 1.0, 1.5, 2.0])
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    generic = a @ a.conj().T
+    generic /= np.trace(generic).real
+    stack = np.concatenate([states[:2], generic[None], states[2:]])
+
+    seen = []
+    original = ent._generic_decomposition
+
+    def recording(rows):
+        seen.append(rows.copy())
+        return original(rows)
+
+    monkeypatch.setattr(ent, "_generic_decomposition", recording)
+    batch = negativity_batch(stack)
+    assert len(seen) == 1
+    assert seen[0].shape == (1, 8, 8)
+    assert np.array_equal(seen[0][0], generic)
+    assert batch.pattern_ok.tolist() == [True, True, False, True, True]
+    assert math.isnan(batch.n_g_b_analytic[2])
+    n_g_b = batch.n_g[QubitLabel.B]
+    for index in (0, 1, 3, 4):
+        assert batch.n_g_b_analytic[index] == pytest.approx(n_g_b[index], abs=1e-10)
+    seen.clear()
+    negativity_batch(states)
+    assert seen == []
+
+
+def test_non_hermitian_row_raises():
+    states = sweep_states(math.pi, [1.2], [0.5, 1.0, 1.5])
+    states[1, 0, 5] += 1e-6
+    with pytest.raises(ValueError, match="not Hermitian"):
+        negativity_batch(states)
+    states[1, 0, 5] = np.nan
+    with pytest.raises(ValueError, match="not Hermitian"):
+        negativity_batch(states)
+    with pytest.raises(ValueError):
+        negativity_batch(np.eye(8))
+
+
+def test_decomposition_negativities_reject_non_hermitian_pattern_state():
+    # the zero pattern holds, but the mirrored coherences differ; the
+    # decomposition reads one triangle only, the kernel checks both
+    m = closed_form_rho(1.2, FieldConfig(1.2, math.pi, 40)).matrix.copy()
+    m[5, 0] += 1e-6
+    assert pattern_violations(m, 1e-8) == []
+    with pytest.raises(ValueError, match="not Hermitian"):
+        ent.psdg_negativity(m, QubitLabel.B)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        ent.psd_partial_negativity(m, "B-BA1")
+
+
+def test_generic_decomposition_rejects_non_hermitian_state():
+    rng = np.random.default_rng(9)
+    m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        ent.decompose(m)
+
+
+def test_kernel_and_scalar_negativity_share_one_path():
+    states = sweep_states(math.pi / 2.0, [0.3, 1.2], [0.0, 0.8, 14.5])
+    batch = negativity_batch(states)
+    for p in QubitLabel:
+        stacked = ent.global_negativity(states, p)
+        assert np.array_equal(stacked, batch.n_g[p])
+        for index, m in enumerate(states):
+            assert ent.global_negativity(m, p) == batch.n_g[p][index]
+    vals, vecs = ent.negative_eigenpairs(partial_transpose_global(states, QubitLabel.B))
+    for index, m in enumerate(states):
+        ref_vals, ref_vecs = ref_negative_eigenpairs(partial_transpose_global(m, QubitLabel.B))
+        kept = vals[index] != 0.0
+        assert np.array_equal(vals[index][kept], ref_vals)
+        assert np.array_equal(vecs[index][:, kept], ref_vecs)
+        assert not vecs[index][:, ~kept].any()
+
+
+@pytest.mark.parametrize("length", [1, ent._DIAGNOSTIC_BLOCK, ent._DIAGNOSTIC_BLOCK + 1])
+def test_stack_is_bit_identical_to_per_point(length):
+    taus = np.linspace(0.0, 20.0, length)
+    states = sweep_states(math.pi / 3.0, [1.2], taus, n_max=40)
+    batch = negativity_batch(states)
+    assert len(batch.n_g[QubitLabel.B]) == length
+    for index in range(length):
+        single = negativity_batch(states[index : index + 1])
+        assert single.report(0) == batch.report(index)
+        assert_bit_identical(single, negativity_batch([states[index]]))
+
+
+def test_negativity_report_is_kernel_grid_of_one():
+    for tau in (0.0, 0.8, 14.5):
+        rho = closed_form_rho(tau, FieldConfig(1.2, math.pi / 2.0, 60))
+        assert negativity_report(rho) == negativity_batch([rho]).report(0)
+
+
+def test_negativity_report_still_rejects_non_pattern_state():
+    m = closed_form_rho(1.0, FieldConfig(0.8, 2.0, 20)).matrix.copy()
+    m[0, 3] = m[3, 0] = 0.05
+    with pytest.raises(ValueError, match=r"zero pattern: entry \[0,3\]"):
+        negativity_report(m)
+
+
+def test_empty_stack():
+    batch = negativity_batch(np.zeros((0, 8, 8), dtype=complex))
+    assert batch.n_g[QubitLabel.B].shape == (0,)
+    assert batch.e_psd["B-BA1"].shape == (0,)
+
+
+# ---------------------------------------------------- zero-pattern checks
+
+
+def loop_pattern_violations(matrix, tol):
+    out = []
+    for i in range(8):
+        for j in range(8):
+            if not PATTERN_MASK[i, j] and abs(matrix[i, j]) > tol:
+                out.append((i, j, complex(matrix[i, j])))
+    return out
+
+
+def loop_compare_violations(ma, mb, tol):
+    out = []
+    for i in range(8):
+        for j in range(8):
+            if not PATTERN_MASK[i, j] and max(abs(ma[i, j]), abs(mb[i, j])) > tol:
+                out.append((i, j, complex(ma[i, j]), complex(mb[i, j])))
+    return out
+
+
+def pattern_cases():
+    rng = np.random.default_rng(77)
+    clean = closed_form_rho(2.3, FieldConfig(0.9, 2.0, 20)).matrix
+    yield clean, clean
+    for _ in range(20):
+        a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        b = np.where(rng.random((8, 8)) < 0.5, 0.0, rng.standard_normal((8, 8)) * 1e-9)
+        yield a, clean + b
+    for i, j, value in ((4, 4, 1e-3), (0, 3, 2e-10), (7, 0, -1e-7j), (2, 5, np.nan), (1, 0, np.inf)):
+        bumped = clean.copy()
+        bumped[i, j] += value
+        yield bumped, clean
+        yield clean, bumped
+    # a NaN against a violation in the other state: Python's max keeps the
+    # first argument when the comparison fails
+    nan_entry, violation = clean.copy(), clean.copy()
+    nan_entry[2, 5] = np.nan
+    violation[2, 5] = 1e-3
+    yield nan_entry, violation
+    yield violation, nan_entry
+
+
+def test_mask_pattern_checks_match_loops():
+    for a, b in pattern_cases():
+        for tol in (1e-10, 1e-8):
+            assert pattern_violations(a, tol) == loop_pattern_violations(a, tol)
+            assert pattern_violations(b, tol) == loop_pattern_violations(b, tol)
+            got = compare_states(a, b, pattern_tol=tol).pattern_violations
+            expected = loop_compare_violations(a, b, tol)
+            assert len(got) == len(expected)
+            for row, ref in zip(got, expected):
+                assert row[:2] == ref[:2]
+                assert np.array_equal(np.array(row[2:]), np.array(ref[2:]), equal_nan=True)
