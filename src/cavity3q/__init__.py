@@ -35,11 +35,7 @@ from .entanglement import (
 )
 from .fock_field import (
     FieldConfig,
-    FieldTermWeight,
-    binomial_amplitude,
     binomial_amplitude_row,
-    enumerate_field_terms,
-    field_weight,
     squeezed_weight,
     truncation_deficit,
     truncation_deficits,
@@ -48,8 +44,8 @@ from .oracle import (
     ComparisonReport,
     compare_states,
     full_evolution,
+    full_evolution_grid,
     hamiltonian_block_evolution,
-    truncated_beam_splitter,
 )
 from .tavis_cummings import (
     PATTERN_MASK,
@@ -68,12 +64,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FieldConfig",
-    "FieldTermWeight",
-    "binomial_amplitude",
     "binomial_amplitude_row",
-    "field_weight",
     "squeezed_weight",
-    "enumerate_field_terms",
     "truncation_deficit",
     "truncation_deficits",
     "ThreeQubitDensityMatrix",
@@ -110,8 +102,8 @@ __all__ = [
     "bell_projection_probability",
     "negativity_batch",
     "negativity_report",
-    "truncated_beam_splitter",
     "hamiltonian_block_evolution",
+    "full_evolution_grid",
     "full_evolution",
     "ComparisonReport",
     "compare_states",

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import QubitLabel, negativity_batch
-from .fock_field import FieldConfig, truncation_deficits
-from .oracle import compare_states, full_evolution
+from .fock_field import FieldConfig, require_theta, truncation_deficits
+from .oracle import compare_states, full_evolution_grid
 from .tavis_cummings import (
     ThreeQubitDensityMatrix,
     closed_form_grid,
@@ -103,8 +103,7 @@ class SweepConfig:
             raise ValueError("step counts must be >= 1")
         if self.tau_end < self.tau_start or self.s_end < self.s_start:
             raise ValueError("sweep ranges must be non-empty")
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
+        require_theta(self.theta)
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
 
@@ -218,8 +217,10 @@ def run_single_point(cfg: SweepConfig) -> str:
 def run_oracle_check(cfg: SweepConfig, corrupt=None) -> tuple[str, int]:
     """Closed form versus brute force on the fixed validation grid.
 
-    Returns the report text and an exit status (0 all within tolerance,
-    1 otherwise).  ``corrupt``, used by the test suite, post-processes each
+    The brute-force states of each angle come from one
+    `full_evolution_grid` call; rows follow theta, then s, then tau.  Returns
+    the report text and an exit status (0 all within tolerance, 1
+    otherwise).  ``corrupt``, used by the test suite, post-processes each
     closed-form matrix before comparison to prove the check can fail.
     """
     if cfg.oracle_n_max > 40:
@@ -232,13 +233,16 @@ def run_oracle_check(cfg: SweepConfig, corrupt=None) -> tuple[str, int]:
     failures = []
     worst = 0.0
     for theta in ORACLE_CHECK_THETAS:
-        for s in ORACLE_CHECK_SQUEEZES:
+        references = full_evolution_grid(
+            ORACLE_CHECK_TAUS, ORACLE_CHECK_SQUEEZES, theta, cfg.oracle_n_max
+        )
+        for s_index, s in enumerate(ORACLE_CHECK_SQUEEZES):
             field = FieldConfig(s, theta, cfg.oracle_n_max)
-            for tau in ORACLE_CHECK_TAUS:
+            for tau_index, tau in enumerate(ORACLE_CHECK_TAUS):
                 closed = closed_form_rho(tau, field).matrix
                 if corrupt is not None:
                     closed = corrupt(closed.copy())
-                reference = full_evolution(field, tau)
+                reference = references[tau_index, s_index]
                 report = compare_states(closed, reference)
                 ok = report.max_abs_diff < cfg.tolerance
                 worst = max(worst, report.max_abs_diff)
@@ -250,7 +254,7 @@ def run_oracle_check(cfg: SweepConfig, corrupt=None) -> tuple[str, int]:
                     i, j = report.worst_entry
                     failures.append(
                         f"# DISCREPANCY tau={_fmt(tau)} s={_fmt(s)} theta={_fmt(theta)} "
-                        f"entry=[{i},{j}] closed={closed[i, j]:.12g} reference={reference.matrix[i, j]:.12g}"
+                        f"entry=[{i},{j}] closed={closed[i, j]:.12g} reference={reference[i, j]:.12g}"
                     )
                 for i, j, va, vb in report.pattern_violations:
                     failures.append(

@@ -8,32 +8,25 @@ cavity pair in a mixed Fock-basis state in which each term
     |n-k, n-l><m-k, m-l|,   0 <= k, l <= min(n, m)
 
 carries the real weight ``(tanh s)^(n+m) / cosh^2(s) * G_kl^nm(theta)``,
-where ``G_kl^nm`` is a product of four binomial beam-splitter amplitudes and
-``k``, ``l`` count photons lost to the reflected ports.  Only ``|n-m| <= 1``
-terms survive the field trace of the reduced atomic dynamics, so enumeration
-is organised by that band index.
+where ``G_kl^nm`` is a product of four binomial beam-splitter amplitudes
+(`binomial_amplitude_row`) and ``k``, ``l`` count photons lost to the
+reflected ports.  Only ``|n-m| <= 1`` terms survive the field trace of the
+reduced atomic dynamics.
 
-Everything here is a pure function of its inputs.  Term iteration follows a
-fixed (n, then k, then l) order so downstream sums are reproducible bit for
-bit across runs.
+Everything here is a pure function of its inputs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
 __all__ = [
     "FieldConfig",
-    "FieldTermWeight",
-    "binomial_amplitude",
     "binomial_amplitude_row",
-    "field_weight",
     "squeezed_weight",
-    "enumerate_field_terms",
     "truncation_deficit",
     "truncation_deficits",
 ]
@@ -49,8 +42,7 @@ def _log_factorial(n: int) -> float:
 
 
 def _half_angle(theta: float) -> tuple[float, float]:
-    if not 0.0 <= theta <= math.pi:
-        raise ValueError(f"theta must lie in [0, pi], got {theta}")
+    require_theta(theta)
     cos_half = math.cos(0.5 * theta)
     sin_half = math.sin(0.5 * theta)
     if abs(cos_half) < _HALF_ANGLE_SNAP:
@@ -67,6 +59,12 @@ def require_finite_nonnegative(name: str, values) -> np.ndarray:
     if bad.size:
         raise ValueError(f"{name} must be finite and >= 0, got {bad.flat[0]}")
     return array
+
+
+def require_theta(theta) -> None:
+    """Reject a beam-splitter angle outside [0, pi] (NaN included)."""
+    if not 0.0 <= theta <= math.pi:
+        raise ValueError(f"theta must lie in [0, pi], got {theta}")
 
 
 def require_n_max(n_max) -> None:
@@ -92,49 +90,16 @@ class FieldConfig:
 
     def __post_init__(self) -> None:
         require_finite_nonnegative("squeeze parameter s", self.s)
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
+        require_theta(self.theta)
         require_n_max(self.n_max)
 
 
-class FieldTermWeight(NamedTuple):
-    """One term of the injected-field mixture: indices and its real weight."""
-
-    n: int
-    m: int
-    k: int
-    l: int
-    weight: float
-
-
-def binomial_amplitude(n: int, k: int, theta: float) -> float:
-    """Amplitude ``sqrt(n!/(k!(n-k)!)) cos^k(theta/2) sin^(n-k)(theta/2)``.
-
-    This is the beam-splitter amplitude for keeping ``k`` of ``n`` photons in
-    the reflected port.  Evaluated in log space so it stays finite and
-    accurate up to n ~ 160.
-    """
-    if not (isinstance(n, (int, np.integer)) and isinstance(k, (int, np.integer))):
-        raise ValueError("indices must be integers")
-    if k < 0 or n < 0 or k > n:
-        raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-    cos_half, sin_half = _half_angle(theta)
-    if k == 0:
-        return sin_half**n
-    if k == n:
-        return cos_half**n
-    if cos_half == 0.0 or sin_half == 0.0:
-        return 0.0
-    log_amp = (
-        0.5 * (_log_factorial(n) - _log_factorial(k) - _log_factorial(n - k))
-        + k * math.log(cos_half)
-        + (n - k) * math.log(sin_half)
-    )
-    return math.exp(log_amp)
-
-
 def binomial_amplitude_row(n: int, theta: float) -> np.ndarray:
-    """All amplitudes for fixed ``n`` as an array indexed by ``k = 0..n``."""
+    """Beam-splitter amplitudes of keeping ``k`` of ``n`` photons in the reflected port.
+
+    Entry ``k = 0..n`` is ``sqrt(n!/(k!(n-k)!)) cos^k(theta/2) sin^(n-k)(theta/2)``,
+    evaluated in log space so it stays finite and accurate up to n ~ 160.
+    """
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise ValueError(f"n must be a non-negative integer, got {n!r}")
     cos_half, sin_half = _half_angle(theta)
@@ -156,18 +121,6 @@ def binomial_amplitude_row(n: int, theta: float) -> np.ndarray:
     return row
 
 
-def field_weight(n: int, m: int, k: int, l: int, theta: float) -> float:
-    """Four-amplitude product ``C_k^n C_k^m C_l^n C_l^m`` for one field term."""
-    if k < 0 or l < 0 or k > min(n, m) or l > min(n, m):
-        raise ValueError(f"need 0 <= k, l <= min(n, m), got n={n}, m={m}, k={k}, l={l}")
-    return (
-        binomial_amplitude(n, k, theta)
-        * binomial_amplitude(m, k, theta)
-        * binomial_amplitude(n, l, theta)
-        * binomial_amplitude(m, l, theta)
-    )
-
-
 def squeezed_weight(n: int, s: float) -> float:
     """Amplitude ``(tanh s)^n / cosh(s)`` of the |n, n> squeezed-pair component."""
     if not isinstance(n, (int, np.integer)) or n < 0:
@@ -175,37 +128,6 @@ def squeezed_weight(n: int, s: float) -> float:
     if s < 0.0:
         raise ValueError(f"squeeze parameter must be >= 0, got {s}")
     return math.tanh(s) ** n / math.cosh(s)
-
-
-def enumerate_field_terms(config: FieldConfig, band: int) -> Iterator[FieldTermWeight]:
-    """Yield the injected-field terms with ``m = n + band`` and nonzero weight.
-
-    ``band`` selects ``|n - m|``; only 0 and 1 contribute to the reduced
-    three-qubit state.  Only the upper family ``m = n + band`` is emitted:
-    the mirrored ``m = n - band`` terms carry identical weights (the weight is
-    symmetric under n <-> m) and consumers restore them through Hermitian
-    completion.  Terms whose weight is exactly zero (full transmission kills
-    every k > 0, zero squeezing kills every n > 0) are skipped.  Order is
-    ascending n, then k, then l.
-    """
-    if band not in (0, 1):
-        raise ValueError(f"band must be 0 or 1, got {band}")
-    for n in range(config.n_max - band + 1):
-        m = n + band
-        norm = squeezed_weight(n, config.s) * squeezed_weight(m, config.s)
-        if norm == 0.0:
-            continue
-        amps_n = binomial_amplitude_row(n, config.theta)
-        amps_m = amps_n if band == 0 else binomial_amplitude_row(m, config.theta)
-        pair = amps_n * amps_m[: n + 1]
-        for k in range(n + 1):
-            ck = pair[k]
-            if ck == 0.0:
-                continue
-            for l in range(n + 1):
-                w = norm * ck * pair[l]
-                if w != 0.0:
-                    yield FieldTermWeight(n, m, k, l, float(w))
 
 
 def truncation_deficits(squeezes, n_max: int) -> np.ndarray:

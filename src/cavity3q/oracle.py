@@ -1,42 +1,47 @@
 """Brute-force reference dynamics on the truncated Hilbert space.
 
-Everything in this module avoids the trigonometric closed forms: beam
-splitters and atom-field couplings are written as explicit matrices on the
-truncated Fock space, exponentiated through Hermitian eigendecompositions,
-and the cavity fields are traced out numerically.  Agreement with the
-analytic reduced state is the package's core correctness check.
+Everything in this module avoids the trigonometric closed forms and the
+binomial field weights they are built on.  The beam splitters and the
+atom-field couplings are written as explicit matrices on Fock spaces and
+exponentiated through Hermitian eigendecompositions; the reflected beams and
+the cavity fields are traced out numerically.  Agreement with the analytic
+reduced state is the package's core correctness check.
 
-The atom-field evolution here works in the bare product basis (no coupled
+Field side: each beam-splitter generator conserves the photon number of its
+(external, cavity) mode pair, so it is exponentiated one total-photon block
+at a time, exactly (`_beam_splitter_block`).  The last column of block n
+gives the amplitudes ``A[n, k]`` of keeping k of the n injected photons in
+the external port.
+
+Atom side: the evolution works in the bare product basis (no coupled
 collective-spin states), so it independently validates the symmetric-block
 structure that the closed forms assume.
+
+The reduced state is summed over every pair (n, m) of squeezed-pair photon
+numbers, not only the |n - m| <= 1 bands the closed forms keep, so their
+selection rule is checked rather than assumed.  The sum factorises over the
+two cavities, and a whole (tau, s) grid costs one propagator per tau and one
+matrix product: `full_evolution_grid`.  `full_evolution` is its grid of one.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .fock_field import FieldConfig, enumerate_field_terms
+from .fock_field import FieldConfig, require_finite_nonnegative, require_n_max, require_theta
 from .tavis_cummings import PATTERN_MASK, ThreeQubitDensityMatrix
 
 __all__ = [
-    "annihilation",
-    "truncated_beam_splitter",
     "hamiltonian_block_evolution",
+    "full_evolution_grid",
     "full_evolution",
     "ComparisonReport",
     "compare_states",
 ]
-
-
-def annihilation(dim: int) -> np.ndarray:
-    """Photon annihilation operator on a Fock space truncated at dim - 1."""
-    if dim < 1:
-        raise ValueError(f"dimension must be >= 1, got {dim}")
-    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
 
 
 def _expm_hermitian(h: np.ndarray, scale: float) -> np.ndarray:
@@ -45,22 +50,39 @@ def _expm_hermitian(h: np.ndarray, scale: float) -> np.ndarray:
     return (vecs * np.exp(-1j * scale * vals)) @ vecs.conj().T
 
 
-def truncated_beam_splitter(theta: float, dim: int) -> np.ndarray:
-    """Beam-splitter unitary exp[(theta/2)(c f' - c' f)] on two truncated modes.
+def _beam_splitter_block(theta: float, photons: int) -> np.ndarray:
+    """Beam-splitter unitary exp[(theta/2)(c f' - c' f)] on ``photons`` total photons.
 
-    Mode order is external (x) cavity, flat index e * dim + c.  The generator
-    is anti-Hermitian, so the matrix is the exponential of -i times a
-    Hermitian operator and comes out unitary to machine precision.  Columns
-    with total photon number below ``dim`` are exact; only the truncation
-    edge deviates from the infinite-dimensional operator.
+    ``c`` is the cavity mode and ``f`` the external one.  The generator moves
+    photons between them and conserves their sum, so the block of total
+    photon number N is exact, with no truncation edge.  Rows and columns
+    e = 0..N index |e external, N - e cavity>.  The generator is real and
+    antisymmetric, so the block is real orthogonal; it is exponentiated as
+    exp(-i H) with the Hermitian H = i * generator, and the imaginary
+    rounding residue is dropped.
     """
-    if dim < 2:
-        raise ValueError(f"per-mode dimension must be >= 2, got {dim}")
-    a = annihilation(dim)
-    c_op = np.kron(np.eye(dim), a)
-    f_op = np.kron(a, np.eye(dim))
-    generator = 0.5 * theta * (c_op @ f_op.conj().T - c_op.conj().T @ f_op)
-    return _expm_hermitian(1j * generator, 1.0)
+    if isinstance(photons, bool) or not isinstance(photons, (int, np.integer)) or photons < 0:
+        raise ValueError(f"photon number must be a non-negative integer, got {photons!r}")
+    e = np.arange(photons, dtype=float)
+    # c f' |e, N - e> = sqrt((e + 1)(N - e)) |e + 1, N - e - 1>; c' f is its transpose
+    hop = 0.5 * theta * np.sqrt((e + 1.0) * (photons - e))
+    generator = np.diag(hop, -1) - np.diag(hop, 1)
+    return _expm_hermitian(1j * generator, 1.0).real
+
+
+@lru_cache(maxsize=8)
+def _beam_splitter_columns(theta: float, n_max: int) -> np.ndarray:
+    """Amplitudes ``A[n, k] = <k external, n - k cavity| U_BS |n external, 0 cavity>``.
+
+    Row n is the last column of the n-photon block: all n photons arrive in
+    the external mode and the cavity starts empty.  Entries with k > n are
+    zero.  Cached per (theta, n_max) and read-only.
+    """
+    amps = np.zeros((n_max + 1, n_max + 1))
+    for n in range(n_max + 1):
+        amps[n, : n + 1] = _beam_splitter_block(theta, n)[:, n]
+    amps.setflags(write=False)
+    return amps
 
 
 def hamiltonian_block_evolution(n_or_m: int, tau: float, block: str) -> np.ndarray:
@@ -116,78 +138,104 @@ def _full_coupling_hamiltonian(num_atoms: int, dim: int) -> np.ndarray:
     return h
 
 
-_eigh_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+@lru_cache(maxsize=8)
+def _coupling_eigh(num_atoms: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of `_full_coupling_hamiltonian`, cached and read-only."""
+    vals, vecs = np.linalg.eigh(_full_coupling_hamiltonian(num_atoms, dim))
+    vals.setflags(write=False)
+    vecs.setflags(write=False)
+    return vals, vecs
 
 
-def _cached_eigh(num_atoms: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    key = (num_atoms, dim)
-    if key not in _eigh_cache:
-        vals, vecs = np.linalg.eigh(_full_coupling_hamiltonian(num_atoms, dim))
-        _eigh_cache[key] = (vals, vecs)
-    return _eigh_cache[key]
+def _evolved_components(num_atoms: int, dim: int, taus: np.ndarray, count: int) -> np.ndarray:
+    """Evolved kets U(tau) |all ground, q photons> for each tau and q = 0..count-1.
 
-
-def _evolved_components(num_atoms: int, dim: int, tau: float, count: int) -> np.ndarray:
-    """Evolved kets U(tau) |all ground, q photons> for q = 0..count-1.
-
-    Returns an array (count, 2**num_atoms, dim) of amplitudes.  All-ground
-    initial states sit at flat indices 0..count-1, so the evolved kets are
-    simply the first ``count`` columns of the propagator.
+    Returns an array (len(taus), count, 2**num_atoms, dim) of amplitudes.
+    All-ground initial states sit at flat indices 0..count-1, so the evolved
+    kets are the first ``count`` columns of each propagator.
     """
-    vals, vecs = _cached_eigh(num_atoms, dim)
-    u = (vecs * np.exp(-1j * tau * vals)) @ vecs.conj().T
-    psi = u[:, :count].T.reshape(count, 2**num_atoms, dim)
-    norms = np.linalg.norm(psi.reshape(count, -1), axis=1)
-    if np.abs(norms - 1.0).max() > 1e-10:
+    vals, vecs = _coupling_eigh(num_atoms, dim)
+    phases = np.exp(-1j * np.multiply.outer(taus, vals))
+    columns = (vecs * phases[:, None, :]) @ vecs[:count].conj().T
+    psi = columns.swapaxes(1, 2).reshape(len(taus), count, 2**num_atoms, dim)
+    norms = np.linalg.norm(psi.reshape(len(taus), count, -1), axis=2)
+    # written so that a NaN norm fails too
+    if not np.abs(norms - 1.0).max() <= 1e-10:
         raise RuntimeError("evolved component lost norm; truncation too small")
     return psi
 
 
-def full_evolution(config: FieldConfig, tau: float) -> ThreeQubitDensityMatrix:
-    """Reduced three-qubit state by explicit evolution and field trace.
+def _photon_traced_gram(psi: np.ndarray) -> np.ndarray:
+    """``G[t, q, r, a, a'] = sum_p psi[t, q, a, p] conj(psi[t, r, a', p])``.
 
-    Each injected-field component |q1, q2> is evolved through the bare-basis
-    propagators (with two extra photon slots of headroom), outer products are
-    accumulated with the field weights, and both cavity photon numbers are
-    traced out.  Intended for moderate truncations (n_max <= 40 or so); the
-    closed forms carry production scale.
+    The field trace of the evolved ket of q photons (atom state a) against
+    that of r photons (atom state a').
     """
-    if tau < 0.0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
-    dim = config.n_max + 3
-    count = config.n_max + 1
-    psi1 = _evolved_components(2, dim, tau, count)
-    psi2 = _evolved_components(1, dim, tau, count)
-    # cross Gram tensors over the photon index: pair[q, r, a, a'] is the field
-    # trace of (evolved q, atom a) against (evolved r, atom a')
-    pair1 = np.einsum("qap,rbp->qrab", psi1, psi1.conj())
-    pair2 = np.einsum("qap,rbp->qrab", psi2, psi2.conj())
+    taus, count, atoms, dim = psi.shape
+    flat = psi.reshape(taus, count * atoms, dim)
+    gram = flat @ flat.conj().swapaxes(1, 2)
+    return gram.reshape(taus, count, atoms, count, atoms).swapaxes(2, 3)
 
-    rho = np.zeros((8, 8), dtype=complex)
-    dropped = 0.0
-    for band in (0, 1):
-        terms = list(enumerate_field_terms(config, band))
-        if not terms:
-            continue
-        n = np.array([t.n for t in terms])
-        k = np.array([t.k for t in terms])
-        l = np.array([t.l for t in terms])
-        w = np.array([t.weight for t in terms])
-        q1 = n - k
-        q2 = n - l
-        valid = (q1 + band <= config.n_max) & (q2 + band <= config.n_max)
-        if not valid.all():
-            dropped += float(np.abs(w[~valid]).sum())
-            n, k, l, w, q1, q2 = (x[valid] for x in (n, k, l, w, q1, q2))
-        g1 = pair1[q1, q1 + band]
-        g2 = pair2[q2, q2 + band]
-        block = np.einsum("t,tbB,taA->baBA", w, g2, g1).reshape(8, 8)
-        rho += block
-        if band == 1:
-            rho += block.conj().T
-    if dropped > 0.0:
-        warnings.warn(f"dropped field components with total weight {dropped:g}", stacklevel=2)
-    return ThreeQubitDensityMatrix(rho, float(tau), config.s, config.theta, config.n_max)
+
+def _port_traced(gram: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """``X[t, n, m] = sum_k A[n, k] A[m, k] G[t, n - k, m - k]``.
+
+    One cavity's share of the reduced state for squeezed-pair photon numbers
+    n (ket) and m (bra), with the k photons left in the external port traced
+    out.  Built by adding shifted slices, one per k.
+    """
+    size = amps.shape[0]
+    out = np.zeros_like(gram)
+    for k in range(size):
+        col = amps[k:, k]
+        weights = np.multiply.outer(col, col)[..., None, None]
+        out[:, k:, k:] += weights * gram[:, : size - k, : size - k]
+    return out
+
+
+def full_evolution_grid(taus, squeezes, theta: float, n_max: int) -> np.ndarray:
+    """Reduced three-qubit states by explicit evolution and field trace, on a (tau, s) grid.
+
+    Returns an array of shape (len(taus), len(squeezes), 8, 8).  The squeezed
+    pair ``sum_n lambda_n(s) |n, n>``, ``lambda_n = tanh(s)^n / cosh(s)`` for
+    n <= n_max, enters the cavities through `_beam_splitter_block`; each
+    cavity's injected photon number is evolved through the bare-basis
+    propagator (with two extra photon slots of headroom), and the external
+    ports and both cavity fields are traced out.  The state is
+
+        rho(s) = sum_{n, m} lambda_n(s) lambda_m(s) X2[n, m] (x) X1[n, m]
+
+    with `_port_traced` giving each cavity's X, summed over all (n, m).  The
+    field amplitudes depend only on theta and the propagators only on tau, so
+    each is built once per call.  Intended for moderate truncations
+    (n_max <= 80 or so); the closed forms carry production scale.
+    """
+    taus = require_finite_nonnegative("tau", taus).reshape(-1)
+    squeezes = require_finite_nonnegative("squeeze parameter s", squeezes).reshape(-1)
+    require_n_max(n_max)
+    require_theta(theta)
+    size = n_max + 1
+    dim = n_max + 3
+    amps = _beam_splitter_columns(float(theta), int(n_max))
+    x1 = _port_traced(_photon_traced_gram(_evolved_components(2, dim, taus, size)), amps)
+    x2 = _port_traced(_photon_traced_gram(_evolved_components(1, dim, taus, size)), amps)
+
+    lam = np.tanh(squeezes)[:, None] ** np.arange(size) / np.cosh(squeezes)[:, None]
+    pair_weights = (lam[:, :, None] * lam[:, None, :]).reshape(len(squeezes), size * size)
+    # sum over (n, m) as one product per tau: rows (s, b, b') of the weighted
+    # c2 factor against columns (a, a') of the c1 factor
+    x1 = x1.reshape(len(taus), size * size, 16)
+    x2 = x2.reshape(len(taus), size * size, 4).swapaxes(1, 2)
+    weighted = (pair_weights[None, :, None, :] * x2[:, None]).reshape(len(taus), -1, size * size)
+    rho = (weighted @ x1).reshape(len(taus), len(squeezes), 2, 2, 4, 4)
+    # flat index a + 4 b: the c1 pair is the low part, the c2 atom the high bit
+    return rho.transpose(0, 1, 2, 4, 3, 5).reshape(len(taus), len(squeezes), 8, 8)
+
+
+def full_evolution(config: FieldConfig, tau: float) -> ThreeQubitDensityMatrix:
+    """`full_evolution_grid` at one point."""
+    matrix = full_evolution_grid([tau], [config.s], config.theta, config.n_max)[0, 0]
+    return ThreeQubitDensityMatrix(matrix, float(tau), config.s, config.theta, config.n_max)
 
 
 @dataclass(frozen=True)

@@ -7,35 +7,40 @@ from hypothesis import strategies as st
 
 from cavity3q import (
     FieldConfig,
-    binomial_amplitude,
     binomial_amplitude_row,
-    enumerate_field_terms,
-    field_weight,
     squeezed_weight,
-    truncated_beam_splitter,
     truncation_deficit,
 )
+from cavity3q.oracle import _beam_splitter_columns
+from cavity3q.tavis_cummings import _field_factors, _squeeze_norms
+
+
+def _weights(s: float, theta: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Field-weight tables W0 (diagonal band) and W1 (m = n + 1 band) indexed by (q, p)."""
+    u0, u1 = _field_factors(theta, n_max)
+    norm0, norm1 = _squeeze_norms(np.array([s]), n_max + 1)
+    return u0.T @ (norm0[0][:, None] * u0), u1.T @ (norm1[0][:, None] * u1)
 
 
 def test_binomial_amplitude_special_angles():
-    assert binomial_amplitude(3, 0, math.pi) == pytest.approx(1.0, abs=1e-15)
-    assert binomial_amplitude(3, 3, 0.0) == pytest.approx(1.0, abs=1e-15)
+    assert binomial_amplitude_row(3, math.pi)[0] == pytest.approx(1.0, abs=1e-15)
+    assert binomial_amplitude_row(3, 0.0)[3] == pytest.approx(1.0, abs=1e-15)
     # full transmission leaves nothing in the reflected port
     for n in range(1, 6):
-        assert binomial_amplitude(n, n, math.pi) == 0.0
+        assert binomial_amplitude_row(n, math.pi)[n] == 0.0
 
 
 def test_binomial_amplitude_direct_value():
-    assert binomial_amplitude(2, 1, math.pi / 2) == pytest.approx(math.sqrt(2.0) / 2.0, abs=1e-12)
+    assert binomial_amplitude_row(2, math.pi / 2)[1] == pytest.approx(math.sqrt(2.0) / 2.0, abs=1e-12)
 
 
 def test_binomial_amplitude_rejects_bad_indices():
     with pytest.raises(ValueError):
-        binomial_amplitude(2, 3, 1.0)
+        binomial_amplitude_row(-1, 1.0)
     with pytest.raises(ValueError):
-        binomial_amplitude(-1, 0, 1.0)
+        binomial_amplitude_row(2.0, 1.0)
     with pytest.raises(ValueError):
-        binomial_amplitude(2, -1, 1.0)
+        binomial_amplitude_row(2, 3.5)
 
 
 def test_binomial_row_matches_scalar():
@@ -43,7 +48,12 @@ def test_binomial_row_matches_scalar():
         for theta in (0.0, 0.4, math.pi / 2, 2.8, math.pi):
             row = binomial_amplitude_row(n, theta)
             for k in range(n + 1):
-                assert row[k] == pytest.approx(binomial_amplitude(n, k, theta), abs=1e-14)
+                direct = (
+                    math.sqrt(math.comb(n, k))
+                    * math.cos(theta / 2) ** k
+                    * math.sin(theta / 2) ** (n - k)
+                )
+                assert row[k] == pytest.approx(direct, abs=1e-14)
 
 
 @settings(deadline=None, max_examples=60)
@@ -54,40 +64,47 @@ def test_binomial_normalization(n, theta):
 
 
 def test_binomial_amplitude_large_n_stays_finite():
-    vals = [binomial_amplitude(160, k, math.pi / 2) for k in range(0, 161, 16)]
-    assert all(np.isfinite(vals))
+    assert np.isfinite(binomial_amplitude_row(160, math.pi / 2)).all()
     assert math.fsum((binomial_amplitude_row(160, 1.9) ** 2).tolist()) == pytest.approx(1.0, abs=1e-11)
 
 
 def test_field_weight_is_four_amplitude_product():
-    n, m, k, l, theta = 2, 3, 1, 0, math.pi / 2
-    expected = (
-        binomial_amplitude(n, k, theta)
-        * binomial_amplitude(m, k, theta)
-        * binomial_amplitude(n, l, theta)
-        * binomial_amplitude(m, l, theta)
+    # the rank factors are products of binomial rows, so each coherence-band
+    # weight is a sum over n of four-amplitude products C_k^n C_k^m C_l^n C_l^m
+    theta, s, n_max = math.pi / 2, 0.7, 5
+    rows = [binomial_amplitude_row(n, theta) for n in range(n_max + 2)]
+    u0, u1 = _field_factors(theta, n_max)
+    for n in range(n_max + 1):
+        for k in range(n + 1):
+            assert u0[n, n - k] == pytest.approx(rows[n][k] ** 2, rel=1e-14)
+            if n < n_max:
+                assert u1[n, n - k] == pytest.approx(rows[n][k] * rows[n + 1][k], rel=1e-14)
+    _, w1 = _weights(s, theta, n_max)
+    q, p = 2, 1
+    expected = math.fsum(
+        squeezed_weight(n, s)
+        * squeezed_weight(n + 1, s)
+        * rows[n][n - q]
+        * rows[n + 1][n - q]
+        * rows[n][n - p]
+        * rows[n + 1][n - p]
+        for n in range(q, n_max)
     )
-    assert field_weight(n, m, k, l, theta) == pytest.approx(expected, rel=1e-14)
+    assert w1[q, p] == pytest.approx(expected, rel=1e-14)
 
 
 def test_field_weight_special_cases():
-    assert field_weight(5, 5, 0, 0, math.pi) == pytest.approx(1.0, abs=1e-15)
-    for n in range(1, 5):
-        assert field_weight(n, n, n, 0, math.pi) == 0.0
+    # full transmission: only k = l = 0 survives, so q = p = n with unit amplitude
+    u0, u1 = _field_factors(math.pi, 5)
+    assert np.array_equal(u0, np.eye(6))
+    assert np.array_equal(u1, np.eye(5, 6))
 
 
 def test_field_weight_diagonal_nonnegative():
-    for n in range(6):
-        for k in range(n + 1):
-            for l in range(n + 1):
-                assert field_weight(n, n, k, l, 2.1) >= 0.0
-
-
-def test_field_weight_rejects_bad_indices():
-    with pytest.raises(ValueError):
-        field_weight(2, 3, 3, 0, 1.0)
-    with pytest.raises(ValueError):
-        field_weight(2, 3, 0, -1, 1.0)
+    u0, _ = _field_factors(2.1, 5)
+    w0, _ = _weights(0.9, 2.1, 5)
+    assert (u0 >= 0.0).all()
+    assert (w0 >= 0.0).all()
 
 
 def test_squeezed_weight_values():
@@ -106,37 +123,38 @@ def test_squeezed_weight_rejects_bad_input():
 
 
 def test_enumerate_vacuum_single_term():
-    terms = list(enumerate_field_terms(FieldConfig(0.0, 1.3, 6), 0))
-    assert terms == [(0, 0, 0, 0, 1.0)]
-    assert list(enumerate_field_terms(FieldConfig(0.0, 1.3, 6), 1)) == []
+    w0, w1 = _weights(0.0, 1.3, 6)
+    expected = np.zeros((7, 7))
+    expected[0, 0] = 1.0
+    assert np.array_equal(w0, expected)
+    assert not w1.any()
 
 
 def test_enumerate_full_transmission_keeps_only_k0_l0():
-    for band in (0, 1):
-        for term in enumerate_field_terms(FieldConfig(0.5, math.pi, 8), band):
-            assert term.k == 0 and term.l == 0
-            assert term.weight > 0.0
+    # k = l = 0 puts all n photons in both cavities: weights only where q = p = n
+    s, n_max = 0.5, 8
+    w0, w1 = _weights(s, math.pi, n_max)
+    norm0, norm1 = _squeeze_norms(np.array([s]), n_max + 1)
+    assert np.array_equal(w0, np.diag(norm0[0]))
+    assert np.array_equal(w1[:-1, :-1], np.diag(norm1[0]))
+    assert not w1[-1].any() and not w1[:, -1].any()
+    assert (norm0 > 0.0).all() and (norm1 > 0.0).all()
 
 
 def test_enumerate_term_count():
-    terms = list(enumerate_field_terms(FieldConfig(0.5, math.pi / 2, 3), 0))
-    assert len(terms) == sum((n + 1) ** 2 for n in range(4))  # 30
+    # at a generic angle every (n, k, l) four-amplitude product is nonzero
+    u0, _ = _field_factors(math.pi / 2, 3)
+    assert sum(np.count_nonzero(row) ** 2 for row in u0) == sum((n + 1) ** 2 for n in range(4))  # 30
 
 
 def test_enumerate_band_bounds_and_order():
-    cfg = FieldConfig(0.7, 2.0, 5)
-    for band in (0, 1):
-        terms = list(enumerate_field_terms(cfg, band))
-        assert all(t.m == t.n + band for t in terms)
-        assert all(t.m <= cfg.n_max for t in terms)
-        assert all(0 <= t.k <= t.n and 0 <= t.l <= t.n for t in terms)
-        keys = [(t.n, t.k, t.l) for t in terms]
-        assert keys == sorted(keys)
-
-
-def test_enumerate_rejects_bad_band():
-    with pytest.raises(ValueError):
-        list(enumerate_field_terms(FieldConfig(0.5, 1.0, 3), 2))
+    # row n of each factor covers q = n - k for 0 <= k <= n only; the
+    # coherence band stops at m = n + 1 <= n_max
+    u0, u1 = _field_factors(2.0, 5)
+    assert u0.shape == (6, 6) and u1.shape == (5, 6)
+    for factor in (u0, u1):
+        assert not np.triu(factor, 1).any()
+        assert (np.diagonal(factor) > 0.0).all()
 
 
 def test_config_validation():
@@ -170,25 +188,25 @@ def test_band0_weights_reproduce_trace():
     # truncation deficit must reproduce unity, and separately agree with the
     # squeezed-amplitude marginal
     cfg = FieldConfig(1.2, math.pi / 2, 80)
-    total = math.fsum(t.weight for t in enumerate_field_terms(cfg, 0))
+    w0, _ = _weights(cfg.s, cfg.theta, cfg.n_max)
+    total = math.fsum(w0.ravel().tolist())
     assert total + truncation_deficit(cfg) == pytest.approx(1.0, abs=1e-10)
     marginal = math.fsum(squeezed_weight(n, cfg.s) ** 2 for n in range(cfg.n_max + 1))
     assert total == pytest.approx(marginal, abs=1e-12)
 
 
 def test_beam_splitter_reproduces_binomial_amplitudes():
-    # the numerically exponentiated beam splitter acting on |n>_ext |0>_cav
-    # must reproduce the analytic amplitudes; the transmitted photons carry
-    # an alternating sign that cancels in every density-matrix weight
-    dim = 15
+    # the oracle's beam-splitter columns, exponentiated one photon block at a
+    # time, must reproduce the analytic amplitudes; the transmitted photons
+    # carry an alternating sign that cancels in every density-matrix weight
+    n_max = 80
     for theta in (0.7, math.pi / 2, 2.4, math.pi):
-        bs = truncated_beam_splitter(theta, dim)
-        for n in range(13):
-            column = bs[:, n * dim]
-            for k in range(n + 1):
-                amp = column[k * dim + (n - k)]
-                expected = (-1.0) ** (n - k) * binomial_amplitude(n, k, theta)
-                assert abs(amp - expected) < 1e-10
+        amps = _beam_splitter_columns(theta, n_max)
+        for n in range(n_max + 1):
+            k = np.arange(n + 1)
+            expected = (-1.0) ** (n - k) * binomial_amplitude_row(n, theta)
+            assert np.abs(amps[n, : n + 1] - expected).max() < 1e-13
+            assert not amps[n, n + 1 :].any()
 
 
 @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])

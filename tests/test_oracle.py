@@ -7,42 +7,46 @@ from cavity3q import (
     FieldConfig,
     closed_form_rho,
     compare_states,
-    enumerate_field_terms,
     full_evolution,
     squeezed_weight,
-    truncated_beam_splitter,
     truncation_deficit,
 )
-from cavity3q.oracle import _evolved_components
+from cavity3q.oracle import _beam_splitter_block, _beam_splitter_columns, _evolved_components
+from cavity3q.tavis_cummings import _field_factors, _squeeze_norms
 
 
 def test_beam_splitter_identity_at_zero_angle():
-    assert np.abs(truncated_beam_splitter(0.0, 6) - np.eye(36)).max() < 1e-12
+    for photons in range(8):
+        assert np.abs(_beam_splitter_block(0.0, photons) - np.eye(photons + 1)).max() < 1e-12
 
 
 def test_beam_splitter_is_unitary():
+    # every block is orthogonal, so the amplitude columns the oracle reads
+    # (one per injected photon number) are normalised
     for theta in (0.4, math.pi / 2, math.pi):
-        bs = truncated_beam_splitter(theta, 10)
-        assert np.abs(bs.conj().T @ bs - np.eye(100)).max() < 1e-10
+        for photons in range(12):
+            block = _beam_splitter_block(theta, photons)
+            assert np.abs(block.T @ block - np.eye(photons + 1)).max() < 1e-12
+        amps = _beam_splitter_columns(theta, 40)
+        assert np.abs((amps * amps).sum(axis=1) - 1.0).max() < 1e-12
 
 
 def test_beam_splitter_full_transmission():
-    dim = 9
-    bs = truncated_beam_splitter(math.pi, dim)
-    for n in range(dim - 1):
-        column = bs[:, n * dim]
-        target = abs(column[0 * dim + n])  # |0>_ext |n>_cav
-        assert target == pytest.approx(1.0, abs=1e-10)
+    # at theta = pi every injected photon ends up in the cavity
+    amps = _beam_splitter_columns(math.pi, 40)
+    assert np.abs(np.abs(amps[:, 0]) - 1.0).max() < 1e-10
+    assert np.abs(amps[:, 1:]).max() < 1e-10
 
 
 def test_beam_splitter_rejects_tiny_dimension():
-    with pytest.raises(ValueError):
-        truncated_beam_splitter(1.0, 1)
+    for photons in (-1, True, 2.0):
+        with pytest.raises(ValueError, match="photon number must be a non-negative integer"):
+            _beam_splitter_block(1.0, photons)
 
 
 def test_evolved_components_conserve_norm_and_excitation():
     dim = 12
-    psi = _evolved_components(2, dim, 1.3, 8)
+    psi = _evolved_components(2, dim, np.array([1.3]), 8)[0]
     norms = np.linalg.norm(psi.reshape(len(psi), -1), axis=1)
     assert np.abs(norms - 1.0).max() < 1e-10
     # photons plus atomic excitations stay at the initial photon count
@@ -55,34 +59,31 @@ def test_evolved_components_conserve_norm_and_excitation():
 
 
 def test_field_state_construction_matches_weights():
-    # squeezed pair + two beam splitters + trace over reflected ports must
-    # reproduce the analytic field weights on the bands the dynamics uses
+    # squeezed pair through the two beam-splitter blocks, reflected ports
+    # traced out, must reproduce the closed form's factorised field weights
+    # on the bands the dynamics uses
     s, theta, n_top = 0.8, 2.0, 5
-    dim = n_top + 3
-    bs = truncated_beam_splitter(theta, dim)
-    columns = [bs[:, n * dim].reshape(dim, dim) for n in range(n_top + 1)]  # (ext, cav)
-    psi = np.zeros((dim, dim, dim, dim), dtype=complex)  # (e1, c1, e2, c2)
-    for n in range(n_top + 1):
-        psi += squeezed_weight(n, s) * np.einsum("ec,fd->ecfd", columns[n], columns[n])
-    rho_field = np.einsum("ecfd,eCfD->cdCD", psi, psi.conj())
+    size = n_top + 1
+    amps = _beam_splitter_columns(theta, n_top)
+    psi = np.zeros((size, size, size, size))  # (e1, c1, e2, c2)
+    for n in range(size):
+        port = np.zeros((size, size))  # (external, cavity)
+        port[np.arange(n + 1), n - np.arange(n + 1)] = amps[n, : n + 1]
+        psi += squeezed_weight(n, s) * np.multiply.outer(port, port)
+    rho_field = np.einsum("ecfd,eCfD->cdCD", psi, psi)
 
-    cfg = FieldConfig(s, theta, n_top)
-    expected = np.zeros_like(rho_field)
-    for band in (0, 1):
-        for t in enumerate_field_terms(cfg, band):
-            expected[t.n - t.k, t.n - t.l, t.m - t.k, t.m - t.l] += t.weight
-            if band == 1:
-                expected[t.m - t.k, t.m - t.l, t.n - t.k, t.n - t.l] += t.weight
-    # compare only the sectors enumerate_field_terms provides (|n - m| <= 1)
-    for c1 in range(dim):
-        for c2 in range(dim):
-            for d1 in range(dim):
-                for d2 in range(dim):
-                    if c1 - d1 == c2 - d2 and abs(c1 - d1) <= 1:
-                        assert abs(rho_field[c1, c2, d1, d2] - expected[c1, c2, d1, d2]) < 1e-12
+    u0, u1 = _field_factors(theta, n_top)
+    norm0, norm1 = _squeeze_norms(np.array([s]), size)
+    w0 = u0.T @ (norm0[0][:, None] * u0)
+    w1 = u1.T @ (norm1[0][:, None] * u1)
+    q, p = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
+    assert np.abs(rho_field[q, p, q, p] - w0).max() < 1e-14
+    q, p = q[:-1, :-1], p[:-1, :-1]
+    assert np.abs(rho_field[q, p, q + 1, p + 1] - w1[:-1, :-1]).max() < 1e-14
+    assert np.abs(rho_field[q + 1, p + 1, q, p] - w1[:-1, :-1]).max() < 1e-14
 
-    trace = np.real(np.einsum("cdcd->", rho_field))
-    assert trace == pytest.approx(1.0 - truncation_deficit(cfg), abs=1e-12)
+    trace = np.einsum("cdcd->", rho_field)
+    assert trace == pytest.approx(1.0 - truncation_deficit(FieldConfig(s, theta, n_top)), abs=1e-12)
 
 
 def test_full_evolution_without_squeezing():
