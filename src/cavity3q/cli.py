@@ -73,6 +73,9 @@ COLUMNS = [
 ORACLE_CHECK_TAUS = (0.3, 0.8, 2.0, 14.5)
 ORACLE_CHECK_SQUEEZES = (0.3, 0.6, 0.9)
 ORACLE_CHECK_THETAS = (math.pi / 3.0, math.pi / 2.0, math.pi)
+# Largest --oracle-n-max: the sweeps' production truncation.  The 36-point
+# check takes about 0.7 s of CPU and 60 MB there.
+ORACLE_CHECK_MAX_N_MAX = 80
 
 # A sweep that drops more norm than this to the Fock truncation (the oracle
 # tolerance) prints a warning to stderr; the CSV itself is unchanged.
@@ -118,8 +121,8 @@ def _grid(start: float, end: float, steps: int) -> list[float]:
     return [start + i * (end - start) / (steps - 1) for i in range(steps)]
 
 
-def _stack_rows(states: np.ndarray, taus, squeezes, deficits) -> list[list[float]]:
-    """CSV column values for a stack of states, from one diagnostics kernel call."""
+def _stack_rows(states: np.ndarray, taus, squeezes, deficits) -> np.ndarray:
+    """CSV column values for a stack of states, one row per state, from one kernel call."""
     batch = negativity_batch(states)
     B, A1 = QubitLabel.B, QubitLabel.A1
     columns = [
@@ -139,16 +142,16 @@ def _stack_rows(states: np.ndarray, taus, squeezes, deficits) -> list[list[float
         batch.bell_projection,
         deficits,
     ]
-    return np.column_stack(columns).tolist()
+    return np.column_stack(columns)
 
 
 def evaluate_point(rho: ThreeQubitDensityMatrix) -> list[float]:
     """All CSV column values for the closed-form state at one (tau, s) point."""
     deficits = truncation_deficits([rho.s], rho.n_max)
-    return _stack_rows(rho.matrix[None], [rho.tau], [rho.s], deficits)[0]
+    return _stack_rows(rho.matrix[None], [rho.tau], [rho.s], deficits)[0].tolist()
 
 
-def _sweep_rows(cfg: SweepConfig, elements: np.ndarray, taus, squeezes) -> list[list[float]]:
+def _sweep_rows(cfg: SweepConfig, elements: np.ndarray, taus, squeezes) -> np.ndarray:
     """Rows for a sweep, from one diagnostics kernel call over all its points.
 
     ``taus`` and ``squeezes`` give each point's parameters; the truncation
@@ -175,7 +178,11 @@ def _warn_truncation(deficits: np.ndarray, squeezes: np.ndarray, n_max: int) -> 
         )
 
 
-def _csv_text(cfg: SweepConfig, header_extra: list[str], rows: list[list[float]]) -> str:
+# One CSV row: `_fmt` for every cell, as a single format call per row.
+_ROW_FORMAT = ",".join(["{:.12g}"] * len(COLUMNS))
+
+
+def _csv_text(cfg: SweepConfig, header_extra: list[str], rows: np.ndarray) -> str:
     lines = [
         "# cavity3q sweep",
         f"# mode={cfg.mode} s={_fmt(cfg.s)} theta={_fmt(cfg.theta)} n_max={cfg.n_max}",
@@ -183,8 +190,8 @@ def _csv_text(cfg: SweepConfig, header_extra: list[str], rows: list[list[float]]
         "# columns: " + ",".join(COLUMNS),
         ",".join(COLUMNS),
     ]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    # + 0.0 turns IEEE negative zero into plain 0, as in `_fmt`
+    lines.extend(_ROW_FORMAT.format(*row) for row in (rows + 0.0).tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -223,8 +230,8 @@ def run_oracle_check(cfg: SweepConfig, corrupt=None) -> tuple[str, int]:
     otherwise).  ``corrupt``, used by the test suite, post-processes each
     closed-form matrix before comparison to prove the check can fail.
     """
-    if cfg.oracle_n_max > 40:
-        raise ValueError("oracle-check is limited to n_max <= 40")
+    if cfg.oracle_n_max > ORACLE_CHECK_MAX_N_MAX:
+        raise ValueError(f"oracle-check is limited to n_max <= {ORACLE_CHECK_MAX_N_MAX}")
     lines = [
         "# cavity3q oracle-check",
         f"# n_max={cfg.oracle_n_max} tolerance={_fmt(cfg.tolerance)}",

@@ -18,7 +18,13 @@ stack of states and evaluates it in fixed blocks of `_DIAGNOSTIC_BLOCK` rows:
   ``N_G^p(phi) = 2 sqrt(det rho_p)``, with ``rho_p`` the reduced state of
   qubit p, so it needs no eigensolver;
 * the pairwise shares solve the two-way transposes of the decomposition
-  states of positive weight only.
+  states of positive weight only, and of those only the ones that are not
+  basis states.
+
+Every step keeps the dtype of its input.  The closed-form states are real
+symmetric, so a sweep runs real arithmetic and real symmetric LAPACK solves;
+a complex stack (a user's state, the generic fallback) takes the same lines
+with complex LAPACK.
 
 `negativity_report`, `decompose`, `psdg_negativity`, `psd_partial_negativity`
 and `partial_kway_negativity` are the kernel's grids of one, so each of them
@@ -78,10 +84,11 @@ __all__ = [
 NEGATIVE_EIGENVALUE_CUTOFF = 1e-12
 
 # States evaluated together by `negativity_batch`.  Bounds the per-block
-# stacks of transposed matrices, about 35 KB of temporaries per state at the
-# peak: on the 600-point sweep, blocks of 64 raise the peak resident set by
-# about 2 MB over blocks of 16.
-_DIAGNOSTIC_BLOCK = 16
+# stacks of transposed matrices.  Real states halve those temporaries, so
+# blocks of 32 (half the LAPACK calls of 16) still peak below complex blocks
+# of 16: on the 600-point tau-sweep the peak resident set reads 33.2 MB
+# against 34.1 MB, 0.7 to 0.8 MB lower on the other sweeps; 64 saves no more.
+_DIAGNOSTIC_BLOCK = 32
 
 _HERMITICITY_TOL = 1e-9
 _PATTERN_TOL = 1e-8
@@ -128,7 +135,7 @@ _MINOR_FIRST, _MINOR_SECOND = np.triu_indices(4, k=1)
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT2 = 1.0 / _SQRT2
 
-_BASIS = np.eye(8, dtype=complex)
+_BASIS = np.eye(8)
 _SYM_EXCITED = (_BASIS[5] + _BASIS[6]) / _SQRT2  # (|101> + |011>) / sqrt2
 
 W1_STATE = (_BASIS[0] + _BASIS[5] + _BASIS[6]) / math.sqrt(3.0)
@@ -394,7 +401,7 @@ def _decompose_stack(
     `_generic_decomposition`, all of them in one call.
     """
     probs = np.zeros(m.shape[:2])
-    vectors = np.zeros(m.shape, dtype=np.result_type(m, complex))
+    vectors = np.zeros(m.shape, dtype=np.result_type(m, float))
     ok = codes == 0
     r11, r22, r33, r44, r55, r66, r15, r26 = elements[ok].T
     lams = []
@@ -620,8 +627,13 @@ def _projected_trace(target: np.ndarray, projector: np.ndarray) -> np.ndarray:
 def _pairwise_shares(
     probs: np.ndarray, vectors: np.ndarray, cutoff: float
 ) -> dict[str, np.ndarray]:
-    """`psd_partial_negativity` for every spec, solving positive-weight states only."""
-    rows, cols = np.nonzero(probs > 0.0)
+    """`psd_partial_negativity` for every spec, solving only the states that can contribute.
+
+    Those are the decomposition kets of positive weight with at least two
+    nonzero components.  A basis-state ket such as |110> has a diagonal
+    two-way transpose, so its shares are exactly 0 without a solve.
+    """
+    rows, cols = np.nonzero((probs > 0.0) & (np.count_nonzero(vectors, axis=-2) >= 2))
     kets = vectors[rows, :, cols]
     pure = kets[:, :, None] * kets[:, None, :].conj()
     shares = {}

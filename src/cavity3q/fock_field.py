@@ -67,10 +67,15 @@ def require_theta(theta) -> None:
         raise ValueError(f"theta must lie in [0, pi], got {theta}")
 
 
+def require_photon_number(name: str, value) -> None:
+    """Reject anything but a non-negative integer (bools included), naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+
+
 def require_n_max(n_max) -> None:
     """Reject anything but a non-negative integer truncation (bools included)."""
-    if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)) or n_max < 0:
-        raise ValueError(f"n_max must be a non-negative integer, got {n_max!r}")
+    require_photon_number("n_max", n_max)
 
 
 @dataclass(frozen=True)
@@ -100,8 +105,7 @@ def binomial_amplitude_row(n: int, theta: float) -> np.ndarray:
     Entry ``k = 0..n`` is ``sqrt(n!/(k!(n-k)!)) cos^k(theta/2) sin^(n-k)(theta/2)``,
     evaluated in log space so it stays finite and accurate up to n ~ 160.
     """
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError(f"n must be a non-negative integer, got {n!r}")
+    require_photon_number("photon number n", n)
     cos_half, sin_half = _half_angle(theta)
     row = np.zeros(n + 1)
     if cos_half == 0.0:
@@ -123,8 +127,7 @@ def binomial_amplitude_row(n: int, theta: float) -> np.ndarray:
 
 def squeezed_weight(n: int, s: float) -> float:
     """Amplitude ``(tanh s)^n / cosh(s)`` of the |n, n> squeezed-pair component."""
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError(f"n must be a non-negative integer, got {n!r}")
+    require_photon_number("photon number n", n)
     if s < 0.0:
         raise ValueError(f"squeeze parameter must be >= 0, got {s}")
     return math.tanh(s) ** n / math.cosh(s)

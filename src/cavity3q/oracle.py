@@ -32,7 +32,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock_field import FieldConfig, require_finite_nonnegative, require_n_max, require_theta
+from .fock_field import (
+    FieldConfig,
+    require_finite_nonnegative,
+    require_n_max,
+    require_photon_number,
+    require_theta,
+)
 from .tavis_cummings import PATTERN_MASK, ThreeQubitDensityMatrix
 
 __all__ = [
@@ -61,8 +67,7 @@ def _beam_splitter_block(theta: float, photons: int) -> np.ndarray:
     exp(-i H) with the Hermitian H = i * generator, and the imaginary
     rounding residue is dropped.
     """
-    if isinstance(photons, bool) or not isinstance(photons, (int, np.integer)) or photons < 0:
-        raise ValueError(f"photon number must be a non-negative integer, got {photons!r}")
+    require_photon_number("photon number", photons)
     e = np.arange(photons, dtype=float)
     # c f' |e, N - e> = sqrt((e + 1)(N - e)) |e + 1, N - e - 1>; c' f is its transpose
     hop = 0.5 * theta * np.sqrt((e + 1.0) * (photons - e))
@@ -93,8 +98,7 @@ def hamiltonian_block_evolution(n_or_m: int, tau: float, block: str) -> np.ndarr
     Built from the bare matrix elements and diagonalised, so it shares no
     code with the trigonometric forms it is used to check.
     """
-    if not isinstance(n_or_m, (int, np.integer)) or n_or_m < 0:
-        raise ValueError(f"photon number must be a non-negative integer, got {n_or_m!r}")
+    require_photon_number("photon number n_or_m", n_or_m)
     if block == "two-atom":
         n = n_or_m
         if n == 0:

@@ -33,6 +33,7 @@ from .fock_field import (
     binomial_amplitude_row,
     require_finite_nonnegative,
     require_n_max,
+    require_photon_number,
 )
 
 __all__ = [
@@ -57,8 +58,7 @@ def two_atom_unitary(n: int, tau: float) -> np.ndarray:
     rate f_n = sqrt(2(2n-1)) = sqrt(A_n^2 + B_n^2).  For n = 1 the top rung
     is absent and the block is 2x2; for n = 0 nothing moves.
     """
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError(f"photon number must be a non-negative integer, got {n!r}")
+    require_photon_number("photon number n", n)
     if n == 0:
         return np.eye(1, dtype=complex)
     if n == 1:
@@ -88,8 +88,7 @@ def one_atom_unitary(m: int, tau: float) -> np.ndarray:
     as produced by exp(-i H tau) with the same positive coupling used for the
     two-atom block.  m = 0 is the trivial one-dimensional identity.
     """
-    if not isinstance(m, (int, np.integer)) or m < 0:
-        raise ValueError(f"photon number must be a non-negative integer, got {m!r}")
+    require_photon_number("photon number m", m)
     if m == 0:
         return np.eye(1, dtype=complex)
     c = math.cos(math.sqrt(m) * tau)
@@ -103,7 +102,11 @@ class ThreeQubitDensityMatrix:
 
     The matrix is Hermitian and positive semidefinite with trace
     ``1 - truncation deficit``; it is intentionally not renormalised so that
-    truncation problems stay visible.
+    truncation problems stay visible.  The closed-form matrix is real
+    symmetric (float64): its populations and its two coherences come from
+    real couplings, a real squeeze parameter and a real beam-splitter angle.
+    The brute-force matrix of `full_evolution` is complex, with imaginary
+    parts at rounding level.
     """
 
     matrix: np.ndarray
@@ -283,9 +286,9 @@ _SLOT_ROWS, _SLOT_COLS = np.array([ij for slots in _ELEMENT_SLOTS for ij in slot
 
 
 def states_from_elements(elements: np.ndarray) -> np.ndarray:
-    """The 8x8 states, shape (..., 8, 8), from elements of `closed_form_grid` (..., 8)."""
+    """The real 8x8 states, shape (..., 8, 8), from elements of `closed_form_grid` (..., 8)."""
     elements = np.asarray(elements)
-    m = np.zeros(elements.shape[:-1] + (8, 8), dtype=complex)
+    m = np.zeros(elements.shape[:-1] + (8, 8))
     m[..., _SLOT_ROWS, _SLOT_COLS] = (elements / _ELEMENT_DIVISORS)[..., _SLOT_SOURCE]
     return m
 

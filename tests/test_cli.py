@@ -101,8 +101,23 @@ def test_zero_squeezing_is_exact_everywhere():
 
 
 def test_oracle_check_rejects_large_truncation():
-    with pytest.raises(ValueError):
-        run_oracle_check(SweepConfig(mode="oracle-check", oracle_n_max=60))
+    with pytest.raises(ValueError, match="limited to n_max <= 80"):
+        run_oracle_check(SweepConfig(mode="oracle-check", oracle_n_max=81))
+
+
+def test_oracle_check_passes_at_production_truncation(tmp_path):
+    out = tmp_path / "oracle.txt"
+    assert main(["--mode", "oracle-check", "--oracle-n-max", "80", "--out", str(out)]) == 0
+    report = out.read_text()
+    assert "# n_max=80 " in report
+    assert "# result: PASS" in report
+
+
+def test_oracle_check_above_the_cap_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "oracle.txt"
+    assert main(["--mode", "oracle-check", "--oracle-n-max", "81", "--out", str(out)]) == 2
+    assert "oracle-check is limited to n_max <= 80" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_config_validation():

@@ -20,6 +20,7 @@ from cavity3q import (
     closed_form_rho,
     rho_from_elements,
     squeezed_weight,
+    states_from_elements,
 )
 from cavity3q.cli import main
 
@@ -103,6 +104,15 @@ def test_closed_form_rho_is_a_grid_of_one():
         elements = closed_form_grid([tau], [config.s], config.theta, config.n_max)[0, 0]
         expected = rho_from_elements(elements, tau, config.s, config.theta, config.n_max)
         assert np.array_equal(closed_form_rho(tau, config).matrix, expected.matrix)
+
+
+def test_states_are_real_symmetric():
+    elements = closed_form_grid(TAUS, SQUEEZES, 1.1, 30)
+    states = states_from_elements(elements)
+    assert states.dtype == np.float64
+    assert np.array_equal(states, states.swapaxes(-1, -2))
+    for tau in TAUS:
+        assert closed_form_rho(tau, FieldConfig(0.9, 1.1, 30)).matrix.dtype == np.float64
 
 
 def test_s_grid_row_matches_points():

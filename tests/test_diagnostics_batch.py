@@ -214,6 +214,17 @@ def sweep_states(theta, squeezes, taus, n_max=80):
     return states_from_elements(elements.reshape(-1, 8))
 
 
+def batch_fields(batch):
+    """Every per-state array of a `NegativityBatch`, keyed by (field, dict key or None)."""
+    out = {}
+    for name in ("n_g", "e_3", "e_2", "e_0", "n_psdg", "e_psd"):
+        for key, values in getattr(batch, name).items():
+            out[(name, key)] = values
+    for name in ("n_g_b_analytic", "linear_entropy_b", "w1_fidelity", "bell_projection"):
+        out[(name, None)] = getattr(batch, name)
+    return out
+
+
 def assert_bit_identical(a, b):
     for name in ("n_g", "e_3", "e_2", "e_0", "n_psdg", "e_psd"):
         for key in getattr(a, name):
@@ -319,7 +330,12 @@ def test_product_states_have_exactly_zero_decomposition_negativity():
 
 def test_pairwise_solves_only_positive_weight_states(monkeypatch):
     states = sweep_states(math.pi, [0.0, 1.2], [0.0, 0.7, 3.0, 14.5])
-    positive = sum(int((ent.decompose(m).probabilities > 0.0).sum()) for m in states)
+    positive = basis_kets = 0
+    for m in states:
+        dec = ent.decompose(m)
+        components = np.count_nonzero(dec.vectors, axis=0)
+        positive += int(((dec.probabilities > 0.0) & (components >= 2)).sum())
+        basis_kets += int(((dec.probabilities > 0.0) & (components == 1)).sum())
     solved = []
     eigh = np.linalg.eigh
 
@@ -330,9 +346,51 @@ def test_pairwise_solves_only_positive_weight_states(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting)
     negativity_batch(states)
     # three global transposes per state, two two-way transposes per
-    # decomposition state of positive weight
+    # decomposition state of positive weight that is not a basis state
     assert sum(solved) == 3 * len(states) + 2 * positive
     assert positive < 8 * len(states)
+    assert basis_kets > 0
+
+
+@pytest.mark.parametrize("theta", [math.pi, math.pi / 2.0])
+def test_real_stack_matches_its_complex_cast(theta, monkeypatch):
+    # closed-form states are real, so the kernel runs real LAPACK on them; the
+    # same stack cast to complex takes the same code with complex LAPACK
+    states = sweep_states(theta, [0.3, 1.2], np.linspace(0.0, 20.0, 40))
+    assert states.dtype == np.float64
+    solved = []
+    eigh = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        solved.append(a.dtype)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    real = negativity_batch(states)
+    assert set(solved) == {np.dtype(np.float64)}
+    solved.clear()
+    cast = negativity_batch(states.astype(complex))
+    assert set(solved) == {np.dtype(np.complex128)}
+    assert np.array_equal(real.pattern_ok, cast.pattern_ok)
+    expected = batch_fields(cast)
+    for key, values in batch_fields(real).items():
+        assert values.dtype == np.float64, key
+        assert np.abs(values - expected[key]).max() <= TOL, key
+
+
+def test_mixed_stack_of_real_and_complex_states():
+    states = sweep_states(math.pi / 3.0, [1.2], [0.5, 1.0, 1.5, 2.0])
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    generic = a @ a.conj().T
+    generic /= np.trace(generic).real
+    batch = negativity_batch([*states[:2], generic, *states[2:]])
+    assert batch.pattern_ok.tolist() == [True, True, False, True, True]
+    alone = batch_fields(negativity_batch(states))
+    single = batch_fields(negativity_batch(generic[None]))
+    for key, values in batch_fields(batch).items():
+        assert np.abs(values[[0, 1, 3, 4]] - alone[key]).max() <= TOL, key
+        assert np.array_equal(values[2], single[key][0], equal_nan=True), key
 
 
 def test_only_non_pattern_rows_take_generic_fallback(monkeypatch):
@@ -467,7 +525,8 @@ def loop_compare_violations(ma, mb, tol):
 
 def pattern_cases():
     rng = np.random.default_rng(77)
-    clean = closed_form_rho(2.3, FieldConfig(0.9, 2.0, 20)).matrix
+    # complex, so the imaginary bump below is kept rather than cast away
+    clean = closed_form_rho(2.3, FieldConfig(0.9, 2.0, 20)).matrix.astype(complex)
     yield clean, clean
     for _ in range(20):
         a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from cavity3q import (
     squeezed_weight,
     truncation_deficit,
 )
+from cavity3q.fock_field import require_photon_number
 from cavity3q.oracle import _beam_splitter_columns
 from cavity3q.tavis_cummings import _field_factors, _squeeze_norms
 
@@ -218,3 +220,30 @@ def test_config_rejects_non_finite_squeezing(s):
 def test_config_rejects_bool_n_max():
     with pytest.raises(ValueError, match="n_max must be a non-negative integer, got True"):
         FieldConfig(0.5, 1.0, True)
+
+
+# bools pass isinstance(int); floats and negatives are not photon numbers
+BAD_PHOTON_NUMBERS = [True, False, -1, 2.0, np.float64(1.0)]
+
+
+def photon_number_error(name, value):
+    return re.escape(f"{name} must be a non-negative integer, got {value!r}")
+
+
+@pytest.mark.parametrize("value", BAD_PHOTON_NUMBERS)
+def test_require_photon_number_names_the_parameter(value):
+    with pytest.raises(ValueError, match=photon_number_error("photons kept", value)):
+        require_photon_number("photons kept", value)
+    require_photon_number("photons kept", np.int64(3))
+
+
+@pytest.mark.parametrize("value", BAD_PHOTON_NUMBERS)
+def test_binomial_amplitude_row_rejects_bad_photon_number(value):
+    with pytest.raises(ValueError, match=photon_number_error("photon number n", value)):
+        binomial_amplitude_row(value, 1.0)
+
+
+@pytest.mark.parametrize("value", BAD_PHOTON_NUMBERS)
+def test_squeezed_weight_rejects_bad_photon_number(value):
+    with pytest.raises(ValueError, match=photon_number_error("photon number n", value)):
+        squeezed_weight(value, 0.5)

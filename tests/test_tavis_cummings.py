@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -61,6 +62,22 @@ def test_blocks_match_exponentiated_hamiltonian():
     # the reduced n = 1 block too
     diffr = np.abs(two_atom_unitary(1, 1.3) - hamiltonian_block_evolution(1, 1.3, "two-atom")).max()
     assert diffr < 1e-12
+
+
+@pytest.mark.parametrize("value", [True, False, -1, 2.0])
+@pytest.mark.parametrize(
+    "block, name",
+    [
+        (two_atom_unitary, "photon number n"),
+        (one_atom_unitary, "photon number m"),
+        (lambda n, tau: hamiltonian_block_evolution(n, tau, "two-atom"), "photon number n_or_m"),
+        (lambda m, tau: hamiltonian_block_evolution(m, tau, "one-atom"), "photon number n_or_m"),
+    ],
+)
+def test_blocks_reject_bad_photon_numbers(block, name, value):
+    message = re.escape(f"{name} must be a non-negative integer, got {value!r}")
+    with pytest.raises(ValueError, match=message):
+        block(value, 0.5)
 
 
 def test_blocks_reject_negative_photon_numbers():
