@@ -21,12 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import QubitLabel, negativity_batch
-from .fock_field import FieldConfig, require_theta, truncation_deficits
+from .fock_field import require_theta, truncation_deficits
 from .oracle import compare_states, full_evolution_grid
 from .tavis_cummings import (
     ThreeQubitDensityMatrix,
     closed_form_grid,
-    closed_form_rho,
     diagonal_probabilities,
     states_from_elements,
 )
@@ -224,7 +223,7 @@ def run_single_point(cfg: SweepConfig) -> str:
 def run_oracle_check(cfg: SweepConfig, corrupt=None) -> tuple[str, int]:
     """Closed form versus brute force on the fixed validation grid.
 
-    The brute-force states of each angle come from one
+    The states of each angle come from one `closed_form_grid` call and one
     `full_evolution_grid` call; rows follow theta, then s, then tau.  Returns
     the report text and an exit status (0 all within tolerance, 1
     otherwise).  ``corrupt``, used by the test suite, post-processes each
@@ -239,14 +238,13 @@ def run_oracle_check(cfg: SweepConfig, corrupt=None) -> tuple[str, int]:
     ]
     failures = []
     worst = 0.0
+    grid = (ORACLE_CHECK_TAUS, ORACLE_CHECK_SQUEEZES)
     for theta in ORACLE_CHECK_THETAS:
-        references = full_evolution_grid(
-            ORACLE_CHECK_TAUS, ORACLE_CHECK_SQUEEZES, theta, cfg.oracle_n_max
-        )
+        references = full_evolution_grid(*grid, theta, cfg.oracle_n_max)
+        closed_states = states_from_elements(closed_form_grid(*grid, theta, cfg.oracle_n_max))
         for s_index, s in enumerate(ORACLE_CHECK_SQUEEZES):
-            field = FieldConfig(s, theta, cfg.oracle_n_max)
             for tau_index, tau in enumerate(ORACLE_CHECK_TAUS):
-                closed = closed_form_rho(tau, field).matrix
+                closed = closed_states[tau_index, s_index]
                 if corrupt is not None:
                     closed = corrupt(closed.copy())
                 reference = references[tau_index, s_index]
@@ -261,12 +259,14 @@ def run_oracle_check(cfg: SweepConfig, corrupt=None) -> tuple[str, int]:
                     i, j = report.worst_entry
                     failures.append(
                         f"# DISCREPANCY tau={_fmt(tau)} s={_fmt(s)} theta={_fmt(theta)} "
-                        f"entry=[{i},{j}] closed={closed[i, j]:.12g} reference={reference[i, j]:.12g}"
+                        f"entry=[{i},{j}] closed={closed[i, j]:.12g} "
+                        f"reference={reference[i, j]:.12g}"
                     )
-                for i, j, va, vb in report.pattern_violations:
+                for i, j, _, _ in report.pattern_violations:
                     failures.append(
                         f"# PATTERN tau={_fmt(tau)} s={_fmt(s)} theta={_fmt(theta)} "
-                        f"entry=[{i},{j}] closed={va:.12g} reference={vb:.12g}"
+                        f"entry=[{i},{j}] closed={closed[i, j]:.12g} "
+                        f"reference={reference[i, j]:.12g}"
                     )
     lines.extend(failures)
     status = 0 if not failures else 1

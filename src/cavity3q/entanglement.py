@@ -7,20 +7,37 @@ flag bound entanglement, and the auxiliary measures (linear entropy, W-state
 fidelity, Bell-sector weight).
 
 The diagnostic suite is one batched kernel, `negativity_batch`, which takes a
-stack of states and evaluates it in fixed blocks of `_DIAGNOSTIC_BLOCK` rows:
+stack of states, checks every state Hermitian to 1e-9 once (a bad state is
+named by its index in the caller's stack) and evaluates the stack in fixed
+blocks of `_DIAGNOSTIC_BLOCK` rows:
 
 * the zero pattern of every row is checked once against `PATTERN_MASK`;
-* the pure-state decomposition is computed in closed form for rows that pass
-  and by a stacked eigendecomposition for the rest;
-* the global negativities and their K-way split come from one stacked
-  `negative_eigenpairs` call per transposed qubit;
+* a state whose entries outside `PATTERN_MASK` are exactly zero and whose
+  pattern check passes (every closed-form state) is block diagonal, and so
+  is each partial transpose the kernel solves, on index blocks of at most 3
+  derived from `PATTERN_MASK` at import (Tavis & Cummings, Phys. Rev. 170,
+  379 (1968): each field component conserves photon number plus atomic
+  excitation).  Such a state is evaluated from gathered blocks; every other
+  state, a brute-force oracle state with rounding noise outside the pattern
+  among them, from the full 8x8 transposes;
+* the pure-state decomposition is computed in closed form for rows that
+  pass the pattern check and by a stacked eigendecomposition for the rest;
+* the global negativities come from the negative eigenvalues of each
+  qubit's global transpose, and their K-way split E_3/E_2/E_0 from
+  ``Re tr(T P)``, T the K-way transpose (or the state) and P the projector
+  on the negative eigenvectors, summed over the blocks;
 * the decomposition negativity uses the pure-state identity
   ``N_G^p(phi) = 2 sqrt(det rho_p)``, with ``rho_p`` the reduced state of
   qubit p, so it needs no eigensolver;
 * the pairwise shares solve the two-way transposes of the decomposition
   states of positive weight only, and of those only the ones that are not
-  basis states.
+  basis states; for a block-structured state each such ket lies in one of
+  the state's two 3-index blocks, and its transposes split into a 3x3, a
+  2x2 and a 1x1 block.
 
+All blocks of one size go to the solver of `negative_eigenpairs` in one
+stacked call, and a 1x1 block needs no solve, so a sweep makes no 8x8
+eigensolve.
 Every step keeps the dtype of its input.  The closed-form states are real
 symmetric, so a sweep runs real arithmetic and real symmetric LAPACK solves;
 a complex stack (a user's state, the generic fallback) takes the same lines
@@ -30,9 +47,10 @@ with complex LAPACK.
 and `partial_kway_negativity` are the kernel's grids of one, so each of them
 except `decompose` (which checks only the states it cannot decompose in
 closed form) raises ValueError for a state that is not Hermitian to 1e-9.
-Every eigensolve, in the kernel and in the scalar functions alike, goes
-through `negative_eigenpairs` or the generic decomposition, which share one
-Hermiticity check and one symmetrised solver.
+`global_negativity` takes the kernel's route per state, so the two agree bit
+for bit.  Every eigensolve, in the kernel and in the scalar functions alike,
+goes through one symmetrised solver with one Hermiticity check and one
+cutoff.
 
 All functions are pure and accept either a bare 8x8 ndarray or a
 `ThreeQubitDensityMatrix`; the transposes, `negative_eigenpairs`,
@@ -84,11 +102,16 @@ __all__ = [
 NEGATIVE_EIGENVALUE_CUTOFF = 1e-12
 
 # States evaluated together by `negativity_batch`.  Bounds the per-block
-# stacks of transposed matrices.  Real states halve those temporaries, so
-# blocks of 32 (half the LAPACK calls of 16) still peak below complex blocks
-# of 16: on the 600-point tau-sweep the peak resident set reads 33.2 MB
-# against 34.1 MB, 0.7 to 0.8 MB lower on the other sweeps; 64 saves no more.
-_DIAGNOSTIC_BLOCK = 32
+# stacks of gathered blocks and decomposition kets.  Index blocks make those
+# about 4x smaller than the 8x8 transposes, so blocks grew from 32 to 128
+# (a quarter of the LAPACK calls) at about the peak resident set of the 8x8
+# kernel at 32.  VmHWM of one `cli.main` call (MB, median of 3, one BLAS
+# thread, byte-compiled package), 8x8 kernel at 32 -> index blocks at 64,
+# 128, 256 and 600 (a whole tau-sweep):
+#   tau-sweep        32.44 -> 32.62, 32.57, 32.91, 35.61
+#   s-sweep          31.23 -> 31.45, 31.53, 31.93, 31.95
+#   tau-sweep-dense  32.58 -> 32.74, 32.68, 33.06, 35.77
+_DIAGNOSTIC_BLOCK = 128
 
 _HERMITICITY_TOL = 1e-9
 _PATTERN_TOL = 1e-8
@@ -116,13 +139,28 @@ _ROW, _COL = np.indices((8, 8))
 _XOR = _ROW ^ _COL
 _DIFF_COUNT = ((_XOR >> 0) & 1) + ((_XOR >> 1) & 1) + ((_XOR >> 2) & 1)
 
-# Index maps implementing "swap bit b between row and column".
-_SWAP_ROW = {}
-_SWAP_COL = {}
+# Index maps implementing "swap bit b between row and column", as flat
+# positions ``8 * row + col`` into an 8x8 matrix.
+_POSITION = 8 * _ROW + _COL
+_SWAPPED = {}
 for _b in range(3):
     _delta = (((_ROW >> _b) ^ (_COL >> _b)) & 1) << _b
-    _SWAP_ROW[_b] = _ROW ^ _delta
-    _SWAP_COL[_b] = _COL ^ _delta
+    _SWAPPED[_b] = 8 * (_ROW ^ _delta) + (_COL ^ _delta)
+
+
+def _transpose_positions(p: QubitLabel, mask) -> np.ndarray:
+    """Where each entry comes from when qubit ``p``'s bits are swapped on the entries in ``mask``."""
+    return np.where(mask, _SWAPPED[p.value], _POSITION)
+
+
+def _kway_mask(k: int) -> np.ndarray:
+    return _DIFF_COUNT == k
+
+
+def _selective_mask(spec: str) -> np.ndarray:
+    p, q = SELECTIVE_SPECS[spec]
+    return _XOR == ((1 << p.value) | (1 << q.value))
+
 
 # Basis indices with qubit p's bit clear, ascending; setting the bit gives
 # the partner index.  A ket split this way is the 2x4 matrix of qubit p
@@ -160,8 +198,7 @@ def _as_states(rho) -> np.ndarray:
 
 def _transposed(m: np.ndarray, p: QubitLabel, mask) -> np.ndarray:
     """``m`` with qubit ``p``'s row and column bits swapped on the entries in ``mask``."""
-    b = p.value
-    return m[..., np.where(mask, _SWAP_ROW[b], _ROW), np.where(mask, _SWAP_COL[b], _COL)]
+    return m.reshape(*m.shape[:-2], 64)[..., _transpose_positions(p, mask)]
 
 
 def partial_transpose_global(rho, p: QubitLabel) -> np.ndarray:
@@ -173,7 +210,7 @@ def partial_transpose_kway(rho, p: QubitLabel, k: int) -> np.ndarray:
     """Transpose qubit ``p`` only on elements whose indices differ in exactly ``k`` slots."""
     if k not in (2, 3):
         raise ValueError(f"k must be 2 or 3, got {k}")
-    return _transposed(_as_states(rho), p, _DIFF_COUNT == k)
+    return _transposed(_as_states(rho), p, _kway_mask(k))
 
 
 def selective_partial_transpose(rho, spec: str) -> np.ndarray:
@@ -185,15 +222,13 @@ def selective_partial_transpose(rho, spec: str) -> np.ndarray:
     """
     if spec not in SELECTIVE_SPECS:
         raise ValueError(f"unknown selective transpose {spec!r}; options: {sorted(SELECTIVE_SPECS)}")
-    p, q = SELECTIVE_SPECS[spec]
-    return _transposed(_as_states(rho), p, _XOR == ((1 << p.value) | (1 << q.value)))
+    return _transposed(_as_states(rho), SELECTIVE_SPECS[spec][0], _selective_mask(spec))
 
 
-def _hermitian_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs, ascending, of each matrix of a stack (..., n, n).
+def _require_hermitian(m: np.ndarray) -> None:
+    """Raise unless every matrix of ``m`` (n x n or a stack) is Hermitian to 1e-9 (NaN fails).
 
-    Raises unless every matrix is Hermitian to 1e-9 (NaN fails); the check
-    passes noise of that size, so the matrix is symmetrised before the solve.
+    The message names the first bad matrix by its flat index in the stack.
     """
     residual = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     bad = np.flatnonzero(~(residual <= _HERMITICITY_TOL))
@@ -202,7 +237,24 @@ def _hermitian_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"input matrix is not Hermitian{where}: residual {residual.flat[bad[0]]:.3g}"
         )
+
+
+def _symmetrised_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs, ascending, of each matrix of a stack (..., n, n), already checked Hermitian.
+
+    The check passes noise up to 1e-9, so the matrix is symmetrised first.
+    """
     return np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2.0)
+
+
+def _negative_pairs(m: np.ndarray, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+    """`negative_eigenpairs` of matrices already checked Hermitian; a 1x1 matrix needs no solve."""
+    if m.shape[-1] == 1:
+        vals, vecs = m.real[..., 0], np.ones_like(m)
+    else:
+        vals, vecs = _symmetrised_eigh(m)
+    keep = vals < -cutoff
+    return np.where(keep, vals, 0.0), vecs * keep[..., None, :]
 
 
 def negative_eigenpairs(
@@ -219,9 +271,8 @@ def negative_eigenpairs(
     m = np.asarray(getattr(matrix, "matrix", matrix))
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    vals, vecs = _hermitian_eigh(m)
-    keep = vals < -cutoff
-    return np.where(keep, vals, 0.0), vecs * keep[..., None, :]
+    _require_hermitian(m)
+    return _negative_pairs(m, cutoff)
 
 
 def negative_eigensum(matrix, cutoff: float = NEGATIVE_EIGENVALUE_CUTOFF):
@@ -237,9 +288,17 @@ def negative_eigensum(matrix, cutoff: float = NEGATIVE_EIGENVALUE_CUTOFF):
 def global_negativity(rho, p: QubitLabel):
     """Negativity of the global partial transpose with respect to qubit ``p``.
 
-    A float for one state, an array for a stack.
+    A float for one state, an array for a stack.  Evaluated like the global
+    negativities of `negativity_batch` (index blocks for a state with the
+    exact zero pattern, an 8x8 solve otherwise), so the two agree bit for bit.
     """
-    return negative_eigensum(partial_transpose_global(rho, p))
+    m = _as_states(rho)
+    _require_hermitian(m)
+    stack = m.reshape(-1, 8, 8)
+    codes, _ = _pattern_check(stack)
+    n_g, _ = _global_split(stack, _in_blocks(stack, codes), NEGATIVE_EIGENVALUE_CUTOFF)
+    values = n_g[:, p.value]
+    return float(values[0]) if m.ndim == 2 else values.reshape(m.shape[:-2])
 
 
 # Failure codes of `_pattern_check` beyond the zero pattern itself (code 1).
@@ -386,8 +445,8 @@ def _two_level_pairs(d_first: np.ndarray, d_second: np.ndarray, off: np.ndarray,
 
 
 def _generic_decomposition(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fallback for an (N, 8, 8) stack: Hermitian eigendecomposition, ascending, fixed phases."""
-    vals, vecs = _hermitian_eigh(m)
+    """Fallback for an (N, 8, 8) stack checked Hermitian: eigenpairs ascending, phases fixed."""
+    vals, vecs = _symmetrised_eigh(m)
     return np.clip(vals, 0.0, None), _fix_phase(vecs)
 
 
@@ -437,6 +496,8 @@ def decompose(rho, cutoff: float = NEGATIVE_EIGENVALUE_CUTOFF) -> PureStateDecom
     """
     m = _as_matrix(rho)[None]
     codes, elements = _pattern_check(m)
+    if codes[0]:
+        _require_hermitian(m[0])
     probs, vectors = _decompose_stack(m, codes, elements, cutoff)
     return PureStateDecomposition(probs[0], vectors[0])
 
@@ -620,57 +681,252 @@ def _projector(vecs: np.ndarray) -> np.ndarray:
 
 
 def _projected_trace(target: np.ndarray, projector: np.ndarray) -> np.ndarray:
-    """``Re tr(target @ projector)`` per state: the summed ``Re <v| target |v>``."""
-    return np.real((target * projector.swapaxes(-1, -2)).sum(axis=(-2, -1)))
+    """``Re tr(target @ projector)`` per matrix: the summed ``Re <v| target |v>``.
+
+    The products are laid out in C order and summed along one contiguous
+    axis: numpy may reorder a reduction over strided axes, and the order
+    would then depend on the stack around each matrix.
+    """
+    product = np.multiply(target, projector.swapaxes(-1, -2), order="C")
+    return np.real(product.reshape(*product.shape[:-2], -1).sum(axis=-1))
+
+
+# ------------------------------------------------------------- index blocks
+#
+# A matrix supported on `PATTERN_MASK` is block diagonal, and so is each
+# partial transpose the kernel solves, on index blocks of at most 3.  The
+# blocks are derived here from the masks and the transpose maps; the kernel
+# gathers each block of the transpose it solves and, on the same index
+# pairs, of every map it projects.
+
+
+def _index_blocks(support: np.ndarray) -> list[tuple[int, ...]]:
+    """The connected index sets of ``support``, by smallest index, without the all-zero ones."""
+    # neighbours of each index as a bit set, in plain Python: this runs at import
+    linked = (support | support.T).tolist()
+    neighbours = [sum(1 << j for j in range(8) if row[j]) for row in linked]
+    blocks, seen = [], 0
+    for start in range(8):
+        if seen >> start & 1:
+            continue
+        block, grown = 0, 1 << start
+        while grown != block:
+            block = grown
+            for i in range(8):
+                if block >> i & 1:
+                    grown |= neighbours[i]
+        seen |= block
+        members = tuple(i for i in range(8) if block >> i & 1)
+        if len(members) > 1 or support[start, start]:
+            blocks.append(members)
+    return blocks
+
+
+def _block_gathers(supports, maps_by_owner) -> dict[int, np.ndarray]:
+    """Gather positions of every map on the index blocks of each owner's first map.
+
+    ``supports`` are the masks of the matrices to be transposed and
+    ``maps_by_owner`` lists, per owner, maps as from `_transpose_positions`:
+    the first is the transpose to solve, the others are projected on its
+    eigenvectors.  Returns, per block size n, flat positions into an 8x8
+    matrix, shape (supports, owners, blocks, maps, n, n).  The stacking needs
+    every (support, owner) to have the same number of blocks of each size.
+    """
+    # nested lists, not a numpy call per block: this runs at import
+    owners = []  # per (support, owner): {block size: the gathers of each block}
+    for support in supports:
+        for maps in maps_by_owner:
+            rows_of_maps = [positions.tolist() for positions in maps]
+            by_size: dict[int, list] = {}
+            for block in _index_blocks(support.reshape(64)[maps[0]]):
+                gathers = [[[rows[i][j] for j in block] for i in block] for rows in rows_of_maps]
+                by_size.setdefault(len(block), []).append(gathers)
+            owners.append(by_size)
+    counts = {tuple(sorted((size, len(blocks)) for size, blocks in o.items())) for o in owners}
+    if len(counts) != 1:
+        raise RuntimeError(f"owners differ in their index blocks: {sorted(counts)}")
+    return {
+        size: np.array([by_size[size] for by_size in owners]).reshape(
+            len(supports), len(maps_by_owner), -1, len(maps_by_owner[0]), size, size
+        )
+        for size in sorted(owners[0])
+    }
+
+
+# The state's own blocks; those of two or more indices hold the analytic
+# decomposition kets that are not basis states.
+_KET_FAMILIES = [block for block in _index_blocks(PATTERN_MASK) if len(block) > 1]
+_FAMILY_OF = np.full(8, -1)
+for _family, _block in enumerate(_KET_FAMILIES):
+    _FAMILY_OF[list(_block)] = _family
+
+# Per qubit: the global transpose, then the maps its negative eigenvectors
+# project, k = 3, k = 2 and the state itself (E_3, E_2, E_0).
+_STATE_MAPS = [
+    [_transpose_positions(p, True)]
+    + [_transpose_positions(p, _kway_mask(k)) for k in (3, 2)]
+    + [_POSITION]
+    for p in QubitLabel
+]
+_STATE_GATHERS = {
+    size: positions[0] for size, positions in _block_gathers([PATTERN_MASK], _STATE_MAPS).items()
+}
+
+# Per qubit that leads a selective spec: its two-way transpose, then the
+# selective transposes it projects; per ket family.  `_SHARE_ORDER` is the
+# order of the specs in the result.
+_SHARE_QUBITS = list(dict.fromkeys(first for first, _ in SELECTIVE_SPECS.values()))
+_SHARE_SPECS = [
+    [spec for spec, (first, _) in SELECTIVE_SPECS.items() if first is p] for p in _SHARE_QUBITS
+]
+_SHARE_ORDER = [spec for specs in _SHARE_SPECS for spec in specs]
+_KET_GATHERS = _block_gathers(
+    [(_FAMILY_OF[:, None] == f) & (_FAMILY_OF == f) for f in range(len(_KET_FAMILIES))],
+    [
+        [_transpose_positions(p, _kway_mask(2))]
+        + [_transpose_positions(p, _selective_mask(spec)) for spec in specs]
+        for p, specs in zip(_SHARE_QUBITS, _SHARE_SPECS)
+    ],
+)
+
+
+def _in_blocks(m: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """States of an (N, 8, 8) stack evaluated from index blocks.
+
+    Those whose pattern code is 0 and whose entries outside `PATTERN_MASK`
+    are exactly zero; the others, brute-force oracle states with rounding
+    noise outside the pattern among them, take the 8x8 solves.
+    """
+    return (codes == 0) & ~m[:, ~PATTERN_MASK].any(axis=-1)
+
+
+def _projected_blocks(gathered: np.ndarray, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+    """Solve map 0 of gathered blocks (..., owners, blocks, maps, n, n) and project the other maps.
+
+    Returns the kept eigenvalues summed per owner, and ``Re tr(map @ P)``
+    per owner and projected map, with P the projector on the kept
+    eigenvectors of the block; both summed over the blocks.
+    """
+    vals, vecs = _negative_pairs(gathered[..., 0, :, :], cutoff)
+    projector = _projector(vecs)[..., None, :, :]
+    traces = _projected_trace(gathered[..., 1:, :, :], projector)
+    return vals.sum(axis=(-2, -1)), traces.sum(axis=-2)
+
+
+def _global_split_blocks(m: np.ndarray, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+    """`_global_split` from the index blocks of states supported on `PATTERN_MASK`."""
+    flat = m.reshape(len(m), 64)
+    sums = traces = 0.0
+    for positions in _STATE_GATHERS.values():
+        block_sums, block_traces = _projected_blocks(flat[:, positions], cutoff)
+        sums, traces = sums + block_sums, traces + block_traces
+    return -2.0 * sums, -2.0 * traces
+
+
+def _global_split_full(m: np.ndarray, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+    """`_global_split` from one 8x8 solve per transposed qubit."""
+    n_g = np.empty((len(m), len(QubitLabel)))
+    split = np.empty((len(m), len(QubitLabel), 3))
+    for p in QubitLabel:
+        vals, vecs = _negative_pairs(partial_transpose_global(m, p), cutoff)
+        n_g[:, p.value] = -2.0 * vals.sum(axis=-1)
+        projector = _projector(vecs)
+        targets = (partial_transpose_kway(m, p, 3), partial_transpose_kway(m, p, 2), m)
+        for k, target in enumerate(targets):
+            split[:, p.value, k] = -2.0 * _projected_trace(target, projector)
+    return n_g, split
+
+
+def _global_split(
+    m: np.ndarray, in_blocks: np.ndarray, cutoff: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """N_G (N, qubit) and its split E_3, E_2, E_0 (N, qubit, 3) of an (N, 8, 8) stack.
+
+    The rows marked ``in_blocks`` are solved as index blocks, the others as
+    8x8 transposes.
+    """
+    n_g = np.empty((len(m), len(QubitLabel)))
+    split = np.empty((len(m), len(QubitLabel), 3))
+    for rows, solve in ((in_blocks, _global_split_blocks), (~in_blocks, _global_split_full)):
+        if rows.any():
+            n_g[rows], split[rows] = solve(m[rows], cutoff)
+    return n_g, split
+
+
+def _share_terms_blocks(kets: np.ndarray, cutoff: float) -> np.ndarray:
+    """`_share_terms_full` from the index blocks of each ket's family."""
+    family = _FAMILY_OF[np.argmax(np.abs(kets), axis=-1)]
+    members = [family == f for f in range(len(_KET_FAMILIES))]
+    traces = 0.0
+    for positions in _KET_GATHERS.values():
+        gathered = np.empty((len(kets), *positions.shape[1:]), dtype=kets.dtype)
+        for rows, table in zip(members, positions):
+            family_kets = kets[rows]
+            # entry (i, j) of the ket's projector is ket[i] * conj(ket[j])
+            gathered[rows] = family_kets[:, table // 8] * family_kets[:, table % 8].conj()
+        traces = traces + _projected_blocks(gathered, cutoff)[1]
+    return traces.reshape(len(kets), -1)
+
+
+def _share_terms_full(kets: np.ndarray, cutoff: float) -> np.ndarray:
+    """Per ket (rows of ``kets``) and spec (columns, in `_SHARE_ORDER`): ``Re tr(S P)``.
+
+    S is the spec's selective transpose of the ket's projector and P the
+    projector on the negative eigenvectors of its two-way transpose of the
+    spec's qubit, one 8x8 solve per qubit.
+    """
+    pure = kets[:, :, None] * kets[:, None, :].conj()
+    terms = []
+    for p, specs in zip(_SHARE_QUBITS, _SHARE_SPECS):
+        _, vecs = _negative_pairs(partial_transpose_kway(pure, p, 2), cutoff)
+        projector = _projector(vecs)
+        for spec in specs:
+            terms.append(_projected_trace(selective_partial_transpose(pure, spec), projector))
+    return np.stack(terms, axis=-1)
 
 
 def _pairwise_shares(
-    probs: np.ndarray, vectors: np.ndarray, cutoff: float
+    probs: np.ndarray, vectors: np.ndarray, in_blocks: np.ndarray, cutoff: float
 ) -> dict[str, np.ndarray]:
     """`psd_partial_negativity` for every spec, solving only the states that can contribute.
 
     Those are the decomposition kets of positive weight with at least two
     nonzero components.  A basis-state ket such as |110> has a diagonal
-    two-way transpose, so its shares are exactly 0 without a solve.
+    two-way transpose, so its shares are exactly 0 without a solve.  The
+    kets of states marked ``in_blocks`` are solved as index blocks of their
+    family (for those states every such ket lies in one family), the others
+    as 8x8 transposes.
     """
     rows, cols = np.nonzero((probs > 0.0) & (np.count_nonzero(vectors, axis=-2) >= 2))
     kets = vectors[rows, :, cols]
-    pure = kets[:, :, None] * kets[:, None, :].conj()
+    terms = np.empty((len(kets), len(_SHARE_ORDER)))
+    ket_in_blocks = in_blocks[rows]
+    for take, solve in ((ket_in_blocks, _share_terms_blocks), (~ket_in_blocks, _share_terms_full)):
+        if take.any():
+            terms[take] = solve(kets[take], cutoff)
     shares = {}
-    for p in (QubitLabel.B, QubitLabel.A1):
-        _, vecs = negative_eigenpairs(partial_transpose_kway(pure, p, 2), cutoff)
-        projector = _projector(vecs)
-        for spec, (first, _) in SELECTIVE_SPECS.items():
-            if first is not p:
-                continue
-            share = np.zeros(probs.shape)
-            share[rows, cols] = _projected_trace(selective_partial_transpose(pure, spec), projector)
-            shares[spec] = -2.0 * (probs * share).sum(axis=-1)
+    for column, spec in enumerate(_SHARE_ORDER):
+        share = np.zeros(probs.shape)
+        share[rows, cols] = terms[:, column]
+        shares[spec] = -2.0 * (probs * share).sum(axis=-1)
     return {spec: shares[spec] for spec in SELECTIVE_SPECS}
 
 
 def _negativity_block(m: np.ndarray, cutoff: float) -> NegativityBatch:
-    """`negativity_batch` for one block of at most `_DIAGNOSTIC_BLOCK` states."""
-    n_g, e_3, e_2, e_0 = {}, {}, {}, {}
-    for p in QubitLabel:
-        vals, vecs = negative_eigenpairs(partial_transpose_global(m, p), cutoff)
-        n_g[p] = -2.0 * vals.sum(axis=-1)
-        projector = _projector(vecs)
-        e_3[p] = -2.0 * _projected_trace(partial_transpose_kway(m, p, 3), projector)
-        e_2[p] = -2.0 * _projected_trace(partial_transpose_kway(m, p, 2), projector)
-        e_0[p] = -2.0 * _projected_trace(m, projector)
-
+    """`negativity_batch` for one block of at most `_DIAGNOSTIC_BLOCK` states, checked Hermitian."""
     codes, elements = _pattern_check(m)
     pattern_ok = codes == 0
+    in_blocks = _in_blocks(m, codes)
+    n_g, split = _global_split(m, in_blocks, cutoff)
     probs, vectors = _decompose_stack(m, codes, elements, cutoff)
     return NegativityBatch(
-        n_g=n_g,
+        n_g={p: n_g[:, p.value] for p in QubitLabel},
         n_g_b_analytic=np.where(pattern_ok, _analytic_negativity_b(elements, cutoff), np.nan),
-        e_3=e_3,
-        e_2=e_2,
-        e_0=e_0,
+        e_3={p: split[:, p.value, 0] for p in QubitLabel},
+        e_2={p: split[:, p.value, 1] for p in QubitLabel},
+        e_0={p: split[:, p.value, 2] for p in QubitLabel},
         n_psdg={p: (probs * _pure_negativity(vectors, p, cutoff)).sum(axis=-1) for p in QubitLabel},
-        e_psd=_pairwise_shares(probs, vectors, cutoff),
+        e_psd=_pairwise_shares(probs, vectors, in_blocks, cutoff),
         linear_entropy_b=_linear_entropy(partial_trace(m, {QubitLabel.B})),
         w1_fidelity=_expectation(W1_STATE, m),
         bell_projection=_bell_projection(m),
@@ -692,6 +948,7 @@ def negativity_batch(states) -> NegativityBatch:
         stack = np.array([getattr(rho, "matrix", rho) for rho in states])
     if stack.ndim != 3 or stack.shape[1:] != (8, 8):
         raise ValueError(f"expected an (N, 8, 8) stack of states, got shape {stack.shape}")
+    _require_hermitian(stack)
     blocks = [
         _negativity_block(stack[start : start + _DIAGNOSTIC_BLOCK], NEGATIVE_EIGENVALUE_CUTOFF)
         for start in range(0, max(len(stack), 1), _DIAGNOSTIC_BLOCK)

@@ -50,6 +50,13 @@ __all__ = [
 ]
 
 
+# Largest imaginary part `full_evolution_grid` drops from its states.  The
+# reduced state is real (real couplings, squeeze parameter and beam-splitter
+# angle); the complex propagators leave rounding residue, at most 1e-16 on
+# the oracle-check grid at n_max 40 and 6.4e-16 at n_max 80.
+_IMAGINARY_TOL = 1e-12
+
+
 def _expm_hermitian(h: np.ndarray, scale: float) -> np.ndarray:
     """exp(-i * scale * h) for Hermitian h, via eigendecomposition."""
     vals, vecs = np.linalg.eigh(h)
@@ -211,7 +218,9 @@ def full_evolution_grid(taus, squeezes, theta: float, n_max: int) -> np.ndarray:
 
     with `_port_traced` giving each cavity's X, summed over all (n, m).  The
     field amplitudes depend only on theta and the propagators only on tau, so
-    each is built once per call.  Intended for moderate truncations
+    each is built once per call.  The sum is complex; the states are returned
+    real (float64) after checking that no imaginary part exceeds 1e-12
+    (RuntimeError otherwise).  Intended for moderate truncations
     (n_max <= 80 or so); the closed forms carry production scale.
     """
     taus = require_finite_nonnegative("tau", taus).reshape(-1)
@@ -233,7 +242,15 @@ def full_evolution_grid(taus, squeezes, theta: float, n_max: int) -> np.ndarray:
     weighted = (pair_weights[None, :, None, :] * x2[:, None]).reshape(len(taus), -1, size * size)
     rho = (weighted @ x1).reshape(len(taus), len(squeezes), 2, 2, 4, 4)
     # flat index a + 4 b: the c1 pair is the low part, the c2 atom the high bit
-    return rho.transpose(0, 1, 2, 4, 3, 5).reshape(len(taus), len(squeezes), 8, 8)
+    rho = rho.transpose(0, 1, 2, 4, 3, 5).reshape(len(taus), len(squeezes), 8, 8)
+    imaginary = np.abs(rho.imag).max(initial=0.0)
+    # written so that a NaN fails too
+    if not imaginary <= _IMAGINARY_TOL:
+        raise RuntimeError(
+            f"brute-force state has an imaginary part of {imaginary:.3g}, "
+            f"above the bound {_IMAGINARY_TOL:g} for a real state"
+        )
+    return np.ascontiguousarray(rho.real)
 
 
 def full_evolution(config: FieldConfig, tau: float) -> ThreeQubitDensityMatrix:

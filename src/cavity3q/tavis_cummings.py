@@ -105,8 +105,8 @@ class ThreeQubitDensityMatrix:
     truncation problems stay visible.  The closed-form matrix is real
     symmetric (float64): its populations and its two coherences come from
     real couplings, a real squeeze parameter and a real beam-splitter angle.
-    The brute-force matrix of `full_evolution` is complex, with imaginary
-    parts at rounding level.
+    So is the brute-force matrix of `full_evolution`, whose imaginary
+    rounding residue is checked against a 1e-12 bound and dropped.
     """
 
     matrix: np.ndarray

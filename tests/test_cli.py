@@ -88,6 +88,42 @@ def test_oracle_check_flags_corruption():
     assert status == 1
     assert "# result: FAIL" in report
     assert "entry=[4,4]" in report
+    # both sides are real states, so the line prints two real numbers
+    line = next(line for line in report.splitlines() if line.startswith("# DISCREPANCY"))
+    closed, reference = (float(field.split("=")[1]) for field in line.split()[-2:])
+    assert closed - reference == pytest.approx(1e-3, abs=1e-12)
+
+
+def test_oracle_check_pattern_lines_print_real_values():
+    cfg = SweepConfig(mode="oracle-check", oracle_n_max=6, tolerance=1e-8)
+
+    def corrupt(matrix):
+        matrix[0, 3] = matrix[3, 0] = 1e-6
+        return matrix
+
+    report, status = run_oracle_check(cfg, corrupt=corrupt)
+    assert status == 1
+    lines = [line for line in report.splitlines() if line.startswith("# PATTERN")]
+    assert len(lines) == 2 * 36
+    for line in lines:
+        closed, reference = (float(field.split("=")[1]) for field in line.split()[-2:])
+        assert closed == 1e-6 and abs(reference) <= 1e-14
+
+
+def test_oracle_check_evaluates_one_closed_form_grid_per_angle(monkeypatch):
+    cfg = SweepConfig(mode="oracle-check", oracle_n_max=6, tolerance=1e-8)
+    calls = []
+    grid = cli.closed_form_grid
+
+    def recording(taus, squeezes, theta, n_max):
+        calls.append((tuple(taus), tuple(squeezes), theta, n_max))
+        return grid(taus, squeezes, theta, n_max)
+
+    monkeypatch.setattr(cli, "closed_form_grid", recording)
+    report, status = run_oracle_check(cfg)
+    assert status == 0 and "# result: PASS" in report
+    grid_args = (cli.ORACLE_CHECK_TAUS, cli.ORACLE_CHECK_SQUEEZES)
+    assert calls == [(*grid_args, theta, 6) for theta in cli.ORACLE_CHECK_THETAS]
 
 
 def test_zero_squeezing_is_exact_everywhere():
@@ -250,14 +286,14 @@ def test_oracle_check_rejects_discrepancy_variants(monkeypatch):
         q = np.arange(count, dtype=float)
         return stay, one_up * np.sqrt(np.maximum(q - 1.0, 0.0) / np.maximum(q, 1.0)), two_up
 
-    def variant_2(tau, field):
-        elements = tc.closed_form_grid([tau], [field.s], field.theta, field.n_max)[0, 0]
+    def variant_2(taus, squeezes, theta, n_max):
+        elements = tc.closed_form_grid(taus, squeezes, theta, n_max)
         monkeypatch.setattr(tc, "_pair_block_amplitudes", slipped)
-        elements[7] = tc.closed_form_grid([tau], [field.s], field.theta, field.n_max)[0, 0, 7]
+        elements[..., 7] = tc.closed_form_grid(taus, squeezes, theta, n_max)[..., 7]
         monkeypatch.setattr(tc, "_pair_block_amplitudes", amplitudes)
-        return tc.rho_from_elements(elements, tau, field.s, field.theta, field.n_max)
+        return elements
 
-    monkeypatch.setattr(cli, "closed_form_rho", variant_2)
+    monkeypatch.setattr(cli, "closed_form_grid", variant_2)
     report, status = run_oracle_check(cfg)
     assert status == 1 and "# result: FAIL" in report
     assert "entry=[1,7]" in report

@@ -10,6 +10,7 @@ pure-state identity instead of an eigensolve, so agreement is required to
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -336,18 +337,21 @@ def test_pairwise_solves_only_positive_weight_states(monkeypatch):
         components = np.count_nonzero(dec.vectors, axis=0)
         positive += int(((dec.probabilities > 0.0) & (components >= 2)).sum())
         basis_kets += int(((dec.probabilities > 0.0) & (components == 1)).sum())
-    solved = []
+    solved = Counter()
     eigh = np.linalg.eigh
 
     def counting(a, *args, **kwargs):
-        solved.append(len(a))
+        solved[a.shape[-1]] += math.prod(a.shape[:-2])
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
     negativity_batch(states)
-    # three global transposes per state, two two-way transposes per
-    # decomposition state of positive weight that is not a basis state
-    assert sum(solved) == 3 * len(states) + 2 * positive
+    # closed-form states are solved as index blocks, none larger than 3x3:
+    # two 3x3 blocks of each of the three global transposes per state (the
+    # 1x1 blocks need no solve), and one 3x3 and one 2x2 block of each of
+    # the two two-way transposes per decomposition ket of positive weight
+    # that is not a basis state
+    assert solved == {3: 6 * len(states) + 2 * positive, 2: 2 * positive}
     assert positive < 8 * len(states)
     assert basis_kets > 0
 
@@ -435,6 +439,19 @@ def test_non_hermitian_row_raises():
         negativity_batch(np.eye(8))
 
 
+@pytest.mark.parametrize("bad", [ent._DIAGNOSTIC_BLOCK + 7, 2 * ent._DIAGNOSTIC_BLOCK + 1])
+def test_non_hermitian_error_names_the_state_in_the_callers_stack(bad):
+    # the kernel evaluates the stack in blocks; the message counts from the
+    # start of the caller's stack, not of the block
+    states = sweep_states(math.pi, [1.2], np.linspace(0.0, 20.0, 2 * ent._DIAGNOSTIC_BLOCK + 5))
+    states[bad, 0, 5] += 1e-6
+    with pytest.raises(ValueError, match=rf"not Hermitian \(matrix {bad} of the stack\)"):
+        negativity_batch(states)
+    states[bad, 0, 5] = np.nan
+    with pytest.raises(ValueError, match=rf"not Hermitian \(matrix {bad} of the stack\)"):
+        negativity_batch(states)
+
+
 def test_decomposition_negativities_reject_non_hermitian_pattern_state():
     # the zero pattern holds, but the mirrored coherences differ; the
     # decomposition reads one triangle only, the kernel checks both
@@ -462,6 +479,13 @@ def test_kernel_and_scalar_negativity_share_one_path():
         assert np.array_equal(stacked, batch.n_g[p])
         for index, m in enumerate(states):
             assert ent.global_negativity(m, p) == batch.n_g[p][index]
+    # a state off the zero pattern takes the 8x8 fallback in both
+    noisy = states.copy()
+    noisy[:, 3, 0] = noisy[:, 0, 3] = 1e-17
+    noisy_batch = negativity_batch(noisy)
+    for p in QubitLabel:
+        assert np.array_equal(ent.global_negativity(noisy, p), noisy_batch.n_g[p])
+        assert np.abs(noisy_batch.n_g[p] - batch.n_g[p]).max() <= TOL
     vals, vecs = ent.negative_eigenpairs(partial_transpose_global(states, QubitLabel.B))
     for index, m in enumerate(states):
         ref_vals, ref_vecs = ref_negative_eigenpairs(partial_transpose_global(m, QubitLabel.B))
@@ -471,7 +495,7 @@ def test_kernel_and_scalar_negativity_share_one_path():
         assert not vecs[index][:, ~kept].any()
 
 
-@pytest.mark.parametrize("length", [1, ent._DIAGNOSTIC_BLOCK, ent._DIAGNOSTIC_BLOCK + 1])
+@pytest.mark.parametrize("length", [1, 32, 33, ent._DIAGNOSTIC_BLOCK, ent._DIAGNOSTIC_BLOCK + 1])
 def test_stack_is_bit_identical_to_per_point(length):
     taus = np.linspace(0.0, 20.0, length)
     states = sweep_states(math.pi / 3.0, [1.2], taus, n_max=40)

@@ -145,3 +145,19 @@ def test_grid_rejects_bad_angle_and_truncation():
 def test_norm_check_rejects_nan():
     with pytest.raises(RuntimeError, match="lost norm"):
         oracle._evolved_components(2, 8, np.array([math.nan]), 4)
+
+
+def test_grid_states_are_real():
+    grid = full_evolution_grid(ORACLE_CHECK_TAUS, ORACLE_CHECK_SQUEEZES, 1.1, 12)
+    assert grid.dtype == np.float64
+    assert grid.flags.c_contiguous
+
+
+def test_grid_refuses_an_imaginary_part_above_the_bound(monkeypatch):
+    # a phase on each cavity's factor leaves the state complex
+    port_traced = oracle._port_traced
+    monkeypatch.setattr(
+        oracle, "_port_traced", lambda gram, amps: port_traced(gram, amps) * np.exp(1e-6j)
+    )
+    with pytest.raises(RuntimeError, match="imaginary part of .* above the bound 1e-12"):
+        full_evolution_grid([0.8], [0.6], 1.1, 8)
