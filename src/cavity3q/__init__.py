@@ -36,7 +36,6 @@ from .entanglement import (
 from .fock_field import (
     FieldConfig,
     binomial_amplitude_row,
-    squeezed_weight,
     truncation_deficit,
     truncation_deficits,
 )
@@ -45,7 +44,6 @@ from .oracle import (
     compare_states,
     full_evolution,
     full_evolution_grid,
-    hamiltonian_block_evolution,
 )
 from .tavis_cummings import (
     PATTERN_MASK,
@@ -53,11 +51,9 @@ from .tavis_cummings import (
     closed_form_grid,
     closed_form_rho,
     diagonal_probabilities,
-    one_atom_unitary,
     pattern_violations,
     rho_from_elements,
     states_from_elements,
-    two_atom_unitary,
 )
 
 __version__ = "0.1.0"
@@ -65,14 +61,11 @@ __version__ = "0.1.0"
 __all__ = [
     "FieldConfig",
     "binomial_amplitude_row",
-    "squeezed_weight",
     "truncation_deficit",
     "truncation_deficits",
     "ThreeQubitDensityMatrix",
     "PATTERN_MASK",
     "pattern_violations",
-    "two_atom_unitary",
-    "one_atom_unitary",
     "closed_form_grid",
     "states_from_elements",
     "rho_from_elements",
@@ -102,7 +95,6 @@ __all__ = [
     "bell_projection_probability",
     "negativity_batch",
     "negativity_report",
-    "hamiltonian_block_evolution",
     "full_evolution_grid",
     "full_evolution",
     "ComparisonReport",

@@ -12,14 +12,16 @@ named by its index in the caller's stack) and evaluates the stack in fixed
 blocks of `_DIAGNOSTIC_BLOCK` rows:
 
 * the zero pattern of every row is checked once against `PATTERN_MASK`;
-* a state whose entries outside `PATTERN_MASK` are exactly zero and whose
-  pattern check passes (every closed-form state) is block diagonal, and so
-  is each partial transpose the kernel solves, on index blocks of at most 3
-  derived from `PATTERN_MASK` at import (Tavis & Cummings, Phys. Rev. 170,
-  379 (1968): each field component conserves photon number plus atomic
-  excitation).  Such a state is evaluated from gathered blocks; every other
-  state, a brute-force oracle state with rounding noise outside the pattern
-  among them, from the full 8x8 transposes;
+* every partial transpose the kernel solves is gathered into index blocks,
+  with each map it projects gathered on the same index pairs.  A state
+  whose entries outside `PATTERN_MASK` are exactly zero and whose pattern
+  check passes (every closed-form state) is block diagonal, and so is each
+  such transpose, on blocks of at most 3 indices derived from
+  `PATTERN_MASK` at import (Tavis & Cummings, Phys. Rev. 170, 379 (1968):
+  each field component conserves photon number plus atomic excitation).
+  Every other state, a brute-force oracle state with rounding noise outside
+  the pattern among them, is one block of all 8 indices, from tables built
+  the same way on the whole support;
 * the pure-state decomposition is computed in closed form for rows that
   pass the pattern check and by a stacked eigendecomposition for the rest;
 * the global negativities come from the negative eigenvalues of each
@@ -32,8 +34,9 @@ blocks of `_DIAGNOSTIC_BLOCK` rows:
 * the pairwise shares solve the two-way transposes of the decomposition
   states of positive weight only, and of those only the ones that are not
   basis states; for a block-structured state each such ket lies in one of
-  the state's two 3-index blocks, and its transposes split into a 3x3, a
-  2x2 and a 1x1 block.
+  the state's two 3-index blocks, and of its transposes only the 3x3 block
+  is solved: the 2x2 and 1x1 blocks are left in place, so they are
+  principal submatrices of the ket's projector and cannot go negative.
 
 All blocks of one size go to the solver of `negative_eigenpairs` in one
 stacked call, and a 1x1 block needs no solve, so a sweep makes no 8x8
@@ -47,10 +50,10 @@ with complex LAPACK.
 and `partial_kway_negativity` are the kernel's grids of one, so each of them
 except `decompose` (which checks only the states it cannot decompose in
 closed form) raises ValueError for a state that is not Hermitian to 1e-9.
-`global_negativity` takes the kernel's route per state, so the two agree bit
-for bit.  Every eigensolve, in the kernel and in the scalar functions alike,
-goes through one symmetrised solver with one Hermiticity check and one
-cutoff.
+`global_negativity` takes the kernel's route per state on the named qubit's
+tables only, so the two agree bit for bit.  Every eigensolve, in the kernel
+and in the scalar functions alike, goes through one symmetrised solver with
+one Hermiticity check and one cutoff.
 
 All functions are pure and accept either a bare 8x8 ndarray or a
 `ThreeQubitDensityMatrix`; the transposes, `negative_eigenpairs`,
@@ -289,15 +292,17 @@ def global_negativity(rho, p: QubitLabel):
     """Negativity of the global partial transpose with respect to qubit ``p``.
 
     A float for one state, an array for a stack.  Evaluated like the global
-    negativities of `negativity_batch` (index blocks for a state with the
-    exact zero pattern, an 8x8 solve otherwise), so the two agree bit for bit.
+    negativities of `negativity_batch` (the index blocks of `PATTERN_MASK`
+    for a state with the exact zero pattern, one 8-index block otherwise),
+    on qubit ``p``'s tables only, so the two agree bit for bit.
     """
     m = _as_states(rho)
     _require_hermitian(m)
     stack = m.reshape(-1, 8, 8)
     codes, _ = _pattern_check(stack)
-    n_g, _ = _global_split(stack, _in_blocks(stack, codes), NEGATIVE_EIGENVALUE_CUTOFF)
-    values = n_g[:, p.value]
+    in_blocks = _in_blocks(stack, codes)
+    n_g, _ = _global_split(stack, in_blocks, NEGATIVE_EIGENVALUE_CUTOFF, [p.value])
+    values = n_g[:, 0]
     return float(values[0]) if m.ndim == 2 else values.reshape(m.shape[:-2])
 
 
@@ -694,10 +699,11 @@ def _projected_trace(target: np.ndarray, projector: np.ndarray) -> np.ndarray:
 # ------------------------------------------------------------- index blocks
 #
 # A matrix supported on `PATTERN_MASK` is block diagonal, and so is each
-# partial transpose the kernel solves, on index blocks of at most 3.  The
-# blocks are derived here from the masks and the transpose maps; the kernel
-# gathers each block of the transpose it solves and, on the same index
-# pairs, of every map it projects.
+# partial transpose the kernel solves, on index blocks of at most 3; any
+# other matrix is one block of all 8 indices.  The blocks are derived here
+# from the masks and the transpose maps; the kernel gathers each block of
+# the transpose it solves and, on the same index pairs, of every map it
+# projects.
 
 
 def _index_blocks(support: np.ndarray) -> list[tuple[int, ...]]:
@@ -722,7 +728,7 @@ def _index_blocks(support: np.ndarray) -> list[tuple[int, ...]]:
     return blocks
 
 
-def _block_gathers(supports, maps_by_owner) -> dict[int, np.ndarray]:
+def _block_gathers(supports, maps_by_owner, psd: bool = False) -> dict[int, np.ndarray]:
     """Gather positions of every map on the index blocks of each owner's first map.
 
     ``supports`` are the masks of the matrices to be transposed and
@@ -731,8 +737,12 @@ def _block_gathers(supports, maps_by_owner) -> dict[int, np.ndarray]:
     eigenvectors.  Returns, per block size n, flat positions into an 8x8
     matrix, shape (supports, owners, blocks, maps, n, n).  The stacking needs
     every (support, owner) to have the same number of blocks of each size.
+    With ``psd`` the matrices are positive semidefinite, and a block that the
+    first map leaves in place is dropped: it is a principal submatrix, so it
+    has no negative eigenvalue to find.
     """
     # nested lists, not a numpy call per block: this runs at import
+    in_place = _POSITION.tolist()
     owners = []  # per (support, owner): {block size: the gathers of each block}
     for support in supports:
         for maps in maps_by_owner:
@@ -740,6 +750,8 @@ def _block_gathers(supports, maps_by_owner) -> dict[int, np.ndarray]:
             by_size: dict[int, list] = {}
             for block in _index_blocks(support.reshape(64)[maps[0]]):
                 gathers = [[[rows[i][j] for j in block] for i in block] for rows in rows_of_maps]
+                if psd and gathers[0] == [[in_place[i][j] for j in block] for i in block]:
+                    continue
                 by_size.setdefault(len(block), []).append(gathers)
             owners.append(by_size)
     counts = {tuple(sorted((size, len(blocks)) for size, blocks in o.items())) for o in owners}
@@ -760,6 +772,10 @@ _FAMILY_OF = np.full(8, -1)
 for _family, _block in enumerate(_KET_FAMILIES):
     _FAMILY_OF[list(_block)] = _family
 
+# Any other state is one 8-index block: the tables of the whole support
+# gather each transpose and map in full.
+_WHOLE = np.ones((8, 8), dtype=bool)
+
 # Per qubit: the global transpose, then the maps its negative eigenvectors
 # project, k = 3, k = 2 and the state itself (E_3, E_2, E_0).
 _STATE_MAPS = [
@@ -768,34 +784,40 @@ _STATE_MAPS = [
     + [_POSITION]
     for p in QubitLabel
 ]
-_STATE_GATHERS = {
-    size: positions[0] for size, positions in _block_gathers([PATTERN_MASK], _STATE_MAPS).items()
-}
+_STATE_GATHERS, _WHOLE_STATE_GATHERS = (
+    {size: positions[0] for size, positions in _block_gathers([support], _STATE_MAPS).items()}
+    for support in (PATTERN_MASK, _WHOLE)
+)
+_QUBITS = [p.value for p in QubitLabel]
 
 # Per qubit that leads a selective spec: its two-way transpose, then the
-# selective transposes it projects; per ket family.  `_SHARE_ORDER` is the
-# order of the specs in the result.
+# selective transposes it projects; per ket family, or the whole support.
+# The kets are pure, so only the blocks the two-way transpose moves are
+# kept.  `_SHARE_ORDER` is the order of the specs in the result.
 _SHARE_QUBITS = list(dict.fromkeys(first for first, _ in SELECTIVE_SPECS.values()))
 _SHARE_SPECS = [
     [spec for spec, (first, _) in SELECTIVE_SPECS.items() if first is p] for p in _SHARE_QUBITS
 ]
 _SHARE_ORDER = [spec for specs in _SHARE_SPECS for spec in specs]
+_SHARE_MAPS = [
+    [_transpose_positions(p, _kway_mask(2))]
+    + [_transpose_positions(p, _selective_mask(spec)) for spec in specs]
+    for p, specs in zip(_SHARE_QUBITS, _SHARE_SPECS)
+]
 _KET_GATHERS = _block_gathers(
     [(_FAMILY_OF[:, None] == f) & (_FAMILY_OF == f) for f in range(len(_KET_FAMILIES))],
-    [
-        [_transpose_positions(p, _kway_mask(2))]
-        + [_transpose_positions(p, _selective_mask(spec)) for spec in specs]
-        for p, specs in zip(_SHARE_QUBITS, _SHARE_SPECS)
-    ],
+    _SHARE_MAPS,
+    psd=True,
 )
+_WHOLE_KET_GATHERS = _block_gathers([_WHOLE], _SHARE_MAPS, psd=True)
 
 
 def _in_blocks(m: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """States of an (N, 8, 8) stack evaluated from index blocks.
+    """States of an (N, 8, 8) stack evaluated from the index blocks of `PATTERN_MASK`.
 
     Those whose pattern code is 0 and whose entries outside `PATTERN_MASK`
     are exactly zero; the others, brute-force oracle states with rounding
-    noise outside the pattern among them, take the 8x8 solves.
+    noise outside the pattern among them, are one 8-index block.
     """
     return (codes == 0) & ~m[:, ~PATTERN_MASK].any(axis=-1)
 
@@ -813,76 +835,48 @@ def _projected_blocks(gathered: np.ndarray, cutoff: float) -> tuple[np.ndarray, 
     return vals.sum(axis=(-2, -1)), traces.sum(axis=-2)
 
 
-def _global_split_blocks(m: np.ndarray, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
-    """`_global_split` from the index blocks of states supported on `PATTERN_MASK`."""
-    flat = m.reshape(len(m), 64)
-    sums = traces = 0.0
-    for positions in _STATE_GATHERS.values():
-        block_sums, block_traces = _projected_blocks(flat[:, positions], cutoff)
-        sums, traces = sums + block_sums, traces + block_traces
-    return -2.0 * sums, -2.0 * traces
-
-
-def _global_split_full(m: np.ndarray, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
-    """`_global_split` from one 8x8 solve per transposed qubit."""
-    n_g = np.empty((len(m), len(QubitLabel)))
-    split = np.empty((len(m), len(QubitLabel), 3))
-    for p in QubitLabel:
-        vals, vecs = _negative_pairs(partial_transpose_global(m, p), cutoff)
-        n_g[:, p.value] = -2.0 * vals.sum(axis=-1)
-        projector = _projector(vecs)
-        targets = (partial_transpose_kway(m, p, 3), partial_transpose_kway(m, p, 2), m)
-        for k, target in enumerate(targets):
-            split[:, p.value, k] = -2.0 * _projected_trace(target, projector)
-    return n_g, split
-
-
 def _global_split(
-    m: np.ndarray, in_blocks: np.ndarray, cutoff: float
+    m: np.ndarray, in_blocks: np.ndarray, cutoff: float, owners: list[int] = _QUBITS
 ) -> tuple[np.ndarray, np.ndarray]:
-    """N_G (N, qubit) and its split E_3, E_2, E_0 (N, qubit, 3) of an (N, 8, 8) stack.
+    """N_G (N, owner) and its split E_3, E_2, E_0 (N, owner, 3) of an (N, 8, 8) stack.
 
-    The rows marked ``in_blocks`` are solved as index blocks, the others as
-    8x8 transposes.
+    ``owners`` are the values of the transposed qubits.  The rows marked
+    ``in_blocks`` are gathered into the index blocks of `PATTERN_MASK`, the
+    others into one 8-index block per qubit.
     """
-    n_g = np.empty((len(m), len(QubitLabel)))
-    split = np.empty((len(m), len(QubitLabel), 3))
-    for rows, solve in ((in_blocks, _global_split_blocks), (~in_blocks, _global_split_full)):
-        if rows.any():
-            n_g[rows], split[rows] = solve(m[rows], cutoff)
+    n_g = np.empty((len(m), len(owners)))
+    split = np.empty((len(m), len(owners), 3))
+    for rows, tables in ((in_blocks, _STATE_GATHERS), (~in_blocks, _WHOLE_STATE_GATHERS)):
+        if not rows.any():
+            continue
+        flat = m[rows].reshape(-1, 64)
+        sums = traces = 0.0
+        for positions in tables.values():
+            block_sums, block_traces = _projected_blocks(flat[:, positions[owners]], cutoff)
+            sums, traces = sums + block_sums, traces + block_traces
+        n_g[rows], split[rows] = -2.0 * sums, -2.0 * traces
     return n_g, split
 
 
-def _share_terms_blocks(kets: np.ndarray, cutoff: float) -> np.ndarray:
-    """`_share_terms_full` from the index blocks of each ket's family."""
-    family = _FAMILY_OF[np.argmax(np.abs(kets), axis=-1)]
-    members = [family == f for f in range(len(_KET_FAMILIES))]
-    traces = 0.0
-    for positions in _KET_GATHERS.values():
-        gathered = np.empty((len(kets), *positions.shape[1:]), dtype=kets.dtype)
-        for rows, table in zip(members, positions):
-            family_kets = kets[rows]
-            # entry (i, j) of the ket's projector is ket[i] * conj(ket[j])
-            gathered[rows] = family_kets[:, table // 8] * family_kets[:, table % 8].conj()
-        traces = traces + _projected_blocks(gathered, cutoff)[1]
-    return traces.reshape(len(kets), -1)
-
-
-def _share_terms_full(kets: np.ndarray, cutoff: float) -> np.ndarray:
+def _share_terms(
+    kets: np.ndarray, supports: np.ndarray, tables: dict[int, np.ndarray], cutoff: float
+) -> np.ndarray:
     """Per ket (rows of ``kets``) and spec (columns, in `_SHARE_ORDER`): ``Re tr(S P)``.
 
     S is the spec's selective transpose of the ket's projector and P the
     projector on the negative eigenvectors of its two-way transpose of the
-    spec's qubit, one 8x8 solve per qubit.
+    spec's qubit.  Both are gathered into the blocks of ``tables`` on each
+    ket's support, ``supports`` indexing the first axis of every table.
     """
-    pure = kets[:, :, None] * kets[:, None, :].conj()
-    terms = []
-    for p, specs in zip(_SHARE_QUBITS, _SHARE_SPECS):
-        _, vecs = _negative_pairs(partial_transpose_kway(pure, p, 2), cutoff)
-        projector = _projector(vecs)
-        for spec in specs:
-            terms.append(_projected_trace(selective_partial_transpose(pure, spec), projector))
-    return np.stack(terms, axis=-1)
+    pure = (kets[:, :, None] * kets[:, None, :].conj()).reshape(len(kets), 64)
+    traces = 0.0
+    for positions in tables.values():
+        gathered = np.empty((len(kets), *positions.shape[1:]), dtype=kets.dtype)
+        for support, table in enumerate(positions):
+            rows = supports == support
+            gathered[rows] = pure[rows][:, table]
+        traces = traces + _projected_blocks(gathered, cutoff)[1]
+    return traces.reshape(len(kets), -1)
 
 
 def _pairwise_shares(
@@ -893,17 +887,18 @@ def _pairwise_shares(
     Those are the decomposition kets of positive weight with at least two
     nonzero components.  A basis-state ket such as |110> has a diagonal
     two-way transpose, so its shares are exactly 0 without a solve.  The
-    kets of states marked ``in_blocks`` are solved as index blocks of their
-    family (for those states every such ket lies in one family), the others
-    as 8x8 transposes.
+    kets of states marked ``in_blocks`` are gathered into the index blocks
+    of their family (for those states every such ket lies in one family),
+    the others into one 8-index block per qubit.
     """
     rows, cols = np.nonzero((probs > 0.0) & (np.count_nonzero(vectors, axis=-2) >= 2))
     kets = vectors[rows, :, cols]
     terms = np.empty((len(kets), len(_SHARE_ORDER)))
     ket_in_blocks = in_blocks[rows]
-    for take, solve in ((ket_in_blocks, _share_terms_blocks), (~ket_in_blocks, _share_terms_full)):
+    supports = np.where(ket_in_blocks, _FAMILY_OF[np.argmax(np.abs(kets), axis=-1)], 0)
+    for take, tables in ((ket_in_blocks, _KET_GATHERS), (~ket_in_blocks, _WHOLE_KET_GATHERS)):
         if take.any():
-            terms[take] = solve(kets[take], cutoff)
+            terms[take] = _share_terms(kets[take], supports[take], tables, cutoff)
     shares = {}
     for column, spec in enumerate(_SHARE_ORDER):
         share = np.zeros(probs.shape)

@@ -26,7 +26,6 @@ import numpy as np
 __all__ = [
     "FieldConfig",
     "binomial_amplitude_row",
-    "squeezed_weight",
     "truncation_deficit",
     "truncation_deficits",
 ]
@@ -123,14 +122,6 @@ def binomial_amplitude_row(n: int, theta: float) -> np.ndarray:
     )
     np.exp(log_amp, out=row)
     return row
-
-
-def squeezed_weight(n: int, s: float) -> float:
-    """Amplitude ``(tanh s)^n / cosh(s)`` of the |n, n> squeezed-pair component."""
-    require_photon_number("photon number n", n)
-    if s < 0.0:
-        raise ValueError(f"squeeze parameter must be >= 0, got {s}")
-    return math.tanh(s) ** n / math.cosh(s)
 
 
 def truncation_deficits(squeezes, n_max: int) -> np.ndarray:

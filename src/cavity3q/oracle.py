@@ -42,7 +42,6 @@ from .fock_field import (
 from .tavis_cummings import PATTERN_MASK, ThreeQubitDensityMatrix
 
 __all__ = [
-    "hamiltonian_block_evolution",
     "full_evolution_grid",
     "full_evolution",
     "ComparisonReport",
@@ -55,12 +54,6 @@ __all__ = [
 # angle); the complex propagators leave rounding residue, at most 1e-16 on
 # the oracle-check grid at n_max 40 and 6.4e-16 at n_max 80.
 _IMAGINARY_TOL = 1e-12
-
-
-def _expm_hermitian(h: np.ndarray, scale: float) -> np.ndarray:
-    """exp(-i * scale * h) for Hermitian h, via eigendecomposition."""
-    vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(-1j * scale * vals)) @ vecs.conj().T
 
 
 def _beam_splitter_block(theta: float, photons: int) -> np.ndarray:
@@ -79,7 +72,8 @@ def _beam_splitter_block(theta: float, photons: int) -> np.ndarray:
     # c f' |e, N - e> = sqrt((e + 1)(N - e)) |e + 1, N - e - 1>; c' f is its transpose
     hop = 0.5 * theta * np.sqrt((e + 1.0) * (photons - e))
     generator = np.diag(hop, -1) - np.diag(hop, 1)
-    return _expm_hermitian(1j * generator, 1.0).real
+    vals, vecs = np.linalg.eigh(1j * generator)
+    return ((vecs * np.exp(-1j * vals)) @ vecs.conj().T).real
 
 
 @lru_cache(maxsize=8)
@@ -95,35 +89,6 @@ def _beam_splitter_columns(theta: float, n_max: int) -> np.ndarray:
         amps[n, : n + 1] = _beam_splitter_block(theta, n)[:, n]
     amps.setflags(write=False)
     return amps
-
-
-def hamiltonian_block_evolution(n_or_m: int, tau: float, block: str) -> np.ndarray:
-    """Numerically exponentiated photon-number block of the coupling Hamiltonian.
-
-    ``block`` selects "two-atom" (symmetric ladder in c1, couplings
-    sqrt(2n) and sqrt(2(n-1))) or "one-atom" (coupling sqrt(m) in c2).
-    Built from the bare matrix elements and diagonalised, so it shares no
-    code with the trigonometric forms it is used to check.
-    """
-    require_photon_number("photon number n_or_m", n_or_m)
-    if block == "two-atom":
-        n = n_or_m
-        if n == 0:
-            return np.eye(1, dtype=complex)
-        if n == 1:
-            h = np.array([[0.0, math.sqrt(2.0)], [math.sqrt(2.0), 0.0]])
-        else:
-            b = math.sqrt(2.0 * n)
-            a = math.sqrt(2.0 * (n - 1))
-            h = np.array([[0.0, b, 0.0], [b, 0.0, a], [0.0, a, 0.0]])
-    elif block == "one-atom":
-        m = n_or_m
-        if m == 0:
-            return np.eye(1, dtype=complex)
-        h = np.array([[0.0, math.sqrt(m)], [math.sqrt(m), 0.0]])
-    else:
-        raise ValueError(f"block must be 'two-atom' or 'one-atom', got {block!r}")
-    return _expm_hermitian(h.astype(complex), tau)
 
 
 def _full_coupling_hamiltonian(num_atoms: int, dim: int) -> np.ndarray:

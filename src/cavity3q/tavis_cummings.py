@@ -1,4 +1,4 @@
-"""Resonant atom-field block unitaries and the closed-form three-qubit state.
+"""Resonant atom-field block amplitudes and the closed-form three-qubit state.
 
 Two ground-state atoms sit in cavity c1 and one in cavity c2, all coupled
 resonantly with equal strength g to their local field mode.  In the
@@ -33,67 +33,18 @@ from .fock_field import (
     binomial_amplitude_row,
     require_finite_nonnegative,
     require_n_max,
-    require_photon_number,
 )
 
 __all__ = [
     "ThreeQubitDensityMatrix",
     "PATTERN_MASK",
     "pattern_violations",
-    "two_atom_unitary",
-    "one_atom_unitary",
     "closed_form_grid",
     "states_from_elements",
     "rho_from_elements",
     "closed_form_rho",
     "diagonal_probabilities",
 ]
-
-
-def two_atom_unitary(n: int, tau: float) -> np.ndarray:
-    """Evolution block for two ground-state atoms with ``n`` photons in c1.
-
-    Basis: the symmetric ladder {|gg, n>, |(ge+eg)/sqrt2, n-1>, |ee, n-2>}.
-    The block couplings are A_n = sqrt(2(n-1)), B_n = sqrt(2n) and the Rabi
-    rate f_n = sqrt(2(2n-1)) = sqrt(A_n^2 + B_n^2).  For n = 1 the top rung
-    is absent and the block is 2x2; for n = 0 nothing moves.
-    """
-    require_photon_number("photon number n", n)
-    if n == 0:
-        return np.eye(1, dtype=complex)
-    if n == 1:
-        c = math.cos(math.sqrt(2.0) * tau)
-        s = math.sin(math.sqrt(2.0) * tau)
-        return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-    a = math.sqrt(2.0 * (n - 1))
-    b = math.sqrt(2.0 * n)
-    f2 = a * a + b * b
-    f = math.sqrt(f2)
-    c = math.cos(f * tau)
-    s = math.sin(f * tau)
-    return np.array(
-        [
-            [(b * b * c + a * a) / f2, -1j * b * s / f, a * b * (c - 1.0) / f2],
-            [-1j * b * s / f, c, -1j * a * s / f],
-            [a * b * (c - 1.0) / f2, -1j * a * s / f, (a * a * c + b * b) / f2],
-        ],
-        dtype=complex,
-    )
-
-
-def one_atom_unitary(m: int, tau: float) -> np.ndarray:
-    """Jaynes-Cummings block for one ground-state atom with ``m`` photons.
-
-    Basis {|g, m>, |e, m-1>}; both off-diagonal entries are -i sin(sqrt(m) tau),
-    as produced by exp(-i H tau) with the same positive coupling used for the
-    two-atom block.  m = 0 is the trivial one-dimensional identity.
-    """
-    require_photon_number("photon number m", m)
-    if m == 0:
-        return np.eye(1, dtype=complex)
-    c = math.cos(math.sqrt(m) * tau)
-    s = math.sin(math.sqrt(m) * tau)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
 
 
 @dataclass(frozen=True)

@@ -348,10 +348,11 @@ def test_pairwise_solves_only_positive_weight_states(monkeypatch):
     negativity_batch(states)
     # closed-form states are solved as index blocks, none larger than 3x3:
     # two 3x3 blocks of each of the three global transposes per state (the
-    # 1x1 blocks need no solve), and one 3x3 and one 2x2 block of each of
-    # the two two-way transposes per decomposition ket of positive weight
-    # that is not a basis state
-    assert solved == {3: 6 * len(states) + 2 * positive, 2: 2 * positive}
+    # 1x1 blocks need no solve), and the one 3x3 block that each of the two
+    # two-way transposes moves, per decomposition ket of positive weight
+    # that is not a basis state (the blocks it leaves in place are principal
+    # submatrices of the ket's projector, so they are not solved)
+    assert solved == {3: 6 * len(states) + 2 * positive}
     assert positive < 8 * len(states)
     assert basis_kets > 0
 
@@ -493,6 +494,29 @@ def test_kernel_and_scalar_negativity_share_one_path():
         assert np.array_equal(vals[index][kept], ref_vals)
         assert np.array_equal(vecs[index][:, kept], ref_vecs)
         assert not vecs[index][:, ~kept].any()
+
+
+def test_scalar_global_negativity_solves_only_its_qubit(monkeypatch):
+    states = sweep_states(math.pi / 2.0, [1.2], [0.3, 0.8, 14.5])
+    noisy = states.copy()
+    noisy[:, 3, 0] = noisy[:, 0, 3] = 1e-17
+    solved = Counter()
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        solved[a.shape[-1]] += math.prod(a.shape[:-2])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    for p in QubitLabel:
+        solved.clear()
+        ent.global_negativity(states, p)
+        # the two 3x3 index blocks of qubit p's transpose per state
+        assert solved == {3: 2 * len(states)}
+        solved.clear()
+        ent.global_negativity(noisy, p)
+        # one 8-index block per state off the zero pattern
+        assert solved == {8: len(states)}
 
 
 @pytest.mark.parametrize("length", [1, 32, 33, ent._DIAGNOSTIC_BLOCK, ent._DIAGNOSTIC_BLOCK + 1])

@@ -12,7 +12,7 @@ wrong map or block moves the kernel's values and not the reference's.
 
 Closed-form states go through the kernel's index blocks; the brute-force
 oracle states (rounding noise outside the zero pattern) and random states
-through its 8x8 fallback.  Every diagnostic must agree to 1e-12.
+through its fallback, one 8-index block per transpose.  Every diagnostic must agree to 1e-12.
 """
 
 import math
@@ -217,6 +217,19 @@ def test_random_states_match_textbook(dtype):
     assert assert_matches_textbook(states) <= TOL
 
 
+def test_non_psd_pattern_state_keeps_its_single_index_blocks():
+    # a Hermitian state on the zero pattern with negative populations: the
+    # 1x1 blocks of the global transposes ({2} and {5} for A1, {1} and {6}
+    # for A2, {0} and {7} for B) hold negative eigenvalues of their own
+    state = closed_form_states(math.pi)[9].copy()
+    state[[1, 1, 2, 2], [1, 2, 1, 2]] = -0.05
+    state[[5, 5, 6, 6], [5, 6, 5, 6]] = -0.03
+    state[0, 0] -= 0.9
+    state[7, 7] = -0.02
+    assert block_rows(state[None]).all()
+    assert assert_matches_textbook(state[None]) <= TOL
+
+
 @pytest.mark.parametrize("theta", [math.pi, math.pi / 2.0, math.pi / 3.0, 1.1])
 def test_block_path_matches_full_fallback(theta, monkeypatch):
     states = closed_form_states(theta)
@@ -242,5 +255,36 @@ def test_index_blocks_are_derived_from_the_pattern():
         assert sorted(ent._index_blocks(support)) == sorted([first, second, single_a, single_b])
     # the analytic decomposition kets live on the state's own two 3-index blocks
     assert ent._KET_FAMILIES == [(0, 5, 6), (1, 2, 7)]
-    assert sorted(ent._KET_GATHERS) == [1, 2, 3]
+    # of a ket's two-way transposes only the 3x3 block moves entries; the
+    # 2x2 and 1x1 blocks are left in place, so they cannot go negative
+    assert sorted(ent._KET_GATHERS) == [3]
     assert sorted(ent._STATE_GATHERS) == [1, 3]
+
+
+def test_whole_support_tables_hold_one_block_per_owner():
+    # a state off the zero pattern is one 8-index block per transposed qubit
+    # (global stage) and per share qubit (ket stage); gathered from a matrix
+    # of distinct entries, each block is the textbook transpose or map in full
+    m = np.arange(64.0).reshape(8, 8)
+    assert list(ent._WHOLE_STATE_GATHERS) == [8]
+    state = ent._WHOLE_STATE_GATHERS[8]
+    assert state.shape == (len(QubitLabel), 1, 4, 8, 8)
+    for p in QubitLabel:
+        expected = [
+            full_transpose(m, p),
+            restricted_transpose(m, p, kway_mask(3)),
+            restricted_transpose(m, p, kway_mask(2)),
+            m,
+        ]
+        assert np.array_equal(m.reshape(64)[state[p.value, 0]], np.stack(expected))
+    share_qubits = list(dict.fromkeys(p for p, _ in SELECTIVE_SPECS.values()))
+    assert list(ent._WHOLE_KET_GATHERS) == [8]
+    kets = ent._WHOLE_KET_GATHERS[8]
+    assert kets.shape == (1, len(share_qubits), 1, 3, 8, 8)
+    for owner, p in enumerate(share_qubits):
+        expected = [restricted_transpose(m, p, kway_mask(2))] + [
+            restricted_transpose(m, p, selective_mask(spec))
+            for spec, (first, _) in SELECTIVE_SPECS.items()
+            if first is p
+        ]
+        assert np.array_equal(m.reshape(64)[kets[0, owner, 0]], np.stack(expected))

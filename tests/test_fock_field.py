@@ -9,12 +9,16 @@ from hypothesis import strategies as st
 from cavity3q import (
     FieldConfig,
     binomial_amplitude_row,
-    squeezed_weight,
     truncation_deficit,
 )
 from cavity3q.fock_field import require_photon_number
 from cavity3q.oracle import _beam_splitter_columns
 from cavity3q.tavis_cummings import _field_factors, _squeeze_norms
+
+
+def squeezed_weight(n: int, s: float) -> float:
+    """Amplitude ``tanh(s)**n / cosh(s)`` of the |n, n> squeezed-pair component."""
+    return math.tanh(s) ** n / math.cosh(s)
 
 
 def _weights(s: float, theta: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -110,18 +114,15 @@ def test_field_weight_diagonal_nonnegative():
 
 
 def test_squeezed_weight_values():
-    assert squeezed_weight(0, 0.0) == 1.0
-    assert squeezed_weight(1, 0.0) == 0.0
-    direct = math.tanh(1.2) ** 2 / math.cosh(1.2)
-    assert squeezed_weight(2, 1.2) == pytest.approx(direct, rel=1e-15)
-    assert squeezed_weight(2, 1.2) == pytest.approx(0.3838278, abs=1e-7)
-
-
-def test_squeezed_weight_rejects_bad_input():
-    with pytest.raises(ValueError):
-        squeezed_weight(-1, 0.5)
-    with pytest.raises(ValueError):
-        squeezed_weight(1, -0.5)
+    # the production norms are products of two squeezed-pair amplitudes
+    norm0, norm1 = _squeeze_norms(np.array([0.0, 1.2]), 6)
+    assert norm0[0].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    assert not norm1[0].any()
+    assert math.sqrt(norm0[1, 2]) == pytest.approx(0.3838278, abs=1e-7)
+    for n in range(5):
+        assert norm0[1, n] == pytest.approx(squeezed_weight(n, 1.2) ** 2, rel=1e-14)
+        pair = squeezed_weight(n, 1.2) * squeezed_weight(n + 1, 1.2)
+        assert norm1[1, n] == pytest.approx(pair, rel=1e-14)
 
 
 def test_enumerate_vacuum_single_term():
@@ -242,8 +243,3 @@ def test_binomial_amplitude_row_rejects_bad_photon_number(value):
     with pytest.raises(ValueError, match=photon_number_error("photon number n", value)):
         binomial_amplitude_row(value, 1.0)
 
-
-@pytest.mark.parametrize("value", BAD_PHOTON_NUMBERS)
-def test_squeezed_weight_rejects_bad_photon_number(value):
-    with pytest.raises(ValueError, match=photon_number_error("photon number n", value)):
-        squeezed_weight(value, 0.5)

@@ -8,11 +8,15 @@ from cavity3q import (
     closed_form_rho,
     compare_states,
     full_evolution,
-    squeezed_weight,
     truncation_deficit,
 )
 from cavity3q.oracle import _beam_splitter_block, _beam_splitter_columns, _evolved_components
 from cavity3q.tavis_cummings import _field_factors, _squeeze_norms
+
+
+def squeezed_weight(n: int, s: float) -> float:
+    """Amplitude ``tanh(s)**n / cosh(s)`` of the |n, n> squeezed-pair component."""
+    return math.tanh(s) ** n / math.cosh(s)
 
 
 def test_beam_splitter_identity_at_zero_angle():

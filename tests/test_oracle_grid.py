@@ -21,7 +21,6 @@ from cavity3q import (
     binomial_amplitude_row,
     full_evolution,
     full_evolution_grid,
-    squeezed_weight,
 )
 from cavity3q.cli import (
     ORACLE_CHECK_SQUEEZES,
@@ -29,6 +28,11 @@ from cavity3q.cli import (
     ORACLE_CHECK_THETAS,
     SweepConfig,
 )
+
+
+def squeezed_weight(n: int, s: float) -> float:
+    """Amplitude ``tanh(s)**n / cosh(s)`` of the |n, n> squeezed-pair component."""
+    return math.tanh(s) ** n / math.cosh(s)
 
 
 def _field_terms(config: FieldConfig, band: int):

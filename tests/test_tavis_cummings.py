@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -10,81 +9,90 @@ from cavity3q import (
     compare_states,
     diagonal_probabilities,
     full_evolution,
-    hamiltonian_block_evolution,
-    one_atom_unitary,
     pattern_violations,
     truncation_deficit,
-    two_atom_unitary,
 )
+from cavity3q.oracle import _evolved_components
+from cavity3q.tavis_cummings import _pair_block_amplitudes
 
 SWAP_A1_A2 = [0, 2, 1, 3, 4, 6, 5, 7]
+TAUS = np.array([0.0, 0.3, 0.7, 2.0, 14.5])
 
 
-def assert_unitary(u, tol):
-    assert np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() < tol
+def symmetric_ladder(taus, count):
+    """The brute-force evolved kets |gg, q> of the c1 pair on the symmetric ladder.
+
+    Per tau and q: the amplitudes of |gg, q>, of (|eg> + |ge>)/sqrt2 with
+    q - 1 photons and of |ee> with q - 2 photons, and the largest amplitude
+    off that ladder, from `_evolved_components` in the bare product basis
+    (atom index a1 + 2 a2).
+    """
+    psi = _evolved_components(2, count + 2, taus, count)
+    q = np.arange(count)
+    below = np.maximum(q - 1, 0)
+    ladder = np.stack(
+        [
+            psi[:, q, 0, q],
+            (psi[:, q, 1, below] + psi[:, q, 2, below]) / math.sqrt(2.0),
+            psi[:, q, 3, np.maximum(q - 2, 0)],
+        ]
+    )
+    # q = 0 has no lower rungs and q = 1 no |ee> rung
+    ladder[1:, :, 0] = 0.0
+    ladder[2, :, 1] = 0.0
+    rest = np.linalg.norm(psi.reshape(len(taus), count, -1), axis=-1) ** 2 - (
+        np.abs(ladder) ** 2
+    ).sum(axis=0)
+    return ladder, np.abs(rest).max()
 
 
 def test_block_unitarity_over_grid():
-    for tau in (0.0, 0.3, 0.7, 2.0, 14.5):
-        for n in range(12):
-            assert_unitary(two_atom_unitary(n, tau), 1e-12)
-            assert_unitary(one_atom_unitary(n, tau), 1e-12)
+    # the evolved |gg, q> stays normalised on its three rungs
+    stay, one_up, two_up = _pair_block_amplitudes(TAUS, 12)
+    assert np.abs(stay**2 + one_up**2 + two_up**2 - 1.0).max() < 1e-14
 
 
 def test_two_atom_small_photon_numbers():
-    assert two_atom_unitary(0, 1.7).shape == (1, 1)
-    assert two_atom_unitary(0, 1.7)[0, 0] == 1.0
-
-    u1 = two_atom_unitary(1, 0.9)
-    assert u1.shape == (2, 2)
-    assert u1[0, 0] == pytest.approx(math.cos(math.sqrt(2.0) * 0.9), abs=1e-15)
-
-    assert np.abs(two_atom_unitary(5, 0.0) - np.eye(3)).max() < 1e-15
+    stay, one_up, two_up = _pair_block_amplitudes(np.array([1.7, 0.9]), 3)
+    # an empty cavity moves nothing
+    assert stay[:, 0].tolist() == [1.0, 1.0]
+    assert not one_up[:, 0].any() and not two_up[:, 0].any()
+    # one photon: a two-level Rabi oscillation at rate sqrt2, no |ee> rung
+    assert stay[1, 1] == pytest.approx(math.cos(math.sqrt(2.0) * 0.9), abs=1e-15)
+    assert one_up[1, 1] == pytest.approx(math.sin(math.sqrt(2.0) * 0.9), abs=1e-15)
+    assert not two_up[:, 1].any()
+    # nothing moves at tau = 0
+    stay, one_up, two_up = _pair_block_amplitudes(np.array([0.0]), 8)
+    assert (stay == 1.0).all() and not one_up.any() and not two_up.any()
 
 
 def test_one_atom_values():
-    assert one_atom_unitary(0, 2.3).shape == (1, 1)
-    assert one_atom_unitary(0, 2.3)[0, 0] == 1.0
-
-    # full excitation transfer at a quarter Rabi period; both off-diagonals
-    # carry the -i of exp(-iH tau)
-    u = one_atom_unitary(1, math.pi / 2.0)
-    assert abs(u[0, 0]) < 1e-15 and abs(u[1, 1]) < 1e-15
-    assert u[0, 1] == pytest.approx(-1j, abs=1e-15)
-    assert u[1, 0] == pytest.approx(-1j, abs=1e-15)
+    # U(tau)|g, m> = cos(sqrt(m) tau)|g, m> - i sin(sqrt(m) tau)|e, m - 1>
+    count = 10
+    psi = _evolved_components(1, count + 2, TAUS, count)
+    m = np.arange(count)
+    phase = np.multiply.outer(TAUS, np.sqrt(m))
+    assert np.abs(psi[:, m, 0, m] - np.cos(phase)).max() < 1e-12
+    excited = m[1:]
+    assert np.abs(psi[:, excited, 1, excited - 1] + 1j * np.sin(phase[:, 1:])).max() < 1e-12
+    assert np.abs(psi[:, 0, 1]).max() < 1e-12
+    # full excitation transfer at a quarter Rabi period, with the -i of exp(-iH tau)
+    u = _evolved_components(1, 4, np.array([math.pi / 2.0]), 2)[0, 1]
+    assert abs(u[0, 1]) < 1e-14
+    assert u[1, 0] == pytest.approx(-1j, abs=1e-14)
 
 
 def test_blocks_match_exponentiated_hamiltonian():
-    diff2 = np.abs(two_atom_unitary(4, 0.7) - hamiltonian_block_evolution(4, 0.7, "two-atom")).max()
-    assert diff2 < 1e-10
-    diff1 = np.abs(one_atom_unitary(3, 0.4) - hamiltonian_block_evolution(3, 0.4, "one-atom")).max()
-    assert diff1 < 1e-12
-    # the reduced n = 1 block too
-    diffr = np.abs(two_atom_unitary(1, 1.3) - hamiltonian_block_evolution(1, 1.3, "two-atom")).max()
-    assert diffr < 1e-12
-
-
-@pytest.mark.parametrize("value", [True, False, -1, 2.0])
-@pytest.mark.parametrize(
-    "block, name",
-    [
-        (two_atom_unitary, "photon number n"),
-        (one_atom_unitary, "photon number m"),
-        (lambda n, tau: hamiltonian_block_evolution(n, tau, "two-atom"), "photon number n_or_m"),
-        (lambda m, tau: hamiltonian_block_evolution(m, tau, "one-atom"), "photon number n_or_m"),
-    ],
-)
-def test_blocks_reject_bad_photon_numbers(block, name, value):
-    message = re.escape(f"{name} must be a non-negative integer, got {value!r}")
-    with pytest.raises(ValueError, match=message):
-        block(value, 0.5)
-
-
-def test_blocks_reject_negative_photon_numbers():
-    with pytest.raises(ValueError):
-        two_atom_unitary(-1, 0.5)
-    with pytest.raises(ValueError):
-        one_atom_unitary(-2, 0.5)
+    # the closed-form amplitudes against the symmetric-ladder projection of
+    # the bare-basis propagator; the one-photon rung carries the -i of exp(-iH tau)
+    count = 12
+    ladder, off_ladder = symmetric_ladder(TAUS, count)
+    stay, one_up, two_up = _pair_block_amplitudes(TAUS, count)
+    assert np.abs(ladder[0] - stay).max() < 1e-12
+    assert np.abs(ladder[1] + 1j * one_up).max() < 1e-12
+    assert np.abs(ladder[2] - two_up).max() < 1e-12
+    # nothing leaves the ladder: the antisymmetric state is never populated
+    assert off_ladder < 1e-12
 
 
 def test_closed_form_at_tau_zero():
