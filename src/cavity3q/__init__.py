@@ -36,6 +36,7 @@ from .entanglement import (
 from .fock_field import (
     FieldConfig,
     binomial_amplitude_row,
+    binomial_amplitude_table,
     truncation_deficit,
     truncation_deficits,
 )
@@ -61,6 +62,7 @@ __version__ = "0.1.0"
 __all__ = [
     "FieldConfig",
     "binomial_amplitude_row",
+    "binomial_amplitude_table",
     "truncation_deficit",
     "truncation_deficits",
     "ThreeQubitDensityMatrix",

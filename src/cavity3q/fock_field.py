@@ -26,6 +26,7 @@ import numpy as np
 __all__ = [
     "FieldConfig",
     "binomial_amplitude_row",
+    "binomial_amplitude_table",
     "truncation_deficit",
     "truncation_deficits",
 ]
@@ -34,10 +35,6 @@ __all__ = [
 # full-transmission (theta = pi) and full-reflection (theta = 0) selection
 # rules hold exactly instead of leaving ~1e-17 residues under large binomials.
 _HALF_ANGLE_SNAP = 1e-15
-
-
-def _log_factorial(n: int) -> float:
-    return math.lgamma(n + 1)
 
 
 def _half_angle(theta: float) -> tuple[float, float]:
@@ -98,30 +95,45 @@ class FieldConfig:
         require_n_max(self.n_max)
 
 
+def binomial_amplitude_table(n_max: int, theta: float) -> np.ndarray:
+    """`binomial_amplitude_row` of every photon number n = 0..n_max, as rows.
+
+    Entry ``[n, k]`` is the amplitude of keeping ``k`` of ``n`` photons in the
+    reflected port, zero for k > n.  All rows come from one log-factorial
+    table and one array expression.
+    """
+    require_n_max(n_max)
+    cos_half, sin_half = _half_angle(theta)
+    size = n_max + 1
+    photons = np.arange(size)
+    table = np.zeros((size, size))
+    if cos_half == 0.0:
+        table[:, 0] = sin_half**photons
+        return table
+    if sin_half == 0.0:
+        table[photons, photons] = cos_half**photons
+        return table
+    log_fact = np.array([math.lgamma(i + 1) for i in range(size)])
+    n, k = photons[:, None], photons
+    kept = k <= n
+    log_amp = (
+        0.5 * (log_fact[n] - log_fact - log_fact[np.where(kept, n - k, 0)])
+        + k * math.log(cos_half)
+        + (n - k) * math.log(sin_half)
+    )
+    np.exp(log_amp, out=table, where=kept)
+    return table
+
+
 def binomial_amplitude_row(n: int, theta: float) -> np.ndarray:
     """Beam-splitter amplitudes of keeping ``k`` of ``n`` photons in the reflected port.
 
     Entry ``k = 0..n`` is ``sqrt(n!/(k!(n-k)!)) cos^k(theta/2) sin^(n-k)(theta/2)``,
     evaluated in log space so it stays finite and accurate up to n ~ 160.
+    The last row of `binomial_amplitude_table`.
     """
     require_photon_number("photon number n", n)
-    cos_half, sin_half = _half_angle(theta)
-    row = np.zeros(n + 1)
-    if cos_half == 0.0:
-        row[0] = sin_half**n
-        return row
-    if sin_half == 0.0:
-        row[n] = cos_half**n
-        return row
-    k = np.arange(n + 1)
-    log_fact = np.array([_log_factorial(i) for i in range(n + 1)])
-    log_amp = (
-        0.5 * (log_fact[n] - log_fact - log_fact[::-1])
-        + k * math.log(cos_half)
-        + (n - k) * math.log(sin_half)
-    )
-    np.exp(log_amp, out=row)
-    return row
+    return binomial_amplitude_table(n, theta)[n]
 
 
 def truncation_deficits(squeezes, n_max: int) -> np.ndarray:

@@ -3,25 +3,31 @@
 Everything in this module avoids the trigonometric closed forms and the
 binomial field weights they are built on.  The beam splitters and the
 atom-field couplings are written as explicit matrices on Fock spaces and
-exponentiated through Hermitian eigendecompositions; the reflected beams and
+exponentiated through symmetric eigendecompositions; the reflected beams and
 the cavity fields are traced out numerically.  Agreement with the analytic
 reduced state is the package's core correctness check.
 
 Field side: each beam-splitter generator conserves the photon number of its
 (external, cavity) mode pair, so it is exponentiated one total-photon block
-at a time, exactly (`_beam_splitter_block`).  The last column of block n
-gives the amplitudes ``A[n, k]`` of keeping k of the n injected photons in
-the external port.
+at a time, exactly (`_beam_splitter_block`).  The Hermitian i * generator is
+imaginary and tridiagonal; the diagonal unitary ``D = diag(i^e)`` turns it
+into a real symmetric tridiagonal matrix, so each block is one real solve.
+The last column of block n gives the amplitudes ``A[n, k]`` of keeping k of
+the n injected photons in the external port.
 
 Atom side: the evolution works in the bare product basis (no coupled
 collective-spin states), so it independently validates the symmetric-block
-structure that the closed forms assume.
+structure that the closed forms assume.  The coupling Hamiltonian is real,
+so it is diagonalised in real arithmetic too; only the propagators
+``exp(-i H tau)`` are complex.
 
 The reduced state is summed over every pair (n, m) of squeezed-pair photon
 numbers, not only the |n - m| <= 1 bands the closed forms keep, so their
-selection rule is checked rather than assumed.  The sum factorises over the
-two cavities, and a whole (tau, s) grid costs one propagator per tau and one
-matrix product: `full_evolution_grid`.  `full_evolution` is its grid of one.
+selection rule is checked rather than assumed.  The port trace runs one
+diagonal d = n - m of the photon-traced Gram tensor at a time, as one real
+matrix product (`_port_traced`).  The sum factorises over the two cavities,
+and a whole (tau, s) grid costs one propagator per tau and one matrix
+product: `full_evolution_grid`.  `full_evolution` is its grid of one.
 """
 
 from __future__ import annotations
@@ -51,29 +57,39 @@ __all__ = [
 
 # Largest imaginary part `full_evolution_grid` drops from its states.  The
 # reduced state is real (real couplings, squeeze parameter and beam-splitter
-# angle); the complex propagators leave rounding residue, at most 1e-16 on
-# the oracle-check grid at n_max 40 and 6.4e-16 at n_max 80.
+# angle); the complex propagators leave rounding residue, at most 5.3e-16 on
+# the oracle-check grid at n_max 40 and 1.5e-15 at n_max 80.
 _IMAGINARY_TOL = 1e-12
 
+# Sign of Re(i^d) or Im(i^d), whichever is nonzero, by d mod 4
+_QUARTER_TURN_SIGN = np.array([1.0, 1.0, -1.0, -1.0])
 
-def _beam_splitter_block(theta: float, photons: int) -> np.ndarray:
+
+def _beam_splitter_block(theta: float, photons: int, columns: slice = slice(None)) -> np.ndarray:
     """Beam-splitter unitary exp[(theta/2)(c f' - c' f)] on ``photons`` total photons.
 
     ``c`` is the cavity mode and ``f`` the external one.  The generator moves
     photons between them and conserves their sum, so the block of total
     photon number N is exact, with no truncation edge.  Rows and columns
-    e = 0..N index |e external, N - e cavity>.  The generator is real and
-    antisymmetric, so the block is real orthogonal; it is exponentiated as
-    exp(-i H) with the Hermitian H = i * generator, and the imaginary
-    rounding residue is dropped.
+    e = 0..N index |e external, N - e cavity>; ``columns`` selects the
+    columns returned.  The generator is real and antisymmetric, so the block
+    is real orthogonal.  It is exp(-i H) with the Hermitian H = i * generator,
+    and ``H = D T D*`` with ``D = diag(i^e)`` and T real symmetric tridiagonal
+    (off-diagonals ``hop``), so ``U[j, k] = Re(i^(j-k) (V e^(-i L) V^T)[j, k])``
+    from the real eigendecomposition ``T = V L V^T``: the cosine part where
+    j - k is even, the sine part where it is odd.
     """
     require_photon_number("photon number", photons)
     e = np.arange(photons, dtype=float)
     # c f' |e, N - e> = sqrt((e + 1)(N - e)) |e + 1, N - e - 1>; c' f is its transpose
     hop = 0.5 * theta * np.sqrt((e + 1.0) * (photons - e))
-    generator = np.diag(hop, -1) - np.diag(hop, 1)
-    vals, vecs = np.linalg.eigh(1j * generator)
-    return ((vecs * np.exp(-1j * vals)) @ vecs.conj().T).real
+    vals, vecs = np.linalg.eigh(np.diag(hop, -1) + np.diag(hop, 1))
+    right = vecs[columns].T
+    offset = np.subtract.outer(np.arange(photons + 1), np.arange(photons + 1)[columns])
+    part = np.where(
+        offset % 2 == 0, (vecs * np.cos(vals)) @ right, (vecs * np.sin(vals)) @ right
+    )
+    return _QUARTER_TURN_SIGN[offset % 4] * part
 
 
 @lru_cache(maxsize=8)
@@ -86,20 +102,42 @@ def _beam_splitter_columns(theta: float, n_max: int) -> np.ndarray:
     """
     amps = np.zeros((n_max + 1, n_max + 1))
     for n in range(n_max + 1):
-        amps[n, : n + 1] = _beam_splitter_block(theta, n)[:, n]
+        amps[n, : n + 1] = _beam_splitter_block(theta, n, slice(n, None))[:, 0]
     amps.setflags(write=False)
     return amps
 
 
+@lru_cache(maxsize=8)
+def _port_weights(theta: float, n_max: int) -> tuple[np.ndarray, ...]:
+    """Port-trace weights of each diagonal, ``M_d[p, r] = A[d + p, p - r] A[p, p - r]``.
+
+    Entry d = 0..n_max is an (n_max + 1 - d) square lower-triangular matrix:
+    p and r count along the diagonal d of the output and of the Gram tensor,
+    and p - r is the number of photons left in the external port
+    (`_port_traced`).  The weights of diagonal -d are those of d.  Built from
+    `_beam_splitter_columns`, cached per (theta, n_max) and read-only.
+    """
+    amps = _beam_splitter_columns(theta, n_max)
+    weights = []
+    for d in range(n_max + 1):
+        p = np.arange(n_max + 1 - d)[:, None]
+        kept = p - p.T
+        k = np.maximum(kept, 0)
+        matrix = np.where(kept >= 0, amps[d + p, k] * amps[p, k], 0.0)
+        matrix.setflags(write=False)
+        weights.append(matrix)
+    return tuple(weights)
+
+
 def _full_coupling_hamiltonian(num_atoms: int, dim: int) -> np.ndarray:
-    """sum_i (sigma+_i a + sigma-_i a') on the bare (atoms x field) space.
+    """sum_i (sigma+_i a + sigma-_i a') on the bare (atoms x field) space, real.
 
     Atom basis index is a bit string with atom 0 the least significant bit;
     flat index = atom_index * dim + photons.
     """
     atom_dim = 2**num_atoms
     size = atom_dim * dim
-    h = np.zeros((size, size), dtype=complex)
+    h = np.zeros((size, size))
     for a_idx in range(atom_dim):
         for atom in range(num_atoms):
             if (a_idx >> atom) & 1:
@@ -116,7 +154,7 @@ def _full_coupling_hamiltonian(num_atoms: int, dim: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _coupling_eigh(num_atoms: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of `_full_coupling_hamiltonian`, cached and read-only."""
+    """Real eigendecomposition of `_full_coupling_hamiltonian`, cached and read-only."""
     vals, vecs = np.linalg.eigh(_full_coupling_hamiltonian(num_atoms, dim))
     vals.setflags(write=False)
     vecs.setflags(write=False)
@@ -132,7 +170,7 @@ def _evolved_components(num_atoms: int, dim: int, taus: np.ndarray, count: int) 
     """
     vals, vecs = _coupling_eigh(num_atoms, dim)
     phases = np.exp(-1j * np.multiply.outer(taus, vals))
-    columns = (vecs * phases[:, None, :]) @ vecs[:count].conj().T
+    columns = (vecs * phases[:, None, :]) @ vecs[:count].T
     psi = columns.swapaxes(1, 2).reshape(len(taus), count, 2**num_atoms, dim)
     norms = np.linalg.norm(psi.reshape(len(taus), count, -1), axis=2)
     # written so that a NaN norm fails too
@@ -153,19 +191,28 @@ def _photon_traced_gram(psi: np.ndarray) -> np.ndarray:
     return gram.reshape(taus, count, atoms, count, atoms).swapaxes(2, 3)
 
 
-def _port_traced(gram: np.ndarray, amps: np.ndarray) -> np.ndarray:
+def _port_traced(gram: np.ndarray, weights: tuple[np.ndarray, ...]) -> np.ndarray:
     """``X[t, n, m] = sum_k A[n, k] A[m, k] G[t, n - k, m - k]``.
 
     One cavity's share of the reduced state for squeezed-pair photon numbers
     n (ket) and m (bra), with the k photons left in the external port traced
-    out.  Built by adding shifted slices, one per k.
+    out.  Along a diagonal d = n - m this reads
+    ``X[t, n, n - d] = sum_j A[n, n - j] A[n - d, n - j] G[t, j, j - d]``, a
+    product with the weights ``M_|d|`` of `_port_weights` (rows and columns
+    counted along the diagonal).  So each of the 2 n_max + 1 diagonals is one
+    real matrix product, on a float view in which the real and imaginary
+    parts of the Gram entries are columns.
     """
-    size = amps.shape[0]
-    out = np.zeros_like(gram)
-    for k in range(size):
-        col = amps[k:, k]
-        weights = np.multiply.outer(col, col)[..., None, None]
-        out[:, k:, k:] += weights * gram[:, : size - k, : size - k]
+    taus, size, _, atoms, _ = gram.shape
+    out = np.empty(gram.shape, dtype=complex)
+    # entry (n, n - d) of the output sits at flat position n (size + 1) - d
+    flat = out.reshape(taus, size * size, atoms, atoms).view(float)
+    real_gram = gram.view(float)
+    for d in range(1 - size, size):
+        length = size - abs(d)
+        start = max(d, 0) * (size + 1) - d
+        part = np.diagonal(real_gram, -d, 1, 2) @ weights[abs(d)].T
+        flat[:, start : start + length * (size + 1) : size + 1] = part.transpose(0, 3, 1, 2)
     return out
 
 
@@ -182,8 +229,8 @@ def full_evolution_grid(taus, squeezes, theta: float, n_max: int) -> np.ndarray:
         rho(s) = sum_{n, m} lambda_n(s) lambda_m(s) X2[n, m] (x) X1[n, m]
 
     with `_port_traced` giving each cavity's X, summed over all (n, m).  The
-    field amplitudes depend only on theta and the propagators only on tau, so
-    each is built once per call.  The sum is complex; the states are returned
+    port weights depend only on theta (cached per angle) and the propagators
+    only on tau, so each is built at most once per call.  The sum is complex; the states are returned
     real (float64) after checking that no imaginary part exceeds 1e-12
     (RuntimeError otherwise).  Intended for moderate truncations
     (n_max <= 80 or so); the closed forms carry production scale.
@@ -194,9 +241,9 @@ def full_evolution_grid(taus, squeezes, theta: float, n_max: int) -> np.ndarray:
     require_theta(theta)
     size = n_max + 1
     dim = n_max + 3
-    amps = _beam_splitter_columns(float(theta), int(n_max))
-    x1 = _port_traced(_photon_traced_gram(_evolved_components(2, dim, taus, size)), amps)
-    x2 = _port_traced(_photon_traced_gram(_evolved_components(1, dim, taus, size)), amps)
+    weights = _port_weights(float(theta), int(n_max))
+    x1 = _port_traced(_photon_traced_gram(_evolved_components(2, dim, taus, size)), weights)
+    x2 = _port_traced(_photon_traced_gram(_evolved_components(1, dim, taus, size)), weights)
 
     lam = np.tanh(squeezes)[:, None] ** np.arange(size) / np.cosh(squeezes)[:, None]
     pair_weights = (lam[:, :, None] * lam[:, None, :]).reshape(len(squeezes), size * size)

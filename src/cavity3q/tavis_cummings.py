@@ -30,7 +30,7 @@ import numpy as np
 
 from .fock_field import (
     FieldConfig,
-    binomial_amplitude_row,
+    binomial_amplitude_table,
     require_finite_nonnegative,
     require_n_max,
 )
@@ -112,13 +112,12 @@ def _field_factors(theta: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     `_squeeze_norms`.
     """
     size = n_max + 1
-    rows = [binomial_amplitude_row(n, theta) for n in range(size)]
-    u0 = np.zeros((size, size))
-    u1 = np.zeros((size - 1, size))
-    for n, amps in enumerate(rows):
-        u0[n, : n + 1] = (amps * amps)[::-1]
-    for n, (amps, amps_next) in enumerate(zip(rows, rows[1:])):
-        u1[n, : n + 1] = (amps * amps_next[: n + 1])[::-1]
+    rows = binomial_amplitude_table(n_max, theta)
+    n = np.arange(size)[:, None]
+    kept = np.arange(size) <= n  # q <= n
+    k = np.where(kept, n - np.arange(size), 0)  # photons in the reflected port
+    u0 = np.where(kept, rows[n, k] * rows[n, k], 0.0)
+    u1 = np.where(kept[:-1], rows[n[:-1], k[:-1]] * rows[n[:-1] + 1, k[:-1]], 0.0)
     u0.setflags(write=False)
     u1.setflags(write=False)
     return u0, u1

@@ -156,6 +156,30 @@ def test_oracle_check_above_the_cap_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_negative_oracle_truncation_names_its_flag(tmp_path, capsys):
+    out = tmp_path / "oracle.txt"
+    assert main(["--mode", "oracle-check", "--oracle-n-max", "-1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: oracle_n_max must be a non-negative integer, got -1\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_bool_oracle_truncation_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    with pytest.raises(ValueError, match="oracle_n_max must be a non-negative integer, got True"):
+        SweepConfig(mode="oracle-check", oracle_n_max=True)
+    # no command-line string parses to True, so the parser's default carries it
+    parser = cli.build_parser()
+    parser.set_defaults(oracle_n_max=True)
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    out = tmp_path / "oracle.txt"
+    assert main(["--mode", "oracle-check", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: oracle_n_max must be a non-negative integer, got True\n"
+    )
+    assert not out.exists()
+
+
 def test_sweep_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(mode="bogus")

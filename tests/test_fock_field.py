@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cavity3q import (
     FieldConfig,
     binomial_amplitude_row,
+    binomial_amplitude_table,
     truncation_deficit,
 )
 from cavity3q.fock_field import require_photon_number
@@ -67,6 +68,39 @@ def test_binomial_row_matches_scalar():
 def test_binomial_normalization(n, theta):
     row = binomial_amplitude_row(n, theta)
     assert math.fsum((row * row).tolist()) == pytest.approx(1.0, abs=1e-12)
+
+
+def _per_row_reference(n: int, theta: float) -> np.ndarray:
+    """One row from its own list of log-factorials, as each row was built before the table."""
+    cos_half, sin_half = math.cos(0.5 * theta), math.sin(0.5 * theta)
+    k = np.arange(n + 1)
+    log_fact = np.array([math.lgamma(i + 1) for i in range(n + 1)])
+    log_amp = (
+        0.5 * (log_fact[n] - log_fact - log_fact[::-1])
+        + k * math.log(cos_half)
+        + (n - k) * math.log(sin_half)
+    )
+    return np.exp(log_amp)
+
+
+@pytest.mark.parametrize("theta", [math.pi / 3, math.pi / 2, 1.1, 2.8])
+def test_binomial_table_rows_match_per_row_evaluation(theta):
+    for n_max in (40, 80):
+        table = binomial_amplitude_table(n_max, theta)
+        assert table.shape == (n_max + 1, n_max + 1)
+        for n in range(n_max + 1):
+            reference = _per_row_reference(n, theta)
+            assert np.abs(table[n, : n + 1] - reference).max() <= 1e-15 * reference.max()
+            assert np.array_equal(table[n, : n + 1], binomial_amplitude_row(n, theta))
+            assert not table[n, n + 1 :].any()
+
+
+def test_binomial_table_special_angles_and_guards():
+    assert np.array_equal(binomial_amplitude_table(4, math.pi), np.eye(5)[[0] * 5])
+    assert np.array_equal(binomial_amplitude_table(4, 0.0), np.eye(5))
+    for n_max in (-1, True, 2.0):
+        with pytest.raises(ValueError, match="n_max must be a non-negative integer"):
+            binomial_amplitude_table(n_max, 1.0)
 
 
 def test_binomial_amplitude_large_n_stays_finite():

@@ -116,9 +116,9 @@ def test_all_bands_leave_the_zero_pattern_empty():
 def test_oracle_check_fails_on_a_wrong_beam_splitter_angle(monkeypatch):
     cfg = SweepConfig(mode="oracle-check", oracle_n_max=8, tolerance=1e-8)
     assert cli.run_oracle_check(cfg)[1] == 0
-    columns = oracle._beam_splitter_columns
+    weights = oracle._port_weights
     monkeypatch.setattr(
-        oracle, "_beam_splitter_columns", lambda theta, n_max: columns(theta * 1.01, n_max)
+        oracle, "_port_weights", lambda theta, n_max: weights(theta * 1.01, n_max)
     )
     report, status = cli.run_oracle_check(cfg)
     assert status == 1
@@ -161,7 +161,7 @@ def test_grid_refuses_an_imaginary_part_above_the_bound(monkeypatch):
     # a phase on each cavity's factor leaves the state complex
     port_traced = oracle._port_traced
     monkeypatch.setattr(
-        oracle, "_port_traced", lambda gram, amps: port_traced(gram, amps) * np.exp(1e-6j)
+        oracle, "_port_traced", lambda gram, weights: port_traced(gram, weights) * np.exp(1e-6j)
     )
     with pytest.raises(RuntimeError, match="imaginary part of .* above the bound 1e-12"):
         full_evolution_grid([0.8], [0.6], 1.1, 8)
