@@ -21,7 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import QubitLabel, negativity_batch
-from .fock_field import require_photon_number, require_theta, truncation_deficits
+from .fock_field import (
+    require_finite_nonnegative,
+    require_photon_number,
+    require_theta,
+    truncation_deficits,
+)
 from .oracle import compare_states, full_evolution_grid
 from .tavis_cummings import (
     ThreeQubitDensityMatrix,
@@ -101,8 +106,13 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("tau-sweep", "s-sweep", "single-point", "oracle-check"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.tau_steps < 1 or self.s_steps < 1:
-            raise ValueError("step counts must be >= 1")
+        for name in ("tau_steps", "s_steps"):
+            steps = getattr(self, name)
+            if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
+                raise ValueError(f"{name} must be a positive integer, got {steps!r}")
+        require_finite_nonnegative("squeeze parameter s", self.s)
+        for name in ("tau", "tau_start", "tau_end", "s_start", "s_end"):
+            require_finite_nonnegative(name, getattr(self, name))
         if self.tau_end < self.tau_start or self.s_end < self.s_start:
             raise ValueError("sweep ranges must be non-empty")
         require_theta(self.theta)
@@ -122,9 +132,13 @@ def _grid(start: float, end: float, steps: int) -> list[float]:
 
 
 def _stack_rows(states: np.ndarray, taus, squeezes, deficits) -> np.ndarray:
-    """CSV column values for a stack of states, one row per state, from one kernel call."""
-    batch = negativity_batch(states)
+    """CSV column values for a stack of states, one row per state, from one kernel call.
+
+    The CSV holds the global negativities of B only, so only B's global
+    transposes are solved.
+    """
     B, A1 = QubitLabel.B, QubitLabel.A1
+    batch = negativity_batch(states, global_qubits=(B,))
     columns = [
         taus,
         squeezes,

@@ -24,10 +24,11 @@ blocks of `_DIAGNOSTIC_BLOCK` rows:
   the same way on the whole support;
 * the pure-state decomposition is computed in closed form for rows that
   pass the pattern check and by a stacked eigendecomposition for the rest;
-* the global negativities come from the negative eigenvalues of each
-  qubit's global transpose, and their K-way split E_3/E_2/E_0 from
-  ``Re tr(T P)``, T the K-way transpose (or the state) and P the projector
-  on the negative eigenvectors, summed over the blocks;
+* the global negativities come from the negative eigenvalues of the global
+  transpose of each qubit named in ``global_qubits`` (default all three),
+  and their K-way split E_3/E_2/E_0 from ``Re tr(T P)``, T the K-way
+  transpose (or the state) and P the projector on the negative
+  eigenvectors, summed over the blocks; a qubit left out is not solved;
 * the decomposition negativity uses the pure-state identity
   ``N_G^p(phi) = 2 sqrt(det rho_p)``, with ``rho_p`` the reduced state of
   qubit p, so it needs no eigensolver;
@@ -50,6 +51,9 @@ with complex LAPACK.
 and `partial_kway_negativity` are the kernel's grids of one, so each of them
 except `decompose` (which checks only the states it cannot decompose in
 closed form) raises ValueError for a state that is not Hermitian to 1e-9.
+`partial_kway_negativity` solves only its qubit's global transpose, and the
+two decomposition negativities solve none.  The command-line sweeps ask for
+qubit B's only, the one their CSV reports.
 `global_negativity` takes the kernel's route per state on the named qubit's
 tables only, so the two agree bit for bit.  Every eigensolve, in the kernel
 and in the scalar functions alike, goes through one symmetrised solver with
@@ -108,12 +112,14 @@ NEGATIVE_EIGENVALUE_CUTOFF = 1e-12
 # stacks of gathered blocks and decomposition kets.  Index blocks make those
 # about 4x smaller than the 8x8 transposes, so blocks grew from 32 to 128
 # (a quarter of the LAPACK calls) at about the peak resident set of the 8x8
-# kernel at 32.  VmHWM of one `cli.main` call (MB, median of 3, one BLAS
-# thread, byte-compiled package), 8x8 kernel at 32 -> index blocks at 64,
-# 128, 256 and 600 (a whole tau-sweep):
-#   tau-sweep        32.44 -> 32.62, 32.57, 32.91, 35.61
-#   s-sweep          31.23 -> 31.45, 31.53, 31.93, 31.95
-#   tau-sweep-dense  32.58 -> 32.74, 32.68, 33.06, 35.77
+# kernel at 32.  Solving B's global transposes only, as the command line
+# does, frees too little for a wider block.  VmHWM of one `cli.main` call
+# (MB, median of 5, one BLAS thread, byte-compiled package), all three
+# global transposes at 128 -> B's only at 128, 200 and 256:
+#   tau-sweep        32.32 -> 32.25, 32.75, 33.19
+#   s-sweep          31.59 -> 31.62, 32.23, 32.18
+#   tau-sweep-dense  32.27 -> 32.24, 32.79, 33.17
+# 200 takes 2-9% less CPU than 128 but peaks 0.4-0.6 MB higher.
 _DIAGNOSTIC_BLOCK = 128
 
 _HERMITICITY_TOL = 1e-9
@@ -389,7 +395,7 @@ def partial_kway_negativity(rho, p: QubitLabel, k: int) -> float:
     """
     if k not in (0, 2, 3):
         raise ValueError(f"k must be 0, 2 or 3, got {k}")
-    batch = negativity_batch(_as_matrix(rho)[None])
+    batch = negativity_batch(_as_matrix(rho)[None], global_qubits=(p,))
     return float({0: batch.e_0, 2: batch.e_2, 3: batch.e_3}[k][p][0])
 
 
@@ -535,7 +541,7 @@ def psdg_negativity(rho, p: QubitLabel) -> float:
     flags bound entanglement.  Evaluated by `negativity_batch` on a grid of
     one, so it raises ValueError unless the state is Hermitian to 1e-9.
     """
-    return float(negativity_batch(_as_matrix(rho)[None]).n_psdg[p][0])
+    return float(negativity_batch(_as_matrix(rho)[None], global_qubits=()).n_psdg[p][0])
 
 
 def psd_partial_negativity(rho, spec: str) -> float:
@@ -550,7 +556,7 @@ def psd_partial_negativity(rho, spec: str) -> float:
     """
     if spec not in SELECTIVE_SPECS:
         raise ValueError(f"unknown selective transpose {spec!r}; options: {sorted(SELECTIVE_SPECS)}")
-    return float(negativity_batch(_as_matrix(rho)[None]).e_psd[spec][0])
+    return float(negativity_batch(_as_matrix(rho)[None], global_qubits=()).e_psd[spec][0])
 
 
 def partial_trace(rho, keep) -> np.ndarray:
@@ -642,11 +648,13 @@ class NegativityReport:
 class NegativityBatch(NamedTuple):
     """The `NegativityReport` quantities of a stack of N states, as length-N arrays.
 
-    ``n_g_b_analytic`` is NaN where the state lacks the structured zero
-    pattern; ``pattern_ok`` marks the states that have it.  The others were
-    decomposed by the generic eigendecomposition fallback.  (A named tuple
-    rather than a frozen dataclass: the dataclass costs about 1.5 ms of
-    import time, which every command-line call pays.)
+    ``n_g``, ``e_3``, ``e_2`` and ``e_0`` hold the qubits selected by the
+    ``global_qubits`` of `negativity_batch` (all three by default); every
+    other field is complete.  ``n_g_b_analytic`` is NaN where the state
+    lacks the structured zero pattern; ``pattern_ok`` marks the states that
+    have it.  The others were decomposed by the generic eigendecomposition
+    fallback.  (A named tuple rather than a frozen dataclass: the dataclass
+    costs about 1.5 ms of import time, which every command-line call pays.)
     """
 
     n_g: dict[QubitLabel, np.ndarray]
@@ -788,7 +796,6 @@ _STATE_GATHERS, _WHOLE_STATE_GATHERS = (
     {size: positions[0] for size, positions in _block_gathers([support], _STATE_MAPS).items()}
     for support in (PATTERN_MASK, _WHOLE)
 )
-_QUBITS = [p.value for p in QubitLabel]
 
 # Per qubit that leads a selective spec: its two-way transpose, then the
 # selective transposes it projects; per ket family, or the whole support.
@@ -836,18 +843,18 @@ def _projected_blocks(gathered: np.ndarray, cutoff: float) -> tuple[np.ndarray, 
 
 
 def _global_split(
-    m: np.ndarray, in_blocks: np.ndarray, cutoff: float, owners: list[int] = _QUBITS
+    m: np.ndarray, in_blocks: np.ndarray, cutoff: float, owners: list[int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """N_G (N, owner) and its split E_3, E_2, E_0 (N, owner, 3) of an (N, 8, 8) stack.
 
-    ``owners`` are the values of the transposed qubits.  The rows marked
-    ``in_blocks`` are gathered into the index blocks of `PATTERN_MASK`, the
-    others into one 8-index block per qubit.
+    ``owners`` are the values of the transposed qubits; with none, nothing
+    is solved.  The rows marked ``in_blocks`` are gathered into the index
+    blocks of `PATTERN_MASK`, the others into one 8-index block per qubit.
     """
     n_g = np.empty((len(m), len(owners)))
     split = np.empty((len(m), len(owners), 3))
     for rows, tables in ((in_blocks, _STATE_GATHERS), (~in_blocks, _WHOLE_STATE_GATHERS)):
-        if not rows.any():
+        if not (owners and rows.any()):
             continue
         flat = m[rows].reshape(-1, 64)
         sums = traces = 0.0
@@ -907,19 +914,22 @@ def _pairwise_shares(
     return {spec: shares[spec] for spec in SELECTIVE_SPECS}
 
 
-def _negativity_block(m: np.ndarray, cutoff: float) -> NegativityBatch:
-    """`negativity_batch` for one block of at most `_DIAGNOSTIC_BLOCK` states, checked Hermitian."""
+def _negativity_block(m: np.ndarray, cutoff: float, qubits: list[QubitLabel]) -> NegativityBatch:
+    """`negativity_batch` for one block of at most `_DIAGNOSTIC_BLOCK` states, checked Hermitian.
+
+    ``qubits`` are those whose global transposes are solved, in `QubitLabel` order.
+    """
     codes, elements = _pattern_check(m)
     pattern_ok = codes == 0
     in_blocks = _in_blocks(m, codes)
-    n_g, split = _global_split(m, in_blocks, cutoff)
+    n_g, split = _global_split(m, in_blocks, cutoff, [p.value for p in qubits])
     probs, vectors = _decompose_stack(m, codes, elements, cutoff)
     return NegativityBatch(
-        n_g={p: n_g[:, p.value] for p in QubitLabel},
+        n_g={p: n_g[:, i] for i, p in enumerate(qubits)},
         n_g_b_analytic=np.where(pattern_ok, _analytic_negativity_b(elements, cutoff), np.nan),
-        e_3={p: split[:, p.value, 0] for p in QubitLabel},
-        e_2={p: split[:, p.value, 1] for p in QubitLabel},
-        e_0={p: split[:, p.value, 2] for p in QubitLabel},
+        e_3={p: split[:, i, 0] for i, p in enumerate(qubits)},
+        e_2={p: split[:, i, 1] for i, p in enumerate(qubits)},
+        e_0={p: split[:, i, 2] for i, p in enumerate(qubits)},
         n_psdg={p: (probs * _pure_negativity(vectors, p, cutoff)).sum(axis=-1) for p in QubitLabel},
         e_psd=_pairwise_shares(probs, vectors, in_blocks, cutoff),
         linear_entropy_b=_linear_entropy(partial_trace(m, {QubitLabel.B})),
@@ -929,14 +939,34 @@ def _negativity_block(m: np.ndarray, cutoff: float) -> NegativityBatch:
     )
 
 
-def negativity_batch(states) -> NegativityBatch:
+def _global_selection(global_qubits) -> list[QubitLabel]:
+    """The selected qubits in `QubitLabel` order, or a ValueError naming ``global_qubits``."""
+    try:
+        selection = list(global_qubits)
+    except TypeError:
+        selection = None
+    if selection is None or not all(isinstance(p, QubitLabel) for p in selection):
+        raise ValueError(f"global_qubits must hold QubitLabel members, got {global_qubits!r}")
+    if len(set(selection)) != len(selection):
+        raise ValueError(f"global_qubits names a qubit twice: {global_qubits!r}")
+    return sorted(selection, key=lambda p: p.value)
+
+
+def negativity_batch(states, *, global_qubits=tuple(QubitLabel)) -> NegativityBatch:
     """Evaluate the full diagnostic suite for a stack of states at once.
 
     ``states`` is an (N, 8, 8) array or a sequence of 8x8 states.  The stack
     is processed in blocks of `_DIAGNOSTIC_BLOCK`, so the temporaries do not
     grow with N, and every state's values are independent of its block-mates.
     Raises ValueError if any state is not Hermitian to 1e-9 (or not finite).
+
+    ``global_qubits`` selects the qubits whose global transposes are solved
+    (default all three): ``n_g``, ``e_3``, ``e_2`` and ``e_0`` hold those
+    qubits only, in `QubitLabel` order, and an empty selection solves none.
+    Every other field is complete and, like the selected values, bit for bit
+    what the full selection gives.
     """
+    qubits = _global_selection(global_qubits)
     if isinstance(states, np.ndarray):
         stack = states
     else:
@@ -945,7 +975,9 @@ def negativity_batch(states) -> NegativityBatch:
         raise ValueError(f"expected an (N, 8, 8) stack of states, got shape {stack.shape}")
     _require_hermitian(stack)
     blocks = [
-        _negativity_block(stack[start : start + _DIAGNOSTIC_BLOCK], NEGATIVE_EIGENVALUE_CUTOFF)
+        _negativity_block(
+            stack[start : start + _DIAGNOSTIC_BLOCK], NEGATIVE_EIGENVALUE_CUTOFF, qubits
+        )
         for start in range(0, max(len(stack), 1), _DIAGNOSTIC_BLOCK)
     ]
     if len(blocks) == 1:

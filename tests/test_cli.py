@@ -191,6 +191,63 @@ def test_sweep_config_validation():
         SweepConfig(theta=4.0)
 
 
+@pytest.mark.parametrize(
+    "name, label",
+    [("s", "squeeze parameter s")]
+    + [(name, name) for name in ("tau", "tau_start", "tau_end", "s_start", "s_end")],
+)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+def test_sweep_bounds_name_their_field(name, label, value):
+    with pytest.raises(ValueError, match=rf"^{label} must be finite and >= 0, got {value}$"):
+        SweepConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["tau_steps", "s_steps"])
+@pytest.mark.parametrize("value", [True, False, 0, -3, 2.5, "4"])
+def test_step_counts_must_be_positive_ints(name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be a positive integer, got {value!r}$"):
+        SweepConfig(**{name: value})
+
+
+def test_step_counts_accept_numpy_ints():
+    assert SweepConfig(tau_steps=np.int64(3), s_steps=np.int32(2)).tau_steps == 3
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--mode", "tau-sweep", "--tau-end", "inf"], "tau_end must be finite and >= 0, got inf"),
+        (["--mode", "tau-sweep", "--tau-start", "nan"], "tau_start must be finite and >= 0, got nan"),
+        (["--mode", "s-sweep", "--s-start", "-0.5"], "s_start must be finite and >= 0, got -0.5"),
+        (["--mode", "s-sweep", "--s-end", "inf"], "s_end must be finite and >= 0, got inf"),
+        (["--mode", "s-sweep", "--tau", "nan"], "tau must be finite and >= 0, got nan"),
+        (["--mode", "s-sweep", "--s-steps", "-2"], "s_steps must be a positive integer, got -2"),
+    ],
+)
+def test_cli_sweep_bounds_are_usage_errors(args, message, capsys):
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_cli_kernel_solves_only_b_global_blocks(global_solves, capsys):
+    # per state, the two 3x3 index blocks of B's global transpose and nothing else
+    args = ["--n-max", "12", "--s", "0.8", "--theta", "2.0"]
+    assert main([*args, "--mode", "tau-sweep", "--tau-steps", "7", "--tau-end", "3"]) == 0
+    assert global_solves == {3: 2 * 7}
+    global_solves.clear()
+    assert main([*args, "--mode", "s-sweep", "--s-steps", "5", "--tau", "2.5"]) == 0
+    assert global_solves == {3: 2 * 5}
+    global_solves.clear()
+    assert main([*args, "--mode", "single-point", "--tau", "0.8"]) == 0
+    assert global_solves == {3: 2}
+    global_solves.clear()
+    evaluate_point(closed_form_rho(0.8, FieldConfig(0.8, 2.0, 12)))
+    assert global_solves == {3: 2}
+    capsys.readouterr()
+
+
 def test_main_writes_file_and_returns_zero(tmp_path):
     out = tmp_path / "sweep.csv"
     code = main(

@@ -172,8 +172,8 @@ def test_grid_rejects_bad_n_max(n_max):
         (["--mode", "single-point", "--tau", "inf"], "tau must be finite and >= 0, got inf"),
         (["--mode", "single-point", "--s", "nan"], "squeeze parameter s must be finite and >= 0, got nan"),
         (["--mode", "tau-sweep", "--s", "inf"], "squeeze parameter s must be finite and >= 0, got inf"),
-        (["--mode", "s-sweep", "--s-end", "nan"], "squeeze parameter s must be finite and >= 0, got nan"),
-        (["--mode", "tau-sweep", "--tau-end", "inf"], "tau must be finite and >= 0"),
+        (["--mode", "s-sweep", "--s-end", "nan"], "s_end must be finite and >= 0, got nan"),
+        (["--mode", "tau-sweep", "--tau-end", "inf"], "tau_end must be finite and >= 0, got inf"),
     ],
 )
 def test_cli_names_the_bad_parameter(args, message, capsys):

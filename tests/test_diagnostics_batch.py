@@ -25,11 +25,13 @@ from cavity3q import (
     closed_form_grid,
     closed_form_rho,
     compare_states,
+    full_evolution_grid,
     negativity_batch,
     negativity_report,
     pattern_violations,
     states_from_elements,
 )
+from cavity3q.cli import ORACLE_CHECK_SQUEEZES, ORACLE_CHECK_TAUS, ORACLE_CHECK_THETAS
 from cavity3q.entanglement import (
     partial_transpose_global,
     partial_transpose_kway,
@@ -517,6 +519,113 @@ def test_scalar_global_negativity_solves_only_its_qubit(monkeypatch):
         ent.global_negativity(noisy, p)
         # one 8-index block per state off the zero pattern
         assert solved == {8: len(states)}
+
+
+# ------------------------------------------------- global-qubit selection
+
+
+@pytest.fixture(scope="module")
+def selection_stacks():
+    closed = sweep_states(math.pi / 3.0, [1.2], np.linspace(0.0, 20.0, 300), n_max=40)
+    oracle = np.concatenate(
+        [
+            full_evolution_grid(ORACLE_CHECK_TAUS, ORACLE_CHECK_SQUEEZES, theta, 40).reshape(-1, 8, 8)
+            for theta in ORACLE_CHECK_THETAS
+        ]
+    )
+    rng = np.random.default_rng(41)
+    a = rng.standard_normal((40, 8, 4)) + 1j * rng.standard_normal((40, 8, 4))
+    generic = a @ a.conj().swapaxes(-1, -2)
+    generic /= np.trace(generic, axis1=1, axis2=2).real[:, None, None]
+    mixed = np.concatenate([closed[:3], generic[:2], oracle[:2], closed[200:203]])
+    return {"closed": closed, "oracle": oracle, "generic": generic, "mixed": mixed}
+
+
+@pytest.mark.parametrize("stack", ["closed", "oracle", "generic", "mixed"])
+@pytest.mark.parametrize("selection", [(QubitLabel.B,), (QubitLabel.A1, QubitLabel.A2), ()])
+def test_global_selection_is_bit_identical_to_the_full_kernel(selection_stacks, stack, selection):
+    states = selection_stacks[stack]
+    full = negativity_batch(states)
+    subset = negativity_batch(states, global_qubits=selection)
+    for name in ("n_g", "e_3", "e_2", "e_0"):
+        assert list(getattr(subset, name)) == list(selection), name
+    for name in ("n_psdg", "e_psd"):
+        assert list(getattr(subset, name)) == list(getattr(full, name)), name
+    assert_bit_identical(subset, full)
+
+
+def test_selection_stacks_cover_both_block_paths(selection_stacks):
+    # 300 closed-form states span three kernel blocks, all on the index blocks;
+    # the oracle states carry rounding noise outside the pattern: 8-index blocks
+    assert len(selection_stacks["closed"]) > 2 * ent._DIAGNOSTIC_BLOCK
+    closed, oracle = selection_stacks["closed"], selection_stacks["oracle"]
+    assert ent._in_blocks(closed, ent._pattern_check(closed)[0]).all()
+    assert len(oracle) == 36
+    assert not ent._in_blocks(oracle, ent._pattern_check(oracle)[0]).any()
+
+
+def test_selection_order_does_not_matter():
+    states = sweep_states(math.pi / 2.0, [1.2], [0.3, 0.8, 14.5])
+    forward = negativity_batch(states, global_qubits=(QubitLabel.A1, QubitLabel.B))
+    backward = negativity_batch(states, global_qubits=[QubitLabel.B, QubitLabel.A1])
+    assert list(backward.n_g) == [QubitLabel.A1, QubitLabel.B]
+    assert_bit_identical(backward, forward)
+
+
+@pytest.mark.parametrize(
+    "selection",
+    [
+        (QubitLabel.B, QubitLabel.B),
+        ("B",),
+        "B",
+        (2,),
+        QubitLabel.B,
+        None,
+        (QubitLabel.B, None),
+    ],
+)
+def test_bad_global_selection_names_the_keyword(selection):
+    states = sweep_states(math.pi / 2.0, [1.2], [0.8])
+    with pytest.raises(ValueError, match="global_qubits"):
+        negativity_batch(states, global_qubits=selection)
+
+
+def test_empty_selection_skips_the_global_stage(global_solves):
+    states = sweep_states(math.pi / 2.0, [1.2], [0.3, 0.8, 14.5])
+    noisy = states.copy()
+    noisy[:, 3, 0] = noisy[:, 0, 3] = 1e-17
+    for stack in (states, noisy):
+        codes, _ = ent._pattern_check(stack)
+        n_g, split = ent._global_split(stack, ent._in_blocks(stack, codes), CUTOFF, [])
+        assert n_g.shape == (3, 0) and split.shape == (3, 0, 3)
+        batch = negativity_batch(stack, global_qubits=())
+        assert batch.n_g == batch.e_3 == batch.e_2 == batch.e_0 == {}
+    assert not global_solves
+
+
+def test_scalar_functions_solve_only_the_global_tables_they_need(global_solves):
+    states = sweep_states(math.pi / 2.0, [1.2], [0.3, 0.8, 14.5])
+    noisy = states.copy()
+    noisy[:, 3, 0] = noisy[:, 0, 3] = 1e-17
+    for stack, size in ((states, 3), (noisy, 8)):
+        # the two 3x3 index blocks of one transpose, or its one 8-index block
+        per_qubit = 2 if size == 3 else 1
+        for m in stack:
+            for p in QubitLabel:
+                for k in (0, 2, 3):
+                    global_solves.clear()
+                    ent.partial_kway_negativity(m, p, k)
+                    assert global_solves == {size: per_qubit}
+                global_solves.clear()
+                ent.psdg_negativity(m, p)
+                assert not global_solves
+            for spec in SELECTIVE_SPECS:
+                global_solves.clear()
+                ent.psd_partial_negativity(m, spec)
+                assert not global_solves
+            global_solves.clear()
+            negativity_batch(m[None])
+            assert global_solves == {size: 3 * per_qubit}
 
 
 @pytest.mark.parametrize("length", [1, 32, 33, ent._DIAGNOSTIC_BLOCK, ent._DIAGNOSTIC_BLOCK + 1])
