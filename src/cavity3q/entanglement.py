@@ -32,16 +32,22 @@ blocks of `_DIAGNOSTIC_BLOCK` rows:
 * the decomposition negativity uses the pure-state identity
   ``N_G^p(phi) = 2 sqrt(det rho_p)``, with ``rho_p`` the reduced state of
   qubit p, so it needs no eigensolver;
-* the pairwise shares solve the two-way transposes of the decomposition
-  states of positive weight only, and of those only the ones that are not
-  basis states; for a block-structured state each such ket lies in one of
-  the state's two 3-index blocks, and of its transposes only the 3x3 block
-  is solved: the 2x2 and 1x1 blocks are left in place, so they are
-  principal submatrices of the ket's projector and cannot go negative.
+* the pairwise shares come from the two-way transposes of the
+  decomposition states of positive weight only, and of those only the ones
+  that are not basis states.  For a block-structured state each such ket
+  lies in one of the state's two 3-index blocks, and of its transposes
+  only the 3x3 block can go negative: the 2x2 and 1x1 blocks are left in
+  place, so they are principal submatrices of the ket's projector.  That
+  3x3 block is a star, two edges a and b meeting at one centre on a zero
+  diagonal, as checked at import; its one negative eigenvalue is
+  ``-hypot(|a|, |b|)`` and each share term is ``-|a|^2 / r`` or
+  ``-|b|^2 / r``, so these kets need no eigensolver.  The kets of any other
+  state are solved as one 8-index block per qubit.
 
 All blocks of one size go to the solver of `negative_eigenpairs` in one
 stacked call, and a 1x1 block needs no solve, so a sweep makes no 8x8
-eigensolve.
+eigensolve; its only solves are the two 3x3 blocks of B's global transpose
+per state.
 Every step keeps the dtype of its input.  The closed-form states are real
 symmetric, so a sweep runs real arithmetic and real symmetric LAPACK solves;
 a complex stack (a user's state, the generic fallback) takes the same lines
@@ -74,6 +80,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .fock_field import require_finite_nonnegative
 from .tavis_cummings import PATTERN_MASK, pattern_violations
 
 __all__ = [
@@ -109,18 +116,18 @@ __all__ = [
 NEGATIVE_EIGENVALUE_CUTOFF = 1e-12
 
 # States evaluated together by `negativity_batch`.  Bounds the per-block
-# stacks of gathered blocks and decomposition kets.  Index blocks make those
-# about 4x smaller than the 8x8 transposes, so blocks grew from 32 to 128
-# (a quarter of the LAPACK calls) at about the peak resident set of the 8x8
-# kernel at 32.  Solving B's global transposes only, as the command line
-# does, frees too little for a wider block.  VmHWM of one `cli.main` call
-# (MB, median of 5, one BLAS thread, byte-compiled package), all three
-# global transposes at 128 -> B's only at 128, 200 and 256:
-#   tau-sweep        32.32 -> 32.25, 32.75, 33.19
-#   s-sweep          31.59 -> 31.62, 32.23, 32.18
-#   tau-sweep-dense  32.27 -> 32.24, 32.79, 33.17
-# 200 takes 2-9% less CPU than 128 but peaks 0.4-0.6 MB higher.
-_DIAGNOSTIC_BLOCK = 128
+# stacks of gathered blocks and decomposition kets.  Index blocks made those
+# about 4x smaller than the 8x8 transposes, so blocks grew from 32 to 128 at
+# about the peak resident set of the 8x8 kernel at 32; the closed-form
+# pairwise shares dropped the kets' gathered blocks, which makes room for
+# 200.  VmHWM of one `cli.main` call (MB, median of 5, one BLAS thread,
+# byte-compiled package), the gathered ket blocks at 128 -> the closed-form
+# shares at 128, 200 and 256:
+#   tau-sweep        32.32 -> 32.18, 32.19, 32.41
+#   s-sweep          31.63 -> 31.48, 31.42, 31.42
+#   tau-sweep-dense  32.24 -> 32.20, 32.20, 32.29
+# At 200 a sweep takes about 6% less CPU than at 128 for no higher peak.
+_DIAGNOSTIC_BLOCK = 200
 
 _HERMITICITY_TOL = 1e-9
 _PATTERN_TOL = 1e-8
@@ -205,6 +212,12 @@ def _as_states(rho) -> np.ndarray:
     return m
 
 
+def _require_qubit(p) -> None:
+    """Reject anything but a `QubitLabel` member as the qubit ``p``."""
+    if not isinstance(p, QubitLabel):
+        raise ValueError(f"p must be a QubitLabel member, got {p!r}")
+
+
 def _transposed(m: np.ndarray, p: QubitLabel, mask) -> np.ndarray:
     """``m`` with qubit ``p``'s row and column bits swapped on the entries in ``mask``."""
     return m.reshape(*m.shape[:-2], 64)[..., _transpose_positions(p, mask)]
@@ -212,13 +225,16 @@ def _transposed(m: np.ndarray, p: QubitLabel, mask) -> np.ndarray:
 
 def partial_transpose_global(rho, p: QubitLabel) -> np.ndarray:
     """Full partial transpose with respect to qubit ``p``."""
+    _require_qubit(p)
     return _transposed(_as_states(rho), p, True)
 
 
 def partial_transpose_kway(rho, p: QubitLabel, k: int) -> np.ndarray:
     """Transpose qubit ``p`` only on elements whose indices differ in exactly ``k`` slots."""
-    if k not in (2, 3):
-        raise ValueError(f"k must be 2 or 3, got {k}")
+    _require_qubit(p)
+    # bools refused: True == 1 and False == 0
+    if isinstance(k, (bool, np.bool_)) or k not in (2, 3):
+        raise ValueError(f"k must be 2 or 3, got {k!r}")
     return _transposed(_as_states(rho), p, _kway_mask(k))
 
 
@@ -280,6 +296,7 @@ def negative_eigenpairs(
     m = np.asarray(getattr(matrix, "matrix", matrix))
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    require_finite_nonnegative("cutoff", cutoff)
     _require_hermitian(m)
     return _negative_pairs(m, cutoff)
 
@@ -302,6 +319,7 @@ def global_negativity(rho, p: QubitLabel):
     for a state with the exact zero pattern, one 8-index block otherwise),
     on qubit ``p``'s tables only, so the two agree bit for bit.
     """
+    _require_qubit(p)
     m = _as_states(rho)
     _require_hermitian(m)
     stack = m.reshape(-1, 8, 8)
@@ -381,6 +399,7 @@ def analytic_negativity_b(rho, cutoff: float = NEGATIVE_EIGENVALUE_CUTOFF) -> fl
     contribute -2*lam only while strictly negative (each gate is one block's
     discriminant inequality); all other eigenvalues are populations.
     """
+    require_finite_nonnegative("cutoff", cutoff)
     elements = _require_pattern(_as_matrix(rho))
     return float(_analytic_negativity_b(elements[None], cutoff)[0])
 
@@ -393,8 +412,9 @@ def partial_kway_negativity(rho, p: QubitLabel, k: int) -> float:
     giving the subtraction term of the split
     ``N_G = E_3 + E_2 - E_0``.
     """
-    if k not in (0, 2, 3):
-        raise ValueError(f"k must be 0, 2 or 3, got {k}")
+    _require_qubit(p)
+    if isinstance(k, (bool, np.bool_)) or k not in (0, 2, 3):
+        raise ValueError(f"k must be 0, 2 or 3, got {k!r}")
     batch = negativity_batch(_as_matrix(rho)[None], global_qubits=(p,))
     return float({0: batch.e_0, 2: batch.e_2, 3: batch.e_3}[k][p][0])
 
@@ -505,6 +525,7 @@ def decompose(rho, cutoff: float = NEGATIVE_EIGENVALUE_CUTOFF) -> PureStateDecom
     eigenvalues ascending and phases fixed; that fallback raises ValueError
     unless the state is Hermitian to 1e-9.
     """
+    require_finite_nonnegative("cutoff", cutoff)
     m = _as_matrix(rho)[None]
     codes, elements = _pattern_check(m)
     if codes[0]:
@@ -541,6 +562,7 @@ def psdg_negativity(rho, p: QubitLabel) -> float:
     flags bound entanglement.  Evaluated by `negativity_batch` on a grid of
     one, so it raises ValueError unless the state is Hermitian to 1e-9.
     """
+    _require_qubit(p)
     return float(negativity_batch(_as_matrix(rho)[None], global_qubits=()).n_psdg[p][0])
 
 
@@ -566,10 +588,16 @@ def partial_trace(rho, keep) -> np.ndarray:
     order (A1 fastest, B slowest) in the returned matrix.  A stack of states
     gives the stack of reduced states.
     """
-    keep_set = {QubitLabel(q) for q in keep}
+    keep_set = set(keep)
     if not keep_set:
         raise ValueError("keep must name at least one qubit")
-    m = _as_states(rho)
+    if not all(isinstance(q, QubitLabel) for q in keep_set):
+        raise ValueError(f"keep must hold QubitLabel members, got {keep!r}")
+    return _partial_trace(_as_states(rho), keep_set)
+
+
+def _partial_trace(m: np.ndarray, keep_set: set[QubitLabel]) -> np.ndarray:
+    """`partial_trace` of a stack (..., 8, 8) over a checked set of qubits."""
     lead = m.shape[:-2]
     # axes of the (2,2,2, 2,2,2) view: (B, A2, A1) x (B, A2, A1)
     tensor = m.reshape(*lead, 2, 2, 2, 2, 2, 2)
@@ -811,12 +839,70 @@ _SHARE_MAPS = [
     + [_transpose_positions(p, _selective_mask(spec)) for spec in specs]
     for p, specs in zip(_SHARE_QUBITS, _SHARE_SPECS)
 ]
-_KET_GATHERS = _block_gathers(
-    [(_FAMILY_OF[:, None] == f) & (_FAMILY_OF == f) for f in range(len(_KET_FAMILIES))],
-    _SHARE_MAPS,
-    psd=True,
-)
+_KET_SUPPORTS = [(_FAMILY_OF[:, None] == f) & (_FAMILY_OF == f) for f in range(len(_KET_FAMILIES))]
+_KET_GATHERS = _block_gathers(_KET_SUPPORTS, _SHARE_MAPS, psd=True)
 _WHOLE_KET_GATHERS = _block_gathers([_WHOLE], _SHARE_MAPS, psd=True)
+
+
+def _star_edges(gathers: dict[int, np.ndarray], supports) -> tuple[np.ndarray, np.ndarray]:
+    """The two edges of every ket block of ``gathers``, and the edge each projected map keeps.
+
+    ``gathers`` are ket tables as from `_block_gathers` on the masks
+    ``supports``.  Each block must be a star on its support: the two-way
+    transpose (map 0) reads the support only on two edges ``[leaf, centre]``
+    and ``[centre, leaf]`` with one centre, so its diagonal and the entry
+    between the leaves are zero; and each selective map reads the support
+    on exactly one of those edges, at map 0's positions.  Returns the flat
+    8x8 positions of the ``[leaf, centre]`` entries, shape (supports,
+    owners, blocks, 2), and the edge (0 or 1) that each selective map keeps,
+    shape (supports, owners, blocks, maps - 1).  Raises RuntimeError for a
+    block of any other shape.
+    """
+    if sorted(gathers) != [3]:
+        raise RuntimeError(f"ket blocks must all be 3x3, got sizes {sorted(gathers)}")
+    table = gathers[3]
+    # per centre, the cells [leaf, centre] and [centre, leaf] of its two edges
+    stars = {c: [{(leaf, c), (c, leaf)} for leaf in range(3) if leaf != c] for c in range(3)}
+    edges, kept = [], []
+    # nested lists, not a numpy call per block: this runs at import
+    for support, by_owner in zip(supports, table.tolist()):
+        inside = support.reshape(64).tolist()
+        for owner, blocks in enumerate(by_owner):
+            for maps in blocks:
+                read = [
+                    {(i, j) for i in range(3) for j in range(3) if inside[m[i][j]]} for m in maps
+                ]
+                centres = [c for c, (a, b) in stars.items() if read[0] == a | b]
+                if not centres:
+                    raise RuntimeError(
+                        f"ket block of owner {owner} is not a star: map 0 reads {sorted(read[0])}"
+                    )
+                centre = centres[0]
+                edges.append([maps[0][leaf][centre] for leaf in range(3) if leaf != centre])
+                kept.append([])
+                for k, positions in enumerate(maps[1:], start=1):
+                    keeps = [
+                        e
+                        for e, cells in enumerate(stars[centre])
+                        if read[k] == cells
+                        and all(positions[i][j] == maps[0][i][j] for i, j in cells)
+                    ]
+                    if not keeps:
+                        raise RuntimeError(
+                            f"selective map {k} of owner {owner} must keep one edge of the "
+                            f"star, reads {sorted(read[k])}"
+                        )
+                    kept[-1].append(keeps[0])
+    lead = table.shape[:3]
+    return np.array(edges).reshape(*lead, 2), np.array(kept).reshape(*lead, -1)
+
+
+# Every ket block the two-way transposes move is a star, so its one negative
+# eigenvalue is -hypot(a, b) of its two edges a and b: the rows and columns
+# of the edges in the ket's projector, per ket family, and the edge that
+# each spec of `_SHARE_ORDER` keeps.
+_STAR_EDGES, _STAR_KEPT = _star_edges(_KET_GATHERS, _KET_SUPPORTS)
+_STAR_ROWS, _STAR_COLS = np.divmod(_STAR_EDGES, 8)
 
 
 def _in_blocks(m: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -865,47 +951,60 @@ def _global_split(
     return n_g, split
 
 
-def _share_terms(
-    kets: np.ndarray, supports: np.ndarray, tables: dict[int, np.ndarray], cutoff: float
-) -> np.ndarray:
+def _share_terms(kets: np.ndarray, cutoff: float) -> np.ndarray:
     """Per ket (rows of ``kets``) and spec (columns, in `_SHARE_ORDER`): ``Re tr(S P)``.
 
     S is the spec's selective transpose of the ket's projector and P the
     projector on the negative eigenvectors of its two-way transpose of the
-    spec's qubit.  Both are gathered into the blocks of ``tables`` on each
-    ket's support, ``supports`` indexing the first axis of every table.
+    spec's qubit, both gathered whole by `_WHOLE_KET_GATHERS`.
     """
     pure = (kets[:, :, None] * kets[:, None, :].conj()).reshape(len(kets), 64)
     traces = 0.0
-    for positions in tables.values():
-        gathered = np.empty((len(kets), *positions.shape[1:]), dtype=kets.dtype)
-        for support, table in enumerate(positions):
-            rows = supports == support
-            gathered[rows] = pure[rows][:, table]
-        traces = traces + _projected_blocks(gathered, cutoff)[1]
+    for positions in _WHOLE_KET_GATHERS.values():
+        traces = traces + _projected_blocks(pure[:, positions[0]], cutoff)[1]
     return traces.reshape(len(kets), -1)
+
+
+def _star_share_terms(kets: np.ndarray, families: np.ndarray, cutoff: float) -> np.ndarray:
+    """`_share_terms` of kets that each lie in the ket family ``families`` names, in closed form.
+
+    The block of the two-way transpose is a star with edges a and b, so
+    its one negative eigenvalue is ``-r``, ``r = hypot(|a|, |b|)``, with
+    eigenvector ``(a, b, -r) / (sqrt2 r)`` on (leaf, leaf, centre).  A
+    selective transpose keeps one edge, so its term is ``-|a|^2 / r`` or
+    ``-|b|^2 / r``; both are 0 unless ``r`` exceeds the cutoff, as an
+    eigenvalue at or above ``-cutoff`` counts as zero.
+    """
+    ket = np.arange(len(kets))[:, None, None, None]
+    edges = np.abs(kets[ket, _STAR_ROWS[families]] * kets[ket, _STAR_COLS[families]].conj())
+    r = np.hypot(edges[..., 0], edges[..., 1])
+    scale = np.divide(-1.0, r, out=np.zeros_like(r), where=r > cutoff)
+    terms = np.take_along_axis(edges**2 * scale[..., None], _STAR_KEPT[families], axis=-1)
+    return terms.sum(axis=-2).reshape(len(kets), -1)
 
 
 def _pairwise_shares(
     probs: np.ndarray, vectors: np.ndarray, in_blocks: np.ndarray, cutoff: float
 ) -> dict[str, np.ndarray]:
-    """`psd_partial_negativity` for every spec, solving only the states that can contribute.
+    """`psd_partial_negativity` for every spec, evaluating only the states that can contribute.
 
     Those are the decomposition kets of positive weight with at least two
     nonzero components.  A basis-state ket such as |110> has a diagonal
-    two-way transpose, so its shares are exactly 0 without a solve.  The
-    kets of states marked ``in_blocks`` are gathered into the index blocks
-    of their family (for those states every such ket lies in one family),
-    the others into one 8-index block per qubit.
+    two-way transpose, so its shares are exactly 0.  The kets of states
+    marked ``in_blocks`` each lie in one family; their shares come from the
+    star blocks in closed form (`_star_share_terms`), with no eigensolve.
+    The other kets are solved as one 8-index block per qubit.
     """
     rows, cols = np.nonzero((probs > 0.0) & (np.count_nonzero(vectors, axis=-2) >= 2))
     kets = vectors[rows, :, cols]
     terms = np.empty((len(kets), len(_SHARE_ORDER)))
-    ket_in_blocks = in_blocks[rows]
-    supports = np.where(ket_in_blocks, _FAMILY_OF[np.argmax(np.abs(kets), axis=-1)], 0)
-    for take, tables in ((ket_in_blocks, _KET_GATHERS), (~ket_in_blocks, _WHOLE_KET_GATHERS)):
-        if take.any():
-            terms[take] = _share_terms(kets[take], supports[take], tables, cutoff)
+    in_family = in_blocks[rows]
+    if in_family.any():
+        family_kets = kets[in_family]
+        families = _FAMILY_OF[np.argmax(np.abs(family_kets), axis=-1)]
+        terms[in_family] = _star_share_terms(family_kets, families, cutoff)
+    if not in_family.all():
+        terms[~in_family] = _share_terms(kets[~in_family], cutoff)
     shares = {}
     for column, spec in enumerate(_SHARE_ORDER):
         share = np.zeros(probs.shape)
@@ -932,7 +1031,7 @@ def _negativity_block(m: np.ndarray, cutoff: float, qubits: list[QubitLabel]) ->
         e_0={p: split[:, i, 2] for i, p in enumerate(qubits)},
         n_psdg={p: (probs * _pure_negativity(vectors, p, cutoff)).sum(axis=-1) for p in QubitLabel},
         e_psd=_pairwise_shares(probs, vectors, in_blocks, cutoff),
-        linear_entropy_b=_linear_entropy(partial_trace(m, {QubitLabel.B})),
+        linear_entropy_b=_linear_entropy(_partial_trace(m, {QubitLabel.B})),
         w1_fidelity=_expectation(W1_STATE, m),
         bell_projection=_bell_projection(m),
         pattern_ok=pattern_ok,

@@ -341,20 +341,27 @@ def test_pairwise_solves_only_positive_weight_states(monkeypatch):
         basis_kets += int(((dec.probabilities > 0.0) & (components == 1)).sum())
     solved = Counter()
     eigh = np.linalg.eigh
+    star_kets = []
+    star_share_terms = ent._star_share_terms
 
     def counting(a, *args, **kwargs):
         solved[a.shape[-1]] += math.prod(a.shape[:-2])
         return eigh(a, *args, **kwargs)
 
+    def counting_kets(kets, *args, **kwargs):
+        star_kets.append(len(kets))
+        return star_share_terms(kets, *args, **kwargs)
+
     monkeypatch.setattr(np.linalg, "eigh", counting)
+    monkeypatch.setattr(ent, "_star_share_terms", counting_kets)
     negativity_batch(states)
     # closed-form states are solved as index blocks, none larger than 3x3:
     # two 3x3 blocks of each of the three global transposes per state (the
-    # 1x1 blocks need no solve), and the one 3x3 block that each of the two
-    # two-way transposes moves, per decomposition ket of positive weight
-    # that is not a basis state (the blocks it leaves in place are principal
-    # submatrices of the ket's projector, so they are not solved)
-    assert solved == {3: 6 * len(states) + 2 * positive}
+    # 1x1 blocks need no solve); the decomposition kets of positive weight
+    # that are not basis states, and only those, go to the closed-form star
+    # solve, which makes no eigensolve
+    assert solved == {3: 6 * len(states)}
+    assert star_kets == [positive]
     assert positive < 8 * len(states)
     assert basis_kets > 0
 
@@ -526,7 +533,8 @@ def test_scalar_global_negativity_solves_only_its_qubit(monkeypatch):
 
 @pytest.fixture(scope="module")
 def selection_stacks():
-    closed = sweep_states(math.pi / 3.0, [1.2], np.linspace(0.0, 20.0, 300), n_max=40)
+    taus = np.linspace(0.0, 20.0, 2 * ent._DIAGNOSTIC_BLOCK + 44)
+    closed = sweep_states(math.pi / 3.0, [1.2], taus, n_max=40)
     oracle = np.concatenate(
         [
             full_evolution_grid(ORACLE_CHECK_TAUS, ORACLE_CHECK_SQUEEZES, theta, 40).reshape(-1, 8, 8)
@@ -555,7 +563,7 @@ def test_global_selection_is_bit_identical_to_the_full_kernel(selection_stacks, 
 
 
 def test_selection_stacks_cover_both_block_paths(selection_stacks):
-    # 300 closed-form states span three kernel blocks, all on the index blocks;
+    # the closed-form states span three kernel blocks, all on the index blocks;
     # the oracle states carry rounding noise outside the pattern: 8-index blocks
     assert len(selection_stacks["closed"]) > 2 * ent._DIAGNOSTIC_BLOCK
     closed, oracle = selection_stacks["closed"], selection_stacks["oracle"]

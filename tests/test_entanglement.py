@@ -26,6 +26,7 @@ from cavity3q import (
     selective_partial_transpose,
     w1_fidelity,
 )
+from cavity3q.entanglement import negative_eigenpairs
 
 A1, A2, B = QubitLabel.A1, QubitLabel.A2, QubitLabel.B
 
@@ -395,3 +396,72 @@ def test_report_consistency_with_individual_functions():
     assert report.bell_projection == pytest.approx(bell_projection_probability(rho), abs=1e-14)
     for value in (*report.n_g.values(), *report.n_psdg.values(), *report.e_psd.values()):
         assert value >= 0.0
+
+
+# -------------------------------------------------------------- bad inputs
+
+
+def scalar_state():
+    return closed_form_rho(0.8, FieldConfig(1.2, math.pi, 40)).matrix
+
+
+@pytest.mark.parametrize("qubit", [2, 2.0, True, "B", None])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m, p: partial_transpose_global(m, p),
+        lambda m, p: partial_transpose_kway(m, p, 2),
+        lambda m, p: global_negativity(m, p),
+        lambda m, p: partial_kway_negativity(m, p, 3),
+        lambda m, p: psdg_negativity(m, p),
+    ],
+    ids=["transpose", "kway-transpose", "global", "kway-negativity", "psdg"],
+)
+def test_qubit_must_be_a_label(call, qubit):
+    # an int used to fail later with "'int' object has no attribute 'value'"
+    with pytest.raises(ValueError, match="p must be a QubitLabel member"):
+        call(scalar_state(), qubit)
+
+
+@pytest.mark.parametrize("k", [False, True, np.False_, np.True_, 1, 4])
+def test_kway_order_refuses_bools(k):
+    # False == 0 used to pass as the E_0 term, True == 1 as a bad k
+    m = scalar_state()
+    with pytest.raises(ValueError, match=r"k must be 0, 2 or 3"):
+        partial_kway_negativity(m, B, k)
+    with pytest.raises(ValueError, match=r"k must be 2 or 3"):
+        partial_transpose_kway(m, B, k)
+
+
+def test_kway_order_accepts_numpy_ints():
+    m = scalar_state()
+    assert partial_kway_negativity(m, B, np.int64(0)) == partial_kway_negativity(m, B, 0)
+    assert np.array_equal(partial_transpose_kway(m, B, np.int64(2)), partial_transpose_kway(m, B, 2))
+
+
+@pytest.mark.parametrize("keep", [[True], [0], [B, 2], ["B"], [None]])
+def test_partial_trace_keep_must_hold_labels(keep):
+    # [True] used to keep A2, as QubitLabel(True) is QubitLabel(1)
+    with pytest.raises(ValueError, match="keep must hold QubitLabel members"):
+        partial_trace(scalar_state(), keep)
+
+
+@pytest.mark.parametrize("cutoff", [math.nan, math.inf, -1e-12, -1.0])
+def test_cutoff_must_be_finite_and_nonnegative(cutoff):
+    # a NaN cutoff used to make every eigenvalue count as zero
+    m = scalar_state()
+    transposed = partial_transpose_global(m, B)
+    calls = [
+        lambda: negative_eigensum(transposed, cutoff=cutoff),
+        lambda: negative_eigenpairs(transposed, cutoff=cutoff),
+        lambda: analytic_negativity_b(m, cutoff=cutoff),
+        lambda: decompose(m, cutoff=cutoff),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="cutoff must be finite and >= 0"):
+            call()
+
+
+def test_zero_cutoff_is_accepted():
+    transposed = partial_transpose_global(pure(BELL_A1B), B)
+    assert negative_eigensum(transposed, cutoff=0.0) == pytest.approx(1.0, abs=1e-12)
