@@ -49,8 +49,14 @@ def _half_angle(theta: float) -> tuple[float, float]:
 
 
 def require_finite_nonnegative(name: str, values) -> np.ndarray:
-    """``values`` as a float array, or a ValueError naming ``name`` and the first bad value."""
-    array = np.asarray(values, dtype=float)
+    """``values`` as a float array, or a ValueError naming ``name`` and the first bad value.
+
+    A bool, or an array of bools, is refused rather than read as 1.0 or 0.0.
+    """
+    array = np.asarray(values)
+    if array.dtype == bool:
+        raise ValueError(f"{name} must be a finite number >= 0, not a bool, got {values!r}")
+    array = np.asarray(array, dtype=float)
     bad = array[~(np.isfinite(array) & (array >= 0.0))]
     if bad.size:
         raise ValueError(f"{name} must be finite and >= 0, got {bad.flat[0]}")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,25 @@ def test_s_sweep_zero_squeezing_row_has_no_entanglement():
 def test_csv_is_byte_deterministic():
     cfg = SweepConfig(mode="tau-sweep", tau_start=0.0, tau_end=3.0, tau_steps=7, **SMALL)
     assert run_tau_sweep(cfg) == run_tau_sweep(cfg)
+
+
+def test_csv_rows_match_str_format_byte_for_byte():
+    # the rows are %-formatted; they must equal the "{:.12g}" rendering of
+    # every cell, negative zero printed as 0, specials and 12-digit ties included
+    specials = [
+        -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e308, -1.7976931348623157e308,
+        1000000000005.0, 1000000000015.0, 12345678901.25, 12345678901.75, -0.125, 1e-300,
+        0.1, 2.0 / 3.0, 123456789012.5, 0.0, 1.0, 14.5, 3.141592653589793, 1e16,
+    ]
+    values = np.array(specials)
+    rows = np.stack([np.roll(values, k)[: len(COLUMNS)] for k in range(len(values))])
+    cfg = SweepConfig()
+    text = cli._csv_text(cfg, [], rows)
+    reference = ",".join(["{:.12g}"] * len(COLUMNS))
+    expected = [reference.format(*row) for row in (rows + 0.0).tolist()]
+    assert text.splitlines()[-len(rows):] == expected
+    assert text.endswith("\n") and "-0," not in text and "nan" in text and "-inf" in text
+    assert "1e+12" in text and "1.00000000002e+12" in text and "12345678901.2" in text
 
 
 def test_analytic_and_eigensolver_columns_agree():
@@ -206,6 +227,18 @@ def test_sweep_bounds_name_their_field(name, label, value):
 @pytest.mark.parametrize("value", [True, False, 0, -3, 2.5, "4"])
 def test_step_counts_must_be_positive_ints(name, value):
     with pytest.raises(ValueError, match=rf"^{name} must be a positive integer, got {value!r}$"):
+        SweepConfig(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "name, label",
+    [("s", "squeeze parameter s")]
+    + [(name, name) for name in ("tau", "tau_start", "tau_end", "s_start", "s_end")],
+)
+@pytest.mark.parametrize("value", [True, False, np.True_])
+def test_sweep_bounds_refuse_bools(name, label, value):
+    # a bool would otherwise be read as 1.0 or 0.0
+    with pytest.raises(ValueError, match=rf"^{label} must be a finite number >= 0, not a bool"):
         SweepConfig(**{name: value})
 
 

@@ -159,6 +159,15 @@ def test_grid_rejects_bad_squeeze(s):
         closed_form_grid([0.1], [0.2, s], 1.0, 5)
 
 
+@pytest.mark.parametrize("value", [True, np.False_, [True, False]])
+def test_grid_refuses_bool_tau_and_squeeze(value):
+    # a bool would otherwise be read as 1.0 or 0.0
+    with pytest.raises(ValueError, match="tau must be a finite number >= 0, not a bool"):
+        closed_form_grid(value, [0.5], 1.0, 5)
+    with pytest.raises(ValueError, match="squeeze parameter s must be a finite number >= 0, not a"):
+        closed_form_grid([0.1], value, 1.0, 5)
+
+
 @pytest.mark.parametrize("n_max", [True, -1, 2.0])
 def test_grid_rejects_bad_n_max(n_max):
     with pytest.raises(ValueError, match="n_max must be a non-negative integer"):

@@ -462,6 +462,22 @@ def test_cutoff_must_be_finite_and_nonnegative(cutoff):
             call()
 
 
+@pytest.mark.parametrize("cutoff", [True, False, np.True_])
+def test_cutoff_refuses_bools(cutoff):
+    # cutoff=True used to run with a cutoff of 1.0
+    m = scalar_state()
+    transposed = partial_transpose_global(m, B)
+    calls = [
+        lambda: negative_eigensum(transposed, cutoff=cutoff),
+        lambda: negative_eigenpairs(transposed, cutoff=cutoff),
+        lambda: analytic_negativity_b(m, cutoff=cutoff),
+        lambda: decompose(m, cutoff=cutoff),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="cutoff must be a finite number >= 0, not a bool"):
+            call()
+
+
 def test_zero_cutoff_is_accepted():
     transposed = partial_transpose_global(pure(BELL_A1B), B)
     assert negative_eigensum(transposed, cutoff=0.0) == pytest.approx(1.0, abs=1e-12)

@@ -11,6 +11,7 @@ from cavity3q import (
     binomial_amplitude_row,
     binomial_amplitude_table,
     truncation_deficit,
+    truncation_deficits,
 )
 from cavity3q.fock_field import require_photon_number
 from cavity3q.oracle import _beam_splitter_columns
@@ -250,6 +251,16 @@ def test_beam_splitter_reproduces_binomial_amplitudes():
 def test_config_rejects_non_finite_squeezing(s):
     with pytest.raises(ValueError, match="squeeze parameter s must be finite and >= 0"):
         FieldConfig(s, 1.0, 5)
+
+
+@pytest.mark.parametrize("s", [True, False, np.True_])
+def test_squeezing_refuses_bools(s):
+    # a bool would otherwise be read as 1.0 or 0.0
+    message = "squeeze parameter s must be a finite number >= 0, not a bool"
+    with pytest.raises(ValueError, match=message):
+        FieldConfig(s, 1.0, 5)
+    with pytest.raises(ValueError, match=message):
+        truncation_deficits([s, s], 5)
 
 
 def test_config_rejects_bool_n_max():

@@ -10,7 +10,7 @@ from cavity3q import (
     full_evolution,
     truncation_deficit,
 )
-from cavity3q.oracle import _beam_splitter_block, _beam_splitter_columns, _evolved_components
+from cavity3q.oracle import _beam_splitter_columns, _beam_splitter_eigh, _evolved_components
 from cavity3q.tavis_cummings import _field_factors, _squeeze_norms
 
 
@@ -20,17 +20,21 @@ def squeezed_weight(n: int, s: float) -> float:
 
 
 def test_beam_splitter_identity_at_zero_angle():
-    for photons in range(8):
-        assert np.abs(_beam_splitter_block(0.0, photons) - np.eye(photons + 1)).max() < 1e-12
+    # at theta = 0 every injected photon stays in the external port
+    assert np.abs(_beam_splitter_columns(0.0, 7) - np.eye(8)).max() < 1e-12
 
 
 def test_beam_splitter_is_unitary():
-    # every block is orthogonal, so the amplitude columns the oracle reads
-    # (one per injected photon number) are normalised
+    # every block's eigenvectors are orthonormal, so every block
+    # V e^(-i theta L) V^T is unitary, and the amplitude columns the oracle
+    # reads (one per injected photon number) are normalised
+    vals, vecs = _beam_splitter_eigh(11)
+    for photons in range(12):
+        block = vecs[photons, : photons + 1, : photons + 1]
+        assert np.abs(block.T @ block - np.eye(photons + 1)).max() < 1e-12
+        assert not vecs[photons, photons + 1 :].any() and not vecs[photons, :, photons + 1 :].any()
+        assert not vals[photons, photons + 1 :].any()
     for theta in (0.4, math.pi / 2, math.pi):
-        for photons in range(12):
-            block = _beam_splitter_block(theta, photons)
-            assert np.abs(block.T @ block - np.eye(photons + 1)).max() < 1e-12
         amps = _beam_splitter_columns(theta, 40)
         assert np.abs((amps * amps).sum(axis=1) - 1.0).max() < 1e-12
 
@@ -43,9 +47,10 @@ def test_beam_splitter_full_transmission():
 
 
 def test_beam_splitter_rejects_tiny_dimension():
-    for photons in (-1, True, 2.0):
-        with pytest.raises(ValueError, match="photon number must be a non-negative integer"):
-            _beam_splitter_block(1.0, photons)
+    _beam_splitter_eigh.cache_clear()
+    for n_max in (-1, True, 2.0):
+        with pytest.raises(ValueError, match="n_max must be a non-negative integer"):
+            _beam_splitter_eigh(n_max)
 
 
 def test_evolved_components_conserve_norm_and_excitation():

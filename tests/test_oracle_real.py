@@ -1,20 +1,22 @@
 """The oracle's real-arithmetic stages against the complex ones they replaced.
 
 Each reference keeps the former code: the beam-splitter block exponentiated
-through a complex Hermitian eigendecomposition, the coupling propagators
-from a complex Hamiltonian, and the port trace as one shifted-slice add per
-photon number left in the external port.
+through a complex Hermitian eigendecomposition at each angle, the coupling
+propagators from a complex Hamiltonian, and the port trace as one
+shifted-slice add per photon number left in the external port.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from cavity3q.cli import ORACLE_CHECK_TAUS
+import cavity3q.oracle as oracle
+from cavity3q.cli import ORACLE_CHECK_TAUS, ORACLE_CHECK_THETAS, SweepConfig, run_oracle_check
 from cavity3q.oracle import (
-    _beam_splitter_block,
     _beam_splitter_columns,
+    _beam_splitter_eigh,
     _evolved_components,
     _full_coupling_hamiltonian,
     _photon_traced_gram,
@@ -52,11 +54,43 @@ def _shifted_slice_port_traced(gram: np.ndarray, amps: np.ndarray) -> np.ndarray
 
 @pytest.mark.parametrize("theta", (0.0, 0.4, *THETAS))
 def test_real_beam_splitter_block_matches_complex_solve(theta):
+    # row n of the table is the last column of block n, for every block up to n_max 80
     amps = _beam_splitter_columns(theta, 80)
     for photons in range(81):
         reference = _complex_beam_splitter_block(theta, photons)
-        assert np.abs(_beam_splitter_block(theta, photons) - reference).max() <= 1e-14
         assert np.abs(amps[photons, : photons + 1] - reference[:, photons]).max() <= 1e-14
+    assert not np.triu(amps, 1).any()
+
+
+def test_beam_splitter_eigensystem_is_read_only():
+    vals, vecs = _beam_splitter_eigh(12)
+    assert vals.shape == (13, 13) and vecs.shape == (13, 13, 13)
+    for table in (vals, vecs, _beam_splitter_columns(1.1, 12)):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1.0
+
+
+def test_oracle_check_solves_each_beam_splitter_block_once(monkeypatch):
+    # the generator is the angle times a fixed matrix: one solve per block
+    # serves all three angles, and the two coupling Hamiltonians one each
+    caches = (_beam_splitter_eigh, _beam_splitter_columns, oracle._port_weights, oracle._coupling_eigh)
+    for cached in caches:
+        cached.cache_clear()
+    solved = Counter()
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        solved[a.shape] += 1
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    report, status = run_oracle_check(SweepConfig(mode="oracle-check", oracle_n_max=8))
+    assert status == 0 and len(ORACLE_CHECK_THETAS) == 3
+    dim = 8 + 3
+    expected = Counter({(n, n): 1 for n in range(1, 10)})
+    expected.update({(4 * dim, 4 * dim): 1, (2 * dim, 2 * dim): 1})
+    assert solved == expected
 
 
 @pytest.mark.parametrize("num_atoms", [1, 2])
