@@ -13,25 +13,9 @@ from .entanglement import (
     W1_STATE,
     NegativityBatch,
     NegativityReport,
-    PureStateDecomposition,
     QubitLabel,
-    analytic_negativity_b,
-    bell_projection_probability,
-    decompose,
-    global_negativity,
-    linear_entropy,
-    negative_eigenpairs,
-    negative_eigensum,
     negativity_batch,
     negativity_report,
-    partial_kway_negativity,
-    partial_trace,
-    partial_transpose_global,
-    partial_transpose_kway,
-    psd_partial_negativity,
-    psdg_negativity,
-    selective_partial_transpose,
-    w1_fidelity,
 )
 from .fock_field import (
     FieldConfig,
@@ -77,24 +61,8 @@ __all__ = [
     "SELECTIVE_SPECS",
     "NEGATIVE_EIGENVALUE_CUTOFF",
     "W1_STATE",
-    "PureStateDecomposition",
     "NegativityReport",
     "NegativityBatch",
-    "partial_transpose_global",
-    "partial_transpose_kway",
-    "selective_partial_transpose",
-    "negative_eigenpairs",
-    "negative_eigensum",
-    "global_negativity",
-    "analytic_negativity_b",
-    "partial_kway_negativity",
-    "decompose",
-    "psdg_negativity",
-    "psd_partial_negativity",
-    "partial_trace",
-    "linear_entropy",
-    "w1_fidelity",
-    "bell_projection_probability",
     "negativity_batch",
     "negativity_report",
     "full_evolution_grid",

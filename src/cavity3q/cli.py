@@ -118,6 +118,10 @@ class SweepConfig:
             raise ValueError("sweep ranges must be non-empty")
         require_theta(self.theta)
         require_photon_number("oracle_n_max", self.oracle_n_max)
+        if isinstance(self.tolerance, (bool, np.bool_)):
+            raise ValueError(
+                f"tolerance must be a finite number > 0, not a bool, got {self.tolerance!r}"
+            )
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
 

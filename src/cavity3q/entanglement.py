@@ -1,15 +1,18 @@
 """Entanglement diagnostics for the three-qubit cavity state.
 
-Provides the partial transposes (global, K-way restricted, and selective
-two-qubit variants), the negativities built on them, the analytic pure-state
-decomposition of the reduced state, the decomposition-based negativities that
-flag bound entanglement, and the auxiliary measures (linear entropy, W-state
-fidelity, Bell-sector weight).
-
 The diagnostic suite is one batched kernel, `negativity_batch`, which takes a
-stack of states, checks every state Hermitian to 1e-9 once (a bad state is
-named by its index in the caller's stack) and evaluates the stack in fixed
-blocks of `_DIAGNOSTIC_BLOCK` rows:
+stack of states and returns every quantity the paper reads its four claims
+from: the global negativities of the partial transposes (Peres, PRL 77, 1413
+(1996); Vidal & Werner, PRA 65, 032314 (2002)) and their split into K-way
+(restricted) parts, the negativities of the analytic pure-state
+decomposition, which flag bound entanglement, their pairwise shares through
+the selective two-qubit transposes, and the auxiliary measures (linear
+entropy of B, W-state fidelity, Bell-sector weight).  `negativity_report` is
+the kernel on a grid of one state.
+
+The kernel checks every state Hermitian to 1e-9 once (a bad state is named
+by its index in the caller's stack) and evaluates the stack in fixed blocks
+of `_DIAGNOSTIC_BLOCK` rows:
 
 * the zero pattern of every row is checked once against `PATTERN_MASK`;
 * every partial transpose the kernel solves is gathered into index blocks,
@@ -44,31 +47,14 @@ blocks of `_DIAGNOSTIC_BLOCK` rows:
   ``-|b|^2 / r``, so these kets need no eigensolver.  The kets of any other
   state are solved as one 8-index block per qubit.
 
-All blocks of one size go to the solver of `negative_eigenpairs` in one
-stacked call, and a 1x1 block needs no solve, so a sweep makes no 8x8
-eigensolve; its only solves are the two 3x3 blocks of B's global transpose
-per state.
+All blocks of one size go to one symmetrised solver in one stacked call, and
+a 1x1 block needs no solve, so a sweep makes no 8x8 eigensolve; the
+command-line sweeps ask for qubit B's global transpose only, the one their
+CSV reports, so their only solves are its two 3x3 blocks per state.
 Every step keeps the dtype of its input.  The closed-form states are real
 symmetric, so a sweep runs real arithmetic and real symmetric LAPACK solves;
 a complex stack (a user's state, the generic fallback) takes the same lines
 with complex LAPACK.
-
-`negativity_report`, `decompose`, `psdg_negativity`, `psd_partial_negativity`
-and `partial_kway_negativity` are the kernel's grids of one, so each of them
-except `decompose` (which checks only the states it cannot decompose in
-closed form) raises ValueError for a state that is not Hermitian to 1e-9.
-`partial_kway_negativity` solves only its qubit's global transpose, and the
-two decomposition negativities solve none.  The command-line sweeps ask for
-qubit B's only, the one their CSV reports.
-`global_negativity` takes the kernel's route per state on the named qubit's
-tables only, so the two agree bit for bit.  Every eigensolve, in the kernel
-and in the scalar functions alike, goes through one symmetrised solver with
-one Hermiticity check and one cutoff.
-
-All functions are pure and accept either a bare 8x8 ndarray or a
-`ThreeQubitDensityMatrix`; the transposes, `negative_eigenpairs`,
-`negative_eigensum`, `global_negativity` and `partial_trace` also take
-stacks of states.
 """
 
 from __future__ import annotations
@@ -80,31 +66,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock_field import require_finite_nonnegative
 from .tavis_cummings import PATTERN_MASK, pattern_violations
 
 __all__ = [
     "QubitLabel",
     "SELECTIVE_SPECS",
     "NEGATIVE_EIGENVALUE_CUTOFF",
-    "PureStateDecomposition",
     "NegativityReport",
     "NegativityBatch",
-    "partial_transpose_global",
-    "partial_transpose_kway",
-    "selective_partial_transpose",
-    "negative_eigenpairs",
-    "negative_eigensum",
-    "global_negativity",
-    "analytic_negativity_b",
-    "partial_kway_negativity",
-    "decompose",
-    "psdg_negativity",
-    "psd_partial_negativity",
-    "partial_trace",
-    "linear_entropy",
-    "w1_fidelity",
-    "bell_projection_probability",
     "negativity_batch",
     "negativity_report",
     "W1_STATE",
@@ -204,52 +173,6 @@ def _as_matrix(rho) -> np.ndarray:
     return m
 
 
-def _as_states(rho) -> np.ndarray:
-    """One 8x8 state or a stack of them, shape (..., 8, 8)."""
-    m = np.asarray(getattr(rho, "matrix", rho))
-    if m.ndim < 2 or m.shape[-2:] != (8, 8):
-        raise ValueError(f"expected 8x8 matrices, got shape {m.shape}")
-    return m
-
-
-def _require_qubit(p) -> None:
-    """Reject anything but a `QubitLabel` member as the qubit ``p``."""
-    if not isinstance(p, QubitLabel):
-        raise ValueError(f"p must be a QubitLabel member, got {p!r}")
-
-
-def _transposed(m: np.ndarray, p: QubitLabel, mask) -> np.ndarray:
-    """``m`` with qubit ``p``'s row and column bits swapped on the entries in ``mask``."""
-    return m.reshape(*m.shape[:-2], 64)[..., _transpose_positions(p, mask)]
-
-
-def partial_transpose_global(rho, p: QubitLabel) -> np.ndarray:
-    """Full partial transpose with respect to qubit ``p``."""
-    _require_qubit(p)
-    return _transposed(_as_states(rho), p, True)
-
-
-def partial_transpose_kway(rho, p: QubitLabel, k: int) -> np.ndarray:
-    """Transpose qubit ``p`` only on elements whose indices differ in exactly ``k`` slots."""
-    _require_qubit(p)
-    # bools refused: True == 1 and False == 0
-    if isinstance(k, (bool, np.bool_)) or k not in (2, 3):
-        raise ValueError(f"k must be 2 or 3, got {k!r}")
-    return _transposed(_as_states(rho), p, _kway_mask(k))
-
-
-def selective_partial_transpose(rho, spec: str) -> np.ndarray:
-    """Two-way transpose restricted to one qubit pair, spectator untouched.
-
-    ``spec`` is one of "B-BA1", "B-BA2", "A1-A1A2", "A1-A1B": the first label
-    is the qubit being transposed, the pair names which two indices must both
-    change for an element to be transposed.
-    """
-    if spec not in SELECTIVE_SPECS:
-        raise ValueError(f"unknown selective transpose {spec!r}; options: {sorted(SELECTIVE_SPECS)}")
-    return _transposed(_as_states(rho), SELECTIVE_SPECS[spec][0], _selective_mask(spec))
-
-
 def _require_hermitian(m: np.ndarray) -> None:
     """Raise unless every matrix of ``m`` (n x n or a stack) is Hermitian to 1e-9 (NaN fails).
 
@@ -273,61 +196,18 @@ def _symmetrised_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _negative_pairs(m: np.ndarray, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
-    """`negative_eigenpairs` of matrices already checked Hermitian; a 1x1 matrix needs no solve."""
+    """Eigenvalues below ``-cutoff``, with eigenvectors, of each matrix of a stack checked Hermitian.
+
+    Returns all n eigenvalues (ascending) and eigenvectors (as columns) of
+    each matrix, those at or above ``-cutoff`` set to zero, so every matrix
+    gives arrays of the same shape.  A 1x1 matrix needs no solve.
+    """
     if m.shape[-1] == 1:
         vals, vecs = m.real[..., 0], np.ones_like(m)
     else:
         vals, vecs = _symmetrised_eigh(m)
     keep = vals < -cutoff
     return np.where(keep, vals, 0.0), vecs * keep[..., None, :]
-
-
-def negative_eigenpairs(
-    matrix, cutoff: float = NEGATIVE_EIGENVALUE_CUTOFF
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues below ``-cutoff`` of a Hermitian matrix, with eigenvectors.
-
-    ``matrix`` is one n x n matrix or a stack (..., n, n).  Raises if any
-    matrix is not Hermitian to 1e-9.  Returns all n eigenvalues (ascending)
-    and eigenvectors (as columns) of each matrix, with the eigenvalues at or
-    above ``-cutoff`` and their eigenvectors set to zero, so every matrix of
-    a stack gives arrays of the same shape.
-    """
-    m = np.asarray(getattr(matrix, "matrix", matrix))
-    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    require_finite_nonnegative("cutoff", cutoff)
-    _require_hermitian(m)
-    return _negative_pairs(m, cutoff)
-
-
-def negative_eigensum(matrix, cutoff: float = NEGATIVE_EIGENVALUE_CUTOFF):
-    """Negativity of a Hermitian matrix: -2 times the sum of its negative eigenvalues.
-
-    A float for one matrix, an array for a stack.
-    """
-    vals, _ = negative_eigenpairs(matrix, cutoff)
-    total = -2.0 * vals.sum(axis=-1)
-    return float(total) if total.ndim == 0 else total
-
-
-def global_negativity(rho, p: QubitLabel):
-    """Negativity of the global partial transpose with respect to qubit ``p``.
-
-    A float for one state, an array for a stack.  Evaluated like the global
-    negativities of `negativity_batch` (the index blocks of `PATTERN_MASK`
-    for a state with the exact zero pattern, one 8-index block otherwise),
-    on qubit ``p``'s tables only, so the two agree bit for bit.
-    """
-    _require_qubit(p)
-    m = _as_states(rho)
-    _require_hermitian(m)
-    stack = m.reshape(-1, 8, 8)
-    codes, _ = _pattern_check(stack)
-    in_blocks = _in_blocks(stack, codes)
-    n_g, _ = _global_split(stack, in_blocks, NEGATIVE_EIGENVALUE_CUTOFF, [p.value])
-    values = n_g[:, 0]
-    return float(values[0]) if m.ndim == 2 else values.reshape(m.shape[:-2])
 
 
 # Failure codes of `_pattern_check` beyond the zero pattern itself (code 1).
@@ -381,59 +261,20 @@ def _require_pattern(m: np.ndarray) -> np.ndarray:
 
 
 def _analytic_negativity_b(elements: np.ndarray, cutoff: float) -> np.ndarray:
-    """`analytic_negativity_b` for each row of an (N, 8) element array."""
-    r11, r22, r33, r44, r55, r66, r15, r26 = elements.T
-    lam1 = 0.5 * (r33 + r55) - 0.5 * np.hypot(r33 - r55, 2.0 * r26)
-    lam2 = 0.5 * (r22 + r44) - 0.5 * np.hypot(r22 - r44, 2.0 * r15)
-    return -2.0 * (np.where(lam1 < -cutoff, lam1, 0.0) + np.where(lam2 < -cutoff, lam2, 0.0))
-
-
-def analytic_negativity_b(rho, cutoff: float = NEGATIVE_EIGENVALUE_CUTOFF) -> float:
-    """Negativity with respect to B from the state's structure, no eigensolver.
+    """Negativity with respect to B of each row of an (N, 8) element array, no eigensolver.
 
     The partial transpose splits into two 2x2 blocks whose lower eigenvalues
 
         lam1 = (r33 + r55)/2 - sqrt((r33 - r55)^2 + 4 r26^2)/2
         lam2 = (r22 + r44)/2 - sqrt((r22 - r44)^2 + 4 r15^2)/2
 
-    contribute -2*lam only while strictly negative (each gate is one block's
+    contribute -2*lam only while below ``-cutoff`` (each gate is one block's
     discriminant inequality); all other eigenvalues are populations.
     """
-    require_finite_nonnegative("cutoff", cutoff)
-    elements = _require_pattern(_as_matrix(rho))
-    return float(_analytic_negativity_b(elements[None], cutoff)[0])
-
-
-def partial_kway_negativity(rho, p: QubitLabel, k: int) -> float:
-    """Contribution of the k-way transpose to the global negativity for qubit ``p``.
-
-    Projects the k-way transposed matrix (k = 2 or 3) onto the negative
-    eigenvectors of the *global* transpose; k = 0 projects the state itself,
-    giving the subtraction term of the split
-    ``N_G = E_3 + E_2 - E_0``.
-    """
-    _require_qubit(p)
-    if isinstance(k, (bool, np.bool_)) or k not in (0, 2, 3):
-        raise ValueError(f"k must be 0, 2 or 3, got {k!r}")
-    batch = negativity_batch(_as_matrix(rho)[None], global_qubits=(p,))
-    return float({0: batch.e_0, 2: batch.e_2, 3: batch.e_3}[k][p][0])
-
-
-@dataclass(frozen=True)
-class PureStateDecomposition:
-    """Spectral decomposition of the reduced state into weighted pure states."""
-
-    probabilities: np.ndarray
-    vectors: np.ndarray  # unit columns, aligned with probabilities
-
-    def __iter__(self):
-        return iter(zip(self.probabilities, self.vectors.T))
-
-    def __len__(self) -> int:
-        return len(self.probabilities)
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.probabilities) @ self.vectors.conj().T
+    r11, r22, r33, r44, r55, r66, r15, r26 = elements.T
+    lam1 = 0.5 * (r33 + r55) - 0.5 * np.hypot(r33 - r55, 2.0 * r26)
+    lam2 = 0.5 * (r22 + r44) - 0.5 * np.hypot(r22 - r44, 2.0 * r15)
+    return -2.0 * (np.where(lam1 < -cutoff, lam1, 0.0) + np.where(lam2 < -cutoff, lam2, 0.0))
 
 
 def _fix_phase(vectors: np.ndarray) -> np.ndarray:
@@ -484,11 +325,14 @@ def _generic_decomposition(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _decompose_stack(
     m: np.ndarray, codes: np.ndarray, elements: np.ndarray, cutoff: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`decompose` for each state of an (N, 8, 8) stack.
+    """Pure-state decomposition of each state of an (N, 8, 8) stack.
 
-    Returns the probabilities (N, 8) and the unit vectors as columns
-    (N, 8, 8).  States whose pattern code is nonzero go through
-    `_generic_decomposition`, all of them in one call.
+    A state that passes the pattern check is block diagonal in the basis
+    {|000>, sym|1>}, {sym|0>, |111>}, |110>, |001> plus the two antisymmetric
+    null directions, so six analytic eigenpairs (plus two zero-weight
+    completions) suffice.  Returns the probabilities (N, 8) and the unit
+    vectors as columns (N, 8, 8).  States whose pattern code is nonzero go
+    through `_generic_decomposition`, all of them in one call.
     """
     probs = np.zeros(m.shape[:2])
     vectors = np.zeros(m.shape, dtype=np.result_type(m, float))
@@ -515,25 +359,6 @@ def _decompose_stack(
     return probs, vectors
 
 
-def decompose(rho, cutoff: float = NEGATIVE_EIGENVALUE_CUTOFF) -> PureStateDecomposition:
-    """Pure-state decomposition of the structured reduced state.
-
-    The state is block diagonal in the basis {|000>, sym|1>}, {sym|0>, |111>},
-    |110>, |001> plus the two antisymmetric null directions, so six analytic
-    eigenpairs (plus two zero-weight completions) suffice.  States without
-    the expected zero pattern fall back to a generic eigendecomposition with
-    eigenvalues ascending and phases fixed; that fallback raises ValueError
-    unless the state is Hermitian to 1e-9.
-    """
-    require_finite_nonnegative("cutoff", cutoff)
-    m = _as_matrix(rho)[None]
-    codes, elements = _pattern_check(m)
-    if codes[0]:
-        _require_hermitian(m[0])
-    probs, vectors = _decompose_stack(m, codes, elements, cutoff)
-    return PureStateDecomposition(probs[0], vectors[0])
-
-
 def _pure_negativity(kets: np.ndarray, p: QubitLabel, cutoff: float) -> np.ndarray:
     """Global negativity for qubit ``p`` of each pure state in the columns of ``kets``.
 
@@ -554,50 +379,11 @@ def _pure_negativity(kets: np.ndarray, p: QubitLabel, cutoff: float) -> np.ndarr
     return np.where(root > cutoff, 2.0 * root, 0.0)
 
 
-def psdg_negativity(rho, p: QubitLabel) -> float:
-    """Decomposition-weighted negativity ``sum_i p_i N_G^p(phi_i)``.
-
-    Not an entanglement monotone, but an upper bound on the convex-roof
-    negativity, so a nonzero value while the global negativity vanishes
-    flags bound entanglement.  Evaluated by `negativity_batch` on a grid of
-    one, so it raises ValueError unless the state is Hermitian to 1e-9.
-    """
-    _require_qubit(p)
-    return float(negativity_batch(_as_matrix(rho)[None], global_qubits=()).n_psdg[p][0])
-
-
-def psd_partial_negativity(rho, spec: str) -> float:
-    """Pairwise share of the decomposition negativity via a selective transpose.
-
-    For each decomposition state, the selectively transposed matrix is
-    projected on the negative eigenvectors of that state's own two-way
-    transpose with respect to the qubit named first in ``spec``; the -2 weight
-    makes the pair of shares add up to the decomposition negativity.
-    Evaluated by `negativity_batch` on a grid of one, so it raises ValueError
-    unless the state is Hermitian to 1e-9.
-    """
-    if spec not in SELECTIVE_SPECS:
-        raise ValueError(f"unknown selective transpose {spec!r}; options: {sorted(SELECTIVE_SPECS)}")
-    return float(negativity_batch(_as_matrix(rho)[None], global_qubits=()).e_psd[spec][0])
-
-
-def partial_trace(rho, keep) -> np.ndarray:
-    """Reduced density matrix over the given subset of qubits.
-
-    ``keep`` is an iterable of QubitLabel.  Kept qubits retain their relative
-    order (A1 fastest, B slowest) in the returned matrix.  A stack of states
-    gives the stack of reduced states.
-    """
-    keep_set = set(keep)
-    if not keep_set:
-        raise ValueError("keep must name at least one qubit")
-    if not all(isinstance(q, QubitLabel) for q in keep_set):
-        raise ValueError(f"keep must hold QubitLabel members, got {keep!r}")
-    return _partial_trace(_as_states(rho), keep_set)
-
-
 def _partial_trace(m: np.ndarray, keep_set: set[QubitLabel]) -> np.ndarray:
-    """`partial_trace` of a stack (..., 8, 8) over a checked set of qubits."""
+    """Reduced states of a stack (..., 8, 8) on the qubits in ``keep_set``.
+
+    Kept qubits retain their relative order (A1 fastest, B slowest).
+    """
     lead = m.shape[:-2]
     # axes of the (2,2,2, 2,2,2) view: (B, A2, A1) x (B, A2, A1)
     tensor = m.reshape(*lead, 2, 2, 2, 2, 2, 2)
@@ -613,20 +399,13 @@ def _partial_trace(m: np.ndarray, keep_set: set[QubitLabel]) -> np.ndarray:
 
 
 def _linear_entropy(m: np.ndarray) -> np.ndarray:
-    """`linear_entropy` of each square matrix in a stack (..., d, d)."""
+    """Mixedness ``d/(d-1) (1 - tr rho^2)`` of each matrix of a stack (..., d, d).
+
+    0 for a pure state, 1 for a maximally mixed one.
+    """
     d = m.shape[-1]
     purity = np.real(np.trace(m @ m, axis1=-2, axis2=-1))
     return (d / (d - 1.0)) * (1.0 - purity)
-
-
-def linear_entropy(rho_reduced: np.ndarray) -> float:
-    """Mixedness measure ``d/(d-1) (1 - tr rho^2)``: 0 pure, 1 maximally mixed."""
-    m = np.asarray(rho_reduced)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("linear entropy needs a square matrix")
-    if m.shape[0] < 2:
-        raise ValueError("linear entropy needs dimension >= 2")
-    return float(_linear_entropy(m))
 
 
 def _expectation(vector: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -638,23 +417,14 @@ def _expectation(vector: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.real((vector.conj()[:, None] * m * vector).sum(axis=(-2, -1)))
 
 
-def w1_fidelity(rho) -> float:
-    """Overlap with the W state (|000> + |101> + |011>)/sqrt(3)."""
-    return float(_expectation(W1_STATE, _as_matrix(rho)))
-
-
 def _bell_projection(m: np.ndarray) -> np.ndarray:
-    return np.real(m[..., 0, 0]) + _expectation(_SYM_EXCITED, m)
-
-
-def bell_projection_probability(rho) -> float:
-    """Weight of the {|000>, (|101>+|011>)/sqrt2} sector.
+    """Weight of the {|000>, (|101>+|011>)/sqrt2} sector of each state of a stack.
 
     This is the probability of the two decomposition states in which the c1
     pair, conditioned on finding B excited, is projected into the symmetric
     Bell state.
     """
-    return float(_bell_projection(_as_matrix(rho)))
+    return np.real(m[..., 0, 0]) + _expectation(_SYM_EXCITED, m)
 
 
 @dataclass(frozen=True)
@@ -986,10 +756,14 @@ def _star_share_terms(kets: np.ndarray, families: np.ndarray, cutoff: float) -> 
 def _pairwise_shares(
     probs: np.ndarray, vectors: np.ndarray, in_blocks: np.ndarray, cutoff: float
 ) -> dict[str, np.ndarray]:
-    """`psd_partial_negativity` for every spec, evaluating only the states that can contribute.
+    """Pairwise shares of the decomposition negativity, per selective spec.
 
-    Those are the decomposition kets of positive weight with at least two
-    nonzero components.  A basis-state ket such as |110> has a diagonal
+    For each decomposition state, the spec's selective transpose of its
+    projector is projected on the negative eigenvectors of its own two-way
+    transpose with respect to the spec's first qubit; the -2 weight makes the
+    two shares of a qubit add up to its decomposition negativity.  Only the
+    kets that can contribute are evaluated: those of positive weight with at
+    least two nonzero components.  A basis-state ket such as |110> has a diagonal
     two-way transpose, so its shares are exactly 0.  The kets of states
     marked ``in_blocks`` each lie in one family; their shares come from the
     star blocks in closed form (`_star_share_terms`), with no eigensolve.

@@ -51,10 +51,15 @@ def _half_angle(theta: float) -> tuple[float, float]:
 def require_finite_nonnegative(name: str, values) -> np.ndarray:
     """``values`` as a float array, or a ValueError naming ``name`` and the first bad value.
 
-    A bool, or an array of bools, is refused rather than read as 1.0 or 0.0.
+    A bool, or a sequence or array holding one, is refused rather than read
+    as 1.0 or 0.0.
     """
     array = np.asarray(values)
-    if array.dtype == bool:
+    # numpy reads a sequence that mixes bools with floats, [0.5, True], as floats
+    if array.dtype == bool or (
+        not isinstance(values, np.ndarray)
+        and any(isinstance(v, (bool, np.bool_)) for v in np.asarray(values, dtype=object).flat)
+    ):
         raise ValueError(f"{name} must be a finite number >= 0, not a bool, got {values!r}")
     array = np.asarray(array, dtype=float)
     bad = array[~(np.isfinite(array) & (array >= 0.0))]
@@ -64,7 +69,9 @@ def require_finite_nonnegative(name: str, values) -> np.ndarray:
 
 
 def require_theta(theta) -> None:
-    """Reject a beam-splitter angle outside [0, pi] (NaN included)."""
+    """Reject a beam-splitter angle outside [0, pi] (NaN included) or a bool."""
+    if isinstance(theta, (bool, np.bool_)):
+        raise ValueError(f"theta must be a finite number in [0, pi], not a bool, got {theta!r}")
     if not 0.0 <= theta <= math.pi:
         raise ValueError(f"theta must lie in [0, pi], got {theta}")
 

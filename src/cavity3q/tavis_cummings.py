@@ -33,6 +33,7 @@ from .fock_field import (
     binomial_amplitude_table,
     require_finite_nonnegative,
     require_n_max,
+    require_theta,
 )
 
 __all__ = [
@@ -207,6 +208,7 @@ def closed_form_grid(taus, squeezes, theta: float, n_max: int) -> np.ndarray:
     taus = require_finite_nonnegative("tau", taus).reshape(-1)
     squeezes = require_finite_nonnegative("squeeze parameter s", squeezes).reshape(-1)
     require_n_max(n_max)
+    require_theta(theta)  # before float() reads a bool as 1.0
     u0, u1 = _field_factors(float(theta), int(n_max))
     norm0, norm1 = _squeeze_norms(squeezes, n_max + 1)
     out = np.empty((taus.size, squeezes.size, 8))

@@ -12,21 +12,17 @@ import numpy as np
 import pytest
 
 from cavity3q import (
+    SELECTIVE_SPECS,
     FieldConfig,
     QubitLabel,
     W1_STATE,
-    analytic_negativity_b,
+    closed_form_grid,
     closed_form_rho,
     compare_states,
-    decompose,
     full_evolution,
-    global_negativity,
-    negative_eigensum,
+    negativity_batch,
     negativity_report,
-    partial_kway_negativity,
-    partial_transpose_global,
-    partial_transpose_kway,
-    selective_partial_transpose,
+    states_from_elements,
 )
 from cavity3q.cli import (
     ORACLE_CHECK_SQUEEZES,
@@ -35,6 +31,7 @@ from cavity3q.cli import (
     SweepConfig,
     run_tau_sweep,
 )
+from test_entanglement import decomposition, kway, selective, transposed
 
 A1, A2, B = QubitLabel.A1, QubitLabel.A2, QubitLabel.B
 
@@ -117,18 +114,16 @@ def test_criterion_4_no_ghz_like_coherences(production_data):
     states, reports = production_data
     worst_mixed = max(r.e_3[B] for r in reports)
     assert worst_mixed < 1e-10
-    worst_pure = 0.0
-    for rho in states[::3]:
-        for prob, vec in decompose(rho):
-            if prob <= 1e-15:
-                continue
-            state = np.outer(vec, vec.conj())
-            for p in QubitLabel:
-                worst_pure = max(worst_pure, abs(partial_kway_negativity(state, p, 3)))
+    # every decomposition ket of positive weight of every third state, as a
+    # pure state, through one kernel call
+    probs, vectors = decomposition(np.array([rho.matrix for rho in states[::3]]))
+    kets = vectors.swapaxes(-1, -2)[probs > 1e-15]
+    pure = negativity_batch(kets[:, :, None] * kets[:, None, :].conj())
+    worst_pure = max(float(np.abs(pure.e_3[p]).max()) for p in QubitLabel)
     assert worst_pure < 1e-10
     _passed(
         f"4 no GHZ-like coherences: max E_3^B = {worst_mixed:.2e}, "
-        f"max pure-state 3-way contribution = {worst_pure:.2e}"
+        f"max pure-state 3-way contribution = {worst_pure:.2e} over {len(kets)} kets"
     )
 
 
@@ -151,29 +146,14 @@ def test_criterion_6_identity_suite(production_data):
     states, reports = production_data
     sample = states[::10]
 
-    # exact matrix identities on the physical states
+    # exact matrix identities on the physical states, under the kernel's maps
     for rho in sample:
         m = rho.matrix
         for p in QubitLabel:
-            residual = np.abs(
-                partial_transpose_kway(m, p, 3)
-                + partial_transpose_kway(m, p, 2)
-                - m
-                - partial_transpose_global(m, p)
-            ).max()
+            residual = np.abs(kway(m, p, 3) + kway(m, p, 2) - m - transposed(m, p)).max()
             assert residual < 1e-14
-        res_b = np.abs(
-            selective_partial_transpose(m, "B-BA1")
-            + selective_partial_transpose(m, "B-BA2")
-            - m
-            - partial_transpose_kway(m, B, 2)
-        ).max()
-        res_a = np.abs(
-            selective_partial_transpose(m, "A1-A1B")
-            + selective_partial_transpose(m, "A1-A1A2")
-            - m
-            - partial_transpose_kway(m, A1, 2)
-        ).max()
+        res_b = np.abs(selective(m, "B-BA1") + selective(m, "B-BA2") - m - kway(m, B, 2)).max()
+        res_a = np.abs(selective(m, "A1-A1B") + selective(m, "A1-A1A2") - m - kway(m, A1, 2)).max()
         assert res_b < 1e-14 and res_a < 1e-14
 
     # negativity splits and swap symmetry
@@ -200,31 +180,28 @@ def test_criterion_6_identity_suite(production_data):
         a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         m = a @ a.conj().T
         m /= np.real(np.trace(m))
-        trans = [partial_transpose_global(m, p) for p in QubitLabel]
-        trans += [partial_transpose_kway(m, p, k) for p in QubitLabel for k in (2, 3)]
-        trans += [selective_partial_transpose(m, spec) for spec in ("B-BA1", "B-BA2", "A1-A1A2", "A1-A1B")]
+        trans = [transposed(m, p) for p in QubitLabel]
+        trans += [kway(m, p, k) for p in QubitLabel for k in (2, 3)]
+        trans += [selective(m, spec) for spec in SELECTIVE_SPECS]
         for t in trans:
             assert np.abs(t - t.conj().T).max() < 1e-14
             assert abs(np.trace(t) - np.trace(m)) < 1e-14
         for p in QubitLabel:
-            assert np.array_equal(
-                partial_transpose_global(partial_transpose_global(m, p), p), m
-            )
+            assert np.array_equal(transposed(transposed(m, p), p), m)
     _passed("6 identity suite: transpose identities, negativity splits, swap symmetry, 500 random states")
 
 
 def test_criterion_7_known_state_values():
     bell = np.zeros(8, dtype=complex)
     bell[0] = bell[5] = 1.0 / math.sqrt(2.0)
-    bell_neg = negative_eigensum(partial_transpose_global(np.outer(bell, bell.conj()), B))
-    assert bell_neg == pytest.approx(1.0, abs=1e-10)
-
-    w_neg = global_negativity(np.outer(W1_STATE, W1_STATE.conj()), B)
-    assert w_neg == pytest.approx(2.0 * math.sqrt(2.0) / 3.0, abs=1e-10)
-
     ghz = np.zeros(8, dtype=complex)
     ghz[0] = ghz[7] = 1.0 / math.sqrt(2.0)
-    ghz_e3 = partial_kway_negativity(np.outer(ghz, ghz.conj()), B, 3)
+    kets = np.array([bell, W1_STATE, ghz])
+    batch = negativity_batch(kets[:, :, None] * kets[:, None, :].conj())
+    bell_neg, w_neg, _ = batch.n_g[B]
+    ghz_e3 = batch.e_3[B][2]
+    assert bell_neg == pytest.approx(1.0, abs=1e-10)
+    assert w_neg == pytest.approx(2.0 * math.sqrt(2.0) / 3.0, abs=1e-10)
     assert ghz_e3 == pytest.approx(1.0, abs=1e-10)
     _passed(
         f"7 known states: Bell negativity {bell_neg:.12f}, W negativity {w_neg:.12f} "
@@ -233,17 +210,14 @@ def test_criterion_7_known_state_values():
 
 
 def test_criterion_8_analytic_negativity_gate(production_data):
-    states, reports = production_data
-    worst = 0.0
-    for rho, report in zip(states, reports):
-        worst = max(worst, abs(report.n_g_b_analytic - report.n_g[B]))
+    _, reports = production_data
+    worst = max(abs(report.n_g_b_analytic - report.n_g[B]) for report in reports)
     # also off the production angle, where every index range is exercised
     for theta in ORACLE_CHECK_THETAS:
-        for s in ORACLE_CHECK_SQUEEZES:
-            field = FieldConfig(s, theta, 40)
-            for tau in ORACLE_CHECK_TAUS:
-                rho = closed_form_rho(tau, field)
-                worst = max(worst, abs(analytic_negativity_b(rho) - global_negativity(rho, B)))
+        elements = closed_form_grid(ORACLE_CHECK_TAUS, ORACLE_CHECK_SQUEEZES, theta, 40)
+        batch = negativity_batch(states_from_elements(elements.reshape(-1, 8)))
+        assert batch.pattern_ok.all()
+        worst = max(worst, float(np.abs(batch.n_g_b_analytic - batch.n_g[B]).max()))
     assert worst < 1e-10
     _passed(f"8 analytic negativity equals eigensolver negativity, max |diff| = {worst:.2e}")
 

@@ -233,12 +233,16 @@ def test_step_counts_must_be_positive_ints(name, value):
 @pytest.mark.parametrize(
     "name, label",
     [("s", "squeeze parameter s")]
-    + [(name, name) for name in ("tau", "tau_start", "tau_end", "s_start", "s_end")],
+    + [
+        (name, name)
+        for name in ("tau", "tau_start", "tau_end", "s_start", "s_end", "theta", "tolerance")
+    ],
 )
 @pytest.mark.parametrize("value", [True, False, np.True_])
 def test_sweep_bounds_refuse_bools(name, label, value):
     # a bool would otherwise be read as 1.0 or 0.0
-    with pytest.raises(ValueError, match=rf"^{label} must be a finite number >= 0, not a bool"):
+    bound = {"theta": r"in \[0, pi\]", "tolerance": "> 0"}.get(name, ">= 0")
+    with pytest.raises(ValueError, match=rf"^{label} must be a finite number {bound}, not a bool"):
         SweepConfig(**{name: value})
 
 

@@ -159,13 +159,16 @@ def test_grid_rejects_bad_squeeze(s):
         closed_form_grid([0.1], [0.2, s], 1.0, 5)
 
 
-@pytest.mark.parametrize("value", [True, np.False_, [True, False]])
+@pytest.mark.parametrize("value", [True, np.False_, [True, False], [0.5, True]])
 def test_grid_refuses_bool_tau_and_squeeze(value):
     # a bool would otherwise be read as 1.0 or 0.0
     with pytest.raises(ValueError, match="tau must be a finite number >= 0, not a bool"):
         closed_form_grid(value, [0.5], 1.0, 5)
     with pytest.raises(ValueError, match="squeeze parameter s must be a finite number >= 0, not a"):
         closed_form_grid([0.1], value, 1.0, 5)
+    if np.ndim(value) == 0:
+        with pytest.raises(ValueError, match=r"theta must be a finite number in \[0, pi\], not a bool"):
+            closed_form_grid([0.1], [0.5], value, 5)
 
 
 @pytest.mark.parametrize("n_max", [True, -1, 2.0])

@@ -3,10 +3,12 @@
 `reference_report` below is the per-point `negativity_report` that preceded
 `negativity_batch`: its own decomposition, one 8x8 eigensolve per global
 transpose, per pure decomposition state and per two-way transpose, and
-compensated sums.  It is kept here only as the reference.  The kernel's
-sums run in another order and the decomposition negativity uses the
-pure-state identity instead of an eigensolve, so agreement is required to
-1e-14, a few hundred ulps of the O(1) values.
+compensated sums.  It is kept here only as the reference.  Its transposes
+are the textbook ones of `test_diagnostics_reference` (tensor axes swapped,
+masks from bit strings), so no reference shares the kernel's index maps.
+The kernel's sums run in another order and the decomposition negativity
+uses the pure-state identity instead of an eigensolve, so agreement is
+required to 1e-14, a few hundred ulps of the O(1) values.
 """
 
 import math
@@ -32,11 +34,8 @@ from cavity3q import (
     states_from_elements,
 )
 from cavity3q.cli import ORACLE_CHECK_SQUEEZES, ORACLE_CHECK_TAUS, ORACLE_CHECK_THETAS
-from cavity3q.entanglement import (
-    partial_transpose_global,
-    partial_transpose_kway,
-    selective_partial_transpose,
-)
+from test_diagnostics_reference import full_transpose, kway_mask, restricted_transpose, selective_mask
+from test_entanglement import decomposition
 
 TOL = 1e-14
 CUTOFF = 1e-12
@@ -159,10 +158,10 @@ def reference_report(m):
     """Every diagnostic of one state, per point, as a flat dict of floats."""
     out = {}
     for p in QubitLabel:
-        vals, vecs = ref_negative_eigenpairs(partial_transpose_global(m, p))
+        vals, vecs = ref_negative_eigenpairs(full_transpose(m, p))
         out[("n_g", p)] = -2.0 * math.fsum(vals.tolist())
-        out[("e_3", p)] = -2.0 * ref_projected_sum(partial_transpose_kway(m, p, 3), vecs)
-        out[("e_2", p)] = -2.0 * ref_projected_sum(partial_transpose_kway(m, p, 2), vecs)
+        out[("e_3", p)] = -2.0 * ref_projected_sum(restricted_transpose(m, p, kway_mask(3)), vecs)
+        out[("e_2", p)] = -2.0 * ref_projected_sum(restricted_transpose(m, p, kway_mask(2)), vecs)
         out[("e_0", p)] = -2.0 * ref_projected_sum(m, vecs)
 
     probs, vectors = ref_decompose(m)
@@ -173,18 +172,17 @@ def reference_report(m):
             continue
         pure = np.outer(vec, vec.conj())
         for p in QubitLabel:
-            vals, _ = ref_negative_eigenpairs(partial_transpose_global(pure, p))
+            vals, _ = ref_negative_eigenpairs(full_transpose(pure, p))
             psdg_terms[p].append(prob * -2.0 * math.fsum(vals.tolist()))
         neg_vecs = {
-            p: ref_negative_eigenpairs(partial_transpose_kway(pure, p, 2))[1]
+            p: ref_negative_eigenpairs(restricted_transpose(pure, p, kway_mask(2)))[1]
             for p in (QubitLabel.B, QubitLabel.A1)
         }
         for spec, (p, _) in SELECTIVE_SPECS.items():
             basis = neg_vecs[p]
             if basis.shape[1]:
-                psd_terms[spec].append(
-                    prob * ref_projected_sum(selective_partial_transpose(pure, spec), basis)
-                )
+                selective = restricted_transpose(pure, p, selective_mask(spec))
+                psd_terms[spec].append(prob * ref_projected_sum(selective, basis))
     for p in QubitLabel:
         out[("n_psdg", p)] = math.fsum(psdg_terms[p])
     for spec in SELECTIVE_SPECS:
@@ -276,9 +274,9 @@ def test_kernel_matches_reference_on_degenerate_pairs():
         for key, value in expected.items():
             assert got[key] == pytest.approx(value, abs=TOL), (index, key)
         probs, vectors = ref_decompose(m)
-        dec = ent.decompose(m)
-        assert np.abs(dec.probabilities - probs).max() <= TOL
-        assert np.abs(dec.vectors - vectors).max() <= TOL
+        got_probs, got_vectors = decomposition(m[None])
+        assert np.abs(got_probs[0] - probs).max() <= TOL
+        assert np.abs(got_vectors[0] - vectors).max() <= TOL
 
 
 def test_kernel_matches_reference_on_generic_states():
@@ -306,7 +304,7 @@ def test_eigenvalues_inside_cutoff_count_as_zero():
     m[5, 5] = 0.5 - 2e-13
     m[1, 1] = m[4, 4] = 1e-13
     m[0, 5] = m[5, 0] = 5e-13
-    assert np.linalg.eigvalsh(partial_transpose_global(m, QubitLabel.B)).min() < 0.0
+    assert np.linalg.eigvalsh(full_transpose(m, QubitLabel.B)).min() < 0.0
     got = flatten(negativity_batch(m[None]), 0)
     for key, value in reference_report(m).items():
         if key != "n_g_b_analytic":
@@ -333,12 +331,10 @@ def test_product_states_have_exactly_zero_decomposition_negativity():
 
 def test_pairwise_solves_only_positive_weight_states(monkeypatch):
     states = sweep_states(math.pi, [0.0, 1.2], [0.0, 0.7, 3.0, 14.5])
-    positive = basis_kets = 0
-    for m in states:
-        dec = ent.decompose(m)
-        components = np.count_nonzero(dec.vectors, axis=0)
-        positive += int(((dec.probabilities > 0.0) & (components >= 2)).sum())
-        basis_kets += int(((dec.probabilities > 0.0) & (components == 1)).sum())
+    probs, vectors = decomposition(states)
+    components = np.count_nonzero(vectors, axis=-2)
+    positive = int(((probs > 0.0) & (components >= 2)).sum())
+    basis_kets = int(((probs > 0.0) & (components == 1)).sum())
     solved = Counter()
     eigh = np.linalg.eigh
     star_kets = []
@@ -464,68 +460,61 @@ def test_non_hermitian_error_names_the_state_in_the_callers_stack(bad):
 
 def test_decomposition_negativities_reject_non_hermitian_pattern_state():
     # the zero pattern holds, but the mirrored coherences differ; the
-    # decomposition reads one triangle only, the kernel checks both
+    # decomposition reads one triangle only, the kernel checks both, also
+    # when it solves no global transpose
     m = closed_form_rho(1.2, FieldConfig(1.2, math.pi, 40)).matrix.copy()
     m[5, 0] += 1e-6
     assert pattern_violations(m, 1e-8) == []
-    with pytest.raises(ValueError, match="not Hermitian"):
-        ent.psdg_negativity(m, QubitLabel.B)
-    with pytest.raises(ValueError, match="not Hermitian"):
-        ent.psd_partial_negativity(m, "B-BA1")
+    for selection in ((), tuple(QubitLabel)):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            negativity_batch(m[None], global_qubits=selection)
 
 
 def test_generic_decomposition_rejects_non_hermitian_state():
     rng = np.random.default_rng(9)
     m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     with pytest.raises(ValueError, match="not Hermitian"):
-        ent.decompose(m)
+        negativity_batch(m[None], global_qubits=())
 
 
 def test_kernel_and_scalar_negativity_share_one_path():
+    # a grid of one with one qubit selected gives the stack's values bit for bit
     states = sweep_states(math.pi / 2.0, [0.3, 1.2], [0.0, 0.8, 14.5])
-    batch = negativity_batch(states)
-    for p in QubitLabel:
-        stacked = ent.global_negativity(states, p)
-        assert np.array_equal(stacked, batch.n_g[p])
-        for index, m in enumerate(states):
-            assert ent.global_negativity(m, p) == batch.n_g[p][index]
-    # a state off the zero pattern takes the 8x8 fallback in both
     noisy = states.copy()
     noisy[:, 3, 0] = noisy[:, 0, 3] = 1e-17
-    noisy_batch = negativity_batch(noisy)
+    batch, noisy_batch = negativity_batch(states), negativity_batch(noisy)
     for p in QubitLabel:
-        assert np.array_equal(ent.global_negativity(noisy, p), noisy_batch.n_g[p])
+        for index in range(len(states)):
+            single = negativity_batch(states[index : index + 1], global_qubits=(p,))
+            assert single.n_g[p][0] == batch.n_g[p][index]
+            # a state off the zero pattern takes the 8x8 fallback
+            single = negativity_batch(noisy[index : index + 1], global_qubits=(p,))
+            assert single.n_g[p][0] == noisy_batch.n_g[p][index]
         assert np.abs(noisy_batch.n_g[p] - batch.n_g[p]).max() <= TOL
-    vals, vecs = ent.negative_eigenpairs(partial_transpose_global(states, QubitLabel.B))
-    for index, m in enumerate(states):
-        ref_vals, ref_vecs = ref_negative_eigenpairs(partial_transpose_global(m, QubitLabel.B))
+    # the kernel's solver on a stack gives each matrix's own eigenpairs
+    transposes = np.array([full_transpose(m, QubitLabel.B) for m in states])
+    vals, vecs = ent._negative_pairs(transposes, CUTOFF)
+    for index, t in enumerate(transposes):
+        ref_vals, ref_vecs = ref_negative_eigenpairs(t)
         kept = vals[index] != 0.0
         assert np.array_equal(vals[index][kept], ref_vals)
         assert np.array_equal(vecs[index][:, kept], ref_vecs)
         assert not vecs[index][:, ~kept].any()
 
 
-def test_scalar_global_negativity_solves_only_its_qubit(monkeypatch):
+def test_scalar_global_negativity_solves_only_its_qubit(global_solves):
     states = sweep_states(math.pi / 2.0, [1.2], [0.3, 0.8, 14.5])
     noisy = states.copy()
     noisy[:, 3, 0] = noisy[:, 0, 3] = 1e-17
-    solved = Counter()
-    eigh = np.linalg.eigh
-
-    def counting(a, *args, **kwargs):
-        solved[a.shape[-1]] += math.prod(a.shape[:-2])
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting)
     for p in QubitLabel:
-        solved.clear()
-        ent.global_negativity(states, p)
+        global_solves.clear()
+        negativity_batch(states, global_qubits=(p,))
         # the two 3x3 index blocks of qubit p's transpose per state
-        assert solved == {3: 2 * len(states)}
-        solved.clear()
-        ent.global_negativity(noisy, p)
+        assert global_solves == {3: 2 * len(states)}
+        global_solves.clear()
+        negativity_batch(noisy, global_qubits=(p,))
         # one 8-index block per state off the zero pattern
-        assert solved == {8: len(states)}
+        assert global_solves == {8: len(states)}
 
 
 # ------------------------------------------------- global-qubit selection
@@ -612,6 +601,7 @@ def test_empty_selection_skips_the_global_stage(global_solves):
 
 
 def test_scalar_functions_solve_only_the_global_tables_they_need(global_solves):
+    # grids of one: one qubit's transpose, none, or all three
     states = sweep_states(math.pi / 2.0, [1.2], [0.3, 0.8, 14.5])
     noisy = states.copy()
     noisy[:, 3, 0] = noisy[:, 0, 3] = 1e-17
@@ -620,17 +610,12 @@ def test_scalar_functions_solve_only_the_global_tables_they_need(global_solves):
         per_qubit = 2 if size == 3 else 1
         for m in stack:
             for p in QubitLabel:
-                for k in (0, 2, 3):
-                    global_solves.clear()
-                    ent.partial_kway_negativity(m, p, k)
-                    assert global_solves == {size: per_qubit}
                 global_solves.clear()
-                ent.psdg_negativity(m, p)
-                assert not global_solves
-            for spec in SELECTIVE_SPECS:
-                global_solves.clear()
-                ent.psd_partial_negativity(m, spec)
-                assert not global_solves
+                negativity_batch(m[None], global_qubits=(p,))
+                assert global_solves == {size: per_qubit}
+            global_solves.clear()
+            negativity_batch(m[None], global_qubits=())
+            assert not global_solves
             global_solves.clear()
             negativity_batch(m[None])
             assert global_solves == {size: 3 * per_qubit}

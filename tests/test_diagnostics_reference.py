@@ -288,3 +288,26 @@ def test_whole_support_tables_hold_one_block_per_owner():
             if first is p
         ]
         assert np.array_equal(m.reshape(64)[kets[0, owner, 0]], np.stack(expected))
+
+
+def test_kernel_transpose_maps_match_textbook():
+    # every (qubit, mask) the kernel gathers: global, k = 3 and k = 2 per
+    # qubit, and the four selective specs, each read through the kernel's
+    # own index map; None stands for the full transpose
+    cases = [(p, True, None) for p in QubitLabel]
+    cases += [(p, ent._kway_mask(k), kway_mask(k)) for p in QubitLabel for k in (3, 2)]
+    cases += [
+        (p, ent._selective_mask(spec), selective_mask(spec))
+        for spec, (p, _) in SELECTIVE_SPECS.items()
+    ]
+    maps = [ent._transpose_positions(p, mask) for p, mask, _ in cases]
+    # the cases are exactly the kernel's tables, less the state's own map
+    gathered = [m for owner in ent._STATE_MAPS for m in owner[:3]]
+    gathered += [m for owner in ent._SHARE_MAPS for m in owner]
+    assert {m.tobytes() for m in gathered} == {m.tobytes() for m in maps}
+    rng = np.random.default_rng(12)
+    states = rng.standard_normal((20, 8, 8)) + 1j * rng.standard_normal((20, 8, 8))
+    for (p, _, mask), positions in zip(cases, maps):
+        for m in states:
+            expected = full_transpose(m, p) if mask is None else restricted_transpose(m, p, mask)
+            assert np.array_equal(m.reshape(64)[positions], expected), (p, mask)

@@ -137,13 +137,16 @@ def test_grid_rejects_bad_squeeze(s):
         full_evolution_grid([0.5], [0.3, s], 1.0, 6)
 
 
-@pytest.mark.parametrize("value", [True, np.False_, [True, False]])
+@pytest.mark.parametrize("value", [True, np.False_, [True, False], [0.5, True]])
 def test_grid_refuses_bool_tau_and_squeeze(value):
     # a bool would otherwise be read as 1.0 or 0.0
     with pytest.raises(ValueError, match="tau must be a finite number >= 0, not a bool"):
         full_evolution_grid(value, [0.3], 1.0, 6)
     with pytest.raises(ValueError, match="squeeze parameter s must be a finite number >= 0, not a"):
         full_evolution_grid([0.5], value, 1.0, 6)
+    if np.ndim(value) == 0:
+        with pytest.raises(ValueError, match=r"theta must be a finite number in \[0, pi\], not a bool"):
+            full_evolution_grid([0.5], [0.3], value, 6)
 
 
 def test_grid_rejects_bad_angle_and_truncation():
