@@ -382,3 +382,28 @@ def test_report_consistency_with_individual_functions():
         assert got == pytest.approx(value, abs=1e-12), key
     for value in (*report.n_g.values(), *report.n_psdg.values(), *report.e_psd.values()):
         assert value >= 0.0
+
+
+# -------------------------------------------------------------- bad inputs
+
+
+def scalar_state():
+    return closed_form_rho(0.8, FieldConfig(1.2, math.pi, 40)).matrix[None]
+
+
+@pytest.mark.parametrize("qubit", [2, 2.0, True, "B", None])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m, p: negativity_batch(m, global_qubits=(p,)),
+        lambda m, p: negativity_batch(m, global_qubits=[B, p]).e_2[p],
+        lambda m, p: negativity_batch(m, global_qubits=(p,)).n_g[p],
+        lambda m, p: negativity_batch(m, global_qubits=(A1, p)).e_3[p],
+    ],
+    ids=["transpose", "kway-transpose", "global", "kway-negativity"],
+)
+def test_qubit_must_be_a_label(call, qubit):
+    # global_qubits names the qubits whose global transpose (n_g) and K-way
+    # split (e_3, e_2, e_0) are solved; True would otherwise read as A2
+    with pytest.raises(ValueError, match="global_qubits must hold QubitLabel members"):
+        call(scalar_state(), qubit)
