@@ -37,7 +37,6 @@ from .tavis_cummings import (
     closed_form_rho,
     diagonal_probabilities,
     pattern_violations,
-    rho_from_elements,
     states_from_elements,
 )
 
@@ -54,7 +53,6 @@ __all__ = [
     "pattern_violations",
     "closed_form_grid",
     "states_from_elements",
-    "rho_from_elements",
     "closed_form_rho",
     "diagonal_probabilities",
     "QubitLabel",

@@ -6,6 +6,10 @@ Modes:
   single-point  a single row at --tau
   oracle-check  closed forms against brute-force evolution on a fixed grid
 
+The three sweep modes are one path, `run_sweep`: each is a (tau, s) grid,
+with one s, one tau or one of each.  `SweepConfig` holds every default; the
+parser takes its defaults from there.
+
 CSV output carries a '#' header block recording the full configuration and
 uses 12-significant-digit formatting, so identical configurations produce
 byte-identical files.
@@ -16,7 +20,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,20 +32,13 @@ from .fock_field import (
     truncation_deficits,
 )
 from .oracle import compare_states, full_evolution_grid
-from .tavis_cummings import (
-    ThreeQubitDensityMatrix,
-    closed_form_grid,
-    diagonal_probabilities,
-    states_from_elements,
-)
+from .tavis_cummings import closed_form_grid, diagonal_probabilities, states_from_elements
 
 __all__ = [
     "SweepConfig",
     "COLUMNS",
-    "evaluate_point",
-    "run_tau_sweep",
-    "run_s_sweep",
-    "run_single_point",
+    "MODES",
+    "run_sweep",
     "run_oracle_check",
     "ORACLE_CHECK_TAUS",
     "ORACLE_CHECK_SQUEEZES",
@@ -74,6 +71,8 @@ COLUMNS = [
     "truncation_deficit",
 ]
 
+MODES = ("tau-sweep", "s-sweep", "single-point", "oracle-check")
+
 ORACLE_CHECK_TAUS = (0.3, 0.8, 2.0, 14.5)
 ORACLE_CHECK_SQUEEZES = (0.3, 0.6, 0.9)
 ORACLE_CHECK_THETAS = (math.pi / 3.0, math.pi / 2.0, math.pi)
@@ -105,7 +104,7 @@ class SweepConfig:
     tolerance: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.mode not in ("tau-sweep", "s-sweep", "single-point", "oracle-check"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         for name in ("tau_steps", "s_steps"):
             steps = getattr(self, name)
@@ -136,58 +135,7 @@ def _grid(start: float, end: float, steps: int) -> list[float]:
     return [start + i * (end - start) / (steps - 1) for i in range(steps)]
 
 
-def _stack_rows(states: np.ndarray, taus, squeezes, deficits) -> np.ndarray:
-    """CSV column values for a stack of states, one row per state, from one kernel call.
-
-    The CSV holds the global negativities of B only, so only B's global
-    transposes are solved.
-    """
-    B, A1 = QubitLabel.B, QubitLabel.A1
-    batch = negativity_batch(states, global_qubits=(B,))
-    columns = [
-        taus,
-        squeezes,
-        *diagonal_probabilities(states).T,
-        batch.n_g[B],
-        batch.n_g_b_analytic,
-        batch.n_psdg[B],
-        batch.n_psdg[A1],
-        batch.e_3[B],
-        batch.e_psd["B-BA1"],
-        batch.e_psd["A1-A1A2"],
-        batch.e_psd["A1-A1B"],
-        batch.linear_entropy_b,
-        batch.w1_fidelity,
-        batch.bell_projection,
-        deficits,
-    ]
-    return np.column_stack(columns)
-
-
-def evaluate_point(rho: ThreeQubitDensityMatrix) -> list[float]:
-    """All CSV column values for the closed-form state at one (tau, s) point."""
-    deficits = truncation_deficits([rho.s], rho.n_max)
-    return _stack_rows(rho.matrix[None], [rho.tau], [rho.s], deficits)[0].tolist()
-
-
-def _sweep_rows(cfg: SweepConfig, elements: np.ndarray, taus, squeezes) -> np.ndarray:
-    """Rows for a sweep, from one diagnostics kernel call over all its points.
-
-    ``taus`` and ``squeezes`` give each point's parameters; the truncation
-    deficit is computed once per distinct squeeze value.
-    """
-    distinct, which = np.unique(np.broadcast_to(squeezes, len(elements)), return_inverse=True)
-    deficits = truncation_deficits(distinct, cfg.n_max)
-    _warn_truncation(deficits, distinct, cfg.n_max)
-    return _stack_rows(
-        states_from_elements(elements),
-        np.broadcast_to(taus, len(elements)),
-        distinct[which],
-        deficits[which],
-    )
-
-
-def _warn_truncation(deficits: np.ndarray, squeezes: np.ndarray, n_max: int) -> None:
+def _warn_truncation(deficits: np.ndarray, squeezes: list[float], n_max: int) -> None:
     worst = int(np.argmax(deficits))
     if deficits[worst] > TRUNCATION_WARNING:
         print(
@@ -215,40 +163,62 @@ def _csv_text(cfg: SweepConfig, header_extra: list[str], rows: np.ndarray) -> st
     return "\n".join(lines) + "\n"
 
 
-def run_tau_sweep(cfg: SweepConfig) -> str:
-    taus = _grid(cfg.tau_start, cfg.tau_end, cfg.tau_steps)
-    elements = closed_form_grid(taus, [cfg.s], cfg.theta, cfg.n_max)[:, 0]
-    rows = _sweep_rows(cfg, elements, taus, cfg.s)
-    extra = [
-        f"# tau_start={_fmt(cfg.tau_start)} tau_end={_fmt(cfg.tau_end)} tau_steps={cfg.tau_steps}"
+def _sweep_axes(cfg: SweepConfig) -> tuple[list[float], list[float], str]:
+    """The (taus, squeezes) grid of a sweep mode and the header line that records it."""
+    if cfg.mode == "tau-sweep":
+        taus = _grid(cfg.tau_start, cfg.tau_end, cfg.tau_steps)
+        span = f"tau_start={_fmt(cfg.tau_start)} tau_end={_fmt(cfg.tau_end)}"
+        return taus, [cfg.s], f"# {span} tau_steps={cfg.tau_steps}"
+    if cfg.mode == "s-sweep":
+        squeezes = _grid(cfg.s_start, cfg.s_end, cfg.s_steps)
+        span = f"s_start={_fmt(cfg.s_start)} s_end={_fmt(cfg.s_end)} s_steps={cfg.s_steps}"
+        return [cfg.tau], squeezes, f"# tau={_fmt(cfg.tau)} {span}"
+    return [cfg.tau], [cfg.s], f"# tau={_fmt(cfg.tau)}"
+
+
+def run_sweep(cfg: SweepConfig) -> str:
+    """The CSV of a sweep mode: one row per (tau, s) point of its grid, tau outer.
+
+    Every mode is a (tau, s) grid: a tau-sweep has one s, an s-sweep one tau
+    and a single point one of each.  The states come from one
+    `closed_form_grid` call and their diagnostics from one kernel call.  The
+    CSV holds the global negativities of B only, so only B's global
+    transposes are solved.
+    """
+    taus, squeezes, extra = _sweep_axes(cfg)
+    elements = closed_form_grid(taus, squeezes, cfg.theta, cfg.n_max).reshape(-1, 8)
+    states = states_from_elements(elements)
+    deficits = truncation_deficits(squeezes, cfg.n_max)
+    _warn_truncation(deficits, squeezes, cfg.n_max)
+    B, A1 = QubitLabel.B, QubitLabel.A1
+    batch = negativity_batch(states, global_qubits=(B,))
+    columns = [
+        np.repeat(taus, len(squeezes)),
+        np.tile(squeezes, len(taus)),
+        *diagonal_probabilities(states).T,
+        batch.n_g[B],
+        batch.n_g_b_analytic,
+        batch.n_psdg[B],
+        batch.n_psdg[A1],
+        batch.e_3[B],
+        batch.e_psd["B-BA1"],
+        batch.e_psd["A1-A1A2"],
+        batch.e_psd["A1-A1B"],
+        batch.linear_entropy_b,
+        batch.w1_fidelity,
+        batch.bell_projection,
+        np.tile(deficits, len(taus)),
     ]
-    return _csv_text(cfg, extra, rows)
+    return _csv_text(cfg, [extra], np.column_stack(columns))
 
 
-def run_s_sweep(cfg: SweepConfig) -> str:
-    squeezes = _grid(cfg.s_start, cfg.s_end, cfg.s_steps)
-    elements = closed_form_grid([cfg.tau], squeezes, cfg.theta, cfg.n_max)[0]
-    rows = _sweep_rows(cfg, elements, cfg.tau, squeezes)
-    extra = [
-        f"# tau={_fmt(cfg.tau)} s_start={_fmt(cfg.s_start)} s_end={_fmt(cfg.s_end)} s_steps={cfg.s_steps}"
-    ]
-    return _csv_text(cfg, extra, rows)
-
-
-def run_single_point(cfg: SweepConfig) -> str:
-    elements = closed_form_grid([cfg.tau], [cfg.s], cfg.theta, cfg.n_max)[:, 0]
-    rows = _sweep_rows(cfg, elements, cfg.tau, cfg.s)
-    return _csv_text(cfg, [f"# tau={_fmt(cfg.tau)}"], rows)
-
-
-def run_oracle_check(cfg: SweepConfig, corrupt=None) -> tuple[str, int]:
+def run_oracle_check(cfg: SweepConfig) -> tuple[str, int]:
     """Closed form versus brute force on the fixed validation grid.
 
     The states of each angle come from one `closed_form_grid` call and one
     `full_evolution_grid` call; rows follow theta, then s, then tau.  Returns
     the report text and an exit status (0 all within tolerance, 1
-    otherwise).  ``corrupt``, used by the test suite, post-processes each
-    closed-form matrix before comparison to prove the check can fail.
+    otherwise).
     """
     if cfg.oracle_n_max > ORACLE_CHECK_MAX_N_MAX:
         raise ValueError(f"oracle-check is limited to n_max <= {ORACLE_CHECK_MAX_N_MAX}")
@@ -266,8 +236,6 @@ def run_oracle_check(cfg: SweepConfig, corrupt=None) -> tuple[str, int]:
         for s_index, s in enumerate(ORACLE_CHECK_SQUEEZES):
             for tau_index, tau in enumerate(ORACLE_CHECK_TAUS):
                 closed = closed_states[tau_index, s_index]
-                if corrupt is not None:
-                    closed = corrupt(closed.copy())
                 reference = references[tau_index, s_index]
                 report = compare_states(closed, reference)
                 ok = report.max_abs_diff < cfg.tolerance
@@ -300,54 +268,32 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cavity3q",
         description="Entanglement diagnostics for three cavity qubits driven by squeezed light.",
     )
-    parser.add_argument(
-        "--mode",
-        choices=["tau-sweep", "s-sweep", "single-point", "oracle-check"],
-        default="tau-sweep",
-    )
-    parser.add_argument("--s", type=float, default=1.2, help="squeeze parameter")
-    parser.add_argument("--theta", type=float, default=math.pi, help="beam-splitter angle, radians")
-    parser.add_argument("--n-max", type=int, default=80, help="Fock truncation")
-    parser.add_argument("--tau-start", type=float, default=0.0)
-    parser.add_argument("--tau-end", type=float, default=20.0)
-    parser.add_argument("--tau-steps", type=int, default=600)
-    parser.add_argument("--s-start", type=float, default=0.0)
-    parser.add_argument("--s-end", type=float, default=2.0)
-    parser.add_argument("--s-steps", type=int, default=200)
-    parser.add_argument("--tau", type=float, default=14.5, help="interaction time for s-sweep/single-point")
-    parser.add_argument("--out", default="-", help="output path, '-' for stdout")
-    parser.add_argument("--oracle-n-max", type=int, default=40)
-    parser.add_argument("--tolerance", type=float, default=1e-8)
+    parser.add_argument("--mode", choices=MODES)
+    parser.add_argument("--s", type=float, help="squeeze parameter")
+    parser.add_argument("--theta", type=float, help="beam-splitter angle, radians")
+    parser.add_argument("--n-max", type=int, help="Fock truncation")
+    parser.add_argument("--tau-start", type=float)
+    parser.add_argument("--tau-end", type=float)
+    parser.add_argument("--tau-steps", type=int)
+    parser.add_argument("--s-start", type=float)
+    parser.add_argument("--s-end", type=float)
+    parser.add_argument("--s-steps", type=int)
+    parser.add_argument("--tau", type=float, help="interaction time for s-sweep/single-point")
+    parser.add_argument("--out", help="output path, '-' for stdout")
+    parser.add_argument("--oracle-n-max", type=int)
+    parser.add_argument("--tolerance", type=float)
+    parser.set_defaults(**{f.name: f.default for f in fields(SweepConfig)})
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = SweepConfig(
-            mode=args.mode,
-            s=args.s,
-            theta=args.theta,
-            n_max=args.n_max,
-            tau_start=args.tau_start,
-            tau_end=args.tau_end,
-            tau_steps=args.tau_steps,
-            s_start=args.s_start,
-            s_end=args.s_end,
-            s_steps=args.s_steps,
-            tau=args.tau,
-            out=args.out,
-            oracle_n_max=args.oracle_n_max,
-            tolerance=args.tolerance,
-        )
-        if cfg.mode == "tau-sweep":
-            text, status = run_tau_sweep(cfg), 0
-        elif cfg.mode == "s-sweep":
-            text, status = run_s_sweep(cfg), 0
-        elif cfg.mode == "single-point":
-            text, status = run_single_point(cfg), 0
-        else:
+        cfg = SweepConfig(**vars(args))
+        if cfg.mode == "oracle-check":
             text, status = run_oracle_check(cfg)
+        else:
+            text, status = run_sweep(cfg), 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

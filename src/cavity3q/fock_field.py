@@ -1,17 +1,21 @@
-"""Weights of a two-mode squeezed field injected into a pair of cavities.
+"""The squeezed-field configuration, beam-splitter amplitudes and input guards.
 
 A two-mode squeezed vacuum with squeeze parameter ``s`` feeds two cavities,
 one mode each, through beam splitters of mixing angle ``theta`` (reflection
-coefficient ``cos(theta/2)``).  Tracing out the reflected beams leaves the
-cavity pair in a mixed Fock-basis state in which each term
+coefficient ``cos(theta/2)``).  This module holds what the closed forms and
+the oracle share about that field:
 
-    |n-k, n-l><m-k, m-l|,   0 <= k, l <= min(n, m)
+* `FieldConfig`, the parameters (s, theta) and the Fock truncation n_max;
+* `binomial_amplitude_table`, the amplitudes of keeping k of n injected
+  photons in the reflected port, every row up to n_max from one
+  log-factorial table (`binomial_amplitude_row` is one row of it);
+* the input guards that refuse a bad squeeze parameter, interaction time,
+  angle or photon number with a message naming the parameter;
+* `truncation_deficits`, the norm the truncation at n_max drops.
 
-carries the real weight ``(tanh s)^(n+m) / cosh^2(s) * G_kl^nm(theta)``,
-where ``G_kl^nm`` is a product of four binomial beam-splitter amplitudes
-(`binomial_amplitude_row`) and ``k``, ``l`` count photons lost to the
-reflected ports.  Only ``|n-m| <= 1`` terms survive the field trace of the
-reduced atomic dynamics.
+The field weights built from the binomial rows live with the closed forms
+(`tavis_cummings._field_factors`); the oracle builds its field from the
+beam-splitter unitary instead and checks their selection rule.
 
 Everything here is a pure function of its inputs.
 """
@@ -82,11 +86,6 @@ def require_photon_number(name: str, value) -> None:
         raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
 
-def require_n_max(n_max) -> None:
-    """Reject anything but a non-negative integer truncation (bools included)."""
-    require_photon_number("n_max", n_max)
-
-
 @dataclass(frozen=True)
 class FieldConfig:
     """Squeezed-field parameters and the Fock-space truncation.
@@ -105,7 +104,7 @@ class FieldConfig:
     def __post_init__(self) -> None:
         require_finite_nonnegative("squeeze parameter s", self.s)
         require_theta(self.theta)
-        require_n_max(self.n_max)
+        require_photon_number("n_max", self.n_max)
 
 
 def binomial_amplitude_table(n_max: int, theta: float) -> np.ndarray:
@@ -115,7 +114,7 @@ def binomial_amplitude_table(n_max: int, theta: float) -> np.ndarray:
     reflected port, zero for k > n.  All rows come from one log-factorial
     table and one array expression.
     """
-    require_n_max(n_max)
+    require_photon_number("n_max", n_max)
     cos_half, sin_half = _half_angle(theta)
     size = n_max + 1
     photons = np.arange(size)
@@ -157,7 +156,7 @@ def truncation_deficits(squeezes, n_max: int) -> np.ndarray:
     which avoids the cancellation of subtracting a partial sum from 1.
     """
     squeezes = require_finite_nonnegative("squeeze parameter s", squeezes)
-    require_n_max(n_max)
+    require_photon_number("n_max", n_max)
     return np.tanh(squeezes) ** (2 * n_max + 2)
 
 

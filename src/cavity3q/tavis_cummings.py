@@ -32,7 +32,7 @@ from .fock_field import (
     FieldConfig,
     binomial_amplitude_table,
     require_finite_nonnegative,
-    require_n_max,
+    require_photon_number,
     require_theta,
 )
 
@@ -42,7 +42,6 @@ __all__ = [
     "pattern_violations",
     "closed_form_grid",
     "states_from_elements",
-    "rho_from_elements",
     "closed_form_rho",
     "diagonal_probabilities",
 ]
@@ -66,9 +65,6 @@ class ThreeQubitDensityMatrix:
     s: float
     theta: float
     n_max: int
-
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.matrix)))
 
 
 def _build_pattern_mask() -> np.ndarray:
@@ -131,7 +127,10 @@ def _squeeze_norms(squeezes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndar
     ``norm1[n] = tanh(s)^(2n+1) / cosh^2(s)``, n < n_max, the m = n + 1 band.
     """
     tanh_s = np.tanh(squeezes)[:, None]
-    inv_cosh2 = 1.0 / np.cosh(squeezes)[:, None] ** 2
+    # cosh^2(s) overflows to inf above s ~ 355 (cosh itself above ~ 710), where
+    # the correctly rounded norms are 0, which is what 1 / inf gives
+    with np.errstate(over="ignore"):
+        inv_cosh2 = 1.0 / np.cosh(squeezes)[:, None] ** 2
     power = 2 * np.arange(size)
     return tanh_s**power * inv_cosh2, tanh_s ** (power[:-1] + 1) * inv_cosh2
 
@@ -199,15 +198,15 @@ def closed_form_grid(taus, squeezes, theta: float, n_max: int) -> np.ndarray:
     Returns an array of shape (len(taus), len(squeezes), 8) holding, per
     point, the populations r11, r22, r33, r44, r55, r66 (r22 and r55 are the
     weights of the symmetric one-excitation states of the c1 pair) and the
-    coherences r15, r26; `rho_from_elements` assembles one point into the
-    8x8 matrix.  Populations come from the diagonal field band, the two
+    coherences r15, r26; `states_from_elements` assembles them into 8x8
+    matrices.  Populations come from the diagonal field band, the two
     coherences from the m = n + 1 band.  With the exp(-i H tau) convention in
     both cavities the |000><101|-type coherence is minus the product of the
     four real block amplitudes; the |100><111|-type coherence is plus.
     """
     taus = require_finite_nonnegative("tau", taus).reshape(-1)
     squeezes = require_finite_nonnegative("squeeze parameter s", squeezes).reshape(-1)
-    require_n_max(n_max)
+    require_photon_number("n_max", n_max)
     require_theta(theta)  # before float() reads a bool as 1.0
     u0, u1 = _field_factors(float(theta), int(n_max))
     norm0, norm1 = _squeeze_norms(squeezes, n_max + 1)
@@ -245,17 +244,11 @@ def states_from_elements(elements: np.ndarray) -> np.ndarray:
     return m
 
 
-def rho_from_elements(
-    elements: np.ndarray, tau: float, s: float, theta: float, n_max: int
-) -> ThreeQubitDensityMatrix:
-    """The 8x8 state from one point's eight elements of `closed_form_grid`."""
-    return ThreeQubitDensityMatrix(states_from_elements(elements), tau, s, theta, n_max)
-
-
 def closed_form_rho(tau: float, config: FieldConfig) -> ThreeQubitDensityMatrix:
     """Analytic 8x8 reduced state of the three qubits at interaction time tau."""
     elements = closed_form_grid([tau], [config.s], config.theta, config.n_max)[0, 0]
-    return rho_from_elements(elements, float(tau), config.s, config.theta, config.n_max)
+    matrix = states_from_elements(elements)
+    return ThreeQubitDensityMatrix(matrix, float(tau), config.s, config.theta, config.n_max)
 
 
 def diagonal_probabilities(rho: ThreeQubitDensityMatrix | np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ from cavity3q import (
     SELECTIVE_SPECS,
     FieldConfig,
     QubitLabel,
+    ThreeQubitDensityMatrix,
     W1_STATE,
     closed_form_grid,
     closed_form_rho,
@@ -29,7 +30,7 @@ from cavity3q.cli import (
     ORACLE_CHECK_TAUS,
     ORACLE_CHECK_THETAS,
     SweepConfig,
-    run_tau_sweep,
+    run_sweep,
 )
 from test_entanglement import decomposition, kway, selective, transposed
 
@@ -45,14 +46,19 @@ def _passed(line: str) -> None:
 
 @pytest.fixture(scope="module")
 def production_data():
-    """Diagnostics on the 600-point production interaction-time grid."""
-    states = []
-    reports = []
-    for tau in TAU_GRID:
-        rho = closed_form_rho(tau, PRODUCTION_FIELD)
-        states.append(rho)
-        reports.append(negativity_report(rho))
-    return states, reports
+    """Diagnostics on the 600-point production interaction-time grid.
+
+    The states come from one `closed_form_grid` call and their diagnostics
+    from one `negativity_batch` call.
+    """
+    s, theta, n_max = PRODUCTION_FIELD.s, PRODUCTION_FIELD.theta, PRODUCTION_FIELD.n_max
+    matrices = states_from_elements(closed_form_grid(TAU_GRID, [s], theta, n_max)[:, 0])
+    batch = negativity_batch(matrices)
+    assert batch.pattern_ok.all()
+    states = [
+        ThreeQubitDensityMatrix(m, tau, s, theta, n_max) for tau, m in zip(TAU_GRID, matrices)
+    ]
+    return states, [batch.report(i) for i in range(len(states))]
 
 
 def test_criterion_1_oracle_equivalence():
@@ -225,8 +231,8 @@ def test_criterion_8_analytic_negativity_gate(production_data):
 def test_criterion_9_production_sweep_determinism():
     cfg = SweepConfig(mode="tau-sweep")  # defaults are the production settings
     start = time.time()
-    first = run_tau_sweep(cfg)
-    second = run_tau_sweep(cfg)
+    first = run_sweep(cfg)
+    second = run_sweep(cfg)
     elapsed = time.time() - start
     assert first.encode() == second.encode()
     assert elapsed < 600.0

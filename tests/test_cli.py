@@ -1,21 +1,22 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import cavity3q.cli as cli
 import cavity3q.tavis_cummings as tc
-from cavity3q import FieldConfig, closed_form_rho
-from cavity3q.cli import (
-    COLUMNS,
-    SweepConfig,
-    evaluate_point,
-    main,
-    run_oracle_check,
-    run_s_sweep,
-    run_single_point,
-    run_tau_sweep,
+from cavity3q import (
+    FieldConfig,
+    QubitLabel,
+    closed_form_grid,
+    closed_form_rho,
+    diagonal_probabilities,
+    full_evolution_grid,
+    negativity_report,
+    truncation_deficit,
 )
+from cavity3q.cli import COLUMNS, MODES, SweepConfig, main, run_oracle_check, run_sweep
 
 
 def parse_csv(text):
@@ -31,15 +32,23 @@ SMALL = dict(s=0.8, theta=2.0, n_max=15)
 def test_single_point_matches_degenerate_tau_sweep():
     point = SweepConfig(mode="single-point", tau=1.7, **SMALL)
     sweep = SweepConfig(mode="tau-sweep", tau_start=1.7, tau_end=1.7, tau_steps=1, **SMALL)
-    _, rows_point = parse_csv(run_single_point(point))
-    _, rows_sweep = parse_csv(run_tau_sweep(sweep))
+    _, rows_point = parse_csv(run_sweep(point))
+    _, rows_sweep = parse_csv(run_sweep(sweep))
     assert rows_point == rows_sweep
     assert len(rows_point) == 1
+    # the s-sweep row at the same s; a product of another shape may round
+    # differently, so it need not be bit-equal
+    s_sweep = SweepConfig(
+        mode="s-sweep", tau=1.7, s_start=0.0, s_end=1.6, s_steps=3, theta=2.0, n_max=15
+    )
+    _, rows_s = parse_csv(run_sweep(s_sweep))
+    assert rows_s[1][1] == SMALL["s"]
+    assert np.abs(np.subtract(rows_s[1], rows_point[0])).max() <= 1e-15
 
 
 def test_tau_sweep_columns_and_grid():
     cfg = SweepConfig(mode="tau-sweep", tau_start=0.0, tau_end=2.0, tau_steps=5, **SMALL)
-    header, rows = parse_csv(run_tau_sweep(cfg))
+    header, rows = parse_csv(run_sweep(cfg))
     assert header == COLUMNS
     assert len(rows) == 5
     assert [r[0] for r in rows] == pytest.approx([0.0, 0.5, 1.0, 1.5, 2.0])
@@ -50,7 +59,7 @@ def test_tau_sweep_columns_and_grid():
 
 def test_s_sweep_zero_squeezing_row_has_no_entanglement():
     cfg = SweepConfig(mode="s-sweep", tau=2.0, s_start=0.0, s_end=0.4, s_steps=3, theta=2.0, n_max=15)
-    header, rows = parse_csv(run_s_sweep(cfg))
+    header, rows = parse_csv(run_sweep(cfg))
     row0 = dict(zip(header, rows[0]))
     assert row0["s"] == 0.0
     for key in ("N_G_B", "N_PSDG_B", "N_PSDG_A1", "E_PSD_B_BA1", "E_PSD_A1_A1A2", "E_PSD_A1_A1B"):
@@ -60,7 +69,7 @@ def test_s_sweep_zero_squeezing_row_has_no_entanglement():
 
 def test_csv_is_byte_deterministic():
     cfg = SweepConfig(mode="tau-sweep", tau_start=0.0, tau_end=3.0, tau_steps=7, **SMALL)
-    assert run_tau_sweep(cfg) == run_tau_sweep(cfg)
+    assert run_sweep(cfg) == run_sweep(cfg)
 
 
 def test_csv_rows_match_str_format_byte_for_byte():
@@ -84,7 +93,7 @@ def test_csv_rows_match_str_format_byte_for_byte():
 
 def test_analytic_and_eigensolver_columns_agree():
     cfg = SweepConfig(mode="tau-sweep", tau_start=0.0, tau_end=6.0, tau_steps=13, **SMALL)
-    header, rows = parse_csv(run_tau_sweep(cfg))
+    header, rows = parse_csv(run_sweep(cfg))
     for row in rows:
         record = dict(zip(header, row))
         assert record["N_G_B"] == pytest.approx(record["N_G_B_analytic"], abs=1e-10)
@@ -98,14 +107,21 @@ def test_oracle_check_passes_on_reduced_grid():
     assert report.count("\n") >= 36
 
 
-def test_oracle_check_flags_corruption():
+def _corrupt_closed_forms(monkeypatch, corrupt):
+    """Make `run_oracle_check` compare ``corrupt`` of every closed-form state stack."""
+    states = cli.states_from_elements
+    monkeypatch.setattr(cli, "states_from_elements", lambda elements: corrupt(states(elements)))
+
+
+def test_oracle_check_flags_corruption(monkeypatch):
     cfg = SweepConfig(mode="oracle-check", oracle_n_max=6, tolerance=1e-8)
 
-    def corrupt(matrix):
-        matrix[4, 4] += 1e-3
-        return matrix
+    def corrupt(matrices):
+        matrices[..., 4, 4] += 1e-3
+        return matrices
 
-    report, status = run_oracle_check(cfg, corrupt=corrupt)
+    _corrupt_closed_forms(monkeypatch, corrupt)
+    report, status = run_oracle_check(cfg)
     assert status == 1
     assert "# result: FAIL" in report
     assert "entry=[4,4]" in report
@@ -115,14 +131,15 @@ def test_oracle_check_flags_corruption():
     assert closed - reference == pytest.approx(1e-3, abs=1e-12)
 
 
-def test_oracle_check_pattern_lines_print_real_values():
+def test_oracle_check_pattern_lines_print_real_values(monkeypatch):
     cfg = SweepConfig(mode="oracle-check", oracle_n_max=6, tolerance=1e-8)
 
-    def corrupt(matrix):
-        matrix[0, 3] = matrix[3, 0] = 1e-6
-        return matrix
+    def corrupt(matrices):
+        matrices[..., 0, 3] = matrices[..., 3, 0] = 1e-6
+        return matrices
 
-    report, status = run_oracle_check(cfg, corrupt=corrupt)
+    _corrupt_closed_forms(monkeypatch, corrupt)
+    report, status = run_oracle_check(cfg)
     assert status == 1
     lines = [line for line in report.splitlines() if line.startswith("# PATTERN")]
     assert len(lines) == 2 * 36
@@ -279,9 +296,6 @@ def test_cli_kernel_solves_only_b_global_blocks(global_solves, capsys):
     global_solves.clear()
     assert main([*args, "--mode", "single-point", "--tau", "0.8"]) == 0
     assert global_solves == {3: 2}
-    global_solves.clear()
-    evaluate_point(closed_form_rho(0.8, FieldConfig(0.8, 2.0, 12)))
-    assert global_solves == {3: 2}
     capsys.readouterr()
 
 
@@ -358,7 +372,7 @@ def test_non_finite_tolerance_is_a_usage_error(value, capsys):
 
 
 def test_truncation_warning_on_default_s_sweep(capsys):
-    text = run_s_sweep(SweepConfig(mode="s-sweep", tau=14.5, s_steps=200))
+    text = run_sweep(SweepConfig(mode="s-sweep", tau=14.5, s_steps=200))
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("warning: n_max=80 truncation drops 0.00265 of the norm at s=2 ")
@@ -369,29 +383,77 @@ def test_truncation_warning_on_default_s_sweep(capsys):
 
 
 def test_no_truncation_warning_on_default_tau_sweep(capsys):
-    text = run_tau_sweep(SweepConfig())
+    text = run_sweep(SweepConfig())
     assert capsys.readouterr().err == ""
     header, rows = parse_csv(text)
     assert rows[0][header.index("truncation_deficit")] == pytest.approx(1.6e-13, rel=0.05)
 
 
-def test_evaluate_point_is_the_single_point_row():
+def test_single_point_row_is_the_scalar_report():
+    # the CSV columns against the scalar API, field by field
     cfg = SweepConfig(mode="single-point", tau=2.3, **SMALL)
-    _, rows = parse_csv(run_single_point(cfg))
-    row = evaluate_point(closed_form_rho(cfg.tau, FieldConfig(cfg.s, cfg.theta, cfg.n_max)))
+    _, rows = parse_csv(run_sweep(cfg))
+    field = FieldConfig(cfg.s, cfg.theta, cfg.n_max)
+    rho = closed_form_rho(cfg.tau, field)
+    report = negativity_report(rho)
+    B, A1 = QubitLabel.B, QubitLabel.A1
+    row = [
+        cfg.tau,
+        cfg.s,
+        *diagonal_probabilities(rho).tolist(),
+        report.n_g[B],
+        report.n_g_b_analytic,
+        report.n_psdg[B],
+        report.n_psdg[A1],
+        report.e_3[B],
+        report.e_psd["B-BA1"],
+        report.e_psd["A1-A1A2"],
+        report.e_psd["A1-A1B"],
+        report.linear_entropy_b,
+        report.w1_fidelity,
+        report.bell_projection,
+        truncation_deficit(field),
+    ]
     assert [float(f"{v + 0.0:.12g}") for v in row] == rows[0]
 
 
-def _variant_1(matrix):
+def test_parser_flags_are_the_config_fields_with_its_defaults():
+    parser = cli.build_parser()
+    actions = {action.dest: action for action in parser._actions if action.dest != "help"}
+    assert {name: action.default for name, action in actions.items()} == {
+        field.name: field.default for field in fields(SweepConfig)
+    }
+    for name, action in actions.items():
+        assert action.option_strings == ["--" + name.replace("_", "-")]
+    assert tuple(actions["mode"].choices) == MODES
+    assert SweepConfig(**vars(parser.parse_args([]))) == SweepConfig()
+
+
+@pytest.mark.parametrize("s", [400.0, 800.0])
+def test_large_squeezing_gives_the_empty_state_without_overflow(s, capsys):
+    # cosh(s)^2 overflows above s ~ 355 and cosh(s) above ~ 710; the
+    # correctly rounded field weights are 0 (RuntimeWarnings fail the suite)
+    assert not closed_form_grid([0.8, 14.5], [s], 1.1, 20).any()
+    assert not full_evolution_grid([0.8, 14.5], [s], 1.1, 10).any()
+    assert main(["--mode", "single-point", "--s", str(s)]) == 0
+    captured = capsys.readouterr()
+    assert "truncation drops 1 of the norm" in captured.err
+    header, rows = parse_csv(captured.out)
+    assert rows[0][header.index("truncation_deficit")] == 1.0
+
+
+def _variant_1(matrices):
     # DISCREPANCIES.md 1: opposite sign of the |000> <-> sym-excited coherence
     for i, j in ((0, 5), (0, 6), (5, 0), (6, 0)):
-        matrix[i, j] = -matrix[i, j]
-    return matrix
+        matrices[..., i, j] = -matrices[..., i, j]
+    return matrices
 
 
 def test_oracle_check_rejects_discrepancy_variants(monkeypatch):
     cfg = SweepConfig(mode="oracle-check", oracle_n_max=8, tolerance=1e-8)
-    report, status = run_oracle_check(cfg, corrupt=_variant_1)
+    with monkeypatch.context() as patch:
+        _corrupt_closed_forms(patch, _variant_1)
+        report, status = run_oracle_check(cfg)
     assert status == 1 and "# result: FAIL" in report
     assert "entry=[0,5]" in report
 

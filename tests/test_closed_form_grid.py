@@ -18,7 +18,6 @@ from cavity3q import (
     binomial_amplitude_row,
     closed_form_grid,
     closed_form_rho,
-    rho_from_elements,
     states_from_elements,
 )
 from cavity3q.cli import main
@@ -106,8 +105,8 @@ def test_closed_form_rho_is_a_grid_of_one():
     config = FieldConfig(0.9, 1.1, 30)
     for tau in TAUS:
         elements = closed_form_grid([tau], [config.s], config.theta, config.n_max)[0, 0]
-        expected = rho_from_elements(elements, tau, config.s, config.theta, config.n_max)
-        assert np.array_equal(closed_form_rho(tau, config).matrix, expected.matrix)
+        expected = states_from_elements(elements)
+        assert np.array_equal(closed_form_rho(tau, config).matrix, expected)
 
 
 def test_states_are_real_symmetric():

@@ -254,7 +254,7 @@ def test_decompose_reconstructs_state():
     probs, vectors = decomposition(matrices(states))
     assert np.abs(reconstructed(probs, vectors) - matrices(states)).max() < 1e-10
     for rho, weights in zip(states, probs):
-        assert math.fsum(weights.tolist()) == pytest.approx(rho.trace(), abs=1e-10)
+        assert math.fsum(weights.tolist()) == pytest.approx(np.trace(rho.matrix), abs=1e-10)
     assert np.abs(np.linalg.norm(vectors, axis=-2) - 1.0).max() < 1e-12
 
 
@@ -348,7 +348,7 @@ def test_bell_projection_probability():
     rho0, rho = closed_form_rho(0.0, cfg), closed_form_rho(2.3, cfg)
     m = rho.matrix
     projection = negativity_batch(np.array([rho0.matrix, m])).bell_projection
-    assert projection[0] == pytest.approx(rho0.trace(), abs=1e-12)
+    assert projection[0] == pytest.approx(np.trace(rho0.matrix), abs=1e-12)
     # sector weight |000> plus sym-excited, which is also the top
     # decomposition pair's combined probability
     sector = float(np.real(m[0, 0])) + float(np.real(m[5, 5] + m[5, 6] + m[6, 5] + m[6, 6])) / 2.0

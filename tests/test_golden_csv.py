@@ -13,20 +13,16 @@ from pathlib import Path
 
 import pytest
 
-from cavity3q.cli import SweepConfig, run_s_sweep, run_tau_sweep
+from cavity3q.cli import SweepConfig, run_sweep
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
 CELL_ATOL = 1e-10
 CELL_RTOL = 1e-10
 
 CASES = {
-    "tau-sweep.csv": (run_tau_sweep, SweepConfig(mode="tau-sweep"), "tau"),
-    "s-sweep.csv": (run_s_sweep, SweepConfig(mode="s-sweep", tau=14.5, s_steps=200), "s"),
-    "tau-sweep-dense.csv": (
-        run_tau_sweep,
-        SweepConfig(mode="tau-sweep", theta=1.5707963267948966),
-        "tau",
-    ),
+    "tau-sweep.csv": (SweepConfig(mode="tau-sweep"), "tau"),
+    "s-sweep.csv": (SweepConfig(mode="s-sweep", tau=14.5, s_steps=200), "s"),
+    "tau-sweep-dense.csv": (SweepConfig(mode="tau-sweep", theta=1.5707963267948966), "tau"),
 }
 
 
@@ -39,8 +35,8 @@ def split_csv(text):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_sweep_matches_golden(name):
-    run, cfg, axis = CASES[name]
-    header, columns, rows = split_csv(run(cfg))
+    cfg, axis = CASES[name]
+    header, columns, rows = split_csv(run_sweep(cfg))
     gold_header, gold_columns, gold_rows = split_csv((GOLDEN_DIR / name).read_text(encoding="utf-8"))
 
     assert header == gold_header

@@ -20,7 +20,6 @@ PUBLIC_NAMES = {
     "pattern_violations",
     "closed_form_grid",
     "states_from_elements",
-    "rho_from_elements",
     "closed_form_rho",
     "diagonal_probabilities",
     # entanglement
@@ -49,7 +48,7 @@ def test_readme_python_blocks_run():
 
 
 def test_package_exports_exactly_the_kept_names():
-    assert len(cavity3q.__all__) == len(set(cavity3q.__all__)) == 26
+    assert len(cavity3q.__all__) == len(set(cavity3q.__all__)) == 25
     assert set(cavity3q.__all__) == PUBLIC_NAMES
     for name in cavity3q.__all__:
         assert getattr(cavity3q, name) is not None, name

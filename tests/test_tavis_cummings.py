@@ -115,7 +115,7 @@ def test_closed_form_state_contracts():
         rho = closed_form_rho(tau, cfg)
         m = rho.matrix
         assert np.abs(m - m.conj().T).max() < 1e-12
-        assert rho.trace() == pytest.approx(1.0 - truncation_deficit(cfg), abs=1e-10)
+        assert np.trace(m) == pytest.approx(1.0 - truncation_deficit(cfg), abs=1e-10)
         assert np.linalg.eigvalsh(m).min() > -1e-10
         assert not pattern_violations(m, 1e-10)
         swapped = m[np.ix_(SWAP_A1_A2, SWAP_A1_A2)]
@@ -150,7 +150,7 @@ def test_diagonal_probabilities():
     assert np.abs(probs[1:]).max() < 1e-15
 
     rho = closed_form_rho(2.3, cfg)
-    assert math.fsum(diagonal_probabilities(rho).tolist()) == pytest.approx(rho.trace(), abs=1e-12)
+    assert math.fsum(diagonal_probabilities(rho).tolist()) == pytest.approx(np.trace(rho.matrix), abs=1e-12)
 
 
 def test_probability_drop_anchor():
