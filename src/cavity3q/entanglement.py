@@ -195,18 +195,19 @@ def _symmetrised_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2.0)
 
 
-def _negative_pairs(m: np.ndarray, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues below ``-cutoff``, with eigenvectors, of each matrix of a stack checked Hermitian.
+def _negative_pairs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues below minus the eigenvalue cutoff, with eigenvectors, of each matrix of a stack.
 
-    Returns all n eigenvalues (ascending) and eigenvectors (as columns) of
-    each matrix, those at or above ``-cutoff`` set to zero, so every matrix
-    gives arrays of the same shape.  A 1x1 matrix needs no solve.
+    The stack is checked Hermitian.  Returns all n eigenvalues (ascending)
+    and eigenvectors (as columns) of each matrix, those at or above minus
+    the cutoff set to zero, so every matrix gives arrays of the same shape.
+    A 1x1 matrix needs no solve.
     """
     if m.shape[-1] == 1:
         vals, vecs = m.real[..., 0], np.ones_like(m)
     else:
         vals, vecs = _symmetrised_eigh(m)
-    keep = vals < -cutoff
+    keep = vals < -NEGATIVE_EIGENVALUE_CUTOFF
     return np.where(keep, vals, 0.0), vecs * keep[..., None, :]
 
 
@@ -217,19 +218,20 @@ _PATTERN_ERRORS = {
 }
 
 
-def _pattern_check(m: np.ndarray, tol: float = _PATTERN_TOL) -> tuple[np.ndarray, np.ndarray]:
+def _pattern_check(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Validate the structured-state pattern of each state in an (N, 8, 8) stack.
 
     Returns a failure code per state (0 passes; 1 an entry outside
     `PATTERN_MASK`, 2 a complex pattern entry, 3 unequal entries across a
     symmetric block) and the eight independent real elements r11, r22, r33,
-    r44, r55, r66, r15, r26 (meaningful where the code is 0).
+    r44, r55, r66, r15, r26 (meaningful where the code is 0), each test at
+    `_PATTERN_TOL`.
     """
-    outside = ((np.abs(m) > tol) & ~PATTERN_MASK).any(axis=(-2, -1))
-    complex_entries = np.abs(m.imag[:, PATTERN_MASK]).max(axis=-1) > tol
+    outside = ((np.abs(m) > _PATTERN_TOL) & ~PATTERN_MASK).any(axis=(-2, -1))
+    complex_entries = np.abs(m.imag[:, PATTERN_MASK]).max(axis=-1) > _PATTERN_TOL
     real = m.real
-    unequal = (np.ptp(real[:, [1, 2, 1, 2], [1, 2, 2, 1]], axis=-1) > tol) | (
-        np.ptp(real[:, [5, 6, 5, 6], [5, 6, 6, 5]], axis=-1) > tol
+    unequal = (np.ptp(real[:, [1, 2, 1, 2], [1, 2, 2, 1]], axis=-1) > _PATTERN_TOL) | (
+        np.ptp(real[:, [5, 6, 5, 6], [5, 6, 6, 5]], axis=-1) > _PATTERN_TOL
     )
     codes = np.select([outside, complex_entries, unequal], [1, 2, 3], 0)
     elements = np.stack(
@@ -260,7 +262,7 @@ def _require_pattern(m: np.ndarray) -> np.ndarray:
     return elements[0]
 
 
-def _analytic_negativity_b(elements: np.ndarray, cutoff: float) -> np.ndarray:
+def _analytic_negativity_b(elements: np.ndarray) -> np.ndarray:
     """Negativity with respect to B of each row of an (N, 8) element array, no eigensolver.
 
     The partial transpose splits into two 2x2 blocks whose lower eigenvalues
@@ -268,38 +270,28 @@ def _analytic_negativity_b(elements: np.ndarray, cutoff: float) -> np.ndarray:
         lam1 = (r33 + r55)/2 - sqrt((r33 - r55)^2 + 4 r26^2)/2
         lam2 = (r22 + r44)/2 - sqrt((r22 - r44)^2 + 4 r15^2)/2
 
-    contribute -2*lam only while below ``-cutoff`` (each gate is one block's
-    discriminant inequality); all other eigenvalues are populations.
+    contribute -2*lam only while below minus the eigenvalue cutoff (each gate
+    is one block's discriminant inequality); all other eigenvalues are
+    populations.
     """
     r11, r22, r33, r44, r55, r66, r15, r26 = elements.T
     lam1 = 0.5 * (r33 + r55) - 0.5 * np.hypot(r33 - r55, 2.0 * r26)
     lam2 = 0.5 * (r22 + r44) - 0.5 * np.hypot(r22 - r44, 2.0 * r15)
-    return -2.0 * (np.where(lam1 < -cutoff, lam1, 0.0) + np.where(lam2 < -cutoff, lam2, 0.0))
+    gate = -NEGATIVE_EIGENVALUE_CUTOFF
+    return -2.0 * (np.where(lam1 < gate, lam1, 0.0) + np.where(lam2 < gate, lam2, 0.0))
 
 
-def _fix_phase(vectors: np.ndarray) -> np.ndarray:
-    """Deterministic phase per column: its largest-magnitude component is real positive."""
-    idx = np.argmax(np.abs(vectors), axis=-2)[..., None, :]
-    pivot = np.take_along_axis(vectors, idx, axis=-2)
-    pivot = np.where(pivot == 0, 1.0, pivot)
-    return vectors * (np.abs(pivot) / pivot)
-
-
-def _two_level_pairs(d_first: np.ndarray, d_second: np.ndarray, off: np.ndarray, cutoff: float):
-    """Eigenpairs of [[d_first, off], [off, d_second]] per row, smaller eigenvalue first.
+def _two_level_pairs(d_first: np.ndarray, d_second: np.ndarray, off: np.ndarray):
+    """Eigenpairs of [[d_first, off], [off, d_second]] per row, in no fixed order or sign.
 
     Returns ``[(lam, x, y), (lam, x, y)]`` of arrays, the eigenvector being
-    ``(x, y)``.  With a negligible off-diagonal the basis vectors are returned
-    unrotated (first basis vector first when also degenerate), which keeps
-    the decomposition deterministic where the pair is degenerate.
+    ``(x, y)``.  A row whose off-diagonal is below the eigenvalue cutoff
+    keeps the basis vectors where they are, ``(d_first, 1, 0)`` then
+    ``(d_second, 0, 1)``.
     """
-    in_order = (np.abs(d_first - d_second) < cutoff) | (d_first <= d_second)
-    first = in_order.astype(float)  # 1 where the first basis vector comes first
-    pairs = [  # distinct arrays, filled in below on the rotated rows
-        [np.where(in_order, d_first, d_second), first, 1.0 - first],
-        [np.where(in_order, d_second, d_first), 1.0 - first, first.copy()],
-    ]
-    rotated = np.abs(off) >= cutoff
+    ones, zeros = np.ones_like(d_first), np.zeros_like(d_first)
+    pairs = [[d_first.copy(), ones, zeros], [d_second.copy(), zeros.copy(), ones.copy()]]
+    rotated = np.abs(off) >= NEGATIVE_EIGENVALUE_CUTOFF
     d1, d2, c = d_first[rotated], d_second[rotated], off[rotated]
     half_gap = 0.5 * np.hypot(d1 - d2, 2.0 * c)
     mean = 0.5 * (d1 + d2)
@@ -309,21 +301,19 @@ def _two_level_pairs(d_first: np.ndarray, d_second: np.ndarray, off: np.ndarray,
         x = np.where(use_a, c, lam - d2)
         y = np.where(use_a, lam - d1, c)
         norm = np.hypot(x, y)
-        x, y = x / norm, y / norm
-        sign = np.where(np.where(np.abs(x) < np.abs(y), y, x) > 0, 1.0, -1.0)
-        for out, value in zip(pair, (lam, sign * x, sign * y)):
+        for out, value in zip(pair, (lam, x / norm, y / norm)):
             out[rotated] = value
     return pairs
 
 
 def _generic_decomposition(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fallback for an (N, 8, 8) stack checked Hermitian: eigenpairs ascending, phases fixed."""
+    """Fallback for an (N, 8, 8) stack checked Hermitian: eigenpairs, negative weights clipped."""
     vals, vecs = _symmetrised_eigh(m)
-    return np.clip(vals, 0.0, None), _fix_phase(vecs)
+    return np.clip(vals, 0.0, None), vecs
 
 
 def _decompose_stack(
-    m: np.ndarray, codes: np.ndarray, elements: np.ndarray, cutoff: float
+    m: np.ndarray, codes: np.ndarray, elements: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pure-state decomposition of each state of an (N, 8, 8) stack.
 
@@ -332,7 +322,9 @@ def _decompose_stack(
     null directions, so six analytic eigenpairs (plus two zero-weight
     completions) suffice.  Returns the probabilities (N, 8) and the unit
     vectors as columns (N, 8, 8).  States whose pattern code is nonzero go
-    through `_generic_decomposition`, all of them in one call.
+    through `_generic_decomposition`, all of them in one call.  Every output
+    reads the kets only through their projectors, so no phase or order is
+    fixed.
     """
     probs = np.zeros(m.shape[:2])
     vectors = np.zeros(m.shape, dtype=np.result_type(m, float))
@@ -340,11 +332,11 @@ def _decompose_stack(
     r11, r22, r33, r44, r55, r66, r15, r26 = elements[ok].T
     lams = []
     kets = np.zeros((len(r11), 8, 8))
-    for col, (lam, x, y) in enumerate(_two_level_pairs(r11, r55, r15, cutoff)):
+    for col, (lam, x, y) in enumerate(_two_level_pairs(r11, r55, r15)):
         lams.append(lam)
         kets[:, 0, col] = x
         kets[:, 5, col] = kets[:, 6, col] = y * _INV_SQRT2
-    for col, (lam, x, y) in enumerate(_two_level_pairs(r22, r66, r26, cutoff), start=2):
+    for col, (lam, x, y) in enumerate(_two_level_pairs(r22, r66, r26), start=2):
         lams.append(lam)
         kets[:, 1, col] = kets[:, 2, col] = x * _INV_SQRT2
         kets[:, 7, col] = y
@@ -353,13 +345,13 @@ def _decompose_stack(
     kets[:, 2, 6] = kets[:, 6, 7] = -_INV_SQRT2
     zero = np.zeros_like(r33)
     probs[ok] = np.maximum(np.stack([*lams, r33, r44, zero, zero], axis=-1), 0.0)
-    vectors[ok] = _fix_phase(kets)
+    vectors[ok] = kets
     if not ok.all():
         probs[~ok], vectors[~ok] = _generic_decomposition(m[~ok])
     return probs, vectors
 
 
-def _pure_negativity(kets: np.ndarray, p: QubitLabel, cutoff: float) -> np.ndarray:
+def _pure_negativity(kets: np.ndarray, p: QubitLabel) -> np.ndarray:
     """Global negativity for qubit ``p`` of each pure state in the columns of ``kets``.
 
     A ket split by qubit p's bit is a 2x4 matrix M with reduced state
@@ -376,36 +368,19 @@ def _pure_negativity(kets: np.ndarray, p: QubitLabel, cutoff: float) -> np.ndarr
         - clear[..., _MINOR_SECOND, :] * set_[..., _MINOR_FIRST, :]
     )
     root = np.sqrt((np.abs(minors) ** 2).sum(axis=-2))
-    return np.where(root > cutoff, 2.0 * root, 0.0)
+    return np.where(root > NEGATIVE_EIGENVALUE_CUTOFF, 2.0 * root, 0.0)
 
 
-def _partial_trace(m: np.ndarray, keep_set: set[QubitLabel]) -> np.ndarray:
-    """Reduced states of a stack (..., 8, 8) on the qubits in ``keep_set``.
+def _linear_entropy_b(m: np.ndarray) -> np.ndarray:
+    """Mixedness ``2 (1 - tr rho_B^2)`` of qubit B's reduced state, per state of a stack (N, 8, 8).
 
-    Kept qubits retain their relative order (A1 fastest, B slowest).
+    0 for a pure qubit, 1 for a maximally mixed one.
     """
-    lead = m.shape[:-2]
-    # axes of the (2,2,2, 2,2,2) view: (B, A2, A1) x (B, A2, A1)
-    tensor = m.reshape(*lead, 2, 2, 2, 2, 2, 2)
-    remaining = [QubitLabel.B, QubitLabel.A2, QubitLabel.A1]
-    for q in (QubitLabel.B, QubitLabel.A2, QubitLabel.A1):
-        if q in keep_set:
-            continue
-        axis = len(lead) + remaining.index(q)
-        tensor = np.trace(tensor, axis1=axis, axis2=axis + len(remaining))
-        remaining.remove(q)
-    dim = 2 ** len(keep_set)
-    return tensor.reshape(*lead, dim, dim)
-
-
-def _linear_entropy(m: np.ndarray) -> np.ndarray:
-    """Mixedness ``d/(d-1) (1 - tr rho^2)`` of each matrix of a stack (..., d, d).
-
-    0 for a pure state, 1 for a maximally mixed one.
-    """
-    d = m.shape[-1]
-    purity = np.real(np.trace(m @ m, axis1=-2, axis2=-1))
-    return (d / (d - 1.0)) * (1.0 - purity)
+    # axes of the (2,2,2, 2,2,2) view: (B, A2, A1) x (B, A2, A1); A2 is traced out, then A1
+    reduced = np.trace(m.reshape(*m.shape[:-2], 2, 2, 2, 2, 2, 2), axis1=-5, axis2=-2)
+    reduced = np.trace(reduced, axis1=-3, axis2=-1)
+    purity = np.real(np.trace(reduced @ reduced, axis1=-2, axis2=-1))
+    return 2.0 * (1.0 - purity)
 
 
 def _expectation(vector: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -685,21 +660,21 @@ def _in_blocks(m: np.ndarray, codes: np.ndarray) -> np.ndarray:
     return (codes == 0) & ~m[:, ~PATTERN_MASK].any(axis=-1)
 
 
-def _projected_blocks(gathered: np.ndarray, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+def _projected_blocks(gathered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve map 0 of gathered blocks (..., owners, blocks, maps, n, n) and project the other maps.
 
     Returns the kept eigenvalues summed per owner, and ``Re tr(map @ P)``
     per owner and projected map, with P the projector on the kept
     eigenvectors of the block; both summed over the blocks.
     """
-    vals, vecs = _negative_pairs(gathered[..., 0, :, :], cutoff)
+    vals, vecs = _negative_pairs(gathered[..., 0, :, :])
     projector = _projector(vecs)[..., None, :, :]
     traces = _projected_trace(gathered[..., 1:, :, :], projector)
     return vals.sum(axis=(-2, -1)), traces.sum(axis=-2)
 
 
 def _global_split(
-    m: np.ndarray, in_blocks: np.ndarray, cutoff: float, owners: list[int]
+    m: np.ndarray, in_blocks: np.ndarray, owners: list[int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """N_G (N, owner) and its split E_3, E_2, E_0 (N, owner, 3) of an (N, 8, 8) stack.
 
@@ -715,13 +690,13 @@ def _global_split(
         flat = m[rows].reshape(-1, 64)
         sums = traces = 0.0
         for positions in tables.values():
-            block_sums, block_traces = _projected_blocks(flat[:, positions[owners]], cutoff)
+            block_sums, block_traces = _projected_blocks(flat[:, positions[owners]])
             sums, traces = sums + block_sums, traces + block_traces
         n_g[rows], split[rows] = -2.0 * sums, -2.0 * traces
     return n_g, split
 
 
-def _share_terms(kets: np.ndarray, cutoff: float) -> np.ndarray:
+def _share_terms(kets: np.ndarray) -> np.ndarray:
     """Per ket (rows of ``kets``) and spec (columns, in `_SHARE_ORDER`): ``Re tr(S P)``.
 
     S is the spec's selective transpose of the ket's projector and P the
@@ -731,30 +706,30 @@ def _share_terms(kets: np.ndarray, cutoff: float) -> np.ndarray:
     pure = (kets[:, :, None] * kets[:, None, :].conj()).reshape(len(kets), 64)
     traces = 0.0
     for positions in _WHOLE_KET_GATHERS.values():
-        traces = traces + _projected_blocks(pure[:, positions[0]], cutoff)[1]
+        traces = traces + _projected_blocks(pure[:, positions[0]])[1]
     return traces.reshape(len(kets), -1)
 
 
-def _star_share_terms(kets: np.ndarray, families: np.ndarray, cutoff: float) -> np.ndarray:
+def _star_share_terms(kets: np.ndarray, families: np.ndarray) -> np.ndarray:
     """`_share_terms` of kets that each lie in the ket family ``families`` names, in closed form.
 
     The block of the two-way transpose is a star with edges a and b, so
     its one negative eigenvalue is ``-r``, ``r = hypot(|a|, |b|)``, with
     eigenvector ``(a, b, -r) / (sqrt2 r)`` on (leaf, leaf, centre).  A
     selective transpose keeps one edge, so its term is ``-|a|^2 / r`` or
-    ``-|b|^2 / r``; both are 0 unless ``r`` exceeds the cutoff, as an
-    eigenvalue at or above ``-cutoff`` counts as zero.
+    ``-|b|^2 / r``; both are 0 unless ``r`` exceeds the eigenvalue cutoff,
+    as an eigenvalue at or above minus the cutoff counts as zero.
     """
     ket = np.arange(len(kets))[:, None, None, None]
     edges = np.abs(kets[ket, _STAR_ROWS[families]] * kets[ket, _STAR_COLS[families]].conj())
     r = np.hypot(edges[..., 0], edges[..., 1])
-    scale = np.divide(-1.0, r, out=np.zeros_like(r), where=r > cutoff)
+    scale = np.divide(-1.0, r, out=np.zeros_like(r), where=r > NEGATIVE_EIGENVALUE_CUTOFF)
     terms = np.take_along_axis(edges**2 * scale[..., None], _STAR_KEPT[families], axis=-1)
     return terms.sum(axis=-2).reshape(len(kets), -1)
 
 
 def _pairwise_shares(
-    probs: np.ndarray, vectors: np.ndarray, in_blocks: np.ndarray, cutoff: float
+    probs: np.ndarray, vectors: np.ndarray, in_blocks: np.ndarray
 ) -> dict[str, np.ndarray]:
     """Pairwise shares of the decomposition negativity, per selective spec.
 
@@ -776,9 +751,9 @@ def _pairwise_shares(
     if in_family.any():
         family_kets = kets[in_family]
         families = _FAMILY_OF[np.argmax(np.abs(family_kets), axis=-1)]
-        terms[in_family] = _star_share_terms(family_kets, families, cutoff)
+        terms[in_family] = _star_share_terms(family_kets, families)
     if not in_family.all():
-        terms[~in_family] = _share_terms(kets[~in_family], cutoff)
+        terms[~in_family] = _share_terms(kets[~in_family])
     shares = {}
     for column, spec in enumerate(_SHARE_ORDER):
         share = np.zeros(probs.shape)
@@ -787,7 +762,7 @@ def _pairwise_shares(
     return {spec: shares[spec] for spec in SELECTIVE_SPECS}
 
 
-def _negativity_block(m: np.ndarray, cutoff: float, qubits: list[QubitLabel]) -> NegativityBatch:
+def _negativity_block(m: np.ndarray, qubits: list[QubitLabel]) -> NegativityBatch:
     """`negativity_batch` for one block of at most `_DIAGNOSTIC_BLOCK` states, checked Hermitian.
 
     ``qubits`` are those whose global transposes are solved, in `QubitLabel` order.
@@ -795,17 +770,17 @@ def _negativity_block(m: np.ndarray, cutoff: float, qubits: list[QubitLabel]) ->
     codes, elements = _pattern_check(m)
     pattern_ok = codes == 0
     in_blocks = _in_blocks(m, codes)
-    n_g, split = _global_split(m, in_blocks, cutoff, [p.value for p in qubits])
-    probs, vectors = _decompose_stack(m, codes, elements, cutoff)
+    n_g, split = _global_split(m, in_blocks, [p.value for p in qubits])
+    probs, vectors = _decompose_stack(m, codes, elements)
     return NegativityBatch(
         n_g={p: n_g[:, i] for i, p in enumerate(qubits)},
-        n_g_b_analytic=np.where(pattern_ok, _analytic_negativity_b(elements, cutoff), np.nan),
+        n_g_b_analytic=np.where(pattern_ok, _analytic_negativity_b(elements), np.nan),
         e_3={p: split[:, i, 0] for i, p in enumerate(qubits)},
         e_2={p: split[:, i, 1] for i, p in enumerate(qubits)},
         e_0={p: split[:, i, 2] for i, p in enumerate(qubits)},
-        n_psdg={p: (probs * _pure_negativity(vectors, p, cutoff)).sum(axis=-1) for p in QubitLabel},
-        e_psd=_pairwise_shares(probs, vectors, in_blocks, cutoff),
-        linear_entropy_b=_linear_entropy(_partial_trace(m, {QubitLabel.B})),
+        n_psdg={p: (probs * _pure_negativity(vectors, p)).sum(axis=-1) for p in QubitLabel},
+        e_psd=_pairwise_shares(probs, vectors, in_blocks),
+        linear_entropy_b=_linear_entropy_b(m),
         w1_fidelity=_expectation(W1_STATE, m),
         bell_projection=_bell_projection(m),
         pattern_ok=pattern_ok,
@@ -848,9 +823,7 @@ def negativity_batch(states, *, global_qubits=tuple(QubitLabel)) -> NegativityBa
         raise ValueError(f"expected an (N, 8, 8) stack of states, got shape {stack.shape}")
     _require_hermitian(stack)
     blocks = [
-        _negativity_block(
-            stack[start : start + _DIAGNOSTIC_BLOCK], NEGATIVE_EIGENVALUE_CUTOFF, qubits
-        )
+        _negativity_block(stack[start : start + _DIAGNOSTIC_BLOCK], qubits)
         for start in range(0, max(len(stack), 1), _DIAGNOSTIC_BLOCK)
     ]
     if len(blocks) == 1:

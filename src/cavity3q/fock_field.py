@@ -23,6 +23,7 @@ Everything here is a pure function of its inputs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,15 +57,19 @@ def require_finite_nonnegative(name: str, values) -> np.ndarray:
     """``values`` as a float array, or a ValueError naming ``name`` and the first bad value.
 
     A bool, or a sequence or array holding one, is refused rather than read
-    as 1.0 or 0.0.
+    as 1.0 or 0.0.  So is anything else that is not a real number: a complex
+    value is not cut to its real part, and a string is not left to numpy's
+    conversion error.
     """
     array = np.asarray(values)
     # numpy reads a sequence that mixes bools with floats, [0.5, True], as floats
-    if array.dtype == bool or (
-        not isinstance(values, np.ndarray)
-        and any(isinstance(v, (bool, np.bool_)) for v in np.asarray(values, dtype=object).flat)
-    ):
+    items = () if isinstance(values, np.ndarray) else np.asarray(values, dtype=object).flat
+    if array.dtype == bool or any(isinstance(v, (bool, np.bool_)) for v in items):
         raise ValueError(f"{name} must be a finite number >= 0, not a bool, got {values!r}")
+    if array.dtype.kind not in "iuf" and not (
+        array.dtype == object and all(isinstance(v, numbers.Real) for v in array.flat)
+    ):
+        raise ValueError(f"{name} must be a finite real number >= 0, got {values!r}")
     array = np.asarray(array, dtype=float)
     bad = array[~(np.isfinite(array) & (array >= 0.0))]
     if bad.size:
@@ -73,9 +78,11 @@ def require_finite_nonnegative(name: str, values) -> np.ndarray:
 
 
 def require_theta(theta) -> None:
-    """Reject a beam-splitter angle outside [0, pi] (NaN included) or a bool."""
+    """Reject a beam-splitter angle outside [0, pi] (NaN included), a bool or a non-real value."""
     if isinstance(theta, (bool, np.bool_)):
         raise ValueError(f"theta must be a finite number in [0, pi], not a bool, got {theta!r}")
+    if not isinstance(theta, numbers.Real):
+        raise ValueError(f"theta must be a finite real number in [0, pi], got {theta!r}")
     if not 0.0 <= theta <= math.pi:
         raise ValueError(f"theta must lie in [0, pi], got {theta}")
 

@@ -98,7 +98,6 @@ def _beam_splitter_eigh(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
-@lru_cache(maxsize=8)
 def _beam_splitter_columns(theta: float, n_max: int) -> np.ndarray:
     """Amplitudes ``A[n, k] = <k external, n - k cavity| U_BS |n external, 0 cavity>``.
 
@@ -106,7 +105,8 @@ def _beam_splitter_columns(theta: float, n_max: int) -> np.ndarray:
     the external mode and the cavity starts empty.  From the eigensystem of
     `_beam_splitter_eigh`, ``U[j, n] = Re(i^(j-n) (V e^(-i theta L) V^T)[j, n])``:
     the cosine part where j - n is even, the sine part where it is odd.
-    Entries with k > n are zero.  Cached per (theta, n_max) and read-only.
+    Entries with k > n are zero.  Not cached: its one caller,
+    `_port_weights`, is cached on the same (theta, n_max).
     """
     vals, vecs = _beam_splitter_eigh(n_max)
     size = n_max + 1
@@ -116,9 +116,7 @@ def _beam_splitter_columns(theta: float, n_max: int) -> np.ndarray:
     even = (vecs @ (np.cos(phase) * last)[:, :, None])[:, :, 0]
     odd = (vecs @ (np.sin(phase) * last)[:, :, None])[:, :, 0]
     offset = np.arange(size) - np.arange(size)[:, None]  # j - n
-    amps = np.tril(_QUARTER_TURN_SIGN[offset % 4] * np.where(offset % 2 == 0, even, odd))
-    amps.setflags(write=False)
-    return amps
+    return np.tril(_QUARTER_TURN_SIGN[offset % 4] * np.where(offset % 2 == 0, even, odd))
 
 
 @lru_cache(maxsize=8)
@@ -129,7 +127,7 @@ def _port_weights(theta: float, n_max: int) -> tuple[np.ndarray, ...]:
     p and r count along the diagonal d of the output and of the Gram tensor,
     and p - r is the number of photons left in the external port
     (`_port_traced`).  The weights of diagonal -d are those of d.  Built from
-    `_beam_splitter_columns`, cached per (theta, n_max) and read-only.
+    `_beam_splitter_columns`; cached per (theta, n_max) and read-only.
     """
     amps = _beam_splitter_columns(theta, n_max)
     weights = []

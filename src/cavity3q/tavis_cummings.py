@@ -67,25 +67,31 @@ class ThreeQubitDensityMatrix:
     n_max: int
 
 
-def _build_pattern_mask() -> np.ndarray:
-    mask = np.zeros((8, 8), dtype=bool)
-    for i in (0, 3, 4, 7):
-        mask[i, i] = True
-    for block in ((1, 2), (5, 6)):
-        for i in block:
-            for j in block:
-                mask[i, j] = True
-    for i, j in ((0, 5), (0, 6), (1, 7), (2, 7)):
-        mask[i, j] = True
-        mask[j, i] = True
-    return mask
+# Where each element of `closed_form_grid` lands in the 8x8 state, and the
+# divisor it is stored with.  r22 and r55 weigh states symmetric in the c1
+# pair, (|100>+|010>)/sqrt2 and (|101>+|011>)/sqrt2, so each fills a 2x2
+# block at half weight; each coherence links a basis state to one of them.
+_ELEMENT_SLOTS = (
+    ((0, 0),),
+    ((1, 1), (1, 2), (2, 1), (2, 2)),
+    ((3, 3),),
+    ((4, 4),),
+    ((5, 5), (5, 6), (6, 5), (6, 6)),
+    ((7, 7),),
+    ((0, 5), (0, 6), (5, 0), (6, 0)),
+    ((1, 7), (2, 7), (7, 1), (7, 2)),
+)
+_ELEMENT_DIVISORS = np.array([1.0, 2.0, 1.0, 1.0, 2.0, 1.0, math.sqrt(2.0), math.sqrt(2.0)])
+_SLOT_SOURCE = np.array([k for k, slots in enumerate(_ELEMENT_SLOTS) for _ in slots])
+_SLOT_ROWS, _SLOT_COLS = np.array([ij for slots in _ELEMENT_SLOTS for ij in slots]).T
 
 
-# Entries that can be nonzero in the reduced state: populations of the
-# symmetric sector, the |000><101|-type coherences and the
+# Entries that can be nonzero in the reduced state, the slots above:
+# populations of the symmetric sector, the |000><101|-type coherences and the
 # |100><111|-type coherences.  Everything else vanishes because each field
 # component conserves photon number plus atomic excitation.
-PATTERN_MASK = _build_pattern_mask()
+PATTERN_MASK = np.zeros((8, 8), dtype=bool)
+PATTERN_MASK[_SLOT_ROWS, _SLOT_COLS] = True
 PATTERN_MASK.setflags(write=False)
 
 
@@ -215,25 +221,6 @@ def closed_form_grid(taus, squeezes, theta: float, n_max: int) -> np.ndarray:
         block = slice(start, start + _TAU_CHUNK)
         out[block] = _chunk_elements(taus[block], u0, u1, norm0, norm1)
     return out
-
-
-# Where each element of `closed_form_grid` lands in the 8x8 state, and the
-# divisor it is stored with.  r22 and r55 weigh states symmetric in the c1
-# pair, (|100>+|010>)/sqrt2 and (|101>+|011>)/sqrt2, so each fills a 2x2
-# block at half weight; each coherence links a basis state to one of them.
-_ELEMENT_SLOTS = (
-    ((0, 0),),
-    ((1, 1), (1, 2), (2, 1), (2, 2)),
-    ((3, 3),),
-    ((4, 4),),
-    ((5, 5), (5, 6), (6, 5), (6, 6)),
-    ((7, 7),),
-    ((0, 5), (0, 6), (5, 0), (6, 0)),
-    ((1, 7), (2, 7), (7, 1), (7, 2)),
-)
-_ELEMENT_DIVISORS = np.array([1.0, 2.0, 1.0, 1.0, 2.0, 1.0, math.sqrt(2.0), math.sqrt(2.0)])
-_SLOT_SOURCE = np.array([k for k, slots in enumerate(_ELEMENT_SLOTS) for _ in slots])
-_SLOT_ROWS, _SLOT_COLS = np.array([ij for slots in _ELEMENT_SLOTS for ij in slots]).T
 
 
 def states_from_elements(elements: np.ndarray) -> np.ndarray:

@@ -35,7 +35,7 @@ from cavity3q import (
 )
 from cavity3q.cli import ORACLE_CHECK_SQUEEZES, ORACLE_CHECK_TAUS, ORACLE_CHECK_THETAS
 from test_diagnostics_reference import full_transpose, kway_mask, restricted_transpose, selective_mask
-from test_entanglement import decomposition
+from test_entanglement import decomposition, reconstructed
 
 TOL = 1e-14
 CUTOFF = 1e-12
@@ -273,10 +273,12 @@ def test_kernel_matches_reference_on_degenerate_pairs():
         got = flatten(batch, index)
         for key, value in expected.items():
             assert got[key] == pytest.approx(value, abs=TOL), (index, key)
+        # the decomposition itself, free of the kets' order and phases
         probs, vectors = ref_decompose(m)
         got_probs, got_vectors = decomposition(m[None])
-        assert np.abs(got_probs[0] - probs).max() <= TOL
-        assert np.abs(got_vectors[0] - vectors).max() <= TOL
+        assert np.abs(np.sort(got_probs[0]) - np.sort(probs)).max() <= TOL
+        expected = reconstructed(probs[None], vectors[None])
+        assert np.abs(reconstructed(got_probs, got_vectors) - expected).max() <= TOL
 
 
 def test_kernel_matches_reference_on_generic_states():
@@ -294,6 +296,49 @@ def test_kernel_matches_reference_on_generic_states():
                 assert math.isnan(got[key])
                 continue
             assert got[key] == pytest.approx(value, abs=TOL), (index, key)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_outputs_do_not_depend_on_ket_phases(dtype, monkeypatch):
+    # every diagnostic reads the decomposition only through p |k><k|: a random
+    # sign on each ket of a real stack changes no bit, a random unit phase on
+    # each ket of a complex stack changes only the rounding, within 1e-15 on
+    # the closed-form rows; the generic rows' pairwise shares come from 8x8
+    # eigensolves, which amplify it to several ulps (up to 6.2e-15 over 40
+    # random stacks), so TOL
+    rng = np.random.default_rng(47)
+    closed = sweep_states(1.1, [0.6, 2.0], np.linspace(0.0, 20.0, 30))
+    a = rng.standard_normal((20, 8, 8)).astype(dtype)
+    if dtype is np.complex128:
+        a += 1j * rng.standard_normal((20, 8, 8))
+    generic = a @ a.conj().swapaxes(-1, -2)
+    generic /= np.trace(generic, axis1=1, axis2=2).real[:, None, None]
+    states = np.concatenate([closed.astype(dtype), generic])
+    expected = negativity_batch(states)
+    decompose, calls = ent._decompose_stack, []
+
+    def rephased(*args):
+        probs, vectors = decompose(*args)
+        if dtype is np.float64:
+            phases = rng.choice([-1.0, 1.0], size=(len(vectors), 1, 8))
+        else:
+            phases = np.exp(2j * math.pi * rng.random((len(vectors), 1, 8)))
+        calls.append(len(vectors))
+        return probs, vectors * phases
+
+    monkeypatch.setattr(ent, "_decompose_stack", rephased)
+    got = negativity_batch(states)
+    assert calls == [len(states)]
+    if dtype is np.float64:
+        assert_bit_identical(got, expected)
+        return
+    assert np.array_equal(got.pattern_ok, expected.pattern_ok)
+    reference = batch_fields(expected)
+    for key, values in batch_fields(got).items():
+        assert np.array_equal(np.isnan(values), np.isnan(reference[key])), key
+        deviation = np.nan_to_num(np.abs(values - reference[key]))
+        assert deviation[: len(closed)].max() <= 1e-15, key
+        assert deviation[len(closed) :].max() <= TOL, key
 
 
 def test_eigenvalues_inside_cutoff_count_as_zero():
@@ -493,7 +538,7 @@ def test_kernel_and_scalar_negativity_share_one_path():
         assert np.abs(noisy_batch.n_g[p] - batch.n_g[p]).max() <= TOL
     # the kernel's solver on a stack gives each matrix's own eigenpairs
     transposes = np.array([full_transpose(m, QubitLabel.B) for m in states])
-    vals, vecs = ent._negative_pairs(transposes, CUTOFF)
+    vals, vecs = ent._negative_pairs(transposes)
     for index, t in enumerate(transposes):
         ref_vals, ref_vecs = ref_negative_eigenpairs(t)
         kept = vals[index] != 0.0
@@ -593,7 +638,7 @@ def test_empty_selection_skips_the_global_stage(global_solves):
     noisy[:, 3, 0] = noisy[:, 0, 3] = 1e-17
     for stack in (states, noisy):
         codes, _ = ent._pattern_check(stack)
-        n_g, split = ent._global_split(stack, ent._in_blocks(stack, codes), CUTOFF, [])
+        n_g, split = ent._global_split(stack, ent._in_blocks(stack, codes), [])
         assert n_g.shape == (3, 0) and split.shape == (3, 0, 3)
         batch = negativity_batch(stack, global_qubits=())
         assert batch.n_g == batch.e_3 == batch.e_2 == batch.e_0 == {}

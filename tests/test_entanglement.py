@@ -3,8 +3,7 @@
 Every diagnostic is read from `negativity_batch` (or `negativity_report`, its
 grid of one).  The transposes are the kernel's own index maps
 (`_transpose_positions` on its K-way and selective masks), the pure-state
-decomposition is `_decompose_stack` and the reduced states are
-`_partial_trace`, the stages the kernel runs.
+decomposition is `_decompose_stack`, the stage the kernel runs.
 """
 
 import math
@@ -29,7 +28,6 @@ from cavity3q import (
 from test_diagnostics_reference import textbook_report
 
 A1, A2, B = QubitLabel.A1, QubitLabel.A2, QubitLabel.B
-CUTOFF = ent.NEGATIVE_EIGENVALUE_CUTOFF
 
 BELL_A1B = np.zeros(8, dtype=complex)
 BELL_A1B[0] = BELL_A1B[5] = 1.0 / math.sqrt(2.0)  # (|000> + |101>) / sqrt2
@@ -86,7 +84,7 @@ def decomposition(states):
     """The kernel's pure-state decomposition: probabilities (N, 8), unit kets as columns (N, 8, 8)."""
     states = np.asarray(states)
     codes, elements = ent._pattern_check(states)
-    return ent._decompose_stack(states, codes, elements, CUTOFF)
+    return ent._decompose_stack(states, codes, elements)
 
 
 def reconstructed(probs, vectors):
@@ -167,7 +165,7 @@ def test_transpose_invariants_on_random_states(seed):
 def test_negative_eigensum_on_psd_matrix_is_zero():
     # the kernel's solver keeps no eigenpair of a positive semidefinite matrix
     rng = np.random.default_rng(3)
-    vals, vecs = ent._negative_pairs(random_hermitian_psd(rng), CUTOFF)
+    vals, vecs = ent._negative_pairs(random_hermitian_psd(rng))
     assert not vals.any() and not vecs.any()
 
 
@@ -185,7 +183,7 @@ def test_negative_eigensum_unitary_conjugation_invariance():
     for _ in range(5):
         u = random_unitary(rng)
         rotated.append(u @ m @ u.conj().T)
-    vals, _ = ent._negative_pairs(np.array([m, *rotated]), CUTOFF)
+    vals, _ = ent._negative_pairs(np.array([m, *rotated]))
     sums = -2.0 * vals.sum(axis=-1)
     assert sums[0] > 0.0
     assert np.abs(sums[1:] - sums[0]).max() < 1e-10
@@ -312,19 +310,20 @@ def test_decomposition_states_have_no_three_way_negativity():
 
 
 def test_partial_trace_of_product_state():
+    # B's reduced state of a product state is its B factor
     rng = np.random.default_rng(17)
     fa1 = random_hermitian_psd(rng, dim=2)
     fa2 = random_hermitian_psd(rng, dim=2)
     fb = random_hermitian_psd(rng, dim=2)
     m = np.kron(fb, np.kron(fa2, fa1))
-    assert np.abs(ent._partial_trace(m, {A1, A2}) - np.kron(fa2, fa1)).max() < 1e-14
-    assert np.abs(ent._partial_trace(m, {B}) - fb).max() < 1e-14
-    assert np.abs(ent._partial_trace(m, {A1}) - fa1).max() < 1e-14
+    expected = 2.0 * (1.0 - np.real(np.trace(fb @ fb)))
+    assert abs(negativity_batch(m[None]).linear_entropy_b[0] - expected) < 1e-14
 
 
 def test_partial_trace_of_bell_pair():
-    reduced = ent._partial_trace(pure(BELL_A1B), {B})
-    assert np.abs(reduced - np.eye(2) / 2.0).max() < 1e-14
+    # B's reduced state of a Bell pair with A1 is maximally mixed
+    entropy = negativity_batch(pure(BELL_A1B)[None]).linear_entropy_b[0]
+    assert abs(entropy - 1.0) < 1e-14
 
 
 def test_linear_entropy_limits():
@@ -362,7 +361,8 @@ def test_symmetric_bell_projection_via_partial_trace():
     # tracing out B, checked against the sym-sector populations
     rho = closed_form_rho(2.3, FieldConfig(1.2, math.pi, 60))
     m = rho.matrix
-    reduced = ent._partial_trace(m, {A1, A2})
+    # B is the slowest bit: trace it out of the (B, A2 A1) x (B, A2 A1) view
+    reduced = np.trace(m.reshape(2, 4, 2, 4), axis1=0, axis2=2)
     psi_plus = np.zeros(4, dtype=complex)
     psi_plus[1] = psi_plus[2] = 1.0 / math.sqrt(2.0)
     projection = float(np.real(psi_plus.conj() @ reduced @ psi_plus))

@@ -10,6 +10,8 @@ from cavity3q import (
     FieldConfig,
     binomial_amplitude_row,
     binomial_amplitude_table,
+    closed_form_grid,
+    full_evolution_grid,
     truncation_deficit,
     truncation_deficits,
 )
@@ -261,6 +263,31 @@ def test_squeezing_refuses_bools(s):
         FieldConfig(s, 1.0, 5)
     with pytest.raises(ValueError, match=message):
         truncation_deficits([s, s], 5)
+
+
+# numpy would cut a complex value to its real part with only a ComplexWarning,
+# read a numeric string as a number, and fail on None or "abc" with a message
+# that names no parameter; the comparison in the angle check raised TypeError
+NOT_REAL = [0.5j, 2 + 0j, np.complex128(0.5), [0.5, 1j], "abc", "1", None]
+TAKES_A_NUMBER = {
+    "grid tau": (lambda v: closed_form_grid(v, [1.0], 1.0, 10), "tau"),
+    "grid s": (lambda v: closed_form_grid([1.0], v, 1.0, 10), "squeeze parameter s"),
+    "grid theta": (lambda v: closed_form_grid([1.0], [1.0], v, 10), "theta"),
+    "oracle tau": (lambda v: full_evolution_grid(v, [0.5], 1.0, 4), "tau"),
+    "oracle s": (lambda v: full_evolution_grid([1.0], v, 1.0, 4), "squeeze parameter s"),
+    "oracle theta": (lambda v: full_evolution_grid([1.0], [0.5], v, 4), "theta"),
+    "config s": (lambda v: FieldConfig(v, 1.0, 10), "squeeze parameter s"),
+    "config theta": (lambda v: FieldConfig(0.5, v, 10), "theta"),
+    "deficits s": (lambda v: truncation_deficits(v, 10), "squeeze parameter s"),
+}
+
+
+@pytest.mark.parametrize("value", NOT_REAL)
+@pytest.mark.parametrize("entry", list(TAKES_A_NUMBER), ids=list(TAKES_A_NUMBER))
+def test_non_real_inputs_are_refused_by_name(entry, value):
+    call, name = TAKES_A_NUMBER[entry]
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be a finite real number")):
+        call(value)
 
 
 def test_config_rejects_bool_n_max():

@@ -65,7 +65,7 @@ def test_real_beam_splitter_block_matches_complex_solve(theta):
 def test_beam_splitter_eigensystem_is_read_only():
     vals, vecs = _beam_splitter_eigh(12)
     assert vals.shape == (13, 13) and vecs.shape == (13, 13, 13)
-    for table in (vals, vecs, _beam_splitter_columns(1.1, 12)):
+    for table in (vals, vecs):
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 1.0
@@ -74,7 +74,7 @@ def test_beam_splitter_eigensystem_is_read_only():
 def test_oracle_check_solves_each_beam_splitter_block_once(monkeypatch):
     # the generator is the angle times a fixed matrix: one solve per block
     # serves all three angles, and the two coupling Hamiltonians one each
-    caches = (_beam_splitter_eigh, _beam_splitter_columns, oracle._port_weights, oracle._coupling_eigh)
+    caches = (_beam_splitter_eigh, oracle._port_weights, oracle._coupling_eigh)
     for cached in caches:
         cached.cache_clear()
     solved = Counter()

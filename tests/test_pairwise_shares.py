@@ -35,7 +35,7 @@ CUTOFF = ent.NEGATIVE_EIGENVALUE_CUTOFF
 # ------------------------------------------------- gathered-eigensolve reference
 
 
-def reference_share_terms(kets, supports, tables, cutoff=CUTOFF):
+def reference_share_terms(kets, supports, tables):
     """Per ket and spec (in `_SHARE_ORDER`): ``Re tr(S P)`` from gathered, solved blocks.
 
     S is the spec's selective transpose of the ket's projector and P the
@@ -50,15 +50,15 @@ def reference_share_terms(kets, supports, tables, cutoff=CUTOFF):
         for support, table in enumerate(positions):
             rows = supports == support
             gathered[rows] = pure[rows][:, table]
-        traces = traces + ent._projected_blocks(gathered, cutoff)[1]
+        traces = traces + ent._projected_blocks(gathered)[1]
     return traces.reshape(len(kets), -1)
 
 
-def reference_pairwise_shares(states, cutoff=CUTOFF):
+def reference_pairwise_shares(states):
     """`NegativityBatch.e_psd` of a stack, every ket's blocks solved by the eigensolver."""
     codes, elements = ent._pattern_check(states)
     in_blocks = ent._in_blocks(states, codes)
-    probs, vectors = ent._decompose_stack(states, codes, elements, cutoff)
+    probs, vectors = ent._decompose_stack(states, codes, elements)
     rows, cols = np.nonzero((probs > 0.0) & (np.count_nonzero(vectors, axis=-2) >= 2))
     kets = vectors[rows, :, cols]
     terms = np.empty((len(kets), len(ent._SHARE_ORDER)))
@@ -66,7 +66,7 @@ def reference_pairwise_shares(states, cutoff=CUTOFF):
     supports = np.where(ket_in_blocks, ent._FAMILY_OF[np.argmax(np.abs(kets), axis=-1)], 0)
     for take, tables in ((ket_in_blocks, ent._KET_GATHERS), (~ket_in_blocks, ent._WHOLE_KET_GATHERS)):
         if take.any():
-            terms[take] = reference_share_terms(kets[take], supports[take], tables, cutoff)
+            terms[take] = reference_share_terms(kets[take], supports[take], tables)
     shares = {}
     for column, spec in enumerate(ent._SHARE_ORDER):
         share = np.zeros(probs.shape)
@@ -79,7 +79,7 @@ def family_kets(states):
     """The kets that reach the star solve: positive weight, not basis states; and their families."""
     codes, elements = ent._pattern_check(states)
     assert ent._in_blocks(states, codes).all()
-    probs, vectors = ent._decompose_stack(states, codes, elements, CUTOFF)
+    probs, vectors = ent._decompose_stack(states, codes, elements)
     rows, cols = np.nonzero((probs > 0.0) & (np.count_nonzero(vectors, axis=-2) >= 2))
     kets = vectors[rows, :, cols]
     return kets, ent._FAMILY_OF[np.argmax(np.abs(kets), axis=-1)]
@@ -87,7 +87,7 @@ def family_kets(states):
 
 def assert_shares_match_reference(states):
     kets, families = family_kets(states)
-    got = ent._star_share_terms(kets, families, CUTOFF)
+    got = ent._star_share_terms(kets, families)
     expected = reference_share_terms(kets, families, ent._KET_GATHERS)
     assert np.abs(got - expected).max(initial=0.0) <= TOL
     batch = negativity_batch(states)
@@ -154,10 +154,10 @@ def test_star_shares_add_up_to_the_ket_negativity():
     # -|a|^2/r - |b|^2/r = -r, and r is half the ket's global negativity
     elements = closed_form_grid(np.linspace(0.0, 20.0, 60), [0.3, 1.2], 1.1, 80)
     kets, families = family_kets(states_from_elements(elements.reshape(-1, 8)))
-    terms = ent._star_share_terms(kets, families, CUTOFF)
+    terms = ent._star_share_terms(kets, families)
     per_owner = terms.reshape(len(kets), len(ent._SHARE_QUBITS), -1).sum(axis=-1)
     for owner, p in enumerate(ent._SHARE_QUBITS):
-        half_negativity = ent._pure_negativity(kets.T, p, CUTOFF) / 2.0
+        half_negativity = ent._pure_negativity(kets.T, p) / 2.0
         assert np.abs(per_owner[:, owner] + half_negativity).max() <= TOL, p
         assert (half_negativity > 0.0).any()
 
