@@ -10,7 +10,8 @@ the oracle share about that field:
   photons in the reflected port, every row up to n_max from one
   log-factorial table (`binomial_amplitude_row` is one row of it);
 * the input guards that refuse a bad squeeze parameter, interaction time,
-  angle or photon number with a message naming the parameter;
+  angle or photon number, or a sequence where one number is expected, with
+  a message naming the parameter;
 * `truncation_deficits`, the norm the truncation at n_max drops.
 
 The field weights built from the binomial rows live with the closed forms
@@ -53,38 +54,75 @@ def _half_angle(theta: float) -> tuple[float, float]:
     return cos_half, sin_half
 
 
-def require_finite_nonnegative(name: str, values) -> np.ndarray:
-    """``values`` as a float array, or a ValueError naming ``name`` and the first bad value.
+def _real_array(name: str, values, domain: str) -> np.ndarray:
+    """``values`` as a float array, refusing bools and non-real values by ``name``.
 
     A bool, or a sequence or array holding one, is refused rather than read
     as 1.0 or 0.0.  So is anything else that is not a real number: a complex
     value is not cut to its real part, and a string is not left to numpy's
-    conversion error.
+    conversion error.  ``domain`` ends the message, e.g. ">= 0".
     """
     array = np.asarray(values)
     # numpy reads a sequence that mixes bools with floats, [0.5, True], as floats
     items = () if isinstance(values, np.ndarray) else np.asarray(values, dtype=object).flat
     if array.dtype == bool or any(isinstance(v, (bool, np.bool_)) for v in items):
-        raise ValueError(f"{name} must be a finite number >= 0, not a bool, got {values!r}")
+        raise ValueError(f"{name} must be a finite number {domain}, not a bool, got {values!r}")
     if array.dtype.kind not in "iuf" and not (
         array.dtype == object and all(isinstance(v, numbers.Real) for v in array.flat)
     ):
-        raise ValueError(f"{name} must be a finite real number >= 0, got {values!r}")
-    array = np.asarray(array, dtype=float)
+        raise ValueError(f"{name} must be a finite real number {domain}, got {values!r}")
+    return np.asarray(array, dtype=float)
+
+
+def _one(name: str, values, array: np.ndarray) -> float:
+    """``array``, the checked form of ``values``, as one float; a sequence is refused."""
+    if array.ndim:
+        raise ValueError(f"{name} must be one number, not a sequence, got {values!r}")
+    return float(array)
+
+
+def require_number(name: str, value, domain: str) -> float:
+    """One real number, refused by ``name`` if it is a bool, non-real or a sequence.
+
+    The caller checks the range; ``domain`` (e.g. "> 0") only words the message.
+    """
+    return _one(name, value, _real_array(name, value, domain))
+
+
+def require_finite_nonnegative(name: str, values) -> np.ndarray:
+    """``values`` as a float array, or a ValueError naming ``name`` and the first bad value.
+
+    Bools and non-real values are refused as in `_real_array`, and so is
+    anything not finite or below 0.
+    """
+    array = _real_array(name, values, ">= 0")
     bad = array[~(np.isfinite(array) & (array >= 0.0))]
     if bad.size:
         raise ValueError(f"{name} must be finite and >= 0, got {bad.flat[0]}")
     return array
 
 
-def require_theta(theta) -> None:
-    """Reject a beam-splitter angle outside [0, pi] (NaN included), a bool or a non-real value."""
-    if isinstance(theta, (bool, np.bool_)):
-        raise ValueError(f"theta must be a finite number in [0, pi], not a bool, got {theta!r}")
-    if not isinstance(theta, numbers.Real):
-        raise ValueError(f"theta must be a finite real number in [0, pi], got {theta!r}")
-    if not 0.0 <= theta <= math.pi:
-        raise ValueError(f"theta must lie in [0, pi], got {theta}")
+def require_nonnegative_number(name: str, value) -> float:
+    """One value checked as in `require_finite_nonnegative`; a sequence is refused."""
+    return _one(name, value, require_finite_nonnegative(name, value))
+
+
+def require_thetas(thetas) -> np.ndarray:
+    """Beam-splitter angles as a float array.
+
+    A bool, a non-real value or an angle outside [0, pi] (NaN included) is
+    refused with a message naming theta.
+    """
+    array = _real_array("theta", thetas, "in [0, pi]")
+    bad = array[~((array >= 0.0) & (array <= math.pi))]
+    if bad.size:
+        raise ValueError(f"theta must lie in [0, pi], got {bad.flat[0]}")
+    return array
+
+
+def require_theta(theta) -> float:
+    """One beam-splitter angle, checked as in `require_thetas`; a sequence is refused."""
+    return _one("theta", theta, require_thetas(theta))
 
 
 def require_photon_number(name: str, value) -> None:
@@ -109,7 +147,7 @@ class FieldConfig:
     n_max: int
 
     def __post_init__(self) -> None:
-        require_finite_nonnegative("squeeze parameter s", self.s)
+        require_nonnegative_number("squeeze parameter s", self.s)
         require_theta(self.theta)
         require_photon_number("n_max", self.n_max)
 

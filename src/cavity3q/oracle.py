@@ -25,11 +25,15 @@ parts of the propagators ``exp(-i H tau)`` are two real matrix products.
 
 The reduced state is summed over every pair (n, m) of squeezed-pair photon
 numbers, not only the |n - m| <= 1 bands the closed forms keep, so their
-selection rule is checked rather than assumed.  The port trace runs one
-diagonal d = n - m of the photon-traced Gram tensor at a time, as one real
-matrix product (`_port_traced`).  The sum factorises over the two cavities,
-and a whole (tau, s) grid costs one propagator per tau and one matrix
-product: `full_evolution_grid`.  `full_evolution` is its grid of one.
+selection rule is checked rather than assumed.  The external-port trace and
+the (n, m) sum are one loop over the diagonals d = n - m >= 0
+(`_diagonal_term`): per diagonal, one real matrix product per cavity traces
+the port for every angle at once, and one product folds the two cavities'
+factors with the squeezed-pair weights.  Diagonal -d is added as the
+conjugate transpose of diagonal d, which is exact because the photon-traced
+overlaps form a Gram matrix.  A whole (theta, tau, s) grid costs one
+propagator per tau: `full_evolution_grid`.  `full_evolution` is its grid of
+one.
 """
 
 from __future__ import annotations
@@ -43,8 +47,9 @@ import numpy as np
 from .fock_field import (
     FieldConfig,
     require_finite_nonnegative,
+    require_nonnegative_number,
     require_photon_number,
-    require_theta,
+    require_thetas,
 )
 from .tavis_cummings import PATTERN_MASK, ThreeQubitDensityMatrix
 
@@ -105,8 +110,8 @@ def _beam_splitter_columns(theta: float, n_max: int) -> np.ndarray:
     the external mode and the cavity starts empty.  From the eigensystem of
     `_beam_splitter_eigh`, ``U[j, n] = Re(i^(j-n) (V e^(-i theta L) V^T)[j, n])``:
     the cosine part where j - n is even, the sine part where it is odd.
-    Entries with k > n are zero.  Not cached: its one caller,
-    `_port_weights`, is cached on the same (theta, n_max).
+    Entries with k > n are exactly zero.  Not cached: `full_evolution_grid`
+    calls it once per angle.
     """
     vals, vecs = _beam_splitter_eigh(n_max)
     size = n_max + 1
@@ -117,28 +122,6 @@ def _beam_splitter_columns(theta: float, n_max: int) -> np.ndarray:
     odd = (vecs @ (np.sin(phase) * last)[:, :, None])[:, :, 0]
     offset = np.arange(size) - np.arange(size)[:, None]  # j - n
     return np.tril(_QUARTER_TURN_SIGN[offset % 4] * np.where(offset % 2 == 0, even, odd))
-
-
-@lru_cache(maxsize=8)
-def _port_weights(theta: float, n_max: int) -> tuple[np.ndarray, ...]:
-    """Port-trace weights of each diagonal, ``M_d[p, r] = A[d + p, p - r] A[p, p - r]``.
-
-    Entry d = 0..n_max is an (n_max + 1 - d) square lower-triangular matrix:
-    p and r count along the diagonal d of the output and of the Gram tensor,
-    and p - r is the number of photons left in the external port
-    (`_port_traced`).  The weights of diagonal -d are those of d.  Built from
-    `_beam_splitter_columns`; cached per (theta, n_max) and read-only.
-    """
-    amps = _beam_splitter_columns(theta, n_max)
-    weights = []
-    for d in range(n_max + 1):
-        p = np.arange(n_max + 1 - d)[:, None]
-        kept = p - p.T
-        k = np.maximum(kept, 0)
-        matrix = np.where(kept >= 0, amps[d + p, k] * amps[p, k], 0.0)
-        matrix.setflags(write=False)
-        weights.append(matrix)
-    return tuple(weights)
 
 
 def _full_coupling_hamiltonian(num_atoms: int, dim: int) -> np.ndarray:
@@ -195,88 +178,116 @@ def _evolved_components(num_atoms: int, dim: int, taus: np.ndarray, count: int) 
 
 
 def _photon_traced_gram(psi: np.ndarray) -> np.ndarray:
-    """``G[t, q, r, a, a'] = sum_p psi[t, q, a, p] conj(psi[t, r, a', p])``.
+    """``G[t, q, a, r, a'] = sum_p psi[t, q, a, p] conj(psi[t, r, a', p])``.
 
     The field trace of the evolved ket of q photons (atom state a) against
-    that of r photons (atom state a').
+    that of r photons (atom state a').  As a Gram matrix it satisfies
+    ``G[t, r, a', q, a] = conj(G[t, q, a, r, a'])``.
     """
     taus, count, atoms, dim = psi.shape
     flat = psi.reshape(taus, count * atoms, dim)
-    gram = flat @ flat.conj().swapaxes(1, 2)
-    return gram.reshape(taus, count, atoms, count, atoms).swapaxes(2, 3)
+    return (flat @ flat.conj().swapaxes(1, 2)).reshape(taus, count, atoms, count, atoms)
 
 
-def _port_traced(gram: np.ndarray, weights: tuple[np.ndarray, ...]) -> np.ndarray:
-    """``X[t, n, m] = sum_k A[n, k] A[m, k] G[t, n - k, m - k]``.
+def _diagonal_weights(amps: np.ndarray, d: int) -> np.ndarray:
+    """Port-trace weights of diagonal d, ``M[th, p, j] = A[th, p + d, p - j] A[th, p, p - j]``.
 
-    One cavity's share of the reduced state for squeezed-pair photon numbers
-    n (ket) and m (bra), with the k photons left in the external port traced
-    out.  Along a diagonal d = n - m this reads
-    ``X[t, n, n - d] = sum_j A[n, n - j] A[n - d, n - j] G[t, j, j - d]``, a
-    product with the weights ``M_|d|`` of `_port_weights` (rows and columns
-    counted along the diagonal).  So each of the 2 n_max + 1 diagonals is one
-    real matrix product, on a float view in which the real and imaginary
-    parts of the Gram entries are columns.
+    ``amps`` stacks `_beam_splitter_columns` over the angles.  p and j count
+    along the diagonal d = n - m of the output and of the Gram tensor, and
+    p - j is the number of photons left in the external port, so M is lower
+    triangular.  Where j > p the index p - j < 0 wraps to column
+    size + p - j > p, where row p of A is exactly zero.
     """
-    taus, size, _, atoms, _ = gram.shape
-    out = np.empty(gram.shape, dtype=complex)
-    # entry (n, n - d) of the output sits at flat position n (size + 1) - d
-    flat = out.reshape(taus, size * size, atoms, atoms).view(float)
-    real_gram = gram.view(float)
-    for d in range(1 - size, size):
-        length = size - abs(d)
-        start = max(d, 0) * (size + 1) - d
-        part = np.diagonal(real_gram, -d, 1, 2) @ weights[abs(d)].T
-        flat[:, start : start + length * (size + 1) : size + 1] = part.transpose(0, 3, 1, 2)
-    return out
+    p = np.arange(amps.shape[1] - d)[:, None]
+    kept = p - p.T
+    return amps[:, d + p, kept] * amps[:, p, kept]
 
 
-def full_evolution_grid(taus, squeezes, theta: float, n_max: int) -> np.ndarray:
-    """Reduced three-qubit states by explicit evolution and field trace, on a (tau, s) grid.
+def _port_traced_diagonal(gram: np.ndarray, weights: np.ndarray, d: int) -> np.ndarray:
+    """``X[th, t, a, p, a'] = sum_j M[th, p, j] G[t, j + d, a, j, a']``, diagonal d of one cavity.
 
-    Returns an array of shape (len(taus), len(squeezes), 8, 8).  The squeezed
-    pair ``sum_n lambda_n(s) |n, n>``, ``lambda_n = tanh(s)^n / cosh(s)`` for
-    n <= n_max, enters the cavities through `_beam_splitter_columns`; each
-    cavity's injected photon number is evolved through the bare-basis
-    propagator (with two extra photon slots of headroom), and the external
-    ports and both cavity fields are traced out.  The state is
+    One cavity's share of the reduced state for squeezed-pair photon
+    numbers n = p + d (ket) and m = p (bra), with the photons left in the
+    external port traced out: ``X[n, m] = sum_k A[n, k] A[m, k] G[n - k,
+    m - k]``.  On a float view of the Gram tensor the entries (j + d, a, j)
+    form, for each (tau, a), a matrix whose row j holds the real and
+    imaginary parts of a', so the trace is one real matrix product per
+    (angle, tau, a), viewed back as complex.
+    """
+    rows = np.diagonal(gram.view(float), -d, 1, 3).swapaxes(-1, -2)
+    return (weights[:, None, None] @ rows).view(complex)
+
+
+def _diagonal_term(
+    grams: tuple[np.ndarray, np.ndarray], amps: np.ndarray, lam: np.ndarray, d: int
+) -> np.ndarray:
+    """``sum_p lambda_{p+d} lambda_p X2[p + d, p] (x) X1[p + d, p]``, diagonal d of the state sum.
+
+    Each cavity's factor comes from one port-trace product
+    (`_port_traced_diagonal`); one more product folds them with the pair
+    weights, per (angle, tau) and c1 ket atom state a: rows (s, b, b') of
+    the weighted c2 factor against (p, a') of the c1 factor.  Returns
+    (angles, taus, a, (s, b, b'), a'), complex.
+    """
+    weights = _diagonal_weights(amps, d)
+    x1, x2 = (_port_traced_diagonal(gram, weights, d) for gram in grams)
+    length = lam.shape[1] - d
+    pair = lam[:, d:] * lam[:, :length]
+    # (angle, tau, s, b, b', p)
+    c2 = x2.transpose(0, 1, 2, 4, 3)[:, :, None]
+    weighted = np.multiply(pair[:, None, None], c2, order="C")
+    return weighted.reshape(*x1.shape[:2], 1, -1, length) @ x1
+
+
+def full_evolution_grid(taus, squeezes, thetas, n_max: int) -> np.ndarray:
+    """Reduced three-qubit states by explicit evolution and field trace, on a (theta, tau, s) grid.
+
+    Returns an array of shape (len(thetas), len(taus), len(squeezes), 8, 8).
+    The squeezed pair ``sum_n lambda_n(s) |n, n>``, ``lambda_n =
+    tanh(s)^n / cosh(s)`` for n <= n_max, enters the cavities through
+    `_beam_splitter_columns`; each cavity's injected photon number is
+    evolved through the bare-basis propagator (with two extra photon slots
+    of headroom), and the external ports and both cavity fields are traced
+    out.  The state is
 
         rho(s) = sum_{n, m} lambda_n(s) lambda_m(s) X2[n, m] (x) X1[n, m]
 
-    with `_port_traced` giving each cavity's X, summed over all (n, m).  The
-    beam-splitter eigensystems depend on neither theta nor tau (solved once
-    per n_max), the port weights follow from them with one product per
-    angle, and the propagators depend only on tau, so each is built at most
-    once per call.  The sum is complex; the states are returned real
-    (float64) after checking that no imaginary part exceeds 1e-12
-    (RuntimeError otherwise).  Intended for moderate truncations
-    (n_max <= 80 or so); the closed forms carry production scale.
+    summed over every (n, m), one diagonal d = n - m >= 0 at a time
+    (`_diagonal_term`).  Diagonal -d is the conjugate transpose of diagonal
+    d, exactly, because each cavity's X[m, n] is X[n, m]^dagger (G is a Gram
+    matrix), so it is added as such.  The beam-splitter eigensystems depend
+    on neither theta nor tau (solved once per n_max), and the propagators
+    and Gram tensors depend only on tau, so each is built once per call for
+    all angles.  The sum is complex; the states are returned real (float64)
+    after checking that no imaginary part exceeds 1e-12 (RuntimeError
+    otherwise).  Intended for moderate truncations (n_max <= 80 or so); the
+    closed forms carry production scale.
     """
     taus = require_finite_nonnegative("tau", taus).reshape(-1)
     squeezes = require_finite_nonnegative("squeeze parameter s", squeezes).reshape(-1)
+    thetas = require_thetas(thetas).reshape(-1)
     require_photon_number("n_max", n_max)
-    require_theta(theta)
     size = n_max + 1
     dim = n_max + 3
-    weights = _port_weights(float(theta), int(n_max))
-    x1 = _port_traced(_photon_traced_gram(_evolved_components(2, dim, taus, size)), weights)
-    x2 = _port_traced(_photon_traced_gram(_evolved_components(1, dim, taus, size)), weights)
-
+    amps = np.stack([_beam_splitter_columns(theta, n_max) for theta in thetas])
+    grams = tuple(
+        _photon_traced_gram(_evolved_components(atoms, dim, taus, size)) for atoms in (2, 1)
+    )
     # cosh(s) overflows to inf above s ~ 710, where the correctly rounded
     # amplitudes are 0, which is what dividing by inf gives
     with np.errstate(over="ignore"):
         lam = np.tanh(squeezes)[:, None] ** np.arange(size) / np.cosh(squeezes)[:, None]
-    pair_weights = (lam[:, :, None] * lam[:, None, :]).reshape(len(squeezes), size * size)
-    # sum over (n, m) as one product per tau: rows (s, b, b') of the weighted
-    # c2 factor against columns (a, a') of the c1 factor
-    x1 = x1.reshape(len(taus), size * size, 16)
-    x2 = x2.reshape(len(taus), size * size, 4).swapaxes(1, 2)
-    # C order, so that the reshape is a view rather than a copy of the product
-    weighted = np.multiply(pair_weights[None, :, None, :], x2[:, None], order="C")
-    weighted = weighted.reshape(len(taus), -1, size * size)
-    rho = (weighted @ x1).reshape(len(taus), len(squeezes), 2, 2, 4, 4)
+
+    rho = _diagonal_term(grams, amps, lam, 0)
+    folded = np.zeros_like(rho)
+    for d in range(1, size):
+        folded += _diagonal_term(grams, amps, lam, d)
+    shape = (len(thetas), len(taus), 4, len(squeezes), 2, 2, 4)
+    folded = folded.reshape(shape)
+    # indices (a, s, b, b', a'); diagonal -d is the conjugate transpose of diagonal d
+    rho = rho.reshape(shape) + folded + folded.transpose(0, 1, 6, 3, 5, 4, 2).conj()
     # flat index a + 4 b: the c1 pair is the low part, the c2 atom the high bit
-    rho = rho.transpose(0, 1, 2, 4, 3, 5).reshape(len(taus), len(squeezes), 8, 8)
+    rho = rho.transpose(0, 1, 3, 4, 2, 5, 6).reshape(*shape[:2], len(squeezes), 8, 8)
     imaginary = np.abs(rho.imag).max(initial=0.0)
     # written so that a NaN fails too
     if not imaginary <= _IMAGINARY_TOL:
@@ -289,8 +300,9 @@ def full_evolution_grid(taus, squeezes, theta: float, n_max: int) -> np.ndarray:
 
 def full_evolution(config: FieldConfig, tau: float) -> ThreeQubitDensityMatrix:
     """`full_evolution_grid` at one point."""
-    matrix = full_evolution_grid([tau], [config.s], config.theta, config.n_max)[0, 0]
-    return ThreeQubitDensityMatrix(matrix, float(tau), config.s, config.theta, config.n_max)
+    tau = require_nonnegative_number("tau", tau)
+    matrix = full_evolution_grid([tau], [config.s], [config.theta], config.n_max)[0, 0, 0]
+    return ThreeQubitDensityMatrix(matrix, tau, config.s, config.theta, config.n_max)
 
 
 @dataclass(frozen=True)

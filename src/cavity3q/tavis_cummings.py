@@ -32,6 +32,7 @@ from .fock_field import (
     FieldConfig,
     binomial_amplitude_table,
     require_finite_nonnegative,
+    require_nonnegative_number,
     require_photon_number,
     require_theta,
 )
@@ -233,9 +234,10 @@ def states_from_elements(elements: np.ndarray) -> np.ndarray:
 
 def closed_form_rho(tau: float, config: FieldConfig) -> ThreeQubitDensityMatrix:
     """Analytic 8x8 reduced state of the three qubits at interaction time tau."""
+    tau = require_nonnegative_number("tau", tau)
     elements = closed_form_grid([tau], [config.s], config.theta, config.n_max)[0, 0]
     matrix = states_from_elements(elements)
-    return ThreeQubitDensityMatrix(matrix, float(tau), config.s, config.theta, config.n_max)
+    return ThreeQubitDensityMatrix(matrix, tau, config.s, config.theta, config.n_max)
 
 
 def diagonal_probabilities(rho: ThreeQubitDensityMatrix | np.ndarray) -> np.ndarray:

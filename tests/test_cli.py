@@ -263,6 +263,21 @@ def test_sweep_bounds_refuse_bools(name, label, value):
         SweepConfig(**{name: value})
 
 
+@pytest.mark.parametrize(
+    "name, label",
+    [("s", "squeeze parameter s")]
+    + [
+        (name, name)
+        for name in ("tau", "tau_start", "tau_end", "s_start", "s_end", "theta", "tolerance")
+    ],
+)
+@pytest.mark.parametrize("value", [[0.5], [0, 1], np.array([1e-8])])
+def test_sweep_scalars_refuse_sequences(name, label, value):
+    # a sequence would otherwise be stored as given, or fail later with a bare TypeError
+    with pytest.raises(ValueError, match=rf"^{label} must be one number, not a sequence"):
+        SweepConfig(**{name: value})
+
+
 def test_step_counts_accept_numpy_ints():
     assert SweepConfig(tau_steps=np.int64(3), s_steps=np.int32(2)).tau_steps == 3
 

@@ -569,12 +569,9 @@ def test_scalar_global_negativity_solves_only_its_qubit(global_solves):
 def selection_stacks():
     taus = np.linspace(0.0, 20.0, 2 * ent._DIAGNOSTIC_BLOCK + 44)
     closed = sweep_states(math.pi / 3.0, [1.2], taus, n_max=40)
-    oracle = np.concatenate(
-        [
-            full_evolution_grid(ORACLE_CHECK_TAUS, ORACLE_CHECK_SQUEEZES, theta, 40).reshape(-1, 8, 8)
-            for theta in ORACLE_CHECK_THETAS
-        ]
-    )
+    oracle = full_evolution_grid(
+        ORACLE_CHECK_TAUS, ORACLE_CHECK_SQUEEZES, ORACLE_CHECK_THETAS, 40
+    ).reshape(-1, 8, 8)
     rng = np.random.default_rng(41)
     a = rng.standard_normal((40, 8, 4)) + 1j * rng.standard_normal((40, 8, 4))
     generic = a @ a.conj().swapaxes(-1, -2)

@@ -192,11 +192,8 @@ def test_closed_form_states_match_textbook(theta):
 
 
 def test_oracle_states_match_textbook():
-    grids = [
-        full_evolution_grid(ORACLE_CHECK_TAUS, ORACLE_CHECK_SQUEEZES, theta, 40)
-        for theta in ORACLE_CHECK_THETAS
-    ]
-    states = np.concatenate(grids).reshape(-1, 8, 8)
+    grid = full_evolution_grid(ORACLE_CHECK_TAUS, ORACLE_CHECK_SQUEEZES, ORACLE_CHECK_THETAS, 40)
+    states = grid.reshape(-1, 8, 8)
     assert len(states) == 36
     # rounding noise outside the zero pattern sends them to the 8x8 fallback
     assert not block_rows(states).any()

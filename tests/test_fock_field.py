@@ -11,6 +11,8 @@ from cavity3q import (
     binomial_amplitude_row,
     binomial_amplitude_table,
     closed_form_grid,
+    closed_form_rho,
+    full_evolution,
     full_evolution_grid,
     truncation_deficit,
     truncation_deficits,
@@ -287,6 +289,24 @@ TAKES_A_NUMBER = {
 def test_non_real_inputs_are_refused_by_name(entry, value):
     call, name = TAKES_A_NUMBER[entry]
     with pytest.raises(ValueError, match=re.escape(f"{name} must be a finite real number")):
+        call(value)
+
+
+SCALARS = {
+    "config s": (lambda v: FieldConfig(v, 1.0, 10), "squeeze parameter s"),
+    "config theta": (lambda v: FieldConfig(0.5, v, 10), "theta"),
+    "grid theta": (lambda v: closed_form_grid([1.0], [1.0], v, 10), "theta"),
+    "closed form tau": (lambda v: closed_form_rho(v, FieldConfig(0.5, 1.0, 10)), "tau"),
+    "oracle point tau": (lambda v: full_evolution(FieldConfig(0.5, 1.0, 4), v), "tau"),
+}
+
+
+@pytest.mark.parametrize("value", [[0.5, 1.5], [0.5], np.array([0.5])])
+@pytest.mark.parametrize("entry", list(SCALARS), ids=list(SCALARS))
+def test_scalar_inputs_refuse_sequences(entry, value):
+    # a sequence would otherwise be evaluated at its first entry and stored whole
+    call, name = SCALARS[entry]
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be one number, not a sequence")):
         call(value)
 
 

@@ -4,8 +4,9 @@
 terms of the |n - m| <= 1 bands enumerated one by one from the binomial
 amplitudes, each weighted outer product of photon-traced Gram blocks summed
 with one 3-operand einsum.  The grid builds its field amplitudes from the
-beam-splitter blocks instead and sums every (n, m), so agreement checks the
-new field side and the factorised sum at once.
+beam-splitter blocks instead and sums every (n, m), one diagonal n - m at a
+time for all angles, so agreement checks the field side and the folded sum
+at once.
 """
 
 import math
@@ -77,14 +78,15 @@ def _per_term_reference(config: FieldConfig, tau: float) -> np.ndarray:
 
 @pytest.mark.parametrize("n_max", [10, 40])
 def test_grid_matches_per_term_reference(n_max):
+    grid = full_evolution_grid(ORACLE_CHECK_TAUS, ORACLE_CHECK_SQUEEZES, ORACLE_CHECK_THETAS, n_max)
+    shape = (len(ORACLE_CHECK_THETAS), len(ORACLE_CHECK_TAUS), len(ORACLE_CHECK_SQUEEZES), 8, 8)
+    assert grid.shape == shape
     worst = 0.0
-    for theta in ORACLE_CHECK_THETAS:
-        grid = full_evolution_grid(ORACLE_CHECK_TAUS, ORACLE_CHECK_SQUEEZES, theta, n_max)
-        assert grid.shape == (len(ORACLE_CHECK_TAUS), len(ORACLE_CHECK_SQUEEZES), 8, 8)
+    for k, theta in enumerate(ORACLE_CHECK_THETAS):
         for i, tau in enumerate(ORACLE_CHECK_TAUS):
             for j, s in enumerate(ORACLE_CHECK_SQUEEZES):
                 reference = _per_term_reference(FieldConfig(s, theta, n_max), tau)
-                worst = max(worst, np.abs(grid[i, j] - reference).max())
+                worst = max(worst, np.abs(grid[k, i, j] - reference).max())
     assert worst <= 1e-13
 
 
@@ -92,17 +94,21 @@ def test_full_evolution_is_the_grid_of_one():
     cfg = FieldConfig(0.7, 1.1, 12)
     for tau in (0.0, 0.9, 14.5):
         point = full_evolution(cfg, tau)
-        grid = full_evolution_grid([tau], [cfg.s], cfg.theta, cfg.n_max)
-        assert np.array_equal(point.matrix, grid[0, 0])
+        grid = full_evolution_grid([tau], [cfg.s], [cfg.theta], cfg.n_max)
+        assert np.array_equal(point.matrix, grid[0, 0, 0])
         assert (point.tau, point.s, point.theta, point.n_max) == (tau, cfg.s, cfg.theta, cfg.n_max)
+        # a scalar angle is an angle axis of one
+        assert np.array_equal(full_evolution_grid([tau], [cfg.s], cfg.theta, cfg.n_max), grid)
 
 
 def test_grid_points_do_not_depend_on_their_neighbours():
-    taus, squeezes, theta = (0.3, 2.0, 14.5), (0.0, 0.6, 1.4), 2.2
-    grid = full_evolution_grid(taus, squeezes, theta, 16)
-    for i, tau in enumerate(taus):
-        for j, s in enumerate(squeezes):
-            assert np.array_equal(grid[i, j], full_evolution_grid([tau], [s], theta, 16)[0, 0])
+    taus, squeezes, thetas = (0.3, 2.0, 14.5), (0.0, 0.6, 1.4), (0.0, 1.1, 2.2, math.pi)
+    grid = full_evolution_grid(taus, squeezes, thetas, 16)
+    for k, theta in enumerate(thetas):
+        for i, tau in enumerate(taus):
+            for j, s in enumerate(squeezes):
+                point = full_evolution_grid([tau], [s], [theta], 16)[0, 0, 0]
+                assert np.array_equal(grid[k, i, j], point)
 
 
 def test_all_bands_leave_the_zero_pattern_empty():
@@ -116,9 +122,9 @@ def test_all_bands_leave_the_zero_pattern_empty():
 def test_oracle_check_fails_on_a_wrong_beam_splitter_angle(monkeypatch):
     cfg = SweepConfig(mode="oracle-check", oracle_n_max=8, tolerance=1e-8)
     assert cli.run_oracle_check(cfg)[1] == 0
-    weights = oracle._port_weights
+    columns = oracle._beam_splitter_columns
     monkeypatch.setattr(
-        oracle, "_port_weights", lambda theta, n_max: weights(theta * 1.01, n_max)
+        oracle, "_beam_splitter_columns", lambda theta, n_max: columns(theta * 1.01, n_max)
     )
     report, status = cli.run_oracle_check(cfg)
     assert status == 1
@@ -137,16 +143,35 @@ def test_grid_rejects_bad_squeeze(s):
         full_evolution_grid([0.5], [0.3, s], 1.0, 6)
 
 
-@pytest.mark.parametrize("value", [True, np.False_, [True, False], [0.5, True]])
+BOOLS = [True, np.False_, [True, False], [0.5, True]]
+
+
+@pytest.mark.parametrize("value", BOOLS)
 def test_grid_refuses_bool_tau_and_squeeze(value):
     # a bool would otherwise be read as 1.0 or 0.0
     with pytest.raises(ValueError, match="tau must be a finite number >= 0, not a bool"):
-        full_evolution_grid(value, [0.3], 1.0, 6)
+        full_evolution_grid(value, [0.3], [1.0], 6)
     with pytest.raises(ValueError, match="squeeze parameter s must be a finite number >= 0, not a"):
-        full_evolution_grid([0.5], value, 1.0, 6)
-    if np.ndim(value) == 0:
-        with pytest.raises(ValueError, match=r"theta must be a finite number in \[0, pi\], not a bool"):
-            full_evolution_grid([0.5], [0.3], value, 6)
+        full_evolution_grid([0.5], value, [1.0], 6)
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [(v, r"must be a finite number in \[0, pi\], not a bool") for v in BOOLS]
+    + [
+        (math.nan, r"must lie in \[0, pi\], got nan"),
+        ([1.0, math.nan], r"must lie in \[0, pi\], got nan"),
+        (-0.1, r"must lie in \[0, pi\], got -0.1"),
+        ([1.0, 3.5], r"must lie in \[0, pi\], got 3.5"),
+        (0.5j, r"must be a finite real number in \[0, pi\]"),
+        ([1.0, 2 + 0j], r"must be a finite real number in \[0, pi\]"),
+        ("abc", r"must be a finite real number in \[0, pi\]"),
+    ],
+)
+def test_grid_refuses_bad_thetas(value, message):
+    # the angle axis is guarded like the scalar angle it replaced
+    with pytest.raises(ValueError, match="^theta " + message):
+        full_evolution_grid([0.5], [0.3], value, 6)
 
 
 def test_grid_rejects_bad_angle_and_truncation():
@@ -170,10 +195,12 @@ def test_grid_states_are_real():
 
 
 def test_grid_refuses_an_imaginary_part_above_the_bound(monkeypatch):
-    # a phase on each cavity's factor leaves the state complex
-    port_traced = oracle._port_traced
+    # a phase on each cavity's port-traced factor leaves the state complex
+    traced = oracle._port_traced_diagonal
     monkeypatch.setattr(
-        oracle, "_port_traced", lambda gram, weights: port_traced(gram, weights) * np.exp(1e-6j)
+        oracle,
+        "_port_traced_diagonal",
+        lambda gram, weights, d: traced(gram, weights, d) * np.exp(1e-6j),
     )
     with pytest.raises(RuntimeError, match="imaginary part of .* above the bound 1e-12"):
-        full_evolution_grid([0.8], [0.6], 1.1, 8)
+        full_evolution_grid([0.8], [0.6], [1.1], 8)

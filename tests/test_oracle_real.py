@@ -3,7 +3,8 @@
 Each reference keeps the former code: the beam-splitter block exponentiated
 through a complex Hermitian eigendecomposition at each angle, the coupling
 propagators from a complex Hamiltonian, and the port trace as one
-shifted-slice add per photon number left in the external port.
+shifted-slice add per photon number left in the external port, summed over
+every (n, m) with no Hermitian fold.
 """
 
 import math
@@ -13,15 +14,22 @@ import numpy as np
 import pytest
 
 import cavity3q.oracle as oracle
-from cavity3q.cli import ORACLE_CHECK_TAUS, ORACLE_CHECK_THETAS, SweepConfig, run_oracle_check
+from cavity3q.cli import (
+    ORACLE_CHECK_SQUEEZES,
+    ORACLE_CHECK_TAUS,
+    ORACLE_CHECK_THETAS,
+    SweepConfig,
+    run_oracle_check,
+)
 from cavity3q.oracle import (
     _beam_splitter_columns,
     _beam_splitter_eigh,
+    _diagonal_weights,
     _evolved_components,
     _full_coupling_hamiltonian,
     _photon_traced_gram,
-    _port_traced,
-    _port_weights,
+    _port_traced_diagonal,
+    full_evolution_grid,
 )
 
 THETAS = (math.pi / 3, math.pi / 2, math.pi, 1.1)
@@ -43,13 +51,36 @@ def _complex_evolved_components(num_atoms: int, dim: int, taus: np.ndarray, coun
 
 
 def _shifted_slice_port_traced(gram: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """``X[t, n, m, a, a'] = sum_k A[n, k] A[m, k] G[t, n - k, a, m - k, a']``, every (n, m)."""
     size = amps.shape[0]
+    gram = gram.swapaxes(2, 3)  # (t, q, r, a, a')
     out = np.zeros_like(gram)
     for k in range(size):
         col = amps[k:, k]
         weights = np.multiply.outer(col, col)[..., None, None]
         out[:, k:, k:] += weights * gram[:, : size - k, : size - k]
     return out
+
+
+def _explicit_pair_sum(taus, squeezes, theta: float, n_max: int) -> np.ndarray:
+    """The reduced state summed over every (n, m) one pair at a time, diagonal -d included."""
+    dim, size = n_max + 3, n_max + 1
+    amps = _beam_splitter_columns(theta, n_max)
+    x1, x2 = (
+        _shifted_slice_port_traced(
+            _photon_traced_gram(_evolved_components(atoms, dim, np.array(taus), size)), amps
+        )
+        for atoms in (2, 1)
+    )
+    rho = np.zeros((len(taus), len(squeezes), 8, 8), dtype=complex)
+    for j, s in enumerate(squeezes):
+        lam = np.tanh(s) ** np.arange(size) / np.cosh(s)
+        for n in range(size):
+            for m in range(size):
+                # flat index a + 4 b: the c2 atom b is the high bit
+                block = np.einsum("tbB,taA->tbaBA", x2[:, n, m], x1[:, n, m]).reshape(-1, 8, 8)
+                rho[:, j] += lam[n] * lam[m] * block
+    return rho
 
 
 @pytest.mark.parametrize("theta", (0.0, 0.4, *THETAS))
@@ -74,7 +105,7 @@ def test_beam_splitter_eigensystem_is_read_only():
 def test_oracle_check_solves_each_beam_splitter_block_once(monkeypatch):
     # the generator is the angle times a fixed matrix: one solve per block
     # serves all three angles, and the two coupling Hamiltonians one each
-    caches = (_beam_splitter_eigh, oracle._port_weights, oracle._coupling_eigh)
+    caches = (_beam_splitter_eigh, oracle._coupling_eigh)
     for cached in caches:
         cached.cache_clear()
     solved = Counter()
@@ -106,17 +137,50 @@ def test_real_coupling_solve_matches_complex_propagator(num_atoms):
 @pytest.mark.parametrize("n_max", [10, 40])
 @pytest.mark.parametrize("num_atoms", [1, 2])
 def test_port_trace_by_diagonals_matches_shifted_slices(n_max, num_atoms):
+    # each diagonal d >= 0 of one cavity's factor, for every angle at once
     taus = np.array(ORACLE_CHECK_TAUS)
     gram = _photon_traced_gram(_evolved_components(num_atoms, n_max + 3, taus, n_max + 1))
-    for theta in THETAS:
-        reference = _shifted_slice_port_traced(gram, _beam_splitter_columns(theta, n_max))
-        traced = _port_traced(gram, _port_weights(theta, n_max))
-        assert np.abs(traced - reference).max() <= 1e-14
+    amps = np.stack([_beam_splitter_columns(theta, n_max) for theta in THETAS])
+    references = [_shifted_slice_port_traced(gram, a) for a in amps]
+    for d in range(n_max + 1):
+        traced = _port_traced_diagonal(gram, _diagonal_weights(amps, d), d)
+        for reference, angle in zip(references, traced):
+            diagonal = np.diagonal(reference, -d, 1, 2)  # (t, a, a', p)
+            assert np.abs(angle - diagonal.transpose(0, 1, 3, 2)).max() <= 1e-14
 
 
-def test_port_weights_are_read_only_lower_triangles():
-    weights = _port_weights(1.1, 12)
-    assert [w.shape for w in weights] == [(13 - d, 13 - d) for d in range(13)]
-    for matrix in weights:
-        assert not matrix.flags.writeable
-        assert not np.triu(matrix, 1).any()  # no photons taken out of the port
+@pytest.mark.parametrize("n_max", [10, 40])
+def test_folded_diagonals_match_the_explicit_pair_sum(n_max):
+    # the whole state: every (n, m) summed explicitly, diagonal -d computed
+    # rather than folded in as the conjugate transpose of diagonal d
+    grid = full_evolution_grid(ORACLE_CHECK_TAUS, ORACLE_CHECK_SQUEEZES, THETAS, n_max)
+    for theta, states in zip(THETAS, grid):
+        reference = _explicit_pair_sum(ORACLE_CHECK_TAUS, ORACLE_CHECK_SQUEEZES, theta, n_max)
+        assert np.abs(states - reference).max() <= 1e-14
+
+
+def test_oracle_check_evolves_each_cavity_once(monkeypatch):
+    # one full_evolution_grid call serves all three angles
+    calls = []
+    evolved = oracle._evolved_components
+
+    def counting(num_atoms, *args):
+        calls.append(num_atoms)
+        return evolved(num_atoms, *args)
+
+    monkeypatch.setattr(oracle, "_evolved_components", counting)
+    report, status = run_oracle_check(SweepConfig(mode="oracle-check", oracle_n_max=8))
+    assert status == 0 and len(ORACLE_CHECK_THETAS) == 3
+    assert sorted(calls) == [1, 2]
+
+
+def test_diagonal_weights_are_lower_triangles():
+    amps = np.stack([_beam_splitter_columns(theta, 12) for theta in THETAS])
+    for d in range(13):
+        weights = _diagonal_weights(amps, d)
+        assert weights.shape == (len(THETAS), 13 - d, 13 - d)
+        assert not np.triu(weights, 1).any()  # no photons taken out of the port
+        for p in range(13 - d):
+            for j in range(p + 1):
+                expected = amps[:, d + p, p - j] * amps[:, p, p - j]
+                assert np.array_equal(weights[:, p, j], expected)

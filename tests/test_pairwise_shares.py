@@ -194,12 +194,9 @@ def test_star_derivation_rejects_a_non_star_block():
 
 @pytest.fixture(scope="module")
 def off_pattern_states():
-    oracle = np.concatenate(
-        [
-            full_evolution_grid(ORACLE_CHECK_TAUS, ORACLE_CHECK_SQUEEZES, theta, 40).reshape(-1, 8, 8)
-            for theta in ORACLE_CHECK_THETAS
-        ]
-    )
+    oracle = full_evolution_grid(
+        ORACLE_CHECK_TAUS, ORACLE_CHECK_SQUEEZES, ORACLE_CHECK_THETAS, 40
+    ).reshape(-1, 8, 8)
     rng = np.random.default_rng(43)
     a = rng.standard_normal((30, 8, 4)) + 1j * rng.standard_normal((30, 8, 4))
     generic = a @ a.conj().swapaxes(-1, -2)
