@@ -78,7 +78,7 @@ ORACLE_CHECK_TAUS = (0.3, 0.8, 2.0, 14.5)
 ORACLE_CHECK_SQUEEZES = (0.3, 0.6, 0.9)
 ORACLE_CHECK_THETAS = (math.pi / 3.0, math.pi / 2.0, math.pi)
 # Largest --oracle-n-max: the sweeps' production truncation.  The 36-point
-# check takes about 0.1 s of CPU and 48 MB of VmHWM there (one BLAS thread,
+# check takes about 0.06 s of CPU and 48 MB of VmHWM there (one BLAS thread,
 # one pinned CPU; the cached beam-splitter eigensystems are 4.3 MB of it).
 ORACLE_CHECK_MAX_N_MAX = 80
 
@@ -117,6 +117,7 @@ class SweepConfig:
         if self.tau_end < self.tau_start or self.s_end < self.s_start:
             raise ValueError("sweep ranges must be non-empty")
         require_theta(self.theta)
+        require_photon_number("n_max", self.n_max)
         require_photon_number("oracle_n_max", self.oracle_n_max)
         tolerance = require_number("tolerance", self.tolerance, "> 0")
         if not (math.isfinite(tolerance) and tolerance > 0.0):

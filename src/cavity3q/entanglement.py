@@ -18,13 +18,13 @@ of `_DIAGNOSTIC_BLOCK` rows:
 * every partial transpose the kernel solves is gathered into index blocks,
   with each map it projects gathered on the same index pairs.  A state
   whose entries outside `PATTERN_MASK` are exactly zero and whose pattern
-  check passes (every closed-form state) is block diagonal, and so is each
-  such transpose, on blocks of at most 3 indices derived from
-  `PATTERN_MASK` at import (Tavis & Cummings, Phys. Rev. 170, 379 (1968):
-  each field component conserves photon number plus atomic excitation).
-  Every other state, a brute-force oracle state with rounding noise outside
-  the pattern among them, is one block of all 8 indices, from tables built
-  the same way on the whole support;
+  check passes (every closed-form and brute-force oracle state) is block
+  diagonal, and so is each such transpose, on blocks of at most 3 indices
+  derived from `PATTERN_MASK` at import (Tavis & Cummings, Phys. Rev. 170,
+  379 (1968): each field component conserves photon number plus atomic
+  excitation).  Every other state, a state with rounding noise outside the
+  pattern among them, is one block of all 8 indices, from tables built the
+  same way on the whole support;
 * the pure-state decomposition is computed in closed form for rows that
   pass the pattern check and by a stacked eigendecomposition for the rest;
 * the global negativities come from the negative eigenvalues of the global
@@ -654,8 +654,9 @@ def _in_blocks(m: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """States of an (N, 8, 8) stack evaluated from the index blocks of `PATTERN_MASK`.
 
     Those whose pattern code is 0 and whose entries outside `PATTERN_MASK`
-    are exactly zero; the others, brute-force oracle states with rounding
-    noise outside the pattern among them, are one 8-index block.
+    are exactly zero, as in every closed-form and brute-force oracle state;
+    the others, a state with rounding noise outside the pattern among them,
+    are one 8-index block.
     """
     return (codes == 0) & ~m[:, ~PATTERN_MASK].any(axis=-1)
 

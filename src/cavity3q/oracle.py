@@ -22,18 +22,23 @@ collective-spin states), so it independently validates the symmetric-block
 structure that the closed forms assume.  The coupling Hamiltonian is real,
 so it is diagonalised in real arithmetic too, and the real and imaginary
 parts of the propagators ``exp(-i H tau)`` are two real matrix products.
+It is solved one connected component of its nonzero entries at a time
+(`_coupling_components`, found from the matrix, not from an excitation
+count), so propagator entries between components are exactly zero.
 
-The reduced state is summed over every pair (n, m) of squeezed-pair photon
+The reduced state is the sum over every pair (n, m) of squeezed-pair photon
 numbers, not only the |n - m| <= 1 bands the closed forms keep, so their
 selection rule is checked rather than assumed.  The external-port trace and
 the (n, m) sum are one loop over the diagonals d = n - m >= 0
 (`_diagonal_term`): per diagonal, one real matrix product per cavity traces
 the port for every angle at once, and one product folds the two cavities'
-factors with the squeezed-pair weights.  Diagonal -d is added as the
-conjugate transpose of diagonal d, which is exact because the photon-traced
-overlaps form a Gram matrix.  A whole (theta, tau, s) grid costs one
-propagator per tau: `full_evolution_grid`.  `full_evolution` is its grid of
-one.
+factors with the squeezed-pair weights.  A diagonal on which either
+cavity's photon-traced overlaps are all exactly zero (`_live_bands`, read
+from the computed tensors) adds exact zeros and is left out, which leaves
+every bit of the sum as it is.  Diagonal -d is added as the conjugate
+transpose of diagonal d, which is exact because the photon-traced overlaps
+form a Gram matrix.  A whole (theta, tau, s) grid costs one propagator per
+tau: `full_evolution_grid`.  `full_evolution` is its grid of one.
 """
 
 from __future__ import annotations
@@ -63,8 +68,8 @@ __all__ = [
 
 # Largest imaginary part `full_evolution_grid` drops from its states.  The
 # reduced state is real (real couplings, squeeze parameter and beam-splitter
-# angle); the complex propagators leave rounding residue, at most 5.3e-16 on
-# the oracle-check grid at n_max 40 and 1.5e-15 at n_max 80.
+# angle); the complex propagators leave rounding residue, at most 1.3e-16 on
+# the oracle-check grid at n_max 40 and at n_max 80.
 _IMAGINARY_TOL = 1e-12
 
 # Sign of Re(i^d) or Im(i^d), whichever is nonzero, by d mod 4
@@ -147,10 +152,50 @@ def _full_coupling_hamiltonian(num_atoms: int, dim: int) -> np.ndarray:
     return h
 
 
+def _coupling_components(h: np.ndarray) -> list[np.ndarray]:
+    """Connected components of ``h != 0``, stacked by size: one (count, size) index array each.
+
+    Each node takes the lowest label among its neighbours and itself, then
+    the label of that label, until nothing changes; every component then
+    carries the label of its lowest node.  Rows list a component's nodes
+    in ascending order.  Nothing about the Hamiltonian's conservation laws
+    is assumed: the components are read from its nonzero entries.
+    """
+    rows, cols = np.nonzero(h)
+    labels = np.arange(len(h))
+    while True:
+        lowest = labels.copy()
+        np.minimum.at(lowest, rows, labels[cols])
+        lowest = lowest[lowest]
+        if np.array_equal(lowest, labels):
+            break
+        labels = lowest
+    members: dict[int, list[int]] = {}
+    for node, label in enumerate(labels.tolist()):
+        members.setdefault(label, []).append(node)
+    by_size: dict[int, list[list[int]]] = {}
+    for nodes in members.values():
+        by_size.setdefault(len(nodes), []).append(nodes)
+    return [np.array(stack) for stack in by_size.values()]
+
+
 @lru_cache(maxsize=8)
 def _coupling_eigh(num_atoms: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Real eigendecomposition of `_full_coupling_hamiltonian`, cached and read-only."""
-    vals, vecs = np.linalg.eigh(_full_coupling_hamiltonian(num_atoms, dim))
+    """Real eigendecomposition of `_full_coupling_hamiltonian`, cached and read-only.
+
+    The Hamiltonian is solved one connected component at a time
+    (`_coupling_components`), with one stacked eigensolve per component
+    size, and the results are written into the dense layout of a whole
+    solve: eigenvalue ``vals[l]`` and eigenvector ``vecs[:, l]`` for each
+    node l of a component, so ``vecs`` is zero, exactly, between
+    components, and so is every propagator entry built from it.
+    """
+    h = _full_coupling_hamiltonian(num_atoms, dim)
+    vals = np.zeros(len(h))
+    vecs = np.zeros_like(h)
+    for nodes in _coupling_components(h):
+        rows, cols = nodes[:, :, None], nodes[:, None, :]
+        vals[nodes], vecs[rows, cols] = np.linalg.eigh(h[rows, cols])
     vals.setflags(write=False)
     vecs.setflags(write=False)
     return vals, vecs
@@ -187,6 +232,12 @@ def _photon_traced_gram(psi: np.ndarray) -> np.ndarray:
     taus, count, atoms, dim = psi.shape
     flat = psi.reshape(taus, count * atoms, dim)
     return (flat @ flat.conj().swapaxes(1, 2)).reshape(taus, count, atoms, count, atoms)
+
+
+def _live_bands(gram: np.ndarray) -> set[int]:
+    """Bands d = q - r >= 0 on which ``G[t, q, a, r, a']`` has a nonzero entry."""
+    q, r = np.nonzero(gram.any(axis=(0, 2, 4)))
+    return set((q - r)[q >= r].tolist())
 
 
 def _diagonal_weights(amps: np.ndarray, d: int) -> np.ndarray:
@@ -252,16 +303,18 @@ def full_evolution_grid(taus, squeezes, thetas, n_max: int) -> np.ndarray:
 
         rho(s) = sum_{n, m} lambda_n(s) lambda_m(s) X2[n, m] (x) X1[n, m]
 
-    summed over every (n, m), one diagonal d = n - m >= 0 at a time
-    (`_diagonal_term`).  Diagonal -d is the conjugate transpose of diagonal
-    d, exactly, because each cavity's X[m, n] is X[n, m]^dagger (G is a Gram
-    matrix), so it is added as such.  The beam-splitter eigensystems depend
-    on neither theta nor tau (solved once per n_max), and the propagators
-    and Gram tensors depend only on tau, so each is built once per call for
-    all angles.  The sum is complex; the states are returned real (float64)
-    after checking that no imaginary part exceeds 1e-12 (RuntimeError
-    otherwise).  Intended for moderate truncations (n_max <= 80 or so); the
-    closed forms carry production scale.
+    summed one diagonal d = n - m >= 0 at a time (`_diagonal_term`), over
+    every diagonal on which both cavities' Gram tensors have a nonzero entry
+    (`_live_bands`); the others add exact zeros.  Diagonal -d is the
+    conjugate transpose of diagonal d, exactly, because each cavity's
+    X[m, n] is X[n, m]^dagger (G is a Gram matrix), so it is added as such.
+    The beam-splitter eigensystems depend on neither theta nor tau (solved
+    once per n_max), and the propagators and Gram tensors depend only on
+    tau, so each is built once per call for all angles.  The sum is complex;
+    the states are returned real (float64) after checking that no imaginary
+    part exceeds 1e-12 (RuntimeError otherwise).  Intended for moderate
+    truncations (n_max <= 80 or so); the closed forms carry production
+    scale.
     """
     taus = require_finite_nonnegative("tau", taus).reshape(-1)
     squeezes = require_finite_nonnegative("squeeze parameter s", squeezes).reshape(-1)
@@ -280,7 +333,7 @@ def full_evolution_grid(taus, squeezes, thetas, n_max: int) -> np.ndarray:
 
     rho = _diagonal_term(grams, amps, lam, 0)
     folded = np.zeros_like(rho)
-    for d in range(1, size):
+    for d in sorted(_live_bands(grams[0]) & _live_bands(grams[1]) - {0}):
         folded += _diagonal_term(grams, amps, lam, d)
     shape = (len(thetas), len(taus), 4, len(squeezes), 2, 2, 4)
     folded = folded.reshape(shape)

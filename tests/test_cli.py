@@ -218,6 +218,28 @@ def test_bool_oracle_truncation_is_a_usage_error(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("value", [-5, True])
+def test_bad_truncation_is_a_usage_error_in_every_mode(mode, value, tmp_path, capsys, monkeypatch):
+    # refused where it enters, also by oracle-check, which never reads n_max
+    with pytest.raises(ValueError, match=f"^n_max must be a non-negative integer, got {value}$"):
+        SweepConfig(mode=mode, n_max=value)
+    # no command-line string parses to True, so the parser's default carries it
+    parser = cli.build_parser()
+    parser.set_defaults(n_max=value)
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    out = tmp_path / "out.txt"
+    assert main(["--mode", mode, "--out", str(out)]) == 2
+    assert main(["--mode", mode, "--n-max", "-5", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: n_max must be a non-negative integer, got {value}\n"
+        "error: n_max must be a non-negative integer, got -5\n"
+    )
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_sweep_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(mode="bogus")

@@ -27,14 +27,18 @@ from cavity3q import (
     closed_form_grid,
     closed_form_rho,
     compare_states,
-    full_evolution_grid,
     negativity_batch,
     negativity_report,
     pattern_violations,
     states_from_elements,
 )
-from cavity3q.cli import ORACLE_CHECK_SQUEEZES, ORACLE_CHECK_TAUS, ORACLE_CHECK_THETAS
-from test_diagnostics_reference import full_transpose, kway_mask, restricted_transpose, selective_mask
+from test_diagnostics_reference import (
+    full_transpose,
+    kway_mask,
+    oracle_states,
+    restricted_transpose,
+    selective_mask,
+)
 from test_entanglement import decomposition, reconstructed
 
 TOL = 1e-14
@@ -569,18 +573,22 @@ def test_scalar_global_negativity_solves_only_its_qubit(global_solves):
 def selection_stacks():
     taus = np.linspace(0.0, 20.0, 2 * ent._DIAGNOSTIC_BLOCK + 44)
     closed = sweep_states(math.pi / 3.0, [1.2], taus, n_max=40)
-    oracle = full_evolution_grid(
-        ORACLE_CHECK_TAUS, ORACLE_CHECK_SQUEEZES, ORACLE_CHECK_THETAS, 40
-    ).reshape(-1, 8, 8)
     rng = np.random.default_rng(41)
     a = rng.standard_normal((40, 8, 4)) + 1j * rng.standard_normal((40, 8, 4))
     generic = a @ a.conj().swapaxes(-1, -2)
     generic /= np.trace(generic, axis1=1, axis2=2).real[:, None, None]
-    mixed = np.concatenate([closed[:3], generic[:2], oracle[:2], closed[200:203]])
-    return {"closed": closed, "oracle": oracle, "generic": generic, "mixed": mixed}
+    noisy = oracle_states(noise_seed=41)
+    mixed = np.concatenate([closed[:3], generic[:2], noisy[:2], closed[200:203]])
+    return {
+        "closed": closed,
+        "oracle": oracle_states(),
+        "noisy": noisy,
+        "generic": generic,
+        "mixed": mixed,
+    }
 
 
-@pytest.mark.parametrize("stack", ["closed", "oracle", "generic", "mixed"])
+@pytest.mark.parametrize("stack", ["closed", "oracle", "noisy", "generic", "mixed"])
 @pytest.mark.parametrize("selection", [(QubitLabel.B,), (QubitLabel.A1, QubitLabel.A2), ()])
 def test_global_selection_is_bit_identical_to_the_full_kernel(selection_stacks, stack, selection):
     states = selection_stacks[stack]
@@ -594,13 +602,16 @@ def test_global_selection_is_bit_identical_to_the_full_kernel(selection_stacks, 
 
 
 def test_selection_stacks_cover_both_block_paths(selection_stacks):
-    # the closed-form states span three kernel blocks, all on the index blocks;
-    # the oracle states carry rounding noise outside the pattern: 8-index blocks
+    # the closed-form states span three kernel blocks, and they and the
+    # oracle states are exactly zero off the pattern: index blocks; the
+    # noisy oracle states keep pattern code 0 but take the 8-index blocks
     assert len(selection_stacks["closed"]) > 2 * ent._DIAGNOSTIC_BLOCK
-    closed, oracle = selection_stacks["closed"], selection_stacks["oracle"]
-    assert ent._in_blocks(closed, ent._pattern_check(closed)[0]).all()
-    assert len(oracle) == 36
-    assert not ent._in_blocks(oracle, ent._pattern_check(oracle)[0]).any()
+    for name, in_blocks in (("closed", True), ("oracle", True), ("noisy", False)):
+        states = selection_stacks[name]
+        codes = ent._pattern_check(states)[0]
+        assert not codes.any(), name
+        assert (ent._in_blocks(states, codes) == in_blocks).all(), name
+    assert len(selection_stacks["oracle"]) == len(selection_stacks["noisy"]) == 36
 
 
 def test_selection_order_does_not_matter():

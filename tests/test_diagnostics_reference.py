@@ -10,9 +10,11 @@ pure-state decomposition is the state's own eigendecomposition.  None of it
 uses the kernel's index maps, index blocks or analytic decomposition, so a
 wrong map or block moves the kernel's values and not the reference's.
 
-Closed-form states go through the kernel's index blocks; the brute-force
-oracle states (rounding noise outside the zero pattern) and random states
-through its fallback, one 8-index block per transpose.  Every diagnostic must agree to 1e-12.
+Closed-form and brute-force oracle states (both exactly zero outside the
+zero pattern) go through the kernel's index blocks; oracle states with
+seeded noise outside the pattern, and random states, through its fallback,
+one 8-index block per transpose.  Every diagnostic must agree
+to 1e-12.
 """
 
 import math
@@ -22,6 +24,7 @@ import pytest
 
 import cavity3q.entanglement as ent
 from cavity3q import (
+    PATTERN_MASK,
     SELECTIVE_SPECS,
     QubitLabel,
     closed_form_grid,
@@ -160,6 +163,22 @@ def closed_form_states(theta):
     return states_from_elements(elements.reshape(-1, 8))
 
 
+def oracle_states(noise_seed=None, scale=1e-13):
+    """The 36 oracle-check states at n_max 40, optionally with seeded noise off the pattern.
+
+    The noise is real symmetric, of about ``scale``, and only outside
+    `PATTERN_MASK`: far below the pattern tolerance, so the states keep
+    pattern code 0, yet not exactly zero, so the kernel takes its 8-index
+    fallback for them.
+    """
+    grid = full_evolution_grid(ORACLE_CHECK_TAUS, ORACLE_CHECK_SQUEEZES, ORACLE_CHECK_THETAS, 40)
+    states = grid.reshape(-1, 8, 8)
+    if noise_seed is None:
+        return states
+    noise = scale * np.random.default_rng(noise_seed).standard_normal(states.shape)
+    return states + (noise + noise.swapaxes(-1, -2)) * ~PATTERN_MASK
+
+
 def block_rows(states):
     codes, _ = ent._pattern_check(states)
     return ent._in_blocks(states, codes)
@@ -192,11 +211,20 @@ def test_closed_form_states_match_textbook(theta):
 
 
 def test_oracle_states_match_textbook():
-    grid = full_evolution_grid(ORACLE_CHECK_TAUS, ORACLE_CHECK_SQUEEZES, ORACLE_CHECK_THETAS, 40)
-    states = grid.reshape(-1, 8, 8)
+    states = oracle_states()
     assert len(states) == 36
-    # rounding noise outside the zero pattern sends them to the 8x8 fallback
+    # exact zeros outside the zero pattern: the index blocks, as for the closed forms
+    assert block_rows(states).all()
+    assert assert_matches_textbook(states) <= TOL
+
+
+def test_noisy_oracle_states_match_textbook():
+    # a state of pattern code 0 is decomposed from its pattern entries alone,
+    # so the kernel differs from the textbook by about a hundred times the
+    # off-pattern noise; noise of rounding size keeps that inside the bound
+    states = oracle_states(noise_seed=7, scale=1e-16)
     assert not block_rows(states).any()
+    assert (ent._pattern_check(states)[0] == 0).all()
     assert assert_matches_textbook(states) <= TOL
 
 

@@ -10,7 +10,14 @@ from cavity3q import (
     full_evolution,
     truncation_deficit,
 )
-from cavity3q.oracle import _beam_splitter_columns, _beam_splitter_eigh, _evolved_components
+from cavity3q.oracle import (
+    _beam_splitter_columns,
+    _beam_splitter_eigh,
+    _coupling_components,
+    _coupling_eigh,
+    _evolved_components,
+    _full_coupling_hamiltonian,
+)
 from cavity3q.tavis_cummings import _field_factors, _squeeze_norms
 
 
@@ -65,6 +72,38 @@ def test_evolved_components_conserve_norm_and_excitation():
             for p in range(dim):
                 if p + excitation != q:
                     assert abs(psi[q, a, p]) < 1e-12
+
+
+def excitations(num_atoms: int, dim: int) -> np.ndarray:
+    """Photons plus atomic excitations |a| + p of each flat index a * dim + p."""
+    atoms = np.array([bin(a).count("1") for a in range(2**num_atoms)])
+    return (atoms[:, None] + np.arange(dim)).reshape(-1)
+
+
+@pytest.mark.parametrize("num_atoms", [1, 2])
+@pytest.mark.parametrize("dim", [2, 3, 9])
+def test_coupling_components_are_the_excitation_sets(num_atoms, dim):
+    # read from the Hamiltonian's nonzero entries alone, the components must
+    # be the sets of equal |a| + p, each listed in ascending order
+    stacks = _coupling_components(_full_coupling_hamiltonian(num_atoms, dim))
+    found = [nodes for stack in stacks for nodes in stack.tolist()]
+    excitation = excitations(num_atoms, dim)
+    expected = [np.flatnonzero(excitation == n).tolist() for n in range(excitation.max() + 1)]
+    assert sorted(found) == sorted(expected)
+    # one stack per size
+    assert len({stack.shape[1] for stack in stacks}) == len(stacks)
+
+
+@pytest.mark.parametrize("num_atoms", [1, 2])
+def test_propagators_are_exactly_zero_across_components(num_atoms):
+    dim, count = 14, 12
+    excitation = excitations(num_atoms, dim)
+    vecs = _coupling_eigh(num_atoms, dim)[1]
+    assert not vecs[excitation[:, None] != excitation[None, :]].any()
+    psi = _evolved_components(num_atoms, dim, np.array([0.3, 1.3, 14.5]), count)
+    moved = excitation.reshape(2**num_atoms, dim) != np.arange(count)[:, None, None]
+    assert not psi[:, moved].any()
+    assert psi[:, ~moved].any()
 
 
 def test_field_state_construction_matches_weights():

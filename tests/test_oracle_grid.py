@@ -4,9 +4,9 @@
 terms of the |n - m| <= 1 bands enumerated one by one from the binomial
 amplitudes, each weighted outer product of photon-traced Gram blocks summed
 with one 3-operand einsum.  The grid builds its field amplitudes from the
-beam-splitter blocks instead and sums every (n, m), one diagonal n - m at a
-time for all angles, so agreement checks the field side and the folded sum
-at once.
+beam-splitter blocks instead and sums (n, m) one diagonal n - m at a time
+for all angles, every diagonal on which the photon-traced overlaps are not
+all zero, so agreement checks the field side and the folded sum at once.
 """
 
 import math
@@ -112,11 +112,86 @@ def test_grid_points_do_not_depend_on_their_neighbours():
 
 
 def test_all_bands_leave_the_zero_pattern_empty():
-    # the sum runs over every (n, m); the |n - m| >= 2 terms must cancel in
-    # the atomic state rather than being left out by construction
+    # the sum runs over every diagonal the overlaps reach; the zero pattern
+    # must come out of the evolution, exactly, rather than by construction
     grid = full_evolution_grid((0.3, 0.8, 2.0, 14.5), (0.3, 0.9, 1.5), 1.1, 40)
-    assert np.abs(grid[..., ~PATTERN_MASK]).max() <= 1e-14
+    assert not grid[..., ~PATTERN_MASK].any()
     assert np.abs(grid[..., PATTERN_MASK]).max() > 0.1
+
+
+def test_live_bands_on_the_oracle_check_grid():
+    # two atoms excite up to two levels, so their Gram tensor reaches
+    # q - r = 2; one atom only 1.  Diagonals 0 and 1 of the state sum are live
+    taus = np.array(ORACLE_CHECK_TAUS)
+    for n_max in (2, 8, 40):
+        dim, count = n_max + 3, n_max + 1
+        grams = [
+            oracle._photon_traced_gram(oracle._evolved_components(atoms, dim, taus, count))
+            for atoms in (2, 1)
+        ]
+        assert [oracle._live_bands(gram) for gram in grams] == [{0, 1, 2}, {0, 1}]
+    assert oracle._live_bands(grams[0][:, :1, :, :1]) == {0}
+
+
+def every_band(gram):
+    return set(range(gram.shape[1]))
+
+
+@pytest.fixture
+def summed(monkeypatch):
+    """The diagonals d that `full_evolution_grid` sums, in order."""
+    diagonals = []
+    term = oracle._diagonal_term
+
+    def recording(grams, amps, lam, d):
+        diagonals.append(d)
+        return term(grams, amps, lam, d)
+
+    monkeypatch.setattr(oracle, "_diagonal_term", recording)
+    return diagonals
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 10, 40])
+def test_live_diagonals_sum_to_every_diagonal_bit_for_bit(n_max, summed, monkeypatch):
+    args = (ORACLE_CHECK_TAUS, ORACLE_CHECK_SQUEEZES, ORACLE_CHECK_THETAS, n_max)
+    live = full_evolution_grid(*args)
+    assert summed == [0, 1][: n_max + 1]
+    summed.clear()
+    monkeypatch.setattr(oracle, "_live_bands", every_band)
+    assert np.array_equal(full_evolution_grid(*args), live)
+    assert summed == list(range(n_max + 1))
+
+
+@pytest.fixture
+def fresh_coupling_solves():
+    oracle._coupling_eigh.cache_clear()
+    yield
+    oracle._coupling_eigh.cache_clear()
+
+
+def test_a_coupling_across_excitation_sets_is_still_summed(fresh_coupling_solves, summed, monkeypatch):
+    # join |ground, 0 photons> to |ground, 3 photons>: the components merge,
+    # further Gram bands come alive, and they are summed like every other
+    # (an odd photon jump, like every hop of the coupling, so the state stays real)
+    hamiltonian = oracle._full_coupling_hamiltonian
+
+    def coupled(num_atoms, dim):
+        h = hamiltonian(num_atoms, dim)
+        h[0, 3] = h[3, 0] = 0.3
+        return h
+
+    monkeypatch.setattr(oracle, "_full_coupling_hamiltonian", coupled)
+    args = ([0.8, 2.0], [0.6], [1.1], 8)
+    grams = [
+        oracle._photon_traced_gram(oracle._evolved_components(atoms, 11, np.array([0.8]), 9))
+        for atoms in (2, 1)
+    ]
+    live_bands = oracle._live_bands(grams[0]) & oracle._live_bands(grams[1])
+    assert max(live_bands) > 1
+    live = full_evolution_grid(*args)
+    assert summed == sorted(live_bands)
+    monkeypatch.setattr(oracle, "_live_bands", every_band)
+    assert np.array_equal(full_evolution_grid(*args), live)
 
 
 def test_oracle_check_fails_on_a_wrong_beam_splitter_angle(monkeypatch):

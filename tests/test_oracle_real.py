@@ -104,7 +104,10 @@ def test_beam_splitter_eigensystem_is_read_only():
 
 def test_oracle_check_solves_each_beam_splitter_block_once(monkeypatch):
     # the generator is the angle times a fixed matrix: one solve per block
-    # serves all three angles, and the two coupling Hamiltonians one each
+    # serves all three angles.  The coupling Hamiltonians are solved one
+    # stacked call per component size, never whole: for two atoms the
+    # excitation sets of 1, 3, 4 (N = 2..dim-1), 3 and 1 nodes, for one atom
+    # of 1, 2 (N = 1..dim-1) and 1 node
     caches = (_beam_splitter_eigh, oracle._coupling_eigh)
     for cached in caches:
         cached.cache_clear()
@@ -120,7 +123,7 @@ def test_oracle_check_solves_each_beam_splitter_block_once(monkeypatch):
     assert status == 0 and len(ORACLE_CHECK_THETAS) == 3
     dim = 8 + 3
     expected = Counter({(n, n): 1 for n in range(1, 10)})
-    expected.update({(4 * dim, 4 * dim): 1, (2 * dim, 2 * dim): 1})
+    expected.update({(2, 1, 1): 2, (2, 3, 3): 1, (dim - 2, 4, 4): 1, (dim - 1, 2, 2): 1})
     assert solved == expected
 
 

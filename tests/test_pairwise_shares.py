@@ -22,11 +22,10 @@ import cavity3q.entanglement as ent
 from cavity3q import (
     SELECTIVE_SPECS,
     closed_form_grid,
-    full_evolution_grid,
     negativity_batch,
     states_from_elements,
 )
-from cavity3q.cli import ORACLE_CHECK_SQUEEZES, ORACLE_CHECK_TAUS, ORACLE_CHECK_THETAS
+from test_diagnostics_reference import oracle_states
 
 TOL = 1e-14
 CUTOFF = ent.NEGATIVE_EIGENVALUE_CUTOFF
@@ -194,9 +193,9 @@ def test_star_derivation_rejects_a_non_star_block():
 
 @pytest.fixture(scope="module")
 def off_pattern_states():
-    oracle = full_evolution_grid(
-        ORACLE_CHECK_TAUS, ORACLE_CHECK_SQUEEZES, ORACLE_CHECK_THETAS, 40
-    ).reshape(-1, 8, 8)
+    # the oracle states are exactly zero off the pattern; seeded noise there
+    # sends them to the 8-index route
+    oracle = oracle_states(noise_seed=43)
     rng = np.random.default_rng(43)
     a = rng.standard_normal((30, 8, 4)) + 1j * rng.standard_normal((30, 8, 4))
     generic = a @ a.conj().swapaxes(-1, -2)
