@@ -754,9 +754,9 @@ def test_mask_pattern_checks_match_loops():
         for tol in (1e-10, 1e-8):
             assert pattern_violations(a, tol) == loop_pattern_violations(a, tol)
             assert pattern_violations(b, tol) == loop_pattern_violations(b, tol)
-            got = compare_states(a, b, pattern_tol=tol).pattern_violations
-            expected = loop_compare_violations(a, b, tol)
-            assert len(got) == len(expected)
-            for row, ref in zip(got, expected):
-                assert row[:2] == ref[:2]
-                assert np.array_equal(np.array(row[2:]), np.array(ref[2:]), equal_nan=True)
+        got = compare_states(a, b).pattern_violations
+        expected = loop_compare_violations(a, b, 1e-10)
+        assert len(got) == len(expected)
+        for row, ref in zip(got, expected):
+            assert row[:2] == ref[:2]
+            assert np.array_equal(np.array(row[2:]), np.array(ref[2:]), equal_nan=True)

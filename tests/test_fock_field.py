@@ -242,8 +242,8 @@ def test_beam_splitter_reproduces_binomial_amplitudes():
     # time, must reproduce the analytic amplitudes; the transmitted photons
     # carry an alternating sign that cancels in every density-matrix weight
     n_max = 80
-    for theta in (0.7, math.pi / 2, 2.4, math.pi):
-        amps = _beam_splitter_columns(theta, n_max)
+    thetas = (0.7, math.pi / 2, 2.4, math.pi)
+    for theta, amps in zip(thetas, _beam_splitter_columns(thetas, n_max)):
         for n in range(n_max + 1):
             k = np.arange(n + 1)
             expected = (-1.0) ** (n - k) * binomial_amplitude_row(n, theta)

@@ -8,11 +8,11 @@ from cavity3q import (
     closed_form_rho,
     compare_states,
     full_evolution,
+    full_evolution_grid,
     truncation_deficit,
 )
 from cavity3q.oracle import (
     _beam_splitter_columns,
-    _beam_splitter_eigh,
     _coupling_components,
     _coupling_eigh,
     _evolved_components,
@@ -28,36 +28,29 @@ def squeezed_weight(n: int, s: float) -> float:
 
 def test_beam_splitter_identity_at_zero_angle():
     # at theta = 0 every injected photon stays in the external port
-    assert np.abs(_beam_splitter_columns(0.0, 7) - np.eye(8)).max() < 1e-12
+    assert np.abs(_beam_splitter_columns([0.0], 7)[0] - np.eye(8)).max() < 1e-12
 
 
 def test_beam_splitter_is_unitary():
-    # every block's eigenvectors are orthonormal, so every block
-    # V e^(-i theta L) V^T is unitary, and the amplitude columns the oracle
-    # reads (one per injected photon number) are normalised
-    vals, vecs = _beam_splitter_eigh(11)
-    for photons in range(12):
-        block = vecs[photons, : photons + 1, : photons + 1]
-        assert np.abs(block.T @ block - np.eye(photons + 1)).max() < 1e-12
-        assert not vecs[photons, photons + 1 :].any() and not vecs[photons, :, photons + 1 :].any()
-        assert not vals[photons, photons + 1 :].any()
-    for theta in (0.4, math.pi / 2, math.pi):
-        amps = _beam_splitter_columns(theta, 40)
-        assert np.abs((amps * amps).sum(axis=1) - 1.0).max() < 1e-12
+    # every block V e^(-i theta L) V^T is unitary, so the amplitude columns
+    # the oracle reads (one per injected photon number) are normalised
+    amps = _beam_splitter_columns([0.4, math.pi / 2, math.pi], 40)
+    assert np.abs((amps * amps).sum(axis=2) - 1.0).max() < 1e-12
 
 
 def test_beam_splitter_full_transmission():
     # at theta = pi every injected photon ends up in the cavity
-    amps = _beam_splitter_columns(math.pi, 40)
+    amps = _beam_splitter_columns([math.pi], 40)[0]
     assert np.abs(np.abs(amps[:, 0]) - 1.0).max() < 1e-10
     assert np.abs(amps[:, 1:]).max() < 1e-10
 
 
 def test_beam_splitter_rejects_tiny_dimension():
-    _beam_splitter_eigh.cache_clear()
+    # checked before the blocks are built, even when the grid is empty
     for n_max in (-1, True, 2.0):
-        with pytest.raises(ValueError, match="n_max must be a non-negative integer"):
-            _beam_splitter_eigh(n_max)
+        for axis in ([0.8], []):
+            with pytest.raises(ValueError, match="n_max must be a non-negative integer"):
+                full_evolution_grid(axis, [0.6], [1.1], n_max)
 
 
 def test_evolved_components_conserve_norm_and_excitation():
@@ -112,7 +105,7 @@ def test_field_state_construction_matches_weights():
     # on the bands the dynamics uses
     s, theta, n_top = 0.8, 2.0, 5
     size = n_top + 1
-    amps = _beam_splitter_columns(theta, n_top)
+    amps = _beam_splitter_columns([theta], n_top)[0]
     psi = np.zeros((size, size, size, size))  # (e1, c1, e2, c2)
     for n in range(size):
         port = np.zeros((size, size))  # (external, cavity)

@@ -20,6 +20,7 @@ from cavity3q import (
     PATTERN_MASK,
     FieldConfig,
     binomial_amplitude_row,
+    closed_form_grid,
     full_evolution,
     full_evolution_grid,
 )
@@ -162,14 +163,7 @@ def test_live_diagonals_sum_to_every_diagonal_bit_for_bit(n_max, summed, monkeyp
     assert summed == list(range(n_max + 1))
 
 
-@pytest.fixture
-def fresh_coupling_solves():
-    oracle._coupling_eigh.cache_clear()
-    yield
-    oracle._coupling_eigh.cache_clear()
-
-
-def test_a_coupling_across_excitation_sets_is_still_summed(fresh_coupling_solves, summed, monkeypatch):
+def test_a_coupling_across_excitation_sets_is_still_summed(summed, monkeypatch):
     # join |ground, 0 photons> to |ground, 3 photons>: the components merge,
     # further Gram bands come alive, and they are summed like every other
     # (an odd photon jump, like every hop of the coupling, so the state stays real)
@@ -199,7 +193,7 @@ def test_oracle_check_fails_on_a_wrong_beam_splitter_angle(monkeypatch):
     assert cli.run_oracle_check(cfg)[1] == 0
     columns = oracle._beam_splitter_columns
     monkeypatch.setattr(
-        oracle, "_beam_splitter_columns", lambda theta, n_max: columns(theta * 1.01, n_max)
+        oracle, "_beam_splitter_columns", lambda thetas, n_max: columns(thetas * 1.01, n_max)
     )
     report, status = cli.run_oracle_check(cfg)
     assert status == 1
@@ -256,6 +250,16 @@ def test_grid_rejects_bad_angle_and_truncation():
     for n_max in (-1, True, 6.0):
         with pytest.raises(ValueError, match="n_max must be a non-negative integer"):
             full_evolution_grid([0.5], [0.3], 1.0, n_max)
+
+
+@pytest.mark.parametrize("empty", ["tau", "s", "theta"])
+def test_an_empty_axis_gives_an_empty_grid(empty):
+    axes = {"tau": [0.8, 2.0], "s": [0.6, 0.9, 1.2], "theta": [1.1]}
+    axes[empty] = []
+    taus, squeezes, thetas = axes.values()
+    grid = full_evolution_grid(taus, squeezes, thetas, 5)
+    assert grid.shape == (len(thetas), len(taus), len(squeezes), 8, 8)
+    assert closed_form_grid(taus, squeezes, 1.1, 5).shape == (len(taus), len(squeezes), 8)
 
 
 def test_norm_check_rejects_nan():

@@ -23,7 +23,6 @@ from cavity3q.cli import (
 )
 from cavity3q.oracle import (
     _beam_splitter_columns,
-    _beam_splitter_eigh,
     _diagonal_weights,
     _evolved_components,
     _full_coupling_hamiltonian,
@@ -65,7 +64,7 @@ def _shifted_slice_port_traced(gram: np.ndarray, amps: np.ndarray) -> np.ndarray
 def _explicit_pair_sum(taus, squeezes, theta: float, n_max: int) -> np.ndarray:
     """The reduced state summed over every (n, m) one pair at a time, diagonal -d included."""
     dim, size = n_max + 3, n_max + 1
-    amps = _beam_splitter_columns(theta, n_max)
+    amps = _beam_splitter_columns([theta], n_max)[0]
     x1, x2 = (
         _shifted_slice_port_traced(
             _photon_traced_gram(_evolved_components(atoms, dim, np.array(taus), size)), amps
@@ -86,20 +85,24 @@ def _explicit_pair_sum(taus, squeezes, theta: float, n_max: int) -> np.ndarray:
 @pytest.mark.parametrize("theta", (0.0, 0.4, *THETAS))
 def test_real_beam_splitter_block_matches_complex_solve(theta):
     # row n of the table is the last column of block n, for every block up to n_max 80
-    amps = _beam_splitter_columns(theta, 80)
+    amps = _beam_splitter_columns([theta], 80)[0]
     for photons in range(81):
         reference = _complex_beam_splitter_block(theta, photons)
         assert np.abs(amps[photons, : photons + 1] - reference[:, photons]).max() <= 1e-14
     assert not np.triu(amps, 1).any()
 
 
-def test_beam_splitter_eigensystem_is_read_only():
-    vals, vecs = _beam_splitter_eigh(12)
-    assert vals.shape == (13, 13) and vecs.shape == (13, 13, 13)
-    for table in (vals, vecs):
-        assert not table.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            table[0, 0] = 1.0
+def test_oracle_keeps_no_state_between_calls(monkeypatch):
+    args = (ORACLE_CHECK_TAUS, ORACLE_CHECK_SQUEEZES, ORACLE_CHECK_THETAS, 12)
+    first = full_evolution_grid(*args)
+    assert np.array_equal(full_evolution_grid(*args), first)
+    halved = full_evolution_grid([tau / 2 for tau in ORACLE_CHECK_TAUS], *args[1:])
+    # a halved Hamiltonian is solved on the very next call: the dynamics of half the time
+    hamiltonian = oracle._full_coupling_hamiltonian
+    monkeypatch.setattr(oracle, "_full_coupling_hamiltonian", lambda *a: 0.5 * hamiltonian(*a))
+    slower = full_evolution_grid(*args)
+    assert np.abs(slower - first).max() > 0.1
+    assert np.abs(slower - halved).max() <= 1e-13
 
 
 def test_oracle_check_solves_each_beam_splitter_block_once(monkeypatch):
@@ -108,9 +111,6 @@ def test_oracle_check_solves_each_beam_splitter_block_once(monkeypatch):
     # stacked call per component size, never whole: for two atoms the
     # excitation sets of 1, 3, 4 (N = 2..dim-1), 3 and 1 nodes, for one atom
     # of 1, 2 (N = 1..dim-1) and 1 node
-    caches = (_beam_splitter_eigh, oracle._coupling_eigh)
-    for cached in caches:
-        cached.cache_clear()
     solved = Counter()
     eigh = np.linalg.eigh
 
@@ -143,7 +143,7 @@ def test_port_trace_by_diagonals_matches_shifted_slices(n_max, num_atoms):
     # each diagonal d >= 0 of one cavity's factor, for every angle at once
     taus = np.array(ORACLE_CHECK_TAUS)
     gram = _photon_traced_gram(_evolved_components(num_atoms, n_max + 3, taus, n_max + 1))
-    amps = np.stack([_beam_splitter_columns(theta, n_max) for theta in THETAS])
+    amps = _beam_splitter_columns(THETAS, n_max)
     references = [_shifted_slice_port_traced(gram, a) for a in amps]
     for d in range(n_max + 1):
         traced = _port_traced_diagonal(gram, _diagonal_weights(amps, d), d)
@@ -178,7 +178,7 @@ def test_oracle_check_evolves_each_cavity_once(monkeypatch):
 
 
 def test_diagonal_weights_are_lower_triangles():
-    amps = np.stack([_beam_splitter_columns(theta, 12) for theta in THETAS])
+    amps = _beam_splitter_columns(THETAS, 12)
     for d in range(13):
         weights = _diagonal_weights(amps, d)
         assert weights.shape == (len(THETAS), 13 - d, 13 - d)
