@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -103,7 +102,6 @@ def pattern_violations(matrix: np.ndarray, tol: float = 1e-10) -> list[tuple[int
     return [(int(i), int(j), complex(m[i, j])) for i, j in zip(rows, cols)]
 
 
-@lru_cache(maxsize=8)
 def _field_factors(theta: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Rank factors of the field-weight tables, independent of the squeezing.
 
@@ -122,8 +120,6 @@ def _field_factors(theta: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     k = np.where(kept, n - np.arange(size), 0)  # photons in the reflected port
     u0 = np.where(kept, rows[n, k] * rows[n, k], 0.0)
     u1 = np.where(kept[:-1], rows[n[:-1], k[:-1]] * rows[n[:-1] + 1, k[:-1]], 0.0)
-    u0.setflags(write=False)
-    u1.setflags(write=False)
     return u0, u1
 
 

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+import cavity3q.tavis_cummings as tavis_cummings
 from cavity3q import (
     FieldConfig,
     binomial_amplitude_row,
@@ -107,6 +108,19 @@ def test_closed_form_rho_is_a_grid_of_one():
         elements = closed_form_grid([tau], [config.s], config.theta, config.n_max)[0, 0]
         expected = states_from_elements(elements)
         assert np.array_equal(closed_form_rho(tau, config).matrix, expected)
+
+
+def test_closed_forms_keep_no_state_between_calls(monkeypatch):
+    first = closed_form_grid(TAUS, SQUEEZES, 1.1, 25)
+    turned = closed_form_grid(TAUS, SQUEEZES, 1.01 * 1.1, 25)
+    # binomial rows of a wrong angle are read on the very next call
+    table = tavis_cummings.binomial_amplitude_table
+    monkeypatch.setattr(
+        tavis_cummings, "binomial_amplitude_table", lambda n_max, theta: table(n_max, 1.01 * theta)
+    )
+    patched = closed_form_grid(TAUS, SQUEEZES, 1.1, 25)
+    assert np.abs(patched - first).max() > 1e-3
+    assert np.array_equal(patched, turned)
 
 
 def test_states_are_real_symmetric():

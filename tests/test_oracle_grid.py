@@ -263,7 +263,7 @@ def test_an_empty_axis_gives_an_empty_grid(empty):
 
 
 def test_norm_check_rejects_nan():
-    with pytest.raises(RuntimeError, match="lost norm"):
+    with pytest.raises(RuntimeError, match=r"lost norm: \|norm - 1\| = nan > 1e-10"):
         oracle._evolved_components(2, 8, np.array([math.nan]), 4)
 
 

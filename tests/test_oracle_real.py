@@ -25,7 +25,6 @@ from cavity3q.oracle import (
     _beam_splitter_columns,
     _diagonal_weights,
     _evolved_components,
-    _full_coupling_hamiltonian,
     _photon_traced_gram,
     _port_traced_diagonal,
     full_evolution_grid,
@@ -43,7 +42,8 @@ def _complex_beam_splitter_block(theta: float, photons: int) -> np.ndarray:
 
 
 def _complex_evolved_components(num_atoms: int, dim: int, taus: np.ndarray, count: int) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(_full_coupling_hamiltonian(num_atoms, dim).astype(complex))
+    hamiltonian = oracle._full_coupling_hamiltonian(num_atoms, dim)
+    vals, vecs = np.linalg.eigh(hamiltonian.astype(complex))
     phases = np.exp(-1j * np.multiply.outer(taus, vals))
     columns = (vecs * phases[:, None, :]) @ vecs[:count].conj().T
     return columns.swapaxes(1, 2).reshape(len(taus), count, 2**num_atoms, dim)
@@ -108,9 +108,11 @@ def test_oracle_keeps_no_state_between_calls(monkeypatch):
 def test_oracle_check_solves_each_beam_splitter_block_once(monkeypatch):
     # the generator is the angle times a fixed matrix: one solve per block
     # serves all three angles.  The coupling Hamiltonians are solved one
-    # stacked call per component size, never whole: for two atoms the
-    # excitation sets of 1, 3, 4 (N = 2..dim-1), 3 and 1 nodes, for one atom
-    # of 1, 2 (N = 1..dim-1) and 1 node
+    # stacked call per component size, never whole, and only the components
+    # holding an initial state |ground, q photons>, q <= 8: for two atoms
+    # the excitation sets N = 0 (1 node), 1 (3 nodes) and 2..8 (4 nodes),
+    # for one atom N = 0 (1 node) and 1..8 (2 nodes); a stack holding none,
+    # such as the 3-node set N = dim of two atoms, is never solved
     solved = Counter()
     eigh = np.linalg.eigh
 
@@ -121,9 +123,8 @@ def test_oracle_check_solves_each_beam_splitter_block_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     report, status = run_oracle_check(SweepConfig(mode="oracle-check", oracle_n_max=8))
     assert status == 0 and len(ORACLE_CHECK_THETAS) == 3
-    dim = 8 + 3
     expected = Counter({(n, n): 1 for n in range(1, 10)})
-    expected.update({(2, 1, 1): 2, (2, 3, 3): 1, (dim - 2, 4, 4): 1, (dim - 1, 2, 2): 1})
+    expected.update({(1, 1, 1): 2, (1, 3, 3): 1, (7, 4, 4): 1, (8, 2, 2): 1})
     assert solved == expected
 
 
@@ -135,6 +136,27 @@ def test_real_coupling_solve_matches_complex_propagator(num_atoms):
         reference = _complex_evolved_components(num_atoms, dim, taus, count)
         psi = _evolved_components(num_atoms, dim, taus, count)
         assert np.abs(psi - reference).max() <= 1e-13
+
+
+@pytest.mark.parametrize("num_atoms", [1, 2])
+def test_a_component_holding_two_initial_states_matches_complex_propagator(num_atoms, monkeypatch):
+    # join |ground, 0 photons> to |ground, 3 photons>: both initial states
+    # sit in one component, and each of their kets is written from it
+    hamiltonian = oracle._full_coupling_hamiltonian
+
+    def coupled(num_atoms, dim):
+        h = hamiltonian(num_atoms, dim)
+        h[0, 3] = h[3, 0] = 0.3
+        return h
+
+    monkeypatch.setattr(oracle, "_full_coupling_hamiltonian", coupled)
+    taus = np.array(ORACLE_CHECK_TAUS)
+    dim, count = 11, 9
+    components = oracle._coupling_components(coupled(num_atoms, dim))
+    assert any({0, 3} <= set(nodes) for stack in components for nodes in stack.tolist())
+    reference = _complex_evolved_components(num_atoms, dim, taus, count)
+    psi = _evolved_components(num_atoms, dim, taus, count)
+    assert np.abs(psi - reference).max() <= 1e-13
 
 
 @pytest.mark.parametrize("n_max", [10, 40])
