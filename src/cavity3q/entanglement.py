@@ -34,18 +34,18 @@ of `_DIAGNOSTIC_BLOCK` rows:
   eigenvectors, summed over the blocks; a qubit left out is not solved;
 * the decomposition negativity uses the pure-state identity
   ``N_G^p(phi) = 2 sqrt(det rho_p)``, with ``rho_p`` the reduced state of
-  qubit p, so it needs no eigensolver;
+  qubit p, and ``det rho_p`` is the sum of the squared 2x2 minors of the
+  ket split by qubit p, so it needs no eigensolver;
 * the pairwise shares come from the two-way transposes of the
   decomposition states of positive weight only, and of those only the ones
   that are not basis states.  For a block-structured state each such ket
-  lies in one of the state's two 3-index blocks, and of its transposes
-  only the 3x3 block can go negative: the 2x2 and 1x1 blocks are left in
-  place, so they are principal submatrices of the ket's projector.  That
-  3x3 block is a star, two edges a and b meeting at one centre on a zero
-  diagonal, as checked at import; its one negative eigenvalue is
-  ``-hypot(|a|, |b|)`` and each share term is ``-|a|^2 / r`` or
-  ``-|b|^2 / r``, so these kets need no eigensolver.  The kets of any other
-  state are solved as one 8-index block per qubit.
+  lies in one of the state's two 3-index blocks, and the same squared
+  minors split its negativity: the share term of spec (p, q) is
+  ``-|m_q|^2 / r``, m_q the minors whose columns differ in qubit q alone
+  and ``r = N_G^p / 2``.  A check at import derives the blocks from
+  `PATTERN_MASK` and refuses any on which that split would not be exact,
+  so these kets need no eigensolver.  The kets of any other state are
+  solved as one 8-index block per qubit.
 
 All blocks of one size go to one symmetrised solver in one stacked call, and
 a 1x1 block needs no solve, so a sweep makes no 8x8 eigensolve; the
@@ -147,13 +147,24 @@ def _selective_mask(spec: str) -> np.ndarray:
     return _XOR == ((1 << p.value) | (1 << q.value))
 
 
-# Basis indices with qubit p's bit clear, ascending; setting the bit gives
-# the partner index.  A ket split this way is the 2x4 matrix of qubit p
-# against the other two.
-_BIT_CLEAR = {p: np.array([i for i in range(8) if not (i >> p.value) & 1]) for p in QubitLabel}
-_BIT_SET = {p: idx | (1 << p.value) for p, idx in _BIT_CLEAR.items()}
-# Column pairs (j < k) of the 2x2 minors of a 2x4 matrix.
-_MINOR_FIRST, _MINOR_SECOND = np.triu_indices(4, k=1)
+
+
+def _minor_products(p: QubitLabel) -> tuple[np.ndarray, ...]:
+    """Basis indices (a, b, c, d) of the six 2x2 minors ``phi_a phi_b - phi_c phi_d``.
+
+    Split by qubit p's bit, a ket phi is the 2x4 matrix M of qubit p against
+    the other two, its columns in ascending basis order.  The minor of the
+    columns j < k is ``M[0, j] M[1, k] - M[0, k] M[1, j]``, so a and c are
+    the indices with p's bit clear of columns j and k, b and d those with
+    it set.
+    """
+    clear = np.array([i for i in range(8) if not (i >> p.value) & 1])
+    first, second = np.triu_indices(4, k=1)
+    bit = 1 << p.value
+    return clear[first], clear[second] | bit, clear[second], clear[first] | bit
+
+
+_MINOR_PRODUCTS = {p: _minor_products(p) for p in QubitLabel}
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT2 = 1.0 / _SQRT2
@@ -174,11 +185,13 @@ def _as_matrix(rho) -> np.ndarray:
 
 
 def _require_hermitian(m: np.ndarray) -> None:
-    """Raise unless every matrix of ``m`` (n x n or a stack) is Hermitian to 1e-9 (NaN fails).
+    """Raise unless every matrix of ``m`` (n x n or a stack) is Hermitian to 1e-9 (NaN and inf fail).
 
     The message names the first bad matrix by its flat index in the stack.
+    An infinite entry leaves a NaN residual (``inf - inf``) without a warning.
     """
-    residual = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    with np.errstate(invalid="ignore"):
+        residual = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     bad = np.flatnonzero(~(residual <= _HERMITICITY_TOL))
     if bad.size:
         where = f" (matrix {bad[0]} of the stack)" if m.ndim > 2 else ""
@@ -351,24 +364,19 @@ def _decompose_stack(
     return probs, vectors
 
 
-def _pure_negativity(kets: np.ndarray, p: QubitLabel) -> np.ndarray:
-    """Global negativity for qubit ``p`` of each pure state in the columns of ``kets``.
+def _squared_minors(kets: np.ndarray, p: QubitLabel) -> np.ndarray:
+    """Squared moduli of the 2x2 minors of each ket in the columns of ``kets``, split by qubit ``p``.
 
     A ket split by qubit p's bit is a 2x4 matrix M with reduced state
     ``rho_p = M M^H``; its partial transpose has one negative eigenvalue,
-    ``-sqrt(det rho_p)``, so ``N_G^p = 2 sqrt(det rho_p)``.  By Cauchy-Binet
-    ``det rho_p`` is the sum of the squared moduli of the 2x2 minors of M,
-    which avoids the cancellation of ``rho_00 rho_11 - |rho_01|^2``.  Gated at
-    the eigenvalue cutoff like every other negativity.
+    ``-sqrt(det rho_p)``.  By Cauchy-Binet ``det rho_p`` is the sum of the
+    squared moduli of the six 2x2 minors of M (`_minor_products`), returned
+    along axis -2; the sum avoids the cancellation of
+    ``rho_00 rho_11 - |rho_01|^2``.
     """
-    clear = kets[..., _BIT_CLEAR[p], :]
-    set_ = kets[..., _BIT_SET[p], :]
-    minors = (
-        clear[..., _MINOR_FIRST, :] * set_[..., _MINOR_SECOND, :]
-        - clear[..., _MINOR_SECOND, :] * set_[..., _MINOR_FIRST, :]
-    )
-    root = np.sqrt((np.abs(minors) ** 2).sum(axis=-2))
-    return np.where(root > NEGATIVE_EIGENVALUE_CUTOFF, 2.0 * root, 0.0)
+    a, b, c, d = _MINOR_PRODUCTS[p]
+    minors = kets[..., a, :] * kets[..., b, :] - kets[..., c, :] * kets[..., d, :]
+    return np.abs(minors) ** 2
 
 
 def _linear_entropy_b(m: np.ndarray) -> np.ndarray:
@@ -509,7 +517,7 @@ def _index_blocks(support: np.ndarray) -> list[tuple[int, ...]]:
     return blocks
 
 
-def _block_gathers(supports, maps_by_owner, psd: bool = False) -> dict[int, np.ndarray]:
+def _block_gathers(supports, maps_by_owner) -> dict[int, np.ndarray]:
     """Gather positions of every map on the index blocks of each owner's first map.
 
     ``supports`` are the masks of the matrices to be transposed and
@@ -518,12 +526,8 @@ def _block_gathers(supports, maps_by_owner, psd: bool = False) -> dict[int, np.n
     eigenvectors.  Returns, per block size n, flat positions into an 8x8
     matrix, shape (supports, owners, blocks, maps, n, n).  The stacking needs
     every (support, owner) to have the same number of blocks of each size.
-    With ``psd`` the matrices are positive semidefinite, and a block that the
-    first map leaves in place is dropped: it is a principal submatrix, so it
-    has no negative eigenvalue to find.
     """
     # nested lists, not a numpy call per block: this runs at import
-    in_place = _POSITION.tolist()
     owners = []  # per (support, owner): {block size: the gathers of each block}
     for support in supports:
         for maps in maps_by_owner:
@@ -531,8 +535,6 @@ def _block_gathers(supports, maps_by_owner, psd: bool = False) -> dict[int, np.n
             by_size: dict[int, list] = {}
             for block in _index_blocks(support.reshape(64)[maps[0]]):
                 gathers = [[[rows[i][j] for j in block] for i in block] for rows in rows_of_maps]
-                if psd and gathers[0] == [[in_place[i][j] for j in block] for i in block]:
-                    continue
                 by_size.setdefault(len(block), []).append(gathers)
             owners.append(by_size)
     counts = {tuple(sorted((size, len(blocks)) for size, blocks in o.items())) for o in owners}
@@ -545,13 +547,6 @@ def _block_gathers(supports, maps_by_owner, psd: bool = False) -> dict[int, np.n
         for size in sorted(owners[0])
     }
 
-
-# The state's own blocks; those of two or more indices hold the analytic
-# decomposition kets that are not basis states.
-_KET_FAMILIES = [block for block in _index_blocks(PATTERN_MASK) if len(block) > 1]
-_FAMILY_OF = np.full(8, -1)
-for _family, _block in enumerate(_KET_FAMILIES):
-    _FAMILY_OF[list(_block)] = _family
 
 # Any other state is one 8-index block: the tables of the whole support
 # gather each transpose and map in full.
@@ -571,9 +566,9 @@ _STATE_GATHERS, _WHOLE_STATE_GATHERS = (
 )
 
 # Per qubit that leads a selective spec: its two-way transpose, then the
-# selective transposes it projects; per ket family, or the whole support.
-# The kets are pure, so only the blocks the two-way transpose moves are
-# kept.  `_SHARE_ORDER` is the order of the specs in the result.
+# selective transposes it projects, gathered whole for the kets of states
+# that are not in blocks.  `_SHARE_ORDER` is the order of the specs in the
+# result.
 _SHARE_QUBITS = list(dict.fromkeys(first for first, _ in SELECTIVE_SPECS.values()))
 _SHARE_SPECS = [
     [spec for spec, (first, _) in SELECTIVE_SPECS.items() if first is p] for p in _SHARE_QUBITS
@@ -584,70 +579,42 @@ _SHARE_MAPS = [
     + [_transpose_positions(p, _selective_mask(spec)) for spec in specs]
     for p, specs in zip(_SHARE_QUBITS, _SHARE_SPECS)
 ]
-_KET_SUPPORTS = [(_FAMILY_OF[:, None] == f) & (_FAMILY_OF == f) for f in range(len(_KET_FAMILIES))]
-_KET_GATHERS = _block_gathers(_KET_SUPPORTS, _SHARE_MAPS, psd=True)
-_WHOLE_KET_GATHERS = _block_gathers([_WHOLE], _SHARE_MAPS, psd=True)
+_WHOLE_KET_GATHERS = _block_gathers([_WHOLE], _SHARE_MAPS)
+
+# Per spec of `_SHARE_ORDER`: the minors of its first qubit's split whose
+# two columns differ in its partner qubit alone.
+_SHARE_MINORS = [
+    np.flatnonzero(_MINOR_PRODUCTS[p][0] ^ _MINOR_PRODUCTS[p][2] == 1 << q.value)
+    for p, q in (SELECTIVE_SPECS[spec] for spec in _SHARE_ORDER)
+]
 
 
-def _star_edges(gathers: dict[int, np.ndarray], supports) -> tuple[np.ndarray, np.ndarray]:
-    """The two edges of every ket block of ``gathers``, and the edge each projected map keeps.
+def _check_minor_split(support: np.ndarray) -> None:
+    """Raise RuntimeError unless the minors split the shares of each ket on ``support`` exactly.
 
-    ``gathers`` are ket tables as from `_block_gathers` on the masks
-    ``supports``.  Each block must be a star on its support: the two-way
-    transpose (map 0) reads the support only on two edges ``[leaf, centre]``
-    and ``[centre, leaf]`` with one centre, so its diagonal and the entry
-    between the leaves are zero; and each selective map reads the support
-    on exactly one of those edges, at map 0's positions.  Returns the flat
-    8x8 positions of the ``[leaf, centre]`` entries, shape (supports,
-    owners, blocks, 2), and the edge (0 or 1) that each selective map keeps,
-    shape (supports, owners, blocks, maps - 1).  Raises RuntimeError for a
-    block of any other shape.
+    The decomposition kets of a state on ``support`` each lie in one of its
+    index blocks of two or more indices, a family.  A product
+    ``phi_a phi_b`` of a minor (`_minor_products`) is supported when both
+    its indices lie in the family: it is the entry of the ket's projector
+    that the two-way transpose of qubit p moves.  A family fails, for a
+    qubit that leads a selective spec, if a minor has two supported
+    products, so that a moved entry lands on one the projector holds, or if
+    a supported minor's columns (a and c) differ in two qubits, a three-way
+    entry that counts towards ``N_G^p`` but that no two-way transpose moves.
     """
-    if sorted(gathers) != [3]:
-        raise RuntimeError(f"ket blocks must all be 3x3, got sizes {sorted(gathers)}")
-    table = gathers[3]
-    # per centre, the cells [leaf, centre] and [centre, leaf] of its two edges
-    stars = {c: [{(leaf, c), (c, leaf)} for leaf in range(3) if leaf != c] for c in range(3)}
-    edges, kept = [], []
-    # nested lists, not a numpy call per block: this runs at import
-    for support, by_owner in zip(supports, table.tolist()):
-        inside = support.reshape(64).tolist()
-        for owner, blocks in enumerate(by_owner):
-            for maps in blocks:
-                read = [
-                    {(i, j) for i in range(3) for j in range(3) if inside[m[i][j]]} for m in maps
-                ]
-                centres = [c for c, (a, b) in stars.items() if read[0] == a | b]
-                if not centres:
-                    raise RuntimeError(
-                        f"ket block of owner {owner} is not a star: map 0 reads {sorted(read[0])}"
-                    )
-                centre = centres[0]
-                edges.append([maps[0][leaf][centre] for leaf in range(3) if leaf != centre])
-                kept.append([])
-                for k, positions in enumerate(maps[1:], start=1):
-                    keeps = [
-                        e
-                        for e, cells in enumerate(stars[centre])
-                        if read[k] == cells
-                        and all(positions[i][j] == maps[0][i][j] for i, j in cells)
-                    ]
-                    if not keeps:
-                        raise RuntimeError(
-                            f"selective map {k} of owner {owner} must keep one edge of the "
-                            f"star, reads {sorted(read[k])}"
-                        )
-                    kept[-1].append(keeps[0])
-    lead = table.shape[:3]
-    return np.array(edges).reshape(*lead, 2), np.array(kept).reshape(*lead, -1)
+    for family in [set(block) for block in _index_blocks(support) if len(block) > 1]:
+        for p in _SHARE_QUBITS:
+            for a, b, c, d in zip(*(indices.tolist() for indices in _MINOR_PRODUCTS[p])):
+                supported = [pair for pair in ((a, b), (c, d)) if set(pair) <= family]
+                minor = f"phi{a} phi{b} - phi{c} phi{d}"
+                where = f"ket family {sorted(family)}, qubit {p.name}: minor {minor}"
+                if len(supported) > 1:
+                    raise RuntimeError(f"{where} has two supported products")
+                if supported and bin(a ^ c).count("1") != 1:
+                    raise RuntimeError(f"{where} is supported on columns that differ in two qubits")
 
 
-# Every ket block the two-way transposes move is a star, so its one negative
-# eigenvalue is -hypot(a, b) of its two edges a and b: the rows and columns
-# of the edges in the ket's projector, per ket family, and the edge that
-# each spec of `_SHARE_ORDER` keeps.
-_STAR_EDGES, _STAR_KEPT = _star_edges(_KET_GATHERS, _KET_SUPPORTS)
-_STAR_ROWS, _STAR_COLS = np.divmod(_STAR_EDGES, 8)
+_check_minor_split(PATTERN_MASK)
 
 
 def _in_blocks(m: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -711,56 +678,53 @@ def _share_terms(kets: np.ndarray) -> np.ndarray:
     return traces.reshape(len(kets), -1)
 
 
-def _star_share_terms(kets: np.ndarray, families: np.ndarray) -> np.ndarray:
-    """`_share_terms` of kets that each lie in the ket family ``families`` names, in closed form.
-
-    The block of the two-way transpose is a star with edges a and b, so
-    its one negative eigenvalue is ``-r``, ``r = hypot(|a|, |b|)``, with
-    eigenvector ``(a, b, -r) / (sqrt2 r)`` on (leaf, leaf, centre).  A
-    selective transpose keeps one edge, so its term is ``-|a|^2 / r`` or
-    ``-|b|^2 / r``; both are 0 unless ``r`` exceeds the eigenvalue cutoff,
-    as an eigenvalue at or above minus the cutoff counts as zero.
-    """
-    ket = np.arange(len(kets))[:, None, None, None]
-    edges = np.abs(kets[ket, _STAR_ROWS[families]] * kets[ket, _STAR_COLS[families]].conj())
-    r = np.hypot(edges[..., 0], edges[..., 1])
-    scale = np.divide(-1.0, r, out=np.zeros_like(r), where=r > NEGATIVE_EIGENVALUE_CUTOFF)
-    terms = np.take_along_axis(edges**2 * scale[..., None], _STAR_KEPT[families], axis=-1)
-    return terms.sum(axis=-2).reshape(len(kets), -1)
-
-
-def _pairwise_shares(
+def _decomposition_negativities(
     probs: np.ndarray, vectors: np.ndarray, in_blocks: np.ndarray
-) -> dict[str, np.ndarray]:
-    """Pairwise shares of the decomposition negativity, per selective spec.
+) -> tuple[dict[QubitLabel, np.ndarray], dict[str, np.ndarray]]:
+    """N_PSDG per qubit and its pairwise shares per selective spec, from one pass over the minors.
 
-    For each decomposition state, the spec's selective transpose of its
-    projector is projected on the negative eigenvectors of its own two-way
-    transpose with respect to the spec's first qubit; the -2 weight makes the
-    two shares of a qubit add up to its decomposition negativity.  Only the
-    kets that can contribute are evaluated: those of positive weight with at
-    least two nonzero components.  A basis-state ket such as |110> has a diagonal
-    two-way transpose, so its shares are exactly 0.  The kets of states
-    marked ``in_blocks`` each lie in one family; their shares come from the
-    star blocks in closed form (`_star_share_terms`), with no eigensolve.
-    The other kets are solved as one 8-index block per qubit.
+    Each decomposition ket of qubit p's split has ``N_G^p = 2 r``, ``r`` the
+    root of its summed squared minors (`_squared_minors`), gated at the
+    eigenvalue cutoff like every other negativity; N_PSDG is the weighted
+    sum.  A spec's share term of a ket is ``Re tr(S P)``, S the spec's
+    selective transpose of the ket's projector and P the projector on the
+    negative eigenvectors of its two-way transpose of the spec's first
+    qubit; the -2 weight makes the shares of a qubit add up to its N_PSDG.
+    Only the kets that can contribute are evaluated: those of positive
+    weight with at least two nonzero components.  A basis-state ket such as
+    |110> has a diagonal two-way transpose, so its shares are exactly 0.
+    A ket of a state marked ``in_blocks`` lies in one of the families that
+    `_check_minor_split` passed at import, so its term is ``-|m_q|^2 / r``,
+    m_q the minors of `_SHARE_MINORS` (0 unless ``r`` exceeds the cutoff),
+    with no eigensolve.  The kets of any other state go to `_share_terms`.
     """
     rows, cols = np.nonzero((probs > 0.0) & (np.count_nonzero(vectors, axis=-2) >= 2))
-    kets = vectors[rows, :, cols]
-    terms = np.empty((len(kets), len(_SHARE_ORDER)))
-    in_family = in_blocks[rows]
-    if in_family.any():
-        family_kets = kets[in_family]
-        families = _FAMILY_OF[np.argmax(np.abs(family_kets), axis=-1)]
-        terms[in_family] = _star_share_terms(family_kets, families)
-    if not in_family.all():
-        terms[~in_family] = _share_terms(kets[~in_family])
+    by_minors = in_blocks[rows]
+    minor_rows, minor_cols = rows[by_minors], cols[by_minors]
+    terms = np.empty((len(rows), len(_SHARE_ORDER)))
+    n_psdg = {}
+    for p in QubitLabel:
+        squared = _squared_minors(vectors, p)
+        root = np.sqrt(squared.sum(axis=-2))
+        ket_squared = squared[minor_rows, :, minor_cols]
+        del squared  # one qubit's minors at a time bounds the peak
+        live = root > NEGATIVE_EIGENVALUE_CUTOFF
+        n_psdg[p] = (probs * np.where(live, 2.0 * root, 0.0)).sum(axis=-1)
+        if p not in _SHARE_QUBITS or not by_minors.any():
+            continue
+        r = root[minor_rows, minor_cols]
+        scale = np.divide(-1.0, r, out=np.zeros_like(r), where=live[minor_rows, minor_cols])
+        for column, spec in enumerate(_SHARE_ORDER):
+            if SELECTIVE_SPECS[spec][0] is p:
+                terms[by_minors, column] = ket_squared[:, _SHARE_MINORS[column]].sum(-1) * scale
+    if not by_minors.all():
+        terms[~by_minors] = _share_terms(vectors[rows[~by_minors], :, cols[~by_minors]])
     shares = {}
     for column, spec in enumerate(_SHARE_ORDER):
         share = np.zeros(probs.shape)
         share[rows, cols] = terms[:, column]
         shares[spec] = -2.0 * (probs * share).sum(axis=-1)
-    return {spec: shares[spec] for spec in SELECTIVE_SPECS}
+    return n_psdg, {spec: shares[spec] for spec in SELECTIVE_SPECS}
 
 
 def _negativity_block(m: np.ndarray, qubits: list[QubitLabel]) -> NegativityBatch:
@@ -773,14 +737,15 @@ def _negativity_block(m: np.ndarray, qubits: list[QubitLabel]) -> NegativityBatc
     in_blocks = _in_blocks(m, codes)
     n_g, split = _global_split(m, in_blocks, [p.value for p in qubits])
     probs, vectors = _decompose_stack(m, codes, elements)
+    n_psdg, e_psd = _decomposition_negativities(probs, vectors, in_blocks)
     return NegativityBatch(
         n_g={p: n_g[:, i] for i, p in enumerate(qubits)},
         n_g_b_analytic=np.where(pattern_ok, _analytic_negativity_b(elements), np.nan),
         e_3={p: split[:, i, 0] for i, p in enumerate(qubits)},
         e_2={p: split[:, i, 1] for i, p in enumerate(qubits)},
         e_0={p: split[:, i, 2] for i, p in enumerate(qubits)},
-        n_psdg={p: (probs * _pure_negativity(vectors, p)).sum(axis=-1) for p in QubitLabel},
-        e_psd=_pairwise_shares(probs, vectors, in_blocks),
+        n_psdg=n_psdg,
+        e_psd=e_psd,
         linear_entropy_b=_linear_entropy_b(m),
         w1_fidelity=_expectation(W1_STATE, m),
         bell_projection=_bell_projection(m),

@@ -98,6 +98,8 @@ PATTERN_MASK.setflags(write=False)
 def pattern_violations(matrix: np.ndarray, tol: float = 1e-10) -> list[tuple[int, int, complex]]:
     """Entries outside the allowed zero pattern whose magnitude exceeds ``tol``, row-major."""
     m = np.asarray(matrix)
+    if m.shape != (8, 8):
+        raise ValueError(f"matrix must be one 8x8 state, got shape {m.shape}")
     rows, cols = np.nonzero(~PATTERN_MASK & (np.abs(m) > tol))
     return [(int(i), int(j), complex(m[i, j])) for i, j in zip(rows, cols)]
 
@@ -223,6 +225,8 @@ def closed_form_grid(taus, squeezes, theta: float, n_max: int) -> np.ndarray:
 def states_from_elements(elements: np.ndarray) -> np.ndarray:
     """The real 8x8 states, shape (..., 8, 8), from elements of `closed_form_grid` (..., 8)."""
     elements = np.asarray(elements)
+    if elements.ndim == 0 or elements.shape[-1] != 8:
+        raise ValueError(f"elements must have a last axis of 8, got shape {elements.shape}")
     m = np.zeros(elements.shape[:-1] + (8, 8))
     m[..., _SLOT_ROWS, _SLOT_COLS] = (elements / _ELEMENT_DIVISORS)[..., _SLOT_SOURCE]
     return m

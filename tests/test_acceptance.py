@@ -19,8 +19,6 @@ from cavity3q import (
     W1_STATE,
     closed_form_grid,
     closed_form_rho,
-    compare_states,
-    full_evolution,
     negativity_batch,
     negativity_report,
     states_from_elements,
@@ -30,6 +28,7 @@ from cavity3q.cli import (
     ORACLE_CHECK_TAUS,
     ORACLE_CHECK_THETAS,
     SweepConfig,
+    run_oracle_check,
     run_sweep,
 )
 from test_entanglement import decomposition, kway, selective, transposed
@@ -62,24 +61,23 @@ def production_data():
 
 
 def test_criterion_1_oracle_equivalence():
+    # the production oracle check: closed forms against brute-force evolution
+    # on the 36-point grid at its default truncation (n_max 40)
     start = time.time()
-    worst = 0.0
-    worst_point = None
-    for theta in ORACLE_CHECK_THETAS:
-        for s in ORACLE_CHECK_SQUEEZES:
-            field = FieldConfig(s, theta, 40)
-            for tau in ORACLE_CHECK_TAUS:
-                report = compare_states(closed_form_rho(tau, field), full_evolution(field, tau))
-                if report.max_abs_diff > worst:
-                    worst = report.max_abs_diff
-                    worst_point = (tau, s, theta)
-                assert report.max_abs_diff < 1e-8, (tau, s, theta, report.max_abs_diff)
-                assert not report.pattern_violations, (tau, s, theta)
+    text, status = run_oracle_check(SweepConfig(mode="oracle-check"))
     elapsed = time.time() - start
+    rows = [line.split() for line in text.splitlines() if not line.startswith("#")]
+    grid = len(ORACLE_CHECK_THETAS) * len(ORACLE_CHECK_SQUEEZES) * len(ORACLE_CHECK_TAUS)
+    assert len(rows) == grid
+    for tau, s, theta, diff, verdict in rows:
+        assert verdict == "ok" and float(diff) < 1e-8, (tau, s, theta, diff)
+    assert "DISCREPANCY" not in text and "PATTERN" not in text
+    assert status == 0 and "# result: PASS" in text
+    tau, s, theta, diff, _ = max(rows, key=lambda row: float(row[3]))
     assert elapsed < 120.0
     _passed(
-        f"1 oracle equivalence on 36-point grid, max |diff| = {worst:.3e} "
-        f"at {worst_point}, {elapsed:.1f}s"
+        f"1 oracle equivalence on {grid}-point grid, max |diff| = {float(diff):.3e} "
+        f"at {(tau, s, theta)}, {elapsed:.1f}s"
     )
 
 

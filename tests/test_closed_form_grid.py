@@ -22,6 +22,7 @@ from cavity3q import (
     states_from_elements,
 )
 from cavity3q.cli import main
+from test_fock_field import squeezed_weight
 
 REFERENCE_TOL = 1e-14
 ROW_TOL = 1e-15
@@ -29,11 +30,6 @@ THETAS = (math.pi, math.pi / 2.0, math.pi / 3.0, 1.1)
 SQUEEZES = (0.0, 0.3, 1.2, 2.0)
 N_MAXES = (0, 1, 2, 25, 80)
 TAUS = (0.0, 0.3, 0.8, 2.0, 14.5)
-
-
-def squeezed_weight(n: int, s: float) -> float:
-    """Amplitude ``tanh(s)**n / cosh(s)`` of the |n, n> squeezed-pair component."""
-    return math.tanh(s) ** n / math.cosh(s)
 
 
 def _compensated_add(total, carry, delta):

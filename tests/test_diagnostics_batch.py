@@ -12,6 +12,7 @@ required to 1e-14, a few hundred ulps of the O(1) values.
 """
 
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -386,27 +387,31 @@ def test_pairwise_solves_only_positive_weight_states(monkeypatch):
     basis_kets = int(((probs > 0.0) & (components == 1)).sum())
     solved = Counter()
     eigh = np.linalg.eigh
-    star_kets = []
-    star_share_terms = ent._star_share_terms
+    solved_kets = []
+    share_terms = ent._share_terms
 
     def counting(a, *args, **kwargs):
         solved[a.shape[-1]] += math.prod(a.shape[:-2])
         return eigh(a, *args, **kwargs)
 
-    def counting_kets(kets, *args, **kwargs):
-        star_kets.append(len(kets))
-        return star_share_terms(kets, *args, **kwargs)
+    def counting_kets(kets):
+        solved_kets.append(len(kets))
+        return share_terms(kets)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
-    monkeypatch.setattr(ent, "_star_share_terms", counting_kets)
+    monkeypatch.setattr(ent, "_share_terms", counting_kets)
     negativity_batch(states)
     # closed-form states are solved as index blocks, none larger than 3x3:
     # two 3x3 blocks of each of the three global transposes per state (the
-    # 1x1 blocks need no solve); the decomposition kets of positive weight
-    # that are not basis states, and only those, go to the closed-form star
-    # solve, which makes no eigensolve
+    # 1x1 blocks need no solve); their decomposition kets' shares come from
+    # the minors, with no eigensolve
     assert solved == {3: 6 * len(states)}
-    assert star_kets == [positive]
+    assert solved_kets == []
+    # the same states as one 8-index block each: the kets of positive
+    # weight that are not basis states, and only those, go to the eigensolver
+    monkeypatch.setattr(ent, "_in_blocks", lambda m, codes: np.zeros(len(m), dtype=bool))
+    negativity_batch(states)
+    assert solved_kets == [positive]
     assert positive < 8 * len(states)
     assert basis_kets > 0
 
@@ -505,6 +510,19 @@ def test_non_hermitian_error_names_the_state_in_the_callers_stack(bad):
     states[bad, 0, 5] = np.nan
     with pytest.raises(ValueError, match=rf"not Hermitian \(matrix {bad} of the stack\)"):
         negativity_batch(states)
+
+
+@pytest.mark.parametrize("i, j", [(3, 3), (0, 5)], ids=["diagonal", "off-diagonal"])
+def test_infinite_entry_is_refused_without_a_warning(i, j):
+    # inf - inf in the Hermiticity residual must not warn before the
+    # ValueError; the state is named by its index in the caller's stack
+    bad = ent._DIAGNOSTIC_BLOCK + 7
+    states = sweep_states(math.pi, [1.2], np.linspace(0.0, 20.0, ent._DIAGNOSTIC_BLOCK + 10))
+    states[bad, i, j] = states[bad, j, i] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=rf"not Hermitian \(matrix {bad} of the stack\)"):
+            negativity_batch(states)
 
 
 def test_decomposition_negativities_reject_non_hermitian_pattern_state():

@@ -279,10 +279,7 @@ def test_index_blocks_are_derived_from_the_pattern():
         support = ent.PATTERN_MASK.reshape(64)[ent._transpose_positions(p, True)]
         assert sorted(ent._index_blocks(support)) == sorted([first, second, single_a, single_b])
     # the analytic decomposition kets live on the state's own two 3-index blocks
-    assert ent._KET_FAMILIES == [(0, 5, 6), (1, 2, 7)]
-    # of a ket's two-way transposes only the 3x3 block moves entries; the
-    # 2x2 and 1x1 blocks are left in place, so they cannot go negative
-    assert sorted(ent._KET_GATHERS) == [3]
+    assert sorted(ent._index_blocks(ent.PATTERN_MASK)) == [(0, 5, 6), (1, 2, 7), (3,), (4,)]
     assert sorted(ent._STATE_GATHERS) == [1, 3]
 
 

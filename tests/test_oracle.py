@@ -18,11 +18,7 @@ from cavity3q.oracle import (
     _full_coupling_hamiltonian,
 )
 from cavity3q.tavis_cummings import _field_factors, _squeeze_norms
-
-
-def squeezed_weight(n: int, s: float) -> float:
-    """Amplitude ``tanh(s)**n / cosh(s)`` of the |n, n> squeezed-pair component."""
-    return math.tanh(s) ** n / math.cosh(s)
+from test_fock_field import squeezed_weight
 
 
 def test_beam_splitter_identity_at_zero_angle():

@@ -30,11 +30,7 @@ from cavity3q.cli import (
     ORACLE_CHECK_THETAS,
     SweepConfig,
 )
-
-
-def squeezed_weight(n: int, s: float) -> float:
-    """Amplitude ``tanh(s)**n / cosh(s)`` of the |n, n> squeezed-pair component."""
-    return math.tanh(s) ** n / math.cosh(s)
+from test_fock_field import squeezed_weight
 
 
 def _field_terms(config: FieldConfig, band: int):

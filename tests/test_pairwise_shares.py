@@ -1,17 +1,19 @@
-"""The closed-form pairwise shares against the gathered eigensolve they replaced.
+"""The pairwise shares from the minors against the eigensolver route.
 
 For a block-structured state every decomposition ket lies in one of the
-state's two 3-index blocks, and the one block of its two-way transpose
-that moves entries is a star: a zero diagonal and two edges that meet at
-one centre.  The kernel takes its negative eigenpair in closed form
-(`entanglement._star_share_terms`).  `reference_share_terms` below is the
-route it replaced: gather each ket's projector into the blocks of
-`_KET_GATHERS` and solve them with the stacked eigensolver.  It is kept here
-only as the reference.  The two run different arithmetic, so agreement is
+state's two 3-index blocks, a family.  The kernel takes such a ket's
+shares from the 2x2 minors of its split by the spec's first qubit, the
+same minors that give its decomposition negativity: the term of spec
+(p, q) is ``-|m_q|^2 / r``, m_q the minors whose two columns differ in
+qubit q alone and ``r`` the root of the summed squared minors.  An
+import-time check (`entanglement._check_minor_split`) passes the families
+of `PATTERN_MASK` only if that split is exact.  `reference_pairwise_shares`
+below solves every ket as one 8-index block with the stacked eigensolver
+(`_share_terms`), the route that kets of any other state take; it shares no
+code with the minors.  The two run different arithmetic, so agreement is
 required to 1e-14, a few hundred ulps of the O(1) values.
 """
 
-import copy
 import math
 import warnings
 
@@ -20,7 +22,9 @@ import pytest
 
 import cavity3q.entanglement as ent
 from cavity3q import (
+    PATTERN_MASK,
     SELECTIVE_SPECS,
+    QubitLabel,
     closed_form_grid,
     negativity_batch,
     states_from_elements,
@@ -31,41 +35,18 @@ TOL = 1e-14
 CUTOFF = ent.NEGATIVE_EIGENVALUE_CUTOFF
 
 
-# ------------------------------------------------- gathered-eigensolve reference
-
-
-def reference_share_terms(kets, supports, tables):
-    """Per ket and spec (in `_SHARE_ORDER`): ``Re tr(S P)`` from gathered, solved blocks.
-
-    S is the spec's selective transpose of the ket's projector and P the
-    projector on the negative eigenvectors of its two-way transpose of the
-    spec's qubit.  Both are gathered into the blocks of ``tables`` on each
-    ket's support, ``supports`` indexing the first axis of every table.
-    """
-    pure = (kets[:, :, None] * kets[:, None, :].conj()).reshape(len(kets), 64)
-    traces = 0.0
-    for positions in tables.values():
-        gathered = np.empty((len(kets), *positions.shape[1:]), dtype=kets.dtype)
-        for support, table in enumerate(positions):
-            rows = supports == support
-            gathered[rows] = pure[rows][:, table]
-        traces = traces + ent._projected_blocks(gathered)[1]
-    return traces.reshape(len(kets), -1)
+def contributing_kets(states):
+    """Positions (state, column) and kets of the decomposition: positive weight, not basis states."""
+    codes, elements = ent._pattern_check(states)
+    probs, vectors = ent._decompose_stack(states, codes, elements)
+    rows, cols = np.nonzero((probs > 0.0) & (np.count_nonzero(vectors, axis=-2) >= 2))
+    return probs, rows, cols, vectors[rows, :, cols]
 
 
 def reference_pairwise_shares(states):
-    """`NegativityBatch.e_psd` of a stack, every ket's blocks solved by the eigensolver."""
-    codes, elements = ent._pattern_check(states)
-    in_blocks = ent._in_blocks(states, codes)
-    probs, vectors = ent._decompose_stack(states, codes, elements)
-    rows, cols = np.nonzero((probs > 0.0) & (np.count_nonzero(vectors, axis=-2) >= 2))
-    kets = vectors[rows, :, cols]
-    terms = np.empty((len(kets), len(ent._SHARE_ORDER)))
-    ket_in_blocks = in_blocks[rows]
-    supports = np.where(ket_in_blocks, ent._FAMILY_OF[np.argmax(np.abs(kets), axis=-1)], 0)
-    for take, tables in ((ket_in_blocks, ent._KET_GATHERS), (~ket_in_blocks, ent._WHOLE_KET_GATHERS)):
-        if take.any():
-            terms[take] = reference_share_terms(kets[take], supports[take], tables)
+    """`NegativityBatch.e_psd` of a stack, every ket solved as one 8-index block."""
+    probs, rows, cols, kets = contributing_kets(states)
+    terms = ent._share_terms(kets)
     shares = {}
     for column, spec in enumerate(ent._SHARE_ORDER):
         share = np.zeros(probs.shape)
@@ -74,36 +55,24 @@ def reference_pairwise_shares(states):
     return {spec: shares[spec] for spec in SELECTIVE_SPECS}
 
 
-def family_kets(states):
-    """The kets that reach the star solve: positive weight, not basis states; and their families."""
-    codes, elements = ent._pattern_check(states)
-    assert ent._in_blocks(states, codes).all()
-    probs, vectors = ent._decompose_stack(states, codes, elements)
-    rows, cols = np.nonzero((probs > 0.0) & (np.count_nonzero(vectors, axis=-2) >= 2))
-    kets = vectors[rows, :, cols]
-    return kets, ent._FAMILY_OF[np.argmax(np.abs(kets), axis=-1)]
-
-
 def assert_shares_match_reference(states):
-    kets, families = family_kets(states)
-    got = ent._star_share_terms(kets, families)
-    expected = reference_share_terms(kets, families, ent._KET_GATHERS)
-    assert np.abs(got - expected).max(initial=0.0) <= TOL
+    assert ent._in_blocks(states, ent._pattern_check(states)[0]).all()
     batch = negativity_batch(states)
     reference = reference_pairwise_shares(states)
     for spec in SELECTIVE_SPECS:
         assert np.abs(batch.e_psd[spec] - reference[spec]).max(initial=0.0) <= TOL, spec
-    return kets, families, got
+    return batch
 
 
 def gate_states():
-    """States whose B-owner star radius ``r`` sits on and around the cutoff.
+    """States whose B radius ``r`` sits on and around the cutoff.
 
     The first pair of the decomposition is ``[[g, c], [c, 0]]`` on
     (|000>, sym-excited): its upper ket has ``r = |x y| = c / hypot(g, 2c)``
-    for qubit B.  ``c`` must reach the cutoff for the pair to rotate at all,
-    so a radius below it needs a population ``g = c / r`` above 1.  The
-    state with ``c = 0`` leaves the sym-excited ket unrotated, with ``r = 0``.
+    for qubit B, and its lower one zero weight.  ``c`` must reach the
+    cutoff for the pair to rotate at all, so a radius below it needs a
+    population ``g = c / r`` above 1.  The state with ``c = 0`` leaves the
+    sym-excited ket unrotated, with ``r = 0``.
     """
     targets = [0.0, 0.5e-12, 2e-12, 1e-12 * (1.0 + 1e-6), 1e-12 * (1.0 - 1e-6)]
     elements = np.zeros((len(targets), 8))
@@ -115,80 +84,83 @@ def gate_states():
     return targets, states_from_elements(elements)
 
 
+def closed_form_states(theta, taus, squeezes):
+    return states_from_elements(closed_form_grid(taus, squeezes, theta, 80).reshape(-1, 8))
+
+
 # ------------------------------------------------------------------- tests
 
 
 @pytest.mark.parametrize("theta", [math.pi, math.pi / 2.0, math.pi / 3.0, 1.1])
-def test_star_shares_match_gathered_eigensolve(theta):
-    taus = [0.0, 0.3, 0.8, 2.0, 7.1, 14.5, 19.0]
-    elements = closed_form_grid(taus, [0.0, 0.3, 1.2, 2.0], theta, 80)
-    kets, _, terms = assert_shares_match_reference(states_from_elements(elements.reshape(-1, 8)))
-    assert len(kets) > 0 and (terms < 0.0).any()
+def test_minor_shares_match_the_eigensolver(theta):
+    states = closed_form_states(theta, [0.0, 0.3, 0.8, 2.0, 7.1, 14.5, 19.0], [0.0, 0.3, 1.2, 2.0])
+    batch = assert_shares_match_reference(states)
+    assert any((values > 0.0).any() for values in batch.e_psd.values())
 
 
-def test_star_gate_at_the_cutoff():
+def test_share_gate_at_the_cutoff():
     targets, states = gate_states()
     with warnings.catch_warnings():
         # a radius of exactly 0 must not divide
         warnings.simplefilter("error", RuntimeWarning)
-        kets, families, terms = assert_shares_match_reference(states)
-        negativity_batch(states)
-    # the B-owner radius of every ket, by the eigensolver on its gathered block
-    b_owner = ent._SHARE_QUBITS.index(ent.QubitLabel.B)
-    pure = (kets[:, :, None] * kets[:, None, :].conj()).reshape(len(kets), 64)
-    blocks = np.stack([pure[i, ent._KET_GATHERS[3][f, b_owner, 0, 0]] for i, f in enumerate(families)])
-    radii = -np.linalg.eigvalsh(blocks)[:, 0]
-    b_terms = terms.reshape(len(kets), len(ent._SHARE_QUBITS), -1)[:, b_owner]
-    for target in targets:
-        hits = np.flatnonzero(np.abs(radii - target) <= 1e-9 * target)
-        assert hits.size, target
-        # below or at the cutoff both terms are exactly 0; above, both negative
+        batch = assert_shares_match_reference(states)
+    # the B radius of each state's one live ket, read from its components:
+    # |000> against the sym-excited pair
+    _, rows, _, kets = contributing_kets(states)
+    radii = np.abs(kets[:, 0]) * np.hypot(np.abs(kets[:, 5]), np.abs(kets[:, 6]))
+    for row, target in enumerate(targets):
+        (hit,) = np.flatnonzero(rows == row)
+        assert abs(radii[hit] - target) <= 1e-9 * target, target
+        # at or below the cutoff both B shares are exactly 0; above, positive
+        shares = [batch.e_psd[spec][row] for spec in ("B-BA1", "B-BA2")]
         if target > CUTOFF:
-            assert (b_terms[hits] < 0.0).all(), target
+            assert all(share > 0.0 for share in shares), target
         else:
-            assert (b_terms[hits] == 0.0).all(), target
+            assert all(share == 0.0 for share in shares), target
 
 
-def test_star_shares_add_up_to_the_ket_negativity():
-    # -|a|^2/r - |b|^2/r = -r, and r is half the ket's global negativity
-    elements = closed_form_grid(np.linspace(0.0, 20.0, 60), [0.3, 1.2], 1.1, 80)
-    kets, families = family_kets(states_from_elements(elements.reshape(-1, 8)))
-    terms = ent._star_share_terms(kets, families)
-    per_owner = terms.reshape(len(kets), len(ent._SHARE_QUBITS), -1).sum(axis=-1)
-    for owner, p in enumerate(ent._SHARE_QUBITS):
-        half_negativity = ent._pure_negativity(kets.T, p) / 2.0
-        assert np.abs(per_owner[:, owner] + half_negativity).max() <= TOL, p
-        assert (half_negativity > 0.0).any()
+def test_shares_add_up_to_the_decomposition_negativity():
+    # -|m_1|^2/r - |m_2|^2/r = -r, and r is half the ket's global negativity
+    states = closed_form_states(1.1, np.linspace(0.0, 20.0, 60), [0.3, 1.2])
+    batch = negativity_batch(states)
+    for p in (QubitLabel.B, QubitLabel.A1):
+        total = sum(batch.e_psd[spec] for spec, (first, _) in SELECTIVE_SPECS.items() if first is p)
+        assert np.abs(total - batch.n_psdg[p]).max() <= TOL, p
+        assert (batch.n_psdg[p] > 0.01).any(), p
 
 
-def test_star_derivation_matches_the_tables():
-    edges, kept = ent._star_edges(ent._KET_GATHERS, ent._KET_SUPPORTS)
-    assert np.array_equal(edges, ent._STAR_EDGES) and np.array_equal(kept, ent._STAR_KEPT)
-    # two supports (ket families) x two owners (B, A1) x one block; each
-    # owner's two selective maps keep different edges
-    assert edges.shape == (2, 2, 1, 2) and kept.shape == (2, 2, 1, 2)
-    assert (np.sort(kept, axis=-1) == [0, 1]).all()
+def test_minor_split_check_passes_the_pattern_families():
+    # the families are the state's own blocks of two or more indices; each
+    # spec reads the minors of one partner qubit, two per spec, and the
+    # specs of one qubit read disjoint minors
+    assert [b for b in ent._index_blocks(PATTERN_MASK) if len(b) > 1] == [(0, 5, 6), (1, 2, 7)]
+    ent._check_minor_split(PATTERN_MASK)
+    assert [len(minors) for minors in ent._SHARE_MINORS] == [2] * len(SELECTIVE_SPECS)
+    for first in (0, 2):
+        assert not set(ent._SHARE_MINORS[first]) & set(ent._SHARE_MINORS[first + 1])
 
 
-def tampered(change):
-    gathers = copy.deepcopy(ent._KET_GATHERS)
-    change(gathers[3])
-    return gathers
+def family_mask(*families):
+    mask = np.zeros((8, 8), dtype=bool)
+    for family in families:
+        mask[np.ix_(family, family)] = True
+    return mask
 
 
-def test_star_derivation_rejects_a_non_star_block():
-    def diagonal_in_support(table):
-        # family (0, 5, 6): the entry [0, 0] lies in its support
-        table[0, 0, 0, 0, 1, 1] = 0
-
-    def map_keeps_both_edges(table):
-        table[1, 1, 0, 1] = table[1, 1, 0, 0]
-
-    for change in (diagonal_in_support, map_keeps_both_edges):
-        with pytest.raises(RuntimeError, match="star"):
-            ent._star_edges(tampered(change), ent._KET_SUPPORTS)
-    with pytest.raises(RuntimeError, match="3x3"):
-        ent._star_edges({**ent._KET_GATHERS, 2: ent._KET_GATHERS[3]}, ent._KET_SUPPORTS)
+def test_minor_split_check_rejects_a_tampered_family():
+    cases = [
+        # |000> joined to |111>: the B minor phi0 phi7 pairs columns 0 and 3,
+        # which differ in A1 and A2
+        ([(0, 5, 6), (1, 2, 7), (0, 7)], r"\[0, 1, 2, 5, 6, 7\], qubit B: minor phi0 phi7 .*two qubits"),
+        ([(0, 7)], r"ket family \[0, 7\], qubit B: minor phi0 phi7 - phi3 phi4 .*two qubits"),
+        # |000>, |100>, |001>, |101>
+        ([(0, 1, 4, 5)], r"\[0, 1, 4, 5\], qubit B: minor phi0 phi5 - phi1 phi4 has two supported"),
+        # the A1 split of |000>, |100>, |010>, |110>
+        ([(0, 1, 2, 3)], r"\[0, 1, 2, 3\], qubit A1: minor phi0 phi3 - phi2 phi1 has two supported"),
+    ]
+    for families, message in cases:
+        with pytest.raises(RuntimeError, match=message):
+            ent._check_minor_split(family_mask(*families))
 
 
 @pytest.fixture(scope="module")
@@ -209,7 +181,7 @@ def test_off_pattern_shares_keep_the_eigensolver_route(off_pattern_states, stack
     states = off_pattern_states[stack]
     assert not ent._in_blocks(states, ent._pattern_check(states)[0]).any()
     reference = reference_pairwise_shares(states)
-    monkeypatch.setattr(ent, "_star_share_terms", None)
+    monkeypatch.setattr(ent, "_SHARE_MINORS", None)
     batch = negativity_batch(states)
     for spec in SELECTIVE_SPECS:
         assert np.array_equal(batch.e_psd[spec], reference[spec]), spec

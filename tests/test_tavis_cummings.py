@@ -10,6 +10,7 @@ from cavity3q import (
     diagonal_probabilities,
     full_evolution,
     pattern_violations,
+    states_from_elements,
     truncation_deficit,
 )
 from cavity3q.oracle import _evolved_components
@@ -120,6 +121,20 @@ def test_closed_form_state_contracts():
         assert not pattern_violations(m, 1e-10)
         swapped = m[np.ix_(SWAP_A1_A2, SWAP_A1_A2)]
         assert np.array_equal(swapped, m)
+
+
+@pytest.mark.parametrize(
+    "call, value, message",
+    [
+        (pattern_violations, np.zeros((4, 4)), r"matrix must be one 8x8 state, got shape \(4, 4\)"),
+        (pattern_violations, np.zeros((2, 8, 8)), r"matrix must be one 8x8 state, got shape \(2, 8, 8\)"),
+        (states_from_elements, np.zeros(7), r"elements must have a last axis of 8, got shape \(7,\)"),
+    ],
+    ids=["pattern-4x4", "pattern-stack", "elements-7"],
+)
+def test_public_helpers_refuse_wrong_shapes_by_name(call, value, message):
+    with pytest.raises(ValueError, match=message):
+        call(value)
 
 
 def test_closed_form_rejects_negative_tau():
