@@ -36,7 +36,6 @@ from .tavis_cummings import (
     closed_form_grid,
     closed_form_rho,
     diagonal_probabilities,
-    pattern_violations,
     states_from_elements,
 )
 
@@ -50,7 +49,6 @@ __all__ = [
     "truncation_deficits",
     "ThreeQubitDensityMatrix",
     "PATTERN_MASK",
-    "pattern_violations",
     "closed_form_grid",
     "states_from_elements",
     "closed_form_rho",

@@ -14,7 +14,10 @@ The kernel checks every state Hermitian to 1e-9 once (a bad state is named
 by its index in the caller's stack) and evaluates the stack in fixed blocks
 of `_DIAGNOSTIC_BLOCK` rows:
 
-* the zero pattern of every row is checked once against `PATTERN_MASK`;
+* the pattern of every row is checked once: no entry outside
+  `PATTERN_MASK`, no two slots of one element apart and no slot with an
+  imaginary part, by more than 1e-8.  `tavis_cummings` reads the elements
+  back from the slot table that `states_from_elements` writes with;
 * every partial transpose the kernel solves is gathered into index blocks,
   with each map it projects gathered on the same index pairs.  A state
   whose entries outside `PATTERN_MASK` are exactly zero and whose pattern
@@ -66,7 +69,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tavis_cummings import PATTERN_MASK, pattern_violations
+from .tavis_cummings import PATTERN_MASK, _elements_of_states, states_from_elements
 
 __all__ = [
     "QubitLabel",
@@ -224,55 +227,30 @@ def _negative_pairs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(keep, vals, 0.0), vecs * keep[..., None, :]
 
 
-# Failure codes of `_pattern_check` beyond the zero pattern itself (code 1).
-_PATTERN_ERRORS = {
-    2: "state pattern requires real matrix elements",
-    3: "state pattern requires equal entries across the symmetric blocks",
-}
-
-
 def _pattern_check(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Validate the structured-state pattern of each state in an (N, 8, 8) stack.
+    """Whether each state of an (N, 8, 8) stack passes the pattern check, and its eight elements.
 
-    Returns a failure code per state (0 passes; 1 an entry outside
-    `PATTERN_MASK`, 2 a complex pattern entry, 3 unequal entries across a
-    symmetric block) and the eight independent real elements r11, r22, r33,
-    r44, r55, r66, r15, r26 (meaningful where the code is 0), each test at
-    `_PATTERN_TOL`.
+    A state passes when no entry outside `PATTERN_MASK` and no spread of its
+    slots (`_elements_of_states`) exceeds `_PATTERN_TOL`.  The elements
+    r11, r22, r33, r44, r55, r66, r15, r26 are meaningful where it passes.
     """
+    elements, spread = _elements_of_states(m)
     outside = ((np.abs(m) > _PATTERN_TOL) & ~PATTERN_MASK).any(axis=(-2, -1))
-    complex_entries = np.abs(m.imag[:, PATTERN_MASK]).max(axis=-1) > _PATTERN_TOL
-    real = m.real
-    unequal = (np.ptp(real[:, [1, 2, 1, 2], [1, 2, 2, 1]], axis=-1) > _PATTERN_TOL) | (
-        np.ptp(real[:, [5, 6, 5, 6], [5, 6, 6, 5]], axis=-1) > _PATTERN_TOL
-    )
-    codes = np.select([outside, complex_entries, unequal], [1, 2, 3], 0)
-    elements = np.stack(
-        [
-            m[:, 0, 0].real,
-            (m[:, 1, 1] + m[:, 2, 2] + m[:, 1, 2] + m[:, 2, 1]).real / 2.0,
-            m[:, 3, 3].real,
-            m[:, 4, 4].real,
-            (m[:, 5, 5] + m[:, 6, 6] + m[:, 5, 6] + m[:, 6, 5]).real / 2.0,
-            m[:, 7, 7].real,
-            (m[:, 0, 5] + m[:, 0, 6]).real / _SQRT2,
-            (m[:, 1, 7] + m[:, 2, 7]).real / _SQRT2,
-        ],
-        axis=-1,
-    )
-    return codes, elements
+    return ~outside & (spread <= _PATTERN_TOL), elements
 
 
-def _require_pattern(m: np.ndarray) -> np.ndarray:
-    """The eight independent elements of one state, or a ValueError naming the failure."""
-    codes, elements = _pattern_check(m[None])
-    code = int(codes[0])
-    if code == 1:
-        i, j, v = pattern_violations(m, _PATTERN_TOL)[0]
-        raise ValueError(f"state does not have the expected zero pattern: entry [{i},{j}] = {v}")
-    if code:
-        raise ValueError(_PATTERN_ERRORS[code])
-    return elements[0]
+def _require_pattern(m: np.ndarray) -> None:
+    """Raise the ValueError of one state that fails the pattern check.
+
+    The message names the entry furthest from the state its read-back
+    elements make, with both values.
+    """
+    pattern = states_from_elements(_elements_of_states(m)[0])
+    i, j = np.unravel_index(np.argmax(np.abs(m - pattern)), m.shape)
+    raise ValueError(
+        f"state does not have the expected zero pattern: entry [{i},{j}] = {m[i, j]},"
+        f" the pattern has {pattern[i, j]}"
+    )
 
 
 def _analytic_negativity_b(elements: np.ndarray) -> np.ndarray:
@@ -326,7 +304,7 @@ def _generic_decomposition(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _decompose_stack(
-    m: np.ndarray, codes: np.ndarray, elements: np.ndarray
+    m: np.ndarray, pattern_ok: np.ndarray, elements: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pure-state decomposition of each state of an (N, 8, 8) stack.
 
@@ -334,15 +312,14 @@ def _decompose_stack(
     {|000>, sym|1>}, {sym|0>, |111>}, |110>, |001> plus the two antisymmetric
     null directions, so six analytic eigenpairs (plus two zero-weight
     completions) suffice.  Returns the probabilities (N, 8) and the unit
-    vectors as columns (N, 8, 8).  States whose pattern code is nonzero go
+    vectors as columns (N, 8, 8).  States that fail the pattern check go
     through `_generic_decomposition`, all of them in one call.  Every output
     reads the kets only through their projectors, so no phase or order is
     fixed.
     """
     probs = np.zeros(m.shape[:2])
     vectors = np.zeros(m.shape, dtype=np.result_type(m, float))
-    ok = codes == 0
-    r11, r22, r33, r44, r55, r66, r15, r26 = elements[ok].T
+    r11, r22, r33, r44, r55, r66, r15, r26 = elements[pattern_ok].T
     lams = []
     kets = np.zeros((len(r11), 8, 8))
     for col, (lam, x, y) in enumerate(_two_level_pairs(r11, r55, r15)):
@@ -357,10 +334,10 @@ def _decompose_stack(
     kets[:, 1, 6] = kets[:, 5, 7] = _INV_SQRT2
     kets[:, 2, 6] = kets[:, 6, 7] = -_INV_SQRT2
     zero = np.zeros_like(r33)
-    probs[ok] = np.maximum(np.stack([*lams, r33, r44, zero, zero], axis=-1), 0.0)
-    vectors[ok] = kets
-    if not ok.all():
-        probs[~ok], vectors[~ok] = _generic_decomposition(m[~ok])
+    probs[pattern_ok] = np.maximum(np.stack([*lams, r33, r44, zero, zero], axis=-1), 0.0)
+    vectors[pattern_ok] = kets
+    if not pattern_ok.all():
+        probs[~pattern_ok], vectors[~pattern_ok] = _generic_decomposition(m[~pattern_ok])
     return probs, vectors
 
 
@@ -432,9 +409,9 @@ class NegativityBatch(NamedTuple):
     ``n_g``, ``e_3``, ``e_2`` and ``e_0`` hold the qubits selected by the
     ``global_qubits`` of `negativity_batch` (all three by default); every
     other field is complete.  ``n_g_b_analytic`` is NaN where the state
-    lacks the structured zero pattern; ``pattern_ok`` marks the states that
-    have it.  The others were decomposed by the generic eigendecomposition
-    fallback.  (A named tuple rather than a frozen dataclass: the dataclass
+    fails the pattern check; ``pattern_ok`` marks the states that pass it.
+    The others were decomposed by the generic eigendecomposition fallback.
+    (A named tuple rather than a frozen dataclass: the dataclass
     costs about 1.5 ms of import time, which every command-line call pays.)
     """
 
@@ -517,32 +494,31 @@ def _index_blocks(support: np.ndarray) -> list[tuple[int, ...]]:
     return blocks
 
 
-def _block_gathers(supports, maps_by_owner) -> dict[int, np.ndarray]:
+def _block_gathers(support, maps_by_owner) -> dict[int, np.ndarray]:
     """Gather positions of every map on the index blocks of each owner's first map.
 
-    ``supports`` are the masks of the matrices to be transposed and
+    ``support`` is the mask of the matrices to be transposed and
     ``maps_by_owner`` lists, per owner, maps as from `_transpose_positions`:
     the first is the transpose to solve, the others are projected on its
     eigenvectors.  Returns, per block size n, flat positions into an 8x8
-    matrix, shape (supports, owners, blocks, maps, n, n).  The stacking needs
-    every (support, owner) to have the same number of blocks of each size.
+    matrix, shape (owners, blocks, maps, n, n).  The stacking needs every
+    owner to have the same number of blocks of each size.
     """
     # nested lists, not a numpy call per block: this runs at import
-    owners = []  # per (support, owner): {block size: the gathers of each block}
-    for support in supports:
-        for maps in maps_by_owner:
-            rows_of_maps = [positions.tolist() for positions in maps]
-            by_size: dict[int, list] = {}
-            for block in _index_blocks(support.reshape(64)[maps[0]]):
-                gathers = [[[rows[i][j] for j in block] for i in block] for rows in rows_of_maps]
-                by_size.setdefault(len(block), []).append(gathers)
-            owners.append(by_size)
+    owners = []  # per owner: {block size: the gathers of each block}
+    for maps in maps_by_owner:
+        rows_of_maps = [positions.tolist() for positions in maps]
+        by_size: dict[int, list] = {}
+        for block in _index_blocks(support.reshape(64)[maps[0]]):
+            gathers = [[[rows[i][j] for j in block] for i in block] for rows in rows_of_maps]
+            by_size.setdefault(len(block), []).append(gathers)
+        owners.append(by_size)
     counts = {tuple(sorted((size, len(blocks)) for size, blocks in o.items())) for o in owners}
     if len(counts) != 1:
         raise RuntimeError(f"owners differ in their index blocks: {sorted(counts)}")
     return {
         size: np.array([by_size[size] for by_size in owners]).reshape(
-            len(supports), len(maps_by_owner), -1, len(maps_by_owner[0]), size, size
+            len(maps_by_owner), -1, len(maps_by_owner[0]), size, size
         )
         for size in sorted(owners[0])
     }
@@ -560,10 +536,8 @@ _STATE_MAPS = [
     + [_POSITION]
     for p in QubitLabel
 ]
-_STATE_GATHERS, _WHOLE_STATE_GATHERS = (
-    {size: positions[0] for size, positions in _block_gathers([support], _STATE_MAPS).items()}
-    for support in (PATTERN_MASK, _WHOLE)
-)
+_STATE_GATHERS = _block_gathers(PATTERN_MASK, _STATE_MAPS)
+_WHOLE_STATE_GATHERS = _block_gathers(_WHOLE, _STATE_MAPS)
 
 # Per qubit that leads a selective spec: its two-way transpose, then the
 # selective transposes it projects, gathered whole for the kets of states
@@ -579,7 +553,7 @@ _SHARE_MAPS = [
     + [_transpose_positions(p, _selective_mask(spec)) for spec in specs]
     for p, specs in zip(_SHARE_QUBITS, _SHARE_SPECS)
 ]
-_WHOLE_KET_GATHERS = _block_gathers([_WHOLE], _SHARE_MAPS)
+_WHOLE_KET_GATHERS = _block_gathers(_WHOLE, _SHARE_MAPS)
 
 # Per spec of `_SHARE_ORDER`: the minors of its first qubit's split whose
 # two columns differ in its partner qubit alone.
@@ -617,15 +591,15 @@ def _check_minor_split(support: np.ndarray) -> None:
 _check_minor_split(PATTERN_MASK)
 
 
-def _in_blocks(m: np.ndarray, codes: np.ndarray) -> np.ndarray:
+def _in_blocks(m: np.ndarray, pattern_ok: np.ndarray) -> np.ndarray:
     """States of an (N, 8, 8) stack evaluated from the index blocks of `PATTERN_MASK`.
 
-    Those whose pattern code is 0 and whose entries outside `PATTERN_MASK`
-    are exactly zero, as in every closed-form and brute-force oracle state;
-    the others, a state with rounding noise outside the pattern among them,
-    are one 8-index block.
+    Those that pass the pattern check and whose entries outside
+    `PATTERN_MASK` are exactly zero, as in every closed-form and brute-force
+    oracle state; the others, a state with rounding noise outside the
+    pattern among them, are one 8-index block.
     """
-    return (codes == 0) & ~m[:, ~PATTERN_MASK].any(axis=-1)
+    return pattern_ok & ~m[:, ~PATTERN_MASK].any(axis=-1)
 
 
 def _projected_blocks(gathered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -674,7 +648,7 @@ def _share_terms(kets: np.ndarray) -> np.ndarray:
     pure = (kets[:, :, None] * kets[:, None, :].conj()).reshape(len(kets), 64)
     traces = 0.0
     for positions in _WHOLE_KET_GATHERS.values():
-        traces = traces + _projected_blocks(pure[:, positions[0]])[1]
+        traces = traces + _projected_blocks(pure[:, positions])[1]
     return traces.reshape(len(kets), -1)
 
 
@@ -732,11 +706,10 @@ def _negativity_block(m: np.ndarray, qubits: list[QubitLabel]) -> NegativityBatc
 
     ``qubits`` are those whose global transposes are solved, in `QubitLabel` order.
     """
-    codes, elements = _pattern_check(m)
-    pattern_ok = codes == 0
-    in_blocks = _in_blocks(m, codes)
+    pattern_ok, elements = _pattern_check(m)
+    in_blocks = _in_blocks(m, pattern_ok)
     n_g, split = _global_split(m, in_blocks, [p.value for p in qubits])
-    probs, vectors = _decompose_stack(m, codes, elements)
+    probs, vectors = _decompose_stack(m, pattern_ok, elements)
     n_psdg, e_psd = _decomposition_negativities(probs, vectors, in_blocks)
     return NegativityBatch(
         n_g={p: n_g[:, i] for i, p in enumerate(qubits)},
@@ -800,8 +773,11 @@ def negativity_batch(states, *, global_qubits=tuple(QubitLabel)) -> NegativityBa
 def negativity_report(rho) -> NegativityReport:
     """Evaluate the full diagnostic suite at one state: `negativity_batch` on a grid of one.
 
-    Raises ValueError for a state without the structured zero pattern, which
-    the analytic B negativity needs.
+    Raises ValueError for a state that fails the pattern check, which the
+    analytic B negativity needs: an entry outside `PATTERN_MASK`, two slots
+    of one element apart, or an imaginary slot, above 1e-8.  The message
+    names the entry furthest from the state of its read-back elements, with
+    both values.
     """
     m = _as_matrix(rho)
     batch = negativity_batch(m[None])

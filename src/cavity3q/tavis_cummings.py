@@ -18,6 +18,12 @@ products: `closed_form_grid`.  `closed_form_rho` is its grid of one.
 Computational basis order throughout: |000>, |100>, |010>, |110>, |001>,
 |101>, |011>, |111>, where the first two slots are the c1 atoms (A1, A2)
 and the third is the c2 atom (B); the flat index is i1 + 2*i2 + 4*i3.
+
+One table says which entries of the 8x8 state hold which element, and this
+module is the only one that reads it, in both directions:
+`states_from_elements` writes the elements into their slots, and
+`_elements_of_states` reads them back, with the spread of each element's
+slots, for the diagnostics' pattern check.  `PATTERN_MASK` marks the slots.
 """
 
 from __future__ import annotations
@@ -39,7 +45,6 @@ from .fock_field import (
 __all__ = [
     "ThreeQubitDensityMatrix",
     "PATTERN_MASK",
-    "pattern_violations",
     "closed_form_grid",
     "states_from_elements",
     "closed_form_rho",
@@ -84,6 +89,11 @@ _ELEMENT_SLOTS = (
 _ELEMENT_DIVISORS = np.array([1.0, 2.0, 1.0, 1.0, 2.0, 1.0, math.sqrt(2.0), math.sqrt(2.0)])
 _SLOT_SOURCE = np.array([k for k, slots in enumerate(_ELEMENT_SLOTS) for _ in slots])
 _SLOT_ROWS, _SLOT_COLS = np.array([ij for slots in _ELEMENT_SLOTS for ij in slots]).T
+# Where each element's slots start in that flat order, and what they sum to
+# per unit of the element: the slot count over the divisor, written out
+# because 4 / sqrt2 rounds one ulp away from 2 sqrt2.
+_SLOT_STARTS = np.searchsorted(_SLOT_SOURCE, np.arange(8))
+_SLOT_SUMS = np.array([1.0, 2.0, 1.0, 1.0, 2.0, 1.0, 2.0 * math.sqrt(2.0), 2.0 * math.sqrt(2.0)])
 
 
 # Entries that can be nonzero in the reduced state, the slots above:
@@ -93,15 +103,6 @@ _SLOT_ROWS, _SLOT_COLS = np.array([ij for slots in _ELEMENT_SLOTS for ij in slot
 PATTERN_MASK = np.zeros((8, 8), dtype=bool)
 PATTERN_MASK[_SLOT_ROWS, _SLOT_COLS] = True
 PATTERN_MASK.setflags(write=False)
-
-
-def pattern_violations(matrix: np.ndarray, tol: float = 1e-10) -> list[tuple[int, int, complex]]:
-    """Entries outside the allowed zero pattern whose magnitude exceeds ``tol``, row-major."""
-    m = np.asarray(matrix)
-    if m.shape != (8, 8):
-        raise ValueError(f"matrix must be one 8x8 state, got shape {m.shape}")
-    rows, cols = np.nonzero(~PATTERN_MASK & (np.abs(m) > tol))
-    return [(int(i), int(j), complex(m[i, j])) for i, j in zip(rows, cols)]
 
 
 def _field_factors(theta: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -223,13 +224,35 @@ def closed_form_grid(taus, squeezes, theta: float, n_max: int) -> np.ndarray:
 
 
 def states_from_elements(elements: np.ndarray) -> np.ndarray:
-    """The real 8x8 states, shape (..., 8, 8), from elements of `closed_form_grid` (..., 8)."""
+    """The real 8x8 states, shape (..., 8, 8), from elements of `closed_form_grid` (..., 8).
+
+    Raises ValueError for a last axis other than 8 or a non-finite element.
+    """
     elements = np.asarray(elements)
     if elements.ndim == 0 or elements.shape[-1] != 8:
         raise ValueError(f"elements must have a last axis of 8, got shape {elements.shape}")
+    finite = np.isfinite(elements)
+    if not finite.all():
+        raise ValueError(f"elements must be finite, got {elements[~finite][0]}")
     m = np.zeros(elements.shape[:-1] + (8, 8))
     m[..., _SLOT_ROWS, _SLOT_COLS] = (elements / _ELEMENT_DIVISORS)[..., _SLOT_SOURCE]
     return m
+
+
+def _elements_of_states(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The elements of states (..., 8, 8), shape (..., 8), and the spread of their slots (...).
+
+    Each element is the real part of its slots' sum over `_SLOT_SUMS`, the
+    way back from `states_from_elements`.  The spread is the largest
+    difference between two slots of one element, or the largest imaginary
+    part of a slot; it is 0 for every state `states_from_elements` makes.
+    """
+    slots = states[..., _SLOT_ROWS, _SLOT_COLS]
+    real = slots.real
+    elements = np.add.reduceat(real, _SLOT_STARTS, axis=-1) / _SLOT_SUMS
+    spread = np.maximum.reduceat(real, _SLOT_STARTS, axis=-1)
+    spread -= np.minimum.reduceat(real, _SLOT_STARTS, axis=-1)
+    return elements, np.maximum(spread.max(axis=-1), np.abs(slots.imag).max(axis=-1))
 
 
 def closed_form_rho(tau: float, config: FieldConfig) -> ThreeQubitDensityMatrix:

@@ -30,7 +30,6 @@ from cavity3q import (
     compare_states,
     negativity_batch,
     negativity_report,
-    pattern_violations,
     states_from_elements,
 )
 from test_diagnostics_reference import (
@@ -69,16 +68,28 @@ def ref_projected_sum(matrix, vectors):
     return math.fsum(np.real(vals).tolist())
 
 
-def ref_pattern_elements(m, tol=1e-8):
+def ref_pattern_elements(m, tol=1e-8, compare_coherences=True):
+    """The eight elements of a state that passes the pattern check, else None.
+
+    A state passes when no entry outside `PATTERN_MASK` and no imaginary
+    part of a pattern entry exceeds ``tol``, and no two entries of one
+    element, the four of a symmetric block or of a coherence with its
+    mirror, are further apart than ``tol``; ``compare_coherences=False``
+    leaves the coherences out of that last test.
+    """
     for i in range(8):
         for j in range(8):
             if not PATTERN_MASK[i, j] and abs(m[i, j]) > tol:
                 return None
     if np.abs(np.imag(m[PATTERN_MASK])).max() > tol:
         return None
-    r22_entries = [m[1, 1], m[2, 2], m[1, 2], m[2, 1]]
-    r55_entries = [m[5, 5], m[6, 6], m[5, 6], m[6, 5]]
-    if (np.ptp(np.real(r22_entries)) > tol) or (np.ptp(np.real(r55_entries)) > tol):
+    groups = [
+        [m[1, 1], m[2, 2], m[1, 2], m[2, 1]],
+        [m[5, 5], m[6, 6], m[5, 6], m[6, 5]],
+    ]
+    if compare_coherences:
+        groups += [[m[0, 5], m[0, 6], m[5, 0], m[6, 0]], [m[1, 7], m[2, 7], m[7, 1], m[7, 2]]]
+    if any(np.ptp(np.real(entries)) > tol for entries in groups):
         return None
     return {
         "r11": float(np.real(m[0, 0])),
@@ -409,7 +420,7 @@ def test_pairwise_solves_only_positive_weight_states(monkeypatch):
     assert solved_kets == []
     # the same states as one 8-index block each: the kets of positive
     # weight that are not basis states, and only those, go to the eigensolver
-    monkeypatch.setattr(ent, "_in_blocks", lambda m, codes: np.zeros(len(m), dtype=bool))
+    monkeypatch.setattr(ent, "_in_blocks", lambda m, pattern_ok: np.zeros(len(m), dtype=bool))
     negativity_batch(states)
     assert solved_kets == [positive]
     assert positive < 8 * len(states)
@@ -527,11 +538,10 @@ def test_infinite_entry_is_refused_without_a_warning(i, j):
 
 def test_decomposition_negativities_reject_non_hermitian_pattern_state():
     # the zero pattern holds, but the mirrored coherences differ; the
-    # decomposition reads one triangle only, the kernel checks both, also
-    # when it solves no global transpose
+    # kernel checks both, also when it solves no global transpose
     m = closed_form_rho(1.2, FieldConfig(1.2, math.pi, 40)).matrix.copy()
     m[5, 0] += 1e-6
-    assert pattern_violations(m, 1e-8) == []
+    assert not m[~PATTERN_MASK].any()
     for selection in ((), tuple(QubitLabel)):
         with pytest.raises(ValueError, match="not Hermitian"):
             negativity_batch(m[None], global_qubits=selection)
@@ -622,13 +632,13 @@ def test_global_selection_is_bit_identical_to_the_full_kernel(selection_stacks, 
 def test_selection_stacks_cover_both_block_paths(selection_stacks):
     # the closed-form states span three kernel blocks, and they and the
     # oracle states are exactly zero off the pattern: index blocks; the
-    # noisy oracle states keep pattern code 0 but take the 8-index blocks
+    # noisy oracle states pass the pattern check but take the 8-index blocks
     assert len(selection_stacks["closed"]) > 2 * ent._DIAGNOSTIC_BLOCK
     for name, in_blocks in (("closed", True), ("oracle", True), ("noisy", False)):
         states = selection_stacks[name]
-        codes = ent._pattern_check(states)[0]
-        assert not codes.any(), name
-        assert (ent._in_blocks(states, codes) == in_blocks).all(), name
+        pattern_ok = ent._pattern_check(states)[0]
+        assert pattern_ok.all(), name
+        assert (ent._in_blocks(states, pattern_ok) == in_blocks).all(), name
     assert len(selection_stacks["oracle"]) == len(selection_stacks["noisy"]) == 36
 
 
@@ -663,8 +673,8 @@ def test_empty_selection_skips_the_global_stage(global_solves):
     noisy = states.copy()
     noisy[:, 3, 0] = noisy[:, 0, 3] = 1e-17
     for stack in (states, noisy):
-        codes, _ = ent._pattern_check(stack)
-        n_g, split = ent._global_split(stack, ent._in_blocks(stack, codes), [])
+        pattern_ok, _ = ent._pattern_check(stack)
+        n_g, split = ent._global_split(stack, ent._in_blocks(stack, pattern_ok), [])
         assert n_g.shape == (3, 0) and split.shape == (3, 0, 3)
         batch = negativity_batch(stack, global_qubits=())
         assert batch.n_g == batch.e_3 == batch.e_2 == batch.e_0 == {}
@@ -713,7 +723,8 @@ def test_negativity_report_is_kernel_grid_of_one():
 def test_negativity_report_still_rejects_non_pattern_state():
     m = closed_form_rho(1.0, FieldConfig(0.8, 2.0, 20)).matrix.copy()
     m[0, 3] = m[3, 0] = 0.05
-    with pytest.raises(ValueError, match=r"zero pattern: entry \[0,3\]"):
+    message = r"zero pattern: entry \[0,3\] = 0.05, the pattern has 0.0"
+    with pytest.raises(ValueError, match=message):
         negativity_report(m)
 
 
@@ -724,15 +735,6 @@ def test_empty_stack():
 
 
 # ---------------------------------------------------- zero-pattern checks
-
-
-def loop_pattern_violations(matrix, tol):
-    out = []
-    for i in range(8):
-        for j in range(8):
-            if not PATTERN_MASK[i, j] and abs(matrix[i, j]) > tol:
-                out.append((i, j, complex(matrix[i, j])))
-    return out
 
 
 def loop_compare_violations(ma, mb, tol):
@@ -769,12 +771,92 @@ def pattern_cases():
 
 def test_mask_pattern_checks_match_loops():
     for a, b in pattern_cases():
-        for tol in (1e-10, 1e-8):
-            assert pattern_violations(a, tol) == loop_pattern_violations(a, tol)
-            assert pattern_violations(b, tol) == loop_pattern_violations(b, tol)
+        for m in (a, b):
+            assert ent._pattern_check(m[None])[0][0] == (ref_pattern_elements(m) is not None)
         got = compare_states(a, b).pattern_violations
         expected = loop_compare_violations(a, b, 1e-10)
         assert len(got) == len(expected)
         for row, ref in zip(got, expected):
             assert row[:2] == ref[:2]
             assert np.array_equal(np.array(row[2:]), np.array(ref[2:]), equal_nan=True)
+
+
+def unequal_coherence_state():
+    """Half |psi><psi| plus half |phi><phi|, whose |000><101| and |000><011| coherences differ.
+
+    psi = 0.6|000> + 0.8 (|101> + |011>)/sqrt2 and phi = sqrt(1 - 1.8e-8)|000>
+    + sqrt(1.8e-8) (|101> - |011>)/sqrt2: the entries of each symmetric
+    block agree to 0.9e-8, inside the pattern tolerance, but the coherences
+    rho[0,5] and rho[0,6] are 9.5e-5 apart.
+    """
+    psi = np.zeros(8)
+    psi[0], psi[5], psi[6] = 0.6, 0.8 / SQRT2, 0.8 / SQRT2
+    phi = np.zeros(8)
+    phi[0], phi[5] = math.sqrt(1.0 - 1.8e-8), math.sqrt(1.8e-8) / SQRT2
+    phi[6] = -phi[5]
+    return 0.5 * np.outer(psi, psi) + 0.5 * np.outer(phi, phi)
+
+
+def test_unequal_coherence_slots_fail_the_pattern_check():
+    m = unequal_coherence_state()
+    assert m[0, 5] - m[0, 6] == pytest.approx(9.5e-5, rel=1e-2)
+    assert ref_pattern_elements(m, compare_coherences=False) is not None
+    assert ref_pattern_elements(m) is None
+    assert not ent._pattern_check(m[None])[0][0]
+    batch = negativity_batch(m[None])
+    assert not batch.pattern_ok[0]
+    assert math.isnan(batch.n_g_b_analytic[0])
+    # the generic route sees that the state is not symmetric in the c1
+    # pair: A1 and A2 get different decomposition negativities
+    probs, vectors = ent._generic_decomposition(m[None])
+    n_psdg, e_psd = ent._decomposition_negativities(probs, vectors, np.zeros(1, dtype=bool))
+    for p in QubitLabel:
+        assert abs(batch.n_psdg[p][0] - n_psdg[p][0]) <= 1e-12, p
+    for spec in SELECTIVE_SPECS:
+        assert abs(batch.e_psd[spec][0] - e_psd[spec][0]) <= 1e-12, spec
+    assert batch.n_psdg[QubitLabel.A1][0] == pytest.approx(0.676020, abs=1e-6)
+    assert batch.n_psdg[QubitLabel.A2][0] == pytest.approx(0.675899, abs=1e-6)
+    with pytest.raises(ValueError, match=r"zero pattern: entry \[0,[56]\] = "):
+        negativity_report(m)
+
+
+@pytest.mark.parametrize("size, passes", [(0.9e-8, True), (1.1e-8, False)])
+@pytest.mark.parametrize("where", ["off-pattern entry", "block spread", "imaginary slot part"])
+def test_pattern_check_boundaries(where, size, passes):
+    m = closed_form_rho(2.3, FieldConfig(0.9, 2.0, 20)).matrix.astype(complex)
+    if where == "off-pattern entry":
+        m[0, 3] = m[3, 0] = size
+    elif where == "block spread":
+        m[1, 1] += size
+    else:
+        m[0, 5] += 1j * size
+        m[5, 0] -= 1j * size
+    assert ent._pattern_check(m[None])[0][0] == passes
+    assert negativity_batch(m[None]).pattern_ok[0] == passes
+    assert (ref_pattern_elements(m, compare_coherences=False) is not None) == passes
+
+
+def test_comparing_coherence_slots_changes_no_verdict_on_the_suites_stacks(selection_stacks):
+    # closed-form, oracle, noisy oracle and random states, and Bell, W and
+    # GHZ states: the pattern check with and without the coherences agree
+    rng = np.random.default_rng(83)
+    a = rng.standard_normal((10, 8, 8))
+    b = a + 1j * rng.standard_normal((10, 8, 8))
+    random_states = np.concatenate([a @ a.swapaxes(-1, -2), b @ b.conj().swapaxes(-1, -2)])
+    random_states /= np.trace(random_states, axis1=1, axis2=2).real[:, None, None]
+    bell = np.zeros(8)
+    bell[0] = bell[5] = 1.0 / SQRT2
+    ghz = np.zeros(8)
+    ghz[0] = ghz[7] = 1.0 / SQRT2
+    named = np.array([np.outer(ket, ket) for ket in (bell, W1_STATE, ghz)])
+    taus = np.linspace(0.0, 20.0, 30)
+    closed = [sweep_states(theta, [0.3, 1.2], taus) for theta in (math.pi, math.pi / 2.0, 1.1)]
+    stacks = [*closed, selection_stacks["oracle"], selection_stacks["noisy"], random_states, named]
+    verdicts = Counter()
+    for states in stacks:
+        pattern_ok = ent._pattern_check(states)[0]
+        for m, ok in zip(states, pattern_ok):
+            assert ok == (ref_pattern_elements(m) is not None)
+            assert ok == (ref_pattern_elements(m, compare_coherences=False) is not None)
+            verdicts[bool(ok)] += 1
+    assert verdicts[True] and verdicts[False] == len(random_states) + 2

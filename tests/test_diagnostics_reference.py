@@ -167,8 +167,8 @@ def oracle_states(noise_seed=None, scale=1e-13):
     """The 36 oracle-check states at n_max 40, optionally with seeded noise off the pattern.
 
     The noise is real symmetric, of about ``scale``, and only outside
-    `PATTERN_MASK`: far below the pattern tolerance, so the states keep
-    pattern code 0, yet not exactly zero, so the kernel takes its 8-index
+    `PATTERN_MASK`: far below the pattern tolerance, so the states pass
+    the pattern check, yet not exactly zero, so the kernel takes its 8-index
     fallback for them.
     """
     grid = full_evolution_grid(ORACLE_CHECK_TAUS, ORACLE_CHECK_SQUEEZES, ORACLE_CHECK_THETAS, 40)
@@ -180,8 +180,8 @@ def oracle_states(noise_seed=None, scale=1e-13):
 
 
 def block_rows(states):
-    codes, _ = ent._pattern_check(states)
-    return ent._in_blocks(states, codes)
+    pattern_ok, _ = ent._pattern_check(states)
+    return ent._in_blocks(states, pattern_ok)
 
 
 # ------------------------------------------------------------------- tests
@@ -219,12 +219,13 @@ def test_oracle_states_match_textbook():
 
 
 def test_noisy_oracle_states_match_textbook():
-    # a state of pattern code 0 is decomposed from its pattern entries alone,
-    # so the kernel differs from the textbook by about a hundred times the
-    # off-pattern noise; noise of rounding size keeps that inside the bound
+    # a state that passes the pattern check is decomposed from its pattern
+    # entries alone, so the kernel differs from the textbook by about a
+    # hundred times the off-pattern noise; noise of rounding size keeps that
+    # inside the bound
     states = oracle_states(noise_seed=7, scale=1e-16)
     assert not block_rows(states).any()
-    assert (ent._pattern_check(states)[0] == 0).all()
+    assert ent._pattern_check(states)[0].all()
     assert assert_matches_textbook(states) <= TOL
 
 
@@ -259,7 +260,7 @@ def test_non_psd_pattern_state_keeps_its_single_index_blocks():
 def test_block_path_matches_full_fallback(theta, monkeypatch):
     states = closed_form_states(theta)
     blocks = negativity_batch(states)
-    monkeypatch.setattr(ent, "_in_blocks", lambda m, codes: np.zeros(len(m), dtype=bool))
+    monkeypatch.setattr(ent, "_in_blocks", lambda m, pattern_ok: np.zeros(len(m), dtype=bool))
     full = negativity_batch(states)
     assert np.array_equal(blocks.pattern_ok, full.pattern_ok)
     for name in ("n_g", "e_3", "e_2", "e_0", "n_psdg", "e_psd"):
@@ -302,14 +303,14 @@ def test_whole_support_tables_hold_one_block_per_owner():
     share_qubits = list(dict.fromkeys(p for p, _ in SELECTIVE_SPECS.values()))
     assert list(ent._WHOLE_KET_GATHERS) == [8]
     kets = ent._WHOLE_KET_GATHERS[8]
-    assert kets.shape == (1, len(share_qubits), 1, 3, 8, 8)
+    assert kets.shape == (len(share_qubits), 1, 3, 8, 8)
     for owner, p in enumerate(share_qubits):
         expected = [restricted_transpose(m, p, kway_mask(2))] + [
             restricted_transpose(m, p, selective_mask(spec))
             for spec, (first, _) in SELECTIVE_SPECS.items()
             if first is p
         ]
-        assert np.array_equal(m.reshape(64)[kets[0, owner, 0]], np.stack(expected))
+        assert np.array_equal(m.reshape(64)[kets[owner, 0]], np.stack(expected))
 
 
 def test_kernel_transpose_maps_match_textbook():

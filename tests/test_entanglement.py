@@ -83,8 +83,8 @@ def kernel_maps(m):
 def decomposition(states):
     """The kernel's pure-state decomposition: probabilities (N, 8), unit kets as columns (N, 8, 8)."""
     states = np.asarray(states)
-    codes, elements = ent._pattern_check(states)
-    return ent._decompose_stack(states, codes, elements)
+    pattern_ok, elements = ent._pattern_check(states)
+    return ent._decompose_stack(states, pattern_ok, elements)
 
 
 def reconstructed(probs, vectors):

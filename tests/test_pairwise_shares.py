@@ -37,8 +37,8 @@ CUTOFF = ent.NEGATIVE_EIGENVALUE_CUTOFF
 
 def contributing_kets(states):
     """Positions (state, column) and kets of the decomposition: positive weight, not basis states."""
-    codes, elements = ent._pattern_check(states)
-    probs, vectors = ent._decompose_stack(states, codes, elements)
+    pattern_ok, elements = ent._pattern_check(states)
+    probs, vectors = ent._decompose_stack(states, pattern_ok, elements)
     rows, cols = np.nonzero((probs > 0.0) & (np.count_nonzero(vectors, axis=-2) >= 2))
     return probs, rows, cols, vectors[rows, :, cols]
 

@@ -17,7 +17,6 @@ PUBLIC_NAMES = {
     # tavis_cummings
     "ThreeQubitDensityMatrix",
     "PATTERN_MASK",
-    "pattern_violations",
     "closed_form_grid",
     "states_from_elements",
     "closed_form_rho",
@@ -48,7 +47,7 @@ def test_readme_python_blocks_run():
 
 
 def test_package_exports_exactly_the_kept_names():
-    assert len(cavity3q.__all__) == len(set(cavity3q.__all__)) == 25
+    assert len(cavity3q.__all__) == len(set(cavity3q.__all__)) == 24
     assert set(cavity3q.__all__) == PUBLIC_NAMES
     for name in cavity3q.__all__:
         assert getattr(cavity3q, name) is not None, name

@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 
 from cavity3q import (
+    PATTERN_MASK,
     FieldConfig,
+    closed_form_grid,
     closed_form_rho,
     compare_states,
     diagonal_probabilities,
     full_evolution,
-    pattern_violations,
     states_from_elements,
     truncation_deficit,
 )
 from cavity3q.oracle import _evolved_components
-from cavity3q.tavis_cummings import _pair_block_amplitudes
+from cavity3q.tavis_cummings import _elements_of_states, _pair_block_amplitudes
 
 SWAP_A1_A2 = [0, 2, 1, 3, 4, 6, 5, 7]
 TAUS = np.array([0.0, 0.3, 0.7, 2.0, 14.5])
@@ -118,23 +119,45 @@ def test_closed_form_state_contracts():
         assert np.abs(m - m.conj().T).max() < 1e-12
         assert np.trace(m) == pytest.approx(1.0 - truncation_deficit(cfg), abs=1e-10)
         assert np.linalg.eigvalsh(m).min() > -1e-10
-        assert not pattern_violations(m, 1e-10)
+        assert not (np.abs(m[~PATTERN_MASK]) > 1e-10).any()
         swapped = m[np.ix_(SWAP_A1_A2, SWAP_A1_A2)]
         assert np.array_equal(swapped, m)
 
 
 @pytest.mark.parametrize(
     "call, value, message",
-    [
-        (pattern_violations, np.zeros((4, 4)), r"matrix must be one 8x8 state, got shape \(4, 4\)"),
-        (pattern_violations, np.zeros((2, 8, 8)), r"matrix must be one 8x8 state, got shape \(2, 8, 8\)"),
-        (states_from_elements, np.zeros(7), r"elements must have a last axis of 8, got shape \(7,\)"),
-    ],
-    ids=["pattern-4x4", "pattern-stack", "elements-7"],
+    [(states_from_elements, np.zeros(7), r"elements must have a last axis of 8, got shape \(7,\)")],
+    ids=["elements-7"],
 )
 def test_public_helpers_refuse_wrong_shapes_by_name(call, value, message):
     with pytest.raises(ValueError, match=message):
         call(value)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_states_from_elements_refuses_non_finite_elements_by_name(bad):
+    elements = closed_form_grid([0.3, 2.0], [0.9], 2.0, 25)
+    elements[1, 0, 6] = bad
+    with pytest.raises(ValueError, match=rf"elements must be finite, got {bad}"):
+        states_from_elements(elements)
+
+
+@pytest.mark.parametrize("theta", [math.pi, math.pi / 2.0, math.pi / 3.0, 1.1, 0.0])
+def test_elements_read_back_from_their_slots(theta):
+    # the production tau sweep: 600 points at s = 1.2, n_max 80
+    elements = closed_form_grid(np.linspace(0.0, 20.0, 600), [1.2], theta, 80)[:, 0]
+    states = states_from_elements(elements)
+    back, spread = _elements_of_states(states)
+    assert not spread.any()
+    assert np.array_equal(back[:, :6], elements[:, :6])
+    # a coherence is stored over sqrt2 and read back over 2 sqrt2, and the
+    # rounded sqrt2 squared is not 2: within two ulps, and bit for bit the
+    # r15, r26 of the upper slots, (rho[0,5] + rho[0,6]) / sqrt2 and
+    # (rho[1,7] + rho[2,7]) / sqrt2
+    coherences = elements[:, 6:]
+    assert (np.abs(back[:, 6:] - coherences) <= 2.0 * np.spacing(np.abs(coherences))).all()
+    upper = [states[:, 0, 5] + states[:, 0, 6], states[:, 1, 7] + states[:, 2, 7]]
+    assert np.array_equal(back[:, 6:], np.stack(upper, axis=-1) / math.sqrt(2.0))
 
 
 def test_closed_form_rejects_negative_tau():
