@@ -196,7 +196,7 @@ def run_sweep(cfg: SweepConfig) -> str:
         np.tile(squeezes, len(taus)),
         *diagonal_probabilities(states).T,
         batch.n_g[B],
-        batch.n_g_b_analytic,
+        batch.n_g[B],  # N_G_B_analytic: kept until the committed golden CSVs drop the column
         batch.n_psdg[B],
         batch.n_psdg[A1],
         batch.e_3[B],

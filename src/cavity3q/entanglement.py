@@ -8,7 +8,10 @@ from: the global negativities of the partial transposes (Peres, PRL 77, 1413
 decomposition, which flag bound entanglement, their pairwise shares through
 the selective two-qubit transposes, and the auxiliary measures (linear
 entropy of B, W-state fidelity, Bell-sector weight).  `negativity_report` is
-the kernel on a grid of one state.
+the kernel on a grid of one state and accepts every state the kernel does.
+Each quantity has one implementation: the paper's gated two-block closed
+form of qubit B's global negativity is not a second path but lies inside
+the kernel's two 3x3 blocks of B's transpose, and is a test reference only.
 
 The kernel checks every state Hermitian to 1e-9 once (a bad state is named
 by its index in the caller's stack) and evaluates the stack in fixed blocks
@@ -69,7 +72,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tavis_cummings import PATTERN_MASK, _elements_of_states, states_from_elements
+from .tavis_cummings import PATTERN_MASK, _elements_of_states
 
 __all__ = [
     "QubitLabel",
@@ -83,8 +86,8 @@ __all__ = [
 ]
 
 # Eigenvalues in (-cutoff, 0) are treated as zero: 8x8 Hermitian solves carry
-# O(1e-14) noise and the gate inequalities of the analytic negativity become
-# fragile near equality.
+# O(1e-14) noise, and a transpose whose negative eigenvalue is that noise is
+# not entangled.
 NEGATIVE_EIGENVALUE_CUTOFF = 1e-12
 
 # States evaluated together by `negativity_batch`.  Bounds the per-block
@@ -179,14 +182,6 @@ W1_STATE = (_BASIS[0] + _BASIS[5] + _BASIS[6]) / math.sqrt(3.0)
 W1_STATE.setflags(write=False)
 
 
-def _as_matrix(rho) -> np.ndarray:
-    m = getattr(rho, "matrix", rho)
-    m = np.asarray(m)
-    if m.shape != (8, 8):
-        raise ValueError(f"expected an 8x8 matrix, got shape {m.shape}")
-    return m
-
-
 def _require_hermitian(m: np.ndarray) -> None:
     """Raise unless every matrix of ``m`` (n x n or a stack) is Hermitian to 1e-9 (NaN and inf fail).
 
@@ -237,39 +232,6 @@ def _pattern_check(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     elements, spread = _elements_of_states(m)
     outside = ((np.abs(m) > _PATTERN_TOL) & ~PATTERN_MASK).any(axis=(-2, -1))
     return ~outside & (spread <= _PATTERN_TOL), elements
-
-
-def _require_pattern(m: np.ndarray) -> None:
-    """Raise the ValueError of one state that fails the pattern check.
-
-    The message names the entry furthest from the state its read-back
-    elements make, with both values.
-    """
-    pattern = states_from_elements(_elements_of_states(m)[0])
-    i, j = np.unravel_index(np.argmax(np.abs(m - pattern)), m.shape)
-    raise ValueError(
-        f"state does not have the expected zero pattern: entry [{i},{j}] = {m[i, j]},"
-        f" the pattern has {pattern[i, j]}"
-    )
-
-
-def _analytic_negativity_b(elements: np.ndarray) -> np.ndarray:
-    """Negativity with respect to B of each row of an (N, 8) element array, no eigensolver.
-
-    The partial transpose splits into two 2x2 blocks whose lower eigenvalues
-
-        lam1 = (r33 + r55)/2 - sqrt((r33 - r55)^2 + 4 r26^2)/2
-        lam2 = (r22 + r44)/2 - sqrt((r22 - r44)^2 + 4 r15^2)/2
-
-    contribute -2*lam only while below minus the eigenvalue cutoff (each gate
-    is one block's discriminant inequality); all other eigenvalues are
-    populations.
-    """
-    r11, r22, r33, r44, r55, r66, r15, r26 = elements.T
-    lam1 = 0.5 * (r33 + r55) - 0.5 * np.hypot(r33 - r55, 2.0 * r26)
-    lam2 = 0.5 * (r22 + r44) - 0.5 * np.hypot(r22 - r44, 2.0 * r15)
-    gate = -NEGATIVE_EIGENVALUE_CUTOFF
-    return -2.0 * (np.where(lam1 < gate, lam1, 0.0) + np.where(lam2 < gate, lam2, 0.0))
 
 
 def _two_level_pairs(d_first: np.ndarray, d_second: np.ndarray, off: np.ndarray):
@@ -392,7 +354,6 @@ class NegativityReport:
     """Every diagnostic evaluated at one (tau, s, theta) point."""
 
     n_g: dict[QubitLabel, float]
-    n_g_b_analytic: float
     e_3: dict[QubitLabel, float]
     e_2: dict[QubitLabel, float]
     e_0: dict[QubitLabel, float]
@@ -408,15 +369,14 @@ class NegativityBatch(NamedTuple):
 
     ``n_g``, ``e_3``, ``e_2`` and ``e_0`` hold the qubits selected by the
     ``global_qubits`` of `negativity_batch` (all three by default); every
-    other field is complete.  ``n_g_b_analytic`` is NaN where the state
-    fails the pattern check; ``pattern_ok`` marks the states that pass it.
-    The others were decomposed by the generic eigendecomposition fallback.
+    other field is complete.  ``pattern_ok`` marks the states that pass the
+    pattern check; the others were decomposed by the generic
+    eigendecomposition fallback.
     (A named tuple rather than a frozen dataclass: the dataclass
     costs about 1.5 ms of import time, which every command-line call pays.)
     """
 
     n_g: dict[QubitLabel, np.ndarray]
-    n_g_b_analytic: np.ndarray
     e_3: dict[QubitLabel, np.ndarray]
     e_2: dict[QubitLabel, np.ndarray]
     e_0: dict[QubitLabel, np.ndarray]
@@ -713,7 +673,6 @@ def _negativity_block(m: np.ndarray, qubits: list[QubitLabel]) -> NegativityBatc
     n_psdg, e_psd = _decomposition_negativities(probs, vectors, in_blocks)
     return NegativityBatch(
         n_g={p: n_g[:, i] for i, p in enumerate(qubits)},
-        n_g_b_analytic=np.where(pattern_ok, _analytic_negativity_b(elements), np.nan),
         e_3={p: split[:, i, 0] for i, p in enumerate(qubits)},
         e_2={p: split[:, i, 1] for i, p in enumerate(qubits)},
         e_0={p: split[:, i, 2] for i, p in enumerate(qubits)},
@@ -773,14 +732,7 @@ def negativity_batch(states, *, global_qubits=tuple(QubitLabel)) -> NegativityBa
 def negativity_report(rho) -> NegativityReport:
     """Evaluate the full diagnostic suite at one state: `negativity_batch` on a grid of one.
 
-    Raises ValueError for a state that fails the pattern check, which the
-    analytic B negativity needs: an entry outside `PATTERN_MASK`, two slots
-    of one element apart, or an imaginary slot, above 1e-8.  The message
-    names the entry furthest from the state of its read-back elements, with
-    both values.
+    ``rho`` is an 8x8 state or has one as its ``matrix``; it raises as
+    `negativity_batch` does.
     """
-    m = _as_matrix(rho)
-    batch = negativity_batch(m[None])
-    if not batch.pattern_ok[0]:
-        _require_pattern(m)
-    return batch.report(0)
+    return negativity_batch([rho]).report(0)

@@ -354,17 +354,24 @@ class ComparisonReport:
 
 
 def compare_states(a, b) -> ComparisonReport:
-    """Max elementwise difference plus any zero-pattern violations (above 1e-10) in either state."""
+    """Max elementwise difference plus any zero-pattern violations (above 1e-10) in either state.
+
+    Raises ValueError for a state that is not 8x8, or not finite: the
+    message names the argument, ``a`` or ``b``, and its first bad entry.
+    """
     ma = np.asarray(getattr(a, "matrix", a))
     mb = np.asarray(getattr(b, "matrix", b))
     if ma.shape != (8, 8) or mb.shape != (8, 8):
         raise ValueError("comparison expects 8x8 states")
+    for name, m in (("a", ma), ("b", mb)):
+        bad = np.argwhere(~np.isfinite(m))
+        if bad.size:
+            i, j = bad[0]
+            raise ValueError(f"{name} must be finite, got entry [{i},{j}] = {m[i, j]}")
     diff = np.abs(ma - mb)
     worst_flat = int(np.argmax(diff))
     worst = (worst_flat // 8, worst_flat % 8)
-    abs_a, abs_b = np.abs(ma), np.abs(mb)
-    # Python's max(|a|, |b|), NaNs included: a NaN in ``a`` wins, one in ``b`` loses
-    larger = np.where(abs_b > abs_a, abs_b, abs_a)
+    larger = np.maximum(np.abs(ma), np.abs(mb))
     rows, cols = np.nonzero(~PATTERN_MASK & (larger > _PATTERN_TOL))
     violations = [
         (int(i), int(j), complex(ma[i, j]), complex(mb[i, j])) for i, j in zip(rows, cols)

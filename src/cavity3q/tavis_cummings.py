@@ -35,6 +35,7 @@ import numpy as np
 
 from .fock_field import (
     FieldConfig,
+    _real_array,
     binomial_amplitude_table,
     require_finite_nonnegative,
     require_nonnegative_number,
@@ -226,9 +227,11 @@ def closed_form_grid(taus, squeezes, theta: float, n_max: int) -> np.ndarray:
 def states_from_elements(elements: np.ndarray) -> np.ndarray:
     """The real 8x8 states, shape (..., 8, 8), from elements of `closed_form_grid` (..., 8).
 
-    Raises ValueError for a last axis other than 8 or a non-finite element.
+    Raises ValueError, naming ``elements``, for a bool or non-real element
+    (a complex one is not cut to its real part), a last axis other than 8
+    or a non-finite element.
     """
-    elements = np.asarray(elements)
+    elements = _real_array("elements", elements, "each")
     if elements.ndim == 0 or elements.shape[-1] != 8:
         raise ValueError(f"elements must have a last axis of 8, got shape {elements.shape}")
     finite = np.isfinite(elements)

@@ -153,6 +153,13 @@ def ref_decompose(m):
 
 
 def ref_analytic_negativity_b(e):
+    """The paper's gated two-block closed form of qubit B's global negativity, no eigensolver.
+
+    The B transpose of a state that passes the pattern check splits into
+    two 2x2 blocks whose lower eigenvalues count only below minus the
+    cutoff (each gate is one block's discriminant inequality); every other
+    eigenvalue is a population.
+    """
     lam1 = 0.5 * (e["r33"] + e["r55"]) - 0.5 * math.hypot(e["r33"] - e["r55"], 2.0 * e["r26"])
     lam2 = 0.5 * (e["r22"] + e["r44"]) - 0.5 * math.hypot(e["r22"] - e["r44"], 2.0 * e["r15"])
     total = 0.0
@@ -205,7 +212,10 @@ def reference_report(m):
         out[("e_psd", spec)] = -2.0 * math.fsum(psd_terms[spec])
 
     elements = ref_pattern_elements(m)
-    out["n_g_b_analytic"] = math.nan if elements is None else ref_analytic_negativity_b(elements)
+    if elements is not None:
+        # the paper's closed form against the textbook eigensolve it stands for
+        n_g_b = out[("n_g", QubitLabel.B)]
+        assert ref_analytic_negativity_b(elements) == pytest.approx(n_g_b, abs=TOL)
     reduced = ref_partial_trace_b(m)
     out["linear_entropy_b"] = 2.0 * (1.0 - float(np.real(np.trace(reduced @ reduced))))
     out["w1_fidelity"] = float(np.real(W1_STATE.conj() @ m @ W1_STATE))
@@ -221,7 +231,7 @@ def flatten(batch, index):
     for name in ("n_g", "e_3", "e_2", "e_0", "n_psdg", "e_psd"):
         for key, values in getattr(batch, name).items():
             out[(name, key)] = float(values[index])
-    for name in ("n_g_b_analytic", "linear_entropy_b", "w1_fidelity", "bell_projection"):
+    for name in ("linear_entropy_b", "w1_fidelity", "bell_projection"):
         out[name] = float(getattr(batch, name)[index])
     return out
 
@@ -237,7 +247,7 @@ def batch_fields(batch):
     for name in ("n_g", "e_3", "e_2", "e_0", "n_psdg", "e_psd"):
         for key, values in getattr(batch, name).items():
             out[(name, key)] = values
-    for name in ("n_g_b_analytic", "linear_entropy_b", "w1_fidelity", "bell_projection"):
+    for name in ("linear_entropy_b", "w1_fidelity", "bell_projection"):
         out[(name, None)] = getattr(batch, name)
     return out
 
@@ -246,8 +256,8 @@ def assert_bit_identical(a, b):
     for name in ("n_g", "e_3", "e_2", "e_0", "n_psdg", "e_psd"):
         for key in getattr(a, name):
             assert np.array_equal(getattr(a, name)[key], getattr(b, name)[key]), (name, key)
-    for name in ("n_g_b_analytic", "linear_entropy_b", "w1_fidelity", "bell_projection", "pattern_ok"):
-        assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
+    for name in ("linear_entropy_b", "w1_fidelity", "bell_projection", "pattern_ok"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 # ------------------------------------------------------------------- tests
@@ -308,9 +318,6 @@ def test_kernel_matches_reference_on_generic_states():
         expected = reference_report(m)
         got = flatten(batch, index)
         for key, value in expected.items():
-            if key == "n_g_b_analytic":
-                assert math.isnan(got[key])
-                continue
             assert got[key] == pytest.approx(value, abs=TOL), (index, key)
 
 
@@ -351,8 +358,7 @@ def test_outputs_do_not_depend_on_ket_phases(dtype, monkeypatch):
     assert np.array_equal(got.pattern_ok, expected.pattern_ok)
     reference = batch_fields(expected)
     for key, values in batch_fields(got).items():
-        assert np.array_equal(np.isnan(values), np.isnan(reference[key])), key
-        deviation = np.nan_to_num(np.abs(values - reference[key]))
+        deviation = np.abs(values - reference[key])
         assert deviation[: len(closed)].max() <= 1e-15, key
         assert deviation[len(closed) :].max() <= TOL, key
 
@@ -368,8 +374,7 @@ def test_eigenvalues_inside_cutoff_count_as_zero():
     assert np.linalg.eigvalsh(full_transpose(m, QubitLabel.B)).min() < 0.0
     got = flatten(negativity_batch(m[None]), 0)
     for key, value in reference_report(m).items():
-        if key != "n_g_b_analytic":
-            assert got[key] == pytest.approx(value, abs=TOL), key
+        assert got[key] == pytest.approx(value, abs=TOL), key
     for name in ("n_g", "e_3", "e_2", "e_0"):
         assert got[(name, QubitLabel.B)] == 0.0
 
@@ -465,7 +470,7 @@ def test_mixed_stack_of_real_and_complex_states():
     single = batch_fields(negativity_batch(generic[None]))
     for key, values in batch_fields(batch).items():
         assert np.abs(values[[0, 1, 3, 4]] - alone[key]).max() <= TOL, key
-        assert np.array_equal(values[2], single[key][0], equal_nan=True), key
+        assert values[2] == single[key][0], key
 
 
 def test_only_non_pattern_rows_take_generic_fallback(monkeypatch):
@@ -489,10 +494,6 @@ def test_only_non_pattern_rows_take_generic_fallback(monkeypatch):
     assert seen[0].shape == (1, 8, 8)
     assert np.array_equal(seen[0][0], generic)
     assert batch.pattern_ok.tolist() == [True, True, False, True, True]
-    assert math.isnan(batch.n_g_b_analytic[2])
-    n_g_b = batch.n_g[QubitLabel.B]
-    for index in (0, 1, 3, 4):
-        assert batch.n_g_b_analytic[index] == pytest.approx(n_g_b[index], abs=1e-10)
     seen.clear()
     negativity_batch(states)
     assert seen == []
@@ -720,12 +721,17 @@ def test_negativity_report_is_kernel_grid_of_one():
         assert negativity_report(rho) == negativity_batch([rho]).report(0)
 
 
-def test_negativity_report_still_rejects_non_pattern_state():
-    m = closed_form_rho(1.0, FieldConfig(0.8, 2.0, 20)).matrix.copy()
-    m[0, 3] = m[3, 0] = 0.05
-    message = r"zero pattern: entry \[0,3\] = 0.05, the pattern has 0.0"
-    with pytest.raises(ValueError, match=message):
-        negativity_report(m)
+def test_negativity_report_is_kernel_grid_of_one_off_the_pattern():
+    # a state that fails the pattern check is reported like any other
+    bumped = closed_form_rho(1.0, FieldConfig(0.8, 2.0, 20)).matrix.copy()
+    bumped[0, 3] = bumped[3, 0] = 0.05
+    ghz = np.zeros(8)
+    ghz[0] = ghz[7] = 1.0 / SQRT2
+    for m in (bumped, unequal_coherence_state(), np.outer(ghz, ghz)):
+        assert not ent._pattern_check(m[None])[0][0]
+        assert negativity_report(m) == negativity_batch([m]).report(0)
+    with pytest.raises(ValueError, match=r"\(N, 8, 8\) stack of states, got shape \(1, 4, 4\)"):
+        negativity_report(np.eye(4) / 4.0)
 
 
 def test_empty_stack():
@@ -746,22 +752,35 @@ def loop_compare_violations(ma, mb, tol):
     return out
 
 
+def pattern_clean_state():
+    # complex, so an imaginary bump is kept rather than cast away
+    return closed_form_rho(2.3, FieldConfig(0.9, 2.0, 20)).matrix.astype(complex)
+
+
+def bumped_pairs(clean, bumps):
+    """(bumped, clean) and (clean, bumped) per (i, j, value) of ``bumps``."""
+    for i, j, value in bumps:
+        bumped = clean.copy()
+        bumped[i, j] += value
+        yield bumped, clean
+        yield clean, bumped
+
+
 def pattern_cases():
     rng = np.random.default_rng(77)
-    # complex, so the imaginary bump below is kept rather than cast away
-    clean = closed_form_rho(2.3, FieldConfig(0.9, 2.0, 20)).matrix.astype(complex)
+    clean = pattern_clean_state()
     yield clean, clean
     for _ in range(20):
         a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         b = np.where(rng.random((8, 8)) < 0.5, 0.0, rng.standard_normal((8, 8)) * 1e-9)
         yield a, clean + b
-    for i, j, value in ((4, 4, 1e-3), (0, 3, 2e-10), (7, 0, -1e-7j), (2, 5, np.nan), (1, 0, np.inf)):
-        bumped = clean.copy()
-        bumped[i, j] += value
-        yield bumped, clean
-        yield clean, bumped
-    # a NaN against a violation in the other state: Python's max keeps the
-    # first argument when the comparison fails
+    yield from bumped_pairs(clean, ((4, 4, 1e-3), (0, 3, 2e-10), (7, 0, -1e-7j)))
+
+
+def non_finite_pattern_cases():
+    """Pairs of which one state holds a NaN or inf entry, the [2,5] NaN also against a violation."""
+    clean = pattern_clean_state()
+    yield from bumped_pairs(clean, ((2, 5, np.nan), (1, 0, np.inf)))
     nan_entry, violation = clean.copy(), clean.copy()
     nan_entry[2, 5] = np.nan
     violation[2, 5] = 1e-3
@@ -770,15 +789,26 @@ def pattern_cases():
 
 
 def test_mask_pattern_checks_match_loops():
-    for a, b in pattern_cases():
+    for a, b in [*pattern_cases(), *non_finite_pattern_cases()]:
         for m in (a, b):
             assert ent._pattern_check(m[None])[0][0] == (ref_pattern_elements(m) is not None)
+    for a, b in pattern_cases():
         got = compare_states(a, b).pattern_violations
         expected = loop_compare_violations(a, b, 1e-10)
         assert len(got) == len(expected)
         for row, ref in zip(got, expected):
             assert row[:2] == ref[:2]
-            assert np.array_equal(np.array(row[2:]), np.array(ref[2:]), equal_nan=True)
+            assert row[2:] == ref[2:]
+
+
+def test_compare_states_refuses_a_non_finite_state():
+    # the message names the argument and its first non-finite entry
+    for a, b in non_finite_pattern_cases():
+        name = "a" if not np.isfinite(a).all() else "b"
+        bad = a if name == "a" else b
+        i, j = np.argwhere(~np.isfinite(bad))[0]
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got entry \[{i},{j}\] = "):
+            compare_states(a, b)
 
 
 def unequal_coherence_state():
@@ -805,7 +835,6 @@ def test_unequal_coherence_slots_fail_the_pattern_check():
     assert not ent._pattern_check(m[None])[0][0]
     batch = negativity_batch(m[None])
     assert not batch.pattern_ok[0]
-    assert math.isnan(batch.n_g_b_analytic[0])
     # the generic route sees that the state is not symmetric in the c1
     # pair: A1 and A2 get different decomposition negativities
     probs, vectors = ent._generic_decomposition(m[None])
@@ -816,8 +845,6 @@ def test_unequal_coherence_slots_fail_the_pattern_check():
         assert abs(batch.e_psd[spec][0] - e_psd[spec][0]) <= 1e-12, spec
     assert batch.n_psdg[QubitLabel.A1][0] == pytest.approx(0.676020, abs=1e-6)
     assert batch.n_psdg[QubitLabel.A2][0] == pytest.approx(0.675899, abs=1e-6)
-    with pytest.raises(ValueError, match=r"zero pattern: entry \[0,[56]\] = "):
-        negativity_report(m)
 
 
 @pytest.mark.parametrize("size, passes", [(0.9e-8, True), (1.1e-8, False)])

@@ -266,7 +266,7 @@ def test_block_path_matches_full_fallback(theta, monkeypatch):
     for name in ("n_g", "e_3", "e_2", "e_0", "n_psdg", "e_psd"):
         for key, values in getattr(blocks, name).items():
             assert np.abs(values - getattr(full, name)[key]).max() <= 1e-14, (name, key)
-    for name in ("n_g_b_analytic", "linear_entropy_b", "w1_fidelity", "bell_projection"):
+    for name in ("linear_entropy_b", "w1_fidelity", "bell_projection"):
         assert np.array_equal(getattr(blocks, name), getattr(full, name)), name
 
 

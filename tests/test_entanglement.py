@@ -19,11 +19,9 @@ from cavity3q import (
     FieldConfig,
     QubitLabel,
     W1_STATE,
-    closed_form_grid,
     closed_form_rho,
     negativity_batch,
     negativity_report,
-    states_from_elements,
 )
 from test_diagnostics_reference import textbook_report
 
@@ -202,22 +200,6 @@ def test_product_state_negativities_vanish():
     for p in QubitLabel:
         assert batch.n_g[p][0] == 0.0
         assert batch.n_psdg[p][0] < 1e-12
-
-
-def test_analytic_negativity_matches_eigensolver():
-    elements = closed_form_grid(np.linspace(0.0, 20.0, 41), [1.2], math.pi, 60)
-    batch = negativity_batch(states_from_elements(elements.reshape(-1, 8)))
-    assert batch.pattern_ok.all()
-    assert np.abs(batch.n_g_b_analytic - batch.n_g[B]).max() < 1e-10
-
-
-def test_analytic_negativity_rejects_pattern_violation():
-    # off the zero pattern the closed form does not apply: NaN, not a value
-    m = closed_form_rho(1.0, FieldConfig(0.8, 2.0, 20)).matrix.copy()
-    m[0, 3] = m[3, 0] = 0.05
-    batch = negativity_batch(m[None])
-    assert not batch.pattern_ok[0]
-    assert math.isnan(batch.n_g_b_analytic[0])
 
 
 def test_kway_split_identity():

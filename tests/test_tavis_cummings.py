@@ -142,6 +142,27 @@ def test_states_from_elements_refuses_non_finite_elements_by_name(bad):
         states_from_elements(elements)
 
 
+@pytest.mark.parametrize(
+    "elements, message",
+    [
+        (np.full(8, 0.1 + 0.2j), r"elements must be a finite real number each, got array"),
+        (np.ones(8, dtype=bool), r"elements must be a finite number each, not a bool"),
+        ([0.1] * 7 + [True], r"elements must be a finite number each, not a bool"),
+    ],
+    ids=["complex", "bool-array", "bool-in-list"],
+)
+def test_states_from_elements_refuses_complex_and_bool_elements_by_name(elements, message):
+    # a complex element is not cut to its real part, a bool not read as 1.0
+    with pytest.raises(ValueError, match=message):
+        states_from_elements(elements)
+
+
+def test_states_from_elements_accepts_integer_elements():
+    state = states_from_elements(np.arange(8))
+    assert state.dtype == np.float64
+    assert np.array_equal(state, states_from_elements(np.arange(8.0)))
+
+
 @pytest.mark.parametrize("theta", [math.pi, math.pi / 2.0, math.pi / 3.0, 1.1, 0.0])
 def test_elements_read_back_from_their_slots(theta):
     # the production tau sweep: 600 points at s = 1.2, n_max 80
