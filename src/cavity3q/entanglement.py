@@ -732,7 +732,11 @@ def negativity_batch(states, *, global_qubits=tuple(QubitLabel)) -> NegativityBa
 def negativity_report(rho) -> NegativityReport:
     """Evaluate the full diagnostic suite at one state: `negativity_batch` on a grid of one.
 
-    ``rho`` is an 8x8 state or has one as its ``matrix``; it raises as
+    ``rho`` is an 8x8 state or has one as its ``matrix``; any other shape
+    raises a ValueError that names it, and otherwise it raises as
     `negativity_batch` does.
     """
-    return negativity_batch([rho]).report(0)
+    matrix = np.asarray(getattr(rho, "matrix", rho))
+    if matrix.shape != (8, 8):
+        raise ValueError(f"rho must be 8x8, got shape {matrix.shape}")
+    return negativity_batch([matrix]).report(0)

@@ -2,28 +2,32 @@
 
 Everything in this module avoids the trigonometric closed forms and the
 binomial field weights they are built on.  The beam splitters and the
-atom-field couplings are written as explicit matrices on Fock spaces and
-exponentiated through symmetric eigendecompositions; the reflected beams and
-the cavity fields are traced out numerically.  Agreement with the analytic
-reduced state is the package's core correctness check.
+atom-field couplings are written as explicit generators on Fock spaces:
+the beam splitters are applied by a Chebyshev series of products with
+their generator, the couplings are exponentiated through symmetric
+eigendecompositions, and the reflected beams and the cavity fields are
+traced out numerically.  Agreement with the analytic reduced state is the
+package's core correctness check.
 
 Field side: each beam-splitter generator conserves the photon number of its
-(external, cavity) mode pair, so it is exponentiated one total-photon block
-at a time, exactly.  The Hermitian i * generator is imaginary and
-tridiagonal; the diagonal unitary ``D = diag(i^e)`` turns it into the angle
-times a fixed real symmetric tridiagonal matrix, so each block is solved
-once per call in real arithmetic and each angle only scales its
-eigenvalues.  The last column of block n gives the amplitudes ``A[th, n,
-k]`` of keeping k of the n injected photons in the external port
-(`_beam_splitter_columns`).  Nothing is cached: the module keeps no state
-between calls.
+(external, cavity) mode pair, so its total-photon blocks are exact, with no
+truncation edge.  Each block is real, antisymmetric and tridiagonal, and
+the blocks are packed into one flat vector with exactly zero hops between
+them.  One Chebyshev recursion of products with those hops applies every
+block to its injected state, and each angle sums the terms with its own
+Bessel coefficients, from Miller's backward recurrence; no eigensolver is
+used.  Row n of the result gives the amplitudes ``A[th, n, k]`` of keeping
+k of the n injected photons in the external port
+(`_beam_splitter_columns`), and each row's norm is checked.  Nothing is
+cached: the module keeps no state between calls.
 
 Atom side: the evolution works in the bare product basis (no coupled
 collective-spin states), so it independently validates the symmetric-block
 structure that the closed forms assume.  The coupling Hamiltonian is real
-and is solved in real arithmetic, one connected component of its nonzero
-entries at a time (`_coupling_components`, found from the matrix, not from
-an excitation count), and only where a component holds an initial state.
+and is kept as its list of nonzero entries (`_coupling_edges`).  It is
+solved in real arithmetic, one connected component of those entries at a
+time (`_coupling_components`, found from the entries, not from an
+excitation count), and only where a component holds an initial state.
 Each evolved ket is its component's propagator column, exactly zero
 outside it, with real and imaginary parts from two real products.
 
@@ -75,86 +79,155 @@ _IMAGINARY_TOL = 1e-12
 # Smallest entry `compare_states` reports off the zero pattern
 _PATTERN_TOL = 1e-10
 
-# Sign of Re(i^d) or Im(i^d), whichever is nonzero, by d mod 4
-_QUARTER_TURN_SIGN = np.array([1.0, 1.0, -1.0, -1.0])
+# Smallest Bessel coefficient |J_k| the Chebyshev series of a beam
+# splitter keeps.  Each term has norm at most 2 |J_k|, and past the cutoff
+# |J_k| falls faster than geometrically, so the terms left out move a unit
+# amplitude row by about 1e-17.
+_BESSEL_CUTOFF = 1e-17
+
+# Chebyshev terms summed by one matrix-vector product per angle, sized by
+# measurement at the three check angles (one BLAS thread, medians): from 8
+# to 32 terms the call takes 1.53 to 1.40 ms at n_max 40 and 267 to 230 ms
+# at n_max 380, and 4 terms are slower at both.  A batch of 16 holds 16 * 8
+# bytes per packed slot, 9.3 MB at n_max 380.
+_TERM_BATCH = 16
 
 
-def _beam_splitter_columns(thetas: np.ndarray, n_max: int) -> np.ndarray:
+def _bessel_row(x: float) -> np.ndarray:
+    """``J_0(x), ..., J_K(x)`` for x >= 0, up to the last k with ``|J_k(x)| >= 1e-17``.
+
+    Miller's backward recurrence ``J_{k-1} = (2k / x) J_k - J_{k+1}``,
+    started far enough above the order x that the start values have decayed
+    out by the last kept order, and scaled by ``J_0 + 2 (J_2 + J_4 + ...) =
+    1``.  Below x = 2e-17, J_1(x) ~ x / 2 is under the cutoff and J_0(x)
+    rounds to 1, so the row is [1.0].
+    """
+    if x < 2.0 * _BESSEL_CUTOFF:
+        return np.ones(1)
+    top = int(x + 25.0 * x ** (1.0 / 3.0)) + 40
+    # J_{top + 1}, J_top, ..., J_0, up to one common scale
+    tail = [0.0, 1.0]
+    for k in range(top, 0, -1):
+        tail.append(2.0 * k / x * tail[-1] - tail[-2])
+        if abs(tail[-1]) > 1e250:
+            tail = [v * 1e-250 for v in tail]
+    row = np.array(tail[:0:-1])
+    row /= math.fsum([row[0], *(2.0 * row[2::2])])
+    return row[: np.flatnonzero(np.abs(row) >= _BESSEL_CUTOFF)[-1] + 1]
+
+
+def _beam_splitter_columns(thetas, n_max: int) -> np.ndarray:
     """Amplitudes ``A[th, n, k] = <k external, n - k cavity| U_BS(theta) |n external, 0 cavity>``.
 
     The beam splitter exp(theta G), G = (c f' - c' f) / 2 with ``c`` the
     cavity mode and ``f`` the external one, moves photons between the two
     modes and conserves their sum, so the block of total photon number N is
-    exact, with no truncation edge.  Rows and columns e = 0..N index
-    |e external, N - e cavity>.  The block is exp(-i theta H) with the
-    Hermitian H = i G, and ``H = D T D*`` with ``D = diag(i^e)`` and T real
-    symmetric tridiagonal, off-diagonals ``sqrt((e + 1)(N - e)) / 2``.  T
-    does not depend on the angle, so each block is solved once per call for
-    every angle, ``T = V L V^T``, and dropped once its row is written.  Row
-    N of the table is the last column of block N (all N photons arrive in
-    the external mode and the cavity starts empty), ``A[th, N, j] = U[j, N]
-    = Re(i^(j-N) (V e^(-i theta L) V^T)[j, N])``: the cosine part where
-    j - N is even, the sine part where it is odd.  Entries with k > n are
-    exactly zero.
+    exact, with no truncation edge.  In block N, slot e = 0..N holds |e
+    external, N - e cavity>, and G is real, antisymmetric and tridiagonal:
+    ``(G u)[e] = h[e - 1] u[e - 1] - h[e] u[e + 1]`` with the hops ``h[e] =
+    sqrt((e + 1)(N - e)) / 2``.  The blocks are packed flat, block N after
+    block N - 1; the hop out of a block's last slot, e = N, is exactly 0, so
+    one flat G holds every block uncoupled.
+
+    Row N of the table is ``exp(theta G)`` applied to the last slot of
+    block N (all N photons arrive in the external mode and the cavity
+    starts empty), by the Chebyshev series of Tal-Ezer & Kosloff (J. Chem.
+    Phys. 81, 3967 (1984)) on the Hermitian ``i G``, with rho the Gershgorin
+    bound of G.  Its terms ``(-i)^k T_k(i G / rho) v`` are the real vectors
+    ``u_{k+1} = 2 (G / rho) u_k + u_{k-1}``, ``u_1 = (G / rho) u_0``, and
+
+        exp(theta G) v = sum_k c_k J_k(theta rho) u_k,  c_0 = 1, c_k = 2,
+
+    so one recursion of products with the hops serves every block and every
+    angle.  Each angle sums its own Bessel row (`_bessel_row`), one
+    fixed-shape product per batch of terms, so its amplitudes do not depend
+    on the other angles of the call.  Entries with k > n are exactly zero.
+    Raises RuntimeError when a row's norm is off 1 by more than 1e-10.
     """
+    thetas = np.asarray(thetas, dtype=float)
     size = n_max + 1
+    # slot (N, e) of the packed blocks, block N at offset N (N + 1) / 2
+    photons, kept = np.tril_indices(size)
+    hop = 0.5 * np.sqrt((kept + 1.0) * (photons - kept))
+    # (G u)[i] = lo[i] u[i - 1] - hop[i] u[i + 1]
+    lo = np.concatenate(([0.0], hop[:-1]))
+    rho = (lo + hop).max()
+    coefficients = [_bessel_row(theta * rho) for theta in thetas]
+    terms = max(map(len, coefficients), default=1)
+    # zero-padded, so that every batch of terms takes a full slice
+    weights = np.zeros((len(thetas), terms + _TERM_BATCH))
+    for weight, row in zip(weights, coefficients):
+        weight[: len(row)] = 2.0 * row
+        weight[0] = row[0]
+    if rho:
+        lo, hop = lo * (2.0 / rho), hop * (2.0 / rho)
+    # a ring of term rows, each with a zero slot at both ends
+    ring = np.zeros((_TERM_BATCH, len(hop) + 2))
+    diagonal = np.arange(size)
+    ring[0, 1 + diagonal * (diagonal + 3) // 2] = 1.0  # slot (N, N)
+    # each row's slots, and its slots shifted by one to either side
+    slots, below, above = ([row[i : len(row) - 2 + i] for row in ring] for i in (1, 0, 2))
+    scratch = np.empty(len(hop))
+    columns = np.zeros((len(thetas), len(hop) + 2))
+    for k in range(terms):
+        here = k % _TERM_BATCH
+        if k:
+            new, last = slots[here], here - 1
+            np.multiply(lo, below[last], out=new)
+            np.multiply(hop, above[last], out=scratch)
+            new -= scratch
+            if k == 1:
+                new *= 0.5
+            else:
+                new += slots[here - 2]
+        if here == _TERM_BATCH - 1 or k == terms - 1:
+            first = k - here
+            for column, weight, row in zip(columns, weights, coefficients):
+                if first < len(row):
+                    column += weight[first : first + _TERM_BATCH] @ ring
     amps = np.zeros((len(thetas), size, size))
-    # j - N for j = 0..N: the last N + 1 entries, for every block N
-    offset = np.arange(-n_max, 1)
-    sign = _QUARTER_TURN_SIGN[offset % 4]
-    even_offset = offset % 2 == 0
-    for photons in range(size):
-        e = np.arange(photons, dtype=float)
-        # c f' |e, N - e> = sqrt((e + 1)(N - e)) |e + 1, N - e - 1>; c' f is its transpose
-        hop = 0.5 * np.sqrt((e + 1.0) * (photons - e))
-        vals, vecs = np.linalg.eigh(np.diag(hop, -1) + np.diag(hop, 1))
-        # row N of V: the injected state |N external, 0 cavity>
-        last = vecs[photons]
-        phase = np.multiply.outer(thetas, vals)
-        # one matrix-vector product per angle: a stacked (angles, l) @ V.T
-        # product rounds each angle differently depending on how many angles
-        # share the call
-        even = (vecs @ (np.cos(phase) * last)[:, :, None])[:, :, 0]
-        odd = (vecs @ (np.sin(phase) * last)[:, :, None])[:, :, 0]
-        tail = slice(n_max - photons, None)
-        amps[:, photons, : photons + 1] = sign[tail] * np.where(even_offset[tail], even, odd)
+    amps[:, photons, kept] = columns[:, 1:-1]
+    worst = np.abs(np.linalg.norm(amps, axis=2) - 1.0).max(initial=0.0)
+    # written so that a NaN norm fails too
+    if not worst <= 1e-10:
+        raise RuntimeError(f"beam-splitter column lost norm: |norm - 1| = {worst:.3g} > 1e-10")
     return amps
 
 
-def _full_coupling_hamiltonian(num_atoms: int, dim: int) -> np.ndarray:
-    """sum_i (sigma+_i a + sigma-_i a') on the bare (atoms x field) space, real.
+def _coupling_edges(num_atoms: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nonzero entries ``(rows, cols, values)`` of sum_i (sigma+_i a + sigma-_i a'), each once.
 
-    Atom basis index is a bit string with atom 0 the least significant bit;
-    flat index = atom_index * dim + photons.
+    The Hamiltonian acts on the bare (atoms x field) space.  Atom basis
+    index is a bit string with atom 0 the least significant bit; flat index
+    = atom_index * dim + photons.  Each entry ``|raised, p - 1><a, p|
+    sqrt(p)`` is listed with its Hermitian partner; the values are real.
     """
-    atom_dim = 2**num_atoms
-    size = atom_dim * dim
-    h = np.zeros((size, size))
-    for a_idx in range(atom_dim):
-        for atom in range(num_atoms):
-            if (a_idx >> atom) & 1:
-                continue  # atom already excited; sigma+ annihilates
-            raised = a_idx | (1 << atom)
-            for p in range(1, dim):
-                # |raised, p-1><a_idx, p| * sqrt(p), plus Hermitian partner
-                row = raised * dim + (p - 1)
-                col = a_idx * dim + p
-                h[row, col] += math.sqrt(p)
-                h[col, row] += math.sqrt(p)
-    return h
+    atoms, atom = np.divmod(np.arange(2**num_atoms * num_atoms), num_atoms)
+    # sigma+ annihilates an atom that is already excited
+    ground = (atoms >> atom) & 1 == 0
+    atoms, raised = atoms[ground], (atoms | 1 << atom)[ground]
+    photons = np.arange(1, dim)
+    rows = (raised[:, None] * dim + photons - 1).ravel()
+    cols = (atoms[:, None] * dim + photons).ravel()
+    values = np.tile(np.sqrt(photons), len(atoms))
+    return (
+        np.concatenate((rows, cols)),
+        np.concatenate((cols, rows)),
+        np.concatenate((values, values)),
+    )
 
 
-def _coupling_components(h: np.ndarray) -> list[np.ndarray]:
-    """Connected components of ``h != 0``, stacked by size: one (count, size) index array each.
+def _coupling_components(rows: np.ndarray, cols: np.ndarray, size: int) -> list[np.ndarray]:
+    """Connected components of the edges ``(rows, cols)`` on ``size`` nodes, stacked by width.
 
-    Each node takes the lowest label among its neighbours and itself, then
-    the label of that label, until nothing changes; every component then
-    carries the label of its lowest node.  Rows list a component's nodes
-    in ascending order.  Nothing about the Hamiltonian's conservation laws
-    is assumed: the components are read from its nonzero entries.
+    One (count, width) index array per component width.  Each node takes the
+    lowest label among its neighbours and itself, then the label of that
+    label, until nothing changes; every component then carries the label of
+    its lowest node.  Rows list a component's nodes in ascending order.
+    Nothing about the Hamiltonian's conservation laws is assumed: the
+    components are read from its nonzero entries.
     """
-    rows, cols = np.nonzero(h)
-    labels = np.arange(len(h))
+    labels = np.arange(size)
     while True:
         lowest = labels.copy()
         np.minimum.at(lowest, rows, labels[cols])
@@ -177,19 +250,29 @@ def _evolved_components(num_atoms: int, dim: int, taus: np.ndarray, count: int) 
     Returns an array (len(taus), count, 2**num_atoms, dim) of amplitudes.
     The all-ground initial states are the nodes 0..count-1.  Only the
     coupling components that hold one are solved, one stacked eigensolve
-    per component size (`_coupling_components`); each initial state j gets
-    its component's propagator column ``V (e^(-i tau L) * V[j])`` from two
-    real matrix-vector products per tau, and exact zeros elsewhere.  The
+    per component size (`_coupling_components`), each block gathered from
+    the edge list (`_coupling_edges`); each initial state j gets its
+    component's propagator column ``V (e^(-i tau L) * V[j])`` from two real
+    matrix-vector products per tau, and exact zeros elsewhere.  The
     propagators are unitary to rounding, so the norm check fails only on a
     non-finite or failed solve.
     """
-    h = _full_coupling_hamiltonian(num_atoms, dim)
-    psi = np.zeros((len(taus), count, len(h)), dtype=complex)
-    for nodes in _coupling_components(h):
+    rows, cols, values = _coupling_edges(num_atoms, dim)
+    size = 2**num_atoms * dim
+    psi = np.zeros((len(taus), count, size), dtype=complex)
+    for nodes in _coupling_components(rows, cols, size):
         nodes = nodes[(nodes < count).any(axis=1)]
         if not nodes.size:
             continue
-        vals, vecs = np.linalg.eigh(h[nodes[:, :, None], nodes[:, None, :]])
+        # each node's row in the stacked blocks, component * width +
+        # position, and -1 off the stack; an edge never leaves its component
+        width = nodes.shape[1]
+        place = np.full(size, -1)
+        place[nodes] = np.arange(nodes.size).reshape(nodes.shape)
+        inside = place[rows] >= 0
+        blocks = np.zeros(nodes.size * width)
+        blocks[place[rows[inside]] * width + place[cols[inside]] % width] = values[inside]
+        vals, vecs = np.linalg.eigh(blocks.reshape(len(nodes), width, width))
         # the (component, position) of each initial state
         comp, pos = np.nonzero(nodes < count)
         start = vecs[comp, pos, :, None]
@@ -290,14 +373,14 @@ def full_evolution_grid(taus, squeezes, thetas, n_max: int) -> np.ndarray:
     (`_live_bands`); the others add exact zeros.  Diagonal -d is the
     conjugate transpose of diagonal d, exactly, because each cavity's
     X[m, n] is X[n, m]^dagger (G is a Gram matrix), so it is added as such.
-    The beam-splitter blocks depend on neither theta nor tau, and the
-    propagators and Gram tensors depend only on tau, so each is solved once
-    per call for all angles.  The sum is complex; the states are returned
+    One Chebyshev recursion of the beam-splitter blocks serves every angle,
+    and the propagators and Gram tensors depend only on tau, so each is
+    computed once per call for all angles.  The sum is complex; the states are returned
     real (float64) after checking that no imaginary part exceeds 1e-12
     (RuntimeError otherwise).  An empty axis gives an empty grid.  Cost
     grows steeply with the truncation: one (tau, s) point at three angles
-    takes about 0.5 s of CPU and 58 MB of peak memory at n_max 240, and
-    2.2 s and 95 MB at n_max 380 (one BLAS thread, one Xeon core); the
+    takes about 0.16 s of CPU and 58 MB of peak memory at n_max 240, and
+    0.5 s and 95 MB at n_max 380 (one BLAS thread, one Xeon core); the
     closed forms carry production scale.
     """
     taus = require_finite_nonnegative("tau", taus).reshape(-1)
@@ -357,13 +440,14 @@ def compare_states(a, b) -> ComparisonReport:
     """Max elementwise difference plus any zero-pattern violations (above 1e-10) in either state.
 
     Raises ValueError for a state that is not 8x8, or not finite: the
-    message names the argument, ``a`` or ``b``, and its first bad entry.
+    message names the argument, ``a`` or ``b``, and its shape or its first
+    bad entry.
     """
     ma = np.asarray(getattr(a, "matrix", a))
     mb = np.asarray(getattr(b, "matrix", b))
-    if ma.shape != (8, 8) or mb.shape != (8, 8):
-        raise ValueError("comparison expects 8x8 states")
     for name, m in (("a", ma), ("b", mb)):
+        if m.shape != (8, 8):
+            raise ValueError(f"{name} must be 8x8, got shape {m.shape}")
         bad = np.argwhere(~np.isfinite(m))
         if bad.size:
             i, j = bad[0]

@@ -12,6 +12,7 @@ required to 1e-14, a few hundred ulps of the O(1) values.
 """
 
 import math
+import re
 import warnings
 from collections import Counter
 
@@ -730,8 +731,13 @@ def test_negativity_report_is_kernel_grid_of_one_off_the_pattern():
     for m in (bumped, unequal_coherence_state(), np.outer(ghz, ghz)):
         assert not ent._pattern_check(m[None])[0][0]
         assert negativity_report(m) == negativity_batch([m]).report(0)
-    with pytest.raises(ValueError, match=r"\(N, 8, 8\) stack of states, got shape \(1, 4, 4\)"):
-        negativity_report(np.eye(4) / 4.0)
+
+
+def test_negativity_report_names_the_shape_it_got():
+    # the caller's shape, not that of the stack of one it becomes
+    for shape in ((4, 4), (1, 8, 8), (8,)):
+        with pytest.raises(ValueError, match=rf"^rho must be 8x8, got shape {re.escape(str(shape))}$"):
+            negativity_report(np.zeros(shape))
 
 
 def test_empty_stack():
@@ -808,6 +814,16 @@ def test_compare_states_refuses_a_non_finite_state():
         bad = a if name == "a" else b
         i, j = np.argwhere(~np.isfinite(bad))[0]
         with pytest.raises(ValueError, match=rf"^{name} must be finite, got entry \[{i},{j}\] = "):
+            compare_states(a, b)
+
+
+def test_compare_states_names_a_wrong_shape():
+    clean = pattern_clean_state()
+    for a, b, message in (
+        (clean, np.eye(4) / 4.0, "b must be 8x8, got shape (4, 4)"),
+        (clean[None], clean, "a must be 8x8, got shape (1, 8, 8)"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             compare_states(a, b)
 
 

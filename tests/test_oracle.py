@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import cavity3q.oracle as oracle
 from cavity3q import (
     FieldConfig,
     closed_form_rho,
@@ -13,9 +14,10 @@ from cavity3q import (
 )
 from cavity3q.oracle import (
     _beam_splitter_columns,
+    _bessel_row,
     _coupling_components,
+    _coupling_edges,
     _evolved_components,
-    _full_coupling_hamiltonian,
 )
 from cavity3q.tavis_cummings import _field_factors, _squeeze_norms
 from test_fock_field import squeezed_weight
@@ -27,7 +29,7 @@ def test_beam_splitter_identity_at_zero_angle():
 
 
 def test_beam_splitter_is_unitary():
-    # every block V e^(-i theta L) V^T is unitary, so the amplitude columns
+    # every block exp(theta G) is orthogonal, so the amplitude columns
     # the oracle reads (one per injected photon number) are normalised
     amps = _beam_splitter_columns([0.4, math.pi / 2, math.pi], 40)
     assert np.abs((amps * amps).sum(axis=2) - 1.0).max() < 1e-12
@@ -38,6 +40,38 @@ def test_beam_splitter_full_transmission():
     amps = _beam_splitter_columns([math.pi], 40)[0]
     assert np.abs(np.abs(amps[:, 0]) - 1.0).max() < 1e-10
     assert np.abs(amps[:, 1:]).max() < 1e-10
+
+
+@pytest.mark.parametrize(
+    "x, k, expected",
+    [
+        (1.0, 0, 0.7651976865579666),
+        (1.0, 1, 0.44005058574493355),
+        (10.0, 0, -0.24593576445134832),
+        (10.0, 5, -0.2340615281867936),
+    ],
+)
+def test_bessel_row_known_values(x, k, expected):
+    assert abs(_bessel_row(x)[k] - expected) <= 1e-15
+
+
+@pytest.mark.parametrize("x", [20.0 * math.pi, 190.0 * math.pi])
+def test_bessel_row_sums_to_one_in_squares(x):
+    # J_0^2 + 2 sum_k J_k^2 = 1; the row stops at the last |J_k| >= 1e-17
+    row = _bessel_row(x)
+    assert abs(row[0] ** 2 + 2.0 * (row[1:] ** 2).sum() - 1.0) <= 1e-13
+    assert abs(row[-1]) >= 1e-17 and len(row) > x
+
+
+def test_bessel_row_at_zero_is_one_term():
+    assert _bessel_row(0.0).tolist() == [1.0]
+
+
+def test_cut_short_beam_splitter_series_fails_the_norm_check(monkeypatch):
+    bessel = oracle._bessel_row
+    monkeypatch.setattr(oracle, "_bessel_row", lambda x: bessel(x)[: len(bessel(x)) // 2 + 1])
+    with pytest.raises(RuntimeError, match=r"beam-splitter column lost norm: \|norm - 1\| = .* > 1e-10"):
+        full_evolution_grid([0.8], [0.6], [math.pi / 2], 40)
 
 
 def test_beam_splitter_rejects_tiny_dimension():
@@ -73,7 +107,8 @@ def excitations(num_atoms: int, dim: int) -> np.ndarray:
 def test_coupling_components_are_the_excitation_sets(num_atoms, dim):
     # read from the Hamiltonian's nonzero entries alone, the components must
     # be the sets of equal |a| + p, each listed in ascending order
-    stacks = _coupling_components(_full_coupling_hamiltonian(num_atoms, dim))
+    rows, cols, _ = _coupling_edges(num_atoms, dim)
+    stacks = _coupling_components(rows, cols, 2**num_atoms * dim)
     found = [nodes for stack in stacks for nodes in stack.tolist()]
     excitation = excitations(num_atoms, dim)
     expected = [np.flatnonzero(excitation == n).tolist() for n in range(excitation.max() + 1)]

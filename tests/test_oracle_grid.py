@@ -163,14 +163,13 @@ def test_a_coupling_across_excitation_sets_is_still_summed(summed, monkeypatch):
     # join |ground, 0 photons> to |ground, 3 photons>: the components merge,
     # further Gram bands come alive, and they are summed like every other
     # (an odd photon jump, like every hop of the coupling, so the state stays real)
-    hamiltonian = oracle._full_coupling_hamiltonian
+    edges = oracle._coupling_edges
 
     def coupled(num_atoms, dim):
-        h = hamiltonian(num_atoms, dim)
-        h[0, 3] = h[3, 0] = 0.3
-        return h
+        rows, cols, values = edges(num_atoms, dim)
+        return np.append(rows, [0, 3]), np.append(cols, [3, 0]), np.append(values, [0.3, 0.3])
 
-    monkeypatch.setattr(oracle, "_full_coupling_hamiltonian", coupled)
+    monkeypatch.setattr(oracle, "_coupling_edges", coupled)
     args = ([0.8, 2.0], [0.6], [1.1], 8)
     grams = [
         oracle._photon_traced_gram(oracle._evolved_components(atoms, 11, np.array([0.8]), 9))

@@ -2,6 +2,7 @@
 
 Each reference keeps the former code: the beam-splitter block exponentiated
 through a complex Hermitian eigendecomposition at each angle, the coupling
+Hamiltonian written entry by entry into a dense matrix, the coupling
 propagators from a complex Hamiltonian, and the port trace as one
 shifted-slice add per photon number left in the external port, summed over
 every (n, m) with no Hermitian fold.
@@ -41,8 +42,31 @@ def _complex_beam_splitter_block(theta: float, photons: int) -> np.ndarray:
     return ((vecs * np.exp(-1j * vals)) @ vecs.conj().T).real
 
 
+def _loop_coupling_hamiltonian(num_atoms: int, dim: int) -> np.ndarray:
+    """sum_i (sigma+_i a + sigma-_i a'), one entry at a time; flat index = atom_index * dim + photons."""
+    h = np.zeros((2**num_atoms * dim,) * 2)
+    for a_idx in range(2**num_atoms):
+        for atom in range(num_atoms):
+            if (a_idx >> atom) & 1:
+                continue  # atom already excited; sigma+ annihilates
+            raised = a_idx | (1 << atom)
+            for p in range(1, dim):
+                # |raised, p-1><a_idx, p| * sqrt(p), plus Hermitian partner
+                h[raised * dim + p - 1, a_idx * dim + p] += math.sqrt(p)
+                h[a_idx * dim + p, raised * dim + p - 1] += math.sqrt(p)
+    return h
+
+
+def _dense_coupling_hamiltonian(num_atoms: int, dim: int) -> np.ndarray:
+    """The coupling Hamiltonian as a dense matrix, from the oracle's edge list."""
+    rows, cols, values = oracle._coupling_edges(num_atoms, dim)
+    hamiltonian = np.zeros((2**num_atoms * dim,) * 2)
+    np.add.at(hamiltonian, (rows, cols), values)
+    return hamiltonian
+
+
 def _complex_evolved_components(num_atoms: int, dim: int, taus: np.ndarray, count: int) -> np.ndarray:
-    hamiltonian = oracle._full_coupling_hamiltonian(num_atoms, dim)
+    hamiltonian = _dense_coupling_hamiltonian(num_atoms, dim)
     vals, vecs = np.linalg.eigh(hamiltonian.astype(complex))
     phases = np.exp(-1j * np.multiply.outer(taus, vals))
     columns = (vecs * phases[:, None, :]) @ vecs[:count].conj().T
@@ -98,16 +122,21 @@ def test_oracle_keeps_no_state_between_calls(monkeypatch):
     assert np.array_equal(full_evolution_grid(*args), first)
     halved = full_evolution_grid([tau / 2 for tau in ORACLE_CHECK_TAUS], *args[1:])
     # a halved Hamiltonian is solved on the very next call: the dynamics of half the time
-    hamiltonian = oracle._full_coupling_hamiltonian
-    monkeypatch.setattr(oracle, "_full_coupling_hamiltonian", lambda *a: 0.5 * hamiltonian(*a))
+    edges = oracle._coupling_edges
+
+    def halved_edges(*args):
+        rows, cols, values = edges(*args)
+        return rows, cols, 0.5 * values
+
+    monkeypatch.setattr(oracle, "_coupling_edges", halved_edges)
     slower = full_evolution_grid(*args)
     assert np.abs(slower - first).max() > 0.1
     assert np.abs(slower - halved).max() <= 1e-13
 
 
-def test_oracle_check_solves_each_beam_splitter_block_once(monkeypatch):
-    # the generator is the angle times a fixed matrix: one solve per block
-    # serves all three angles.  The coupling Hamiltonians are solved one
+def test_oracle_check_solves_only_the_coupling_components(monkeypatch):
+    # the beam splitters take no eigensolver: their Chebyshev series needs
+    # only products with the hops.  The coupling Hamiltonians are solved one
     # stacked call per component size, never whole, and only the components
     # holding an initial state |ground, q photons>, q <= 8: for two atoms
     # the excitation sets N = 0 (1 node), 1 (3 nodes) and 2..8 (4 nodes),
@@ -121,11 +150,21 @@ def test_oracle_check_solves_each_beam_splitter_block_once(monkeypatch):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    _beam_splitter_columns(THETAS, 40)
+    assert not solved
     report, status = run_oracle_check(SweepConfig(mode="oracle-check", oracle_n_max=8))
     assert status == 0 and len(ORACLE_CHECK_THETAS) == 3
-    expected = Counter({(n, n): 1 for n in range(1, 10)})
-    expected.update({(1, 1, 1): 2, (1, 3, 3): 1, (7, 4, 4): 1, (8, 2, 2): 1})
-    assert solved == expected
+    assert solved == Counter({(1, 1, 1): 2, (1, 3, 3): 1, (7, 4, 4): 1, (8, 2, 2): 1})
+
+
+@pytest.mark.parametrize("num_atoms", [1, 2])
+@pytest.mark.parametrize("dim", [1, 2, 9, 43])
+def test_coupling_edges_are_the_loop_hamiltonian(num_atoms, dim):
+    rows, cols, values = oracle._coupling_edges(num_atoms, dim)
+    assert np.all(values != 0.0)
+    assert len(set(zip(rows.tolist(), cols.tolist()))) == len(rows)
+    dense = _dense_coupling_hamiltonian(num_atoms, dim)
+    assert np.array_equal(dense, _loop_coupling_hamiltonian(num_atoms, dim))
 
 
 @pytest.mark.parametrize("num_atoms", [1, 2])
@@ -142,17 +181,17 @@ def test_real_coupling_solve_matches_complex_propagator(num_atoms):
 def test_a_component_holding_two_initial_states_matches_complex_propagator(num_atoms, monkeypatch):
     # join |ground, 0 photons> to |ground, 3 photons>: both initial states
     # sit in one component, and each of their kets is written from it
-    hamiltonian = oracle._full_coupling_hamiltonian
+    edges = oracle._coupling_edges
 
     def coupled(num_atoms, dim):
-        h = hamiltonian(num_atoms, dim)
-        h[0, 3] = h[3, 0] = 0.3
-        return h
+        rows, cols, values = edges(num_atoms, dim)
+        return np.append(rows, [0, 3]), np.append(cols, [3, 0]), np.append(values, [0.3, 0.3])
 
-    monkeypatch.setattr(oracle, "_full_coupling_hamiltonian", coupled)
+    monkeypatch.setattr(oracle, "_coupling_edges", coupled)
     taus = np.array(ORACLE_CHECK_TAUS)
     dim, count = 11, 9
-    components = oracle._coupling_components(coupled(num_atoms, dim))
+    rows, cols, _ = coupled(num_atoms, dim)
+    components = oracle._coupling_components(rows, cols, 2**num_atoms * dim)
     assert any({0, 3} <= set(nodes) for stack in components for nodes in stack.tolist())
     reference = _complex_evolved_components(num_atoms, dim, taus, count)
     psi = _evolved_components(num_atoms, dim, taus, count)
