@@ -37,13 +37,15 @@ selection rule is checked rather than assumed.  The external-port trace and
 the (n, m) sum are one loop over the diagonals d = n - m >= 0
 (`_diagonal_term`): per diagonal, one real matrix product per cavity traces
 the port for every angle at once, and one product folds the two cavities'
-factors with the squeezed-pair weights.  A diagonal on which either
-cavity's photon-traced overlaps are all exactly zero (`_live_bands`, read
-from the computed tensors) adds exact zeros and is left out, which leaves
-every bit of the sum as it is.  Diagonal -d is added as the conjugate
-transpose of diagonal d, which is exact because the photon-traced overlaps
-form a Gram matrix.  A whole (theta, tau, s) grid costs one propagator per
-tau: `full_evolution_grid`.  `full_evolution` is its grid of one.
+factors with the squeezed-pair weights.  A diagonal on which the photon
+supports of either cavity's kets never meet (`_support_bands`, read from
+the computed kets, not from a conservation law) adds exact zeros and is
+left out, which leaves every bit of the sum as it is; the photon-traced
+overlaps are computed on the other diagonals only (`_gram_bands`).
+Diagonal -d is added as the conjugate transpose of diagonal d, which is
+exact because the photon-traced overlaps form a Gram matrix.  A whole
+(theta, tau, s) grid costs one propagator per tau: `full_evolution_grid`.
+`full_evolution` is its grid of one.
 """
 
 from __future__ import annotations
@@ -287,21 +289,30 @@ def _evolved_components(num_atoms: int, dim: int, taus: np.ndarray, count: int) 
     return psi.reshape(len(taus), count, 2**num_atoms, dim)
 
 
-def _photon_traced_gram(psi: np.ndarray) -> np.ndarray:
-    """``G[t, q, a, r, a'] = sum_p psi[t, q, a, p] conj(psi[t, r, a', p])``.
+def _gram_bands(psi: np.ndarray, diagonals) -> list[np.ndarray]:
+    """Diagonals d of the photon-traced Gram tensor, each as rows ``B[t, a, j, 2a']``.
 
-    The field trace of the evolved ket of q photons (atom state a) against
-    that of r photons (atom state a').  As a Gram matrix it satisfies
-    ``G[t, r, a', q, a] = conj(G[t, q, a, r, a'])``.
+    ``G[t, j + d, a, j, a'] = sum_p psi[t, j + d, a, p] conj(psi[t, j, a', p])``
+    is the field trace of the evolved ket of j + d photons (atom state a)
+    against that of j photons (atom state a'), one small product per (tau,
+    j); the kets are conjugated once for every diagonal.  The complex
+    entries of a' are viewed as their real and imaginary parts, the float
+    layout that `_port_traced_diagonal` multiplies.
     """
-    taus, count, atoms, dim = psi.shape
-    flat = psi.reshape(taus, count * atoms, dim)
-    return (flat @ flat.conj().swapaxes(1, 2)).reshape(taus, count, atoms, count, atoms)
+    count = psi.shape[1]
+    bras = psi.conj().swapaxes(-1, -2)
+    return [(psi[:, d:] @ bras[:, : count - d]).swapaxes(1, 2).view(float) for d in diagonals]
 
 
-def _live_bands(gram: np.ndarray) -> set[int]:
-    """Bands d = q - r >= 0 on which ``G[t, q, a, r, a']`` has a nonzero entry."""
-    q, r = np.nonzero(gram.any(axis=(0, 2, 4)))
+def _support_bands(psi: np.ndarray) -> set[int]:
+    """Bands d = q - r >= 0 on which the photon supports of kets q and r meet.
+
+    ``S[q, p]`` is 1 where ket q has a nonzero amplitude on p photons, at
+    any tau and atom state; ``S S^T`` counts the photon numbers two kets
+    share.  Off these bands every Gram term has an exactly zero factor.
+    """
+    support = psi.any(axis=(0, 2)).astype(float)
+    q, r = np.nonzero(support @ support.T)
     return set((q - r)[q >= r].tolist())
 
 
@@ -319,26 +330,25 @@ def _diagonal_weights(amps: np.ndarray, d: int) -> np.ndarray:
     return amps[:, d + p, kept] * amps[:, p, kept]
 
 
-def _port_traced_diagonal(gram: np.ndarray, weights: np.ndarray, d: int) -> np.ndarray:
+def _port_traced_diagonal(band: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """``X[th, t, a, p, a'] = sum_j M[th, p, j] G[t, j + d, a, j, a']``, diagonal d of one cavity.
 
     One cavity's share of the reduced state for squeezed-pair photon
     numbers n = p + d (ket) and m = p (bra), with the photons left in the
     external port traced out: ``X[n, m] = sum_k A[n, k] A[m, k] G[n - k,
-    m - k]``.  On a float view of the Gram tensor the entries (j + d, a, j)
-    form, for each (tau, a), a matrix whose row j holds the real and
-    imaginary parts of a', so the trace is one real matrix product per
-    (angle, tau, a), viewed back as complex.
+    m - k]``.  For each (tau, a), row j of the band (`_gram_bands`) holds
+    the real and imaginary parts of a', so the trace is one real matrix
+    product per (angle, tau, a), viewed back as complex.
     """
-    rows = np.diagonal(gram.view(float), -d, 1, 3).swapaxes(-1, -2)
-    return (weights[:, None, None] @ rows).view(complex)
+    return (weights[:, None, None] @ band).view(complex)
 
 
 def _diagonal_term(
-    grams: tuple[np.ndarray, np.ndarray], amps: np.ndarray, lam: np.ndarray, d: int
+    bands: tuple[np.ndarray, np.ndarray], amps: np.ndarray, lam: np.ndarray, d: int
 ) -> np.ndarray:
     """``sum_p lambda_{p+d} lambda_p X2[p + d, p] (x) X1[p + d, p]``, diagonal d of the state sum.
 
+    ``bands`` holds the Gram bands d of cavities c1 and c2 (`_gram_bands`).
     Each cavity's factor comes from one port-trace product
     (`_port_traced_diagonal`); one more product folds them with the pair
     weights, per (angle, tau) and c1 ket atom state a: rows (s, b, b') of
@@ -346,7 +356,7 @@ def _diagonal_term(
     (angles, taus, a, (s, b, b'), a'), complex.
     """
     weights = _diagonal_weights(amps, d)
-    x1, x2 = (_port_traced_diagonal(gram, weights, d) for gram in grams)
+    x1, x2 = (_port_traced_diagonal(band, weights) for band in bands)
     length = lam.shape[1] - d
     pair = lam[:, d:] * lam[:, :length]
     # (angle, tau, s, b, b', p)
@@ -369,19 +379,20 @@ def full_evolution_grid(taus, squeezes, thetas, n_max: int) -> np.ndarray:
         rho(s) = sum_{n, m} lambda_n(s) lambda_m(s) X2[n, m] (x) X1[n, m]
 
     summed one diagonal d = n - m >= 0 at a time (`_diagonal_term`), over
-    every diagonal on which both cavities' Gram tensors have a nonzero entry
-    (`_live_bands`); the others add exact zeros.  Diagonal -d is the
-    conjugate transpose of diagonal d, exactly, because each cavity's
-    X[m, n] is X[n, m]^dagger (G is a Gram matrix), so it is added as such.
-    One Chebyshev recursion of the beam-splitter blocks serves every angle,
-    and the propagators and Gram tensors depend only on tau, so each is
-    computed once per call for all angles.  The sum is complex; the states are returned
-    real (float64) after checking that no imaginary part exceeds 1e-12
-    (RuntimeError otherwise).  An empty axis gives an empty grid.  Cost
-    grows steeply with the truncation: one (tau, s) point at three angles
-    takes about 0.16 s of CPU and 58 MB of peak memory at n_max 240, and
-    0.5 s and 95 MB at n_max 380 (one BLAS thread, one Xeon core); the
-    closed forms carry production scale.
+    every diagonal on which, in both cavities, the photon supports of some
+    kets q and q - d meet (`_support_bands`); the others add exact zeros.  Only those diagonals
+    of each cavity's Gram tensor are computed (`_gram_bands`).  Diagonal -d
+    is the conjugate transpose of diagonal d, exactly, because each
+    cavity's X[m, n] is X[n, m]^dagger (G is a Gram matrix), so it is added
+    as such.  One Chebyshev recursion of the beam-splitter blocks serves
+    every angle, and the propagators and Gram bands depend only on tau, so
+    each is computed once per call for all angles.  The sum is complex; the
+    states are returned real (float64) after checking that no imaginary
+    part exceeds 1e-12 (RuntimeError otherwise).  An empty axis gives an
+    empty grid.  Cost grows steeply with the truncation: one (tau, s) point
+    at three angles takes about 0.09 s of CPU and 43 MB of peak memory at
+    n_max 240, and 0.29 s and 58 MB at n_max 380 (one BLAS thread, one Xeon
+    core, fresh process); the closed forms carry production scale.
     """
     taus = require_finite_nonnegative("tau", taus).reshape(-1)
     squeezes = require_finite_nonnegative("squeeze parameter s", squeezes).reshape(-1)
@@ -392,18 +403,21 @@ def full_evolution_grid(taus, squeezes, thetas, n_max: int) -> np.ndarray:
     size = n_max + 1
     dim = n_max + 3
     amps = _beam_splitter_columns(thetas, n_max)
-    grams = tuple(
-        _photon_traced_gram(_evolved_components(atoms, dim, taus, size)) for atoms in (2, 1)
-    )
+    kets = [_evolved_components(atoms, dim, taus, size) for atoms in (2, 1)]
+    diagonals = sorted(_support_bands(kets[0]) & _support_bands(kets[1]))
+    # (c1, c2) bands per diagonal; the kets are released before the sum
+    bands = list(zip(*(_gram_bands(psi, diagonals) for psi in kets)))
+    del kets
     # cosh(s) overflows to inf above s ~ 710, where the correctly rounded
     # amplitudes are 0, which is what dividing by inf gives
     with np.errstate(over="ignore"):
         lam = np.tanh(squeezes)[:, None] ** np.arange(size) / np.cosh(squeezes)[:, None]
 
-    rho = _diagonal_term(grams, amps, lam, 0)
+    # each ket has norm 1, so it meets itself: diagonals[0] is 0
+    rho = _diagonal_term(bands[0], amps, lam, 0)
     folded = np.zeros_like(rho)
-    for d in sorted(_live_bands(grams[0]) & _live_bands(grams[1]) - {0}):
-        folded += _diagonal_term(grams, amps, lam, d)
+    for d, pair in zip(diagonals[1:], bands[1:]):
+        folded += _diagonal_term(pair, amps, lam, d)
     shape = (len(thetas), len(taus), 4, len(squeezes), 2, 2, 4)
     folded = folded.reshape(shape)
     # indices (a, s, b, b', a'); diagonal -d is the conjugate transpose of diagonal d

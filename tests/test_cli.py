@@ -179,7 +179,7 @@ def test_zero_squeezing_is_exact_everywhere():
 
 
 def test_oracle_check_rejects_large_truncation():
-    with pytest.raises(ValueError, match="limited to n_max <= 80"):
+    with pytest.raises(ValueError, match="^oracle_n_max must be <= 80 for oracle-check, got 81$"):
         run_oracle_check(SweepConfig(mode="oracle-check", oracle_n_max=81))
 
 
@@ -194,7 +194,7 @@ def test_oracle_check_passes_at_production_truncation(tmp_path):
 def test_oracle_check_above_the_cap_is_a_usage_error(tmp_path, capsys):
     out = tmp_path / "oracle.txt"
     assert main(["--mode", "oracle-check", "--oracle-n-max", "81", "--out", str(out)]) == 2
-    assert "oracle-check is limited to n_max <= 80" in capsys.readouterr().err
+    assert "oracle_n_max must be <= 80 for oracle-check, got 81" in capsys.readouterr().err
     assert not out.exists()
 
 

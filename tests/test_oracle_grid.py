@@ -5,11 +5,12 @@ terms of the |n - m| <= 1 bands enumerated one by one from the binomial
 amplitudes, each weighted outer product of photon-traced Gram blocks summed
 with one 3-operand einsum.  The grid builds its field amplitudes from the
 beam-splitter blocks instead and sums (n, m) one diagonal n - m at a time
-for all angles, every diagonal on which the photon-traced overlaps are not
-all zero, so agreement checks the field side and the folded sum at once.
+for all angles, every diagonal on which the evolved kets share a photon
+number, so agreement checks the field side and the folded sum at once.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from cavity3q.cli import (
     SweepConfig,
 )
 from test_fock_field import squeezed_weight
+from test_oracle_real import dense_bands, dense_gram
 
 
 def _field_terms(config: FieldConfig, band: int):
@@ -117,21 +119,21 @@ def test_all_bands_leave_the_zero_pattern_empty():
 
 
 def test_live_bands_on_the_oracle_check_grid():
-    # two atoms excite up to two levels, so their Gram tensor reaches
-    # q - r = 2; one atom only 1.  Diagonals 0 and 1 of the state sum are live
+    # two atoms excite up to two levels, so their kets share photon numbers
+    # up to q - r = 2; one atom only 1.  Diagonals 0 and 1 of the state sum are live
     taus = np.array(ORACLE_CHECK_TAUS)
     for n_max in (2, 8, 40):
         dim, count = n_max + 3, n_max + 1
-        grams = [
-            oracle._photon_traced_gram(oracle._evolved_components(atoms, dim, taus, count))
-            for atoms in (2, 1)
-        ]
-        assert [oracle._live_bands(gram) for gram in grams] == [{0, 1, 2}, {0, 1}]
-    assert oracle._live_bands(grams[0][:, :1, :, :1]) == {0}
+        kets = [oracle._evolved_components(atoms, dim, taus, count) for atoms in (2, 1)]
+        bands = [oracle._support_bands(psi) for psi in kets]
+        assert bands == [{0, 1, 2}, {0, 1}]
+        for psi, support in zip(kets, bands):
+            assert dense_bands(dense_gram(psi)) <= support
+    assert oracle._support_bands(kets[0][:, :1]) == {0}
 
 
-def every_band(gram):
-    return set(range(gram.shape[1]))
+def every_band(psi):
+    return set(range(psi.shape[1]))
 
 
 @pytest.fixture
@@ -140,9 +142,9 @@ def summed(monkeypatch):
     diagonals = []
     term = oracle._diagonal_term
 
-    def recording(grams, amps, lam, d):
+    def recording(bands, amps, lam, d):
         diagonals.append(d)
-        return term(grams, amps, lam, d)
+        return term(bands, amps, lam, d)
 
     monkeypatch.setattr(oracle, "_diagonal_term", recording)
     return diagonals
@@ -154,15 +156,16 @@ def test_live_diagonals_sum_to_every_diagonal_bit_for_bit(n_max, summed, monkeyp
     live = full_evolution_grid(*args)
     assert summed == [0, 1][: n_max + 1]
     summed.clear()
-    monkeypatch.setattr(oracle, "_live_bands", every_band)
+    monkeypatch.setattr(oracle, "_support_bands", every_band)
     assert np.array_equal(full_evolution_grid(*args), live)
     assert summed == list(range(n_max + 1))
 
 
 def test_a_coupling_across_excitation_sets_is_still_summed(summed, monkeypatch):
     # join |ground, 0 photons> to |ground, 3 photons>: the components merge,
-    # further Gram bands come alive, and they are summed like every other
-    # (an odd photon jump, like every hop of the coupling, so the state stays real)
+    # the kets share photon numbers across further bands, and those are
+    # summed like every other (an odd photon jump, like every hop of the
+    # coupling, so the state stays real)
     edges = oracle._coupling_edges
 
     def coupled(num_atoms, dim):
@@ -171,16 +174,29 @@ def test_a_coupling_across_excitation_sets_is_still_summed(summed, monkeypatch):
 
     monkeypatch.setattr(oracle, "_coupling_edges", coupled)
     args = ([0.8, 2.0], [0.6], [1.1], 8)
-    grams = [
-        oracle._photon_traced_gram(oracle._evolved_components(atoms, 11, np.array([0.8]), 9))
-        for atoms in (2, 1)
-    ]
-    live_bands = oracle._live_bands(grams[0]) & oracle._live_bands(grams[1])
-    assert max(live_bands) > 1
+    kets = [oracle._evolved_components(atoms, 11, np.array([0.8]), 9) for atoms in (2, 1)]
+    bands = [oracle._support_bands(psi) for psi in kets]
+    assert bands == [set(range(6)), set(range(5))]
+    for psi, support in zip(kets, bands):
+        assert dense_bands(dense_gram(psi)) <= support
     live = full_evolution_grid(*args)
-    assert summed == sorted(live_bands)
-    monkeypatch.setattr(oracle, "_live_bands", every_band)
+    assert summed == sorted(bands[0] & bands[1])
+    monkeypatch.setattr(oracle, "_support_bands", every_band)
     assert np.array_equal(full_evolution_grid(*args), live)
+
+
+def test_oracle_check_grid_at_n_max_80_allocates_below_6_mib():
+    # the photon-traced overlaps are held as the summed Gram bands, not as
+    # dense (count * atoms)^2 tensors: 4.4 MiB against 9.84 MiB for the
+    # dense ones.  tracemalloc counts numpy's buffers, so the peak is exact
+    args = (ORACLE_CHECK_TAUS, ORACLE_CHECK_SQUEEZES, ORACLE_CHECK_THETAS, 80)
+    tracemalloc.start()
+    try:
+        full_evolution_grid(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_oracle_check_fails_on_a_wrong_beam_splitter_angle(monkeypatch):
@@ -274,7 +290,7 @@ def test_grid_refuses_an_imaginary_part_above_the_bound(monkeypatch):
     monkeypatch.setattr(
         oracle,
         "_port_traced_diagonal",
-        lambda gram, weights, d: traced(gram, weights, d) * np.exp(1e-6j),
+        lambda band, weights: traced(band, weights) * np.exp(1e-6j),
     )
     with pytest.raises(RuntimeError, match="imaginary part of .* above the bound 1e-12"):
         full_evolution_grid([0.8], [0.6], [1.1], 8)

@@ -3,7 +3,8 @@
 Each reference keeps the former code: the beam-splitter block exponentiated
 through a complex Hermitian eigendecomposition at each angle, the coupling
 Hamiltonian written entry by entry into a dense matrix, the coupling
-propagators from a complex Hamiltonian, and the port trace as one
+propagators from a complex Hamiltonian, the photon-traced overlaps as one
+dense Gram tensor over every pair of kets, and the port trace as one
 shifted-slice add per photon number left in the external port, summed over
 every (n, m) with no Hermitian fold.
 """
@@ -26,7 +27,7 @@ from cavity3q.oracle import (
     _beam_splitter_columns,
     _diagonal_weights,
     _evolved_components,
-    _photon_traced_gram,
+    _gram_bands,
     _port_traced_diagonal,
     full_evolution_grid,
 )
@@ -73,6 +74,19 @@ def _complex_evolved_components(num_atoms: int, dim: int, taus: np.ndarray, coun
     return columns.swapaxes(1, 2).reshape(len(taus), count, 2**num_atoms, dim)
 
 
+def dense_gram(psi: np.ndarray) -> np.ndarray:
+    """``G[t, q, a, r, a'] = sum_p psi[t, q, a, p] conj(psi[t, r, a', p])``, every (q, r)."""
+    taus, count, atoms, dim = psi.shape
+    flat = psi.reshape(taus, count * atoms, dim)
+    return (flat @ flat.conj().swapaxes(1, 2)).reshape(taus, count, atoms, count, atoms)
+
+
+def dense_bands(gram: np.ndarray) -> set[int]:
+    """Bands d = q - r >= 0 on which ``G[t, q, a, r, a']`` has a nonzero entry."""
+    q, r = np.nonzero(gram.any(axis=(0, 2, 4)))
+    return set((q - r)[q >= r].tolist())
+
+
 def _shifted_slice_port_traced(gram: np.ndarray, amps: np.ndarray) -> np.ndarray:
     """``X[t, n, m, a, a'] = sum_k A[n, k] A[m, k] G[t, n - k, a, m - k, a']``, every (n, m)."""
     size = amps.shape[0]
@@ -91,7 +105,7 @@ def _explicit_pair_sum(taus, squeezes, theta: float, n_max: int) -> np.ndarray:
     amps = _beam_splitter_columns([theta], n_max)[0]
     x1, x2 = (
         _shifted_slice_port_traced(
-            _photon_traced_gram(_evolved_components(atoms, dim, np.array(taus), size)), amps
+            dense_gram(_evolved_components(atoms, dim, np.array(taus), size)), amps
         )
         for atoms in (2, 1)
     )
@@ -198,16 +212,34 @@ def test_a_component_holding_two_initial_states_matches_complex_propagator(num_a
     assert np.abs(psi - reference).max() <= 1e-13
 
 
+@pytest.mark.parametrize("n_max", [0, 2, 8, 40])
+@pytest.mark.parametrize("num_atoms", [1, 2])
+def test_gram_bands_are_the_dense_gram_diagonals(n_max, num_atoms):
+    taus = np.array(ORACLE_CHECK_TAUS)
+    psi = _evolved_components(num_atoms, n_max + 3, taus, n_max + 1)
+    gram = dense_gram(psi)
+    bands = _gram_bands(psi, range(n_max + 1))
+    assert len(bands) == n_max + 1
+    for d, band in enumerate(bands):
+        diagonal = np.diagonal(gram, -d, 1, 3).transpose(0, 1, 3, 2)  # (t, a, j, a')
+        assert band.view(complex).shape == diagonal.shape
+        assert np.abs(band.view(complex) - diagonal).max() <= 1e-15
+    # a subset of the diagonals, in any order, gives the same bands
+    picked = _gram_bands(psi, [n_max, 0])
+    assert np.array_equal(picked[0], bands[n_max]) and np.array_equal(picked[1], bands[0])
+
+
 @pytest.mark.parametrize("n_max", [10, 40])
 @pytest.mark.parametrize("num_atoms", [1, 2])
 def test_port_trace_by_diagonals_matches_shifted_slices(n_max, num_atoms):
     # each diagonal d >= 0 of one cavity's factor, for every angle at once
     taus = np.array(ORACLE_CHECK_TAUS)
-    gram = _photon_traced_gram(_evolved_components(num_atoms, n_max + 3, taus, n_max + 1))
+    psi = _evolved_components(num_atoms, n_max + 3, taus, n_max + 1)
+    gram = dense_gram(psi)
     amps = _beam_splitter_columns(THETAS, n_max)
     references = [_shifted_slice_port_traced(gram, a) for a in amps]
-    for d in range(n_max + 1):
-        traced = _port_traced_diagonal(gram, _diagonal_weights(amps, d), d)
+    for d, band in enumerate(_gram_bands(psi, range(n_max + 1))):
+        traced = _port_traced_diagonal(band, _diagonal_weights(amps, d))
         for reference, angle in zip(references, traced):
             diagonal = np.diagonal(reference, -d, 1, 2)  # (t, a, a', p)
             assert np.abs(angle - diagonal.transpose(0, 1, 3, 2)).max() <= 1e-14
