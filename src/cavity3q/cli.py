@@ -114,8 +114,12 @@ class SweepConfig:
         require_nonnegative_number("squeeze parameter s", self.s)
         for name in ("tau", "tau_start", "tau_end", "s_start", "s_end"):
             require_nonnegative_number(name, getattr(self, name))
-        if self.tau_end < self.tau_start or self.s_end < self.s_start:
-            raise ValueError("sweep ranges must be non-empty")
+        for axis in ("tau", "s"):
+            start, end = getattr(self, f"{axis}_start"), getattr(self, f"{axis}_end")
+            if end < start:
+                raise ValueError(
+                    f"{axis}_end must be >= {axis}_start, got {axis}_start={start} {axis}_end={end}"
+                )
         require_theta(self.theta)
         require_photon_number("n_max", self.n_max)
         require_photon_number("oracle_n_max", self.oracle_n_max)
@@ -144,8 +148,8 @@ def _warn_truncation(deficits: np.ndarray, squeezes: list[float], n_max: int) ->
         )
 
 
-# One CSV row: `_fmt` for every cell, as a single %-format call per row
-# (printf-style "%.12g" renders a float exactly as "{:.12g}" does, and faster).
+# One CSV row: `_fmt` for every cell (printf-style "%.12g" renders a float
+# exactly as "{:.12g}" does, and faster).
 _ROW_FORMAT = ",".join(["%.12g"] * len(COLUMNS))
 
 
@@ -157,9 +161,10 @@ def _csv_text(cfg: SweepConfig, header_extra: list[str], rows: np.ndarray) -> st
         "# columns: " + ",".join(COLUMNS),
         ",".join(COLUMNS),
     ]
-    # + 0.0 turns IEEE negative zero into plain 0, as in `_fmt`
-    lines.extend(_ROW_FORMAT % tuple(row) for row in (rows + 0.0).tolist())
-    return "\n".join(lines) + "\n"
+    # the whole body in one %-format call; + 0.0 turns IEEE negative zero
+    # into plain 0, as in `_fmt`
+    body = ((_ROW_FORMAT + "\n") * len(rows)) % tuple((rows + 0.0).ravel().tolist())
+    return "\n".join(lines) + "\n" + body
 
 
 def _sweep_axes(cfg: SweepConfig) -> tuple[list[float], list[float], str]:

@@ -149,54 +149,98 @@ def _pair_block_amplitudes(taus: np.ndarray, count: int) -> tuple[np.ndarray, np
     absorb zero, one or two photons out of q.  The generic expressions
     reference sqrt(2(2q-1)), which only exists for q >= 1, so the empty-cavity
     entries (stay = 1, others 0) are set directly; at q = 1 the two-photon
-    rung vanishes through its sqrt(q(q-1)) factor.
+    rung vanishes through its sqrt(q(q-1)) factor.  The arithmetic runs in
+    place in the three returned arrays.
     """
     shape = (len(taus), count)
-    stay = np.ones(shape)
-    one_up = np.zeros(shape)
-    two_up = np.zeros(shape)
+    stay, one_up, two_up = np.empty(shape), np.empty(shape), np.empty(shape)
+    stay[:, :1], one_up[:, :1], two_up[:, :1] = 1.0, 0.0, 0.0
     q = np.arange(1, count, dtype=float)
     phase = np.multiply.outer(taus, np.sqrt(2.0 * (2.0 * q - 1.0)))
     cos_f = np.cos(phase)
     sin_f = np.sin(phase)
     denom = 2.0 * q - 1.0
-    stay[:, 1:] = ((q - 1.0) + q * cos_f) / denom
-    one_up[:, 1:] = np.sqrt(q) * sin_f / np.sqrt(denom)
-    two_up[:, 1:] = np.sqrt(q * (q - 1.0)) * (cos_f - 1.0) / denom
+    stay_q, one_q, two_q = stay[:, 1:], one_up[:, 1:], two_up[:, 1:]
+    np.add(q - 1.0, np.multiply(q, cos_f, out=stay_q), out=stay_q)
+    stay_q /= denom
+    np.multiply(np.sqrt(q), sin_f, out=one_q)
+    one_q /= np.sqrt(denom)
+    np.multiply(np.sqrt(q * (q - 1.0)), np.subtract(cos_f, 1.0, out=two_q), out=two_q)
+    two_q /= denom
     return stay, one_up, two_up
 
 
-# Tau points evaluated together.  Bounds the (points, n_max + 1) work arrays,
-# which for a whole 600-point sweep would raise the peak resident set by MBs.
+# Tau points evaluated together.  Sizes the workspace that each
+# `closed_form_grid` call allocates once, after its result, and every chunk
+# reuses: (points, n_max + 2) work arrays for a whole 600-point sweep would
+# raise the peak resident set by MBs, and work arrays made afresh per chunk
+# would be trimmed from the heap and faulted back in by the next chunk.
 _TAU_CHUNK = 64
 
 
-def _chunk_elements(
-    taus: np.ndarray, u0: np.ndarray, u1: np.ndarray, norm0: np.ndarray, norm1: np.ndarray
-) -> np.ndarray:
-    """`closed_form_grid` for one block of tau values, shape (len(taus), S, 8)."""
-    size = u0.shape[0]
-    # one extra slot so the shifted (q+1, p+1) bra factors of the coherence
-    # band stay in range
-    stay, one_up, two_up = _pair_block_amplitudes(taus, size + 1)
-    phase = np.multiply.outer(taus, np.sqrt(np.arange(size + 1, dtype=float)))
-    cos_b = np.cos(phase)
-    sin_b = np.sin(phase)
+def _leading(buffer: np.ndarray, *shape: int) -> np.ndarray:
+    """The first prod(shape) slots of a flat workspace buffer, as a C-contiguous array."""
+    return buffer[: math.prod(shape)].reshape(shape)
 
-    stay0, one0, two0 = stay[:, :size], one_up[:, :size], two_up[:, :size]
-    cos0, sin0 = cos_b[:, :size], sin_b[:, :size]
 
-    # Each element is sum_{q,p} W[q, p] a[q] b[p] = sum_n norm[n] (U a)[n] (U b)[n].
-    pair0 = [(x * x) @ u0.T for x in (stay0, one0, two0)]
-    cos_u0 = (cos0 * cos0) @ u0.T
-    sin_u0 = (sin0 * sin0) @ u0.T
-    band0 = np.stack([a * cos_u0 for a in pair0] + [a * sin_u0 for a in pair0])
-    coh_u1 = (cos0 * sin_b[:, 1:]) @ u1.T
-    band1 = np.stack(
-        [-((stay0 * one_up[:, 1:]) @ u1.T * coh_u1), (one0 * two_up[:, 1:]) @ u1.T * coh_u1]
-    )
-    elements = np.concatenate([band0 @ norm0.T, band1 @ norm1.T])
-    return np.moveaxis(elements, 0, -1)
+def _fill_elements(
+    out: np.ndarray,
+    taus: np.ndarray,
+    u0: np.ndarray,
+    u1: np.ndarray,
+    norm0: np.ndarray,
+    norm1: np.ndarray,
+) -> None:
+    """`closed_form_grid` written to out (len(taus), S, 8), `_TAU_CHUNK` taus at a time.
+
+    Every chunk reuses one workspace of flat buffers.  Each product lands in a
+    C-contiguous view of the leading slots of one of them, the layout of a
+    fresh array, so every element rounds as a freshly allocated product would.
+    """
+    size, rows = u0.shape[0], min(_TAU_CHUNK, len(taus))
+    # cavity-2 phases, cosines and sines, over one extra slot so the shifted
+    # (q+1, p+1) bra factors of the coherence band stay in range
+    phase_w, cos_w, sin_w = (np.empty(rows * (size + 1)) for _ in range(3))
+    # a squared amplitude or product, cos^2 @ U0.T, sin^2 @ U0.T and the
+    # cavity-2 coherence product
+    square_w, cos_u0_w, sin_u0_w, coh_w = (np.empty(rows * size) for _ in range(4))
+    band0_w, band1_w = np.empty(6 * rows * size), np.empty(2 * rows * (size - 1))
+    elements_w = np.empty(8 * rows * norm0.shape[0])
+    rates = np.sqrt(np.arange(size + 1, dtype=float))
+    for start in range(0, len(taus), _TAU_CHUNK):
+        chunk = taus[start : start + _TAU_CHUNK]
+        points = len(chunk)
+        # looked up through the module on every chunk, so a test can substitute it
+        stay, one_up, two_up = _pair_block_amplitudes(chunk, size + 1)
+        phase, cos_b, sin_b = (_leading(w, points, size + 1) for w in (phase_w, cos_w, sin_w))
+        np.multiply.outer(chunk, rates, out=phase)
+        np.cos(phase, out=cos_b)
+        np.sin(phase, out=sin_b)
+        stay0, one0, two0 = stay[:, :size], one_up[:, :size], two_up[:, :size]
+        cos0, sin0 = cos_b[:, :size], sin_b[:, :size]
+        square, cos_u0, sin_u0 = (_leading(w, points, size) for w in (square_w, cos_u0_w, sin_u0_w))
+        band0 = _leading(band0_w, 6, points, size)
+
+        # Each element is sum_{q,p} W[q, p] a[q] b[p] = sum_n norm[n] (U a)[n] (U b)[n].
+        np.matmul(np.multiply(cos0, cos0, out=square), u0.T, out=cos_u0)
+        np.matmul(np.multiply(sin0, sin0, out=square), u0.T, out=sin_u0)
+        for k, x in enumerate((stay0, one0, two0)):
+            pair = np.matmul(np.multiply(x, x, out=square), u0.T, out=band0[k + 3])
+            np.multiply(pair, cos_u0, out=band0[k])
+            pair *= sin_u0
+
+        coh_u1 = _leading(coh_w, points, size - 1)
+        band1 = _leading(band1_w, 2, points, size - 1)
+        np.matmul(np.multiply(cos0, sin_b[:, 1:], out=square), u1.T, out=coh_u1)
+        for k, (x, y) in enumerate(((stay0, one_up[:, 1:]), (one0, two_up[:, 1:]))):
+            np.matmul(np.multiply(x, y, out=square), u1.T, out=band1[k])
+            band1[k] *= coh_u1
+        np.negative(band1[0], out=band1[0])
+
+        elements = _leading(elements_w, 8, points, norm0.shape[0])
+        np.matmul(band0, norm0.T, out=elements[:6])
+        np.matmul(band1, norm1.T, out=elements[6:])
+        out[start : start + points] = np.moveaxis(elements, 0, -1)
 
 
 def closed_form_grid(taus, squeezes, theta: float, n_max: int) -> np.ndarray:
@@ -218,9 +262,7 @@ def closed_form_grid(taus, squeezes, theta: float, n_max: int) -> np.ndarray:
     u0, u1 = _field_factors(float(theta), int(n_max))
     norm0, norm1 = _squeeze_norms(squeezes, n_max + 1)
     out = np.empty((taus.size, squeezes.size, 8))
-    for start in range(0, taus.size, _TAU_CHUNK):
-        block = slice(start, start + _TAU_CHUNK)
-        out[block] = _chunk_elements(taus[block], u0, u1, norm0, norm1)
+    _fill_elements(out, taus, u0, u1, norm0, norm1)
     return out
 
 

@@ -81,14 +81,17 @@ def test_csv_rows_match_str_format_byte_for_byte():
         0.1, 2.0 / 3.0, 123456789012.5, 0.0, 1.0, 14.5, 3.141592653589793, 1e16,
     ]
     values = np.array(specials)
-    rows = np.stack([np.roll(values, k)[: len(COLUMNS)] for k in range(len(values))])
     cfg = SweepConfig()
-    text = cli._csv_text(cfg, [], rows)
     reference = ",".join(["{:.12g}"] * len(COLUMNS))
-    expected = [reference.format(*row) for row in (rows + 0.0).tolist()]
-    assert text.splitlines()[-len(rows):] == expected
-    assert text.endswith("\n") and "-0," not in text and "nan" in text and "-inf" in text
-    assert "1e+12" in text and "1.00000000002e+12" in text and "12345678901.2" in text
+    # the whole body is one %-format call: a stack of every rotation, one row
+    # and a production-sized 600 rows
+    for count in (len(values), 1, 600):
+        rows = np.stack([np.roll(values, k)[: len(COLUMNS)] for k in range(count)])
+        text = cli._csv_text(cfg, [], rows)
+        expected = [reference.format(*row) for row in (rows + 0.0).tolist()]
+        assert text.splitlines()[-len(rows) - 1:] == [",".join(COLUMNS), *expected]
+        assert text.endswith("\n") and "-0," not in text and "nan" in text and "-inf" in text
+        assert "1e+12" in text and "1.00000000002e+12" in text and "12345678901.2" in text
 
 
 def test_analytic_and_eigensolver_columns_agree():
@@ -249,8 +252,10 @@ def test_sweep_config_validation():
         SweepConfig(mode="bogus")
     with pytest.raises(ValueError):
         SweepConfig(tau_steps=0)
-    with pytest.raises(ValueError):
-        SweepConfig(tau_start=2.0, tau_end=1.0)
+    with pytest.raises(ValueError, match=r"^tau_end must be >= tau_start, got tau_start=2 tau_end=1$"):
+        SweepConfig(tau_start=2, tau_end=1)
+    with pytest.raises(ValueError, match=r"^s_end must be >= s_start, got s_start=2 s_end=1$"):
+        SweepConfig(s_start=2, s_end=1)
     with pytest.raises(ValueError):
         SweepConfig(theta=4.0)
 

@@ -136,12 +136,17 @@ def test_s_grid_row_matches_points():
         assert np.abs(row - points).max() <= ROW_TOL
 
 
-def test_tau_chunks_match_points():
-    # 150 points span three internal tau blocks
-    taus = np.linspace(0.0, 20.0, 150)
-    grid = closed_form_grid(taus, [1.2], math.pi / 2.0, 80)[:, 0]
-    points = np.array([closed_form_grid([tau], [1.2], math.pi / 2.0, 80)[0, 0] for tau in taus])
-    assert np.abs(grid - points).max() <= ROW_TOL
+@pytest.mark.parametrize("n_max", [0, 1, 80])
+@pytest.mark.parametrize("squeezes", [[], [1.2], [0.3, 1.2, 2.0]], ids=["no-s", "one-s", "three-s"])
+@pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 150])
+def test_tau_chunks_match_points(count, squeezes, n_max):
+    # 63 to 65 points sit at the edge of one internal tau block, 150 span
+    # three; at n_max 0 the coherence band has zero width
+    taus = np.linspace(0.0, 20.0, count + 1)[1:]
+    grid = closed_form_grid(taus, squeezes, math.pi / 2.0, n_max)
+    assert grid.shape == (count, len(squeezes), 8)
+    points = [closed_form_grid([tau], squeezes, math.pi / 2.0, n_max)[0] for tau in taus]
+    assert np.abs(grid - np.reshape(points, grid.shape)).max(initial=0.0) <= ROW_TOL
 
 
 def test_zero_squeezing_is_exactly_the_ground_state():
