@@ -12,7 +12,10 @@ parser takes its defaults from there.
 
 CSV output carries a '#' header block recording the full configuration and
 uses 12-significant-digit formatting, so identical configurations produce
-byte-identical files.
+byte-identical files on one machine at one BLAS thread count.  The BLAS
+may round differently at another thread count; the sweeps and oracle
+checks that `.github/workflows/tests.yml` runs give the same bytes at one
+thread and at the default count.
 """
 
 from __future__ import annotations

@@ -13,26 +13,29 @@ Each quantity has one implementation: the paper's gated two-block closed
 form of qubit B's global negativity is not a second path but lies inside
 the kernel's two 3x3 blocks of B's transpose, and is a test reference only.
 
-The kernel checks every state Hermitian to 1e-9 once (a bad state is named
-by its index in the caller's stack) and evaluates the stack in fixed blocks
-of `_DIAGNOSTIC_BLOCK` rows:
+The kernel refuses, by the name ``states``, a stack that does not hold
+finite numbers or a state that is not Hermitian to 1e-9 (named by its index
+in the caller's stack).  It evaluates the stack in fixed blocks of
+`_DIAGNOSTIC_BLOCK` rows and decides each state's route once:
 
-* the pattern of every row is checked once: no entry outside
-  `PATTERN_MASK`, no two slots of one element apart and no slot with an
-  imaginary part, by more than 1e-8.  `tavis_cummings` reads the elements
-  back from the slot table that `states_from_elements` writes with;
-* every partial transpose the kernel solves is gathered into index blocks,
-  with each map it projects gathered on the same index pairs.  A state
-  whose entries outside `PATTERN_MASK` are exactly zero and whose pattern
-  check passes (every closed-form and brute-force oracle state) is block
-  diagonal, and so is each such transpose, on blocks of at most 3 indices
-  derived from `PATTERN_MASK` at import (Tavis & Cummings, Phys. Rev. 170,
-  379 (1968): each field component conserves photon number plus atomic
-  excitation).  Every other state, a state with rounding noise outside the
-  pattern among them, is one block of all 8 indices, from tables built the
-  same way on the whole support;
-* the pure-state decomposition is computed in closed form for rows that
-  pass the pattern check and by a stacked eigendecomposition for the rest;
+* the pattern route takes a state whose entries outside `PATTERN_MASK` are
+  exactly zero and whose element slots spread by at most 1e-8 (two slots
+  of one element apart, or a slot's imaginary part): every closed-form and
+  brute-force oracle state.  `tavis_cummings` reads the elements back from
+  the slot table that `states_from_elements` writes with.  Such a state is
+  block diagonal, and so is each partial transpose the kernel solves, on
+  index blocks of at most 3 derived from `PATTERN_MASK` at import (Tavis &
+  Cummings, Phys. Rev. 170, 379 (1968): each field component conserves
+  photon number plus atomic excitation).  Its pure-state decomposition is
+  computed in closed form from the elements;
+* the generic route takes every other state, rounding noise outside the
+  pattern included: each transpose is one block of all 8 indices, from
+  tables built the same way on the whole support, and the decomposition is
+  a stacked eigendecomposition.
+
+On both routes each transpose is gathered into its blocks, with each map it
+projects gathered on the same index pairs, and:
+
 * the global negativities come from the negative eigenvalues of the global
   transpose of each qubit named in ``global_qubits`` (default all three),
   and their K-way split E_3/E_2/E_0 from ``Re tr(T P)``, T the K-way
@@ -44,23 +47,22 @@ of `_DIAGNOSTIC_BLOCK` rows:
   ket split by qubit p, so it needs no eigensolver;
 * the pairwise shares come from the two-way transposes of the
   decomposition states of positive weight only, and of those only the ones
-  that are not basis states.  For a block-structured state each such ket
-  lies in one of the state's two 3-index blocks, and the same squared
-  minors split its negativity: the share term of spec (p, q) is
-  ``-|m_q|^2 / r``, m_q the minors whose columns differ in qubit q alone
-  and ``r = N_G^p / 2``.  A check at import derives the blocks from
-  `PATTERN_MASK` and refuses any on which that split would not be exact,
-  so these kets need no eigensolver.  The kets of any other state are
-  solved as one 8-index block per qubit.
+  that are not basis states.  On the pattern route each such ket lies in
+  one of the state's two 3-index blocks, and the same squared minors split
+  its negativity: the share term of spec (p, q) is ``-|m_q|^2 / r``, m_q
+  the minors whose columns differ in qubit q alone and ``r = N_G^p / 2``.
+  A check at import derives the blocks from `PATTERN_MASK` and refuses any
+  on which that split would not be exact, so these kets need no
+  eigensolver.  On the generic route the kets are solved as one 8-index
+  block per qubit.
 
 All blocks of one size go to one symmetrised solver in one stacked call, and
 a 1x1 block needs no solve, so a sweep makes no 8x8 eigensolve; the
 command-line sweeps ask for qubit B's global transpose only, the one their
 CSV reports, so their only solves are its two 3x3 blocks per state.
-Every step keeps the dtype of its input.  The closed-form states are real
-symmetric, so a sweep runs real arithmetic and real symmetric LAPACK solves;
-a complex stack (a user's state, the generic fallback) takes the same lines
-with complex LAPACK.
+The closed-form states are real symmetric, so a sweep runs real arithmetic
+and real symmetric LAPACK solves; a complex stack (a user's state, the
+generic route) takes the same lines with complex LAPACK.
 """
 
 from __future__ import annotations
@@ -105,7 +107,11 @@ NEGATIVE_EIGENVALUE_CUTOFF = 1e-12
 _DIAGNOSTIC_BLOCK = 200
 
 _HERMITICITY_TOL = 1e-9
-_PATTERN_TOL = 1e-8
+
+# The pattern route reads each element as the mean real part of its slots;
+# a state whose slots spread further takes the generic route.  Brute-force
+# oracle states spread by up to 2.5e-16.
+_SLOT_SPREAD_TOL = 1e-8
 
 
 class QubitLabel(Enum):
@@ -153,8 +159,6 @@ def _selective_mask(spec: str) -> np.ndarray:
     return _XOR == ((1 << p.value) | (1 << q.value))
 
 
-
-
 def _minor_products(p: QubitLabel) -> tuple[np.ndarray, ...]:
     """Basis indices (a, b, c, d) of the six 2x2 minors ``phi_a phi_b - phi_c phi_d``.
 
@@ -182,19 +186,30 @@ W1_STATE = (_BASIS[0] + _BASIS[5] + _BASIS[6]) / math.sqrt(3.0)
 W1_STATE.setflags(write=False)
 
 
-def _require_hermitian(m: np.ndarray) -> None:
-    """Raise unless every matrix of ``m`` (n x n or a stack) is Hermitian to 1e-9 (NaN and inf fail).
+def _require_states(stack: np.ndarray) -> None:
+    """Raise a ValueError naming ``states`` unless a stack (N, 8, 8) is finite and Hermitian.
 
-    The message names the first bad matrix by its flat index in the stack.
-    An infinite entry leaves a NaN residual (``inf - inf``) without a warning.
+    A bool or non-numeric dtype is refused first, then the first non-finite
+    entry, then the first matrix that is not Hermitian to 1e-9; a matrix is
+    named by its index in the stack.  Integer stacks are accepted.  A
+    non-finite entry leaves a non-finite residual (``inf - inf`` without a
+    warning), so the stack is scanned once.
     """
+    if stack.dtype.kind not in "iufc":
+        raise ValueError(f"states must hold real or complex numbers, got dtype {stack.dtype}")
     with np.errstate(invalid="ignore"):
-        residual = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    bad = np.flatnonzero(~(residual <= _HERMITICITY_TOL))
+        residual = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    bad = np.flatnonzero(~np.isfinite(residual))
     if bad.size:
-        where = f" (matrix {bad[0]} of the stack)" if m.ndim > 2 else ""
+        k = bad[0]
+        i, j = np.argwhere(~np.isfinite(stack[k]))[0]
+        entry = f"entry [{i},{j}] = {stack[k, i, j]} in matrix {k} of the stack"
+        raise ValueError(f"states must be finite, got {entry}")
+    bad = np.flatnonzero(residual > _HERMITICITY_TOL)
+    if bad.size:
         raise ValueError(
-            f"input matrix is not Hermitian{where}: residual {residual.flat[bad[0]]:.3g}"
+            f"states holds a matrix that is not Hermitian (matrix {bad[0]} of the stack): "
+            f"residual {residual[bad[0]]:.3g}"
         )
 
 
@@ -222,16 +237,16 @@ def _negative_pairs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(keep, vals, 0.0), vecs * keep[..., None, :]
 
 
-def _pattern_check(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Whether each state of an (N, 8, 8) stack passes the pattern check, and its eight elements.
+def _pattern_route(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which states of an (N, 8, 8) stack take the pattern route, and their eight elements.
 
-    A state passes when no entry outside `PATTERN_MASK` and no spread of its
-    slots (`_elements_of_states`) exceeds `_PATTERN_TOL`.  The elements
-    r11, r22, r33, r44, r55, r66, r15, r26 are meaningful where it passes.
+    A state takes it when every entry outside `PATTERN_MASK` is exactly zero
+    and the slots of no element spread (`_elements_of_states`) by more than
+    `_SLOT_SPREAD_TOL`.  The elements r11, r22, r33, r44, r55, r66, r15,
+    r26 are meaningful where it does.
     """
     elements, spread = _elements_of_states(m)
-    outside = ((np.abs(m) > _PATTERN_TOL) & ~PATTERN_MASK).any(axis=(-2, -1))
-    return ~outside & (spread <= _PATTERN_TOL), elements
+    return ~m[:, ~PATTERN_MASK].any(axis=-1) & (spread <= _SLOT_SPREAD_TOL), elements
 
 
 def _two_level_pairs(d_first: np.ndarray, d_second: np.ndarray, off: np.ndarray):
@@ -260,30 +275,24 @@ def _two_level_pairs(d_first: np.ndarray, d_second: np.ndarray, off: np.ndarray)
 
 
 def _generic_decomposition(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fallback for an (N, 8, 8) stack checked Hermitian: eigenpairs, negative weights clipped."""
+    """Pure-state decomposition of generic-route states (N, 8, 8): eigenpairs, weights clipped."""
     vals, vecs = _symmetrised_eigh(m)
     return np.clip(vals, 0.0, None), vecs
 
 
-def _decompose_stack(
-    m: np.ndarray, pattern_ok: np.ndarray, elements: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pure-state decomposition of each state of an (N, 8, 8) stack.
+def _analytic_decomposition(elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pure-state decomposition of each pattern-route state, from its elements (N, 8).
 
-    A state that passes the pattern check is block diagonal in the basis
-    {|000>, sym|1>}, {sym|0>, |111>}, |110>, |001> plus the two antisymmetric
-    null directions, so six analytic eigenpairs (plus two zero-weight
-    completions) suffice.  Returns the probabilities (N, 8) and the unit
-    vectors as columns (N, 8, 8).  States that fail the pattern check go
-    through `_generic_decomposition`, all of them in one call.  Every output
-    reads the kets only through their projectors, so no phase or order is
-    fixed.
+    Such a state is block diagonal in the basis {|000>, sym|1>},
+    {sym|0>, |111>}, |110>, |001> plus the two antisymmetric null
+    directions, so six analytic eigenpairs (plus two zero-weight
+    completions) suffice.  Returns the probabilities (N, 8) and the real
+    unit vectors as columns (N, 8, 8).  Every output reads the kets only
+    through their projectors, so no phase or order is fixed.
     """
-    probs = np.zeros(m.shape[:2])
-    vectors = np.zeros(m.shape, dtype=np.result_type(m, float))
-    r11, r22, r33, r44, r55, r66, r15, r26 = elements[pattern_ok].T
+    r11, r22, r33, r44, r55, r66, r15, r26 = elements.T
     lams = []
-    kets = np.zeros((len(r11), 8, 8))
+    kets = np.zeros((len(elements), 8, 8))
     for col, (lam, x, y) in enumerate(_two_level_pairs(r11, r55, r15)):
         lams.append(lam)
         kets[:, 0, col] = x
@@ -296,11 +305,7 @@ def _decompose_stack(
     kets[:, 1, 6] = kets[:, 5, 7] = _INV_SQRT2
     kets[:, 2, 6] = kets[:, 6, 7] = -_INV_SQRT2
     zero = np.zeros_like(r33)
-    probs[pattern_ok] = np.maximum(np.stack([*lams, r33, r44, zero, zero], axis=-1), 0.0)
-    vectors[pattern_ok] = kets
-    if not pattern_ok.all():
-        probs[~pattern_ok], vectors[~pattern_ok] = _generic_decomposition(m[~pattern_ok])
-    return probs, vectors
+    return np.maximum(np.stack([*lams, r33, r44, zero, zero], axis=-1), 0.0), kets
 
 
 def _squared_minors(kets: np.ndarray, p: QubitLabel) -> np.ndarray:
@@ -369,9 +374,8 @@ class NegativityBatch(NamedTuple):
 
     ``n_g``, ``e_3``, ``e_2`` and ``e_0`` hold the qubits selected by the
     ``global_qubits`` of `negativity_batch` (all three by default); every
-    other field is complete.  ``pattern_ok`` marks the states that pass the
-    pattern check; the others were decomposed by the generic
-    eigendecomposition fallback.
+    other field is complete.  ``pattern_ok`` marks the states that took the
+    pattern route; the others took the generic route (module docstring).
     (A named tuple rather than a frozen dataclass: the dataclass
     costs about 1.5 ms of import time, which every command-line call pays.)
     """
@@ -398,12 +402,6 @@ class NegativityBatch(NamedTuple):
         return NegativityReport(
             **{f.name: pick(getattr(self, f.name)) for f in fields(NegativityReport)}
         )
-
-
-def _join(parts: tuple):
-    if isinstance(parts[0], dict):
-        return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
-    return np.concatenate(parts)
 
 
 def _projector(vecs: np.ndarray) -> np.ndarray:
@@ -484,8 +482,8 @@ def _block_gathers(support, maps_by_owner) -> dict[int, np.ndarray]:
     }
 
 
-# Any other state is one 8-index block: the tables of the whole support
-# gather each transpose and map in full.
+# A generic-route state is one 8-index block: the tables of the whole
+# support gather each transpose and map in full.
 _WHOLE = np.ones((8, 8), dtype=bool)
 
 # Per qubit: the global transpose, then the maps its negative eigenvectors
@@ -500,8 +498,8 @@ _STATE_GATHERS = _block_gathers(PATTERN_MASK, _STATE_MAPS)
 _WHOLE_STATE_GATHERS = _block_gathers(_WHOLE, _STATE_MAPS)
 
 # Per qubit that leads a selective spec: its two-way transpose, then the
-# selective transposes it projects, gathered whole for the kets of states
-# that are not in blocks.  `_SHARE_ORDER` is the order of the specs in the
+# selective transposes it projects, gathered whole for the kets of
+# generic-route states.  `_SHARE_ORDER` is the order of the specs in the
 # result.
 _SHARE_QUBITS = list(dict.fromkeys(first for first, _ in SELECTIVE_SPECS.values()))
 _SHARE_SPECS = [
@@ -551,17 +549,6 @@ def _check_minor_split(support: np.ndarray) -> None:
 _check_minor_split(PATTERN_MASK)
 
 
-def _in_blocks(m: np.ndarray, pattern_ok: np.ndarray) -> np.ndarray:
-    """States of an (N, 8, 8) stack evaluated from the index blocks of `PATTERN_MASK`.
-
-    Those that pass the pattern check and whose entries outside
-    `PATTERN_MASK` are exactly zero, as in every closed-form and brute-force
-    oracle state; the others, a state with rounding noise outside the
-    pattern among them, are one 8-index block.
-    """
-    return pattern_ok & ~m[:, ~PATTERN_MASK].any(axis=-1)
-
-
 def _projected_blocks(gathered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve map 0 of gathered blocks (..., owners, blocks, maps, n, n) and project the other maps.
 
@@ -575,27 +562,22 @@ def _projected_blocks(gathered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals.sum(axis=(-2, -1)), traces.sum(axis=-2)
 
 
-def _global_split(
-    m: np.ndarray, in_blocks: np.ndarray, owners: list[int]
-) -> tuple[np.ndarray, np.ndarray]:
+def _global_split(m: np.ndarray, tables: dict, owners: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """N_G (N, owner) and its split E_3, E_2, E_0 (N, owner, 3) of an (N, 8, 8) stack.
 
     ``owners`` are the values of the transposed qubits; with none, nothing
-    is solved.  The rows marked ``in_blocks`` are gathered into the index
-    blocks of `PATTERN_MASK`, the others into one 8-index block per qubit.
+    is solved.  ``tables`` are the gathers of the stack's route:
+    `_STATE_GATHERS` (the index blocks of `PATTERN_MASK`) or
+    `_WHOLE_STATE_GATHERS` (one 8-index block per qubit).
     """
-    n_g = np.empty((len(m), len(owners)))
-    split = np.empty((len(m), len(owners), 3))
-    for rows, tables in ((in_blocks, _STATE_GATHERS), (~in_blocks, _WHOLE_STATE_GATHERS)):
-        if not (owners and rows.any()):
-            continue
-        flat = m[rows].reshape(-1, 64)
-        sums = traces = 0.0
-        for positions in tables.values():
-            block_sums, block_traces = _projected_blocks(flat[:, positions[owners]])
-            sums, traces = sums + block_sums, traces + block_traces
-        n_g[rows], split[rows] = -2.0 * sums, -2.0 * traces
-    return n_g, split
+    if not owners:
+        return np.empty((len(m), 0)), np.empty((len(m), 0, 3))
+    flat = m.reshape(-1, 64)
+    sums = traces = 0.0
+    for positions in tables.values():
+        block_sums, block_traces = _projected_blocks(flat[:, positions[owners]])
+        sums, traces = sums + block_sums, traces + block_traces
+    return -2.0 * sums, -2.0 * traces
 
 
 def _share_terms(kets: np.ndarray) -> np.ndarray:
@@ -609,11 +591,11 @@ def _share_terms(kets: np.ndarray) -> np.ndarray:
     traces = 0.0
     for positions in _WHOLE_KET_GATHERS.values():
         traces = traces + _projected_blocks(pure[:, positions])[1]
-    return traces.reshape(len(kets), -1)
+    return traces.reshape(len(kets), len(_SHARE_ORDER))
 
 
 def _decomposition_negativities(
-    probs: np.ndarray, vectors: np.ndarray, in_blocks: np.ndarray
+    probs: np.ndarray, vectors: np.ndarray, by_minors: bool
 ) -> tuple[dict[QubitLabel, np.ndarray], dict[str, np.ndarray]]:
     """N_PSDG per qubit and its pairwise shares per selective spec, from one pass over the minors.
 
@@ -627,62 +609,36 @@ def _decomposition_negativities(
     Only the kets that can contribute are evaluated: those of positive
     weight with at least two nonzero components.  A basis-state ket such as
     |110> has a diagonal two-way transpose, so its shares are exactly 0.
-    A ket of a state marked ``in_blocks`` lies in one of the families that
-    `_check_minor_split` passed at import, so its term is ``-|m_q|^2 / r``,
-    m_q the minors of `_SHARE_MINORS` (0 unless ``r`` exceeds the cutoff),
-    with no eigensolve.  The kets of any other state go to `_share_terms`.
+    The stack takes one route.  On the pattern route (``by_minors``) every
+    ket lies in one of the families that `_check_minor_split` passed at
+    import, so its term is ``-|m_q|^2 / r``, m_q the minors of
+    `_SHARE_MINORS` (0 unless ``r`` exceeds the cutoff), with no
+    eigensolve; on the generic route the kets go to `_share_terms`.
     """
     rows, cols = np.nonzero((probs > 0.0) & (np.count_nonzero(vectors, axis=-2) >= 2))
-    by_minors = in_blocks[rows]
-    minor_rows, minor_cols = rows[by_minors], cols[by_minors]
-    terms = np.empty((len(rows), len(_SHARE_ORDER)))
+    if by_minors:
+        terms = np.empty((len(rows), len(_SHARE_ORDER)))
+    else:
+        terms = _share_terms(vectors[rows, :, cols])
     n_psdg = {}
     for p in QubitLabel:
         squared = _squared_minors(vectors, p)
         root = np.sqrt(squared.sum(axis=-2))
-        ket_squared = squared[minor_rows, :, minor_cols]
-        del squared  # one qubit's minors at a time bounds the peak
         live = root > NEGATIVE_EIGENVALUE_CUTOFF
         n_psdg[p] = (probs * np.where(live, 2.0 * root, 0.0)).sum(axis=-1)
-        if p not in _SHARE_QUBITS or not by_minors.any():
-            continue
-        r = root[minor_rows, minor_cols]
-        scale = np.divide(-1.0, r, out=np.zeros_like(r), where=live[minor_rows, minor_cols])
-        for column, spec in enumerate(_SHARE_ORDER):
-            if SELECTIVE_SPECS[spec][0] is p:
-                terms[by_minors, column] = ket_squared[:, _SHARE_MINORS[column]].sum(-1) * scale
-    if not by_minors.all():
-        terms[~by_minors] = _share_terms(vectors[rows[~by_minors], :, cols[~by_minors]])
+        if by_minors and p in _SHARE_QUBITS:
+            ket_squared, r = squared[rows, :, cols], root[rows, cols]
+            scale = np.divide(-1.0, r, out=np.zeros_like(r), where=live[rows, cols])
+            for column, spec in enumerate(_SHARE_ORDER):
+                if SELECTIVE_SPECS[spec][0] is p:
+                    terms[:, column] = ket_squared[:, _SHARE_MINORS[column]].sum(-1) * scale
+        del squared  # one qubit's minors at a time bounds the peak
     shares = {}
     for column, spec in enumerate(_SHARE_ORDER):
         share = np.zeros(probs.shape)
         share[rows, cols] = terms[:, column]
         shares[spec] = -2.0 * (probs * share).sum(axis=-1)
     return n_psdg, {spec: shares[spec] for spec in SELECTIVE_SPECS}
-
-
-def _negativity_block(m: np.ndarray, qubits: list[QubitLabel]) -> NegativityBatch:
-    """`negativity_batch` for one block of at most `_DIAGNOSTIC_BLOCK` states, checked Hermitian.
-
-    ``qubits`` are those whose global transposes are solved, in `QubitLabel` order.
-    """
-    pattern_ok, elements = _pattern_check(m)
-    in_blocks = _in_blocks(m, pattern_ok)
-    n_g, split = _global_split(m, in_blocks, [p.value for p in qubits])
-    probs, vectors = _decompose_stack(m, pattern_ok, elements)
-    n_psdg, e_psd = _decomposition_negativities(probs, vectors, in_blocks)
-    return NegativityBatch(
-        n_g={p: n_g[:, i] for i, p in enumerate(qubits)},
-        e_3={p: split[:, i, 0] for i, p in enumerate(qubits)},
-        e_2={p: split[:, i, 1] for i, p in enumerate(qubits)},
-        e_0={p: split[:, i, 2] for i, p in enumerate(qubits)},
-        n_psdg=n_psdg,
-        e_psd=e_psd,
-        linear_entropy_b=_linear_entropy_b(m),
-        w1_fidelity=_expectation(W1_STATE, m),
-        bell_projection=_bell_projection(m),
-        pattern_ok=pattern_ok,
-    )
 
 
 def _global_selection(global_qubits) -> list[QubitLabel]:
@@ -703,8 +659,11 @@ def negativity_batch(states, *, global_qubits=tuple(QubitLabel)) -> NegativityBa
 
     ``states`` is an (N, 8, 8) array or a sequence of 8x8 states.  The stack
     is processed in blocks of `_DIAGNOSTIC_BLOCK`, so the temporaries do not
-    grow with N, and every state's values are independent of its block-mates.
-    Raises ValueError if any state is not Hermitian to 1e-9 (or not finite).
+    grow with N.  Each state's route is decided once in its block, and each
+    route's values are written into the arrays this call returns, so every
+    state's values are independent of its block-mates.  Raises a ValueError
+    naming ``states`` for a bool or non-numeric stack, a non-finite entry
+    or a state that is not Hermitian to 1e-9.
 
     ``global_qubits`` selects the qubits whose global transposes are solved
     (default all three): ``n_g``, ``e_3``, ``e_2`` and ``e_0`` hold those
@@ -719,14 +678,46 @@ def negativity_batch(states, *, global_qubits=tuple(QubitLabel)) -> NegativityBa
         stack = np.array([getattr(rho, "matrix", rho) for rho in states])
     if stack.ndim != 3 or stack.shape[1:] != (8, 8):
         raise ValueError(f"expected an (N, 8, 8) stack of states, got shape {stack.shape}")
-    _require_hermitian(stack)
-    blocks = [
-        _negativity_block(stack[start : start + _DIAGNOSTIC_BLOCK], qubits)
-        for start in range(0, max(len(stack), 1), _DIAGNOSTIC_BLOCK)
-    ]
-    if len(blocks) == 1:
-        return blocks[0]
-    return NegativityBatch(*(_join(parts) for parts in zip(*blocks)))
+    _require_states(stack)
+    owners, count = [p.value for p in qubits], len(stack)
+    n_g, split = np.empty((count, len(owners))), np.empty((count, len(owners), 3))
+    n_psdg = {p: np.empty(count) for p in QubitLabel}
+    e_psd = {spec: np.empty(count) for spec in SELECTIVE_SPECS}
+    pattern_ok = np.empty(count, dtype=bool)
+    linear_entropy_b, w1_fidelity, bell_projection = np.empty((3, count))
+    for start in range(0, count, _DIAGNOSTIC_BLOCK):
+        block = stack[start : start + _DIAGNOSTIC_BLOCK]
+        at = slice(start, start + len(block))
+        pattern_ok[at], elements = _pattern_route(block)
+        linear_entropy_b[at] = _linear_entropy_b(block)
+        w1_fidelity[at] = _expectation(W1_STATE, block)
+        bell_projection[at] = _bell_projection(block)
+        for on_pattern in (True, False):
+            rows = np.flatnonzero(pattern_ok[at] == on_pattern)
+            if not rows.size:
+                continue
+            m = block[rows]
+            if on_pattern:
+                decomposition, tables = _analytic_decomposition(elements[rows]), _STATE_GATHERS
+            else:
+                decomposition, tables = _generic_decomposition(m), _WHOLE_STATE_GATHERS
+            n_g[start + rows], split[start + rows] = _global_split(m, tables, owners)
+            route = _decomposition_negativities(*decomposition, by_minors=on_pattern)
+            for out, values in zip((n_psdg, e_psd), route):
+                for key, array in out.items():
+                    array[start + rows] = values[key]
+    return NegativityBatch(
+        n_g={p: n_g[:, i] for i, p in enumerate(qubits)},
+        e_3={p: split[:, i, 0] for i, p in enumerate(qubits)},
+        e_2={p: split[:, i, 1] for i, p in enumerate(qubits)},
+        e_0={p: split[:, i, 2] for i, p in enumerate(qubits)},
+        n_psdg=n_psdg,
+        e_psd=e_psd,
+        linear_entropy_b=linear_entropy_b,
+        w1_fidelity=w1_fidelity,
+        bell_projection=bell_projection,
+        pattern_ok=pattern_ok,
+    )
 
 
 def negativity_report(rho) -> NegativityReport:

@@ -23,7 +23,7 @@ One table says which entries of the 8x8 state hold which element, and this
 module is the only one that reads it, in both directions:
 `states_from_elements` writes the elements into their slots, and
 `_elements_of_states` reads them back, with the spread of each element's
-slots, for the diagnostics' pattern check.  `PATTERN_MASK` marks the slots.
+slots, for the diagnostics' route decision.  `PATTERN_MASK` marks the slots.
 """
 
 from __future__ import annotations

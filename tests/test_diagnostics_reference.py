@@ -11,9 +11,10 @@ uses the kernel's index maps, index blocks or analytic decomposition, so a
 wrong map or block moves the kernel's values and not the reference's.
 
 Closed-form and brute-force oracle states (both exactly zero outside the
-zero pattern) go through the kernel's index blocks; oracle states with
-seeded noise outside the pattern, and random states, through its fallback,
-one 8-index block per transpose.  Every diagnostic must agree
+zero pattern) take the kernel's pattern route, its index blocks and
+analytic decomposition; oracle states with seeded noise outside the
+pattern, and random states, take its generic route, one 8-index block per
+transpose and the eigensolver decomposition.  Every diagnostic must agree
 to 1e-12.
 """
 
@@ -167,9 +168,8 @@ def oracle_states(noise_seed=None, scale=1e-13):
     """The 36 oracle-check states at n_max 40, optionally with seeded noise off the pattern.
 
     The noise is real symmetric, of about ``scale``, and only outside
-    `PATTERN_MASK`: far below the pattern tolerance, so the states pass
-    the pattern check, yet not exactly zero, so the kernel takes its 8-index
-    fallback for them.
+    `PATTERN_MASK`: not exactly zero, so the kernel takes its generic route
+    for them.
     """
     grid = full_evolution_grid(ORACLE_CHECK_TAUS, ORACLE_CHECK_SQUEEZES, ORACLE_CHECK_THETAS, 40)
     states = grid.reshape(-1, 8, 8)
@@ -180,8 +180,7 @@ def oracle_states(noise_seed=None, scale=1e-13):
 
 
 def block_rows(states):
-    pattern_ok, _ = ent._pattern_check(states)
-    return ent._in_blocks(states, pattern_ok)
+    return ent._pattern_route(states)[0]
 
 
 # ------------------------------------------------------------------- tests
@@ -213,20 +212,20 @@ def test_closed_form_states_match_textbook(theta):
 def test_oracle_states_match_textbook():
     states = oracle_states()
     assert len(states) == 36
-    # exact zeros outside the zero pattern: the index blocks, as for the closed forms
+    # exact zeros outside the zero pattern: the pattern route, as for the closed forms
     assert block_rows(states).all()
     assert assert_matches_textbook(states) <= TOL
 
 
 def test_noisy_oracle_states_match_textbook():
-    # a state that passes the pattern check is decomposed from its pattern
-    # entries alone, so the kernel differs from the textbook by about a
-    # hundred times the off-pattern noise; noise of rounding size keeps that
-    # inside the bound
-    states = oracle_states(noise_seed=7, scale=1e-16)
-    assert not block_rows(states).any()
-    assert ent._pattern_check(states)[0].all()
-    assert assert_matches_textbook(states) <= TOL
+    # any entry off the pattern sends a state down the generic route, which
+    # decomposes the whole state: a state decomposed from its pattern
+    # entries alone would be off the textbook by about a hundred times the
+    # noise (2e-7 at 1e-9)
+    for scale in (1e-13, 1e-9):
+        states = oracle_states(noise_seed=7, scale=scale)
+        assert not block_rows(states).any()
+        assert assert_matches_textbook(states) <= TOL
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -256,13 +255,24 @@ def test_non_psd_pattern_state_keeps_its_single_index_blocks():
     assert assert_matches_textbook(state[None]) <= TOL
 
 
+def generic_route_only(monkeypatch):
+    """Send every state down the generic route, through the kernel's route decision."""
+    pattern_route = ent._pattern_route
+
+    def generic(m):
+        pattern_ok, elements = pattern_route(m)
+        return np.zeros_like(pattern_ok), elements
+
+    monkeypatch.setattr(ent, "_pattern_route", generic)
+
+
 @pytest.mark.parametrize("theta", [math.pi, math.pi / 2.0, math.pi / 3.0, 1.1])
 def test_block_path_matches_full_fallback(theta, monkeypatch):
     states = closed_form_states(theta)
     blocks = negativity_batch(states)
-    monkeypatch.setattr(ent, "_in_blocks", lambda m, pattern_ok: np.zeros(len(m), dtype=bool))
+    generic_route_only(monkeypatch)
     full = negativity_batch(states)
-    assert np.array_equal(blocks.pattern_ok, full.pattern_ok)
+    assert blocks.pattern_ok.all() and not full.pattern_ok.any()
     for name in ("n_g", "e_3", "e_2", "e_0", "n_psdg", "e_psd"):
         for key, values in getattr(blocks, name).items():
             assert np.abs(values - getattr(full, name)[key]).max() <= 1e-14, (name, key)

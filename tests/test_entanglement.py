@@ -3,7 +3,7 @@
 Every diagnostic is read from `negativity_batch` (or `negativity_report`, its
 grid of one).  The transposes are the kernel's own index maps
 (`_transpose_positions` on its K-way and selective masks), the pure-state
-decomposition is `_decompose_stack`, the stage the kernel runs.
+decomposition is the one of each state's route, as the kernel runs it.
 """
 
 import math
@@ -79,10 +79,18 @@ def kernel_maps(m):
 
 
 def decomposition(states):
-    """The kernel's pure-state decomposition: probabilities (N, 8), unit kets as columns (N, 8, 8)."""
+    """The kernel's pure-state decomposition: probabilities (N, 8), unit kets as columns (N, 8, 8).
+
+    Each state is decomposed by its route: analytically on the pattern
+    route, by the eigensolver on the generic route.
+    """
     states = np.asarray(states)
-    pattern_ok, elements = ent._pattern_check(states)
-    return ent._decompose_stack(states, pattern_ok, elements)
+    pattern_ok, elements = ent._pattern_route(states)
+    probs = np.zeros(states.shape[:2])
+    vectors = np.zeros(states.shape, dtype=np.result_type(states, float))
+    probs[pattern_ok], vectors[pattern_ok] = ent._analytic_decomposition(elements[pattern_ok])
+    probs[~pattern_ok], vectors[~pattern_ok] = ent._generic_decomposition(states[~pattern_ok])
+    return probs, vectors
 
 
 def reconstructed(probs, vectors):

@@ -30,6 +30,7 @@ from cavity3q import (
     states_from_elements,
 )
 from test_diagnostics_reference import oracle_states
+from test_entanglement import decomposition
 
 TOL = 1e-14
 CUTOFF = ent.NEGATIVE_EIGENVALUE_CUTOFF
@@ -37,8 +38,7 @@ CUTOFF = ent.NEGATIVE_EIGENVALUE_CUTOFF
 
 def contributing_kets(states):
     """Positions (state, column) and kets of the decomposition: positive weight, not basis states."""
-    pattern_ok, elements = ent._pattern_check(states)
-    probs, vectors = ent._decompose_stack(states, pattern_ok, elements)
+    probs, vectors = decomposition(states)
     rows, cols = np.nonzero((probs > 0.0) & (np.count_nonzero(vectors, axis=-2) >= 2))
     return probs, rows, cols, vectors[rows, :, cols]
 
@@ -56,7 +56,7 @@ def reference_pairwise_shares(states):
 
 
 def assert_shares_match_reference(states):
-    assert ent._in_blocks(states, ent._pattern_check(states)[0]).all()
+    assert ent._pattern_route(states)[0].all()
     batch = negativity_batch(states)
     reference = reference_pairwise_shares(states)
     for spec in SELECTIVE_SPECS:
@@ -179,7 +179,7 @@ def off_pattern_states():
 def test_off_pattern_shares_keep_the_eigensolver_route(off_pattern_states, stack, monkeypatch):
     # every ket of a state off the pattern is one 8-index block, solved as before
     states = off_pattern_states[stack]
-    assert not ent._in_blocks(states, ent._pattern_check(states)[0]).any()
+    assert not ent._pattern_route(states)[0].any()
     reference = reference_pairwise_shares(states)
     monkeypatch.setattr(ent, "_SHARE_MINORS", None)
     batch = negativity_batch(states)
