@@ -131,8 +131,12 @@ class SweepConfig:
             raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
 
 
+# Every number the CSVs and oracle-check reports print: 12 significant digits.
+_CELL = "%.12g"
+
+
 def _fmt(value: float) -> str:
-    return f"{value + 0.0:.12g}"  # + 0.0 turns IEEE negative zero into plain 0
+    return _CELL % (value + 0.0)  # + 0.0 turns IEEE negative zero into plain 0
 
 
 def _grid(start: float, end: float, steps: int) -> list[float]:
@@ -151,9 +155,8 @@ def _warn_truncation(deficits: np.ndarray, squeezes: list[float], n_max: int) ->
         )
 
 
-# One CSV row: `_fmt` for every cell (printf-style "%.12g" renders a float
-# exactly as "{:.12g}" does, and faster).
-_ROW_FORMAT = ",".join(["%.12g"] * len(COLUMNS))
+# One CSV row: `_CELL` for every column.
+_ROW_FORMAT = ",".join([_CELL] * len(COLUMNS))
 
 
 def _csv_text(cfg: SweepConfig, header_extra: list[str], rows: np.ndarray) -> str:
@@ -259,14 +262,14 @@ def run_oracle_check(cfg: SweepConfig) -> tuple[str, int]:
                     i, j = report.worst_entry
                     failures.append(
                         f"# DISCREPANCY tau={_fmt(tau)} s={_fmt(s)} theta={_fmt(theta)} "
-                        f"entry=[{i},{j}] closed={closed[i, j]:.12g} "
-                        f"reference={reference[i, j]:.12g}"
+                        f"entry=[{i},{j}] closed={_CELL % closed[i, j]} "
+                        f"reference={_CELL % reference[i, j]}"
                     )
                 for i, j, _, _ in report.pattern_violations:
                     failures.append(
                         f"# PATTERN tau={_fmt(tau)} s={_fmt(s)} theta={_fmt(theta)} "
-                        f"entry=[{i},{j}] closed={closed[i, j]:.12g} "
-                        f"reference={reference[i, j]:.12g}"
+                        f"entry=[{i},{j}] closed={_CELL % closed[i, j]} "
+                        f"reference={_CELL % reference[i, j]}"
                     )
     lines.extend(failures)
     status = 0 if not failures else 1

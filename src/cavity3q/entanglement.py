@@ -11,7 +11,8 @@ entropy of B, W-state fidelity, Bell-sector weight).  `negativity_report` is
 the kernel on a grid of one state and accepts every state the kernel does.
 Each quantity has one implementation: the paper's gated two-block closed
 form of qubit B's global negativity is not a second path but lies inside
-the kernel's two 3x3 blocks of B's transpose, and is a test reference only.
+the kernel's two 3x3 blocks of B's transpose; the tests keep it beside the
+textbook eigensolve as an independent reference for ``n_g[B]``.
 
 The kernel refuses, by the name ``states``, a stack that does not hold
 finite numbers or a state that is not Hermitian to 1e-9 (named by its index
@@ -19,7 +20,7 @@ in the caller's stack).  It evaluates the stack in fixed blocks of
 `_DIAGNOSTIC_BLOCK` rows and decides each state's route once:
 
 * the pattern route takes a state whose entries outside `PATTERN_MASK` are
-  exactly zero and whose element slots spread by at most 1e-8 (two slots
+  exactly zero and whose element slots spread by at most 3e-15 (two slots
   of one element apart, or a slot's imaginary part): every closed-form and
   brute-force oracle state.  `tavis_cummings` reads the elements back from
   the slot table that `states_from_elements` writes with.  Such a state is
@@ -109,9 +110,14 @@ _DIAGNOSTIC_BLOCK = 200
 _HERMITICITY_TOL = 1e-9
 
 # The pattern route reads each element as the mean real part of its slots;
-# a state whose slots spread further takes the generic route.  Brute-force
-# oracle states spread by up to 2.5e-16.
-_SLOT_SPREAD_TOL = 1e-8
+# a state whose slots spread further takes the generic route.  The mean is
+# off the textbook evaluation by up to about 2.5 times the spread: with
+# every slot of 148 closed-form and oracle states moved at random within
+# the spread, 7.4e-15 at 3e-15, 9.9e-15 at 4e-15 and 1.2e-14 at 5e-15.  So
+# a state at this bound stays within 1e-14 of it.  Closed-form states
+# spread by exactly 0, brute-force oracle states by up to 3.2e-16 at n_max
+# 80 and 6.2e-16 at n_max 240 with s up to 2.
+_SLOT_SPREAD_TOL = 3e-15
 
 
 class QubitLabel(Enum):
@@ -193,12 +199,18 @@ def _require_states(stack: np.ndarray) -> None:
     entry, then the first matrix that is not Hermitian to 1e-9; a matrix is
     named by its index in the stack.  Integer stacks are accepted.  A
     non-finite entry leaves a non-finite residual (``inf - inf`` without a
-    warning), so the stack is scanned once.
+    warning), so the stack is scanned once.  The residual of each matrix is
+    filled in blocks of `_DIAGNOSTIC_BLOCK`, so no temporary is the size of
+    the stack.
     """
     if stack.dtype.kind not in "iufc":
         raise ValueError(f"states must hold real or complex numbers, got dtype {stack.dtype}")
+    residual = np.empty(len(stack))
     with np.errstate(invalid="ignore"):
-        residual = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        for start in range(0, len(stack), _DIAGNOSTIC_BLOCK):
+            block = stack[start : start + _DIAGNOSTIC_BLOCK]
+            difference = np.abs(block - block.conj().swapaxes(-1, -2))
+            residual[start : start + len(block)] = difference.max(axis=(-2, -1))
     bad = np.flatnonzero(~np.isfinite(residual))
     if bad.size:
         k = bad[0]

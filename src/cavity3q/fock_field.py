@@ -186,7 +186,10 @@ def binomial_amplitude_row(n: int, theta: float) -> np.ndarray:
     """Beam-splitter amplitudes of keeping ``k`` of ``n`` photons in the reflected port.
 
     Entry ``k = 0..n`` is ``sqrt(n!/(k!(n-k)!)) cos^k(theta/2) sin^(n-k)(theta/2)``,
-    evaluated in log space so it stays finite and accurate up to n ~ 160.
+    evaluated in log space so it stays finite.  Its relative error grows
+    with n: against exact binomials (``math.comb`` in 60-digit decimals),
+    on entries above 1e-200 at theta = pi/2, 1.1 and 2.5, it is at most
+    8.6e-14 at n = 160, 9.6e-13 at n = 1,000 and 3.5e-12 at n = 3,000.
     The last row of `binomial_amplitude_table`.
     """
     require_photon_number("photon number n", n)

@@ -4,28 +4,30 @@ from collections import Counter
 import numpy as np
 import pytest
 
-import cavity3q.entanglement as ent
-
 
 @pytest.fixture
-def global_solves(monkeypatch):
-    """Counter of the matrices, by size, that `eigh` solves inside the global-negativity stage."""
-    solved = Counter()
-    inside = []
-    eigh, global_split = np.linalg.eigh, ent._global_split
+def eigh_solves(monkeypatch):
+    """``eigh_solves(call, *args, **kwargs)`` runs a call and counts its `np.linalg.eigh` solves.
 
-    def counting_eigh(a, *args, **kwargs):
-        if inside:
-            solved[a.shape[-1]] += math.prod(a.shape[:-2])
+    It returns a Counter of the matrices solved, by size: a stacked call on
+    (k, n, n) counts k matrices of size n.  The shape and dtype of each
+    call's argument are kept, in order, in ``eigh_solves.calls``.
+    """
+    eigh = np.linalg.eigh
+    calls = []
+
+    def recording(a, *args, **kwargs):
+        calls.append((a.shape, a.dtype))
         return eigh(a, *args, **kwargs)
 
-    def tracked_split(*args, **kwargs):
-        inside.append(True)
-        try:
-            return global_split(*args, **kwargs)
-        finally:
-            inside.pop()
+    def solves(call, *args, **kwargs):
+        calls.clear()
+        call(*args, **kwargs)
+        solved = Counter()
+        for shape, _ in calls:
+            solved[shape[-1]] += math.prod(shape[:-2])
+        return +solved  # no entry of count 0
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    monkeypatch.setattr(ent, "_global_split", tracked_split)
-    return solved
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    solves.calls = calls
+    return solves

@@ -32,8 +32,8 @@ from cavity3q.cli import (
     run_oracle_check,
     run_sweep,
 )
-from test_diagnostics_batch import ref_analytic_negativity_b, ref_pattern_elements
-from test_diagnostics_reference import full_transpose
+from test_diagnostics_batch import ref_pattern_elements
+from test_diagnostics_reference import full_transpose, two_block_negativity_b
 from test_entanglement import decomposition, kway, selective, transposed
 
 A1, A2, B = QubitLabel.A1, QubitLabel.A2, QubitLabel.B
@@ -153,7 +153,7 @@ def test_criterion_6_identity_suite(production_data):
     states, reports = production_data
     sample = states[::10]
 
-    # exact matrix identities on the physical states, under the kernel's maps
+    # exact matrix identities on the physical states, under the textbook maps
     for rho in sample:
         m = rho.matrix
         for p in QubitLabel:
@@ -230,13 +230,12 @@ def test_criterion_8_analytic_negativity_gate(production_data):
         kernel.extend(negativity_batch(stack, global_qubits=(B,)).n_g[B].tolist())
     worst_analytic = worst_textbook = 0.0
     for m, n_g_b in zip(matrices, kernel):
-        elements = ref_pattern_elements(m)
-        assert elements is not None
+        assert ref_pattern_elements(m) is not None
         eigenvalues = np.linalg.eigvalsh(full_transpose(m, B))
         textbook = -2.0 * eigenvalues[eigenvalues < -NEGATIVE_EIGENVALUE_CUTOFF].sum()
-        worst_analytic = max(worst_analytic, abs(ref_analytic_negativity_b(elements) - n_g_b))
+        worst_analytic = max(worst_analytic, abs(two_block_negativity_b(m) - n_g_b))
         worst_textbook = max(worst_textbook, abs(textbook - n_g_b))
-    assert worst_analytic < 1e-10 and worst_textbook < 1e-10
+    assert worst_analytic < 1e-14 and worst_textbook < 1e-14
     _passed(
         f"8 kernel N_G_B on {len(matrices)} states equals the gated two-block closed form "
         f"(max |diff| = {worst_analytic:.2e}) and the textbook eigensolve ({worst_textbook:.2e})"

@@ -331,18 +331,17 @@ def test_cli_sweep_bounds_are_usage_errors(args, message, capsys):
     assert captured.err == f"error: {message}\n"
 
 
-def test_cli_kernel_solves_only_b_global_blocks(global_solves, capsys):
+def test_cli_kernel_solves_only_b_global_blocks(eigh_solves, capsys):
     # per state, the two 3x3 index blocks of B's global transpose and nothing else
     args = ["--n-max", "12", "--s", "0.8", "--theta", "2.0"]
-    assert main([*args, "--mode", "tau-sweep", "--tau-steps", "7", "--tau-end", "3"]) == 0
-    assert global_solves == {3: 2 * 7}
-    global_solves.clear()
-    assert main([*args, "--mode", "s-sweep", "--s-steps", "5", "--tau", "2.5"]) == 0
-    assert global_solves == {3: 2 * 5}
-    global_solves.clear()
-    assert main([*args, "--mode", "single-point", "--tau", "0.8"]) == 0
-    assert global_solves == {3: 2}
-    capsys.readouterr()
+    rows = {
+        7: ["--mode", "tau-sweep", "--tau-steps", "7", "--tau-end", "3"],
+        5: ["--mode", "s-sweep", "--s-steps", "5", "--tau", "2.5"],
+        1: ["--mode", "single-point", "--tau", "0.8"],
+    }
+    for count, mode in rows.items():
+        assert eigh_solves(main, [*args, *mode]) == {3: 2 * count}
+        assert len(parse_csv(capsys.readouterr().out)[1]) == count
 
 
 def test_main_writes_file_and_returns_zero(tmp_path):

@@ -1,11 +1,11 @@
-"""The factorised grid evaluator against a compensated-summation reference.
+"""The factorised grid evaluator against the brute-force oracle, plus its guards.
 
-`reference_elements` is the per-point evaluation the grid evaluator replaced:
-field-weight tables accumulated with Neumaier updates in ascending photon
-number, then every matrix element summed with ``math.fsum``.  Its result is
-correctly rounded up to the table accumulation, so the grid path may differ
-from it only by the rounding of its own dot products; REFERENCE_TOL bounds
-that (measured worst case 3.3e-16).
+The oracle (`full_evolution_grid`) shares no code with the closed forms:
+it builds the injected field from the beam-splitter generator, evolves
+every field component explicitly and traces the cavities out numerically.
+The grid must agree with it to REFERENCE_TOL on every element, at every
+truncation from the empty band (n_max 0) to the production one (measured
+worst case 2.3e-15).
 """
 
 import math
@@ -16,13 +16,12 @@ import pytest
 import cavity3q.tavis_cummings as tavis_cummings
 from cavity3q import (
     FieldConfig,
-    binomial_amplitude_row,
     closed_form_grid,
     closed_form_rho,
+    full_evolution_grid,
     states_from_elements,
 )
 from cavity3q.cli import main
-from test_fock_field import squeezed_weight
 
 REFERENCE_TOL = 1e-14
 ROW_TOL = 1e-15
@@ -32,69 +31,14 @@ N_MAXES = (0, 1, 2, 25, 80)
 TAUS = (0.0, 0.3, 0.8, 2.0, 14.5)
 
 
-def _compensated_add(total, carry, delta):
-    fresh = total + delta
-    big = np.abs(total) >= np.abs(delta)
-    carry += np.where(big, (total - fresh) + delta, (delta - fresh) + total)
-    total[...] = fresh
-
-
-def reference_tables(config):
-    size = config.n_max + 1
-    w0, c0 = np.zeros((size, size)), np.zeros((size, size))
-    w1, c1 = np.zeros((size, size)), np.zeros((size, size))
-    for n in range(size):
-        amps = binomial_amplitude_row(n, config.theta)
-        norm0 = squeezed_weight(n, config.s) ** 2
-        rev_sq = (amps * amps)[::-1]
-        _compensated_add(w0[: n + 1, : n + 1], c0[: n + 1, : n + 1], norm0 * np.outer(rev_sq, rev_sq))
-        if n + 1 < size:
-            norm1 = squeezed_weight(n, config.s) * squeezed_weight(n + 1, config.s)
-            rev_pair = (amps * binomial_amplitude_row(n + 1, config.theta)[: n + 1])[::-1]
-            _compensated_add(w1[: n + 1, : n + 1], c1[: n + 1, : n + 1], norm1 * np.outer(rev_pair, rev_pair))
-    return w0 + c0, w1 + c1
-
-
-def reference_elements(tau, config):
-    """(r11, r22, r33, r44, r55, r66, r15, r26) by exact summation over the tables."""
-    w0, w1 = reference_tables(config)
-    size = config.n_max + 1
-    q = np.arange(size + 1, dtype=float)
-    stay, one_up, two_up = np.ones(size + 1), np.zeros(size + 1), np.zeros(size + 1)
-    qq = q[1:]
-    f = np.sqrt(2.0 * (2.0 * qq - 1.0))
-    cos_f, sin_f = np.cos(f * tau), np.sin(f * tau)
-    denom = 2.0 * qq - 1.0
-    stay[1:] = ((qq - 1.0) + qq * cos_f) / denom
-    one_up[1:] = np.sqrt(qq) * sin_f / np.sqrt(denom)
-    two_up[1:] = np.sqrt(qq * (qq - 1.0)) * (cos_f - 1.0) / denom
-    cos_b, sin_b = np.cos(np.sqrt(q) * tau), np.sin(np.sqrt(q) * tau)
-    stay0, one0, two0 = stay[:size], one_up[:size], two_up[:size]
-    cos0, sin0 = cos_b[:size], sin_b[:size]
-
-    def fsum(values):
-        return math.fsum(values.ravel().tolist())
-
-    return np.array(
-        [fsum(w0 * np.outer(a, b)) for b in (cos0**2, sin0**2) for a in (stay0**2, one0**2, two0**2)]
-        + [
-            -fsum(w1 * np.outer(stay0 * one_up[1:], cos0 * sin_b[1:])),
-            fsum(w1 * np.outer(one0 * two_up[1:], cos0 * sin_b[1:])),
-        ]
-    )
-
-
 @pytest.mark.parametrize("theta", THETAS)
-def test_grid_matches_compensated_reference(theta):
+def test_grid_matches_brute_force_evolution(theta):
     worst = 0.0
     for n_max in N_MAXES:
         grid = closed_form_grid(TAUS, SQUEEZES, theta, n_max)
         assert grid.shape == (len(TAUS), len(SQUEEZES), 8)
-        for j, s in enumerate(SQUEEZES):
-            config = FieldConfig(s, theta, n_max)
-            for i, tau in enumerate(TAUS):
-                diff = np.abs(grid[i, j] - reference_elements(tau, config)).max()
-                worst = max(worst, diff)
+        reference = full_evolution_grid(TAUS, SQUEEZES, theta, n_max)[0]
+        worst = max(worst, np.abs(states_from_elements(grid) - reference).max())
     assert worst <= REFERENCE_TOL
 
 

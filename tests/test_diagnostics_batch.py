@@ -1,18 +1,16 @@
-"""The batched diagnostics kernel against the per-point suite it replaced.
+"""The batched diagnostics kernel's structure: routes, blocks, solves and stacks.
 
-`reference_report` below is the per-point `negativity_report` that preceded
-`negativity_batch`: its own decomposition, one 8x8 eigensolve per global
-transpose, per pure decomposition state and per two-way transpose, and
-compensated sums.  It is kept here only as the reference.  Its transposes
-are the textbook ones of `test_diagnostics_reference` (tensor axes swapped,
-masks from bit strings), so no reference shares the kernel's index maps.
-The kernel's sums run in another order and the decomposition negativity
-uses the pure-state identity instead of an eigensolve, so agreement is
-required to 1e-14, a few hundred ulps of the O(1) values.
+The values are checked against the textbook evaluation in
+`test_diagnostics_reference`; the tests here pin how the kernel gets
+them.  A state's values do not depend on the stack around it, a selection
+of global qubits changes no other bit, each route solves only what it
+needs (counted by the `eigh_solves` fixture through public calls), and bad
+stacks are refused by name.
 """
 
 import math
 import re
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -22,7 +20,6 @@ import pytest
 import cavity3q.entanglement as ent
 from cavity3q import (
     PATTERN_MASK,
-    SELECTIVE_SPECS,
     W1_STATE,
     FieldConfig,
     QubitLabel,
@@ -34,43 +31,22 @@ from cavity3q import (
     states_from_elements,
 )
 from test_diagnostics_reference import (
+    SLOT_SPREAD_TOL,
+    TOL,
+    assert_bit_identical,
+    assert_matches_textbook,
+    batch_fields,
     full_transpose,
-    generic_route_only,
-    kway_mask,
     oracle_states,
-    restricted_transpose,
-    selective_mask,
+    pattern_route,
+    textbook_report,
 )
-from test_entanglement import decomposition, reconstructed
 
-TOL = 1e-14
-CUTOFF = 1e-12
+BLOCK = ent._DIAGNOSTIC_BLOCK
 SQRT2 = math.sqrt(2.0)
-BASIS = np.eye(8, dtype=complex)
-SYM_GROUND = (BASIS[1] + BASIS[2]) / SQRT2
-SYM_EXCITED = (BASIS[5] + BASIS[6]) / SQRT2
-ASYM_GROUND = (BASIS[1] - BASIS[2]) / SQRT2
-ASYM_EXCITED = (BASIS[5] - BASIS[6]) / SQRT2
 
 
-# ------------------------------------------------------ per-point reference
-
-
-def ref_negative_eigenpairs(m):
-    assert np.abs(m - m.conj().T).max() <= 1e-9
-    vals, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
-    keep = vals < -CUTOFF
-    return vals[keep], vecs[:, keep]
-
-
-def ref_projected_sum(matrix, vectors):
-    if vectors.shape[1] == 0:
-        return 0.0
-    vals = np.einsum("ik,ij,jk->k", vectors.conj(), matrix, vectors)
-    return math.fsum(np.real(vals).tolist())
-
-
-def ref_pattern_elements(m, tol=1e-8, compare_coherences=True):
+def ref_pattern_elements(m, tol=SLOT_SPREAD_TOL, compare_coherences=True):
     """The eight elements of a state on the kernel's pattern route, else None.
 
     A state takes the pattern route when every entry outside `PATTERN_MASK`
@@ -105,222 +81,55 @@ def ref_pattern_elements(m, tol=1e-8, compare_coherences=True):
     }
 
 
-def ref_two_level_pairs(d_first, d_second, off):
-    if abs(off) < CUTOFF:
-        if abs(d_first - d_second) < CUTOFF or d_first <= d_second:
-            return [(d_first, (1.0, 0.0)), (d_second, (0.0, 1.0))]
-        return [(d_second, (0.0, 1.0)), (d_first, (1.0, 0.0))]
-    half_gap = 0.5 * math.hypot(d_first - d_second, 2.0 * off)
-    mean = 0.5 * (d_first + d_second)
-    pairs = []
-    for lam in (mean - half_gap, mean + half_gap):
-        v_a = (off, lam - d_first)
-        v_b = (lam - d_second, off)
-        v = v_a if math.hypot(*v_a) >= math.hypot(*v_b) else v_b
-        norm = math.hypot(*v)
-        v = (v[0] / norm, v[1] / norm)
-        if abs(v[0]) < abs(v[1]):
-            sign = 1.0 if v[1] > 0 else -1.0
-        else:
-            sign = 1.0 if v[0] > 0 else -1.0
-        pairs.append((lam, (sign * v[0], sign * v[1])))
-    return pairs
-
-
-def ref_fix_phase(vec):
-    idx = int(np.argmax(np.abs(vec)))
-    pivot = vec[idx]
-    if pivot == 0:
-        return vec
-    return vec * (abs(pivot) / pivot)
-
-
-def ref_decompose(m):
-    e = ref_pattern_elements(m)
-    if e is None:
-        vals, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
-        cols = [ref_fix_phase(vecs[:, i]) for i in range(8)]
-        return np.clip(vals, 0.0, None), np.column_stack(cols)
-    entries = []
-    for lam, (x, y) in ref_two_level_pairs(e["r11"], e["r55"], e["r15"]):
-        entries.append((lam, x * BASIS[0] + y * SYM_EXCITED))
-    for lam, (x, y) in ref_two_level_pairs(e["r22"], e["r66"], e["r26"]):
-        entries.append((lam, x * SYM_GROUND + y * BASIS[7]))
-    entries.append((e["r33"], BASIS[3].copy()))
-    entries.append((e["r44"], BASIS[4].copy()))
-    entries.append((0.0, ASYM_GROUND.copy()))
-    entries.append((0.0, ASYM_EXCITED.copy()))
-    probs = np.array([max(p, 0.0) for p, _ in entries])
-    return probs, np.column_stack([ref_fix_phase(v) for _, v in entries])
-
-
-def ref_analytic_negativity_b(e):
-    """The paper's gated two-block closed form of qubit B's global negativity, no eigensolver.
-
-    The B transpose of a state on the pattern route splits into
-    two 2x2 blocks whose lower eigenvalues count only below minus the
-    cutoff (each gate is one block's discriminant inequality); every other
-    eigenvalue is a population.
-    """
-    lam1 = 0.5 * (e["r33"] + e["r55"]) - 0.5 * math.hypot(e["r33"] - e["r55"], 2.0 * e["r26"])
-    lam2 = 0.5 * (e["r22"] + e["r44"]) - 0.5 * math.hypot(e["r22"] - e["r44"], 2.0 * e["r15"])
-    total = 0.0
-    if lam1 < -CUTOFF:
-        total += lam1
-    if lam2 < -CUTOFF:
-        total += lam2
-    return -2.0 * total
-
-
-def ref_partial_trace_b(m):
-    tensor = m.reshape(2, 2, 2, 2, 2, 2)
-    tensor = np.trace(tensor, axis1=1, axis2=4)  # A2
-    tensor = np.trace(tensor, axis1=1, axis2=3)  # A1
-    return tensor
-
-
-def reference_report(m):
-    """Every diagnostic of one state, per point, as a flat dict of floats."""
-    out = {}
-    for p in QubitLabel:
-        vals, vecs = ref_negative_eigenpairs(full_transpose(m, p))
-        out[("n_g", p)] = -2.0 * math.fsum(vals.tolist())
-        out[("e_3", p)] = -2.0 * ref_projected_sum(restricted_transpose(m, p, kway_mask(3)), vecs)
-        out[("e_2", p)] = -2.0 * ref_projected_sum(restricted_transpose(m, p, kway_mask(2)), vecs)
-        out[("e_0", p)] = -2.0 * ref_projected_sum(m, vecs)
-
-    probs, vectors = ref_decompose(m)
-    psdg_terms = {p: [] for p in QubitLabel}
-    psd_terms = {spec: [] for spec in SELECTIVE_SPECS}
-    for prob, vec in zip(probs, vectors.T):
-        if prob <= 0.0:
-            continue
-        pure = np.outer(vec, vec.conj())
-        for p in QubitLabel:
-            vals, _ = ref_negative_eigenpairs(full_transpose(pure, p))
-            psdg_terms[p].append(prob * -2.0 * math.fsum(vals.tolist()))
-        neg_vecs = {
-            p: ref_negative_eigenpairs(restricted_transpose(pure, p, kway_mask(2)))[1]
-            for p in (QubitLabel.B, QubitLabel.A1)
-        }
-        for spec, (p, _) in SELECTIVE_SPECS.items():
-            basis = neg_vecs[p]
-            if basis.shape[1]:
-                selective = restricted_transpose(pure, p, selective_mask(spec))
-                psd_terms[spec].append(prob * ref_projected_sum(selective, basis))
-    for p in QubitLabel:
-        out[("n_psdg", p)] = math.fsum(psdg_terms[p])
-    for spec in SELECTIVE_SPECS:
-        out[("e_psd", spec)] = -2.0 * math.fsum(psd_terms[spec])
-
-    elements = ref_pattern_elements(m)
-    if elements is not None:
-        # the paper's closed form against the textbook eigensolve it stands for
-        n_g_b = out[("n_g", QubitLabel.B)]
-        assert ref_analytic_negativity_b(elements) == pytest.approx(n_g_b, abs=TOL)
-    reduced = ref_partial_trace_b(m)
-    out["linear_entropy_b"] = 2.0 * (1.0 - float(np.real(np.trace(reduced @ reduced))))
-    out["w1_fidelity"] = float(np.real(W1_STATE.conj() @ m @ W1_STATE))
-    out["bell_projection"] = float(np.real(m[0, 0])) + float(
-        np.real(SYM_EXCITED.conj() @ m @ SYM_EXCITED)
-    )
-    return out
-
-
-def flatten(batch, index):
-    """One state's values of a `NegativityBatch`, keyed like `reference_report`."""
-    out = {}
-    for name in ("n_g", "e_3", "e_2", "e_0", "n_psdg", "e_psd"):
-        for key, values in getattr(batch, name).items():
-            out[(name, key)] = float(values[index])
-    for name in ("linear_entropy_b", "w1_fidelity", "bell_projection"):
-        out[name] = float(getattr(batch, name)[index])
-    return out
-
-
 def sweep_states(theta, squeezes, taus, n_max=80):
     elements = closed_form_grid(taus, squeezes, theta, n_max)
     return states_from_elements(elements.reshape(-1, 8))
 
 
-def batch_fields(batch):
-    """Every per-state array of a `NegativityBatch`, keyed by (field, dict key or None)."""
-    out = {}
-    for name in ("n_g", "e_3", "e_2", "e_0", "n_psdg", "e_psd"):
-        for key, values in getattr(batch, name).items():
-            out[(name, key)] = values
-    for name in ("linear_entropy_b", "w1_fidelity", "bell_projection"):
-        out[(name, None)] = getattr(batch, name)
-    return out
+def off_pattern(states, size=1e-17):
+    """``states`` with one symmetric pair of entries off the zero pattern: the generic route."""
+    noisy = states.copy()
+    noisy[:, 3, 0] = noisy[:, 0, 3] = size
+    return noisy
 
 
-def assert_bit_identical(a, b):
-    for name in ("n_g", "e_3", "e_2", "e_0", "n_psdg", "e_psd"):
-        for key in getattr(a, name):
-            assert np.array_equal(getattr(a, name)[key], getattr(b, name)[key]), (name, key)
-    for name in ("linear_entropy_b", "w1_fidelity", "bell_projection", "pattern_ok"):
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+def random_states(rng, count, dtype=complex):
+    a = rng.standard_normal((count, 8, 8)).astype(dtype)
+    if dtype is complex:
+        a += 1j * rng.standard_normal((count, 8, 8))
+    states = a @ a.conj().swapaxes(-1, -2)
+    return states / np.trace(states, axis1=1, axis2=2).real[:, None, None]
 
 
 # ------------------------------------------------------------------- tests
 
 
-@pytest.mark.parametrize("theta", [math.pi, math.pi / 2.0, math.pi / 3.0])
-def test_kernel_matches_per_point_reference(theta):
-    taus = [0.0, 0.3, 0.8, 2.0, 7.1, 14.5]
-    squeezes = [0.0, 0.3, 1.2, 2.0]
-    states = sweep_states(theta, squeezes, taus)
-    batch = negativity_batch(states)
-    assert batch.pattern_ok.all()
-    worst = 0.0
-    for index, m in enumerate(states):
-        expected = reference_report(m)
-        got = flatten(batch, index)
-        assert got.keys() == expected.keys()
-        for key, value in expected.items():
-            worst = max(worst, abs(got[key] - value))
-            assert got[key] == pytest.approx(value, abs=TOL), (theta, index, key)
-    assert worst <= TOL
-
-
 def test_kernel_matches_reference_on_degenerate_pairs():
     # exact degeneracies and zero coherences take the unrotated branches of
-    # the two-level solve, in both orders
-    states = []
+    # the two-level solve, in both orders; where weights are degenerate the
+    # decomposition is not fixed by the state, so the textbook takes the
+    # kets the kernel must keep: |000> and the symmetric excited state
+    # unrotated, or their even and odd combinations when they couple
+    basis = np.eye(8)
+    sym = (basis[5] + basis[6]) / SQRT2
+    states, decompositions = [], []
     for r11, r55, r15 in ((0.25, 0.25, 0.0), (0.5, 0.1, 0.0), (0.1, 0.5, 0.0), (0.3, 0.3, 0.1)):
-        m = np.zeros((8, 8), dtype=complex)
+        m = np.zeros((8, 8))
         m[0, 0] = r11
         m[5:7, 5:7] = r55 / 2.0
         m[0, 5] = m[0, 6] = m[5, 0] = m[6, 0] = r15 / SQRT2
         m[3, 3] = 1.0 - r11 - r55
+        if r15:
+            kets = [(r11 + r15, (basis[0] + sym) / SQRT2), (r11 - r15, (basis[0] - sym) / SQRT2)]
+        else:
+            kets = [(r11, basis[0]), (r55, sym)]
+        kets.append((m[3, 3], basis[3]))
+        assert np.abs(sum(w * np.outer(k, k) for w, k in kets) - m).max() <= 1e-16
         states.append(m)
-    batch = negativity_batch(np.array(states))
-    assert batch.pattern_ok.all()
-    for index, m in enumerate(states):
-        expected = reference_report(m)
-        got = flatten(batch, index)
-        for key, value in expected.items():
-            assert got[key] == pytest.approx(value, abs=TOL), (index, key)
-        # the decomposition itself, free of the kets' order and phases
-        probs, vectors = ref_decompose(m)
-        got_probs, got_vectors = decomposition(m[None])
-        assert np.abs(np.sort(got_probs[0]) - np.sort(probs)).max() <= TOL
-        expected = reconstructed(probs[None], vectors[None])
-        assert np.abs(reconstructed(got_probs, got_vectors) - expected).max() <= TOL
-
-
-def test_kernel_matches_reference_on_generic_states():
-    rng = np.random.default_rng(31)
-    a = rng.standard_normal((5, 8, 8)) + 1j * rng.standard_normal((5, 8, 8))
-    states = a @ a.conj().swapaxes(-1, -2)
-    states /= np.trace(states, axis1=1, axis2=2).real[:, None, None]
-    batch = negativity_batch(states)
-    assert not batch.pattern_ok.any()
-    for index, m in enumerate(states):
-        expected = reference_report(m)
-        got = flatten(batch, index)
-        for key, value in expected.items():
-            assert got[key] == pytest.approx(value, abs=TOL), (index, key)
+        decompositions.append(kets)
+    states = np.array(states)
+    assert pattern_route(states).all()
+    assert assert_matches_textbook(states, decompositions) <= TOL
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
@@ -378,11 +187,11 @@ def test_eigenvalues_inside_cutoff_count_as_zero():
     m[1, 1] = m[4, 4] = 1e-13
     m[0, 5] = m[5, 0] = 5e-13
     assert np.linalg.eigvalsh(full_transpose(m, QubitLabel.B)).min() < 0.0
-    got = flatten(negativity_batch(m[None]), 0)
-    for key, value in reference_report(m).items():
-        assert got[key] == pytest.approx(value, abs=TOL), key
+    got = batch_fields(negativity_batch(m[None]))
+    for key, value in textbook_report(m).items():
+        assert got[key][0] == pytest.approx(value, abs=TOL), key
     for name in ("n_g", "e_3", "e_2", "e_0"):
-        assert got[(name, QubitLabel.B)] == 0.0
+        assert got[(name, QubitLabel.B)][0] == 0.0
 
 
 def test_product_states_have_exactly_zero_decomposition_negativity():
@@ -396,69 +205,44 @@ def test_product_states_have_exactly_zero_decomposition_negativity():
         factors.append(factor / np.trace(factor).real)
     m = np.kron(factors[2], np.kron(factors[1], factors[0]))  # B slowest, A1 fastest
     batch = negativity_batch(m[None])
-    expected = reference_report(m)
+    expected = textbook_report(m)
     for p in QubitLabel:
         assert batch.n_psdg[p][0] == expected[("n_psdg", p)] == 0.0
 
 
-def test_pairwise_solves_only_positive_weight_states(monkeypatch):
+def test_pairwise_solves_only_positive_weight_states(eigh_solves):
     states = sweep_states(math.pi, [0.0, 1.2], [0.0, 0.7, 3.0, 14.5])
-    probs, vectors = decomposition(states)
-    basis_kets = int(((probs > 0.0) & (np.count_nonzero(vectors, axis=-2) == 1)).sum())
-    solved = Counter()
-    eigh = np.linalg.eigh
-    solved_kets = []
-    share_terms = ent._share_terms
-
-    def counting(a, *args, **kwargs):
-        solved[a.shape[-1]] += math.prod(a.shape[:-2])
-        return eigh(a, *args, **kwargs)
-
-    def counting_kets(kets):
-        solved_kets.append(len(kets))
-        return share_terms(kets)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting)
-    monkeypatch.setattr(ent, "_share_terms", counting_kets)
-    negativity_batch(states)
     # closed-form states are solved as index blocks, none larger than 3x3:
     # two 3x3 blocks of each of the three global transposes per state (the
     # 1x1 blocks need no solve); their decomposition kets' shares come from
     # the minors, with no eigensolve
-    assert solved == {3: 6 * len(states)}
-    assert solved_kets == []
-    # the same states on the generic route, one 8-index block each: the kets
-    # of positive weight that are not basis states, and only those, go to
-    # the eigensolver
-    generic_route_only(monkeypatch)
-    probs, vectors = decomposition(states)
-    components = np.count_nonzero(vectors, axis=-2)
-    positive = int(((probs > 0.0) & (components >= 2)).sum())
-    negativity_batch(states)
-    assert solved_kets == [positive]
-    assert positive < 8 * len(states)
-    assert basis_kets > 0
+    assert eigh_solves(negativity_batch, states) == {3: 6 * len(states)}
+    # off the pattern every state is one 8-index block per global transpose
+    # and for its decomposition (its eigenpairs, the states being exactly
+    # symmetric); of its kets, those of positive weight that are not basis
+    # states, and only those, are solved once per qubit that leads a
+    # selective spec, B and A1
+    # (the diagonal state coupled at [0,3] has basis kets of positive weight)
+    coupled = np.eye(8) / 8.0
+    coupled[0, 3] = coupled[3, 0] = 0.05
+    noisy = np.concatenate([off_pattern(states), coupled[None]])
+    weights, kets = np.linalg.eigh(noisy)
+    positive = (weights > 0.0) & (np.count_nonzero(kets, axis=-2) >= 2)
+    assert 0 < positive.sum() < (weights > 0.0).sum()
+    solved = eigh_solves(negativity_batch, noisy)
+    assert solved == {8: 4 * len(noisy) + 2 * int(positive.sum())}
 
 
 @pytest.mark.parametrize("theta", [math.pi, math.pi / 2.0])
-def test_real_stack_matches_its_complex_cast(theta, monkeypatch):
+def test_real_stack_matches_its_complex_cast(theta, eigh_solves):
     # closed-form states are real, so the kernel runs real LAPACK on them; the
     # same stack cast to complex takes the same code with complex LAPACK
     states = sweep_states(theta, [0.3, 1.2], np.linspace(0.0, 20.0, 40))
     assert states.dtype == np.float64
-    solved = []
-    eigh = np.linalg.eigh
-
-    def recording(a, *args, **kwargs):
-        solved.append(a.dtype)
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", recording)
-    real = negativity_batch(states)
-    assert set(solved) == {np.dtype(np.float64)}
-    solved.clear()
-    cast = negativity_batch(states.astype(complex))
-    assert set(solved) == {np.dtype(np.complex128)}
+    for stack, dtype in ((states, np.float64), (states.astype(complex), np.complex128)):
+        eigh_solves(negativity_batch, stack)
+        assert {solved for _, solved in eigh_solves.calls} == {np.dtype(dtype)}
+    real, cast = negativity_batch(states), negativity_batch(states.astype(complex))
     assert np.array_equal(real.pattern_ok, cast.pattern_ok)
     expected = batch_fields(cast)
     for key, values in batch_fields(real).items():
@@ -468,43 +252,27 @@ def test_real_stack_matches_its_complex_cast(theta, monkeypatch):
 
 def test_mixed_stack_of_real_and_complex_states():
     states = sweep_states(math.pi / 3.0, [1.2], [0.5, 1.0, 1.5, 2.0])
-    rng = np.random.default_rng(11)
-    a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    generic = a @ a.conj().T
-    generic /= np.trace(generic).real
-    batch = negativity_batch([*states[:2], generic, *states[2:]])
+    generic = random_states(np.random.default_rng(11), 1)
+    batch = negativity_batch([*states[:2], generic[0], *states[2:]])
     assert batch.pattern_ok.tolist() == [True, True, False, True, True]
     alone = batch_fields(negativity_batch(states))
-    single = batch_fields(negativity_batch(generic[None]))
+    single = batch_fields(negativity_batch(generic))
     for key, values in batch_fields(batch).items():
         assert np.abs(values[[0, 1, 3, 4]] - alone[key]).max() <= TOL, key
         assert values[2] == single[key][0], key
 
 
-def test_only_non_pattern_rows_take_generic_fallback(monkeypatch):
+def test_only_non_pattern_rows_take_generic_fallback(eigh_solves):
+    # only the state off the pattern takes the eigensolver decomposition and
+    # the 8-index blocks; a stack of pattern states solves no 8x8 matrix
     states = sweep_states(math.pi, [1.2], [0.5, 1.0, 1.5, 2.0])
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    generic = a @ a.conj().T
-    generic /= np.trace(generic).real
-    stack = np.concatenate([states[:2], generic[None], states[2:]])
-
-    seen = []
-    original = ent._generic_decomposition
-
-    def recording(rows):
-        seen.append(rows.copy())
-        return original(rows)
-
-    monkeypatch.setattr(ent, "_generic_decomposition", recording)
-    batch = negativity_batch(stack)
-    assert len(seen) == 1
-    assert seen[0].shape == (1, 8, 8)
-    assert np.array_equal(seen[0][0], generic)
-    assert batch.pattern_ok.tolist() == [True, True, False, True, True]
-    seen.clear()
-    negativity_batch(states)
-    assert seen == []
+    generic = random_states(np.random.default_rng(5), 1)
+    stack = np.concatenate([states[:2], generic, states[2:]])
+    assert negativity_batch(stack).pattern_ok.tolist() == [True, True, False, True, True]
+    on_pattern = eigh_solves(negativity_batch, states)
+    assert 8 not in on_pattern
+    apart = on_pattern + eigh_solves(negativity_batch, generic)
+    assert eigh_solves(negativity_batch, stack) == apart
 
 
 def test_non_hermitian_row_raises():
@@ -519,11 +287,11 @@ def test_non_hermitian_row_raises():
         negativity_batch(np.eye(8))
 
 
-@pytest.mark.parametrize("bad", [ent._DIAGNOSTIC_BLOCK + 7, 2 * ent._DIAGNOSTIC_BLOCK + 1])
+@pytest.mark.parametrize("bad", [BLOCK + 7, 2 * BLOCK + 1])
 def test_non_hermitian_error_names_the_state_in_the_callers_stack(bad):
     # the kernel evaluates the stack in blocks; the message counts from the
     # start of the caller's stack, not of the block
-    states = sweep_states(math.pi, [1.2], np.linspace(0.0, 20.0, 2 * ent._DIAGNOSTIC_BLOCK + 5))
+    states = sweep_states(math.pi, [1.2], np.linspace(0.0, 20.0, 2 * BLOCK + 5))
     states[bad, 0, 5] += 1e-6
     with pytest.raises(ValueError, match=rf"not Hermitian \(matrix {bad} of the stack\)"):
         negativity_batch(states)
@@ -532,12 +300,39 @@ def test_non_hermitian_error_names_the_state_in_the_callers_stack(bad):
         negativity_batch(states)
 
 
+def test_a_non_finite_entry_is_named_before_an_earlier_non_hermitian_state():
+    # the checks run block by block, but every state is checked finite
+    # before any is checked Hermitian: a non-Hermitian state in the first
+    # block does not hide a NaN in the second
+    states = sweep_states(math.pi, [1.2], np.linspace(0.0, 20.0, BLOCK + 10))
+    states[3, 0, 5] += 1e-6
+    states[BLOCK + 4, 5, 0] = np.nan
+    message = rf"^states must be finite, got entry \[5,0\] = nan in matrix {BLOCK + 4} of the stack$"
+    with pytest.raises(ValueError, match=message):
+        negativity_batch(states)
+
+
+def test_the_input_checks_hold_no_temporary_the_size_of_the_stack():
+    # a 24,000-state closed-form stack of 12.3 MB through the kernel, as a
+    # sweep calls it: the Hermiticity residual is filled block by block, so
+    # the traced peak (3.2 MB) stays below half the stack; a residual formed
+    # over the whole stack at once took it to 23.4 MB
+    states = sweep_states(math.pi / 2.0, np.linspace(0.0, 2.0, 40), np.linspace(0.0, 20.0, 600))
+    tracemalloc.start()
+    try:
+        negativity_batch(states, global_qubits=(QubitLabel.B,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < states.nbytes / 2, f"peak {peak / 1e6:.1f} MB for a {states.nbytes / 1e6:.1f} MB stack"
+
+
 @pytest.mark.parametrize("i, j", [(3, 3), (0, 5)], ids=["diagonal", "off-diagonal"])
 def test_infinite_entry_is_refused_without_a_warning(i, j):
     # refused as non-finite before any arithmetic could warn (inf - inf);
     # the state is named by its index in the caller's stack
-    bad = ent._DIAGNOSTIC_BLOCK + 7
-    states = sweep_states(math.pi, [1.2], np.linspace(0.0, 20.0, ent._DIAGNOSTIC_BLOCK + 10))
+    bad = BLOCK + 7
+    states = sweep_states(math.pi, [1.2], np.linspace(0.0, 20.0, BLOCK + 10))
     states[bad, i, j] = states[bad, j, i] = np.inf
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -599,8 +394,7 @@ def test_generic_decomposition_rejects_non_hermitian_state():
 def test_kernel_and_scalar_negativity_share_one_path():
     # a grid of one with one qubit selected gives the stack's values bit for bit
     states = sweep_states(math.pi / 2.0, [0.3, 1.2], [0.0, 0.8, 14.5])
-    noisy = states.copy()
-    noisy[:, 3, 0] = noisy[:, 0, 3] = 1e-17
+    noisy = off_pattern(states)
     batch, noisy_batch = negativity_batch(states), negativity_batch(noisy)
     for p in QubitLabel:
         for index in range(len(states)):
@@ -610,30 +404,43 @@ def test_kernel_and_scalar_negativity_share_one_path():
             single = negativity_batch(noisy[index : index + 1], global_qubits=(p,))
             assert single.n_g[p][0] == noisy_batch.n_g[p][index]
         assert np.abs(noisy_batch.n_g[p] - batch.n_g[p]).max() <= TOL
-    # the kernel's solver on a stack gives each matrix's own eigenpairs
-    transposes = np.array([full_transpose(m, QubitLabel.B) for m in states])
-    vals, vecs = ent._negative_pairs(transposes)
-    for index, t in enumerate(transposes):
-        ref_vals, ref_vecs = ref_negative_eigenpairs(t)
-        kept = vals[index] != 0.0
-        assert np.array_equal(vals[index][kept], ref_vals)
-        assert np.array_equal(vecs[index][:, kept], ref_vecs)
-        assert not vecs[index][:, ~kept].any()
 
 
-def test_scalar_global_negativity_solves_only_its_qubit(global_solves):
+def global_solves(eigh_solves, states, selection):
+    """The matrices, by size, that solving ``selection``'s global transposes adds to solving none."""
+    solved = eigh_solves(negativity_batch, states, global_qubits=selection)
+    return solved - eigh_solves(negativity_batch, states, global_qubits=())
+
+
+def test_scalar_global_negativity_solves_only_its_qubit(eigh_solves):
     states = sweep_states(math.pi / 2.0, [1.2], [0.3, 0.8, 14.5])
-    noisy = states.copy()
-    noisy[:, 3, 0] = noisy[:, 0, 3] = 1e-17
     for p in QubitLabel:
-        global_solves.clear()
-        negativity_batch(states, global_qubits=(p,))
         # the two 3x3 index blocks of qubit p's transpose per state
-        assert global_solves == {3: 2 * len(states)}
-        global_solves.clear()
-        negativity_batch(noisy, global_qubits=(p,))
+        assert global_solves(eigh_solves, states, (p,)) == {3: 2 * len(states)}
         # one 8-index block per state off the zero pattern
-        assert global_solves == {8: len(states)}
+        assert global_solves(eigh_solves, off_pattern(states), (p,)) == {8: len(states)}
+
+
+def test_empty_selection_skips_the_global_stage(eigh_solves):
+    states = sweep_states(math.pi / 2.0, [1.2], [0.3, 0.8, 14.5])
+    for stack in (states, off_pattern(states)):
+        batch = negativity_batch(stack, global_qubits=())
+        assert batch.n_g == batch.e_3 == batch.e_2 == batch.e_0 == {}
+    # on the pattern route nothing else is solved: no eigh call at all
+    eigh_solves(negativity_batch, states, global_qubits=())
+    assert eigh_solves.calls == []
+
+
+def test_scalar_functions_solve_only_the_global_tables_they_need(eigh_solves):
+    # grids of one: one qubit's transpose or all three
+    states = sweep_states(math.pi / 2.0, [1.2], [0.3, 0.8, 14.5])
+    for stack, size in ((states, 3), (off_pattern(states), 8)):
+        # the two 3x3 index blocks of one transpose, or its one 8-index block
+        per_qubit = 2 if size == 3 else 1
+        for m in stack:
+            for p in QubitLabel:
+                assert global_solves(eigh_solves, m[None], (p,)) == {size: per_qubit}
+            assert global_solves(eigh_solves, m[None], tuple(QubitLabel)) == {size: 3 * per_qubit}
 
 
 # ------------------------------------------------- global-qubit selection
@@ -641,7 +448,7 @@ def test_scalar_global_negativity_solves_only_its_qubit(global_solves):
 
 @pytest.fixture(scope="module")
 def selection_stacks():
-    taus = np.linspace(0.0, 20.0, 2 * ent._DIAGNOSTIC_BLOCK + 44)
+    taus = np.linspace(0.0, 20.0, 2 * BLOCK + 44)
     closed = sweep_states(math.pi / 3.0, [1.2], taus, n_max=40)
     rng = np.random.default_rng(41)
     a = rng.standard_normal((40, 8, 4)) + 1j * rng.standard_normal((40, 8, 4))
@@ -675,9 +482,9 @@ def test_selection_stacks_cover_both_block_paths(selection_stacks):
     # the closed-form states span three kernel blocks, and they and the
     # oracle states are exactly zero off the pattern: the pattern route; the
     # noisy oracle states and the random states take the generic route
-    assert len(selection_stacks["closed"]) > 2 * ent._DIAGNOSTIC_BLOCK
+    assert len(selection_stacks["closed"]) > 2 * BLOCK
     for name, pattern in (("closed", True), ("oracle", True), ("noisy", False), ("generic", False)):
-        assert (ent._pattern_route(selection_stacks[name])[0] == pattern).all(), name
+        assert (pattern_route(selection_stacks[name]) == pattern).all(), name
     assert len(selection_stacks["oracle"]) == len(selection_stacks["noisy"]) == 36
 
 
@@ -707,39 +514,6 @@ def test_bad_global_selection_names_the_keyword(selection):
         negativity_batch(states, global_qubits=selection)
 
 
-def test_empty_selection_skips_the_global_stage(global_solves):
-    states = sweep_states(math.pi / 2.0, [1.2], [0.3, 0.8, 14.5])
-    noisy = states.copy()
-    noisy[:, 3, 0] = noisy[:, 0, 3] = 1e-17
-    for stack, tables in ((states, ent._STATE_GATHERS), (noisy, ent._WHOLE_STATE_GATHERS)):
-        n_g, split = ent._global_split(stack, tables, [])
-        assert n_g.shape == (3, 0) and split.shape == (3, 0, 3)
-        batch = negativity_batch(stack, global_qubits=())
-        assert batch.n_g == batch.e_3 == batch.e_2 == batch.e_0 == {}
-    assert not global_solves
-
-
-def test_scalar_functions_solve_only_the_global_tables_they_need(global_solves):
-    # grids of one: one qubit's transpose, none, or all three
-    states = sweep_states(math.pi / 2.0, [1.2], [0.3, 0.8, 14.5])
-    noisy = states.copy()
-    noisy[:, 3, 0] = noisy[:, 0, 3] = 1e-17
-    for stack, size in ((states, 3), (noisy, 8)):
-        # the two 3x3 index blocks of one transpose, or its one 8-index block
-        per_qubit = 2 if size == 3 else 1
-        for m in stack:
-            for p in QubitLabel:
-                global_solves.clear()
-                negativity_batch(m[None], global_qubits=(p,))
-                assert global_solves == {size: per_qubit}
-            global_solves.clear()
-            negativity_batch(m[None], global_qubits=())
-            assert not global_solves
-            global_solves.clear()
-            negativity_batch(m[None])
-            assert global_solves == {size: 3 * per_qubit}
-
-
 def assert_each_state_is_its_single_call(states):
     batch = negativity_batch(states)
     assert len(batch.n_g[QubitLabel.B]) == len(states)
@@ -751,7 +525,7 @@ def assert_each_state_is_its_single_call(states):
     return batch
 
 
-@pytest.mark.parametrize("length", [1, 32, 33, ent._DIAGNOSTIC_BLOCK, ent._DIAGNOSTIC_BLOCK + 1])
+@pytest.mark.parametrize("length", [1, 32, 33, BLOCK, BLOCK + 1])
 def test_stack_is_bit_identical_to_per_point(length):
     taus = np.linspace(0.0, 20.0, length)
     assert_each_state_is_its_single_call(sweep_states(math.pi / 3.0, [1.2], taus, n_max=40))
@@ -763,8 +537,8 @@ def test_mixed_stack_is_bit_identical_to_per_point(selection_stacks):
     closed, noisy, generic = (selection_stacks[name] for name in ("closed", "noisy", "generic"))
     states = np.concatenate([closed[:150], noisy, closed[150:180], generic, closed[180:220]])
     batch = assert_each_state_is_its_single_call(states)
-    assert 0 < batch.pattern_ok[: ent._DIAGNOSTIC_BLOCK].sum() < ent._DIAGNOSTIC_BLOCK
-    assert 0 < batch.pattern_ok[ent._DIAGNOSTIC_BLOCK :].sum() < len(states) - ent._DIAGNOSTIC_BLOCK
+    assert 0 < batch.pattern_ok[: BLOCK].sum() < BLOCK
+    assert 0 < batch.pattern_ok[BLOCK :].sum() < len(states) - BLOCK
 
 
 def test_negativity_report_is_kernel_grid_of_one():
@@ -780,7 +554,7 @@ def test_negativity_report_is_kernel_grid_of_one_off_the_pattern():
     ghz = np.zeros(8)
     ghz[0] = ghz[7] = 1.0 / SQRT2
     for m in (bumped, unequal_coherence_state(), np.outer(ghz, ghz)):
-        assert not ent._pattern_route(m[None])[0][0]
+        assert not pattern_route(m[None])[0]
         assert negativity_report(m) == negativity_batch([m]).report(0)
 
 
@@ -846,10 +620,12 @@ def non_finite_pattern_cases():
 
 
 def test_mask_pattern_checks_match_loops():
-    for a, b in [*pattern_cases(), *non_finite_pattern_cases()]:
-        for m in (a, b):
-            assert ent._pattern_route(m[None])[0][0] == (ref_pattern_elements(m) is not None)
+    # the route decision on the Hermitian part of each case, and the
+    # comparison's zero-pattern violations on the cases as they are
     for a, b in pattern_cases():
+        for m in (a, b):
+            m = (m + m.conj().T) / 2.0
+            assert pattern_route(m[None])[0] == (ref_pattern_elements(m) is not None)
         got = compare_states(a, b).pattern_violations
         expected = loop_compare_violations(a, b, 1e-10)
         assert len(got) == len(expected)
@@ -881,44 +657,40 @@ def test_compare_states_names_a_wrong_shape():
 def unequal_coherence_state():
     """Half |psi><psi| plus half |phi><phi|, whose |000><101| and |000><011| coherences differ.
 
-    psi = 0.6|000> + 0.8 (|101> + |011>)/sqrt2 and phi = sqrt(1 - 1.8e-8)|000>
-    + sqrt(1.8e-8) (|101> - |011>)/sqrt2: the entries of each symmetric
-    block agree to 0.9e-8, inside the pattern tolerance, but the coherences
-    rho[0,5] and rho[0,6] are 9.5e-5 apart.
+    psi = 0.6|000> + 0.8 (|101> + |011>)/sqrt2 and phi = sqrt(1 - 5e-15)|000>
+    + sqrt(5e-15) (|101> - |011>)/sqrt2: the entries of each symmetric
+    block agree to 2.5e-15, inside the slot tolerance, but the coherences
+    rho[0,5] and rho[0,6] are 5e-8 apart.
     """
     psi = np.zeros(8)
     psi[0], psi[5], psi[6] = 0.6, 0.8 / SQRT2, 0.8 / SQRT2
     phi = np.zeros(8)
-    phi[0], phi[5] = math.sqrt(1.0 - 1.8e-8), math.sqrt(1.8e-8) / SQRT2
+    phi[0], phi[5] = math.sqrt(1.0 - 5e-15), math.sqrt(5e-15) / SQRT2
     phi[6] = -phi[5]
     return 0.5 * np.outer(psi, psi) + 0.5 * np.outer(phi, phi)
 
 
 def test_unequal_coherence_slots_fail_the_pattern_check():
     m = unequal_coherence_state()
-    assert m[0, 5] - m[0, 6] == pytest.approx(9.5e-5, rel=1e-2)
+    assert m[0, 5] - m[0, 6] == pytest.approx(5e-8, rel=1e-2)
     assert ref_pattern_elements(m, compare_coherences=False) is not None
     assert ref_pattern_elements(m) is None
-    assert not ent._pattern_route(m[None])[0][0]
     batch = negativity_batch(m[None])
     assert not batch.pattern_ok[0]
     # the generic route sees that the state is not symmetric in the c1
-    # pair: A1 and A2 get different decomposition negativities
-    probs, vectors = ent._generic_decomposition(m[None])
-    n_psdg, e_psd = ent._decomposition_negativities(probs, vectors, by_minors=False)
-    for p in QubitLabel:
-        assert abs(batch.n_psdg[p][0] - n_psdg[p][0]) <= 1e-12, p
-    for spec in SELECTIVE_SPECS:
-        assert abs(batch.e_psd[spec][0] - e_psd[spec][0]) <= 1e-12, spec
-    assert batch.n_psdg[QubitLabel.A1][0] == pytest.approx(0.676020, abs=1e-6)
-    assert batch.n_psdg[QubitLabel.A2][0] == pytest.approx(0.675899, abs=1e-6)
+    # pair: A1 and A2 get different decomposition negativities, each the
+    # textbook value
+    got = batch_fields(batch)
+    for key, value in textbook_report(m).items():
+        assert got[key][0] == pytest.approx(value, abs=TOL), key
+    assert batch.n_psdg[QubitLabel.A1][0] - batch.n_psdg[QubitLabel.A2][0] > 1e-8
 
 
-@pytest.mark.parametrize("size, inside", [(0.9e-8, True), (1.1e-8, False)])
+@pytest.mark.parametrize("size, inside", [(0.9 * SLOT_SPREAD_TOL, True), (1.1 * SLOT_SPREAD_TOL, False)])
 @pytest.mark.parametrize("where", ["off-pattern entry", "block spread", "imaginary slot part"])
 def test_pattern_check_boundaries(where, size, inside):
-    # a slot spread, real or imaginary, inside 1e-8 keeps the pattern
-    # route; an entry off the pattern never does, however small
+    # a slot spread, real or imaginary, inside the slot tolerance keeps the
+    # pattern route; an entry off the pattern never does, however small
     m = closed_form_rho(2.3, FieldConfig(0.9, 2.0, 20)).matrix.astype(complex)
     if where == "off-pattern entry":
         m[0, 3] = m[3, 0] = size
@@ -928,12 +700,11 @@ def test_pattern_check_boundaries(where, size, inside):
         m[0, 5] += 1j * size
         m[5, 0] -= 1j * size
     pattern = inside and where != "off-pattern entry"
-    assert ent._pattern_route(m[None])[0][0] == pattern
-    assert negativity_batch(m[None]).pattern_ok[0] == pattern
+    assert pattern_route(m[None])[0] == pattern
     assert (ref_pattern_elements(m, compare_coherences=False) is not None) == pattern
 
 
-@pytest.mark.parametrize("size", [1e-300, 1e-17, 0.9e-8])
+@pytest.mark.parametrize("size", [1e-300, 1e-17, 0.9 * SLOT_SPREAD_TOL])
 def test_any_off_pattern_entry_takes_the_generic_route(size):
     # one symmetric pair of entries off the pattern, at every such position
     clean = closed_form_rho(2.3, FieldConfig(0.9, 2.0, 20)).matrix
@@ -963,7 +734,7 @@ def test_comparing_coherence_slots_changes_no_verdict_on_the_suites_stacks(selec
     stacks = [*closed, selection_stacks["oracle"], selection_stacks["noisy"], random_states, named]
     verdicts = Counter()
     for states in stacks:
-        pattern_ok = ent._pattern_route(states)[0]
+        pattern_ok = pattern_route(states)
         for m, ok in zip(states, pattern_ok):
             assert ok == (ref_pattern_elements(m) is not None)
             assert ok == (ref_pattern_elements(m, compare_coherences=False) is not None)

@@ -1,9 +1,10 @@
-"""The diagnostics on states whose values are known, through the kernel and its stages.
+"""The diagnostics on states whose values are known, and the identities of the transposes.
 
 Every diagnostic is read from `negativity_batch` (or `negativity_report`, its
-grid of one).  The transposes are the kernel's own index maps
-(`_transpose_positions` on its K-way and selective masks), the pure-state
-decomposition is the one of each state's route, as the kernel runs it.
+grid of one).  The transposes whose identities are checked here are the
+textbook maps of `test_diagnostics_reference`, against which every kernel
+value is checked; the pure-state decomposition is the one of each state's
+route, as the kernel runs it, which no public call returns.
 """
 
 import math
@@ -23,7 +24,14 @@ from cavity3q import (
     negativity_batch,
     negativity_report,
 )
-from test_diagnostics_reference import textbook_report
+from test_diagnostics_reference import (
+    TOL,
+    full_transpose,
+    kway_mask,
+    restricted_transpose,
+    selective_mask,
+    textbook_report,
+)
 
 A1, A2, B = QubitLabel.A1, QubitLabel.A2, QubitLabel.B
 
@@ -58,21 +66,20 @@ def grid_states():
     return [closed_form_rho(tau, cfg) for tau in (0.3, 0.8, 2.0, 14.5)]
 
 
-def transposed(m, p, mask=True):
-    """``m`` under the kernel's map: qubit ``p``'s bits swapped on the entries in ``mask``."""
-    return m.reshape(*m.shape[:-2], 64)[..., ent._transpose_positions(p, mask)]
+def transposed(m, p):
+    return full_transpose(m, p)
 
 
 def kway(m, p, k):
-    return transposed(m, p, ent._kway_mask(k))
+    return restricted_transpose(m, p, kway_mask(k))
 
 
 def selective(m, spec):
-    return transposed(m, SELECTIVE_SPECS[spec][0], ent._selective_mask(spec))
+    return restricted_transpose(m, SELECTIVE_SPECS[spec][0], selective_mask(spec))
 
 
 def kernel_maps(m):
-    """Every transpose the kernel gathers, of one state or a stack."""
+    """Every transpose the kernel gathers, of one state."""
     maps = [transposed(m, p) for p in QubitLabel]
     maps += [kway(m, p, k) for p in QubitLabel for k in (2, 3)]
     return maps + [selective(m, spec) for spec in SELECTIVE_SPECS]
@@ -169,10 +176,15 @@ def test_transpose_invariants_on_random_states(seed):
 
 
 def test_negative_eigensum_on_psd_matrix_is_zero():
-    # the kernel's solver keeps no eigenpair of a positive semidefinite matrix
+    # every transpose of a product state is positive semidefinite: the
+    # kernel keeps no eigenpair, so the global negativity and its split are
+    # exactly 0
     rng = np.random.default_rng(3)
-    vals, vecs = ent._negative_pairs(random_hermitian_psd(rng))
-    assert not vals.any() and not vecs.any()
+    factors = [random_hermitian_psd(rng, dim=2) for _ in range(3)]
+    batch = negativity_batch(np.kron(factors[2], np.kron(factors[1], factors[0]))[None])
+    for p in QubitLabel:
+        for name in ("n_g", "e_3", "e_2", "e_0"):
+            assert getattr(batch, name)[p][0] == 0.0, (name, p)
 
 
 def test_negative_eigensum_rejects_non_hermitian():
@@ -183,16 +195,18 @@ def test_negative_eigensum_rejects_non_hermitian():
 
 
 def test_negative_eigensum_unitary_conjugation_invariance():
+    # U_B (x) U_A2 (x) U_A1 leaves each qubit's global negativity alone
     rng = np.random.default_rng(5)
-    m = random_hermitian_psd(rng) - 0.05 * np.eye(8)
+    m = 0.5 * random_hermitian_psd(rng) + 0.5 * pure(BELL_A1B)
     rotated = []
     for _ in range(5):
-        u = random_unitary(rng)
-        rotated.append(u @ m @ u.conj().T)
-    vals, _ = ent._negative_pairs(np.array([m, *rotated]))
-    sums = -2.0 * vals.sum(axis=-1)
-    assert sums[0] > 0.0
-    assert np.abs(sums[1:] - sums[0]).max() < 1e-10
+        u = [random_unitary(rng, dim=2) for _ in range(3)]
+        local = np.kron(u[2], np.kron(u[1], u[0]))
+        rotated.append(local @ m @ local.conj().T)
+    batch = negativity_batch(np.array([m, *rotated]))
+    assert batch.n_g[B][0] > 0.0
+    for p in QubitLabel:
+        assert np.abs(batch.n_g[p][1:] - batch.n_g[p][0]).max() < 1e-10
 
 
 def test_pure_w_state_negativity():
@@ -326,6 +340,8 @@ def test_linear_entropy_limits():
 
 
 def test_w1_fidelity_values():
+    # the W state is a real, read-only constant, like the closed-form states
+    assert W1_STATE.dtype == np.float64 and not W1_STATE.flags.writeable
     rho0 = closed_form_rho(0.0, FieldConfig(1.2, math.pi, 80)).matrix
     fidelity = negativity_batch(np.array([pure(W1_STATE), rho0])).w1_fidelity
     assert fidelity[0] == pytest.approx(1.0, abs=1e-12)
@@ -366,10 +382,9 @@ def test_report_consistency_with_individual_functions():
     # the scalar report against the textbook evaluation of each quantity
     rho = closed_form_rho(2.0, FieldConfig(0.9, 2.2, 25))
     report = negativity_report(rho)
-    for key, value in textbook_report(rho.matrix).items():
-        name, sub = key if isinstance(key, tuple) else (key, None)
-        got = getattr(report, name) if sub is None else getattr(report, name)[sub]
-        assert got == pytest.approx(value, abs=1e-12), key
+    for (name, key), value in textbook_report(rho.matrix).items():
+        got = getattr(report, name) if key is None else getattr(report, name)[key]
+        assert got == pytest.approx(value, abs=TOL), (name, key)
     for value in (*report.n_g.values(), *report.n_psdg.values(), *report.e_psd.values()):
         assert value >= 0.0
 

@@ -238,16 +238,21 @@ def test_band0_weights_reproduce_trace():
 
 
 def test_beam_splitter_reproduces_binomial_amplitudes():
-    # the oracle's beam-splitter columns, exponentiated one photon block at a
-    # time, must reproduce the analytic amplitudes; the transmitted photons
-    # carry an alternating sign that cancels in every density-matrix weight
+    # the oracle's beam-splitter columns, from a Chebyshev series of the
+    # generator over every photon block, against the exact binomials
+    # sqrt(C(n, k)) cos^k(theta/2) sin^(n-k)(theta/2) (measured worst
+    # 1.2e-15); the transmitted photons carry an alternating sign that
+    # cancels in every density-matrix weight
     n_max = 80
-    thetas = (0.7, math.pi / 2, 2.4, math.pi)
+    thetas = (0.0, 0.4, 0.7, math.pi / 3, math.pi / 2, 1.1, 2.4, math.pi)
     for theta, amps in zip(thetas, _beam_splitter_columns(thetas, n_max)):
+        cos_half, sin_half = math.cos(theta / 2), math.sin(theta / 2)
         for n in range(n_max + 1):
-            k = np.arange(n + 1)
-            expected = (-1.0) ** (n - k) * binomial_amplitude_row(n, theta)
-            assert np.abs(amps[n, : n + 1] - expected).max() < 1e-13
+            expected = [
+                (-1) ** (n - k) * math.sqrt(math.comb(n, k)) * cos_half**k * sin_half ** (n - k)
+                for k in range(n + 1)
+            ]
+            assert np.abs(amps[n, : n + 1] - expected).max() <= 1e-14, (theta, n)
             assert not amps[n, n + 1 :].any()
 
 

@@ -29,7 +29,7 @@ from cavity3q import (
     negativity_batch,
     states_from_elements,
 )
-from test_diagnostics_reference import oracle_states
+from test_diagnostics_reference import oracle_states, pattern_route
 from test_entanglement import decomposition
 
 TOL = 1e-14
@@ -56,7 +56,7 @@ def reference_pairwise_shares(states):
 
 
 def assert_shares_match_reference(states):
-    assert ent._pattern_route(states)[0].all()
+    assert pattern_route(states).all()
     batch = negativity_batch(states)
     reference = reference_pairwise_shares(states)
     for spec in SELECTIVE_SPECS:
@@ -179,7 +179,7 @@ def off_pattern_states():
 def test_off_pattern_shares_keep_the_eigensolver_route(off_pattern_states, stack, monkeypatch):
     # every ket of a state off the pattern is one 8-index block, solved as before
     states = off_pattern_states[stack]
-    assert not ent._pattern_route(states)[0].any()
+    assert not pattern_route(states).any()
     reference = reference_pairwise_shares(states)
     monkeypatch.setattr(ent, "_SHARE_MINORS", None)
     batch = negativity_batch(states)
