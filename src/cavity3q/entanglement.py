@@ -10,9 +10,9 @@ the selective two-qubit transposes, and the auxiliary measures (linear
 entropy of B, W-state fidelity, Bell-sector weight).  `negativity_report` is
 the kernel on a grid of one state and accepts every state the kernel does.
 Each quantity has one implementation: the paper's gated two-block closed
-form of qubit B's global negativity is not a second path but lies inside
-the kernel's two 3x3 blocks of B's transpose; the tests keep it beside the
-textbook eigensolve as an independent reference for ``n_g[B]``.
+form of qubit B's global negativity is how the pattern route solves B's
+two 3x3 blocks, in every ``global_qubits`` selection; the tests check it
+against the same form in exact arithmetic and the textbook eigensolve.
 
 The kernel refuses, by the name ``states``, a stack that does not hold
 finite numbers or a state that is not Hermitian to 1e-9 (named by its index
@@ -58,12 +58,14 @@ projects gathered on the same index pairs, and:
   block per qubit.
 
 All blocks of one size go to one symmetrised solver in one stacked call, and
-a 1x1 block needs no solve, so a sweep makes no 8x8 eigensolve; the
-command-line sweeps ask for qubit B's global transpose only, the one their
-CSV reports, so their only solves are its two 3x3 blocks per state.
-The closed-form states are real symmetric, so a sweep runs real arithmetic
-and real symmetric LAPACK solves; a complex stack (a user's state, the
-generic route) takes the same lines with complex LAPACK.
+a 1x1 block needs no solve, so a sweep makes no 8x8 eigensolve.  On the
+pattern route B's two 3x3 blocks need none either: each is a 2x2 block in
+the elements plus an exact null direction (`_two_blocks`), solved in closed
+form.  The command-line sweeps ask for qubit B's global transpose only, the
+one their CSV reports, so they make no eigensolve at all.  The closed-form
+states are real symmetric, so a sweep runs real arithmetic and real
+symmetric LAPACK solves for A1's and A2's blocks; a complex stack (a user's
+state, the generic route) takes the same lines with complex LAPACK.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tavis_cummings import PATTERN_MASK, _elements_of_states
+from .tavis_cummings import PATTERN_MASK, _elements_of_states, states_from_elements
 
 __all__ = [
     "QubitLabel",
@@ -561,33 +563,136 @@ def _check_minor_split(support: np.ndarray) -> None:
 _check_minor_split(PATTERN_MASK)
 
 
-def _projected_blocks(gathered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+# ------------------------------------------------- B's two-block closed form
+#
+# The A1<->A2 exchange swaps |100> with |010> and |101> with |011>.  Pattern
+# states are invariant under it, and qubit B's transpose commutes with it,
+# so each 3-index block of B's transpose that the exchange maps onto itself,
+# swapping one pair (i, j) and fixing k, splits in the basis of
+# (|i> + |j>)/sqrt2, |k> and (|i> - |j>)/sqrt2.  When the pair's diagonal
+# and cross entries are slots of one element, the last is an exact null
+# direction and the rest is a 2x2 block in the elements: [[r22, r15],
+# [r15, r44]] on {1, 2, 4} and [[r55, r26], [r26, r33]] on {3, 5, 6}, the
+# paper's gated two-block form of B's global negativity.  A check at import
+# derives these blocks from the slot table and refuses any that would not
+# split exactly; A1's and A2's blocks, such as {0, 3, 6}, are not
+# exchange-invariant, and stay with the eigensolver.
+
+_EXCHANGE = [(i & 4) | (i & 1) << 1 | (i >> 1) & 1 for i in range(8)]
+
+
+def _two_blocks(units: np.ndarray, transpose: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 2x2 blocks of each 3-index block of a transpose of states built from slot ``units``.
+
+    ``units`` (elements, 8, 8) holds the state of each unit element, as
+    `states_from_elements` writes it, and ``transpose`` the flat positions
+    of a transpose map (`_transpose_positions`).  Returns, per block,
+    ``entries`` and ``scales`` (blocks, 3), which give the pair's diagonal,
+    k's diagonal and their coupling as ``elements[entries] * scales``, and
+    ``lift`` (blocks, 2, 3), the symmetric pair vector and |k> in the
+    block's frame.  Raises RuntimeError unless
+    the exchange maps every 3-index block onto itself, each entry onto one
+    that holds the same element, swapping one pair, and the pair's diagonal
+    and cross entries are slots of one element.
+    """
+    flat = units.reshape(len(units), 64)
+    held = flat != 0.0
+    element = np.where(held.any(axis=0), held.argmax(axis=0), -1)[transpose].tolist()
+    slot = flat.sum(axis=0)[transpose].tolist()
+    entries, scales, lift = [], [], []
+    for block in _index_blocks(held.any(axis=0)[transpose]):
+        if len(block) != 3:
+            continue
+        where = f"index block {list(block)}"
+        swapped = [i for i in block if _EXCHANGE[i] != i]
+        invariant = set(_EXCHANGE[i] for i in block) == set(block) and all(
+            element[i][j] == element[_EXCHANGE[i]][_EXCHANGE[j]] for i in block for j in block
+        )
+        if not invariant or len(swapped) != 2:
+            raise RuntimeError(f"{where} is not exchange-invariant with one swapped pair")
+        (i, j), (k,) = swapped, [x for x in block if x not in swapped]
+        if element[i][i] < 0 or element[i][j] != element[i][i]:
+            pair = f"the diagonal and cross entries of pair ({i}, {j})"
+            raise RuntimeError(f"{where}: {pair} are not slots of one element")
+        # an entry off the pattern (element -1, slot 0) reads element 0 at scale 0
+        entries.append([element[i][i], max(element[k][k], 0), max(element[i][k], 0)])
+        scales.append([2.0 * slot[i][i], slot[k][k], _SQRT2 * slot[i][k]])
+        sym, fixed = np.zeros(3), np.zeros(3)
+        sym[[block.index(i), block.index(j)]], fixed[block.index(k)] = _INV_SQRT2, 1.0
+        lift.append([sym, fixed])
+    return np.array(entries, dtype=int), np.array(scales), np.array(lift)
+
+
+_B_ENTRIES, _B_SCALES, _B_LIFT = _two_blocks(
+    states_from_elements(np.eye(8)), _STATE_MAPS[QubitLabel.B.value][0]
+)
+
+
+def _two_block_pairs(elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kept eigenpairs of B's 3-index transpose blocks, from pattern-route elements (N, 8).
+
+    Shaped as `_negative_pairs` shapes them for the gathered blocks, one
+    owner: eigenvalues (N, 1, blocks, 2) and eigenvectors as columns
+    (N, 1, blocks, 3, 2), those at or above minus the cutoff set to zero.
+    The columns are each block's 2x2 eigenpairs (`_two_level_pairs`), lifted
+    into its 3-index frame; the null direction is never kept, so it has no
+    column.  On a rotated block whose trace is not negative, as on every
+    positive state, the lower eigenvalue is the determinant over the upper:
+    ``mean - half_gap`` cancels where it is small.  Against 50-digit
+    decimals, on the negative blocks of the sweeps' grids at four angles,
+    its worst relative error is 3.5e-12 and the quotient's 1.4e-13.
+    """
+    a, b, c = np.moveaxis(elements[:, _B_ENTRIES] * _B_SCALES, -1, 0)
+    pairs = _two_level_pairs(a, b, c)
+    (lower, *_), (upper, *_) = pairs
+    rotated = (np.abs(c) >= NEGATIVE_EIGENVALUE_CUTOFF) & (a + b >= 0.0)
+    np.divide(a * b - c * c, upper, out=lower, where=rotated)
+    lam, x, y = (np.stack(arrays, axis=-1) for arrays in zip(*pairs))
+    keep = lam < -NEGATIVE_EIGENVALUE_CUTOFF
+    sym, fixed = (_B_LIFT[:, i, :, None] for i in (0, 1))
+    vecs = (x * keep)[..., None, :] * sym + (y * keep)[..., None, :] * fixed
+    return np.where(keep, lam, 0.0)[:, None], vecs[:, None]
+
+
+def _projected_blocks(gathered: np.ndarray, pairs=None) -> tuple[np.ndarray, np.ndarray]:
     """Solve map 0 of gathered blocks (..., owners, blocks, maps, n, n) and project the other maps.
 
     Returns the kept eigenvalues summed per owner, and ``Re tr(map @ P)``
     per owner and projected map, with P the projector on the kept
-    eigenvectors of the block; both summed over the blocks.
+    eigenvectors of the block; both summed over the blocks.  ``pairs``, if
+    given, are map 0's kept eigenpairs, as `_negative_pairs` returns them.
     """
-    vals, vecs = _negative_pairs(gathered[..., 0, :, :])
+    vals, vecs = _negative_pairs(gathered[..., 0, :, :]) if pairs is None else pairs
     projector = _projector(vecs)[..., None, :, :]
     traces = _projected_trace(gathered[..., 1:, :, :], projector)
     return vals.sum(axis=(-2, -1)), traces.sum(axis=-2)
 
 
-def _global_split(m: np.ndarray, tables: dict, owners: list[int]) -> tuple[np.ndarray, np.ndarray]:
+def _global_split(
+    m: np.ndarray, tables: dict, owners: list[int], elements: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """N_G (N, owner) and its split E_3, E_2, E_0 (N, owner, 3) of an (N, 8, 8) stack.
 
     ``owners`` are the values of the transposed qubits; with none, nothing
     is solved.  ``tables`` are the gathers of the stack's route:
-    `_STATE_GATHERS` (the index blocks of `PATTERN_MASK`) or
-    `_WHOLE_STATE_GATHERS` (one 8-index block per qubit).
+    `_STATE_GATHERS` (the index blocks of `PATTERN_MASK`), with the
+    ``elements`` (N, 8) of its states, or `_WHOLE_STATE_GATHERS` (one
+    8-index block per qubit).  With the elements, B's 3-index blocks take
+    their eigenpairs from `_two_block_pairs`, in every selection.
     """
     if not owners:
         return np.empty((len(m), 0)), np.empty((len(m), 0, 3))
     flat = m.reshape(-1, 64)
     sums = traces = 0.0
-    for positions in tables.values():
-        block_sums, block_traces = _projected_blocks(flat[:, positions[owners]])
+    for size, positions in tables.items():
+        gathered = flat[:, positions[owners]]
+        if elements is not None and size == 3 and owners[-1] == QubitLabel.B.value:
+            parts = [_projected_blocks(gathered[:, -1:], _two_block_pairs(elements))]
+            if len(owners) > 1:
+                parts.insert(0, _projected_blocks(gathered[:, :-1]))
+            block_sums, block_traces = (np.concatenate(arrays, axis=1) for arrays in zip(*parts))
+        else:
+            block_sums, block_traces = _projected_blocks(gathered)
         sums, traces = sums + block_sums, traces + block_traces
     return -2.0 * sums, -2.0 * traces
 
@@ -597,8 +702,11 @@ def _share_terms(kets: np.ndarray) -> np.ndarray:
 
     S is the spec's selective transpose of the ket's projector and P the
     projector on the negative eigenvectors of its two-way transpose of the
-    spec's qubit, both gathered whole by `_WHOLE_KET_GATHERS`.
+    spec's qubit, both gathered whole by `_WHOLE_KET_GATHERS`.  No kets
+    give no terms, with nothing solved.
     """
+    if not len(kets):
+        return np.zeros((0, len(_SHARE_ORDER)))
     pure = (kets[:, :, None] * kets[:, None, :].conj()).reshape(len(kets), 64)
     traces = 0.0
     for positions in _WHOLE_KET_GATHERS.values():
@@ -710,10 +818,12 @@ def negativity_batch(states, *, global_qubits=tuple(QubitLabel)) -> NegativityBa
                 continue
             m = block[rows]
             if on_pattern:
-                decomposition, tables = _analytic_decomposition(elements[rows]), _STATE_GATHERS
+                pattern = elements[rows]
+                decomposition, tables = _analytic_decomposition(pattern), _STATE_GATHERS
             else:
-                decomposition, tables = _generic_decomposition(m), _WHOLE_STATE_GATHERS
-            n_g[start + rows], split[start + rows] = _global_split(m, tables, owners)
+                pattern, tables = None, _WHOLE_STATE_GATHERS
+                decomposition = _generic_decomposition(m)
+            n_g[start + rows], split[start + rows] = _global_split(m, tables, owners, pattern)
             route = _decomposition_negativities(*decomposition, by_minors=on_pattern)
             for out, values in zip((n_psdg, e_psd), route):
                 for key, array in out.items():

@@ -13,7 +13,9 @@ in block amplitudes indexed by the photons left in each cavity.  The weight
 tables factor exactly as ``W(s) = U.T @ diag(norm(s)) @ U`` with ``U``
 depending only on (theta, n_max) and the squeezed-pair norms carrying all of
 the s dependence, so a whole (tau, s) grid costs a few small matrix
-products: `closed_form_grid`.  `closed_form_rho` is its grid of one.
+products: `closed_form_grid`.  At theta = 0 and theta = pi the snapped
+half-angle makes every factor an exact 0/1 selection, which is applied by
+indexing instead of a product.  `closed_form_rho` is its grid of one.
 
 Computational basis order throughout: |000>, |100>, |010>, |110>, |001>,
 |101>, |011>, |111>, where the first two slots are the c1 atoms (A1, A2)
@@ -115,7 +117,9 @@ def _field_factors(theta: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     squared binomial row of n photons reversed (so it is indexed by
     q = n - k); row n of ``U1`` is the reversed product of the rows for n and
     n + 1.  The squeezing only enters through the norms, see
-    `_squeeze_norms`.
+    `_squeeze_norms`.  At theta = pi the factors are ``U0 = I`` and
+    ``U1 = [I 0]``; at theta = 0 every row of ``U0`` picks q = 0 and ``U1``
+    is zero (`_selection`).
     """
     size = n_max + 1
     rows = binomial_amplitude_table(n_max, theta)
@@ -178,6 +182,48 @@ def _pair_block_amplitudes(taus: np.ndarray, count: int) -> tuple[np.ndarray, np
 _TAU_CHUNK = 64
 
 
+def _selection(factor: np.ndarray) -> slice | np.ndarray | None:
+    """How a 0/1 selection factor picks columns: ``x @ factor.T`` is ``x[:, picks]``.
+
+    A selection factor holds at most one nonzero entry per row, and that
+    entry is exactly 1.  Returns a slice when its rows pick the leading
+    columns in order, else the column of each row (-1 for an all-zero row),
+    and None for any other factor.
+    """
+    nonzero = factor != 0.0
+    if (nonzero.sum(axis=1) > 1).any() or (factor[nonzero] != 1.0).any():
+        return None
+    picks = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), -1)
+    if np.array_equal(picks, np.arange(len(picks))):
+        return slice(0, len(picks))
+    return picks
+
+
+def _times_factor(
+    a: np.ndarray,
+    b: np.ndarray,
+    factor: np.ndarray,
+    picks: slice | np.ndarray | None,
+    square: np.ndarray,
+    out: np.ndarray,
+) -> np.ndarray:
+    """``(a * b) @ factor.T`` into out, with `_selection`'s ``picks`` of the factor.
+
+    Any other factor takes the BLAS product of a * b, formed in ``square``.
+    A selection is applied by slicing or indexing, with no product: a
+    product by a selection row is its one picked entry times 1 plus products
+    with 0, so the copy is bit for bit the product.  Picks that are a slice
+    form only the picked columns of a * b, straight into out.
+    """
+    if picks is None:
+        return np.matmul(np.multiply(a, b, out=square), factor.T, out=out)
+    if isinstance(picks, slice):
+        return np.multiply(a[:, picks], b[:, picks], out=out)
+    np.take(np.multiply(a, b, out=square), picks, axis=1, out=out, mode="clip")
+    out[:, picks < 0] = 0.0
+    return out
+
+
 def _leading(buffer: np.ndarray, *shape: int) -> np.ndarray:
     """The first prod(shape) slots of a flat workspace buffer, as a C-contiguous array."""
     return buffer[: math.prod(shape)].reshape(shape)
@@ -196,8 +242,12 @@ def _fill_elements(
     Every chunk reuses one workspace of flat buffers.  Each product lands in a
     C-contiguous view of the leading slots of one of them, the layout of a
     fresh array, so every element rounds as a freshly allocated product would.
+    A field factor that is a 0/1 selection (`_selection`), as both are at
+    theta = 0 and theta = pi, is applied by indexing (`_times_factor`); any
+    other takes the BLAS product.  The squeeze norms always do.
     """
     size, rows = u0.shape[0], min(_TAU_CHUNK, len(taus))
+    picks0, picks1 = _selection(u0), _selection(u1)
     # cavity-2 phases, cosines and sines, over one extra slot so the shifted
     # (q+1, p+1) bra factors of the coherence band stay in range
     phase_w, cos_w, sin_w = (np.empty(rows * (size + 1)) for _ in range(3))
@@ -222,18 +272,18 @@ def _fill_elements(
         band0 = _leading(band0_w, 6, points, size)
 
         # Each element is sum_{q,p} W[q, p] a[q] b[p] = sum_n norm[n] (U a)[n] (U b)[n].
-        np.matmul(np.multiply(cos0, cos0, out=square), u0.T, out=cos_u0)
-        np.matmul(np.multiply(sin0, sin0, out=square), u0.T, out=sin_u0)
+        _times_factor(cos0, cos0, u0, picks0, square, cos_u0)
+        _times_factor(sin0, sin0, u0, picks0, square, sin_u0)
         for k, x in enumerate((stay0, one0, two0)):
-            pair = np.matmul(np.multiply(x, x, out=square), u0.T, out=band0[k + 3])
+            pair = _times_factor(x, x, u0, picks0, square, band0[k + 3])
             np.multiply(pair, cos_u0, out=band0[k])
             pair *= sin_u0
 
         coh_u1 = _leading(coh_w, points, size - 1)
         band1 = _leading(band1_w, 2, points, size - 1)
-        np.matmul(np.multiply(cos0, sin_b[:, 1:], out=square), u1.T, out=coh_u1)
+        _times_factor(cos0, sin_b[:, 1:], u1, picks1, square, coh_u1)
         for k, (x, y) in enumerate(((stay0, one_up[:, 1:]), (one0, two_up[:, 1:]))):
-            np.matmul(np.multiply(x, y, out=square), u1.T, out=band1[k])
+            _times_factor(x, y, u1, picks1, square, band1[k])
             band1[k] *= coh_u1
         np.negative(band1[0], out=band1[0])
 

@@ -332,7 +332,8 @@ def test_cli_sweep_bounds_are_usage_errors(args, message, capsys):
 
 
 def test_cli_kernel_solves_only_b_global_blocks(eigh_solves, capsys):
-    # per state, the two 3x3 index blocks of B's global transpose and nothing else
+    # B's global transpose, the only one the CSV reports, takes its two 3x3
+    # index blocks in closed form from the elements: no eigensolve at all
     args = ["--n-max", "12", "--s", "0.8", "--theta", "2.0"]
     rows = {
         7: ["--mode", "tau-sweep", "--tau-steps", "7", "--tau-end", "3"],
@@ -340,7 +341,7 @@ def test_cli_kernel_solves_only_b_global_blocks(eigh_solves, capsys):
         1: ["--mode", "single-point", "--tau", "0.8"],
     }
     for count, mode in rows.items():
-        assert eigh_solves(main, [*args, *mode]) == {3: 2 * count}
+        assert eigh_solves(main, [*args, *mode]) == {}
         assert len(parse_csv(capsys.readouterr().out)[1]) == count
 
 

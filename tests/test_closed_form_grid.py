@@ -9,6 +9,7 @@ worst case 2.3e-15).
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,7 +26,8 @@ from cavity3q.cli import main
 
 REFERENCE_TOL = 1e-14
 ROW_TOL = 1e-15
-THETAS = (math.pi, math.pi / 2.0, math.pi / 3.0, 1.1)
+# theta = pi and theta = 0 make every field factor a 0/1 selection
+THETAS = (math.pi, math.pi / 2.0, math.pi / 3.0, 1.1, 0.0)
 SQUEEZES = (0.0, 0.3, 1.2, 2.0)
 N_MAXES = (0, 1, 2, 25, 80)
 TAUS = (0.0, 0.3, 0.8, 2.0, 14.5)
@@ -40,6 +42,36 @@ def test_grid_matches_brute_force_evolution(theta):
         reference = full_evolution_grid(TAUS, SQUEEZES, theta, n_max)[0]
         worst = max(worst, np.abs(states_from_elements(grid) - reference).max())
     assert worst <= REFERENCE_TOL
+
+
+@pytest.mark.parametrize(
+    "theta, u0_products, u1_products",
+    # U0 = I and U1 = [I 0]; U0 picks q = 0 in every row and U1 is zero;
+    # both dense, five cos^2, sin^2 and pair products with U0 and three
+    # coherence products with U1 per tau chunk
+    [(math.pi, 0, 0), (0.0, 0, 0), (math.pi / 2.0, 5, 3)],
+)
+def test_selection_factors_take_no_product(theta, u0_products, u1_products, monkeypatch):
+    matmul, operands = np.matmul, []
+
+    def recording(a, b, *args, **kwargs):
+        operands.append(b.shape)
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recording)
+    n_max, chunks = 30, 3
+    size = n_max + 1
+    taus = np.linspace(0.0, 20.0, 150)  # three tau chunks
+    closed_form_grid(taus, [0.3, 1.2], theta, n_max)
+    # U0.T is (size, size), U1.T (size, size - 1); the squeeze norms, (size, 2)
+    # and (size - 1, 2), are multiplied in once per chunk and band
+    expected = {
+        (size, size): u0_products * chunks,
+        (size, size - 1): u1_products * chunks,
+        (size, 2): chunks,
+        (size - 1, 2): chunks,
+    }
+    assert Counter(operands) == +Counter(expected)
 
 
 def test_closed_form_rho_is_a_grid_of_one():

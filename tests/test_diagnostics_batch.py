@@ -213,10 +213,11 @@ def test_product_states_have_exactly_zero_decomposition_negativity():
 def test_pairwise_solves_only_positive_weight_states(eigh_solves):
     states = sweep_states(math.pi, [0.0, 1.2], [0.0, 0.7, 3.0, 14.5])
     # closed-form states are solved as index blocks, none larger than 3x3:
-    # two 3x3 blocks of each of the three global transposes per state (the
-    # 1x1 blocks need no solve); their decomposition kets' shares come from
-    # the minors, with no eigensolve
-    assert eigh_solves(negativity_batch, states) == {3: 6 * len(states)}
+    # two 3x3 blocks of A1's and of A2's global transposes per state (the
+    # 1x1 blocks need no solve, B's two 3x3 blocks come in closed form from
+    # the elements); their decomposition kets' shares come from the minors,
+    # with no eigensolve
+    assert eigh_solves(negativity_batch, states) == {3: 4 * len(states)}
     # off the pattern every state is one 8-index block per global transpose
     # and for its decomposition (its eigenpairs, the states being exactly
     # symmetric); of its kets, those of positive weight that are not basis
@@ -415,8 +416,10 @@ def global_solves(eigh_solves, states, selection):
 def test_scalar_global_negativity_solves_only_its_qubit(eigh_solves):
     states = sweep_states(math.pi / 2.0, [1.2], [0.3, 0.8, 14.5])
     for p in QubitLabel:
-        # the two 3x3 index blocks of qubit p's transpose per state
-        assert global_solves(eigh_solves, states, (p,)) == {3: 2 * len(states)}
+        # the two 3x3 index blocks of qubit p's transpose per state; B's come
+        # in closed form from the elements
+        expected = {} if p is QubitLabel.B else {3: 2 * len(states)}
+        assert global_solves(eigh_solves, states, (p,)) == expected
         # one 8-index block per state off the zero pattern
         assert global_solves(eigh_solves, off_pattern(states), (p,)) == {8: len(states)}
 
@@ -435,12 +438,67 @@ def test_scalar_functions_solve_only_the_global_tables_they_need(eigh_solves):
     # grids of one: one qubit's transpose or all three
     states = sweep_states(math.pi / 2.0, [1.2], [0.3, 0.8, 14.5])
     for stack, size in ((states, 3), (off_pattern(states), 8)):
-        # the two 3x3 index blocks of one transpose, or its one 8-index block
-        per_qubit = 2 if size == 3 else 1
+        # the two 3x3 index blocks of one transpose, or its one 8-index
+        # block; on the pattern route B's two blocks need no solve
+        per_qubit = {p: 2 if size == 3 else 1 for p in QubitLabel}
+        if size == 3:
+            per_qubit[QubitLabel.B] = 0
         for m in stack:
             for p in QubitLabel:
-                assert global_solves(eigh_solves, m[None], (p,)) == {size: per_qubit}
-            assert global_solves(eigh_solves, m[None], tuple(QubitLabel)) == {size: 3 * per_qubit}
+                expected = {size: per_qubit[p]} if per_qubit[p] else {}
+                assert global_solves(eigh_solves, m[None], (p,)) == expected
+            total = sum(per_qubit.values())
+            assert global_solves(eigh_solves, m[None], tuple(QubitLabel)) == {size: total}
+
+
+# ------------------------------------------------- B's two-block closed form
+
+
+def unit_states():
+    """The state of each unit element, the slot table as `states_from_elements` writes it."""
+    return states_from_elements(np.eye(8))
+
+
+def test_two_block_check_passes_b_and_refuses_the_a_qubits():
+    # {1, 2, 4}: [[r22, r15], [r15, r44]] and {3, 5, 6}: [[r55, r26], [r26, r33]]
+    # (elements r11, r22, r33, r44, r55, r66, r15, r26 are 0..7), with the
+    # symmetric pair vector and the fixed index lifted into the block's frame
+    entries, scales, lift = ent._two_blocks(unit_states(), ent._transpose_positions(QubitLabel.B, True))
+    assert entries.tolist() == [[1, 3, 6], [4, 2, 7]]
+    assert scales.tolist() == [[1.0, 1.0, 1.0]] * 2
+    half = 1.0 / SQRT2
+    assert lift.tolist() == [
+        [[half, half, 0.0], [0.0, 0.0, 1.0]],
+        [[0.0, half, half], [1.0, 0.0, 0.0]],
+    ]
+    # the exchange maps A1's block {0, 3, 6} to {0, 3, 5}, which is A2's
+    for p, block in ((QubitLabel.A1, r"\[0, 3, 6\]"), (QubitLabel.A2, r"\[0, 3, 5\]")):
+        with pytest.raises(RuntimeError, match=f"index block {block} is not exchange-invariant"):
+            ent._two_blocks(unit_states(), ent._transpose_positions(p, True))
+
+
+def moved_slots(element, slots):
+    """The unit states with ``slots`` of ``element`` moved to a ninth element of their own."""
+    units = np.concatenate([unit_states(), np.zeros((1, 8, 8))])
+    rows, cols = np.array(slots).T
+    units[8, rows, cols] = units[element, rows, cols]
+    units[element, rows, cols] = 0.0
+    return units
+
+
+def test_two_block_check_rejects_a_tampered_table():
+    b_transpose = ent._transpose_positions(QubitLabel.B, True)
+    cases = [
+        # r22's cross slots apart from its diagonal: (|100> - |010>)/sqrt2 is no null direction
+        (moved_slots(1, [(1, 2), (2, 1)]), r"\[1, 2, 4\]: the diagonal and cross entries of pair \(1, 2\)"),
+        # r15 on |000><011| apart from |000><101|: B's block no longer exchange-invariant
+        (moved_slots(6, [(0, 6), (6, 0)]), r"\[1, 2, 4\] is not exchange-invariant"),
+        # r26 on |010><111| apart from |100><111|
+        (moved_slots(7, [(2, 7), (7, 2)]), r"\[3, 5, 6\] is not exchange-invariant"),
+    ]
+    for units, message in cases:
+        with pytest.raises(RuntimeError, match=message):
+            ent._two_blocks(units, b_transpose)
 
 
 # ------------------------------------------------- global-qubit selection

@@ -20,9 +20,12 @@ to 1e-14, a few hundred ulps of the O(1) values (measured worst 8.9e-16).
 
 `batch_fields` is the one walk over a `NegativityBatch` that the tests
 share, and `two_block_negativity_b` is the paper's gated two-block closed
-form of qubit B's global negativity, a second reference for ``n_g[B]``.
+form of qubit B's global negativity in 50-digit decimals, an exact
+reference for ``n_g[B]``, which the kernel takes in closed form on the
+pattern route.
 """
 
+import decimal
 import math
 
 import numpy as np
@@ -35,6 +38,7 @@ from cavity3q import (
     closed_form_grid,
     full_evolution_grid,
     negativity_batch,
+    negativity_report,
     states_from_elements,
 )
 from cavity3q.cli import ORACLE_CHECK_SQUEEZES, ORACLE_CHECK_TAUS, ORACLE_CHECK_THETAS
@@ -148,25 +152,30 @@ def textbook_report(m, decomposition=None):
 
 
 def two_block_negativity_b(m):
-    """The paper's gated two-block closed form of qubit B's global negativity, no eigensolver.
+    """The paper's gated two-block closed form of qubit B's global negativity, in exact arithmetic.
 
     The B transpose of a state on the zero pattern splits into two 2x2
-    blocks, on (|001>, |101>/|011>) and (|100>, |000>), whose lower
-    eigenvalues count only below minus the cutoff (each gate is one block's
-    discriminant inequality); every other eigenvalue is a population.  The
-    elements are read from the entries, each symmetric pair summed.
+    blocks, on (|001>, |101>/|011>) and (|100>, |000>), whose eigenvalues
+    count only below minus the cutoff; every other eigenvalue is a
+    population, or the exact zero of an antisymmetric pair.  The elements
+    are read from the entries, each symmetric pair summed, and everything
+    after is evaluated in 50-digit decimals, so the one rounding is the
+    final one to float.
     """
-    r11, r33, r44, r66 = (float(np.real(m[i, i])) for i in (0, 3, 4, 7))
-    r22 = float(np.real(m[1, 1] + m[2, 2] + m[1, 2] + m[2, 1])) / 2.0
-    r55 = float(np.real(m[5, 5] + m[6, 6] + m[5, 6] + m[6, 5])) / 2.0
-    r15 = float(np.real(m[0, 5] + m[0, 6])) / math.sqrt(2.0)
-    r26 = float(np.real(m[1, 7] + m[2, 7])) / math.sqrt(2.0)
-    total = 0.0
-    for a, b, c in ((r33, r55, r26), (r22, r44, r15)):
-        lower = 0.5 * (a + b) - 0.5 * math.hypot(a - b, 2.0 * c)
-        if lower < -CUTOFF:
-            total += lower
-    return -2.0 * total
+    with decimal.localcontext(prec=50):
+        entry = [[decimal.Decimal(float(np.real(x))) for x in row] for row in m]
+        r33, r44 = entry[3][3], entry[4][4]
+        r22 = (entry[1][1] + entry[2][2] + entry[1][2] + entry[2][1]) / 2
+        r55 = (entry[5][5] + entry[6][6] + entry[5][6] + entry[6][5]) / 2
+        r15 = (entry[0][5] + entry[0][6]) / decimal.Decimal(2).sqrt()
+        r26 = (entry[1][7] + entry[2][7]) / decimal.Decimal(2).sqrt()
+        total = decimal.Decimal(0)
+        for a, b, c in ((r33, r55, r26), (r22, r44, r15)):
+            half_gap = (((a - b) / 2) ** 2 + c * c).sqrt()
+            for eigenvalue in ((a + b) / 2 - half_gap, (a + b) / 2 + half_gap):
+                if eigenvalue < -decimal.Decimal(CUTOFF):
+                    total += eigenvalue
+        return float(-2 * total)
 
 
 def batch_fields(batch):
@@ -300,8 +309,15 @@ def test_non_psd_pattern_state_keeps_its_single_index_blocks():
     state[[5, 5, 6, 6], [5, 6, 5, 6]] = -0.03
     state[0, 0] -= 0.9
     state[7, 7] = -0.02
-    assert pattern_route(state[None]).all()
-    assert assert_matches_textbook(state[None]) <= TOL
+    # and with B's 2x2 block on {1, 2, 4}, [[r22, r15], [r15, r44]], negative
+    # definite: both of its eigenvalues count
+    definite = state.copy()
+    definite[4, 4] = -0.4
+    r22, r15, r44 = -0.1, definite[0, 5] * math.sqrt(2.0), -0.4
+    assert r22 * r44 > r15 * r15
+    states = np.array([state, definite])
+    assert pattern_route(states).all()
+    assert assert_matches_textbook(states) <= TOL
 
 
 @pytest.mark.parametrize("theta", [math.pi, math.pi / 2.0, math.pi / 3.0, 1.1])
@@ -362,3 +378,79 @@ def test_slot_noise_at_the_route_boundary_matches_textbook(source):
     assert pattern_route(noisy).all()
     assert assert_matches_textbook(noisy) <= TOL
     assert not pattern_route(slot_noise(states, 4.0 * SLOT_SPREAD_TOL, seed=5)).all()
+
+
+def test_b_global_negativity_matches_the_exact_two_block_form():
+    # the kernel's closed-form B blocks against the exact reference: closed
+    # forms off and at the selection angles, and the oracle states
+    stacks = [closed_form_states(theta) for theta in (math.pi, math.pi / 2.0, 1.1, 0.0)]
+    stacks.append(oracle_states())
+    worst = 0.0
+    for states in stacks:
+        assert pattern_route(states).all()
+        n_g_b = negativity_batch(states, global_qubits=(QubitLabel.B,)).n_g[QubitLabel.B]
+        exact = [two_block_negativity_b(m) for m in states]
+        worst = max(worst, np.abs(n_g_b - exact).max())
+    assert worst <= 1e-15
+
+
+def cutoff_states():
+    """Pattern states whose B blocks sit 1% either side of the eigenvalue cutoff.
+
+    Block {1, 2, 4} is [[r22, r15], [r15, r44]] with a lower eigenvalue of
+    -(1 -+ 1%) times the cutoff, five hundred thousand times smaller than
+    its mean; block {3, 5, 6} is [[r55, r26], [r26, r33]] with zero
+    populations, so its eigenvalues are +-r26, and |r26| 1% either side of
+    the cutoff, where the 2x2 solve starts to rotate.
+    """
+    elements = []
+    for margin in (0.99, 1.01):
+        delta = margin * CUTOFF
+        r22, r44 = 0.5, 1e-6
+        r15 = -math.sqrt((r22 + delta) * (r44 + delta))
+        for r26 in (margin * CUTOFF, -margin * CUTOFF):
+            r11 = 1.0 - r22 - r44
+            elements.append([r11, r22, 0.0, r44, 0.0, 0.0, r15, r26])
+    return states_from_elements(np.array(elements))
+
+
+def test_b_blocks_at_the_cutoff_match_the_exact_form():
+    states = cutoff_states()
+    assert pattern_route(states).all()
+    n_g_b = negativity_batch(states, global_qubits=(QubitLabel.B,)).n_g[QubitLabel.B]
+    exact = np.array([two_block_negativity_b(m) for m in states])
+    # inside the cutoff nothing counts; outside it both blocks do, each to
+    # a relative 1e-8: the smaller eigenvalue is the determinant over the
+    # larger, where mean - half-gap would lose about 5e-5 of it to cancellation
+    assert n_g_b[:2].tolist() == exact[:2].tolist() == [0.0, 0.0]
+    assert (exact[2:] > 4.0 * CUTOFF).all()
+    assert (np.abs(n_g_b - exact)[2:] <= 1e-8 * exact[2:]).all()
+    # and B's K-way split, from the lifted eigenvectors (the states are not
+    # positive, so their decompositions are left out)
+    batch = batch_fields(negativity_batch(states))
+    for index, m in enumerate(states):
+        expected = textbook_report(m)
+        for name in ("n_g", "e_3", "e_2", "e_0"):
+            key = (name, QubitLabel.B)
+            assert batch[key][index] == pytest.approx(expected[key], abs=TOL), (index, key)
+
+
+@pytest.mark.parametrize("source", ["closed form", "oracle"])
+def test_b_blocks_at_the_slot_spread_bound_match_the_exact_form(source):
+    # the kernel reads the elements as the mean of their slots
+    states = closed_form_states(1.1) if source == "closed form" else oracle_states()
+    noisy = slot_noise(states, 0.98 * SLOT_SPREAD_TOL, seed=11)
+    assert pattern_route(noisy).all()
+    n_g_b = negativity_batch(noisy, global_qubits=(QubitLabel.B,)).n_g[QubitLabel.B]
+    exact = [two_block_negativity_b(m) for m in noisy]
+    assert np.abs(n_g_b - exact).max() <= TOL
+
+
+def test_diagonal_state_with_only_basis_kets_matches_textbook():
+    # a generic-route state (its |100> and |010> populations differ) whose
+    # decomposition kets are all basis states: no ket reaches the shares' solve
+    state = np.diag(np.arange(1.0, 9.0)) / 36.0
+    assert not pattern_route(state[None]).any()
+    assert assert_matches_textbook(state[None]) <= TOL
+    report = negativity_report(state)
+    assert all(value == 0.0 for value in report.e_psd.values())
