@@ -119,7 +119,7 @@ def _field_factors(theta: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     n + 1.  The squeezing only enters through the norms, see
     `_squeeze_norms`.  At theta = pi the factors are ``U0 = I`` and
     ``U1 = [I 0]``; at theta = 0 every row of ``U0`` picks q = 0 and ``U1``
-    is zero (`_selection`).
+    is zero: both are 0/1 selections (`_selection`).
     """
     size = n_max + 1
     rows = binomial_amplitude_table(n_max, theta)
@@ -182,45 +182,39 @@ def _pair_block_amplitudes(taus: np.ndarray, count: int) -> tuple[np.ndarray, np
 _TAU_CHUNK = 64
 
 
-def _selection(factor: np.ndarray) -> slice | np.ndarray | None:
+def _selection(factor: np.ndarray) -> np.ndarray | None:
     """How a 0/1 selection factor picks columns: ``x @ factor.T`` is ``x[:, picks]``.
 
     A selection factor holds at most one nonzero entry per row, and that
-    entry is exactly 1.  Returns a slice when its rows pick the leading
-    columns in order, else the column of each row (-1 for an all-zero row),
-    and None for any other factor.
+    entry is exactly 1.  Returns the column each row picks (-1 for an
+    all-zero row), or None for any other factor.
     """
     nonzero = factor != 0.0
     if (nonzero.sum(axis=1) > 1).any() or (factor[nonzero] != 1.0).any():
         return None
-    picks = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), -1)
-    if np.array_equal(picks, np.arange(len(picks))):
-        return slice(0, len(picks))
-    return picks
+    return np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), -1)
 
 
 def _times_factor(
     a: np.ndarray,
     b: np.ndarray,
     factor: np.ndarray,
-    picks: slice | np.ndarray | None,
+    picks: np.ndarray | None,
     square: np.ndarray,
     out: np.ndarray,
 ) -> np.ndarray:
     """``(a * b) @ factor.T`` into out, with `_selection`'s ``picks`` of the factor.
 
-    Any other factor takes the BLAS product of a * b, formed in ``square``.
-    A selection is applied by slicing or indexing, with no product: a
-    product by a selection row is its one picked entry times 1 plus products
-    with 0, so the copy is bit for bit the product.  Picks that are a slice
-    form only the picked columns of a * b, straight into out.
+    a * b is formed in ``square``.  A selection is applied by indexing, with
+    no product, and an all-zero row writes 0: a product by a selection row
+    is its one picked entry times 1 plus products with 0, so the copy is bit
+    for bit the product.  Any other factor takes the BLAS product.
     """
+    np.multiply(a, b, out=square)
     if picks is None:
-        return np.matmul(np.multiply(a, b, out=square), factor.T, out=out)
-    if isinstance(picks, slice):
-        return np.multiply(a[:, picks], b[:, picks], out=out)
-    np.take(np.multiply(a, b, out=square), picks, axis=1, out=out, mode="clip")
-    out[:, picks < 0] = 0.0
+        return np.matmul(square, factor.T, out=out)
+    np.take(square, picks, axis=1, out=out, mode="wrap")
+    np.copyto(out, 0.0, where=picks < 0)
     return out
 
 

@@ -74,6 +74,13 @@ def test_selection_factors_take_no_product(theta, u0_products, u1_products, monk
     assert Counter(operands) == +Counter(expected)
 
 
+def test_only_rows_of_a_single_one_make_a_selection():
+    selection = tavis_cummings._selection
+    assert selection(np.array([[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]])).tolist() == [1, -1, 0]
+    assert selection(np.array([[0.0, 0.5]])) is None
+    assert selection(np.array([[1.0, 1.0]])) is None
+
+
 def test_closed_form_rho_is_a_grid_of_one():
     config = FieldConfig(0.9, 1.1, 30)
     for tau in TAUS:
