@@ -139,13 +139,14 @@ def _fmt(value: float) -> str:
     return _CELL % (value + 0.0)  # + 0.0 turns IEEE negative zero into plain 0
 
 
-def _grid(start: float, end: float, steps: int) -> list[float]:
+def _grid(start: float, end: float, steps: int) -> np.ndarray:
+    """``steps`` points from ``start`` to ``end``, ``start + i * (end - start) / (steps - 1)``, as one array."""
     if steps == 1:
-        return [start]
-    return [start + i * (end - start) / (steps - 1) for i in range(steps)]
+        return np.array([start], dtype=float)
+    return start + np.arange(steps) * (end - start) / (steps - 1)
 
 
-def _warn_truncation(deficits: np.ndarray, squeezes: list[float], n_max: int) -> None:
+def _warn_truncation(deficits: np.ndarray, squeezes: np.ndarray, n_max: int) -> None:
     worst = int(np.argmax(deficits))
     if deficits[worst] > TRUNCATION_WARNING:
         print(
@@ -173,17 +174,17 @@ def _csv_text(cfg: SweepConfig, header_extra: list[str], rows: np.ndarray) -> st
     return "\n".join(lines) + "\n" + body
 
 
-def _sweep_axes(cfg: SweepConfig) -> tuple[list[float], list[float], str]:
+def _sweep_axes(cfg: SweepConfig) -> tuple[np.ndarray, np.ndarray, str]:
     """The (taus, squeezes) grid of a sweep mode and the header line that records it."""
     if cfg.mode == "tau-sweep":
         taus = _grid(cfg.tau_start, cfg.tau_end, cfg.tau_steps)
         span = f"tau_start={_fmt(cfg.tau_start)} tau_end={_fmt(cfg.tau_end)}"
-        return taus, [cfg.s], f"# {span} tau_steps={cfg.tau_steps}"
+        return taus, _grid(cfg.s, cfg.s, 1), f"# {span} tau_steps={cfg.tau_steps}"
     if cfg.mode == "s-sweep":
         squeezes = _grid(cfg.s_start, cfg.s_end, cfg.s_steps)
         span = f"s_start={_fmt(cfg.s_start)} s_end={_fmt(cfg.s_end)} s_steps={cfg.s_steps}"
-        return [cfg.tau], squeezes, f"# tau={_fmt(cfg.tau)} {span}"
-    return [cfg.tau], [cfg.s], f"# tau={_fmt(cfg.tau)}"
+        return _grid(cfg.tau, cfg.tau, 1), squeezes, f"# tau={_fmt(cfg.tau)} {span}"
+    return _grid(cfg.tau, cfg.tau, 1), _grid(cfg.s, cfg.s, 1), f"# tau={_fmt(cfg.tau)}"
 
 
 def run_sweep(cfg: SweepConfig) -> str:

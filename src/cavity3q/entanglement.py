@@ -9,63 +9,68 @@ decomposition, which flag bound entanglement, their pairwise shares through
 the selective two-qubit transposes, and the auxiliary measures (linear
 entropy of B, W-state fidelity, Bell-sector weight).  `negativity_report` is
 the kernel on a grid of one state and accepts every state the kernel does.
-Each quantity has one implementation: the paper's gated two-block closed
-form of qubit B's global negativity is how the pattern route solves B's
-two 3x3 blocks, in every ``global_qubits`` selection; the tests check it
-against the same form in exact arithmetic and the textbook eigensolve.
+Each quantity has one implementation per route: the paper's gated
+two-block closed form of qubit B's global negativity is how the pattern
+route solves B's two 3x3 blocks; the tests check it against the same form
+in exact arithmetic and the textbook eigensolve.
 
 The kernel refuses, by the name ``states``, a stack that does not hold
 finite numbers or a state that is not Hermitian to 1e-9 (named by its index
 in the caller's stack).  It evaluates the stack in fixed blocks of
-`_DIAGNOSTIC_BLOCK` rows and decides each state's route once:
+`_DIAGNOSTIC_BLOCK` rows and decides each state's route once; a block that
+is all one route is evaluated in place, with no gather of its rows.
 
-* the pattern route takes a state whose entries outside `PATTERN_MASK` are
+* The pattern route takes a state whose entries outside `PATTERN_MASK` are
   exactly zero and whose element slots spread by at most 3e-15 (two slots
   of one element apart, or a slot's imaginary part): every closed-form and
   brute-force oracle state.  `tavis_cummings` reads the elements back from
-  the slot table that `states_from_elements` writes with.  Such a state is
-  block diagonal, and so is each partial transpose the kernel solves, on
-  index blocks of at most 3 derived from `PATTERN_MASK` at import (Tavis &
-  Cummings, Phys. Rev. 170, 379 (1968): each field component conserves
-  photon number plus atomic excitation).  Its pure-state decomposition is
-  computed in closed form from the elements;
-* the generic route takes every other state, rounding noise outside the
+  the slot table that `states_from_elements` writes with, and every
+  diagnostic but the auxiliary measures is computed from those eight
+  elements (N, 8), with no dense ket, gather or projector:
+
+  - the pure-state decomposition is the two eigenpairs (lam, x, y) of each
+    of the state's two 2x2 blocks, a family of two kets (`_family_kets`),
+    and the basis kets |110> and |001>;
+  - the decomposition negativity of a ket uses the pure-state identity
+    ``N_G^p(phi) = 2 sqrt(det rho_p)``, ``rho_p`` its reduced state of
+    qubit p, and ``det rho_p`` is the sum of the squared 2x2 minors of the
+    ket split by qubit p.  A table derived at import from `PATTERN_MASK`
+    (`_family_minors`) lists each family's nonzero minors, one product of
+    two components each and at most two per qubit, so each sum has the
+    same bits in any order;
+  - the pairwise share term of spec (p, q) of a ket is
+    ``-|m_q|^2 / r``, m_q its minors whose columns differ in qubit q alone
+    and ``r = N_G^p / 2``; the table refuses a family on which that split
+    would not be exact;
+  - qubit B's global negativity and its K-way split come from the paper's
+    gated two-block closed form (`_b_global_split`, in every
+    ``global_qubits`` selection): each of B's 3-index transpose blocks is a
+    2x2 block in the elements plus an exact null direction (`_two_blocks`),
+    and E_3/E_2/E_0 are quadratic forms of its kept eigenvectors.  A1's
+    and A2's transposes split on index blocks of at most 3, derived from
+    `PATTERN_MASK` at import (Tavis & Cummings, Phys. Rev. 170, 379
+    (1968): each field component conserves photon number plus atomic
+    excitation), which are gathered and solved.
+
+* The generic route takes every other state, rounding noise outside the
   pattern included: each transpose is one block of all 8 indices, from
-  tables built the same way on the whole support, and the decomposition is
-  a stacked eigendecomposition.
+  tables built the same way on the whole support, the decomposition is a
+  stacked eigendecomposition, N_PSDG comes from the minors of its dense
+  kets, and each ket of positive weight that is not a basis state has its
+  shares solved as one 8-index block per qubit.
 
-On both routes each transpose is gathered into its blocks, with each map it
-projects gathered on the same index pairs, and:
-
-* the global negativities come from the negative eigenvalues of the global
-  transpose of each qubit named in ``global_qubits`` (default all three),
-  and their K-way split E_3/E_2/E_0 from ``Re tr(T P)``, T the K-way
-  transpose (or the state) and P the projector on the negative
-  eigenvectors, summed over the blocks; a qubit left out is not solved;
-* the decomposition negativity uses the pure-state identity
-  ``N_G^p(phi) = 2 sqrt(det rho_p)``, with ``rho_p`` the reduced state of
-  qubit p, and ``det rho_p`` is the sum of the squared 2x2 minors of the
-  ket split by qubit p, so it needs no eigensolver;
-* the pairwise shares come from the two-way transposes of the
-  decomposition states of positive weight only, and of those only the ones
-  that are not basis states.  On the pattern route each such ket lies in
-  one of the state's two 3-index blocks, and the same squared minors split
-  its negativity: the share term of spec (p, q) is ``-|m_q|^2 / r``, m_q
-  the minors whose columns differ in qubit q alone and ``r = N_G^p / 2``.
-  A check at import derives the blocks from `PATTERN_MASK` and refuses any
-  on which that split would not be exact, so these kets need no
-  eigensolver.  On the generic route the kets are solved as one 8-index
-  block per qubit.
-
-All blocks of one size go to one symmetrised solver in one stacked call, and
-a 1x1 block needs no solve, so a sweep makes no 8x8 eigensolve.  On the
-pattern route B's two 3x3 blocks need none either: each is a 2x2 block in
-the elements plus an exact null direction (`_two_blocks`), solved in closed
-form.  The command-line sweeps ask for qubit B's global transpose only, the
-one their CSV reports, so they make no eigensolve at all.  The closed-form
-states are real symmetric, so a sweep runs real arithmetic and real
-symmetric LAPACK solves for A1's and A2's blocks; a complex stack (a user's
-state, the generic route) takes the same lines with complex LAPACK.
+A gathered transpose gives the global negativity from its negative
+eigenvalues, and the K-way split E_3/E_2/E_0 from ``Re tr(T P)``, T the
+K-way transpose (or the state) gathered on the same index pairs and P the
+projector on the negative eigenvectors, summed over the blocks.  Only the
+qubits named in ``global_qubits`` (default all three) are solved.  All
+blocks of one size go to one symmetrised solver in one stacked call, and a
+1x1 block needs no solve, so a sweep makes no 8x8 eigensolve.  The
+command-line sweeps ask for qubit B's global transpose only, the one their
+CSV reports, so they make no eigensolve at all.  The closed-form states are
+real symmetric, so a sweep runs real arithmetic and real symmetric LAPACK
+solves for A1's and A2's blocks; a complex stack (a user's state, the
+generic route) takes the same lines with complex LAPACK.
 """
 
 from __future__ import annotations
@@ -267,59 +272,40 @@ def _two_level_pairs(d_first: np.ndarray, d_second: np.ndarray, off: np.ndarray)
     """Eigenpairs of [[d_first, off], [off, d_second]] per row, in no fixed order or sign.
 
     Returns ``[(lam, x, y), (lam, x, y)]`` of arrays, the eigenvector being
-    ``(x, y)``.  A row whose off-diagonal is below the eigenvalue cutoff
-    keeps the basis vectors where they are, ``(d_first, 1, 0)`` then
-    ``(d_second, 0, 1)``.
+    ``(x, y)``, and the rows it rotated.  A row rotates when its angle
+    counts, ``tan 2phi = 2|off| / |d_first - d_second|`` above the
+    eigenvalue cutoff, and its half gap ``hypot(d_first - d_second, 2 off)
+    / 2`` exceeds the cutoff times its mean, so that rounding of the mean
+    cannot turn the eigenvectors.  Any other row keeps the basis vectors
+    where they are, ``(d_first, 1, 0)`` then ``(d_second, 0, 1)``: a ket
+    it leaves unrotated has a negativity of ``sin 2phi`` at most, inside
+    the cutoff, or lies in a pair that is degenerate to within the cutoff
+    of its mean, which the basis kets decompose as well.
     """
-    ones, zeros = np.ones_like(d_first), np.zeros_like(d_first)
-    pairs = [[d_first.copy(), ones, zeros], [d_second.copy(), zeros.copy(), ones.copy()]]
-    rotated = np.abs(off) >= NEGATIVE_EIGENVALUE_CUTOFF
-    d1, d2, c = d_first[rotated], d_second[rotated], off[rotated]
-    half_gap = 0.5 * np.hypot(d1 - d2, 2.0 * c)
-    mean = 0.5 * (d1 + d2)
-    for pair, lam in zip(pairs, (mean - half_gap, mean + half_gap)):
-        # pick the better-conditioned of the two eigenvector formulas
-        use_a = np.hypot(c, lam - d1) >= np.hypot(lam - d2, c)
-        x = np.where(use_a, c, lam - d2)
-        y = np.where(use_a, lam - d1, c)
-        norm = np.hypot(x, y)
-        for out, value in zip(pair, (lam, x / norm, y / norm)):
-            out[rotated] = value
-    return pairs
+    gap, twice = np.abs(d_first - d_second), 2.0 * np.abs(off)
+    half_gap, mean = 0.5 * np.hypot(gap, twice), 0.5 * (d_first + d_second)
+    cutoff = NEGATIVE_EIGENVALUE_CUTOFF
+    rotated = (twice > cutoff * gap) & (half_gap > cutoff * np.abs(mean))
+    pairs = []
+    # every row is solved and the rows that keep their basis vectors are
+    # put back after, so a row with nothing to rotate may divide 0 by 0
+    with np.errstate(invalid="ignore"):
+        for lam, kept in ((mean - half_gap, (d_first, 1.0, 0.0)), (mean + half_gap, (d_second, 0.0, 1.0))):
+            to_first, to_second = lam - d_first, lam - d_second
+            # the better-conditioned of the two eigenvector formulas
+            norm_a, norm_b = np.hypot(off, to_first), np.hypot(to_second, off)
+            use_a = norm_a >= norm_b
+            norm = np.maximum(norm_a, norm_b)
+            x = np.where(use_a, off, to_second) / norm
+            y = np.where(use_a, to_first, off) / norm
+            pairs.append([np.where(rotated, value, basis) for value, basis in zip((lam, x, y), kept)])
+    return pairs, rotated
 
 
 def _generic_decomposition(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pure-state decomposition of generic-route states (N, 8, 8): eigenpairs, weights clipped."""
     vals, vecs = _symmetrised_eigh(m)
     return np.clip(vals, 0.0, None), vecs
-
-
-def _analytic_decomposition(elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pure-state decomposition of each pattern-route state, from its elements (N, 8).
-
-    Such a state is block diagonal in the basis {|000>, sym|1>},
-    {sym|0>, |111>}, |110>, |001> plus the two antisymmetric null
-    directions, so six analytic eigenpairs (plus two zero-weight
-    completions) suffice.  Returns the probabilities (N, 8) and the real
-    unit vectors as columns (N, 8, 8).  Every output reads the kets only
-    through their projectors, so no phase or order is fixed.
-    """
-    r11, r22, r33, r44, r55, r66, r15, r26 = elements.T
-    lams = []
-    kets = np.zeros((len(elements), 8, 8))
-    for col, (lam, x, y) in enumerate(_two_level_pairs(r11, r55, r15)):
-        lams.append(lam)
-        kets[:, 0, col] = x
-        kets[:, 5, col] = kets[:, 6, col] = y * _INV_SQRT2
-    for col, (lam, x, y) in enumerate(_two_level_pairs(r22, r66, r26), start=2):
-        lams.append(lam)
-        kets[:, 1, col] = kets[:, 2, col] = x * _INV_SQRT2
-        kets[:, 7, col] = y
-    kets[:, 3, 4] = kets[:, 4, 5] = 1.0
-    kets[:, 1, 6] = kets[:, 5, 7] = _INV_SQRT2
-    kets[:, 2, 6] = kets[:, 6, 7] = -_INV_SQRT2
-    zero = np.zeros_like(r33)
-    return np.maximum(np.stack([*lams, r33, r44, zero, zero], axis=-1), 0.0), kets
 
 
 def _squared_minors(kets: np.ndarray, p: QubitLabel) -> np.ndarray:
@@ -535,164 +521,297 @@ _SHARE_MINORS = [
 ]
 
 
-def _check_minor_split(support: np.ndarray) -> None:
-    """Raise RuntimeError unless the minors split the shares of each ket on ``support`` exactly.
+def _family_minors(support: np.ndarray) -> dict[tuple[int, ...], dict[QubitLabel, dict]]:
+    """The nonzero 2x2 minors of the kets of a state on ``support``, per family and qubit.
 
-    The decomposition kets of a state on ``support`` each lie in one of its
-    index blocks of two or more indices, a family.  A product
-    ``phi_a phi_b`` of a minor (`_minor_products`) is supported when both
-    its indices lie in the family: it is the entry of the ket's projector
-    that the two-way transpose of qubit p moves.  A family fails, for a
-    qubit that leads a selective spec, if a minor has two supported
-    products, so that a moved entry lands on one the projector holds, or if
-    a supported minor's columns (a and c) differ in two qubits, a three-way
-    entry that counts towards ``N_G^p`` but that no two-way transpose moves.
+    The decomposition kets of such a state each lie in one of its index
+    blocks of two or more indices, a family.  A product ``phi_a phi_b`` of
+    a minor (`_minor_products`) is supported when both its indices lie in
+    the family.  Returns, per family (its block) and qubit, the minors that
+    have a supported product, each as ``{minor: (a, b)}``, its index in
+    `_MINOR_PRODUCTS` and its one supported product, so that the minor of
+    any ket of the family is ``phi_a phi_b`` up to sign.  Raises
+    RuntimeError for a family in which a minor has two supported products,
+    or a qubit has more than two nonzero minors, so that a summed square of
+    minors has at most two nonzero terms and the same bits in any order;
+    or, for a qubit that leads a selective spec, in which a supported
+    minor's columns (a and c) differ in two qubits, a three-way entry that
+    counts towards ``N_G^p`` but that no two-way transpose moves, so that
+    the minors would not split the ket's shares exactly.
     """
-    for family in [set(block) for block in _index_blocks(support) if len(block) > 1]:
-        for p in _SHARE_QUBITS:
-            for a, b, c, d in zip(*(indices.tolist() for indices in _MINOR_PRODUCTS[p])):
+    table = {}
+    for block in _index_blocks(support):
+        if len(block) < 2:
+            continue
+        family, by_qubit = set(block), {}
+        # the qubits that lead a selective spec first, so their checks report first
+        for p in dict.fromkeys([*_SHARE_QUBITS, *QubitLabel]):
+            nonzero, where = {}, f"ket family {sorted(family)}, qubit {p.name}"
+            for minor, (a, b, c, d) in enumerate(zip(*(i.tolist() for i in _MINOR_PRODUCTS[p]))):
                 supported = [pair for pair in ((a, b), (c, d)) if set(pair) <= family]
-                minor = f"phi{a} phi{b} - phi{c} phi{d}"
-                where = f"ket family {sorted(family)}, qubit {p.name}: minor {minor}"
+                if not supported:
+                    continue
                 if len(supported) > 1:
-                    raise RuntimeError(f"{where} has two supported products")
-                if supported and bin(a ^ c).count("1") != 1:
-                    raise RuntimeError(f"{where} is supported on columns that differ in two qubits")
+                    raise RuntimeError(f"{where}: minor phi{a} phi{b} - phi{c} phi{d} has two supported products")
+                if p in _SHARE_QUBITS and bin(a ^ c).count("1") != 1:
+                    raise RuntimeError(
+                        f"{where}: minor phi{a} phi{b} - phi{c} phi{d} is supported on columns "
+                        "that differ in two qubits"
+                    )
+                nonzero[minor] = supported[0]
+            if len(nonzero) > 2:
+                raise RuntimeError(f"{where} has {len(nonzero)} nonzero minors, more than two")
+            by_qubit[p] = nonzero
+        table[block] = by_qubit
+    return table
 
 
-_check_minor_split(PATTERN_MASK)
+# ------------------------------------------------- the pattern route's kets
+#
+# A pattern-route state is block diagonal in {|000>, (|101> + |011>)/sqrt2},
+# {(|100> + |010>)/sqrt2, |111>}, |110> and |001>, plus the two
+# antisymmetric null directions.  Its decomposition is the two eigenpairs
+# (lam, x, y) of each 2x2 block, a family of two kets, and the two basis
+# kets, weighted r33 and r44.  Per family: the elements on the block's
+# first diagonal, second diagonal and coupling, and per basis index of its
+# support the component there, 0 for x and 1 for y, and its scale.
+_FAMILIES = (
+    ((0, 4, 6), {0: (0, 1.0), 5: (1, _INV_SQRT2), 6: (1, _INV_SQRT2)}),
+    ((1, 5, 7), {1: (0, _INV_SQRT2), 2: (0, _INV_SQRT2), 7: (1, 1.0)}),
+)
+_FAMILY_MINORS = _family_minors(PATTERN_MASK)
+
+# the value of the qubit that leads each spec of `_SHARE_ORDER`
+_SHARE_LEADS = [SELECTIVE_SPECS[spec][0].value for spec in _SHARE_ORDER]
+
+
+def _ket_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Index tables that evaluate the minors of every family's kets at once.
+
+    A family's entries are laid out by its support in ascending order, with
+    one more slot that reads 0 (component 0 at scale 0).  Returns the
+    component (0 for x, 1 for y) and scale of each slot (families,
+    slots); the slots of the one supported product of each nonzero minor
+    of `_FAMILY_MINORS` (2, qubits, families, 2), a qubit with fewer than
+    two filled up with the zero slot; and per spec of `_SHARE_ORDER`, 1.0
+    for each of its first qubit's minors whose columns differ in the
+    partner qubit alone and 0.0 for the others (specs, families, 2).
+    """
+    supports = [sorted(slots) for _, slots in _FAMILIES]
+    zero = max(map(len, supports))
+    components = np.zeros((len(_FAMILIES), zero + 1), dtype=int)
+    scales = np.zeros((len(_FAMILIES), zero + 1))
+    products = np.full((2, len(QubitLabel), len(_FAMILIES), 2), zero)
+    reads = np.zeros((len(_SHARE_ORDER), len(_FAMILIES), 2))
+    share_minors = [minors.tolist() for minors in _SHARE_MINORS]
+    for family, ((_, slots), support) in enumerate(zip(_FAMILIES, supports)):
+        components[family, : len(support)], scales[family, : len(support)] = zip(*(slots[i] for i in support))
+        for p, minors in _FAMILY_MINORS[tuple(support)].items():
+            for m, (minor, pair) in enumerate(minors.items()):
+                products[:, p.value, family, m] = [support.index(i) for i in pair]
+                for column, lead in enumerate(_SHARE_LEADS):
+                    if lead == p.value:
+                        reads[column, family, m] = minor in share_minors[column]
+    return components, scales, products, reads
+
+
+_SLOT_COMPONENTS, _SLOT_SCALES, _MINOR_SLOTS, _SPEC_READS = _ket_tables()
+
+
+def _family_kets(elements: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The kets of the 2x2 blocks of pattern-route states, from their elements (N, 8).
+
+    Returns ``lam``, ``x`` and ``y``, each (families, 2, N), per family of
+    `_FAMILIES` its two eigenpairs from `_two_level_pairs`.
+    """
+    first, second, off = (elements.T[list(k)] for k in zip(*(block for block, _ in _FAMILIES)))
+    pairs, _ = _two_level_pairs(first, second, off)
+    lam, x, y = (np.stack(arrays, axis=1) for arrays in zip(*pairs))
+    return lam, x, y
+
+
+def _ket_negativity(root: np.ndarray) -> np.ndarray:
+    """``N_G^p = 2 r`` of each ket from the root ``r`` of its summed squared minors, gated at the cutoff."""
+    return np.where(root > NEGATIVE_EIGENVALUE_CUTOFF, 2.0 * root, 0.0)
+
+
+def _family_negativities(elements: np.ndarray) -> tuple[dict, dict]:
+    """N_PSDG per qubit and its pairwise shares per spec, of pattern-route states (N, 8).
+
+    Each ket of a family is held as its (x, y) (`_family_kets`), and each
+    of its nonzero minors is one product ``phi_a phi_b`` of them
+    (`_FAMILY_MINORS`).  So ``N_G^p = 2 r``, ``r`` the root of at most two
+    squared products, and the share term of spec (p, q) is
+    ``-|m_q|^2 / r``, m_q its minors whose columns differ in qubit q alone
+    (0 unless ``r`` exceeds the cutoff), with no dense ket and no
+    eigensolve.  The basis kets |110> and |001> have no minor, and so no
+    negativity and no share.  The weighted values are summed over each
+    family's two kets, then over the families: the pairwise order in which
+    numpy sums the generic route's eight eigenpairs, had these four kets
+    come first.
+    """
+    lam, x, y = _family_kets(elements)
+    weights = np.maximum(lam, 0.0)
+    families = np.arange(len(_FAMILIES))[:, None]
+    entries = np.stack([x, y])[_SLOT_COMPONENTS, families] * _SLOT_SCALES[..., None, None]
+    a, b = _MINOR_SLOTS
+    squares = (entries[families, a] * entries[families, b]) ** 2
+    # each sum has at most two nonzero terms, so it has the same bits in any order
+    roots = np.sqrt(squares.sum(axis=2))
+    spec_squares = (squares[_SHARE_LEADS] * _SPEC_READS[..., None, None]).sum(axis=2)
+    share_roots = roots[_SHARE_LEADS]
+    live = share_roots > NEGATIVE_EIGENVALUE_CUTOFF
+    scale = np.divide(-1.0, share_roots, out=np.zeros_like(share_roots), where=live)
+    n_psdg = (weights * _ket_negativity(roots)).sum(axis=2).sum(axis=1)
+    shares = -2.0 * (weights * (spec_squares * scale)).sum(axis=2).sum(axis=1)
+    return _by_key(n_psdg, shares)
 
 
 # ------------------------------------------------- B's two-block closed form
 #
 # The A1<->A2 exchange swaps |100> with |010> and |101> with |011>.  Pattern
-# states are invariant under it, and qubit B's transpose commutes with it,
-# so each 3-index block of B's transpose that the exchange maps onto itself,
-# swapping one pair (i, j) and fixing k, splits in the basis of
+# states are invariant under it, and qubit B's transposes commute with it,
+# so each 3-index block of B's global transpose that the exchange maps onto
+# itself, swapping one pair (i, j) and fixing k, splits in the basis of
 # (|i> + |j>)/sqrt2, |k> and (|i> - |j>)/sqrt2.  When the pair's diagonal
 # and cross entries are slots of one element, the last is an exact null
 # direction and the rest is a 2x2 block in the elements: [[r22, r15],
 # [r15, r44]] on {1, 2, 4} and [[r55, r26], [r26, r33]] on {3, 5, 6}, the
-# paper's gated two-block form of B's global negativity.  A check at import
-# derives these blocks from the slot table and refuses any that would not
-# split exactly; A1's and A2's blocks, such as {0, 3, 6}, are not
-# exchange-invariant, and stay with the eigensolver.
+# paper's gated two-block form of B's global negativity.  Its kept
+# eigenvectors (x, y) lie in the frame of the first two, so the K-way split
+# reads each map that they project as its 2x2 block in that frame too, a
+# quadratic form in the elements.  A check at import derives these blocks
+# from the slot table and refuses any that would not split exactly; A1's
+# and A2's blocks, such as {0, 3, 6}, are not exchange-invariant, and stay
+# with the eigensolver.
 
 _EXCHANGE = [(i & 4) | (i & 1) << 1 | (i >> 1) & 1 for i in range(8)]
 
 
-def _two_blocks(units: np.ndarray, transpose: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The 2x2 blocks of each 3-index block of a transpose of states built from slot ``units``.
+def _two_blocks(units: np.ndarray, maps: list[np.ndarray]):
+    """The closed-form blocks of the transposes of states built from slot ``units``.
 
     ``units`` (elements, 8, 8) holds the state of each unit element, as
-    `states_from_elements` writes it, and ``transpose`` the flat positions
-    of a transpose map (`_transpose_positions`).  Returns, per block,
-    ``entries`` and ``scales`` (blocks, 3), which give the pair's diagonal,
-    k's diagonal and their coupling as ``elements[entries] * scales``, and
-    ``lift`` (blocks, 2, 3), the symmetric pair vector and |k> in the
-    block's frame.  Raises RuntimeError unless
-    the exchange maps every 3-index block onto itself, each entry onto one
-    that holds the same element, swapping one pair, and the pair's diagonal
-    and cross entries are slots of one element.
+    `states_from_elements` writes it, and ``maps`` the flat positions of
+    transpose maps (`_transpose_positions`): the first is solved, and its
+    eigenvectors project the others.  Per index block of the first map,
+    every map's entries are read as ``elements[entries] * scales``:
+    ``singles`` and ``single_scales`` (maps, blocks) give the entry of each
+    1-index block, and ``entries`` and ``scales`` (maps, blocks, 3) the 2x2
+    block of each 3-index block in the frame of its symmetric pair vector
+    and |k>: the pair's diagonal, k's diagonal and their coupling.  Returns
+    ``(singles, single_scales, entries, scales)``.  Raises RuntimeError for
+    a block of another size, and unless the exchange maps every 3-index
+    block onto itself, swapping one pair, and, in every map, each entry
+    onto one that holds the same element, with the pair's diagonal and
+    cross entries slots of one element.
     """
     flat = units.reshape(len(units), 64)
     held = flat != 0.0
-    element = np.where(held.any(axis=0), held.argmax(axis=0), -1)[transpose].tolist()
-    slot = flat.sum(axis=0)[transpose].tolist()
-    entries, scales, lift = [], [], []
-    for block in _index_blocks(held.any(axis=0)[transpose]):
-        if len(block) != 3:
-            continue
-        where = f"index block {list(block)}"
-        swapped = [i for i in block if _EXCHANGE[i] != i]
-        invariant = set(_EXCHANGE[i] for i in block) == set(block) and all(
-            element[i][j] == element[_EXCHANGE[i]][_EXCHANGE[j]] for i in block for j in block
-        )
-        if not invariant or len(swapped) != 2:
-            raise RuntimeError(f"{where} is not exchange-invariant with one swapped pair")
-        (i, j), (k,) = swapped, [x for x in block if x not in swapped]
-        if element[i][i] < 0 or element[i][j] != element[i][i]:
-            pair = f"the diagonal and cross entries of pair ({i}, {j})"
-            raise RuntimeError(f"{where}: {pair} are not slots of one element")
+    first, slots = np.where(held.any(axis=0), held.argmax(axis=0), -1), flat.sum(axis=0)
+    blocks = _index_blocks(held.any(axis=0)[maps[0]])
+    singles, single_scales, entries, scales = [], [], [], []
+    for positions in maps:
         # an entry off the pattern (element -1, slot 0) reads element 0 at scale 0
-        entries.append([element[i][i], max(element[k][k], 0), max(element[i][k], 0)])
-        scales.append([2.0 * slot[i][i], slot[k][k], _SQRT2 * slot[i][k]])
-        sym, fixed = np.zeros(3), np.zeros(3)
-        sym[[block.index(i), block.index(j)]], fixed[block.index(k)] = _INV_SQRT2, 1.0
-        lift.append([sym, fixed])
-    return np.array(entries, dtype=int), np.array(scales), np.array(lift)
+        element, slot = first[positions].tolist(), slots[positions].tolist()
+        singles.append([]), single_scales.append([]), entries.append([]), scales.append([])
+        for block in blocks:
+            where = f"index block {list(block)}"
+            if len(block) == 1:
+                (i,) = block
+                singles[-1].append(max(element[i][i], 0))
+                single_scales[-1].append(slot[i][i])
+                continue
+            if len(block) != 3:
+                raise RuntimeError(f"{where} has {len(block)} indices, not 1 or 3")
+            swapped = [i for i in block if _EXCHANGE[i] != i]
+            invariant = set(_EXCHANGE[i] for i in block) == set(block) and all(
+                element[i][j] == element[_EXCHANGE[i]][_EXCHANGE[j]] for i in block for j in block
+            )
+            if not invariant or len(swapped) != 2:
+                raise RuntimeError(f"{where} is not exchange-invariant with one swapped pair")
+            (i, j), (k,) = swapped, [x for x in block if x not in swapped]
+            if element[i][i] < 0 or element[i][j] != element[i][i]:
+                pair = f"the diagonal and cross entries of pair ({i}, {j})"
+                raise RuntimeError(f"{where}: {pair} are not slots of one element")
+            entries[-1].append([element[i][i], max(element[k][k], 0), max(element[i][k], 0)])
+            scales[-1].append([2.0 * slot[i][i], slot[k][k], _SQRT2 * slot[i][k]])
+    return (
+        np.array(singles, dtype=int),
+        np.array(single_scales),
+        np.array(entries, dtype=int),
+        np.array(scales),
+    )
 
 
-_B_ENTRIES, _B_SCALES, _B_LIFT = _two_blocks(
-    states_from_elements(np.eye(8)), _STATE_MAPS[QubitLabel.B.value][0]
+_B_SINGLES, _B_SINGLE_SCALES, _B_ENTRIES, _B_SCALES = _two_blocks(
+    states_from_elements(np.eye(8)), _STATE_MAPS[QubitLabel.B.value]
 )
+# the pair's diagonal, k's diagonal and the coupling first, for `_b_global_split`
+_B_ENTRIES, _B_SCALES = np.moveaxis(_B_ENTRIES, -1, 0), np.moveaxis(_B_SCALES, -1, 0)
 
 
-def _two_block_pairs(elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Kept eigenpairs of B's 3-index transpose blocks, from pattern-route elements (N, 8).
+def _b_global_split(elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """N_G of qubit B (N,) and its split E_3, E_2, E_0 (N, 3), from pattern-route elements (N, 8).
 
-    Shaped as `_negative_pairs` shapes them for the gathered blocks, one
-    owner: eigenvalues (N, 1, blocks, 2) and eigenvectors as columns
-    (N, 1, blocks, 3, 2), those at or above minus the cutoff set to zero.
-    The columns are each block's 2x2 eigenpairs (`_two_level_pairs`), lifted
-    into its 3-index frame; the null direction is never kept, so it has no
-    column.  On a rotated block whose trace is not negative, as on every
-    positive state, the lower eigenvalue is the determinant over the upper:
-    ``mean - half_gap`` cancels where it is small.  Against 50-digit
-    decimals, on the negative blocks of the sweeps' grids at four angles,
-    its worst relative error is 3.5e-12 and the quotient's 1.4e-13.
+    The 1-index blocks count their entry when it is below minus the
+    cutoff, in N_G and in every map.  Each 2x2 block gives its eigenpairs
+    (`_two_level_pairs`); those below minus the cutoff count in N_G, and in
+    each map's split as its quadratic form ``x^2 a + y^2 b + 2 x y c`` on
+    the kept eigenvector, [[a, c], [c, b]] the map's block in the frame
+    (`_two_blocks`).  The null direction is never kept.  On a rotated
+    block whose trace is not negative, as on every positive state, the
+    lower eigenvalue is the determinant over the upper: ``mean - half_gap``
+    cancels where it is small.  Against 50-digit decimals, on the negative
+    blocks of the sweeps' grids at four angles, its worst relative error is
+    3.5e-12 and the quotient's 1.4e-13.  The arrays hold the states last,
+    (..., blocks, eigenpairs, N), so every step runs on contiguous rows.
     """
-    a, b, c = np.moveaxis(elements[:, _B_ENTRIES] * _B_SCALES, -1, 0)
-    pairs = _two_level_pairs(a, b, c)
+    columns = elements.T
+    single = columns[_B_SINGLES] * _B_SINGLE_SCALES[..., None]
+    single = np.where(single[:1] < -NEGATIVE_EIGENVALUE_CUTOFF, single, 0.0).sum(axis=1)
+    frames = columns[_B_ENTRIES] * _B_SCALES[..., None]
+    a, b, c = frames[:, 0]
+    pairs, rotated = _two_level_pairs(a, b, c)
     (lower, *_), (upper, *_) = pairs
-    rotated = (np.abs(c) >= NEGATIVE_EIGENVALUE_CUTOFF) & (a + b >= 0.0)
-    np.divide(a * b - c * c, upper, out=lower, where=rotated)
-    lam, x, y = (np.stack(arrays, axis=-1) for arrays in zip(*pairs))
+    np.divide(a * b - c * c, upper, out=lower, where=rotated & (a + b >= 0.0))
+    lam, x, y = (np.stack(arrays, axis=1) for arrays in zip(*pairs))
     keep = lam < -NEGATIVE_EIGENVALUE_CUTOFF
-    sym, fixed = (_B_LIFT[:, i, :, None] for i in (0, 1))
-    vecs = (x * keep)[..., None, :] * sym + (y * keep)[..., None, :] * fixed
-    return np.where(keep, lam, 0.0)[:, None], vecs[:, None]
+    a, b, c = frames[:, 1:, :, None]
+    forms = np.where(keep, x * x * a + y * y * b + 2.0 * x * y * c, 0.0)
+    # each state's kept values summed in one order, blocks then eigenvalues
+    lam = np.where(keep, lam, 0.0).reshape(-1, len(elements)).sum(axis=0)
+    forms = forms.reshape(len(forms), -1, len(elements)).sum(axis=1)
+    return -2.0 * (single[0] + lam), -2.0 * (single[1:] + forms).T
 
 
-def _projected_blocks(gathered: np.ndarray, pairs=None) -> tuple[np.ndarray, np.ndarray]:
+def _projected_blocks(gathered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve map 0 of gathered blocks (..., owners, blocks, maps, n, n) and project the other maps.
 
     Returns the kept eigenvalues summed per owner, and ``Re tr(map @ P)``
     per owner and projected map, with P the projector on the kept
-    eigenvectors of the block; both summed over the blocks.  ``pairs``, if
-    given, are map 0's kept eigenpairs, as `_negative_pairs` returns them.
+    eigenvectors of the block; both summed over the blocks.
     """
-    vals, vecs = _negative_pairs(gathered[..., 0, :, :]) if pairs is None else pairs
+    vals, vecs = _negative_pairs(gathered[..., 0, :, :])
     projector = _projector(vecs)[..., None, :, :]
     traces = _projected_trace(gathered[..., 1:, :, :], projector)
     return vals.sum(axis=(-2, -1)), traces.sum(axis=-2)
 
 
-def _global_split(
-    m: np.ndarray, tables: dict, owners: list[int], elements: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _global_split(m: np.ndarray, tables: dict, owners: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """N_G (N, owner) and its split E_3, E_2, E_0 (N, owner, 3) of an (N, 8, 8) stack.
 
     ``owners`` are the values of the transposed qubits; with none, nothing
     is solved.  ``tables`` are the gathers of the stack's route:
-    `_STATE_GATHERS` (the index blocks of `PATTERN_MASK`), with the
-    ``elements`` (N, 8) of its states, or `_WHOLE_STATE_GATHERS` (one
-    8-index block per qubit).  With the elements, B's 3-index blocks take
-    their eigenpairs from `_two_block_pairs`, in every selection.
+    `_STATE_GATHERS` (the index blocks of `PATTERN_MASK`) or
+    `_WHOLE_STATE_GATHERS` (one 8-index block per qubit).
     """
     if not owners:
         return np.empty((len(m), 0)), np.empty((len(m), 0, 3))
     flat = m.reshape(-1, 64)
     sums = traces = 0.0
-    for size, positions in tables.items():
-        gathered = flat[:, positions[owners]]
-        if elements is not None and size == 3 and owners[-1] == QubitLabel.B.value:
-            parts = [_projected_blocks(gathered[:, -1:], _two_block_pairs(elements))]
-            if len(owners) > 1:
-                parts.insert(0, _projected_blocks(gathered[:, :-1]))
-            block_sums, block_traces = (np.concatenate(arrays, axis=1) for arrays in zip(*parts))
-        else:
-            block_sums, block_traces = _projected_blocks(gathered)
+    for positions in tables.values():
+        block_sums, block_traces = _projected_blocks(flat[:, positions[owners]])
         sums, traces = sums + block_sums, traces + block_traces
     return -2.0 * sums, -2.0 * traces
 
@@ -714,51 +833,34 @@ def _share_terms(kets: np.ndarray) -> np.ndarray:
     return traces.reshape(len(kets), len(_SHARE_ORDER))
 
 
-def _decomposition_negativities(
-    probs: np.ndarray, vectors: np.ndarray, by_minors: bool
-) -> tuple[dict[QubitLabel, np.ndarray], dict[str, np.ndarray]]:
-    """N_PSDG per qubit and its pairwise shares per selective spec, from one pass over the minors.
+def _by_key(n_psdg: np.ndarray, shares: np.ndarray) -> tuple[dict, dict]:
+    """N_PSDG (qubits, N) in `QubitLabel` order and shares (specs, N) in `_SHARE_ORDER`, as dicts."""
+    by_spec = dict(zip(_SHARE_ORDER, shares))
+    return dict(zip(QubitLabel, n_psdg)), {spec: by_spec[spec] for spec in SELECTIVE_SPECS}
 
-    Each decomposition ket of qubit p's split has ``N_G^p = 2 r``, ``r`` the
-    root of its summed squared minors (`_squared_minors`), gated at the
-    eigenvalue cutoff like every other negativity; N_PSDG is the weighted
-    sum.  A spec's share term of a ket is ``Re tr(S P)``, S the spec's
-    selective transpose of the ket's projector and P the projector on the
-    negative eigenvectors of its two-way transpose of the spec's first
-    qubit; the -2 weight makes the shares of a qubit add up to its N_PSDG.
-    Only the kets that can contribute are evaluated: those of positive
-    weight with at least two nonzero components.  A basis-state ket such as
-    |110> has a diagonal two-way transpose, so its shares are exactly 0.
-    The stack takes one route.  On the pattern route (``by_minors``) every
-    ket lies in one of the families that `_check_minor_split` passed at
-    import, so its term is ``-|m_q|^2 / r``, m_q the minors of
-    `_SHARE_MINORS` (0 unless ``r`` exceeds the cutoff), with no
-    eigensolve; on the generic route the kets go to `_share_terms`.
+
+def _decomposition_negativities(probs: np.ndarray, vectors: np.ndarray) -> tuple[dict, dict]:
+    """N_PSDG per qubit and its pairwise shares per selective spec, of a generic-route decomposition.
+
+    ``probs`` (N, 8) and ``vectors`` (N, 8, 8) are the eigenpairs
+    (`_generic_decomposition`).  Each ket of qubit p's split has
+    ``N_G^p = 2 r``, ``r`` the root of its summed squared minors
+    (`_squared_minors`), gated at the eigenvalue cutoff like every other
+    negativity; N_PSDG is the weighted sum.  A spec's share term of a ket
+    is ``Re tr(S P)``, S the spec's selective transpose of the ket's
+    projector and P the projector on the negative eigenvectors of its
+    two-way transpose of the spec's first qubit (`_share_terms`); the -2
+    weight makes the shares of a qubit add up to its N_PSDG.  Only the
+    kets that can contribute are solved: those of positive weight with
+    at least two nonzero components.  A basis-state ket such as |110> has a
+    diagonal two-way transpose, so its shares are exactly 0.
     """
     rows, cols = np.nonzero((probs > 0.0) & (np.count_nonzero(vectors, axis=-2) >= 2))
-    if by_minors:
-        terms = np.empty((len(rows), len(_SHARE_ORDER)))
-    else:
-        terms = _share_terms(vectors[rows, :, cols])
-    n_psdg = {}
-    for p in QubitLabel:
-        squared = _squared_minors(vectors, p)
-        root = np.sqrt(squared.sum(axis=-2))
-        live = root > NEGATIVE_EIGENVALUE_CUTOFF
-        n_psdg[p] = (probs * np.where(live, 2.0 * root, 0.0)).sum(axis=-1)
-        if by_minors and p in _SHARE_QUBITS:
-            ket_squared, r = squared[rows, :, cols], root[rows, cols]
-            scale = np.divide(-1.0, r, out=np.zeros_like(r), where=live[rows, cols])
-            for column, spec in enumerate(_SHARE_ORDER):
-                if SELECTIVE_SPECS[spec][0] is p:
-                    terms[:, column] = ket_squared[:, _SHARE_MINORS[column]].sum(-1) * scale
-        del squared  # one qubit's minors at a time bounds the peak
-    shares = {}
-    for column, spec in enumerate(_SHARE_ORDER):
-        share = np.zeros(probs.shape)
-        share[rows, cols] = terms[:, column]
-        shares[spec] = -2.0 * (probs * share).sum(axis=-1)
-    return n_psdg, {spec: shares[spec] for spec in SELECTIVE_SPECS}
+    terms = np.zeros((len(_SHARE_ORDER), *probs.shape))
+    terms[:, rows, cols] = _share_terms(vectors[rows, :, cols]).T
+    roots = np.array([np.sqrt(_squared_minors(vectors, p).sum(axis=-2)) for p in QubitLabel])
+    n_psdg = (probs * _ket_negativity(roots)).sum(axis=-1)
+    return _by_key(n_psdg, -2.0 * (probs * terms).sum(axis=-1))
 
 
 def _global_selection(global_qubits) -> list[QubitLabel]:
@@ -800,6 +902,8 @@ def negativity_batch(states, *, global_qubits=tuple(QubitLabel)) -> NegativityBa
         raise ValueError(f"expected an (N, 8, 8) stack of states, got shape {stack.shape}")
     _require_states(stack)
     owners, count = [p.value for p in qubits], len(stack)
+    # B, last in `QubitLabel` order, takes its closed form on the pattern route
+    b_owned = QubitLabel.B in qubits
     n_g, split = np.empty((count, len(owners))), np.empty((count, len(owners), 3))
     n_psdg = {p: np.empty(count) for p in QubitLabel}
     e_psd = {spec: np.empty(count) for spec in SELECTIVE_SPECS}
@@ -813,21 +917,31 @@ def negativity_batch(states, *, global_qubits=tuple(QubitLabel)) -> NegativityBa
         w1_fidelity[at] = _expectation(W1_STATE, block)
         bell_projection[at] = _bell_projection(block)
         for on_pattern in (True, False):
-            rows = np.flatnonzero(pattern_ok[at] == on_pattern)
-            if not rows.size:
-                continue
-            m = block[rows]
+            route = pattern_ok[at] == on_pattern
+            if route.all():
+                rows, where = slice(None), at  # the whole block: no gather, no scatter
+            else:
+                rows = np.flatnonzero(route)
+                where = start + rows
+                if not rows.size:
+                    continue
             if on_pattern:
                 pattern = elements[rows]
-                decomposition, tables = _analytic_decomposition(pattern), _STATE_GATHERS
+                if b_owned:
+                    n_g[where, -1], split[where, -1] = _b_global_split(pattern)
+                gathered = owners[: len(owners) - b_owned]
+                if gathered:
+                    n_g[where, : len(gathered)], split[where, : len(gathered)] = _global_split(
+                        block[rows], _STATE_GATHERS, gathered
+                    )
+                values = _family_negativities(pattern)
             else:
-                pattern, tables = None, _WHOLE_STATE_GATHERS
-                decomposition = _generic_decomposition(m)
-            n_g[start + rows], split[start + rows] = _global_split(m, tables, owners, pattern)
-            route = _decomposition_negativities(*decomposition, by_minors=on_pattern)
-            for out, values in zip((n_psdg, e_psd), route):
+                m = block[rows]
+                n_g[where], split[where] = _global_split(m, _WHOLE_STATE_GATHERS, owners)
+                values = _decomposition_negativities(*_generic_decomposition(m))
+            for out, route_values in zip((n_psdg, e_psd), values):
                 for key, array in out.items():
-                    array[start + rows] = values[key]
+                    array[where] = route_values[key]
     return NegativityBatch(
         n_g={p: n_g[:, i] for i, p in enumerate(qubits)},
         e_3={p: split[:, i, 0] for i, p in enumerate(qubits)},

@@ -136,10 +136,12 @@ def test_kernel_matches_reference_on_degenerate_pairs():
 def test_outputs_do_not_depend_on_ket_phases(dtype, monkeypatch):
     # every diagnostic reads the decomposition only through p |k><k|: a random
     # sign on each ket of a real stack changes no bit, a random unit phase on
-    # each ket of a complex stack changes only the rounding, within 1e-15 on
-    # the closed-form rows; the generic rows' pairwise shares come from 8x8
-    # eigensolves, which amplify it to several ulps (up to 6.2e-15 over 40
-    # random stacks), so TOL
+    # each ket of a complex stack changes only the rounding; the generic
+    # rows' pairwise shares come from 8x8 eigensolves, which amplify it to
+    # several ulps (up to 6.2e-15 over 40 random stacks), so TOL.  The
+    # pattern route holds each ket of a 2x2 block, and each eigenvector of
+    # B's transpose blocks, as the real (x, y) of `_two_level_pairs`, in
+    # either dtype: a random sign on each changes no bit
     rng = np.random.default_rng(47)
     closed = sweep_states(1.1, [0.6, 2.0], np.linspace(0.0, 20.0, 30))
     a = rng.standard_normal((20, 8, 8)).astype(dtype)
@@ -150,6 +152,15 @@ def test_outputs_do_not_depend_on_ket_phases(dtype, monkeypatch):
     states = np.concatenate([closed.astype(dtype), generic])
     expected = negativity_batch(states)
     calls = []
+
+    def resigned(solve):
+        def two_level_pairs(*args):
+            pairs, rotated = solve(*args)
+            calls.append(np.shape(args[0]))
+            signs = [rng.choice([-1.0, 1.0], size=np.shape(args[0])) for _ in pairs]
+            return [(lam, x * sign, y * sign) for (lam, x, y), sign in zip(pairs, signs)], rotated
+
+        return two_level_pairs
 
     def rephased(decompose):
         def decomposition(*args):
@@ -163,10 +174,12 @@ def test_outputs_do_not_depend_on_ket_phases(dtype, monkeypatch):
 
         return decomposition
 
-    for name in ("_analytic_decomposition", "_generic_decomposition"):
-        monkeypatch.setattr(ent, name, rephased(getattr(ent, name)))
+    monkeypatch.setattr(ent, "_two_level_pairs", resigned(ent._two_level_pairs))
+    monkeypatch.setattr(ent, "_generic_decomposition", rephased(ent._generic_decomposition))
     got = negativity_batch(states)
-    assert calls == [len(closed), len(generic)]
+    # B's two blocks and the two families of each closed-form state, then
+    # the generic states' eigenpairs
+    assert calls == [(2, len(closed)), (2, len(closed)), len(generic)]
     if dtype is np.float64:
         assert_bit_identical(got, expected)
         return
@@ -174,7 +187,7 @@ def test_outputs_do_not_depend_on_ket_phases(dtype, monkeypatch):
     reference = batch_fields(expected)
     for key, values in batch_fields(got).items():
         deviation = np.abs(values - reference[key])
-        assert deviation[: len(closed)].max() <= 1e-15, key
+        assert np.array_equal(values[: len(closed)], reference[key][: len(closed)]), key
         assert deviation[len(closed) :].max() <= TOL, key
 
 
@@ -313,19 +326,44 @@ def test_a_non_finite_entry_is_named_before_an_earlier_non_hermitian_state():
         negativity_batch(states)
 
 
-def test_the_input_checks_hold_no_temporary_the_size_of_the_stack():
-    # a 24,000-state closed-form stack of 12.3 MB through the kernel, as a
-    # sweep calls it: the Hermiticity residual is filled block by block, so
-    # the traced peak (3.2 MB) stays below half the stack; a residual formed
-    # over the whole stack at once took it to 23.4 MB
-    states = sweep_states(math.pi / 2.0, np.linspace(0.0, 2.0, 40), np.linspace(0.0, 20.0, 600))
+@pytest.fixture(scope="module")
+def large_sweep_stack():
+    """A 24,000-state closed-form stack of 12.3 MB: 600 taus by 40 squeezes at theta = pi/2."""
+    return sweep_states(math.pi / 2.0, np.linspace(0.0, 2.0, 40), np.linspace(0.0, 20.0, 600))
+
+
+def traced_kernel_call(states):
+    """The traced peak of one kernel call as a sweep makes it, and the bytes of the arrays it returns."""
     tracemalloc.start()
     try:
-        negativity_batch(states, global_qubits=(QubitLabel.B,))
+        batch = negativity_batch(states, global_qubits=(QubitLabel.B,))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    returned = sum(values.nbytes for values in batch_fields(batch).values()) + batch.pattern_ok.nbytes
+    return peak, returned
+
+
+def test_the_input_checks_hold_no_temporary_the_size_of_the_stack(large_sweep_stack):
+    # the 24,000-state stack through the kernel, as a sweep calls it: the
+    # Hermiticity residual is filled block by block, so the traced peak
+    # (3.0 MB) stays below half the stack; a residual formed over the whole
+    # stack at once took it to 23.4 MB
+    states = large_sweep_stack
+    peak, _ = traced_kernel_call(states)
     assert peak < states.nbytes / 2, f"peak {peak / 1e6:.1f} MB for a {states.nbytes / 1e6:.1f} MB stack"
+
+
+def test_the_pattern_route_holds_no_dense_per_state_temporary(large_sweep_stack):
+    # beyond the 2.71 MB it returns, the call's traced peak is the largest
+    # set of temporaries of one 200-state block: 0.32 MB with the pattern
+    # route on the eight elements, where the kernel's dense kets, their
+    # minors, the gathered blocks and the 3x3 projectors of B took it to
+    # 0.69 MB; one more (200, 8, 8) array, 0.10 MB, alive at that peak
+    # would pass the bound
+    peak, returned = traced_kernel_call(large_sweep_stack)
+    held = peak - returned
+    assert held < 0.40e6, f"{held / 1e6:.3f} MB held beyond the {returned / 1e6:.2f} MB returned"
 
 
 @pytest.mark.parametrize("i, j", [(3, 3), (0, 5)], ids=["diagonal", "off-diagonal"])
@@ -460,21 +498,24 @@ def unit_states():
 
 
 def test_two_block_check_passes_b_and_refuses_the_a_qubits():
-    # {1, 2, 4}: [[r22, r15], [r15, r44]] and {3, 5, 6}: [[r55, r26], [r26, r33]]
-    # (elements r11, r22, r33, r44, r55, r66, r15, r26 are 0..7), with the
-    # symmetric pair vector and the fixed index lifted into the block's frame
-    entries, scales, lift = ent._two_blocks(unit_states(), ent._transpose_positions(QubitLabel.B, True))
-    assert entries.tolist() == [[1, 3, 6], [4, 2, 7]]
-    assert scales.tolist() == [[1.0, 1.0, 1.0]] * 2
-    half = 1.0 / SQRT2
-    assert lift.tolist() == [
-        [[half, half, 0.0], [0.0, 0.0, 1.0]],
-        [[0.0, half, half], [1.0, 0.0, 0.0]],
-    ]
+    # B's global transpose, then k = 3, k = 2 and the state: the 1-index
+    # blocks {0} and {7} hold r11 and r66 in every map; {1, 2, 4} is
+    # [[r22, r15], [r15, r44]] and {3, 5, 6} [[r55, r26], [r26, r33]] in the
+    # frame of the symmetric pair vector and the fixed index (elements r11,
+    # r22, r33, r44, r55, r66, r15, r26 are 0..7), and the maps that leave
+    # the two-way coherences where the state holds them read no coupling
+    # (element 0 at scale 0)
+    b_maps = ent._STATE_MAPS[QubitLabel.B.value]
+    singles, single_scales, entries, scales = ent._two_blocks(unit_states(), b_maps)
+    assert singles.tolist() == [[0, 5]] * 4
+    assert single_scales.tolist() == [[1.0, 1.0]] * 4
+    coupled, uncoupled = [[1, 3, 6], [4, 2, 7]], [[1, 3, 0], [4, 2, 0]]
+    assert entries.tolist() == [coupled, uncoupled, coupled, uncoupled]
+    assert scales.tolist() == [[[1.0, 1.0, 1.0]] * 2, [[1.0, 1.0, 0.0]] * 2] * 2
     # the exchange maps A1's block {0, 3, 6} to {0, 3, 5}, which is A2's
     for p, block in ((QubitLabel.A1, r"\[0, 3, 6\]"), (QubitLabel.A2, r"\[0, 3, 5\]")):
         with pytest.raises(RuntimeError, match=f"index block {block} is not exchange-invariant"):
-            ent._two_blocks(unit_states(), ent._transpose_positions(p, True))
+            ent._two_blocks(unit_states(), ent._STATE_MAPS[p.value])
 
 
 def moved_slots(element, slots):
@@ -487,18 +528,36 @@ def moved_slots(element, slots):
 
 
 def test_two_block_check_rejects_a_tampered_table():
-    b_transpose = ent._transpose_positions(QubitLabel.B, True)
+    b_maps = ent._STATE_MAPS[QubitLabel.B.value]
+    b_transpose = b_maps[:1]
+    selective_b = ent._transpose_positions(QubitLabel.B, ent._selective_mask("B-BA1"))
     cases = [
         # r22's cross slots apart from its diagonal: (|100> - |010>)/sqrt2 is no null direction
-        (moved_slots(1, [(1, 2), (2, 1)]), r"\[1, 2, 4\]: the diagonal and cross entries of pair \(1, 2\)"),
+        (
+            moved_slots(1, [(1, 2), (2, 1)]),
+            b_transpose,
+            r"\[1, 2, 4\]: the diagonal and cross entries of pair \(1, 2\)",
+        ),
         # r15 on |000><011| apart from |000><101|: B's block no longer exchange-invariant
-        (moved_slots(6, [(0, 6), (6, 0)]), r"\[1, 2, 4\] is not exchange-invariant"),
+        (moved_slots(6, [(0, 6), (6, 0)]), b_transpose, r"\[1, 2, 4\] is not exchange-invariant"),
         # r26 on |010><111| apart from |100><111|
-        (moved_slots(7, [(2, 7), (7, 2)]), r"\[3, 5, 6\] is not exchange-invariant"),
+        (moved_slots(7, [(2, 7), (7, 2)]), b_transpose, r"\[3, 5, 6\] is not exchange-invariant"),
+        # a projected map that moves the coupling on one side of the pair
+        # only, as the selective transpose B-BA1 does
+        (unit_states(), [b_maps[0], selective_b], r"\[1, 2, 4\] is not exchange-invariant"),
     ]
-    for units, message in cases:
+    for units, maps, message in cases:
         with pytest.raises(RuntimeError, match=message):
-            ent._two_blocks(units, b_transpose)
+            ent._two_blocks(units, maps)
+
+
+def test_two_block_check_refuses_blocks_of_other_sizes():
+    # a unit state that couples |000> to |100> joins B's 1-index block {0}
+    # to {1, 2, 4}: a 4-index block has no closed form
+    units = np.concatenate([unit_states(), np.zeros((1, 8, 8))])
+    units[8, 0, 1] = units[8, 1, 0] = 1.0
+    with pytest.raises(RuntimeError, match=r"^index block \[0, 1, 2, 4\] has 4 indices, not 1 or 3$"):
+        ent._two_blocks(units, ent._STATE_MAPS[QubitLabel.B.value])
 
 
 # ------------------------------------------------- global-qubit selection

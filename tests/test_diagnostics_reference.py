@@ -315,7 +315,14 @@ def test_non_psd_pattern_state_keeps_its_single_index_blocks():
     definite[4, 4] = -0.4
     r22, r15, r44 = -0.1, definite[0, 5] * math.sqrt(2.0), -0.4
     assert r22 * r44 > r15 * r15
-    states = np.array([state, definite])
+    # and with that block of negative trace and a small positive eigenvalue,
+    # about 1e-10, which ``mean + half_gap`` only gets to a relative 1e-6:
+    # its lower eigenvalue is ``mean - half_gap``, not the determinant over it
+    indefinite = state.copy()
+    indefinite[[1, 1, 2, 2], [1, 2, 1, 2]] = -0.25
+    indefinite[4, 4] = 1e-10
+    indefinite[[0, 0, 5, 6], [5, 6, 0, 0]] = 1e-6 / math.sqrt(2.0)
+    states = np.array([state, definite, indefinite])
     assert pattern_route(states).all()
     assert assert_matches_textbook(states) <= TOL
 
@@ -401,7 +408,7 @@ def cutoff_states():
     -(1 -+ 1%) times the cutoff, five hundred thousand times smaller than
     its mean; block {3, 5, 6} is [[r55, r26], [r26, r33]] with zero
     populations, so its eigenvalues are +-r26, and |r26| 1% either side of
-    the cutoff, where the 2x2 solve starts to rotate.
+    the cutoff.
     """
     elements = []
     for margin in (0.99, 1.01):
@@ -425,7 +432,7 @@ def test_b_blocks_at_the_cutoff_match_the_exact_form():
     assert n_g_b[:2].tolist() == exact[:2].tolist() == [0.0, 0.0]
     assert (exact[2:] > 4.0 * CUTOFF).all()
     assert (np.abs(n_g_b - exact)[2:] <= 1e-8 * exact[2:]).all()
-    # and B's K-way split, from the lifted eigenvectors (the states are not
+    # and B's K-way split, from the kept eigenvectors (the states are not
     # positive, so their decompositions are left out)
     batch = batch_fields(negativity_batch(states))
     for index, m in enumerate(states):
@@ -444,6 +451,30 @@ def test_b_blocks_at_the_slot_spread_bound_match_the_exact_form(source):
     n_g_b = negativity_batch(noisy, global_qubits=(QubitLabel.B,)).n_g[QubitLabel.B]
     exact = [two_block_negativity_b(m) for m in noisy]
     assert np.abs(n_g_b - exact).max() <= TOL
+
+
+def test_coherence_inside_the_cutoff_rotates_when_its_angle_counts():
+    # a coherence below the 1e-12 cutoff beside a wide population gap: the
+    # ket sym|0> + 3.3e-12 |111> has N_G^B = 6.6e-12, above the cutoff, so
+    # the decomposition must rotate the pair, as the textbook eigensolve
+    # does (0.3 x 6.6e-12 = 1.99e-12 of N_PSDG^B); and the same in the
+    # other block, |000> against the sym-excited state
+    # (elements r11, r22, r33, r44, r55, r66, r15, r26)
+    elements = np.array(
+        [
+            [0.698, 0.3, 0.0, 0.0, 0.0, 1e-3, 0.0, 0.99e-12],
+            [0.3, 0.698, 0.0, 0.0, 1e-3, 0.0, 0.99e-12, 0.0],
+        ]
+    )
+    states = states_from_elements(elements)
+    assert pattern_route(states).all()
+    # positive: each 2x2 block has a positive determinant, and every other
+    # eigenvalue is a population or zero
+    r11, r22, r33, r44, r55, r66, r15, r26 = elements.T
+    assert (r11 * r55 >= r15**2).all() and (r22 * r66 >= r26**2).all()
+    assert assert_matches_textbook(states) <= TOL
+    n_psdg_b = negativity_batch(states).n_psdg[QubitLabel.B]
+    assert np.abs(n_psdg_b - 1.99e-12).max() < 1e-14
 
 
 def test_diagonal_state_with_only_basis_kets_matches_textbook():

@@ -85,17 +85,41 @@ def kernel_maps(m):
     return maps + [selective(m, spec) for spec in SELECTIVE_SPECS]
 
 
+def pattern_decomposition(elements):
+    """The pattern route's decomposition of states with ``elements`` (N, 8), written out as dense kets.
+
+    The kernel holds each ket of a 2x2 block as its (x, y) (`_family_kets`);
+    here they are placed by the slot table of `_FAMILIES`, followed by the
+    basis kets |110> and |001> (weights r33 and r44) and the two
+    antisymmetric null directions of zero weight, as eight columns.
+    """
+    lam, x, y = ent._family_kets(elements)
+    count = len(elements)
+    probs = np.zeros((count, 8))
+    probs[:, :4] = lam.reshape(4, count).T
+    probs[:, 4:6] = elements[:, 2:4]
+    vectors = np.zeros((count, 8, 8))
+    for family, (_, slots) in enumerate(ent._FAMILIES):
+        for i, (component, scale) in slots.items():
+            vectors[:, i, 2 * family : 2 * family + 2] = (x, y)[component][family].T * scale
+    vectors[:, 3, 4] = vectors[:, 4, 5] = 1.0
+    vectors[:, [1, 5], [6, 7]] = 1.0 / math.sqrt(2.0)
+    vectors[:, [2, 6], [6, 7]] = -1.0 / math.sqrt(2.0)
+    return np.maximum(probs, 0.0), vectors
+
+
 def decomposition(states):
     """The kernel's pure-state decomposition: probabilities (N, 8), unit kets as columns (N, 8, 8).
 
     Each state is decomposed by its route: analytically on the pattern
-    route, by the eigensolver on the generic route.
+    route (`pattern_decomposition`), by the eigensolver on the generic
+    route.
     """
     states = np.asarray(states)
     pattern_ok, elements = ent._pattern_route(states)
     probs = np.zeros(states.shape[:2])
     vectors = np.zeros(states.shape, dtype=np.result_type(states, float))
-    probs[pattern_ok], vectors[pattern_ok] = ent._analytic_decomposition(elements[pattern_ok])
+    probs[pattern_ok], vectors[pattern_ok] = pattern_decomposition(elements[pattern_ok])
     probs[~pattern_ok], vectors[~pattern_ok] = ent._generic_decomposition(states[~pattern_ok])
     return probs, vectors
 
@@ -285,6 +309,26 @@ def test_decompose_degenerate_pair_is_deterministic():
     # the degenerate pair stays unrotated: |000> itself, then the symmetric state
     assert abs(vectors[0, 0, 0] - 1.0) < 1e-12
     assert abs(vectors[0, 5, 1] - 1.0 / math.sqrt(2.0)) < 1e-12
+
+
+@pytest.mark.parametrize("coupling", [1e-300, 1e-20, 1e-14])
+def test_decompose_degenerate_pair_coupled_below_the_rounding_of_its_mean(coupling):
+    # |000> and the sym-excited state at equal populations with a coupling
+    # below the cutoff times their mean; at 1e-300 and 1e-20 the splitting
+    # is lost in the rounding of the mean, where the eigenvector formulas
+    # cannot tell the two kets apart.  The pair keeps the basis kets, which
+    # decompose the state to within the coupling
+    cutoff = ent.NEGATIVE_EIGENVALUE_CUTOFF
+    m = np.zeros((8, 8))
+    m[0, 0] = 0.25
+    m[5:7, 5:7] = 0.125
+    m[0, 5] = m[0, 6] = m[5, 0] = m[6, 0] = coupling / math.sqrt(2.0)
+    m[3, 3] = 0.5
+    assert coupling < cutoff * 0.25
+    probs, vectors = decomposition(m[None])
+    assert probs[0, :2].tolist() == [0.25, 0.25]
+    assert np.abs(vectors[0].T @ vectors[0] - np.eye(8)).max() < 1e-15
+    assert np.abs(reconstructed(probs, vectors)[0] - m).max() <= coupling + 1e-16
 
 
 def test_psdg_swap_symmetry_and_lower_bound():

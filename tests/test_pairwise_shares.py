@@ -6,8 +6,9 @@ shares from the 2x2 minors of its split by the spec's first qubit, the
 same minors that give its decomposition negativity: the term of spec
 (p, q) is ``-|m_q|^2 / r``, m_q the minors whose two columns differ in
 qubit q alone and ``r`` the root of the summed squared minors.  An
-import-time check (`entanglement._check_minor_split`) passes the families
-of `PATTERN_MASK` only if that split is exact.  `reference_pairwise_shares`
+import-time table (`entanglement._family_minors`) lists each family's
+nonzero minors of `PATTERN_MASK`, one supported product each, and refuses
+a family on which that split would not be exact.  `reference_pairwise_shares`
 below solves every ket as one 8-index block with the stacked eigensolver
 (`_share_terms`), the route that kets of any other state take; it shares no
 code with the minors.  The two run different arithmetic, so agreement is
@@ -69,12 +70,13 @@ def gate_states():
 
     The first pair of the decomposition is ``[[g, c], [c, 0]]`` on
     (|000>, sym-excited): its upper ket has ``r = |x y| = c / hypot(g, 2c)``
-    for qubit B, and its lower one zero weight.  ``c`` must reach the
-    cutoff for the pair to rotate at all, so a radius below it needs a
-    population ``g = c / r`` above 1.  The state with ``c = 0`` leaves the
+    for qubit B, and its lower one zero weight.  The pair rotates when
+    ``tan 2phi = 2c / g``, about ``2 r``, exceeds the cutoff, so every
+    radius here above half the cutoff rotates, with ``c`` at least 1.01e-12
+    and the population ``g = c / r``.  The state with ``c = 0`` leaves the
     sym-excited ket unrotated, with ``r = 0``.
     """
-    targets = [0.0, 0.5e-12, 2e-12, 1e-12 * (1.0 + 1e-6), 1e-12 * (1.0 - 1e-6)]
+    targets = [0.0, 0.7e-12, 2e-12, 1e-12 * (1.0 + 1e-6), 1e-12 * (1.0 - 1e-6)]
     elements = np.zeros((len(targets), 8))
     for row, target in enumerate(targets):
         c = max(target, 1.01e-12)
@@ -131,13 +133,21 @@ def test_shares_add_up_to_the_decomposition_negativity():
 
 def test_minor_split_check_passes_the_pattern_families():
     # the families are the state's own blocks of two or more indices; each
-    # spec reads the minors of one partner qubit, two per spec, and the
+    # qubit has two nonzero minors in each, one supported product apiece;
+    # each spec reads the minors of one partner qubit, two per spec, and the
     # specs of one qubit read disjoint minors
     assert [b for b in ent._index_blocks(PATTERN_MASK) if len(b) > 1] == [(0, 5, 6), (1, 2, 7)]
-    ent._check_minor_split(PATTERN_MASK)
+    table = ent._family_minors(PATTERN_MASK)
+    B, A1, A2 = QubitLabel.B, QubitLabel.A1, QubitLabel.A2
+    assert table == {
+        (0, 5, 6): {B: {0: (0, 5), 1: (0, 6)}, A1: {1: (0, 5), 5: (6, 5)}, A2: {1: (0, 6), 5: (5, 6)}},
+        (1, 2, 7): {B: {4: (1, 7), 5: (2, 7)}, A1: {0: (2, 1), 4: (2, 7)}, A2: {0: (1, 2), 4: (1, 7)}},
+    }
     assert [len(minors) for minors in ent._SHARE_MINORS] == [2] * len(SELECTIVE_SPECS)
     for first in (0, 2):
         assert not set(ent._SHARE_MINORS[first]) & set(ent._SHARE_MINORS[first + 1])
+    # the kets the kernel holds are those families
+    assert [tuple(sorted(slots)) for _, slots in ent._FAMILIES] == list(table)
 
 
 def family_mask(*families):
@@ -157,10 +167,14 @@ def test_minor_split_check_rejects_a_tampered_family():
         ([(0, 1, 4, 5)], r"\[0, 1, 4, 5\], qubit B: minor phi0 phi5 - phi1 phi4 has two supported"),
         # the A1 split of |000>, |100>, |010>, |110>
         ([(0, 1, 2, 3)], r"\[0, 1, 2, 3\], qubit A1: minor phi0 phi3 - phi2 phi1 has two supported"),
+        # |110> joined to |000>, |101>, |011>: every minor has one supported
+        # product on columns one qubit apart, but four of them are nonzero,
+        # so a summed square would add in an order of its own
+        ([(0, 3, 5, 6)], r"^ket family \[0, 3, 5, 6\], qubit B has 4 nonzero minors, more than two$"),
     ]
     for families, message in cases:
         with pytest.raises(RuntimeError, match=message):
-            ent._check_minor_split(family_mask(*families))
+            ent._family_minors(family_mask(*families))
 
 
 @pytest.fixture(scope="module")
@@ -181,7 +195,7 @@ def test_off_pattern_shares_keep_the_eigensolver_route(off_pattern_states, stack
     states = off_pattern_states[stack]
     assert not pattern_route(states).any()
     reference = reference_pairwise_shares(states)
-    monkeypatch.setattr(ent, "_SHARE_MINORS", None)
+    monkeypatch.setattr(ent, "_MINOR_SLOTS", None)
     batch = negativity_batch(states)
     for spec in SELECTIVE_SPECS:
         assert np.array_equal(batch.e_psd[spec], reference[spec]), spec
