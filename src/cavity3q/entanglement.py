@@ -15,18 +15,20 @@ route solves B's two 3x3 blocks; the tests check it against the same form
 in exact arithmetic and the textbook eigensolve.
 
 The kernel refuses, by the name ``states``, a stack that does not hold
-finite numbers or a state that is not Hermitian to 1e-9 (named by its index
-in the caller's stack).  It evaluates the stack in fixed blocks of
-`_DIAGNOSTIC_BLOCK` rows and decides each state's route once; a block that
-is all one route is evaluated in place, with no gather of its rows.
+finite numbers, an entry too large for its products (`_ENTRY_BOUND`) or a
+state that is not Hermitian to 1e-9 (named by its index in the caller's
+stack).  It evaluates the stack in fixed blocks of `_DIAGNOSTIC_BLOCK` rows
+and decides each state's route once; a block that is all one route is
+evaluated in place, with no gather of its rows.
 
 * The pattern route takes a state whose entries outside `PATTERN_MASK` are
   exactly zero and whose element slots spread by at most 3e-15 (two slots
   of one element apart, or a slot's imaginary part): every closed-form and
   brute-force oracle state.  `tavis_cummings` reads the elements back from
   the slot table that `states_from_elements` writes with, and every
-  diagnostic but the auxiliary measures is computed from those eight
-  elements (N, 8), with no dense ket, gather or projector:
+  diagnostic but the auxiliary measures and A1's and A2's global
+  negativities is computed from those eight elements (N, 8), with no dense
+  ket, gather or projector:
 
   - the pure-state decomposition is the two eigenpairs (lam, x, y) of each
     of the state's two 2x2 blocks, a family of two kets (`_family_kets`),
@@ -44,33 +46,31 @@ is all one route is evaluated in place, with no gather of its rows.
     would not be exact;
   - qubit B's global negativity and its K-way split come from the paper's
     gated two-block closed form (`_b_global_split`, in every
-    ``global_qubits`` selection): each of B's 3-index transpose blocks is a
-    2x2 block in the elements plus an exact null direction (`_two_blocks`),
-    and E_3/E_2/E_0 are quadratic forms of its kept eigenvectors.  A1's
-    and A2's transposes split on index blocks of at most 3, derived from
-    `PATTERN_MASK` at import (Tavis & Cummings, Phys. Rev. 170, 379
-    (1968): each field component conserves photon number plus atomic
-    excitation), which are gathered and solved.
+    ``global_qubits`` selection): each of B's 3-index transpose blocks,
+    derived from `PATTERN_MASK` at import (Tavis & Cummings, Phys. Rev.
+    170, 379 (1968): each field component conserves photon number plus
+    atomic excitation), is a 2x2 block in the elements plus an exact null
+    direction (`_two_blocks`), and E_3/E_2/E_0 are quadratic forms of its
+    kept eigenvectors.
 
 * The generic route takes every other state, rounding noise outside the
-  pattern included: each transpose is one block of all 8 indices, from
-  tables built the same way on the whole support, the decomposition is a
-  stacked eigendecomposition, N_PSDG comes from the minors of its dense
-  kets, and each ket of positive weight that is not a basis state has its
-  shares solved as one 8-index block per qubit.
+  pattern included: the decomposition is a stacked eigendecomposition,
+  N_PSDG comes from the minors of its dense kets, and each ket of positive
+  weight that is not a basis state has its shares solved as one 8-index
+  block per qubit.
 
-A gathered transpose gives the global negativity from its negative
-eigenvalues, and the K-way split E_3/E_2/E_0 from ``Re tr(T P)``, T the
-K-way transpose (or the state) gathered on the same index pairs and P the
-projector on the negative eigenvectors, summed over the blocks.  Only the
-qubits named in ``global_qubits`` (default all three) are solved.  All
-blocks of one size go to one symmetrised solver in one stacked call, and a
-1x1 block needs no solve, so a sweep makes no 8x8 eigensolve.  The
-command-line sweeps ask for qubit B's global transpose only, the one their
-CSV reports, so they make no eigensolve at all.  The closed-form states are
-real symmetric, so a sweep runs real arithmetic and real symmetric LAPACK
-solves for A1's and A2's blocks; a complex stack (a user's state, the
-generic route) takes the same lines with complex LAPACK.
+On both routes the global transposes of A1 and A2, and on the generic route
+B's too, are solved whole: each is gathered as one 8x8 matrix by flat index
+maps (`_STATE_MAPS`), its negative eigenvalues give the global negativity,
+and the K-way split E_3/E_2/E_0 is ``Re tr(T P)``, T the K-way transpose
+(or the state) gathered the same way and P the projector on the negative
+eigenvectors.  Only the qubits named in ``global_qubits`` (default all
+three) are solved, in one stacked symmetrised call.  The command-line
+sweeps ask for qubit B's global transpose only, the one their CSV reports,
+so on the pattern route they make no eigensolve at all.  The closed-form
+states are real symmetric, so real arithmetic and real symmetric LAPACK
+solve them; a complex stack (a user's state, the generic route) takes the
+same lines with complex LAPACK.
 """
 
 from __future__ import annotations
@@ -101,13 +101,15 @@ __all__ = [
 NEGATIVE_EIGENVALUE_CUTOFF = 1e-12
 
 # States evaluated together by `negativity_batch`.  Bounds the per-block
-# stacks of gathered blocks and decomposition kets.  Index blocks made those
-# about 4x smaller than the 8x8 transposes, so blocks grew from 32 to 128 at
-# about the peak resident set of the 8x8 kernel at 32; the closed-form
-# pairwise shares dropped the kets' gathered blocks, which makes room for
-# 200.  VmHWM of one `cli.main` call (MB, median of 5, one BLAS thread,
-# byte-compiled package), the gathered ket blocks at 128 -> the closed-form
-# shares at 128, 200 and 256:
+# stacks of gathered transposes and decomposition kets: at 200, A1's and
+# A2's global transposes with their three projected maps each take 0.82 MB
+# of a real stack (the sweeps solve B's alone, in closed form, and gather
+# none).  Blocks grew from 32 to 128 while the pattern route gathered index
+# blocks of at most 3, at about the peak resident set of the 8x8 kernel at
+# 32; the closed-form pairwise shares dropped the kets' gathered blocks,
+# which made room for 200.  VmHWM of one `cli.main` call (MB, median of 5,
+# one BLAS thread, byte-compiled package), the gathered ket blocks at 128 ->
+# the closed-form shares at 128, 200 and 256:
 #   tau-sweep        32.32 -> 32.18, 32.19, 32.41
 #   s-sweep          31.63 -> 31.48, 31.42, 31.42
 #   tau-sweep-dense  32.24 -> 32.20, 32.20, 32.29
@@ -115,6 +117,15 @@ NEGATIVE_EIGENVALUE_CUTOFF = 1e-12
 _DIAGNOSTIC_BLOCK = 200
 
 _HERMITICITY_TOL = 1e-9
+
+# The kernel refuses a state with a real or imaginary part of this magnitude
+# (about 8.4e152).  Its largest product of two entries is qubit B's linear
+# entropy: each entry of rho_B sums four of the state's, so for a Hermitian
+# state whose parts lie below P, ``2 tr rho_B^2`` stays below 192 P^2, here
+# three quarters of float64's largest value.  Every other step multiplies an
+# entry by at most one other entry of the state, or sums entries and their
+# products with unit vectors.
+_ENTRY_BOUND = math.sqrt(np.finfo(np.float64).max) / 16.0
 
 # The pattern route reads each element as the mean real part of its slots;
 # a state whose slots spread further takes the generic route.  The mean is
@@ -199,31 +210,46 @@ W1_STATE = (_BASIS[0] + _BASIS[5] + _BASIS[6]) / math.sqrt(3.0)
 W1_STATE.setflags(write=False)
 
 
+def _part_magnitudes(m: np.ndarray) -> np.ndarray:
+    """The larger magnitude of the real and the imaginary part of each entry."""
+    magnitudes = np.abs(m.real)
+    return np.maximum(magnitudes, np.abs(m.imag)) if m.dtype.kind == "c" else magnitudes
+
+
 def _require_states(stack: np.ndarray) -> None:
-    """Raise a ValueError naming ``states`` unless a stack (N, 8, 8) is finite and Hermitian.
+    """Raise a ValueError naming ``states`` unless a stack (N, 8, 8) is finite, bounded and Hermitian.
 
     A bool or non-numeric dtype is refused first, then the first non-finite
-    entry, then the first matrix that is not Hermitian to 1e-9; a matrix is
-    named by its index in the stack.  Integer stacks are accepted.  A
-    non-finite entry leaves a non-finite residual (``inf - inf`` without a
-    warning), so the stack is scanned once.  The residual of each matrix is
-    filled in blocks of `_DIAGNOSTIC_BLOCK`, so no temporary is the size of
-    the stack.
+    entry, then the first entry with a part at `_ENTRY_BOUND` or above in
+    magnitude, then the first matrix that is not Hermitian to 1e-9; a
+    matrix is named by its index in the stack.  Integer stacks are
+    accepted.  The largest part of each block of `_DIAGNOSTIC_BLOCK`
+    matrices and the residual of each matrix are filled block by block, so
+    no temporary is the size of the stack; the residual of a matrix with a
+    part at the bound may overflow, without a warning, as that matrix is
+    refused first.
     """
     if stack.dtype.kind not in "iufc":
         raise ValueError(f"states must hold real or complex numbers, got dtype {stack.dtype}")
-    residual = np.empty(len(stack))
-    with np.errstate(invalid="ignore"):
-        for start in range(0, len(stack), _DIAGNOSTIC_BLOCK):
+    starts = range(0, len(stack), _DIAGNOSTIC_BLOCK)
+    largest, residual = np.empty(len(starts)), np.empty(len(stack))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for index, start in enumerate(starts):
             block = stack[start : start + _DIAGNOSTIC_BLOCK]
+            largest[index] = _part_magnitudes(block).max()
             difference = np.abs(block - block.conj().swapaxes(-1, -2))
             residual[start : start + len(block)] = difference.max(axis=(-2, -1))
-    bad = np.flatnonzero(~np.isfinite(residual))
-    if bad.size:
-        k = bad[0]
-        i, j = np.argwhere(~np.isfinite(stack[k]))[0]
-        entry = f"entry [{i},{j}] = {stack[k, i, j]} in matrix {k} of the stack"
-        raise ValueError(f"states must be finite, got {entry}")
+    bound = f"have real and imaginary parts of magnitude below {_ENTRY_BOUND}"
+    for refused, entries, requirement in (
+        (~np.isfinite(largest), lambda m: ~np.isfinite(m), "be finite"),
+        (largest >= _ENTRY_BOUND, lambda m: _part_magnitudes(m) >= _ENTRY_BOUND, bound),
+    ):
+        if refused.any():
+            start = starts[np.argmax(refused)]
+            block = stack[start : start + _DIAGNOSTIC_BLOCK]
+            k, i, j = np.argwhere(entries(block))[0]
+            entry = f"entry [{i},{j}] = {block[k, i, j]} in matrix {start + k} of the stack"
+            raise ValueError(f"states must {requirement}, got {entry}")
     bad = np.flatnonzero(residual > _HERMITICITY_TOL)
     if bad.size:
         raise ValueError(
@@ -246,12 +272,8 @@ def _negative_pairs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The stack is checked Hermitian.  Returns all n eigenvalues (ascending)
     and eigenvectors (as columns) of each matrix, those at or above minus
     the cutoff set to zero, so every matrix gives arrays of the same shape.
-    A 1x1 matrix needs no solve.
     """
-    if m.shape[-1] == 1:
-        vals, vecs = m.real[..., 0], np.ones_like(m)
-    else:
-        vals, vecs = _symmetrised_eigh(m)
+    vals, vecs = _symmetrised_eigh(m)
     keep = vals < -NEGATIVE_EIGENVALUE_CUTOFF
     return np.where(keep, vals, 0.0), vecs * keep[..., None, :]
 
@@ -422,12 +444,13 @@ def _projected_trace(target: np.ndarray, projector: np.ndarray) -> np.ndarray:
 
 # ------------------------------------------------------------- index blocks
 #
-# A matrix supported on `PATTERN_MASK` is block diagonal, and so is each
-# partial transpose the kernel solves, on index blocks of at most 3; any
-# other matrix is one block of all 8 indices.  The blocks are derived here
-# from the masks and the transpose maps; the kernel gathers each block of
-# the transpose it solves and, on the same index pairs, of every map it
-# projects.
+# A matrix supported on `PATTERN_MASK` is block diagonal, and so is each of
+# its partial transposes, on index blocks of at most 3.  The blocks are
+# derived here from the masks and the transpose maps, at import: they fix
+# the ket families of the pattern route's decomposition (`_family_minors`)
+# and qubit B's closed form (`_two_blocks`).  Every transpose the kernel
+# solves by eigensolver is gathered whole, as one 8x8 matrix, by the flat
+# maps below.
 
 
 def _index_blocks(support: np.ndarray) -> list[tuple[int, ...]]:
@@ -452,66 +475,33 @@ def _index_blocks(support: np.ndarray) -> list[tuple[int, ...]]:
     return blocks
 
 
-def _block_gathers(support, maps_by_owner) -> dict[int, np.ndarray]:
-    """Gather positions of every map on the index blocks of each owner's first map.
-
-    ``support`` is the mask of the matrices to be transposed and
-    ``maps_by_owner`` lists, per owner, maps as from `_transpose_positions`:
-    the first is the transpose to solve, the others are projected on its
-    eigenvectors.  Returns, per block size n, flat positions into an 8x8
-    matrix, shape (owners, blocks, maps, n, n).  The stacking needs every
-    owner to have the same number of blocks of each size.
-    """
-    # nested lists, not a numpy call per block: this runs at import
-    owners = []  # per owner: {block size: the gathers of each block}
-    for maps in maps_by_owner:
-        rows_of_maps = [positions.tolist() for positions in maps]
-        by_size: dict[int, list] = {}
-        for block in _index_blocks(support.reshape(64)[maps[0]]):
-            gathers = [[[rows[i][j] for j in block] for i in block] for rows in rows_of_maps]
-            by_size.setdefault(len(block), []).append(gathers)
-        owners.append(by_size)
-    counts = {tuple(sorted((size, len(blocks)) for size, blocks in o.items())) for o in owners}
-    if len(counts) != 1:
-        raise RuntimeError(f"owners differ in their index blocks: {sorted(counts)}")
-    return {
-        size: np.array([by_size[size] for by_size in owners]).reshape(
-            len(maps_by_owner), -1, len(maps_by_owner[0]), size, size
-        )
-        for size in sorted(owners[0])
-    }
-
-
-# A generic-route state is one 8-index block: the tables of the whole
-# support gather each transpose and map in full.
-_WHOLE = np.ones((8, 8), dtype=bool)
-
 # Per qubit: the global transpose, then the maps its negative eigenvectors
-# project, k = 3, k = 2 and the state itself (E_3, E_2, E_0).
-_STATE_MAPS = [
-    [_transpose_positions(p, True)]
-    + [_transpose_positions(p, _kway_mask(k)) for k in (3, 2)]
-    + [_POSITION]
-    for p in QubitLabel
-]
-_STATE_GATHERS = _block_gathers(PATTERN_MASK, _STATE_MAPS)
-_WHOLE_STATE_GATHERS = _block_gathers(_WHOLE, _STATE_MAPS)
+# project, k = 3, k = 2 and the state itself (E_3, E_2, E_0), as flat
+# positions (qubits, maps, 8, 8).
+_STATE_MAPS = np.array(
+    [
+        [_transpose_positions(p, True)]
+        + [_transpose_positions(p, _kway_mask(k)) for k in (3, 2)]
+        + [_POSITION]
+        for p in QubitLabel
+    ]
+)
 
 # Per qubit that leads a selective spec: its two-way transpose, then the
-# selective transposes it projects, gathered whole for the kets of
-# generic-route states.  `_SHARE_ORDER` is the order of the specs in the
-# result.
+# selective transposes it projects, for the kets of generic-route states.
+# `_SHARE_ORDER` is the order of the specs in the result.
 _SHARE_QUBITS = list(dict.fromkeys(first for first, _ in SELECTIVE_SPECS.values()))
 _SHARE_SPECS = [
     [spec for spec, (first, _) in SELECTIVE_SPECS.items() if first is p] for p in _SHARE_QUBITS
 ]
 _SHARE_ORDER = [spec for specs in _SHARE_SPECS for spec in specs]
-_SHARE_MAPS = [
-    [_transpose_positions(p, _kway_mask(2))]
-    + [_transpose_positions(p, _selective_mask(spec)) for spec in specs]
-    for p, specs in zip(_SHARE_QUBITS, _SHARE_SPECS)
-]
-_WHOLE_KET_GATHERS = _block_gathers(_WHOLE, _SHARE_MAPS)
+_SHARE_MAPS = np.array(
+    [
+        [_transpose_positions(p, _kway_mask(2))]
+        + [_transpose_positions(p, _selective_mask(spec)) for spec in specs]
+        for p, specs in zip(_SHARE_QUBITS, _SHARE_SPECS)
+    ]
+)
 
 # Per spec of `_SHARE_ORDER`: the minors of its first qubit's split whose
 # two columns differ in its partner qubit alone.
@@ -682,8 +672,8 @@ def _family_negativities(elements: np.ndarray) -> tuple[dict, dict]:
 # reads each map that they project as its 2x2 block in that frame too, a
 # quadratic form in the elements.  A check at import derives these blocks
 # from the slot table and refuses any that would not split exactly; A1's
-# and A2's blocks, such as {0, 3, 6}, are not exchange-invariant, and stay
-# with the eigensolver.
+# and A2's blocks, such as {0, 3, 6}, are not exchange-invariant, so their
+# transposes are solved whole (`_global_split`).
 
 _EXCHANGE = [(i & 4) | (i & 1) << 1 | (i >> 1) & 1 for i in range(8)]
 
@@ -785,34 +775,26 @@ def _b_global_split(elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return -2.0 * (single[0] + lam), -2.0 * (single[1:] + forms).T
 
 
-def _projected_blocks(gathered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve map 0 of gathered blocks (..., owners, blocks, maps, n, n) and project the other maps.
+def _projected_maps(gathered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve map 0 of gathered maps (..., maps, 8, 8) and project the other maps.
 
-    Returns the kept eigenvalues summed per owner, and ``Re tr(map @ P)``
-    per owner and projected map, with P the projector on the kept
-    eigenvectors of the block; both summed over the blocks.
+    Returns the kept eigenvalues summed, and ``Re tr(map @ P)`` per
+    projected map, with P the projector on the kept eigenvectors.
     """
     vals, vecs = _negative_pairs(gathered[..., 0, :, :])
-    projector = _projector(vecs)[..., None, :, :]
-    traces = _projected_trace(gathered[..., 1:, :, :], projector)
-    return vals.sum(axis=(-2, -1)), traces.sum(axis=-2)
+    traces = _projected_trace(gathered[..., 1:, :, :], _projector(vecs)[..., None, :, :])
+    return vals.sum(axis=-1), traces
 
 
-def _global_split(m: np.ndarray, tables: dict, owners: list[int]) -> tuple[np.ndarray, np.ndarray]:
+def _global_split(m: np.ndarray, owners: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """N_G (N, owner) and its split E_3, E_2, E_0 (N, owner, 3) of an (N, 8, 8) stack.
 
     ``owners`` are the values of the transposed qubits; with none, nothing
-    is solved.  ``tables`` are the gathers of the stack's route:
-    `_STATE_GATHERS` (the index blocks of `PATTERN_MASK`) or
-    `_WHOLE_STATE_GATHERS` (one 8-index block per qubit).
+    is solved.  Each transpose is solved whole, by `_STATE_MAPS`.
     """
     if not owners:
         return np.empty((len(m), 0)), np.empty((len(m), 0, 3))
-    flat = m.reshape(-1, 64)
-    sums = traces = 0.0
-    for positions in tables.values():
-        block_sums, block_traces = _projected_blocks(flat[:, positions[owners]])
-        sums, traces = sums + block_sums, traces + block_traces
+    sums, traces = _projected_maps(m.reshape(-1, 64)[:, _STATE_MAPS[owners]])
     return -2.0 * sums, -2.0 * traces
 
 
@@ -821,16 +803,13 @@ def _share_terms(kets: np.ndarray) -> np.ndarray:
 
     S is the spec's selective transpose of the ket's projector and P the
     projector on the negative eigenvectors of its two-way transpose of the
-    spec's qubit, both gathered whole by `_WHOLE_KET_GATHERS`.  No kets
-    give no terms, with nothing solved.
+    spec's qubit, both gathered whole by `_SHARE_MAPS`.  No kets give no
+    terms, with nothing solved.
     """
     if not len(kets):
         return np.zeros((0, len(_SHARE_ORDER)))
     pure = (kets[:, :, None] * kets[:, None, :].conj()).reshape(len(kets), 64)
-    traces = 0.0
-    for positions in _WHOLE_KET_GATHERS.values():
-        traces = traces + _projected_blocks(pure[:, positions])[1]
-    return traces.reshape(len(kets), len(_SHARE_ORDER))
+    return _projected_maps(pure[:, _SHARE_MAPS])[1].reshape(len(kets), len(_SHARE_ORDER))
 
 
 def _by_key(n_psdg: np.ndarray, shares: np.ndarray) -> tuple[dict, dict]:
@@ -884,8 +863,9 @@ def negativity_batch(states, *, global_qubits=tuple(QubitLabel)) -> NegativityBa
     grow with N.  Each state's route is decided once in its block, and each
     route's values are written into the arrays this call returns, so every
     state's values are independent of its block-mates.  Raises a ValueError
-    naming ``states`` for a bool or non-numeric stack, a non-finite entry
-    or a state that is not Hermitian to 1e-9.
+    naming ``states`` for a bool or non-numeric stack, a non-finite entry,
+    an entry with a part at `_ENTRY_BOUND` or above in magnitude, or a
+    state that is not Hermitian to 1e-9.
 
     ``global_qubits`` selects the qubits whose global transposes are solved
     (default all three): ``n_g``, ``e_3``, ``e_2`` and ``e_0`` hold those
@@ -929,15 +909,13 @@ def negativity_batch(states, *, global_qubits=tuple(QubitLabel)) -> NegativityBa
                 pattern = elements[rows]
                 if b_owned:
                     n_g[where, -1], split[where, -1] = _b_global_split(pattern)
-                gathered = owners[: len(owners) - b_owned]
-                if gathered:
-                    n_g[where, : len(gathered)], split[where, : len(gathered)] = _global_split(
-                        block[rows], _STATE_GATHERS, gathered
-                    )
+                solved = owners[: len(owners) - b_owned]
+                if solved:
+                    n_g[where, : len(solved)], split[where, : len(solved)] = _global_split(block[rows], solved)
                 values = _family_negativities(pattern)
             else:
                 m = block[rows]
-                n_g[where], split[where] = _global_split(m, _WHOLE_STATE_GATHERS, owners)
+                n_g[where], split[where] = _global_split(m, owners)
                 values = _decomposition_negativities(*_generic_decomposition(m))
             for out, route_values in zip((n_psdg, e_psd), values):
                 for key, array in out.items():

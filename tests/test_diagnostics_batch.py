@@ -225,12 +225,11 @@ def test_product_states_have_exactly_zero_decomposition_negativity():
 
 def test_pairwise_solves_only_positive_weight_states(eigh_solves):
     states = sweep_states(math.pi, [0.0, 1.2], [0.0, 0.7, 3.0, 14.5])
-    # closed-form states are solved as index blocks, none larger than 3x3:
-    # two 3x3 blocks of A1's and of A2's global transposes per state (the
-    # 1x1 blocks need no solve, B's two 3x3 blocks come in closed form from
-    # the elements); their decomposition kets' shares come from the minors,
-    # with no eigensolve
-    assert eigh_solves(negativity_batch, states) == {3: 4 * len(states)}
+    # of a closed-form state only A1's and A2's global transposes are
+    # solved, each as one 8-index block (B's two 3x3 blocks come in closed
+    # form from the elements); its decomposition kets' shares come from the
+    # minors, with no eigensolve
+    assert eigh_solves(negativity_batch, states) == {8: 2 * len(states)}
     # off the pattern every state is one 8-index block per global transpose
     # and for its decomposition (its eigenpairs, the states being exactly
     # symmetric); of its kets, those of positive weight that are not basis
@@ -278,15 +277,17 @@ def test_mixed_stack_of_real_and_complex_states():
 
 def test_only_non_pattern_rows_take_generic_fallback(eigh_solves):
     # only the state off the pattern takes the eigensolver decomposition and
-    # the 8-index blocks; a stack of pattern states solves no 8x8 matrix
+    # the 8-index blocks; with B's global transpose, the sweeps' selection,
+    # a stack of pattern states solves no 8x8 matrix
     states = sweep_states(math.pi, [1.2], [0.5, 1.0, 1.5, 2.0])
     generic = random_states(np.random.default_rng(5), 1)
     stack = np.concatenate([states[:2], generic, states[2:]])
     assert negativity_batch(stack).pattern_ok.tolist() == [True, True, False, True, True]
-    on_pattern = eigh_solves(negativity_batch, states)
+    b_only = {"global_qubits": (QubitLabel.B,)}
+    on_pattern = eigh_solves(negativity_batch, states, **b_only)
     assert 8 not in on_pattern
-    apart = on_pattern + eigh_solves(negativity_batch, generic)
-    assert eigh_solves(negativity_batch, stack) == apart
+    apart = on_pattern + eigh_solves(negativity_batch, generic, **b_only)
+    assert eigh_solves(negativity_batch, stack, **b_only) == apart
 
 
 def test_non_hermitian_row_raises():
@@ -380,6 +381,51 @@ def test_infinite_entry_is_refused_without_a_warning(i, j):
             negativity_batch(states)
 
 
+BOUND_MESSAGE = r"^states must have real and imaginary parts of magnitude below 8\.37\d*e\+152, got entry "
+
+
+def near_the_float64_limit():
+    # r55 and r15 at 1e308 passed the input checks and overflowed in the
+    # route check, returning inf and NaN
+    yield states_from_elements([[1, 0.5, 0.1, 0.1, 1e308, 0.2, 1e308, 0]]), r"\[0,5\] = 7\.07\d*e\+307"
+    # a pair of opposite entries overflowed the Hermiticity residual, which
+    # was then taken for a non-finite entry that the message could not name
+    pair = np.zeros((1, 8, 8))
+    pair[0, 0, 1], pair[0, 1, 0] = 1e308, -1e308
+    yield pair, r"\[0,1\] = 1e\+308"
+    # the bound holds for imaginary parts too: this state is Hermitian
+    yield 1j * pair, r"\[0,1\] = 1e\+308j"
+
+
+@pytest.mark.parametrize("states, entry", near_the_float64_limit())
+def test_a_finite_entry_near_the_float64_limit_is_refused_by_name(states, entry):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=BOUND_MESSAGE + entry + " in matrix 0 of the stack$"):
+            negativity_batch(states)
+
+
+def test_states_just_below_the_entry_bound_evaluate_without_overflow():
+    # every part at 1, the worst case of B's linear entropy: 2 tr rho_B^2 is
+    # 192 times the square of the largest part, three quarters of float64's
+    # largest value at the bound
+    coupled = np.triu(np.full((8, 8), 1.0 + 1.0j), 1)
+    worst = coupled + coupled.conj().T + np.eye(8)
+    closed = sweep_states(math.pi / 2.0, [1.2], [0.8, 14.5])
+    stacks = [worst[None], -np.eye(8)[None], closed / np.abs(closed).max(axis=(1, 2))[:, None, None]]
+    below, above = np.nextafter(ent._ENTRY_BOUND, 0.0), np.nextafter(ent._ENTRY_BOUND, np.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for states in stacks:
+            batch = negativity_batch(states * below)
+            for key, values in batch_fields(batch).items():
+                assert np.isfinite(values).all(), key
+            with pytest.raises(ValueError, match=BOUND_MESSAGE):
+                negativity_batch(states * above)
+    linear_entropy = negativity_batch(worst[None] * below).linear_entropy_b[0]
+    assert -linear_entropy == pytest.approx(0.75 * np.finfo(np.float64).max, rel=1e-12)
+
+
 def bad_stacks():
     """Stacks the kernel refuses before any arithmetic, each with its whole message."""
     dtype_message = "states must hold real or complex numbers, got dtype "
@@ -454,9 +500,9 @@ def global_solves(eigh_solves, states, selection):
 def test_scalar_global_negativity_solves_only_its_qubit(eigh_solves):
     states = sweep_states(math.pi / 2.0, [1.2], [0.3, 0.8, 14.5])
     for p in QubitLabel:
-        # the two 3x3 index blocks of qubit p's transpose per state; B's come
-        # in closed form from the elements
-        expected = {} if p is QubitLabel.B else {3: 2 * len(states)}
+        # qubit p's transpose as one 8-index block per state; B's two 3x3
+        # blocks come in closed form from the elements
+        expected = {} if p is QubitLabel.B else {8: len(states)}
         assert global_solves(eigh_solves, states, (p,)) == expected
         # one 8-index block per state off the zero pattern
         assert global_solves(eigh_solves, off_pattern(states), (p,)) == {8: len(states)}
@@ -475,18 +521,16 @@ def test_empty_selection_skips_the_global_stage(eigh_solves):
 def test_scalar_functions_solve_only_the_global_tables_they_need(eigh_solves):
     # grids of one: one qubit's transpose or all three
     states = sweep_states(math.pi / 2.0, [1.2], [0.3, 0.8, 14.5])
-    for stack, size in ((states, 3), (off_pattern(states), 8)):
-        # the two 3x3 index blocks of one transpose, or its one 8-index
-        # block; on the pattern route B's two blocks need no solve
-        per_qubit = {p: 2 if size == 3 else 1 for p in QubitLabel}
-        if size == 3:
-            per_qubit[QubitLabel.B] = 0
+    for stack, on_pattern in ((states, True), (off_pattern(states), False)):
+        # one 8-index block per transpose; on the pattern route B's two
+        # blocks need no solve
+        per_qubit = {p: int(not (on_pattern and p is QubitLabel.B)) for p in QubitLabel}
         for m in stack:
             for p in QubitLabel:
-                expected = {size: per_qubit[p]} if per_qubit[p] else {}
+                expected = {8: per_qubit[p]} if per_qubit[p] else {}
                 assert global_solves(eigh_solves, m[None], (p,)) == expected
             total = sum(per_qubit.values())
-            assert global_solves(eigh_solves, m[None], tuple(QubitLabel)) == {size: total}
+            assert global_solves(eigh_solves, m[None], tuple(QubitLabel)) == {8: total}
 
 
 # ------------------------------------------------- B's two-block closed form

@@ -12,11 +12,13 @@ the kernel's index maps, index blocks or analytic decomposition, so a wrong
 map or block moves the kernel's values and not the reference's.
 
 Closed-form and brute-force oracle states (both exactly zero outside the
-zero pattern) take the kernel's pattern route, its index blocks and
-analytic decomposition; oracle states with seeded noise outside the
-pattern, and random states, take its generic route, one 8-index block per
-transpose and the eigensolver decomposition.  Every diagnostic must agree
-to 1e-14, a few hundred ulps of the O(1) values (measured worst 8.9e-16).
+zero pattern) take the kernel's pattern route: qubit B's global transpose
+on its index blocks in closed form, and the analytic decomposition, both
+from the state's eight elements; oracle states with seeded noise outside
+the pattern, and random states, take its generic route and the eigensolver
+decomposition.  On both routes A1's and A2's global transposes are solved
+whole, as one 8-index block.  Every diagnostic must agree to 1e-14, a few
+hundred ulps of the O(1) values (measured worst 8.9e-16).
 
 `batch_fields` is the one walk over a `NegativityBatch` that the tests
 share, and `two_block_negativity_b` is the paper's gated two-block closed
@@ -302,8 +304,9 @@ def test_random_states_match_textbook(dtype):
 
 def test_non_psd_pattern_state_keeps_its_single_index_blocks():
     # a Hermitian state on the zero pattern with negative populations: the
-    # 1x1 blocks of the global transposes ({2} and {5} for A1, {1} and {6}
-    # for A2, {0} and {7} for B) hold negative eigenvalues of their own
+    # 1x1 blocks {0} and {7} of B's global transpose, the only qubit whose
+    # transpose the kernel still splits into index blocks, hold negative
+    # eigenvalues of their own (A1's and A2's are solved whole)
     state = closed_form_states(math.pi)[9].copy()
     state[[1, 1, 2, 2], [1, 2, 1, 2]] = -0.05
     state[[5, 5, 6, 6], [5, 6, 5, 6]] = -0.03
@@ -345,6 +348,20 @@ def test_block_path_matches_full_fallback(theta):
             assert np.array_equal(values, expected[(name, key)]), name
         else:
             assert np.abs(values - expected[(name, key)]).max() <= TOL, (name, key)
+
+
+def test_a_qubit_globals_do_not_depend_on_the_route():
+    # A1's and A2's global transposes are solved whole on both routes, so
+    # the same matrices pushed onto the generic route by a symmetric pair of
+    # 1e-300 entries give the same bits
+    states = closed_form_states(math.pi / 2.0)
+    full_states = states.copy()
+    full_states[:, 0, 3] = full_states[:, 3, 0] = 1e-300
+    pattern, full = negativity_batch(states), negativity_batch(full_states)
+    assert pattern.pattern_ok.all() and not full.pattern_ok.any()
+    for name in ("n_g", "e_3", "e_2", "e_0"):
+        for p in (QubitLabel.A1, QubitLabel.A2):
+            assert np.array_equal(getattr(pattern, name)[p], getattr(full, name)[p]), (name, p)
 
 
 # the slots of the four elements that have more than one, each as the
