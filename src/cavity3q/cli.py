@@ -7,8 +7,10 @@ Modes:
   oracle-check  closed forms against brute-force evolution on a fixed grid
 
 The three sweep modes are one path, `run_sweep`: each is a (tau, s) grid,
-with one s, one tau or one of each.  `SweepConfig` holds every default; the
-parser takes its defaults from there.
+with one s, one tau or one of each, evaluated as closed form -> the
+kernel's element entry -> CSV, so a sweep never assembles a dense 8x8
+state.  `SweepConfig` holds every default; the parser takes its defaults
+from there.
 
 CSV output carries a '#' header block recording the full configuration and
 uses 12-significant-digit formatting, so identical configurations produce
@@ -27,7 +29,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .entanglement import QubitLabel, negativity_batch
+from .entanglement import QubitLabel, _element_batch
 from .fock_field import (
     require_nonnegative_number,
     require_number,
@@ -36,7 +38,7 @@ from .fock_field import (
     truncation_deficits,
 )
 from .oracle import compare_states, full_evolution_grid
-from .tavis_cummings import closed_form_grid, diagonal_probabilities, states_from_elements
+from .tavis_cummings import _populations, closed_form_grid, states_from_elements
 
 __all__ = [
     "SweepConfig",
@@ -191,22 +193,24 @@ def run_sweep(cfg: SweepConfig) -> str:
     """The CSV of a sweep mode: one row per (tau, s) point of its grid, tau outer.
 
     Every mode is a (tau, s) grid: a tau-sweep has one s, an s-sweep one tau
-    and a single point one of each.  The states come from one
-    `closed_form_grid` call and their diagnostics from one kernel call.  The
-    CSV holds the global negativities of B only, so only B's global
-    transposes are solved.
+    and a single point one of each.  The eight elements of every point come
+    from one `closed_form_grid` call, and every column is read from them:
+    the populations through the slot table (`tavis_cummings._populations`)
+    and the diagnostics from one call of the kernel's element entry
+    (`entanglement._element_batch`), so no dense 8x8 state is assembled or
+    checked.  The CSV holds the global negativities of B only, which the
+    kernel takes in closed form, so no transpose is eigensolved.
     """
     taus, squeezes, extra = _sweep_axes(cfg)
     elements = closed_form_grid(taus, squeezes, cfg.theta, cfg.n_max).reshape(-1, 8)
-    states = states_from_elements(elements)
     deficits = truncation_deficits(squeezes, cfg.n_max)
     _warn_truncation(deficits, squeezes, cfg.n_max)
     B, A1 = QubitLabel.B, QubitLabel.A1
-    batch = negativity_batch(states, global_qubits=(B,))
+    batch = _element_batch(elements, global_qubits=(B,))
     columns = [
         np.repeat(taus, len(squeezes)),
         np.tile(squeezes, len(taus)),
-        *diagonal_probabilities(states).T,
+        *_populations(elements).T,
         batch.n_g[B],
         batch.n_g[B],  # N_G_B_analytic: kept until the committed golden CSVs drop the column
         batch.n_psdg[B],

@@ -12,12 +12,16 @@ the kernel on a grid of one state and accepts every state the kernel does.
 Each quantity has one implementation per route: the paper's gated
 two-block closed form of qubit B's global negativity is how the pattern
 route solves B's two 3x3 blocks; the tests check it against the same form
-in exact arithmetic and the textbook eigensolve.
+in exact arithmetic and the textbook eigensolve.  The pattern route's
+formulas take the state's eight elements (`_pattern_values`), so the
+command-line sweeps call them on the closed form's elements directly,
+through the private element entry `_element_batch`, and never assemble a
+dense state.
 
 The kernel refuses, by the name ``states``, a stack that does not hold
-finite numbers, an entry too large for its products (`_ENTRY_BOUND`) or a
-state that is not Hermitian to 1e-9 (named by its index in the caller's
-stack).  It evaluates the stack in fixed blocks of `_DIAGNOSTIC_BLOCK` rows
+finite numbers of a dtype numpy's LAPACK takes, an entry too large for its
+products (`_ENTRY_BOUND`) or a state that is not Hermitian to 1e-9 (named
+by its index in the caller's stack).  It evaluates the stack in fixed blocks of `_DIAGNOSTIC_BLOCK` rows
 and decides each state's route once; a block that is all one route is
 evaluated in place, with no gather of its rows.
 
@@ -26,9 +30,8 @@ evaluated in place, with no gather of its rows.
   of one element apart, or a slot's imaginary part): every closed-form and
   brute-force oracle state.  `tavis_cummings` reads the elements back from
   the slot table that `states_from_elements` writes with, and every
-  diagnostic but the auxiliary measures and A1's and A2's global
-  negativities is computed from those eight elements (N, 8), with no dense
-  ket, gather or projector:
+  diagnostic but A1's and A2's global negativities is computed from those
+  eight elements (N, 8), with no dense ket, gather or projector:
 
   - the pure-state decomposition is the two eigenpairs (lam, x, y) of each
     of the state's two 2x2 blocks, a family of two kets (`_family_kets`),
@@ -51,13 +54,16 @@ evaluated in place, with no gather of its rows.
     170, 379 (1968): each field component conserves photon number plus
     atomic excitation), is a 2x2 block in the elements plus an exact null
     direction (`_two_blocks`), and E_3/E_2/E_0 are quadratic forms of its
-    kept eigenvectors.
+    kept eigenvectors;
+  - B's linear entropy, the W1 fidelity and the Bell weight are sums of
+    the elements, with coefficients read at import from the dense
+    functions on the unit states (`_MEASURE_COEFFICIENTS`).
 
 * The generic route takes every other state, rounding noise outside the
   pattern included: the decomposition is a stacked eigendecomposition,
-  N_PSDG comes from the minors of its dense kets, and each ket of positive
+  N_PSDG comes from the minors of its dense kets, each ket of positive
   weight that is not a basis state has its shares solved as one 8-index
-  block per qubit.
+  block per qubit, and the auxiliary measures come from the dense state.
 
 On both routes the global transposes of A1 and A2, and on the generic route
 B's too, are solved whole: each is gathered as one 8x8 matrix by flat index
@@ -67,7 +73,7 @@ and the K-way split E_3/E_2/E_0 is ``Re tr(T P)``, T the K-way transpose
 eigenvectors.  Only the qubits named in ``global_qubits`` (default all
 three) are solved, in one stacked symmetrised call.  The command-line
 sweeps ask for qubit B's global transpose only, the one their CSV reports,
-so on the pattern route they make no eigensolve at all.  The closed-form
+so they make no eigensolve, and they build no 8x8 state at all.  The closed-form
 states are real symmetric, so real arithmetic and real symmetric LAPACK
 solve them; a complex stack (a user's state, the generic route) takes the
 same lines with complex LAPACK.
@@ -82,7 +88,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tavis_cummings import PATTERN_MASK, _elements_of_states, states_from_elements
+from .tavis_cummings import (
+    PATTERN_MASK,
+    _elements_of_states,
+    _require_elements,
+    _slot_entries,
+    states_from_elements,
+)
 
 __all__ = [
     "QubitLabel",
@@ -126,6 +138,10 @@ _HERMITICITY_TOL = 1e-9
 # entry by at most one other entry of the state, or sums entries and their
 # products with unit vectors.
 _ENTRY_BOUND = math.sqrt(np.finfo(np.float64).max) / 16.0
+
+# The float dtypes the kernel evaluates; numpy's LAPACK takes no other, and
+# integer stacks are accepted too.
+_KERNEL_FLOATS = (np.float32, np.float64, np.complex64, np.complex128)
 
 # The pattern route reads each element as the mean real part of its slots;
 # a state whose slots spread further takes the generic route.  The mean is
@@ -219,7 +235,10 @@ def _part_magnitudes(m: np.ndarray) -> np.ndarray:
 def _require_states(stack: np.ndarray) -> None:
     """Raise a ValueError naming ``states`` unless a stack (N, 8, 8) is finite, bounded and Hermitian.
 
-    A bool or non-numeric dtype is refused first, then the first non-finite
+    A bool or non-numeric dtype is refused first, and a float dtype other
+    than float32, float64, complex64 or complex128, such as float16 or
+    longdouble, which numpy's LAPACK does not take, so that no selection of
+    global qubits evaluates what another refuses; then the first non-finite
     entry, then the first entry with a part at `_ENTRY_BOUND` or above in
     magnitude, then the first matrix that is not Hermitian to 1e-9; a
     matrix is named by its index in the stack.  Integer stacks are
@@ -231,6 +250,9 @@ def _require_states(stack: np.ndarray) -> None:
     """
     if stack.dtype.kind not in "iufc":
         raise ValueError(f"states must hold real or complex numbers, got dtype {stack.dtype}")
+    if stack.dtype.kind in "fc" and stack.dtype.type not in _KERNEL_FLOATS:
+        floats = "float32, float64, complex64 or complex128"
+        raise ValueError(f"states must hold integers or {floats} numbers, got dtype {stack.dtype}")
     starts = range(0, len(stack), _DIAGNOSTIC_BLOCK)
     largest, residual = np.empty(len(starts)), np.empty(len(stack))
     with np.errstate(invalid="ignore", over="ignore"):
@@ -345,14 +367,19 @@ def _squared_minors(kets: np.ndarray, p: QubitLabel) -> np.ndarray:
     return np.abs(minors) ** 2
 
 
+def _reduced_b(m: np.ndarray) -> np.ndarray:
+    """Qubit B's reduced state (..., 2, 2) of each state of a stack (..., 8, 8)."""
+    # axes of the (2,2,2, 2,2,2) view: (B, A2, A1) x (B, A2, A1); A2 is traced out, then A1
+    reduced = np.trace(m.reshape(*m.shape[:-2], 2, 2, 2, 2, 2, 2), axis1=-5, axis2=-2)
+    return np.trace(reduced, axis1=-3, axis2=-1)
+
+
 def _linear_entropy_b(m: np.ndarray) -> np.ndarray:
     """Mixedness ``2 (1 - tr rho_B^2)`` of qubit B's reduced state, per state of a stack (N, 8, 8).
 
     0 for a pure qubit, 1 for a maximally mixed one.
     """
-    # axes of the (2,2,2, 2,2,2) view: (B, A2, A1) x (B, A2, A1); A2 is traced out, then A1
-    reduced = np.trace(m.reshape(*m.shape[:-2], 2, 2, 2, 2, 2, 2), axis1=-5, axis2=-2)
-    reduced = np.trace(reduced, axis1=-3, axis2=-1)
+    reduced = _reduced_b(m)
     purity = np.real(np.trace(reduced @ reduced, axis1=-2, axis2=-1))
     return 2.0 * (1.0 - purity)
 
@@ -374,6 +401,37 @@ def _bell_projection(m: np.ndarray) -> np.ndarray:
     Bell state.
     """
     return np.real(m[..., 0, 0]) + _expectation(_SYM_EXCITED, m)
+
+
+# The state of each unit element, as `states_from_elements` writes it: the
+# pattern route's tables are read off these.
+_UNIT_STATES = states_from_elements(np.eye(8))
+
+# On the pattern rho_B is diagonal, so B's linear entropy is
+# ``2 (1 - p0^2 - p1^2)`` of its populations, and they, the W1 fidelity and
+# the Bell weight are linear in the elements.  Their coefficients per element
+# (4, 8) are the dense functions above on the unit states, so each formula is
+# written once.
+_REDUCED_UNITS = _reduced_b(_UNIT_STATES)
+if _REDUCED_UNITS[:, 0, 1].any() or _REDUCED_UNITS[:, 1, 0].any():
+    raise RuntimeError("qubit B's reduced state of a pattern state is not diagonal")
+_MEASURE_COEFFICIENTS = np.concatenate(
+    [
+        np.diagonal(_REDUCED_UNITS, axis1=-2, axis2=-1).T,
+        [_expectation(W1_STATE, _UNIT_STATES), _bell_projection(_UNIT_STATES)],
+    ]
+)
+
+
+def _element_measures(elements: np.ndarray) -> np.ndarray:
+    """B's linear entropy, W1 fidelity and Bell weight (3, N) of pattern-route elements (N, 8).
+
+    Each coefficient row of `_MEASURE_COEFFICIENTS` is multiplied into the
+    elements and summed along each state's contiguous row, not taken as a
+    BLAS product, so a state's values do not depend on the stack around it.
+    """
+    p0, p1, w1_fidelity, bell_projection = (elements[:, None, :] * _MEASURE_COEFFICIENTS).sum(axis=-1).T
+    return np.array([2.0 * (1.0 - (p0 * p0 + p1 * p1)), w1_fidelity, bell_projection])
 
 
 @dataclass(frozen=True)
@@ -625,8 +683,8 @@ def _ket_negativity(root: np.ndarray) -> np.ndarray:
     return np.where(root > NEGATIVE_EIGENVALUE_CUTOFF, 2.0 * root, 0.0)
 
 
-def _family_negativities(elements: np.ndarray) -> tuple[dict, dict]:
-    """N_PSDG per qubit and its pairwise shares per spec, of pattern-route states (N, 8).
+def _family_negativities(elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """N_PSDG (qubits, N) and its shares (specs of `_SHARE_ORDER`, N) of pattern-route elements (N, 8).
 
     Each ket of a family is held as its (x, y) (`_family_kets`), and each
     of its nonzero minors is one product ``phi_a phi_b`` of them
@@ -654,7 +712,7 @@ def _family_negativities(elements: np.ndarray) -> tuple[dict, dict]:
     scale = np.divide(-1.0, share_roots, out=np.zeros_like(share_roots), where=live)
     n_psdg = (weights * _ket_negativity(roots)).sum(axis=2).sum(axis=1)
     shares = -2.0 * (weights * (spec_squares * scale)).sum(axis=2).sum(axis=1)
-    return _by_key(n_psdg, shares)
+    return n_psdg, shares
 
 
 # ------------------------------------------------- B's two-block closed form
@@ -735,14 +793,14 @@ def _two_blocks(units: np.ndarray, maps: list[np.ndarray]):
 
 
 _B_SINGLES, _B_SINGLE_SCALES, _B_ENTRIES, _B_SCALES = _two_blocks(
-    states_from_elements(np.eye(8)), _STATE_MAPS[QubitLabel.B.value]
+    _UNIT_STATES, _STATE_MAPS[QubitLabel.B.value]
 )
 # the pair's diagonal, k's diagonal and the coupling first, for `_b_global_split`
 _B_ENTRIES, _B_SCALES = np.moveaxis(_B_ENTRIES, -1, 0), np.moveaxis(_B_SCALES, -1, 0)
 
 
 def _b_global_split(elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """N_G of qubit B (N,) and its split E_3, E_2, E_0 (N, 3), from pattern-route elements (N, 8).
+    """N_G of qubit B (N,) and its split E_3, E_2, E_0 (3, N), from pattern-route elements (N, 8).
 
     The 1-index blocks count their entry when it is below minus the
     cutoff, in N_G and in every map.  Each 2x2 block gives its eigenpairs
@@ -772,7 +830,7 @@ def _b_global_split(elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # each state's kept values summed in one order, blocks then eigenvalues
     lam = np.where(keep, lam, 0.0).reshape(-1, len(elements)).sum(axis=0)
     forms = forms.reshape(len(forms), -1, len(elements)).sum(axis=1)
-    return -2.0 * (single[0] + lam), -2.0 * (single[1:] + forms).T
+    return -2.0 * (single[0] + lam), -2.0 * (single[1:] + forms)
 
 
 def _projected_maps(gathered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -787,15 +845,15 @@ def _projected_maps(gathered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _global_split(m: np.ndarray, owners: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """N_G (N, owner) and its split E_3, E_2, E_0 (N, owner, 3) of an (N, 8, 8) stack.
+    """N_G (owners, N) and its split E_3, E_2, E_0 (owners, 3, N) of an (N, 8, 8) stack.
 
     ``owners`` are the values of the transposed qubits; with none, nothing
     is solved.  Each transpose is solved whole, by `_STATE_MAPS`.
     """
     if not owners:
-        return np.empty((len(m), 0)), np.empty((len(m), 0, 3))
+        return np.empty((0, len(m))), np.empty((0, 3, len(m)))
     sums, traces = _projected_maps(m.reshape(-1, 64)[:, _STATE_MAPS[owners]])
-    return -2.0 * sums, -2.0 * traces
+    return -2.0 * sums.T, -2.0 * np.moveaxis(traces, 0, -1)
 
 
 def _share_terms(kets: np.ndarray) -> np.ndarray:
@@ -818,8 +876,8 @@ def _by_key(n_psdg: np.ndarray, shares: np.ndarray) -> tuple[dict, dict]:
     return dict(zip(QubitLabel, n_psdg)), {spec: by_spec[spec] for spec in SELECTIVE_SPECS}
 
 
-def _decomposition_negativities(probs: np.ndarray, vectors: np.ndarray) -> tuple[dict, dict]:
-    """N_PSDG per qubit and its pairwise shares per selective spec, of a generic-route decomposition.
+def _decomposition_negativities(probs: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """N_PSDG (qubits, N) and its shares (specs of `_SHARE_ORDER`, N) of a generic-route decomposition.
 
     ``probs`` (N, 8) and ``vectors`` (N, 8, 8) are the eigenpairs
     (`_generic_decomposition`).  Each ket of qubit p's split has
@@ -839,7 +897,7 @@ def _decomposition_negativities(probs: np.ndarray, vectors: np.ndarray) -> tuple
     terms[:, rows, cols] = _share_terms(vectors[rows, :, cols]).T
     roots = np.array([np.sqrt(_squared_minors(vectors, p).sum(axis=-2)) for p in QubitLabel])
     n_psdg = (probs * _ket_negativity(roots)).sum(axis=-1)
-    return _by_key(n_psdg, -2.0 * (probs * terms).sum(axis=-1))
+    return n_psdg, -2.0 * (probs * terms).sum(axis=-1)
 
 
 def _global_selection(global_qubits) -> list[QubitLabel]:
@@ -855,6 +913,65 @@ def _global_selection(global_qubits) -> list[QubitLabel]:
     return sorted(selection, key=lambda p: p.value)
 
 
+def _pattern_values(elements: np.ndarray, owners: list[int], states=None, rows=slice(None)) -> tuple:
+    """Every diagnostic of pattern-route states from their elements (n, 8), states last.
+
+    ``owners`` are the values of the selected qubits, in `QubitLabel` order.
+    B's global split comes from its closed form, N_PSDG and the shares from
+    the families, the auxiliary measures from their coefficients.  A1's and
+    A2's global transposes are solved whole on the dense states, only when
+    one of them is selected: ``states[rows]``, or built from the elements
+    when ``states`` is None.  Returns n_g (owners, n), its split (owners, 3, n),
+    N_PSDG (qubits, n), the shares (specs, n) and the measures (3, n).
+    """
+    n_g, split = np.empty((len(owners), len(elements))), np.empty((len(owners), 3, len(elements)))
+    # B, last in `QubitLabel` order, takes its closed form
+    b_owned = QubitLabel.B.value in owners
+    solved = owners[: len(owners) - b_owned]
+    if solved:
+        dense = states_from_elements(elements) if states is None else states[rows]
+        n_g[: len(solved)], split[: len(solved)] = _global_split(dense, solved)
+    if b_owned:
+        n_g[-1], split[-1] = _b_global_split(elements)
+    return n_g, split, *_family_negativities(elements), _element_measures(elements)
+
+
+def _generic_values(m: np.ndarray, owners: list[int]) -> tuple:
+    """Every diagnostic of generic-route states (n, 8, 8), laid out as `_pattern_values` returns them."""
+    n_psdg, shares = _decomposition_negativities(*_generic_decomposition(m))
+    measures = np.array([_linear_entropy_b(m), _expectation(W1_STATE, m), _bell_projection(m)])
+    return *_global_split(m, owners), n_psdg, shares, measures
+
+
+def _batch_arrays(count: int, owners: int) -> list[np.ndarray]:
+    """The output arrays of ``count`` states, states last, in the layout of `_pattern_values`."""
+    return [
+        np.empty((owners, count)),
+        np.empty((owners, 3, count)),
+        np.empty((len(QubitLabel), count)),
+        np.empty((len(_SHARE_ORDER), count)),
+        np.empty((3, count)),
+    ]
+
+
+def _as_batch(arrays: list[np.ndarray], qubits: list[QubitLabel], pattern_ok: np.ndarray) -> NegativityBatch:
+    """The `NegativityBatch` of filled `_batch_arrays`, each field a row of them."""
+    n_g, split, n_psdg, shares, (linear_entropy_b, w1_fidelity, bell_projection) = arrays
+    n_psdg, e_psd = _by_key(n_psdg, shares)
+    return NegativityBatch(
+        n_g=dict(zip(qubits, n_g)),
+        e_3=dict(zip(qubits, split[:, 0])),
+        e_2=dict(zip(qubits, split[:, 1])),
+        e_0=dict(zip(qubits, split[:, 2])),
+        n_psdg=n_psdg,
+        e_psd=e_psd,
+        linear_entropy_b=linear_entropy_b,
+        w1_fidelity=w1_fidelity,
+        bell_projection=bell_projection,
+        pattern_ok=pattern_ok,
+    )
+
+
 def negativity_batch(states, *, global_qubits=tuple(QubitLabel)) -> NegativityBatch:
     """Evaluate the full diagnostic suite for a stack of states at once.
 
@@ -863,9 +980,9 @@ def negativity_batch(states, *, global_qubits=tuple(QubitLabel)) -> NegativityBa
     grow with N.  Each state's route is decided once in its block, and each
     route's values are written into the arrays this call returns, so every
     state's values are independent of its block-mates.  Raises a ValueError
-    naming ``states`` for a bool or non-numeric stack, a non-finite entry,
-    an entry with a part at `_ENTRY_BOUND` or above in magnitude, or a
-    state that is not Hermitian to 1e-9.
+    naming ``states`` for a bool, non-numeric, float16 or longdouble stack,
+    a non-finite entry, an entry with a part at `_ENTRY_BOUND` or above in
+    magnitude, or a state that is not Hermitian to 1e-9.
 
     ``global_qubits`` selects the qubits whose global transposes are solved
     (default all three): ``n_g``, ``e_3``, ``e_2`` and ``e_0`` hold those
@@ -882,20 +999,12 @@ def negativity_batch(states, *, global_qubits=tuple(QubitLabel)) -> NegativityBa
         raise ValueError(f"expected an (N, 8, 8) stack of states, got shape {stack.shape}")
     _require_states(stack)
     owners, count = [p.value for p in qubits], len(stack)
-    # B, last in `QubitLabel` order, takes its closed form on the pattern route
-    b_owned = QubitLabel.B in qubits
-    n_g, split = np.empty((count, len(owners))), np.empty((count, len(owners), 3))
-    n_psdg = {p: np.empty(count) for p in QubitLabel}
-    e_psd = {spec: np.empty(count) for spec in SELECTIVE_SPECS}
+    arrays = _batch_arrays(count, len(owners))
     pattern_ok = np.empty(count, dtype=bool)
-    linear_entropy_b, w1_fidelity, bell_projection = np.empty((3, count))
     for start in range(0, count, _DIAGNOSTIC_BLOCK):
         block = stack[start : start + _DIAGNOSTIC_BLOCK]
         at = slice(start, start + len(block))
         pattern_ok[at], elements = _pattern_route(block)
-        linear_entropy_b[at] = _linear_entropy_b(block)
-        w1_fidelity[at] = _expectation(W1_STATE, block)
-        bell_projection[at] = _bell_projection(block)
         for on_pattern in (True, False):
             route = pattern_ok[at] == on_pattern
             if route.all():
@@ -906,32 +1015,49 @@ def negativity_batch(states, *, global_qubits=tuple(QubitLabel)) -> NegativityBa
                 if not rows.size:
                     continue
             if on_pattern:
-                pattern = elements[rows]
-                if b_owned:
-                    n_g[where, -1], split[where, -1] = _b_global_split(pattern)
-                solved = owners[: len(owners) - b_owned]
-                if solved:
-                    n_g[where, : len(solved)], split[where, : len(solved)] = _global_split(block[rows], solved)
-                values = _family_negativities(pattern)
+                values = _pattern_values(elements[rows], owners, block, rows)
             else:
-                m = block[rows]
-                n_g[where], split[where] = _global_split(m, owners)
-                values = _decomposition_negativities(*_generic_decomposition(m))
-            for out, route_values in zip((n_psdg, e_psd), values):
-                for key, array in out.items():
-                    array[where] = route_values[key]
-    return NegativityBatch(
-        n_g={p: n_g[:, i] for i, p in enumerate(qubits)},
-        e_3={p: split[:, i, 0] for i, p in enumerate(qubits)},
-        e_2={p: split[:, i, 1] for i, p in enumerate(qubits)},
-        e_0={p: split[:, i, 2] for i, p in enumerate(qubits)},
-        n_psdg=n_psdg,
-        e_psd=e_psd,
-        linear_entropy_b=linear_entropy_b,
-        w1_fidelity=w1_fidelity,
-        bell_projection=bell_projection,
-        pattern_ok=pattern_ok,
-    )
+                values = _generic_values(block[rows], owners)
+            for array, route_values in zip(arrays, values):
+                array[..., where] = route_values
+    return _as_batch(arrays, qubits, pattern_ok)
+
+
+def _element_batch(elements, *, global_qubits=tuple(QubitLabel)) -> NegativityBatch:
+    """`negativity_batch` of the states of an (N, 8) stack of elements, with no (N, 8, 8) stack.
+
+    The states are those `states_from_elements` builds from the elements:
+    Hermitian and on the pattern route by construction, so neither is
+    checked and ``pattern_ok`` is all True.  Each block of
+    `_DIAGNOSTIC_BLOCK` elements is evaluated by the pattern route's
+    formulas (`_pattern_values`); if A1 or A2 is selected, that block's
+    dense states are built to solve its global transposes.  The values
+    agree with ``negativity_batch(states_from_elements(elements))`` to
+    rounding: that call reads r15 and r26 back from their slots, which
+    moves them by up to an ulp.  Raises a ValueError naming ``elements``
+    for a bool, complex or non-finite element, a shape other than (N, 8),
+    or an element whose slot entry, element / divisor, reaches
+    `_ENTRY_BOUND` in magnitude.
+    """
+    qubits = _global_selection(global_qubits)
+    elements = _require_elements(elements)
+    if elements.ndim != 2:
+        raise ValueError(f"elements must be an (N, 8) stack, got shape {elements.shape}")
+    # each element's largest magnitude over the stack, with no temporary the stack's size
+    largest = np.maximum(elements.max(axis=0, initial=0.0), -elements.min(axis=0, initial=0.0))
+    if (_slot_entries(largest) >= _ENTRY_BOUND).any():
+        row, k = np.argwhere(np.abs(_slot_entries(elements)) >= _ENTRY_BOUND)[0]
+        raise ValueError(
+            f"elements must have slot entries (element / divisor) of magnitude below {_ENTRY_BOUND}, "
+            f"got element {k} = {elements[row, k]} in row {row}"
+        )
+    owners, count = [p.value for p in qubits], len(elements)
+    arrays = _batch_arrays(count, len(owners))
+    for start in range(0, count, _DIAGNOSTIC_BLOCK):
+        at = slice(start, start + _DIAGNOSTIC_BLOCK)
+        for array, values in zip(arrays, _pattern_values(elements[at], owners)):
+            array[..., at] = values
+    return _as_batch(arrays, qubits, np.ones(count, dtype=bool))
 
 
 def negativity_report(rho) -> NegativityReport:

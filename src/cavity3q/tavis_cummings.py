@@ -23,9 +23,11 @@ and the third is the c2 atom (B); the flat index is i1 + 2*i2 + 4*i3.
 
 One table says which entries of the 8x8 state hold which element, and this
 module is the only one that reads it, in both directions:
-`states_from_elements` writes the elements into their slots, and
+`states_from_elements` writes the elements into their slots,
 `_elements_of_states` reads them back, with the spread of each element's
-slots, for the diagnostics' route decision.  `PATTERN_MASK` marks the slots.
+slots, for the diagnostics' route decision, and `_populations` reads the
+diagonal slots straight from the elements, for the sweeps, which build no
+8x8 state.  `PATTERN_MASK` marks the slots.
 """
 
 from __future__ import annotations
@@ -92,6 +94,8 @@ _ELEMENT_SLOTS = (
 _ELEMENT_DIVISORS = np.array([1.0, 2.0, 1.0, 1.0, 2.0, 1.0, math.sqrt(2.0), math.sqrt(2.0)])
 _SLOT_SOURCE = np.array([k for k, slots in enumerate(_ELEMENT_SLOTS) for _ in slots])
 _SLOT_ROWS, _SLOT_COLS = np.array([ij for slots in _ELEMENT_SLOTS for ij in slots]).T
+# The element on each diagonal entry, in basis order.
+_DIAGONAL_SOURCE = np.array([_SLOT_SOURCE[(_SLOT_ROWS == i) & (_SLOT_COLS == i)][0] for i in range(8)])
 # Where each element's slots start in that flat order, and what they sum to
 # per unit of the element: the slot count over the divisor, written out
 # because 4 / sqrt2 rounds one ulp away from 2 sqrt2.
@@ -310,12 +314,11 @@ def closed_form_grid(taus, squeezes, theta: float, n_max: int) -> np.ndarray:
     return out
 
 
-def states_from_elements(elements: np.ndarray) -> np.ndarray:
-    """The real 8x8 states, shape (..., 8, 8), from elements of `closed_form_grid` (..., 8).
+def _require_elements(elements) -> np.ndarray:
+    """``elements`` (..., 8) as a float array, or a ValueError naming ``elements``.
 
-    Raises ValueError, naming ``elements``, for a bool or non-real element
-    (a complex one is not cut to its real part), a last axis other than 8
-    or a non-finite element.
+    A bool or non-real element is refused (a complex one is not cut to its
+    real part), then a last axis other than 8, then a non-finite element.
     """
     elements = _real_array("elements", elements, "each")
     if elements.ndim == 0 or elements.shape[-1] != 8:
@@ -323,9 +326,34 @@ def states_from_elements(elements: np.ndarray) -> np.ndarray:
     finite = np.isfinite(elements)
     if not finite.all():
         raise ValueError(f"elements must be finite, got {elements[~finite][0]}")
+    return elements
+
+
+def _slot_entries(elements: np.ndarray) -> np.ndarray:
+    """The value each element (..., 8) is stored with in every one of its slots: element / divisor."""
+    return elements / _ELEMENT_DIVISORS
+
+
+def states_from_elements(elements: np.ndarray) -> np.ndarray:
+    """The real 8x8 states, shape (..., 8, 8), from elements of `closed_form_grid` (..., 8).
+
+    Raises ValueError, naming ``elements``, for a bool or non-real element
+    (a complex one is not cut to its real part), a last axis other than 8
+    or a non-finite element.
+    """
+    elements = _require_elements(elements)
     m = np.zeros(elements.shape[:-1] + (8, 8))
-    m[..., _SLOT_ROWS, _SLOT_COLS] = (elements / _ELEMENT_DIVISORS)[..., _SLOT_SOURCE]
+    m[..., _SLOT_ROWS, _SLOT_COLS] = _slot_entries(elements)[..., _SLOT_SOURCE]
     return m
+
+
+def _populations(elements: np.ndarray) -> np.ndarray:
+    """The eight basis-state populations (..., 8) of the states of checked elements (..., 8).
+
+    Read through the slot table, so they are bit for bit the
+    `diagonal_probabilities` of `states_from_elements`, with no 8x8 state.
+    """
+    return _slot_entries(elements)[..., _DIAGONAL_SOURCE]
 
 
 def _elements_of_states(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

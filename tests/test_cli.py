@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import cavity3q.cli as cli
+import cavity3q.entanglement as ent
 import cavity3q.tavis_cummings as tc
 from cavity3q import (
     FieldConfig,
@@ -65,6 +66,23 @@ def test_s_sweep_zero_squeezing_row_has_no_entanglement():
     for key in ("N_G_B", "N_PSDG_B", "N_PSDG_A1", "E_PSD_B_BA1", "E_PSD_A1_A1A2", "E_PSD_A1_A1B"):
         assert abs(row0[key]) < 1e-12
     assert [r[1] for r in rows] == pytest.approx([0.0, 0.2, 0.4])
+
+
+@pytest.mark.parametrize("mode", ["tau-sweep", "s-sweep", "single-point"])
+def test_sweeps_assemble_and_check_no_dense_states(mode, monkeypatch):
+    # every column of a sweep is read from the closed form's eight elements:
+    # with the dense states and the kernel's checks of them made to raise,
+    # the production sweeps still write the same CSV
+    cfg = SweepConfig(mode=mode)
+    expected = run_sweep(cfg)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep assembled or checked a dense (N, 8, 8) stack")
+
+    for module in (cli, tc, ent):
+        monkeypatch.setattr(module, "states_from_elements", refuse)
+    monkeypatch.setattr(ent, "_require_states", refuse)
+    assert run_sweep(cfg) == expected
 
 
 def test_csv_is_byte_deterministic():

@@ -357,11 +357,12 @@ def test_the_input_checks_hold_no_temporary_the_size_of_the_stack(large_sweep_st
 
 def test_the_pattern_route_holds_no_dense_per_state_temporary(large_sweep_stack):
     # beyond the 2.71 MB it returns, the call's traced peak is the largest
-    # set of temporaries of one 200-state block: 0.32 MB with the pattern
-    # route on the eight elements, where the kernel's dense kets, their
-    # minors, the gathered blocks and the 3x3 projectors of B took it to
-    # 0.69 MB; one more (200, 8, 8) array, 0.10 MB, alive at that peak
-    # would pass the bound
+    # set of temporaries of one 200-state block: 0.33 MB, set by the family
+    # kets' tables (0.27 MB), with the auxiliary measures summed from the
+    # eight elements (0.16 MB) rather than from two (200, 8, 8) products
+    # (0.27 MB); the kernel's dense kets, their minors, the gathered blocks
+    # and the 3x3 projectors of B took it to 0.69 MB.  One more (200, 8, 8)
+    # array, 0.10 MB, alive at that peak would pass the bound
     peak, returned = traced_kernel_call(large_sweep_stack)
     held = peak - returned
     assert held < 0.40e6, f"{held / 1e6:.3f} MB held beyond the {returned / 1e6:.2f} MB returned"
@@ -446,6 +447,27 @@ def test_bad_stacks_are_refused_by_name(states, message):
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 call(argument)
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.longdouble, np.clongdouble])
+@pytest.mark.parametrize("selection", [tuple(QubitLabel), (QubitLabel.B,)], ids=["all qubits", "B only"])
+def test_float_widths_without_lapack_are_refused_by_every_selection(dtype, selection):
+    # the default selection raised numpy's TypeError from inside linalg, and
+    # the B-only selection, which solves nothing, returned values
+    states = sweep_states(math.pi, [1.2], [0.8, 14.5]).astype(dtype)
+    floats = "float32, float64, complex64 or complex128"
+    message = f"states must hold integers or {floats} numbers, got dtype {np.dtype(dtype)}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        negativity_batch(states, global_qubits=selection)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.float32, np.float64, np.complex64, np.complex128])
+@pytest.mark.parametrize("selection", [tuple(QubitLabel), (QubitLabel.B,)], ids=["all qubits", "B only"])
+def test_integer_and_lapack_float_stacks_are_evaluated_by_every_selection(dtype, selection):
+    states = (8 * sweep_states(math.pi / 2.0, [1.2], [0.8, 14.5])).astype(dtype)
+    batch = negativity_batch(states, global_qubits=selection)
+    for key, values in batch_fields(batch).items():
+        assert np.isfinite(values).all(), key
 
 
 def test_integer_stacks_are_accepted():

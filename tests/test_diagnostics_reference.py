@@ -343,11 +343,12 @@ def test_block_path_matches_full_fallback(theta):
     assert blocks.pattern_ok.all() and not full.pattern_ok.any()
     expected = batch_fields(full)
     for (name, key), values in batch_fields(blocks).items():
-        if key is None:
-            # the auxiliary measures read no entry off the pattern
-            assert np.array_equal(values, expected[(name, key)]), name
-        else:
-            assert np.abs(values - expected[(name, key)]).max() <= TOL, (name, key)
+        # the auxiliary measures read no entry off the pattern, but the
+        # pattern route sums them from the eight elements and the generic
+        # route from the dense state: they differ by rounding alone (at most
+        # 4.4e-16 on these stacks)
+        bound = 1e-15 if key is None else TOL
+        assert np.abs(values - expected[(name, key)]).max() <= bound, (name, key)
 
 
 def test_a_qubit_globals_do_not_depend_on_the_route():
