@@ -206,7 +206,7 @@ def run_sweep(cfg: SweepConfig) -> str:
     deficits = truncation_deficits(squeezes, cfg.n_max)
     _warn_truncation(deficits, squeezes, cfg.n_max)
     B, A1 = QubitLabel.B, QubitLabel.A1
-    batch = _element_batch(elements, global_qubits=(B,))
+    batch = _element_batch(elements)
     columns = [
         np.repeat(taus, len(squeezes)),
         np.tile(squeezes, len(taus)),

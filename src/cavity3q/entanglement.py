@@ -92,7 +92,6 @@ from .tavis_cummings import (
     PATTERN_MASK,
     _elements_of_states,
     _require_elements,
-    _slot_entries,
     states_from_elements,
 )
 
@@ -913,24 +912,23 @@ def _global_selection(global_qubits) -> list[QubitLabel]:
     return sorted(selection, key=lambda p: p.value)
 
 
-def _pattern_values(elements: np.ndarray, owners: list[int], states=None, rows=slice(None)) -> tuple:
+def _pattern_values(elements: np.ndarray, owners: list[int], states, rows) -> tuple:
     """Every diagnostic of pattern-route states from their elements (n, 8), states last.
 
     ``owners`` are the values of the selected qubits, in `QubitLabel` order.
     B's global split comes from its closed form, N_PSDG and the shares from
     the families, the auxiliary measures from their coefficients.  A1's and
-    A2's global transposes are solved whole on the dense states, only when
-    one of them is selected: ``states[rows]``, or built from the elements
-    when ``states`` is None.  Returns n_g (owners, n), its split (owners, 3, n),
-    N_PSDG (qubits, n), the shares (specs, n) and the measures (3, n).
+    A2's global transposes are solved whole on the dense states
+    ``states[rows]``, which are read only when one of them is selected.
+    Returns n_g (owners, n), its split (owners, 3, n), N_PSDG (qubits, n),
+    the shares (specs, n) and the measures (3, n).
     """
     n_g, split = np.empty((len(owners), len(elements))), np.empty((len(owners), 3, len(elements)))
     # B, last in `QubitLabel` order, takes its closed form
     b_owned = QubitLabel.B.value in owners
     solved = owners[: len(owners) - b_owned]
     if solved:
-        dense = states_from_elements(elements) if states is None else states[rows]
-        n_g[: len(solved)], split[: len(solved)] = _global_split(dense, solved)
+        n_g[: len(solved)], split[: len(solved)] = _global_split(states[rows], solved)
     if b_owned:
         n_g[-1], split[-1] = _b_global_split(elements)
     return n_g, split, *_family_negativities(elements), _element_measures(elements)
@@ -1023,41 +1021,29 @@ def negativity_batch(states, *, global_qubits=tuple(QubitLabel)) -> NegativityBa
     return _as_batch(arrays, qubits, pattern_ok)
 
 
-def _element_batch(elements, *, global_qubits=tuple(QubitLabel)) -> NegativityBatch:
-    """`negativity_batch` of the states of an (N, 8) stack of elements, with no (N, 8, 8) stack.
+def _element_batch(elements) -> NegativityBatch:
+    """``negativity_batch(states, global_qubits=(QubitLabel.B,))`` of the states of an (N, 8) element stack.
 
     The states are those `states_from_elements` builds from the elements:
     Hermitian and on the pattern route by construction, so neither is
-    checked and ``pattern_ok`` is all True.  Each block of
-    `_DIAGNOSTIC_BLOCK` elements is evaluated by the pattern route's
-    formulas (`_pattern_values`); if A1 or A2 is selected, that block's
-    dense states are built to solve its global transposes.  The values
-    agree with ``negativity_batch(states_from_elements(elements))`` to
-    rounding: that call reads r15 and r26 back from their slots, which
-    moves them by up to an ulp.  Raises a ValueError naming ``elements``
-    for a bool, complex or non-finite element, a shape other than (N, 8),
-    or an element whose slot entry, element / divisor, reaches
-    `_ENTRY_BOUND` in magnitude.
+    checked and ``pattern_ok`` is all True, and no (N, 8, 8) stack is
+    built.  Each block of `_DIAGNOSTIC_BLOCK` elements is evaluated by the
+    pattern route's formulas (`_pattern_values`), with B's global
+    transpose, the one the command-line sweeps report, as the only
+    selection.  The values agree with the dense call to rounding: that
+    call reads r15 and r26 back from their slots, which moves them by up
+    to an ulp.  Raises a ValueError naming ``elements`` for a bool,
+    complex or non-finite element, or a shape other than (N, 8).
     """
-    qubits = _global_selection(global_qubits)
     elements = _require_elements(elements)
     if elements.ndim != 2:
         raise ValueError(f"elements must be an (N, 8) stack, got shape {elements.shape}")
-    # each element's largest magnitude over the stack, with no temporary the stack's size
-    largest = np.maximum(elements.max(axis=0, initial=0.0), -elements.min(axis=0, initial=0.0))
-    if (_slot_entries(largest) >= _ENTRY_BOUND).any():
-        row, k = np.argwhere(np.abs(_slot_entries(elements)) >= _ENTRY_BOUND)[0]
-        raise ValueError(
-            f"elements must have slot entries (element / divisor) of magnitude below {_ENTRY_BOUND}, "
-            f"got element {k} = {elements[row, k]} in row {row}"
-        )
-    owners, count = [p.value for p in qubits], len(elements)
-    arrays = _batch_arrays(count, len(owners))
-    for start in range(0, count, _DIAGNOSTIC_BLOCK):
+    arrays = _batch_arrays(len(elements), 1)
+    for start in range(0, len(elements), _DIAGNOSTIC_BLOCK):
         at = slice(start, start + _DIAGNOSTIC_BLOCK)
-        for array, values in zip(arrays, _pattern_values(elements[at], owners)):
+        for array, values in zip(arrays, _pattern_values(elements[at], [QubitLabel.B.value], None, None)):
             array[..., at] = values
-    return _as_batch(arrays, qubits, np.ones(count, dtype=bool))
+    return _as_batch(arrays, [QubitLabel.B], np.ones(len(elements), dtype=bool))
 
 
 def negativity_report(rho) -> NegativityReport:
