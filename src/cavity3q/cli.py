@@ -25,7 +25,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,8 +92,7 @@ ORACLE_CHECK_MAX_N_MAX = 80
 TRUNCATION_WARNING = 1e-8
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class _SweepConfigFields(NamedTuple):
     mode: str = "tau-sweep"
     s: float = 1.2
     theta: float = math.pi
@@ -109,28 +108,45 @@ class SweepConfig:
     oracle_n_max: int = 40
     tolerance: float = 1e-8
 
-    def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
+
+class SweepConfig(_SweepConfigFields):
+    """Every setting of one command-line run, with the parser's defaults.
+
+    A named tuple: construction, ``_make`` and ``_replace`` all refuse a bad
+    value by name.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        config = super().__new__(cls, *args, **kwargs)
+        if config.mode not in MODES:
+            raise ValueError(f"unknown mode {config.mode!r}")
         for name in ("tau_steps", "s_steps"):
-            steps = getattr(self, name)
+            steps = getattr(config, name)
             if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
                 raise ValueError(f"{name} must be a positive integer, got {steps!r}")
-        require_nonnegative_number("squeeze parameter s", self.s)
+        require_nonnegative_number("squeeze parameter s", config.s)
         for name in ("tau", "tau_start", "tau_end", "s_start", "s_end"):
-            require_nonnegative_number(name, getattr(self, name))
+            require_nonnegative_number(name, getattr(config, name))
         for axis in ("tau", "s"):
-            start, end = getattr(self, f"{axis}_start"), getattr(self, f"{axis}_end")
+            start, end = getattr(config, f"{axis}_start"), getattr(config, f"{axis}_end")
             if end < start:
                 raise ValueError(
                     f"{axis}_end must be >= {axis}_start, got {axis}_start={start} {axis}_end={end}"
                 )
-        require_theta(self.theta)
-        require_photon_number("n_max", self.n_max)
-        require_photon_number("oracle_n_max", self.oracle_n_max)
-        tolerance = require_number("tolerance", self.tolerance, "> 0")
+        require_theta(config.theta)
+        require_photon_number("n_max", config.n_max)
+        require_photon_number("oracle_n_max", config.oracle_n_max)
+        tolerance = require_number("tolerance", config.tolerance, "> 0")
         if not (math.isfinite(tolerance) and tolerance > 0.0):
             raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
+        return config
+
+    @classmethod
+    def _make(cls, iterable):
+        # the inherited _make, which _replace calls, builds the tuple without __new__
+        return cls(*iterable)
 
 
 # Every number the CSVs and oracle-check reports print: 12 significant digits.
@@ -301,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output path, '-' for stdout")
     parser.add_argument("--oracle-n-max", type=int)
     parser.add_argument("--tolerance", type=float)
-    parser.set_defaults(**{f.name: f.default for f in fields(SweepConfig)})
+    parser.set_defaults(**SweepConfig._field_defaults)
     return parser
 
 

@@ -82,7 +82,6 @@ same lines with complex LAPACK.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from enum import Enum
 from typing import NamedTuple
 
@@ -433,8 +432,7 @@ def _element_measures(elements: np.ndarray) -> np.ndarray:
     return np.array([2.0 * (1.0 - (p0 * p0 + p1 * p1)), w1_fidelity, bell_projection])
 
 
-@dataclass(frozen=True)
-class NegativityReport:
+class NegativityReport(NamedTuple):
     """Every diagnostic evaluated at one (tau, s, theta) point."""
 
     n_g: dict[QubitLabel, float]
@@ -455,8 +453,6 @@ class NegativityBatch(NamedTuple):
     ``global_qubits`` of `negativity_batch` (all three by default); every
     other field is complete.  ``pattern_ok`` marks the states that took the
     pattern route; the others took the generic route (module docstring).
-    (A named tuple rather than a frozen dataclass: the dataclass
-    costs about 1.5 ms of import time, which every command-line call pays.)
     """
 
     n_g: dict[QubitLabel, np.ndarray]
@@ -478,8 +474,8 @@ class NegativityBatch(NamedTuple):
                 return {key: float(array[index]) for key, array in value.items()}
             return float(value[index])
 
-        return NegativityReport(
-            **{f.name: pick(getattr(self, f.name)) for f in fields(NegativityReport)}
+        return NegativityReport._make(
+            pick(getattr(self, name)) for name in NegativityReport._fields
         )
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -131,8 +131,13 @@ def require_photon_number(name: str, value) -> None:
         raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
 
-@dataclass(frozen=True)
-class FieldConfig:
+class _FieldConfigFields(NamedTuple):
+    s: float
+    theta: float
+    n_max: int
+
+
+class FieldConfig(_FieldConfigFields):
     """Squeezed-field parameters and the Fock-space truncation.
 
     ``s`` is the squeeze parameter (>= 0), ``theta`` the beam-splitter angle
@@ -140,16 +145,24 @@ class FieldConfig:
     and ``n_max`` the largest squeezed-pair photon number kept in all sums.
     The truncated state is deliberately not renormalised; see
     `truncation_deficit` for the norm that is dropped.
+
+    A named tuple: construction, ``_make`` and ``_replace`` all refuse a bad
+    value by name.
     """
 
-    s: float
-    theta: float
-    n_max: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        require_nonnegative_number("squeeze parameter s", self.s)
-        require_theta(self.theta)
-        require_photon_number("n_max", self.n_max)
+    def __new__(cls, *args, **kwargs):
+        config = super().__new__(cls, *args, **kwargs)
+        require_nonnegative_number("squeeze parameter s", config.s)
+        require_theta(config.theta)
+        require_photon_number("n_max", config.n_max)
+        return config
+
+    @classmethod
+    def _make(cls, iterable):
+        # the inherited _make, which _replace calls, builds the tuple without __new__
+        return cls(*iterable)
 
 
 def binomial_amplitude_table(n_max: int, theta: float) -> np.ndarray:

@@ -51,7 +51,7 @@ exact because the photon-traced overlaps form a Gram matrix.  A whole
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -441,8 +441,7 @@ def full_evolution(config: FieldConfig, tau: float) -> ThreeQubitDensityMatrix:
     return ThreeQubitDensityMatrix(matrix, tau, config.s, config.theta, config.n_max)
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """Elementwise comparison of two 8x8 states."""
 
     max_abs_diff: float

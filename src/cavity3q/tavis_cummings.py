@@ -33,7 +33,7 @@ diagonal slots straight from the elements, for the sweeps, which build no
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,8 +57,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ThreeQubitDensityMatrix:
+class ThreeQubitDensityMatrix(NamedTuple):
     """8x8 reduced state of (A1, A2, B) plus the parameters that produced it.
 
     The matrix is Hermitian and positive semidefinite with trace

@@ -1,5 +1,4 @@
 import math
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -484,9 +483,7 @@ def test_single_point_row_is_the_scalar_report():
 def test_parser_flags_are_the_config_fields_with_its_defaults():
     parser = cli.build_parser()
     actions = {action.dest: action for action in parser._actions if action.dest != "help"}
-    assert {name: action.default for name, action in actions.items()} == {
-        field.name: field.default for field in fields(SweepConfig)
-    }
+    assert {name: action.default for name, action in actions.items()} == SweepConfig._field_defaults
     for name, action in actions.items():
         assert action.option_strings == ["--" + name.replace("_", "-")]
     assert tuple(actions["mode"].choices) == MODES
