@@ -89,6 +89,7 @@ import numpy as np
 
 from .tavis_cummings import (
     PATTERN_MASK,
+    ThreeQubitDensityMatrix,
     _elements_of_states,
     _require_elements,
     states_from_elements,
@@ -976,7 +977,9 @@ def negativity_batch(states, *, global_qubits=tuple(QubitLabel)) -> NegativityBa
     state's values are independent of its block-mates.  Raises a ValueError
     naming ``states`` for a bool, non-numeric, float16 or longdouble stack,
     a non-finite entry, an entry with a part at `_ENTRY_BOUND` or above in
-    magnitude, or a state that is not Hermitian to 1e-9.
+    magnitude, or a state that is not Hermitian to 1e-9, and for one
+    `ThreeQubitDensityMatrix` record, which is a tuple of its fields, not a
+    stack.
 
     ``global_qubits`` selects the qubits whose global transposes are solved
     (default all three): ``n_g``, ``e_3``, ``e_2`` and ``e_0`` hold those
@@ -985,6 +988,11 @@ def negativity_batch(states, *, global_qubits=tuple(QubitLabel)) -> NegativityBa
     what the full selection gives.
     """
     qubits = _global_selection(global_qubits)
+    if isinstance(states, ThreeQubitDensityMatrix):
+        raise ValueError(
+            "states must be a stack of states, not one ThreeQubitDensityMatrix: "
+            "pass [rho], or call negativity_report(rho)"
+        )
     if isinstance(states, np.ndarray):
         stack = states
     else:

@@ -17,6 +17,18 @@ products: `closed_form_grid`.  At theta = 0 and theta = pi the snapped
 half-angle makes every factor an exact 0/1 selection, which is applied by
 indexing instead of a product.  `closed_form_rho` is its grid of one.
 
+The block amplitudes need cos and sin of every phase tau * rate, at the
+pair's rates sqrt(2(2q-1)) and cavity 2's sqrt(p).  When the tau axis is an
+arithmetic progression, as every sweep's is, they come from the
+angle-addition identity: one table per call for the offsets within a chunk
+of taus, one row per chunk for its first tau, both of the exact products,
+and a first-order correction for each point's few-ulp distance from the
+progression (`_tau_trig`).  That calls libm about 24,000 times for a
+600-point sweep at n_max 80, not 196,000, and every value is within a few
+ulps of 1 of cos and sin of the exact product, where the rounded product's
+per-point cos is off by up to ulp(tau * rate) / 2.  A single tau, or any
+other axis, is evaluated point by point.
+
 Computational basis order throughout: |000>, |100>, |010>, |110>, |001>,
 |101>, |011>, |111>, where the first two slots are the c1 atoms (A1, A2)
 and the third is the c2 atom (B); the flat index is i1 + 2*i2 + 4*i3.
@@ -33,6 +45,7 @@ diagonal slots straight from the elements, for the sweeps, which build no
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -149,9 +162,11 @@ def _squeeze_norms(squeezes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndar
     return tanh_s**power * inv_cosh2, tanh_s ** (power[:-1] + 1) * inv_cosh2
 
 
-def _pair_block_amplitudes(taus: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _pair_block_amplitudes(cos_f: np.ndarray, sin_f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Two-atom block amplitudes per tau (rows) against photon number q = 0..count-1.
 
+    ``cos_f`` and ``sin_f`` hold cos and sin of the pair's phases
+    sqrt(2(2q-1)) tau for q = 1..count-1 (columns).
     Returns (stay, one_up, two_up): the amplitudes for the symmetric pair to
     absorb zero, one or two photons out of q.  The generic expressions
     reference sqrt(2(2q-1)), which only exists for q >= 1, so the empty-cavity
@@ -159,13 +174,10 @@ def _pair_block_amplitudes(taus: np.ndarray, count: int) -> tuple[np.ndarray, np
     rung vanishes through its sqrt(q(q-1)) factor.  The arithmetic runs in
     place in the three returned arrays.
     """
-    shape = (len(taus), count)
+    shape = (cos_f.shape[0], cos_f.shape[1] + 1)
     stay, one_up, two_up = np.empty(shape), np.empty(shape), np.empty(shape)
     stay[:, :1], one_up[:, :1], two_up[:, :1] = 1.0, 0.0, 0.0
-    q = np.arange(1, count, dtype=float)
-    phase = np.multiply.outer(taus, np.sqrt(2.0 * (2.0 * q - 1.0)))
-    cos_f = np.cos(phase)
-    sin_f = np.sin(phase)
+    q = np.arange(1, shape[1], dtype=float)
     denom = 2.0 * q - 1.0
     stay_q, one_q, two_q = stay[:, 1:], one_up[:, 1:], two_up[:, 1:]
     np.add(q - 1.0, np.multiply(q, cos_f, out=stay_q), out=stay_q)
@@ -183,6 +195,136 @@ def _pair_block_amplitudes(taus: np.ndarray, count: int) -> tuple[np.ndarray, np
 # raise the peak resident set by MBs, and work arrays made afresh per chunk
 # would be trimmed from the heap and faulted back in by the next chunk.
 _TAU_CHUNK = 64
+# A tau axis is arithmetic when every point lies within this many ulps of
+# its largest tau from its chunk's first point plus j steps; the command
+# line's grids and np.linspace stay within 3.
+_GRID_ULPS = 8.0
+# Veltkamp's constant, 2**27 + 1: splits a double into two halves of at most
+# 26 significant bits, whose products are exact.
+_SPLITTER = 134217729.0
+_SPLIT_LIMIT = sys.float_info.max / _SPLITTER  # larger values overflow in the split
+
+
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split x = hi + lo, exactly, with hi and lo of at most 26 significant bits."""
+    scaled = _SPLITTER * x
+    hi = scaled - (scaled - x)
+    return hi, x - hi
+
+
+def _exact_phase_trig(
+    x: np.ndarray, rates: np.ndarray, cos: np.ndarray, sin: np.ndarray, phase: np.ndarray, error: np.ndarray
+) -> None:
+    """cos and sin of the exact products x[:, None] * rates into cos and sin, to a few ulps of 1.
+
+    ``phase`` and ``error`` are work arrays of the same (len(x), len(rates))
+    shape.  The rounded product p and its rounding error e (Dekker's
+    two-product, p + e = x * rate exactly) give cos(p + e) = cos p - e sin p
+    and sin(p + e) = sin p + e cos p, to first order in |e| <= ulp(p) / 2.
+    """
+    (x_hi, x_lo), (r_hi, r_lo) = _split(x), _split(rates)
+    np.multiply.outer(x, rates, out=phase)
+    np.cos(phase, out=cos)
+    np.sin(phase, out=sin)
+    np.subtract(np.multiply.outer(x_hi, r_hi, out=error), phase, out=error)
+    error += np.multiply.outer(x_hi, r_lo, out=phase)
+    error += np.multiply.outer(x_lo, r_hi, out=phase)
+    error += np.multiply.outer(x_lo, r_lo, out=phase)
+    cos -= np.multiply(error, sin, out=phase)
+    # with the corrected cos, which moves sin by e^2 only
+    sin += np.multiply(error, cos, out=error)
+
+
+def _grid_residuals(taus: np.ndarray) -> tuple[float, np.ndarray] | None:
+    """The step h of an arithmetic tau axis and each point's residual, or None for any other axis.
+
+    Point i = start + j of the chunk that starts at ``start`` is
+    ``taus[start] + fl(j h) + residual[i]``, with h = (last - first) / (n - 1)
+    and the residual exact to rounding of its own size (Knuth's two-sum for
+    the difference from the chunk's first point).  The axis is arithmetic
+    when it has at least two points and every residual is within
+    `_GRID_ULPS` ulps of its largest tau.  Larger taus than Veltkamp's split
+    takes without overflow also take the per-point path.
+    """
+    count = len(taus)
+    if count < 2:
+        return None
+    largest = taus.max()
+    if not largest <= _SPLIT_LIMIT:
+        return None
+    step = (taus[-1] - taus[0]) / (count - 1)
+    bound = _GRID_ULPS * np.spacing(largest)
+    # the second point's residual, to within its rounding, settles most
+    # other axes in a few scalar operations
+    if not abs(taus[1] - taus[0] - step) <= 2.0 * bound:
+        return None
+    j = np.arange(count) % _TAU_CHUNK
+    anchors = taus[np.arange(count) - j]
+    difference = taus - anchors
+    back = difference - taus
+    rounding = (taus - (difference - back)) + (-anchors - back)
+    residuals = (difference - j * step) + rounding
+    if not np.abs(residuals).max() <= bound:
+        return None
+    return step, residuals
+
+
+def _tau_trig(taus: np.ndarray, *rate_blocks: np.ndarray):
+    """cos and sin of the phases taus x rates, one `_TAU_CHUNK` of taus and one block of rates at a time.
+
+    Returns ``trig(start, block)``: cos and sin of the chunk of taus from
+    ``start`` against ``rate_blocks[block]``, two (points, rates) views of
+    one workspace that the next call overwrites.  On an arithmetic axis
+    (`_grid_residuals`) libm runs once per in-chunk offset and once per
+    chunk, not once per point: with a = tau_start * rate and b = j h * rate
+    from per-call tables of their exact products (`_exact_phase_trig`),
+    cos(a + b) = cos a cos b - sin a sin b and sin(a + b) = sin a cos b +
+    cos a sin b, corrected to first order in each point's residual phase
+    residual * rate.  Each value is then within a few ulps of 1 of cos and
+    sin of the exact product tau * rate, where a per-point ``np.cos`` of the
+    rounded product is off by up to ulp(tau * rate) / 2.  Any other axis is
+    evaluated point by point.
+    """
+    rows, width = min(_TAU_CHUNK, len(taus)), max(map(len, rate_blocks))
+    cos_w, sin_w, scratch_w = (np.empty(rows * width) for _ in range(3))
+    grid = _grid_residuals(taus)
+    tables = []
+    if grid is not None:
+        step, residuals = grid
+        offsets, starts = np.arange(rows) * step, taus[::_TAU_CHUNK]
+        for rates in rate_blocks:
+            # the offsets' table, with the chunk buffers as its work arrays
+            cos_step, sin_step = np.empty((2, rows, len(rates)))
+            work = (_leading(w, rows, len(rates)) for w in (cos_w, sin_w))
+            _exact_phase_trig(offsets, rates, cos_step, sin_step, *work)
+            cos_start, sin_start = np.empty((2, len(starts), len(rates)))
+            _exact_phase_trig(starts, rates, cos_start, sin_start, *np.empty((2, len(starts), len(rates))))
+            tables.append((cos_step, sin_step, cos_start, sin_start))
+
+    def trig(start: int, block: int) -> tuple[np.ndarray, np.ndarray]:
+        rates = rate_blocks[block]
+        points = min(_TAU_CHUNK, len(taus) - start)
+        cos, sin, scratch = (_leading(w, points, len(rates)) for w in (cos_w, sin_w, scratch_w))
+        if grid is None:
+            np.multiply.outer(taus[start : start + points], rates, out=scratch)
+            np.cos(scratch, out=cos)
+            np.sin(scratch, out=sin)
+            return cos, sin
+        cos_step, sin_step, cos_start, sin_start = tables[block]
+        cos_a, sin_a = cos_start[start // _TAU_CHUNK], sin_start[start // _TAU_CHUNK]
+        cos_b, sin_b = cos_step[:points], sin_step[:points]
+        np.multiply(cos_b, cos_a, out=cos)
+        cos -= np.multiply(sin_b, sin_a, out=scratch)
+        np.multiply(cos_b, sin_a, out=sin)
+        sin += np.multiply(sin_b, cos_a, out=scratch)
+        # the residual phase is a few ulps of tau * rate, so its square is far
+        # below rounding, and sin may take it in from the corrected cos
+        residual = residuals[start : start + points]
+        cos -= np.multiply(np.multiply.outer(residual, rates, out=scratch), sin, out=scratch)
+        sin += np.multiply(np.multiply.outer(residual, rates, out=scratch), cos, out=scratch)
+        return cos, sin
+
+    return trig
 
 
 def _selection(factor: np.ndarray) -> np.ndarray | None:
@@ -241,28 +383,26 @@ def _fill_elements(
     fresh array, so every element rounds as a freshly allocated product would.
     A field factor that is a 0/1 selection (`_selection`), as both are at
     theta = 0 and theta = pi, is applied by indexing (`_times_factor`); any
-    other takes the BLAS product.  The squeeze norms always do.
+    other takes the BLAS product.  The squeeze norms always do.  The cos and
+    sin of every phase come from `_tau_trig`.
     """
     size, rows = u0.shape[0], min(_TAU_CHUNK, len(taus))
     picks0, picks1 = _selection(u0), _selection(u1)
-    # cavity-2 phases, cosines and sines, over one extra slot so the shifted
-    # (q+1, p+1) bra factors of the coherence band stay in range
-    phase_w, cos_w, sin_w = (np.empty(rows * (size + 1)) for _ in range(3))
     # a squared amplitude or product, cos^2 @ U0.T, sin^2 @ U0.T and the
     # cavity-2 coherence product
     square_w, cos_u0_w, sin_u0_w, coh_w = (np.empty(rows * size) for _ in range(4))
     band0_w, band1_w = np.empty(6 * rows * size), np.empty(2 * rows * (size - 1))
     elements_w = np.empty(8 * rows * norm0.shape[0])
-    rates = np.sqrt(np.arange(size + 1, dtype=float))
+    # the pair's phases for q = 1..size (block 0), then cavity 2's for p =
+    # 0..size (block 1): one photon number beyond the table each, so the
+    # shifted (q+1, p+1) bra factors of the coherence band stay in range
+    q = np.arange(1, size + 1, dtype=float)
+    trig = _tau_trig(taus, np.sqrt(2.0 * (2.0 * q - 1.0)), np.sqrt(np.arange(size + 1, dtype=float)))
     for start in range(0, len(taus), _TAU_CHUNK):
-        chunk = taus[start : start + _TAU_CHUNK]
-        points = len(chunk)
         # looked up through the module on every chunk, so a test can substitute it
-        stay, one_up, two_up = _pair_block_amplitudes(chunk, size + 1)
-        phase, cos_b, sin_b = (_leading(w, points, size + 1) for w in (phase_w, cos_w, sin_w))
-        np.multiply.outer(chunk, rates, out=phase)
-        np.cos(phase, out=cos_b)
-        np.sin(phase, out=sin_b)
+        stay, one_up, two_up = _pair_block_amplitudes(*trig(start, 0))
+        cos_b, sin_b = trig(start, 1)
+        points = len(cos_b)
         stay0, one0, two0 = stay[:, :size], one_up[:, :size], two_up[:, :size]
         cos0, sin0 = cos_b[:, :size], sin_b[:, :size]
         square, cos_u0, sin_u0 = (_leading(w, points, size) for w in (square_w, cos_u0_w, sin_u0_w))

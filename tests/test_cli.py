@@ -522,9 +522,9 @@ def test_oracle_check_rejects_discrepancy_variants(monkeypatch):
     # coherence; only that element (r26, the last) is taken from the slipped run
     amplitudes = tc._pair_block_amplitudes
 
-    def slipped(taus, count):
-        stay, one_up, two_up = amplitudes(taus, count)
-        q = np.arange(count, dtype=float)
+    def slipped(cos_f, sin_f):
+        stay, one_up, two_up = amplitudes(cos_f, sin_f)
+        q = np.arange(one_up.shape[1], dtype=float)
         return stay, one_up * np.sqrt(np.maximum(q - 1.0, 0.0) / np.maximum(q, 1.0)), two_up
 
     def variant_2(taus, squeezes, theta, n_max):
@@ -533,6 +533,16 @@ def test_oracle_check_rejects_discrepancy_variants(monkeypatch):
         elements[..., 7] = tc.closed_form_grid(taus, squeezes, theta, n_max)[..., 7]
         monkeypatch.setattr(tc, "_pair_block_amplitudes", amplitudes)
         return elements
+
+    # the production tau-sweep's arithmetic axis takes its cos and sin from
+    # the angle-addition tables, and its r26 carries the slip as well
+    sweep = SweepConfig()
+    taus = np.linspace(sweep.tau_start, sweep.tau_end, sweep.tau_steps)
+    assert tc._grid_residuals(taus) is not None
+    shipped = tc.closed_form_grid(taus, [sweep.s], sweep.theta, sweep.n_max)
+    varied = variant_2(taus, [sweep.s], sweep.theta, sweep.n_max)
+    assert np.array_equal(varied[..., :7], shipped[..., :7])
+    assert np.abs(varied[..., 7] - shipped[..., 7]).max() > 1e-3
 
     monkeypatch.setattr(cli, "closed_form_grid", variant_2)
     report, status = run_oracle_check(cfg)

@@ -3,8 +3,8 @@
 `SweepConfig` and `FieldConfig` refuse a bad value by name however they
 are built; every record keeps its field names, in order, and refuses
 assignment; the functions that take a `ThreeQubitDensityMatrix` read its
-``matrix``, not the tuple; and importing the command line loads no
-`dataclasses`.
+``matrix``, not the tuple, and `negativity_batch` refuses one bare record
+by name; and importing the command line loads no `dataclasses`.
 """
 
 import math
@@ -100,6 +100,18 @@ def test_state_record_is_read_by_its_matrix():
     assert negativity_report(rho) == negativity_report(rho.matrix)
     assert compare_states(rho, reference) == compare_states(rho.matrix, reference.matrix)
     assert negativity_batch([rho, reference]).report(1) == negativity_report(reference.matrix)
+
+
+def test_batch_refuses_one_state_record_by_name():
+    # the record is a tuple of its five fields, not a stack of one state
+    rho = closed_form_rho(1.0, FieldConfig(0.5, 1.0, 10))
+    with pytest.raises(ValueError) as refused:
+        negativity_batch(rho)
+    assert str(refused.value) == (
+        "states must be a stack of states, not one ThreeQubitDensityMatrix: "
+        "pass [rho], or call negativity_report(rho)"
+    )
+    assert negativity_batch([rho]).report(0) == negativity_report(rho)
 
 
 # the fields of a valid config of each record

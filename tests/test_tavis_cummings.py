@@ -48,14 +48,20 @@ def symmetric_ladder(taus, count):
     return ladder, np.abs(rest).max()
 
 
+def pair_amplitudes(taus, count):
+    """`_pair_block_amplitudes` at the pair's phases sqrt(2(2q-1)) tau, q = 1..count-1."""
+    phase = np.multiply.outer(taus, np.sqrt(2.0 * (2.0 * np.arange(1, count) - 1.0)))
+    return _pair_block_amplitudes(np.cos(phase), np.sin(phase))
+
+
 def test_block_unitarity_over_grid():
     # the evolved |gg, q> stays normalised on its three rungs
-    stay, one_up, two_up = _pair_block_amplitudes(TAUS, 12)
+    stay, one_up, two_up = pair_amplitudes(TAUS, 12)
     assert np.abs(stay**2 + one_up**2 + two_up**2 - 1.0).max() < 1e-14
 
 
 def test_two_atom_small_photon_numbers():
-    stay, one_up, two_up = _pair_block_amplitudes(np.array([1.7, 0.9]), 3)
+    stay, one_up, two_up = pair_amplitudes(np.array([1.7, 0.9]), 3)
     # an empty cavity moves nothing
     assert stay[:, 0].tolist() == [1.0, 1.0]
     assert not one_up[:, 0].any() and not two_up[:, 0].any()
@@ -64,7 +70,7 @@ def test_two_atom_small_photon_numbers():
     assert one_up[1, 1] == pytest.approx(math.sin(math.sqrt(2.0) * 0.9), abs=1e-15)
     assert not two_up[:, 1].any()
     # nothing moves at tau = 0
-    stay, one_up, two_up = _pair_block_amplitudes(np.array([0.0]), 8)
+    stay, one_up, two_up = pair_amplitudes(np.array([0.0]), 8)
     assert (stay == 1.0).all() and not one_up.any() and not two_up.any()
 
 
@@ -89,7 +95,7 @@ def test_blocks_match_exponentiated_hamiltonian():
     # the bare-basis propagator; the one-photon rung carries the -i of exp(-iH tau)
     count = 12
     ladder, off_ladder = symmetric_ladder(TAUS, count)
-    stay, one_up, two_up = _pair_block_amplitudes(TAUS, count)
+    stay, one_up, two_up = pair_amplitudes(TAUS, count)
     assert np.abs(ladder[0] - stay).max() < 1e-12
     assert np.abs(ladder[1] + 1j * one_up).max() < 1e-12
     assert np.abs(ladder[2] - two_up).max() < 1e-12
