@@ -39,22 +39,19 @@ evaluated in place, with no gather of its rows.
   - the decomposition negativity of a ket uses the pure-state identity
     ``N_G^p(phi) = 2 sqrt(det rho_p)``, ``rho_p`` its reduced state of
     qubit p, and ``det rho_p`` is the sum of the squared 2x2 minors of the
-    ket split by qubit p.  A table derived at import from `PATTERN_MASK`
-    (`_family_minors`) lists each family's nonzero minors, one product of
-    two components each and at most two per qubit, so each sum has the
-    same bits in any order;
+    ket split by qubit p.  Literal tables (`_MINOR_SLOTS`) list each
+    family's two nonzero minors per qubit, one product of two components
+    each, so each sum has the same bits in any order;
   - the pairwise share term of spec (p, q) of a ket is
     ``-|m_q|^2 / r``, m_q its minors whose columns differ in qubit q alone
-    and ``r = N_G^p / 2``; the table refuses a family on which that split
-    would not be exact;
+    (`_SPEC_READS`) and ``r = N_G^p / 2``;
   - qubit B's global negativity and its K-way split come from the paper's
-    gated two-block closed form (`_b_global_split`, in every
-    ``global_qubits`` selection): each of B's 3-index transpose blocks,
-    derived from `PATTERN_MASK` at import (Tavis & Cummings, Phys. Rev.
-    170, 379 (1968): each field component conserves photon number plus
-    atomic excitation), is a 2x2 block in the elements plus an exact null
-    direction (`_two_blocks`), and E_3/E_2/E_0 are quadratic forms of its
-    kept eigenvectors;
+    gated two-block closed form (`_b_global_split`): each of B's 3-index
+    transpose blocks (Tavis & Cummings, Phys. Rev. 170, 379 (1968): each
+    field component conserves photon number plus atomic excitation) is a
+    2x2 block in the elements, [[r22, r15], [r15, r44]] and [[r55, r26],
+    [r26, r33]], plus an exact null direction, and E_3/E_2/E_0 are
+    quadratic forms of its kept eigenvectors;
   - B's linear entropy, the W1 fidelity and the Bell weight are sums of
     the elements, with coefficients read at import from the dense
     functions on the unit states (`_MEASURE_COEFFICIENTS`).
@@ -70,10 +67,9 @@ B's too, are solved whole: each is gathered as one 8x8 matrix by flat index
 maps (`_STATE_MAPS`), its negative eigenvalues give the global negativity,
 and the K-way split E_3/E_2/E_0 is ``Re tr(T P)``, T the K-way transpose
 (or the state) gathered the same way and P the projector on the negative
-eigenvectors.  Only the qubits named in ``global_qubits`` (default all
-three) are solved, in one stacked symmetrised call.  The command-line
-sweeps ask for qubit B's global transpose only, the one their CSV reports,
-so they make no eigensolve, and they build no 8x8 state at all.  The closed-form
+eigenvectors, in one stacked symmetrised call.  The command-line sweeps
+report qubit B's global transpose only, and take it from the element entry,
+so they make no eigensolve and build no 8x8 state at all.  The closed-form
 states are real symmetric, so real arithmetic and real symmetric LAPACK
 solve them; a complex stack (a user's state, the generic route) takes the
 same lines with complex LAPACK.
@@ -82,7 +78,9 @@ same lines with complex LAPACK.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from enum import Enum
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -163,13 +161,16 @@ class QubitLabel(Enum):
 
 # Selective two-qubit transposes: key -> (transposed qubit, partner qubit).
 # "B-BA1" transposes B on exactly those elements where the B and A1 indices
-# both change and A2 is a spectator, and so on.
-SELECTIVE_SPECS: dict[str, tuple[QubitLabel, QubitLabel]] = {
-    "B-BA1": (QubitLabel.B, QubitLabel.A1),
-    "B-BA2": (QubitLabel.B, QubitLabel.A2),
-    "A1-A1A2": (QubitLabel.A1, QubitLabel.A2),
-    "A1-A1B": (QubitLabel.A1, QubitLabel.B),
-}
+# both change and A2 is a spectator, and so on.  Read-only: the pattern
+# route's share tables (`_SPEC_READS`) are written in this order.
+SELECTIVE_SPECS = MappingProxyType(
+    {
+        "B-BA1": (QubitLabel.B, QubitLabel.A1),
+        "B-BA2": (QubitLabel.B, QubitLabel.A2),
+        "A1-A1A2": (QubitLabel.A1, QubitLabel.A2),
+        "A1-A1B": (QubitLabel.A1, QubitLabel.B),
+    }
+)
 
 _ROW, _COL = np.indices((8, 8))
 _XOR = _ROW ^ _COL
@@ -236,16 +237,15 @@ def _require_states(stack: np.ndarray) -> None:
 
     A bool or non-numeric dtype is refused first, and a float dtype other
     than float32, float64, complex64 or complex128, such as float16 or
-    longdouble, which numpy's LAPACK does not take, so that no selection of
-    global qubits evaluates what another refuses; then the first non-finite
-    entry, then the first entry with a part at `_ENTRY_BOUND` or above in
-    magnitude, then the first matrix that is not Hermitian to 1e-9; a
-    matrix is named by its index in the stack.  Integer stacks are
-    accepted.  The largest part of each block of `_DIAGNOSTIC_BLOCK`
-    matrices and the residual of each matrix are filled block by block, so
-    no temporary is the size of the stack; the residual of a matrix with a
-    part at the bound may overflow, without a warning, as that matrix is
-    refused first.
+    longdouble, which numpy's LAPACK does not take, by name rather than by
+    a TypeError from inside linalg; then the first non-finite entry, then
+    the first entry with a part at `_ENTRY_BOUND` or above in magnitude,
+    then the first matrix that is not Hermitian to 1e-9; a matrix is named
+    by its index in the stack.  Integer stacks are accepted.  The largest
+    part of each block of `_DIAGNOSTIC_BLOCK` matrices and the residual of
+    each matrix are filled block by block, so no temporary is the size of
+    the stack; the residual of a matrix with a part at the bound may
+    overflow, without a warning, as that matrix is refused first.
     """
     if stack.dtype.kind not in "iufc":
         raise ValueError(f"states must hold real or complex numbers, got dtype {stack.dtype}")
@@ -402,8 +402,7 @@ def _bell_projection(m: np.ndarray) -> np.ndarray:
     return np.real(m[..., 0, 0]) + _expectation(_SYM_EXCITED, m)
 
 
-# The state of each unit element, as `states_from_elements` writes it: the
-# pattern route's tables are read off these.
+# The state of each unit element, as `states_from_elements` writes it.
 _UNIT_STATES = states_from_elements(np.eye(8))
 
 # On the pattern rho_B is diagonal, so B's linear entropy is
@@ -450,10 +449,11 @@ class NegativityReport(NamedTuple):
 class NegativityBatch(NamedTuple):
     """The `NegativityReport` quantities of a stack of N states, as length-N arrays.
 
-    ``n_g``, ``e_3``, ``e_2`` and ``e_0`` hold the qubits selected by the
-    ``global_qubits`` of `negativity_batch` (all three by default); every
-    other field is complete.  ``pattern_ok`` marks the states that took the
-    pattern route; the others took the generic route (module docstring).
+    ``n_g``, ``e_3``, ``e_2`` and ``e_0`` hold every qubit, in `QubitLabel`
+    order, except in the batch of the private element entry, which holds
+    qubit B alone; every other field is complete.  ``pattern_ok`` marks the
+    states that took the pattern route; the others took the generic route
+    (module docstring).
     """
 
     n_g: dict[QubitLabel, np.ndarray]
@@ -496,38 +496,10 @@ def _projected_trace(target: np.ndarray, projector: np.ndarray) -> np.ndarray:
     return np.real(product.reshape(*product.shape[:-2], -1).sum(axis=-1))
 
 
-# ------------------------------------------------------------- index blocks
+# ----------------------------------------------------------- transpose maps
 #
-# A matrix supported on `PATTERN_MASK` is block diagonal, and so is each of
-# its partial transposes, on index blocks of at most 3.  The blocks are
-# derived here from the masks and the transpose maps, at import: they fix
-# the ket families of the pattern route's decomposition (`_family_minors`)
-# and qubit B's closed form (`_two_blocks`).  Every transpose the kernel
-# solves by eigensolver is gathered whole, as one 8x8 matrix, by the flat
-# maps below.
-
-
-def _index_blocks(support: np.ndarray) -> list[tuple[int, ...]]:
-    """The connected index sets of ``support``, by smallest index, without the all-zero ones."""
-    # neighbours of each index as a bit set, in plain Python: this runs at import
-    linked = (support | support.T).tolist()
-    neighbours = [sum(1 << j for j in range(8) if row[j]) for row in linked]
-    blocks, seen = [], 0
-    for start in range(8):
-        if seen >> start & 1:
-            continue
-        block, grown = 0, 1 << start
-        while grown != block:
-            block = grown
-            for i in range(8):
-                if block >> i & 1:
-                    grown |= neighbours[i]
-        seen |= block
-        members = tuple(i for i in range(8) if block >> i & 1)
-        if len(members) > 1 or support[start, start]:
-            blocks.append(members)
-    return blocks
-
+# Every transpose the kernel solves by eigensolver is gathered whole, as one
+# 8x8 matrix, by these flat maps.
 
 # Per qubit: the global transpose, then the maps its negative eigenvectors
 # project, k = 3, k = 2 and the state itself (E_3, E_2, E_0), as flat
@@ -541,74 +513,18 @@ _STATE_MAPS = np.array(
     ]
 )
 
-# Per qubit that leads a selective spec: its two-way transpose, then the
-# selective transposes it projects, for the kets of generic-route states.
-# `_SHARE_ORDER` is the order of the specs in the result.
-_SHARE_QUBITS = list(dict.fromkeys(first for first, _ in SELECTIVE_SPECS.values()))
-_SHARE_SPECS = [
-    [spec for spec, (first, _) in SELECTIVE_SPECS.items() if first is p] for p in _SHARE_QUBITS
-]
-_SHARE_ORDER = [spec for specs in _SHARE_SPECS for spec in specs]
+# Per qubit that leads a selective spec, B then A1: its two-way transpose,
+# then the selective transposes it projects, for the kets of generic-route
+# states.  Flattened, the specs run in `SELECTIVE_SPECS` order, and
+# `_SHARE_LEADS` holds the value of each one's first qubit.
+_SHARE_LEADS = [first.value for first, _ in SELECTIVE_SPECS.values()]
 _SHARE_MAPS = np.array(
     [
         [_transpose_positions(p, _kway_mask(2))]
-        + [_transpose_positions(p, _selective_mask(spec)) for spec in specs]
-        for p, specs in zip(_SHARE_QUBITS, _SHARE_SPECS)
+        + [_transpose_positions(p, _selective_mask(spec)) for spec in SELECTIVE_SPECS if SELECTIVE_SPECS[spec][0] is p]
+        for p in (QubitLabel.B, QubitLabel.A1)
     ]
 )
-
-# Per spec of `_SHARE_ORDER`: the minors of its first qubit's split whose
-# two columns differ in its partner qubit alone.
-_SHARE_MINORS = [
-    np.flatnonzero(_MINOR_PRODUCTS[p][0] ^ _MINOR_PRODUCTS[p][2] == 1 << q.value)
-    for p, q in (SELECTIVE_SPECS[spec] for spec in _SHARE_ORDER)
-]
-
-
-def _family_minors(support: np.ndarray) -> dict[tuple[int, ...], dict[QubitLabel, dict]]:
-    """The nonzero 2x2 minors of the kets of a state on ``support``, per family and qubit.
-
-    The decomposition kets of such a state each lie in one of its index
-    blocks of two or more indices, a family.  A product ``phi_a phi_b`` of
-    a minor (`_minor_products`) is supported when both its indices lie in
-    the family.  Returns, per family (its block) and qubit, the minors that
-    have a supported product, each as ``{minor: (a, b)}``, its index in
-    `_MINOR_PRODUCTS` and its one supported product, so that the minor of
-    any ket of the family is ``phi_a phi_b`` up to sign.  Raises
-    RuntimeError for a family in which a minor has two supported products,
-    or a qubit has more than two nonzero minors, so that a summed square of
-    minors has at most two nonzero terms and the same bits in any order;
-    or, for a qubit that leads a selective spec, in which a supported
-    minor's columns (a and c) differ in two qubits, a three-way entry that
-    counts towards ``N_G^p`` but that no two-way transpose moves, so that
-    the minors would not split the ket's shares exactly.
-    """
-    table = {}
-    for block in _index_blocks(support):
-        if len(block) < 2:
-            continue
-        family, by_qubit = set(block), {}
-        # the qubits that lead a selective spec first, so their checks report first
-        for p in dict.fromkeys([*_SHARE_QUBITS, *QubitLabel]):
-            nonzero, where = {}, f"ket family {sorted(family)}, qubit {p.name}"
-            for minor, (a, b, c, d) in enumerate(zip(*(i.tolist() for i in _MINOR_PRODUCTS[p]))):
-                supported = [pair for pair in ((a, b), (c, d)) if set(pair) <= family]
-                if not supported:
-                    continue
-                if len(supported) > 1:
-                    raise RuntimeError(f"{where}: minor phi{a} phi{b} - phi{c} phi{d} has two supported products")
-                if p in _SHARE_QUBITS and bin(a ^ c).count("1") != 1:
-                    raise RuntimeError(
-                        f"{where}: minor phi{a} phi{b} - phi{c} phi{d} is supported on columns "
-                        "that differ in two qubits"
-                    )
-                nonzero[minor] = supported[0]
-            if len(nonzero) > 2:
-                raise RuntimeError(f"{where} has {len(nonzero)} nonzero minors, more than two")
-            by_qubit[p] = nonzero
-        table[block] = by_qubit
-    return table
-
 
 # ------------------------------------------------- the pattern route's kets
 #
@@ -616,59 +532,58 @@ def _family_minors(support: np.ndarray) -> dict[tuple[int, ...], dict[QubitLabel
 # {(|100> + |010>)/sqrt2, |111>}, |110> and |001>, plus the two
 # antisymmetric null directions.  Its decomposition is the two eigenpairs
 # (lam, x, y) of each 2x2 block, a family of two kets, and the two basis
-# kets, weighted r33 and r44.  Per family: the elements on the block's
-# first diagonal, second diagonal and coupling, and per basis index of its
-# support the component there, 0 for x and 1 for y, and its scale.
-_FAMILIES = (
-    ((0, 4, 6), {0: (0, 1.0), 5: (1, _INV_SQRT2), 6: (1, _INV_SQRT2)}),
-    ((1, 5, 7), {1: (0, _INV_SQRT2), 2: (0, _INV_SQRT2), 7: (1, 1.0)}),
+# kets, weighted r33 and r44.  Per family, the elements on its block's first
+# diagonal, second diagonal and coupling (elements r11, r22, r33, r44, r55,
+# r66, r15, r26 are 0..7): [[r11, r15], [r15, r55]] and [[r22, r26], [r26,
+# r66]].
+_FAMILY_BLOCKS = ((0, 4, 6), (1, 5, 7))
+
+# Per family, its kets' three nonzero components phi_i, i ascending, as
+# slots: the component of each (0 for x, 1 for y) and its scale.
+#   x|000> + y(|101> + |011>)/sqrt2: phi0, phi5, phi6
+#   x(|100> + |010>)/sqrt2 + y|111>: phi1, phi2, phi7
+_SLOT_COMPONENTS = np.array([[0, 1, 1], [0, 0, 1]])
+_SLOT_SCALES = np.array([[1.0, _INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, _INV_SQRT2, 1.0]])
+
+# Per family and qubit, the two nonzero minors (`_minor_products`) of its
+# kets, each as the slots (a, b) of its one product phi_a phi_b, the other
+# product being zero; laid out (a and b, qubits, families, minors).  A1's
+# and A2's minors are the same products, with phi5 and phi6 (phi1 and phi2)
+# exchanged, which hold equal components.
+_MINOR_SLOTS = (
+    np.array(
+        [
+            [[0, 1], [2, 1]],  # first family, A1: phi0 phi5, phi6 phi5
+            [[0, 2], [1, 2]],  # first family, A2: phi0 phi6, phi5 phi6
+            [[0, 1], [0, 2]],  # first family, B: phi0 phi5, phi0 phi6
+            [[1, 0], [1, 2]],  # second family, A1: phi2 phi1, phi2 phi7
+            [[0, 1], [0, 2]],  # second family, A2: phi1 phi2, phi1 phi7
+            [[0, 2], [1, 2]],  # second family, B: phi1 phi7, phi2 phi7
+        ]
+    )
+    .reshape(2, 3, 2, 2)
+    .transpose(3, 1, 0, 2)
 )
-_FAMILY_MINORS = _family_minors(PATTERN_MASK)
 
-# the value of the qubit that leads each spec of `_SHARE_ORDER`
-_SHARE_LEADS = [SELECTIVE_SPECS[spec][0].value for spec in _SHARE_ORDER]
-
-
-def _ket_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Index tables that evaluate the minors of every family's kets at once.
-
-    A family's entries are laid out by its support in ascending order, with
-    one more slot that reads 0 (component 0 at scale 0).  Returns the
-    component (0 for x, 1 for y) and scale of each slot (families,
-    slots); the slots of the one supported product of each nonzero minor
-    of `_FAMILY_MINORS` (2, qubits, families, 2), a qubit with fewer than
-    two filled up with the zero slot; and per spec of `_SHARE_ORDER`, 1.0
-    for each of its first qubit's minors whose columns differ in the
-    partner qubit alone and 0.0 for the others (specs, families, 2).
-    """
-    supports = [sorted(slots) for _, slots in _FAMILIES]
-    zero = max(map(len, supports))
-    components = np.zeros((len(_FAMILIES), zero + 1), dtype=int)
-    scales = np.zeros((len(_FAMILIES), zero + 1))
-    products = np.full((2, len(QubitLabel), len(_FAMILIES), 2), zero)
-    reads = np.zeros((len(_SHARE_ORDER), len(_FAMILIES), 2))
-    share_minors = [minors.tolist() for minors in _SHARE_MINORS]
-    for family, ((_, slots), support) in enumerate(zip(_FAMILIES, supports)):
-        components[family, : len(support)], scales[family, : len(support)] = zip(*(slots[i] for i in support))
-        for p, minors in _FAMILY_MINORS[tuple(support)].items():
-            for m, (minor, pair) in enumerate(minors.items()):
-                products[:, p.value, family, m] = [support.index(i) for i in pair]
-                for column, lead in enumerate(_SHARE_LEADS):
-                    if lead == p.value:
-                        reads[column, family, m] = minor in share_minors[column]
-    return components, scales, products, reads
-
-
-_SLOT_COMPONENTS, _SLOT_SCALES, _MINOR_SLOTS, _SPEC_READS = _ket_tables()
+# Per spec, in `SELECTIVE_SPECS` order, and family: 1.0 for each minor of
+# its first qubit whose columns differ in its partner qubit alone.
+_SPEC_READS = np.array(
+    [
+        [[1.0, 0.0], [0.0, 1.0]],  # B-BA1: phi0 phi5; phi2 phi7
+        [[0.0, 1.0], [1.0, 0.0]],  # B-BA2: phi0 phi6; phi1 phi7
+        [[0.0, 1.0], [1.0, 0.0]],  # A1-A1A2: phi6 phi5; phi2 phi1
+        [[1.0, 0.0], [0.0, 1.0]],  # A1-A1B: phi0 phi5; phi2 phi7
+    ]
+)
 
 
 def _family_kets(elements: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The kets of the 2x2 blocks of pattern-route states, from their elements (N, 8).
 
     Returns ``lam``, ``x`` and ``y``, each (families, 2, N), per family of
-    `_FAMILIES` its two eigenpairs from `_two_level_pairs`.
+    `_FAMILY_BLOCKS` its two eigenpairs from `_two_level_pairs`.
     """
-    first, second, off = (elements.T[list(k)] for k in zip(*(block for block, _ in _FAMILIES)))
+    first, second, off = (elements.T[list(k)] for k in zip(*_FAMILY_BLOCKS))
     pairs, _ = _two_level_pairs(first, second, off)
     lam, x, y = (np.stack(arrays, axis=1) for arrays in zip(*pairs))
     return lam, x, y
@@ -680,27 +595,26 @@ def _ket_negativity(root: np.ndarray) -> np.ndarray:
 
 
 def _family_negativities(elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """N_PSDG (qubits, N) and its shares (specs of `_SHARE_ORDER`, N) of pattern-route elements (N, 8).
+    """N_PSDG (qubits, N) and its shares (specs, N) of pattern-route elements (N, 8).
 
     Each ket of a family is held as its (x, y) (`_family_kets`), and each
     of its nonzero minors is one product ``phi_a phi_b`` of them
-    (`_FAMILY_MINORS`).  So ``N_G^p = 2 r``, ``r`` the root of at most two
-    squared products, and the share term of spec (p, q) is
-    ``-|m_q|^2 / r``, m_q its minors whose columns differ in qubit q alone
-    (0 unless ``r`` exceeds the cutoff), with no dense ket and no
-    eigensolve.  The basis kets |110> and |001> have no minor, and so no
-    negativity and no share.  The weighted values are summed over each
-    family's two kets, then over the families: the pairwise order in which
-    numpy sums the generic route's eight eigenpairs, had these four kets
-    come first.
+    (`_MINOR_SLOTS`).  So ``N_G^p = 2 r``, ``r`` the root of two squared
+    products, and the share term of spec (p, q) is ``-|m_q|^2 / r``, m_q
+    its minors whose columns differ in qubit q alone (`_SPEC_READS`; 0
+    unless ``r`` exceeds the cutoff), with no dense ket and no eigensolve.
+    The basis kets |110> and |001> have no minor, and so no negativity and
+    no share.  The weighted values are summed over each family's two kets,
+    then over the families: the pairwise order in which numpy sums the
+    generic route's eight eigenpairs, had these four kets come first.
     """
     lam, x, y = _family_kets(elements)
     weights = np.maximum(lam, 0.0)
-    families = np.arange(len(_FAMILIES))[:, None]
+    families = np.arange(len(_FAMILY_BLOCKS))[:, None]
     entries = np.stack([x, y])[_SLOT_COMPONENTS, families] * _SLOT_SCALES[..., None, None]
     a, b = _MINOR_SLOTS
     squares = (entries[families, a] * entries[families, b]) ** 2
-    # each sum has at most two nonzero terms, so it has the same bits in any order
+    # each sum has two terms, so it has the same bits in any order
     roots = np.sqrt(squares.sum(axis=2))
     spec_squares = (squares[_SHARE_LEADS] * _SPEC_READS[..., None, None]).sum(axis=2)
     share_roots = roots[_SHARE_LEADS]
@@ -715,84 +629,27 @@ def _family_negativities(elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 #
 # The A1<->A2 exchange swaps |100> with |010> and |101> with |011>.  Pattern
 # states are invariant under it, and qubit B's transposes commute with it,
-# so each 3-index block of B's global transpose that the exchange maps onto
-# itself, swapping one pair (i, j) and fixing k, splits in the basis of
-# (|i> + |j>)/sqrt2, |k> and (|i> - |j>)/sqrt2.  When the pair's diagonal
-# and cross entries are slots of one element, the last is an exact null
-# direction and the rest is a 2x2 block in the elements: [[r22, r15],
-# [r15, r44]] on {1, 2, 4} and [[r55, r26], [r26, r33]] on {3, 5, 6}, the
-# paper's gated two-block form of B's global negativity.  Its kept
-# eigenvectors (x, y) lie in the frame of the first two, so the K-way split
-# reads each map that they project as its 2x2 block in that frame too, a
-# quadratic form in the elements.  A check at import derives these blocks
-# from the slot table and refuses any that would not split exactly; A1's
-# and A2's blocks, such as {0, 3, 6}, are not exchange-invariant, so their
-# transposes are solved whole (`_global_split`).
+# so B's global transpose of a pattern state splits into the 1-index blocks
+# {|000>} and {|111>}, which hold r11 and r66, and two 3-index blocks, each
+# of one swapped pair and a fixed |k>.  In the basis of the symmetric pair
+# vector, |k> and the antisymmetric pair vector, the last is an exact null
+# direction and the rest is the paper's 2x2 block: [[r22, r15], [r15, r44]]
+# on {(|100> + |010>)/sqrt2, |001>} and [[r55, r26], [r26, r33]] on
+# {(|101> + |011>)/sqrt2, |110>}.  Its kept eigenvectors (x, y) lie in that
+# frame, so the K-way split reads each map that they project as its 2x2
+# block in the frame too, a quadratic form in the elements: the maps hold
+# the same diagonals, and the k = 2 map the transposed coupling, while the
+# k = 3 map and the state hold none.  A1's and A2's blocks, such as
+# {|000>, |110>, |011>}, are not exchange-invariant, so their transposes are
+# solved whole (`_global_split`).
 
-_EXCHANGE = [(i & 4) | (i & 1) << 1 | (i >> 1) & 1 for i in range(8)]
-
-
-def _two_blocks(units: np.ndarray, maps: list[np.ndarray]):
-    """The closed-form blocks of the transposes of states built from slot ``units``.
-
-    ``units`` (elements, 8, 8) holds the state of each unit element, as
-    `states_from_elements` writes it, and ``maps`` the flat positions of
-    transpose maps (`_transpose_positions`): the first is solved, and its
-    eigenvectors project the others.  Per index block of the first map,
-    every map's entries are read as ``elements[entries] * scales``:
-    ``singles`` and ``single_scales`` (maps, blocks) give the entry of each
-    1-index block, and ``entries`` and ``scales`` (maps, blocks, 3) the 2x2
-    block of each 3-index block in the frame of its symmetric pair vector
-    and |k>: the pair's diagonal, k's diagonal and their coupling.  Returns
-    ``(singles, single_scales, entries, scales)``.  Raises RuntimeError for
-    a block of another size, and unless the exchange maps every 3-index
-    block onto itself, swapping one pair, and, in every map, each entry
-    onto one that holds the same element, with the pair's diagonal and
-    cross entries slots of one element.
-    """
-    flat = units.reshape(len(units), 64)
-    held = flat != 0.0
-    first, slots = np.where(held.any(axis=0), held.argmax(axis=0), -1), flat.sum(axis=0)
-    blocks = _index_blocks(held.any(axis=0)[maps[0]])
-    singles, single_scales, entries, scales = [], [], [], []
-    for positions in maps:
-        # an entry off the pattern (element -1, slot 0) reads element 0 at scale 0
-        element, slot = first[positions].tolist(), slots[positions].tolist()
-        singles.append([]), single_scales.append([]), entries.append([]), scales.append([])
-        for block in blocks:
-            where = f"index block {list(block)}"
-            if len(block) == 1:
-                (i,) = block
-                singles[-1].append(max(element[i][i], 0))
-                single_scales[-1].append(slot[i][i])
-                continue
-            if len(block) != 3:
-                raise RuntimeError(f"{where} has {len(block)} indices, not 1 or 3")
-            swapped = [i for i in block if _EXCHANGE[i] != i]
-            invariant = set(_EXCHANGE[i] for i in block) == set(block) and all(
-                element[i][j] == element[_EXCHANGE[i]][_EXCHANGE[j]] for i in block for j in block
-            )
-            if not invariant or len(swapped) != 2:
-                raise RuntimeError(f"{where} is not exchange-invariant with one swapped pair")
-            (i, j), (k,) = swapped, [x for x in block if x not in swapped]
-            if element[i][i] < 0 or element[i][j] != element[i][i]:
-                pair = f"the diagonal and cross entries of pair ({i}, {j})"
-                raise RuntimeError(f"{where}: {pair} are not slots of one element")
-            entries[-1].append([element[i][i], max(element[k][k], 0), max(element[i][k], 0)])
-            scales[-1].append([2.0 * slot[i][i], slot[k][k], _SQRT2 * slot[i][k]])
-    return (
-        np.array(singles, dtype=int),
-        np.array(single_scales),
-        np.array(entries, dtype=int),
-        np.array(scales),
-    )
-
-
-_B_SINGLES, _B_SINGLE_SCALES, _B_ENTRIES, _B_SCALES = _two_blocks(
-    _UNIT_STATES, _STATE_MAPS[QubitLabel.B.value]
-)
-# the pair's diagonal, k's diagonal and the coupling first, for `_b_global_split`
-_B_ENTRIES, _B_SCALES = np.moveaxis(_B_ENTRIES, -1, 0), np.moveaxis(_B_SCALES, -1, 0)
+# B's 1-index blocks: r11 and r66
+_B_SINGLES = [0, 5]
+# B's 2x2 blocks as the pair's diagonal, k's diagonal and their coupling, per
+# block: (r22, r44, r15) and (r55, r33, r26)
+_B_BLOCKS = [[1, 4], [3, 2], [6, 7]]
+# whether the k = 3 map, the k = 2 map and the state hold the coupling
+_B_COUPLED = np.array([0.0, 1.0, 0.0])
 
 
 def _b_global_split(elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -803,30 +660,30 @@ def _b_global_split(elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (`_two_level_pairs`); those below minus the cutoff count in N_G, and in
     each map's split as its quadratic form ``x^2 a + y^2 b + 2 x y c`` on
     the kept eigenvector, [[a, c], [c, b]] the map's block in the frame
-    (`_two_blocks`).  The null direction is never kept.  On a rotated
-    block whose trace is not negative, as on every positive state, the
-    lower eigenvalue is the determinant over the upper: ``mean - half_gap``
-    cancels where it is small.  Against 50-digit decimals, on the negative
-    blocks of the sweeps' grids at four angles, its worst relative error is
-    3.5e-12 and the quotient's 1.4e-13.  The arrays hold the states last,
-    (..., blocks, eigenpairs, N), so every step runs on contiguous rows.
+    (`_B_BLOCKS`, `_B_COUPLED`).  The null direction is never kept.  On a
+    rotated block whose trace is not negative, as on every positive state,
+    the lower eigenvalue is the determinant over the upper: ``mean -
+    half_gap`` cancels where it is small.  Against 50-digit decimals, on the
+    negative blocks of the sweeps' grids at four angles, its worst relative
+    error is 3.5e-12 and the quotient's 1.4e-13.  The arrays hold the
+    states last, (..., blocks, eigenpairs, N), so every step runs on
+    contiguous rows.
     """
     columns = elements.T
-    single = columns[_B_SINGLES] * _B_SINGLE_SCALES[..., None]
-    single = np.where(single[:1] < -NEGATIVE_EIGENVALUE_CUTOFF, single, 0.0).sum(axis=1)
-    frames = columns[_B_ENTRIES] * _B_SCALES[..., None]
-    a, b, c = frames[:, 0]
+    single = columns[_B_SINGLES]
+    single = np.where(single < -NEGATIVE_EIGENVALUE_CUTOFF, single, 0.0).sum(axis=0)
+    a, b, c = columns[_B_BLOCKS]
     pairs, rotated = _two_level_pairs(a, b, c)
     (lower, *_), (upper, *_) = pairs
     np.divide(a * b - c * c, upper, out=lower, where=rotated & (a + b >= 0.0))
     lam, x, y = (np.stack(arrays, axis=1) for arrays in zip(*pairs))
     keep = lam < -NEGATIVE_EIGENVALUE_CUTOFF
-    a, b, c = frames[:, 1:, :, None]
-    forms = np.where(keep, x * x * a + y * y * b + 2.0 * x * y * c, 0.0)
+    c = (c * _B_COUPLED[:, None, None])[:, :, None]
+    forms = np.where(keep, x * x * a[:, None] + y * y * b[:, None] + 2.0 * x * y * c, 0.0)
     # each state's kept values summed in one order, blocks then eigenvalues
     lam = np.where(keep, lam, 0.0).reshape(-1, len(elements)).sum(axis=0)
     forms = forms.reshape(len(forms), -1, len(elements)).sum(axis=1)
-    return -2.0 * (single[0] + lam), -2.0 * (single[1:] + forms)
+    return -2.0 * (single + lam), -2.0 * (single + forms)
 
 
 def _projected_maps(gathered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -840,20 +697,18 @@ def _projected_maps(gathered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals.sum(axis=-1), traces
 
 
-def _global_split(m: np.ndarray, owners: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """N_G (owners, N) and its split E_3, E_2, E_0 (owners, 3, N) of an (N, 8, 8) stack.
+def _global_split(m: np.ndarray, maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """N_G (qubits, N) and its split E_3, E_2, E_0 (qubits, 3, N) of an (N, 8, 8) stack.
 
-    ``owners`` are the values of the transposed qubits; with none, nothing
-    is solved.  Each transpose is solved whole, by `_STATE_MAPS`.
+    ``maps`` are the rows of `_STATE_MAPS` of the transposed qubits; each
+    transpose is solved whole.
     """
-    if not owners:
-        return np.empty((0, len(m))), np.empty((0, 3, len(m)))
-    sums, traces = _projected_maps(m.reshape(-1, 64)[:, _STATE_MAPS[owners]])
+    sums, traces = _projected_maps(m.reshape(-1, 64)[:, maps])
     return -2.0 * sums.T, -2.0 * np.moveaxis(traces, 0, -1)
 
 
 def _share_terms(kets: np.ndarray) -> np.ndarray:
-    """Per ket (rows of ``kets``) and spec (columns, in `_SHARE_ORDER`): ``Re tr(S P)``.
+    """Per ket (rows of ``kets``) and spec (columns, in `SELECTIVE_SPECS` order): ``Re tr(S P)``.
 
     S is the spec's selective transpose of the ket's projector and P the
     projector on the negative eigenvectors of its two-way transpose of the
@@ -861,19 +716,13 @@ def _share_terms(kets: np.ndarray) -> np.ndarray:
     terms, with nothing solved.
     """
     if not len(kets):
-        return np.zeros((0, len(_SHARE_ORDER)))
+        return np.zeros((0, len(SELECTIVE_SPECS)))
     pure = (kets[:, :, None] * kets[:, None, :].conj()).reshape(len(kets), 64)
-    return _projected_maps(pure[:, _SHARE_MAPS])[1].reshape(len(kets), len(_SHARE_ORDER))
-
-
-def _by_key(n_psdg: np.ndarray, shares: np.ndarray) -> tuple[dict, dict]:
-    """N_PSDG (qubits, N) in `QubitLabel` order and shares (specs, N) in `_SHARE_ORDER`, as dicts."""
-    by_spec = dict(zip(_SHARE_ORDER, shares))
-    return dict(zip(QubitLabel, n_psdg)), {spec: by_spec[spec] for spec in SELECTIVE_SPECS}
+    return _projected_maps(pure[:, _SHARE_MAPS])[1].reshape(len(kets), len(SELECTIVE_SPECS))
 
 
 def _decomposition_negativities(probs: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """N_PSDG (qubits, N) and its shares (specs of `_SHARE_ORDER`, N) of a generic-route decomposition.
+    """N_PSDG (qubits, N) and its shares (specs, N) of a generic-route decomposition.
 
     ``probs`` (N, 8) and ``vectors`` (N, 8, 8) are the eigenpairs
     (`_generic_decomposition`).  Each ket of qubit p's split has
@@ -889,62 +738,42 @@ def _decomposition_negativities(probs: np.ndarray, vectors: np.ndarray) -> tuple
     diagonal two-way transpose, so its shares are exactly 0.
     """
     rows, cols = np.nonzero((probs > 0.0) & (np.count_nonzero(vectors, axis=-2) >= 2))
-    terms = np.zeros((len(_SHARE_ORDER), *probs.shape))
+    terms = np.zeros((len(SELECTIVE_SPECS), *probs.shape))
     terms[:, rows, cols] = _share_terms(vectors[rows, :, cols]).T
     roots = np.array([np.sqrt(_squared_minors(vectors, p).sum(axis=-2)) for p in QubitLabel])
     n_psdg = (probs * _ket_negativity(roots)).sum(axis=-1)
     return n_psdg, -2.0 * (probs * terms).sum(axis=-1)
 
 
-def _global_selection(global_qubits) -> list[QubitLabel]:
-    """The selected qubits in `QubitLabel` order, or a ValueError naming ``global_qubits``."""
-    try:
-        selection = list(global_qubits)
-    except TypeError:
-        selection = None
-    if selection is None or not all(isinstance(p, QubitLabel) for p in selection):
-        raise ValueError(f"global_qubits must hold QubitLabel members, got {global_qubits!r}")
-    if len(set(selection)) != len(selection):
-        raise ValueError(f"global_qubits names a qubit twice: {global_qubits!r}")
-    return sorted(selection, key=lambda p: p.value)
+def _pattern_values(elements: np.ndarray) -> tuple:
+    """Every diagnostic but A1's and A2's global split, of pattern-route elements (n, 8), states last.
 
-
-def _pattern_values(elements: np.ndarray, owners: list[int], states, rows) -> tuple:
-    """Every diagnostic of pattern-route states from their elements (n, 8), states last.
-
-    ``owners`` are the values of the selected qubits, in `QubitLabel` order.
     B's global split comes from its closed form, N_PSDG and the shares from
-    the families, the auxiliary measures from their coefficients.  A1's and
-    A2's global transposes are solved whole on the dense states
-    ``states[rows]``, which are read only when one of them is selected.
-    Returns n_g (owners, n), its split (owners, 3, n), N_PSDG (qubits, n),
-    the shares (specs, n) and the measures (3, n).
+    the families, the auxiliary measures from their coefficients.  Returns
+    B's n_g (1, n) and its split (1, 3, n), N_PSDG (qubits, n), the shares
+    (specs, n) and the measures (3, n).
     """
-    n_g, split = np.empty((len(owners), len(elements))), np.empty((len(owners), 3, len(elements)))
-    # B, last in `QubitLabel` order, takes its closed form
-    b_owned = QubitLabel.B.value in owners
-    solved = owners[: len(owners) - b_owned]
-    if solved:
-        n_g[: len(solved)], split[: len(solved)] = _global_split(states[rows], solved)
-    if b_owned:
-        n_g[-1], split[-1] = _b_global_split(elements)
-    return n_g, split, *_family_negativities(elements), _element_measures(elements)
+    n_g, split = _b_global_split(elements)
+    return n_g[None], split[None], *_family_negativities(elements), _element_measures(elements)
 
 
-def _generic_values(m: np.ndarray, owners: list[int]) -> tuple:
-    """Every diagnostic of generic-route states (n, 8, 8), laid out as `_pattern_values` returns them."""
+def _generic_values(m: np.ndarray) -> tuple:
+    """Every diagnostic of generic-route states (n, 8, 8), in the layout of `_batch_arrays`."""
     n_psdg, shares = _decomposition_negativities(*_generic_decomposition(m))
     measures = np.array([_linear_entropy_b(m), _expectation(W1_STATE, m), _bell_projection(m)])
-    return *_global_split(m, owners), n_psdg, shares, measures
+    return *_global_split(m, _STATE_MAPS), n_psdg, shares, measures
 
 
-def _batch_arrays(count: int, owners: int) -> list[np.ndarray]:
-    """The output arrays of ``count`` states, states last, in the layout of `_pattern_values`."""
+def _batch_arrays(count: int, qubits: int) -> list[np.ndarray]:
+    """The output arrays of ``count`` states, states last: n_g, its split, N_PSDG, the shares, the measures.
+
+    ``qubits`` is the number of qubits whose global split is held.
+    """
     return [
-        np.empty((owners, count)),
-        np.empty((owners, 3, count)),
+        np.empty((qubits, count)),
+        np.empty((qubits, 3, count)),
         np.empty((len(QubitLabel), count)),
-        np.empty((len(_SHARE_ORDER), count)),
+        np.empty((len(SELECTIVE_SPECS), count)),
         np.empty((3, count)),
     ]
 
@@ -952,14 +781,13 @@ def _batch_arrays(count: int, owners: int) -> list[np.ndarray]:
 def _as_batch(arrays: list[np.ndarray], qubits: list[QubitLabel], pattern_ok: np.ndarray) -> NegativityBatch:
     """The `NegativityBatch` of filled `_batch_arrays`, each field a row of them."""
     n_g, split, n_psdg, shares, (linear_entropy_b, w1_fidelity, bell_projection) = arrays
-    n_psdg, e_psd = _by_key(n_psdg, shares)
     return NegativityBatch(
         n_g=dict(zip(qubits, n_g)),
         e_3=dict(zip(qubits, split[:, 0])),
         e_2=dict(zip(qubits, split[:, 1])),
         e_0=dict(zip(qubits, split[:, 2])),
-        n_psdg=n_psdg,
-        e_psd=e_psd,
+        n_psdg=dict(zip(QubitLabel, n_psdg)),
+        e_psd=dict(zip(SELECTIVE_SPECS, shares)),
         linear_entropy_b=linear_entropy_b,
         w1_fidelity=w1_fidelity,
         bell_projection=bell_projection,
@@ -967,7 +795,7 @@ def _as_batch(arrays: list[np.ndarray], qubits: list[QubitLabel], pattern_ok: np
     )
 
 
-def negativity_batch(states, *, global_qubits=tuple(QubitLabel)) -> NegativityBatch:
+def negativity_batch(states) -> NegativityBatch:
     """Evaluate the full diagnostic suite for a stack of states at once.
 
     ``states`` is an (N, 8, 8) array or a sequence of 8x8 states.  The stack
@@ -975,33 +803,35 @@ def negativity_batch(states, *, global_qubits=tuple(QubitLabel)) -> NegativityBa
     grow with N.  Each state's route is decided once in its block, and each
     route's values are written into the arrays this call returns, so every
     state's values are independent of its block-mates.  Raises a ValueError
-    naming ``states`` for a bool, non-numeric, float16 or longdouble stack,
-    a non-finite entry, an entry with a part at `_ENTRY_BOUND` or above in
-    magnitude, or a state that is not Hermitian to 1e-9, and for one
+    naming ``states`` for a stack of another shape, states of different
+    shapes, a bool, non-numeric, float16 or longdouble stack, a non-finite
+    entry, an entry with a part at `_ENTRY_BOUND` or above in magnitude, or
+    a state that is not Hermitian to 1e-9, and for one
     `ThreeQubitDensityMatrix` record, which is a tuple of its fields, not a
     stack.
-
-    ``global_qubits`` selects the qubits whose global transposes are solved
-    (default all three): ``n_g``, ``e_3``, ``e_2`` and ``e_0`` hold those
-    qubits only, in `QubitLabel` order, and an empty selection solves none.
-    Every other field is complete and, like the selected values, bit for bit
-    what the full selection gives.
     """
-    qubits = _global_selection(global_qubits)
     if isinstance(states, ThreeQubitDensityMatrix):
         raise ValueError(
             "states must be a stack of states, not one ThreeQubitDensityMatrix: "
             "pass [rho], or call negativity_report(rho)"
         )
-    if isinstance(states, np.ndarray):
-        stack = states
+    expected = "states must be an (N, 8, 8) stack of 8x8 states"
+    if isinstance(states, np.ndarray) or not isinstance(states, Iterable):
+        stack = np.asarray(states)
     else:
-        stack = np.array([getattr(rho, "matrix", rho) for rho in states])
+        matrices = [np.asarray(getattr(rho, "matrix", rho)) for rho in states]
+        shapes = sorted({m.shape for m in matrices})
+        if len(shapes) > 1:
+            raise ValueError(f"{expected}, got states of shapes {shapes}")
+        stack = np.array(matrices)
     if stack.ndim != 3 or stack.shape[1:] != (8, 8):
-        raise ValueError(f"expected an (N, 8, 8) stack of states, got shape {stack.shape}")
+        raise ValueError(f"{expected}, got shape {stack.shape}")
     _require_states(stack)
-    owners, count = [p.value for p in qubits], len(stack)
-    arrays = _batch_arrays(count, len(owners))
+    count = len(stack)
+    arrays = _batch_arrays(count, len(QubitLabel))
+    # the pattern route solves A1's and A2's global transposes whole, and
+    # `_pattern_values` gives B's closed form and every other value
+    pattern_arrays = [array[:2] for array in arrays[:2]] + [array[2:] for array in arrays[:2]] + arrays[2:]
     pattern_ok = np.empty(count, dtype=bool)
     for start in range(0, count, _DIAGNOSTIC_BLOCK):
         block = stack[start : start + _DIAGNOSTIC_BLOCK]
@@ -1017,27 +847,29 @@ def negativity_batch(states, *, global_qubits=tuple(QubitLabel)) -> NegativityBa
                 if not rows.size:
                     continue
             if on_pattern:
-                values = _pattern_values(elements[rows], owners, block, rows)
+                targets = pattern_arrays
+                values = (*_global_split(block[rows], _STATE_MAPS[:2]), *_pattern_values(elements[rows]))
             else:
-                values = _generic_values(block[rows], owners)
-            for array, route_values in zip(arrays, values):
+                targets, values = arrays, _generic_values(block[rows])
+            for array, route_values in zip(targets, values):
                 array[..., where] = route_values
-    return _as_batch(arrays, qubits, pattern_ok)
+    return _as_batch(arrays, list(QubitLabel), pattern_ok)
 
 
 def _element_batch(elements) -> NegativityBatch:
-    """``negativity_batch(states, global_qubits=(QubitLabel.B,))`` of the states of an (N, 8) element stack.
+    """Qubit B's `negativity_batch` values of the states of an (N, 8) element stack.
 
     The states are those `states_from_elements` builds from the elements:
     Hermitian and on the pattern route by construction, so neither is
     checked and ``pattern_ok`` is all True, and no (N, 8, 8) stack is
     built.  Each block of `_DIAGNOSTIC_BLOCK` elements is evaluated by the
-    pattern route's formulas (`_pattern_values`), with B's global
-    transpose, the one the command-line sweeps report, as the only
-    selection.  The values agree with the dense call to rounding: that
-    call reads r15 and r26 back from their slots, which moves them by up
-    to an ulp.  Raises a ValueError naming ``elements`` for a bool,
-    complex or non-finite element, or a shape other than (N, 8).
+    pattern route's formulas (`_pattern_values`): ``n_g``, ``e_3``, ``e_2``
+    and ``e_0`` hold B's global transpose alone, the one the command-line
+    sweeps report, and every other field is complete.  The values agree
+    with the dense call to rounding: that call reads r15 and r26 back from
+    their slots, which moves them by up to an ulp.  Raises a ValueError
+    naming ``elements`` for a bool, complex or non-finite element, or a
+    shape other than (N, 8).
     """
     elements = _require_elements(elements)
     if elements.ndim != 2:
@@ -1045,7 +877,7 @@ def _element_batch(elements) -> NegativityBatch:
     arrays = _batch_arrays(len(elements), 1)
     for start in range(0, len(elements), _DIAGNOSTIC_BLOCK):
         at = slice(start, start + _DIAGNOSTIC_BLOCK)
-        for array, values in zip(arrays, _pattern_values(elements[at], [QubitLabel.B.value], None, None)):
+        for array, values in zip(arrays, _pattern_values(elements[at])):
             array[..., at] = values
     return _as_batch(arrays, [QubitLabel.B], np.ones(len(elements), dtype=bool))
 

@@ -228,7 +228,7 @@ def test_criterion_8_analytic_negativity_gate(production_data):
         elements = closed_form_grid(ORACLE_CHECK_TAUS, ORACLE_CHECK_SQUEEZES, theta, 40)
         stack = states_from_elements(elements.reshape(-1, 8))
         matrices.extend(stack)
-        kernel.extend(negativity_batch(stack, global_qubits=(B,)).n_g[B].tolist())
+        kernel.extend(negativity_batch(stack).n_g[B].tolist())
     worst_analytic = worst_textbook = 0.0
     for m, n_g_b in zip(matrices, kernel):
         assert ref_pattern_elements(m) is not None

@@ -2,10 +2,9 @@
 
 The values are checked against the textbook evaluation in
 `test_diagnostics_reference`; the tests here pin how the kernel gets
-them.  A state's values do not depend on the stack around it, a selection
-of global qubits changes no other bit, each route solves only what it
-needs (counted by the `eigh_solves` fixture through public calls), and bad
-stacks are refused by name.
+them.  A state's values do not depend on the stack around it, each route
+solves only what it needs (counted by the `eigh_solves` fixture through
+public calls), and bad stacks are refused by name.
 """
 
 import math
@@ -277,17 +276,16 @@ def test_mixed_stack_of_real_and_complex_states():
 
 def test_only_non_pattern_rows_take_generic_fallback(eigh_solves):
     # only the state off the pattern takes the eigensolver decomposition and
-    # the 8-index blocks; with B's global transpose, the sweeps' selection,
-    # a stack of pattern states solves no 8x8 matrix
+    # the 8-index blocks; a stack of pattern states solves A1's and A2's
+    # global transposes, one 8x8 matrix each per state, and nothing else
     states = sweep_states(math.pi, [1.2], [0.5, 1.0, 1.5, 2.0])
     generic = random_states(np.random.default_rng(5), 1)
     stack = np.concatenate([states[:2], generic, states[2:]])
     assert negativity_batch(stack).pattern_ok.tolist() == [True, True, False, True, True]
-    b_only = {"global_qubits": (QubitLabel.B,)}
-    on_pattern = eigh_solves(negativity_batch, states, **b_only)
-    assert 8 not in on_pattern
-    apart = on_pattern + eigh_solves(negativity_batch, generic, **b_only)
-    assert eigh_solves(negativity_batch, stack, **b_only) == apart
+    on_pattern = eigh_solves(negativity_batch, states)
+    assert on_pattern == {8: 2 * len(states)}
+    apart = on_pattern + eigh_solves(negativity_batch, generic)
+    assert eigh_solves(negativity_batch, stack) == apart
 
 
 def test_non_hermitian_row_raises():
@@ -333,37 +331,39 @@ def large_sweep_stack():
     return sweep_states(math.pi / 2.0, np.linspace(0.0, 2.0, 40), np.linspace(0.0, 20.0, 600))
 
 
-def traced_kernel_call(states):
-    """The traced peak of one kernel call as a sweep makes it, and the bytes of the arrays it returns."""
+def traced_peak(call, *args):
+    """The traced peak of one call, and what it returned."""
     tracemalloc.start()
     try:
-        batch = negativity_batch(states, global_qubits=(QubitLabel.B,))
+        result = call(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    returned = sum(values.nbytes for values in batch_fields(batch).values()) + batch.pattern_ok.nbytes
-    return peak, returned
+    return peak, result
 
 
 def test_the_input_checks_hold_no_temporary_the_size_of_the_stack(large_sweep_stack):
-    # the 24,000-state stack through the kernel, as a sweep calls it: the
+    # the 24,000-state stack through the kernel's input checks: the
     # Hermiticity residual is filled block by block, so the traced peak
-    # (3.0 MB) stays below half the stack; a residual formed over the whole
+    # (0.50 MB) stays below half the stack; a residual formed over the whole
     # stack at once took it to 23.4 MB
     states = large_sweep_stack
-    peak, _ = traced_kernel_call(states)
+    peak, _ = traced_peak(ent._require_states, states)
     assert peak < states.nbytes / 2, f"peak {peak / 1e6:.1f} MB for a {states.nbytes / 1e6:.1f} MB stack"
 
 
 def test_the_pattern_route_holds_no_dense_per_state_temporary(large_sweep_stack):
-    # beyond the 2.71 MB it returns, the call's traced peak is the largest
-    # set of temporaries of one 200-state block: 0.33 MB, set by the family
-    # kets' tables (0.27 MB), with the auxiliary measures summed from the
-    # eight elements (0.16 MB) rather than from two (200, 8, 8) products
-    # (0.27 MB); the kernel's dense kets, their minors, the gathered blocks
-    # and the 3x3 projectors of B took it to 0.69 MB.  One more (200, 8, 8)
-    # array, 0.10 MB, alive at that peak would pass the bound
-    peak, returned = traced_kernel_call(large_sweep_stack)
+    # the element entry on the 24,000 states' elements, as a sweep calls it:
+    # beyond the arrays it returns, the traced peak is the largest set of
+    # temporaries of one 200-state block, 0.26 MB, set by the family kets'
+    # tables, with the auxiliary measures summed from the eight elements
+    # rather than from two (200, 8, 8) products; dense kets, their minors,
+    # gathered blocks and 3x3 projectors of B took the dense call to 0.69
+    # MB.  One more (200, 8, 8) array, 0.10 MB, alive at that peak would
+    # pass the bound
+    elements = ent._pattern_route(large_sweep_stack)[1]
+    peak, batch = traced_peak(ent._element_batch, elements)
+    returned = sum(values.nbytes for values in batch_fields(batch).values()) + batch.pattern_ok.nbytes
     held = peak - returned
     assert held < 0.40e6, f"{held / 1e6:.3f} MB held beyond the {returned / 1e6:.2f} MB returned"
 
@@ -449,24 +449,51 @@ def test_bad_stacks_are_refused_by_name(states, message):
                 call(argument)
 
 
+@pytest.mark.parametrize(
+    "states, shape",
+    [
+        pytest.param(np.zeros((2, 8)), "shape (2, 8)", id="rows"),
+        pytest.param(np.eye(8), "shape (8, 8)", id="one matrix"),
+        pytest.param(np.zeros((3, 4, 4)), "shape (3, 4, 4)", id="4x4 stack"),
+        pytest.param([np.eye(8) / 8.0, np.eye(4) / 4.0], "states of shapes [(4, 4), (8, 8)]", id="ragged"),
+        pytest.param(np.zeros(8), "shape (8,)", id="one row"),
+        pytest.param(np.float64(0.125), "shape ()", id="scalar"),
+        pytest.param(None, "shape ()", id="none"),
+        pytest.param(np.zeros((2, 8, 8, 1)), "shape (2, 8, 8, 1)", id="4-d stack"),
+        pytest.param(np.zeros((2, 8, 4)), "shape (2, 8, 4)", id="8x4 stack"),
+    ],
+)
+def test_stacks_of_other_shapes_are_refused_by_name(states, shape):
+    # a ragged sequence failed inside numpy with "inhomogeneous shape"
+    message = f"states must be an (N, 8, 8) stack of 8x8 states, got {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        negativity_batch(states)
+
+
+# the kernel on a stack, and its grid of one on the stack's first state
+ENTRIES = {"kernel": negativity_batch, "grid of one": lambda states: negativity_report(states[0])}
+
+
+@pytest.mark.parametrize("entry", list(ENTRIES))
 @pytest.mark.parametrize("dtype", [np.float16, np.longdouble, np.clongdouble])
-@pytest.mark.parametrize("selection", [tuple(QubitLabel), (QubitLabel.B,)], ids=["all qubits", "B only"])
-def test_float_widths_without_lapack_are_refused_by_every_selection(dtype, selection):
-    # the default selection raised numpy's TypeError from inside linalg, and
-    # the B-only selection, which solves nothing, returned values
+def test_float_widths_without_lapack_are_refused(dtype, entry):
+    # unchecked, they raised numpy's TypeError from inside linalg
     states = sweep_states(math.pi, [1.2], [0.8, 14.5]).astype(dtype)
     floats = "float32, float64, complex64 or complex128"
     message = f"states must hold integers or {floats} numbers, got dtype {np.dtype(dtype)}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        negativity_batch(states, global_qubits=selection)
+        ENTRIES[entry](states)
 
 
+@pytest.mark.parametrize("entry", list(ENTRIES))
 @pytest.mark.parametrize("dtype", [np.int32, np.float32, np.float64, np.complex64, np.complex128])
-@pytest.mark.parametrize("selection", [tuple(QubitLabel), (QubitLabel.B,)], ids=["all qubits", "B only"])
-def test_integer_and_lapack_float_stacks_are_evaluated_by_every_selection(dtype, selection):
+def test_integer_and_lapack_float_stacks_are_evaluated(dtype, entry):
     states = (8 * sweep_states(math.pi / 2.0, [1.2], [0.8, 14.5])).astype(dtype)
-    batch = negativity_batch(states, global_qubits=selection)
-    for key, values in batch_fields(batch).items():
+    got = ENTRIES[entry](states)
+    if entry == "grid of one":
+        assert got == negativity_batch(states[:1]).report(0)
+        got = negativity_batch(states[:1])
+    for key, values in batch_fields(got).items():
         assert np.isfinite(values).all(), key
 
 
@@ -481,220 +508,117 @@ def test_integer_stacks_are_accepted():
 
 
 def test_decomposition_negativities_reject_non_hermitian_pattern_state():
-    # the zero pattern holds, but the mirrored coherences differ; the
-    # kernel checks both, also when it solves no global transpose
+    # the zero pattern holds, but the mirrored coherences differ
     m = closed_form_rho(1.2, FieldConfig(1.2, math.pi, 40)).matrix.copy()
     m[5, 0] += 1e-6
     assert not m[~PATTERN_MASK].any()
-    for selection in ((), tuple(QubitLabel)):
-        with pytest.raises(ValueError, match="not Hermitian"):
-            negativity_batch(m[None], global_qubits=selection)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        negativity_batch(m[None])
 
 
 def test_generic_decomposition_rejects_non_hermitian_state():
     rng = np.random.default_rng(9)
     m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     with pytest.raises(ValueError, match="not Hermitian"):
-        negativity_batch(m[None], global_qubits=())
+        negativity_batch(m[None])
 
 
 def test_kernel_and_scalar_negativity_share_one_path():
-    # a grid of one with one qubit selected gives the stack's values bit for bit
+    # a grid of one gives the stack's values bit for bit
     states = sweep_states(math.pi / 2.0, [0.3, 1.2], [0.0, 0.8, 14.5])
     noisy = off_pattern(states)
     batch, noisy_batch = negativity_batch(states), negativity_batch(noisy)
-    for p in QubitLabel:
-        for index in range(len(states)):
-            single = negativity_batch(states[index : index + 1], global_qubits=(p,))
+    for index in range(len(states)):
+        single = negativity_batch(states[index : index + 1])
+        # a state off the zero pattern takes the generic route
+        noisy_single = negativity_batch(noisy[index : index + 1])
+        for p in QubitLabel:
             assert single.n_g[p][0] == batch.n_g[p][index]
-            # a state off the zero pattern takes the generic route
-            single = negativity_batch(noisy[index : index + 1], global_qubits=(p,))
-            assert single.n_g[p][0] == noisy_batch.n_g[p][index]
+            assert noisy_single.n_g[p][0] == noisy_batch.n_g[p][index]
+    for p in QubitLabel:
         assert np.abs(noisy_batch.n_g[p] - batch.n_g[p]).max() <= TOL
 
 
-def global_solves(eigh_solves, states, selection):
-    """The matrices, by size, that solving ``selection``'s global transposes adds to solving none."""
-    solved = eigh_solves(negativity_batch, states, global_qubits=selection)
-    return solved - eigh_solves(negativity_batch, states, global_qubits=())
-
-
-def test_scalar_global_negativity_solves_only_its_qubit(eigh_solves):
-    states = sweep_states(math.pi / 2.0, [1.2], [0.3, 0.8, 14.5])
-    for p in QubitLabel:
-        # qubit p's transpose as one 8-index block per state; B's two 3x3
-        # blocks come in closed form from the elements
-        expected = {} if p is QubitLabel.B else {8: len(states)}
-        assert global_solves(eigh_solves, states, (p,)) == expected
-        # one 8-index block per state off the zero pattern
-        assert global_solves(eigh_solves, off_pattern(states), (p,)) == {8: len(states)}
-
-
-def test_empty_selection_skips_the_global_stage(eigh_solves):
-    states = sweep_states(math.pi / 2.0, [1.2], [0.3, 0.8, 14.5])
-    for stack in (states, off_pattern(states)):
-        batch = negativity_batch(stack, global_qubits=())
-        assert batch.n_g == batch.e_3 == batch.e_2 == batch.e_0 == {}
-    # on the pattern route nothing else is solved: no eigh call at all
-    eigh_solves(negativity_batch, states, global_qubits=())
-    assert eigh_solves.calls == []
-
-
 def test_scalar_functions_solve_only_the_global_tables_they_need(eigh_solves):
-    # grids of one: one qubit's transpose or all three
+    # grids of one: on the pattern route A1's and A2's transposes as one
+    # 8-index block each, and B's two blocks in closed form from the
+    # elements; nothing else is solved
     states = sweep_states(math.pi / 2.0, [1.2], [0.3, 0.8, 14.5])
-    for stack, on_pattern in ((states, True), (off_pattern(states), False)):
-        # one 8-index block per transpose; on the pattern route B's two
-        # blocks need no solve
-        per_qubit = {p: int(not (on_pattern and p is QubitLabel.B)) for p in QubitLabel}
-        for m in stack:
-            for p in QubitLabel:
-                expected = {8: per_qubit[p]} if per_qubit[p] else {}
-                assert global_solves(eigh_solves, m[None], (p,)) == expected
-            total = sum(per_qubit.values())
-            assert global_solves(eigh_solves, m[None], tuple(QubitLabel)) == {8: total}
+    for m in states:
+        assert eigh_solves(negativity_batch, m[None]) == {8: 2}
+        assert eigh_solves(negativity_report, m) == {8: 2}
+    # off the zero pattern: the decomposition, the three transposes and two
+    # two-way transposes per ket that can hold a share, as 8-index blocks
+    for m in off_pattern(states):
+        probs, vectors = ent._generic_decomposition(m[None])
+        kets = np.count_nonzero((probs > 0.0) & (np.count_nonzero(vectors, axis=-2) >= 2))
+        assert kets > 0
+        assert eigh_solves(negativity_batch, m[None]) == {8: 4 + 2 * kets}
 
 
-# ------------------------------------------------- B's two-block closed form
+# ------------------------------------------------- B's two-block tables
 
 
-def unit_states():
-    """The state of each unit element, the slot table as `states_from_elements` writes it."""
-    return states_from_elements(np.eye(8))
+@pytest.mark.parametrize("index, coupled", [(0, True), (1, False), (2, True), (3, False)], ids=["global", "k = 3", "k = 2", "state"])
+def test_b_block_tables_read_each_map_of_a_pattern_state(index, coupled):
+    # every map of B's closed form holds r11 and r66 on |000> and |111>
+    # (`_B_SINGLES`), and, in each block's frame of the symmetric pair vector
+    # and |k>, the block [[pair, coupling], [coupling, k]] of `_B_BLOCKS`:
+    # [[r22, r15], [r15, r44]] on (|100> + |010>)/sqrt2 and |001>, [[r55,
+    # r26], [r26, r33]] on (|101> + |011>)/sqrt2 and |110>.  B's transpose
+    # moves the coherences r15 and r26 into the blocks, as does its k = 2
+    # map; the k = 3 map and the state leave them out (`_B_COUPLED`)
+    assert index == 0 or ent._B_COUPLED[index - 1] == float(coupled)
+    elements = np.random.default_rng(11).standard_normal((6, 8))
+    maps = states_from_elements(elements).reshape(-1, 64)[:, ent._STATE_MAPS[QubitLabel.B.value, index]]
+    for single, i in zip(ent._B_SINGLES, (0, 7)):
+        assert np.array_equal(maps[:, i, i], elements[:, single])
+    basis = np.eye(8)
+    frames = [((basis[1] + basis[2]) / SQRT2, basis[4]), ((basis[5] + basis[6]) / SQRT2, basis[3])]
+    pair, k, coupling = (elements[:, columns] for columns in ent._B_BLOCKS)
+    expected = np.zeros_like(maps)
+    expected[:, 0, 0], expected[:, 7, 7] = elements[:, 0], elements[:, 5]
+    for block, (u, v) in enumerate(frames):
+        frame = np.array([u, v])
+        c = coupling[:, block] * coupled
+        got = frame @ maps @ frame.T
+        want = np.moveaxis(np.array([[pair[:, block], c], [c, k[:, block]]]), -1, 0)
+        assert np.abs(got - want).max() <= 1e-15, block
+        expected += want[:, 0, 0, None, None] * np.outer(u, u) + want[:, 1, 1, None, None] * np.outer(v, v)
+        expected += c[:, None, None] * (np.outer(u, v) + np.outer(v, u))
+    if index == 0:
+        # B's transpose is those blocks alone: the antisymmetric pair
+        # vectors are null directions
+        assert np.abs(maps - expected).max() <= 1e-15
 
 
-def test_two_block_check_passes_b_and_refuses_the_a_qubits():
-    # B's global transpose, then k = 3, k = 2 and the state: the 1-index
-    # blocks {0} and {7} hold r11 and r66 in every map; {1, 2, 4} is
-    # [[r22, r15], [r15, r44]] and {3, 5, 6} [[r55, r26], [r26, r33]] in the
-    # frame of the symmetric pair vector and the fixed index (elements r11,
-    # r22, r33, r44, r55, r66, r15, r26 are 0..7), and the maps that leave
-    # the two-way coherences where the state holds them read no coupling
-    # (element 0 at scale 0)
-    b_maps = ent._STATE_MAPS[QubitLabel.B.value]
-    singles, single_scales, entries, scales = ent._two_blocks(unit_states(), b_maps)
-    assert singles.tolist() == [[0, 5]] * 4
-    assert single_scales.tolist() == [[1.0, 1.0]] * 4
-    coupled, uncoupled = [[1, 3, 6], [4, 2, 7]], [[1, 3, 0], [4, 2, 0]]
-    assert entries.tolist() == [coupled, uncoupled, coupled, uncoupled]
-    assert scales.tolist() == [[[1.0, 1.0, 1.0]] * 2, [[1.0, 1.0, 0.0]] * 2] * 2
-    # the exchange maps A1's block {0, 3, 6} to {0, 3, 5}, which is A2's
-    for p, block in ((QubitLabel.A1, r"\[0, 3, 6\]"), (QubitLabel.A2, r"\[0, 3, 5\]")):
-        with pytest.raises(RuntimeError, match=f"index block {block} is not exchange-invariant"):
-            ent._two_blocks(unit_states(), ent._STATE_MAPS[p.value])
-
-
-def moved_slots(element, slots):
-    """The unit states with ``slots`` of ``element`` moved to a ninth element of their own."""
-    units = np.concatenate([unit_states(), np.zeros((1, 8, 8))])
-    rows, cols = np.array(slots).T
-    units[8, rows, cols] = units[element, rows, cols]
-    units[element, rows, cols] = 0.0
-    return units
-
-
-def test_two_block_check_rejects_a_tampered_table():
-    b_maps = ent._STATE_MAPS[QubitLabel.B.value]
-    b_transpose = b_maps[:1]
-    selective_b = ent._transpose_positions(QubitLabel.B, ent._selective_mask("B-BA1"))
-    cases = [
-        # r22's cross slots apart from its diagonal: (|100> - |010>)/sqrt2 is no null direction
-        (
-            moved_slots(1, [(1, 2), (2, 1)]),
-            b_transpose,
-            r"\[1, 2, 4\]: the diagonal and cross entries of pair \(1, 2\)",
-        ),
-        # r15 on |000><011| apart from |000><101|: B's block no longer exchange-invariant
-        (moved_slots(6, [(0, 6), (6, 0)]), b_transpose, r"\[1, 2, 4\] is not exchange-invariant"),
-        # r26 on |010><111| apart from |100><111|
-        (moved_slots(7, [(2, 7), (7, 2)]), b_transpose, r"\[3, 5, 6\] is not exchange-invariant"),
-        # a projected map that moves the coupling on one side of the pair
-        # only, as the selective transpose B-BA1 does
-        (unit_states(), [b_maps[0], selective_b], r"\[1, 2, 4\] is not exchange-invariant"),
-    ]
-    for units, maps, message in cases:
-        with pytest.raises(RuntimeError, match=message):
-            ent._two_blocks(units, maps)
-
-
-def test_two_block_check_refuses_blocks_of_other_sizes():
-    # a unit state that couples |000> to |100> joins B's 1-index block {0}
-    # to {1, 2, 4}: a 4-index block has no closed form
-    units = np.concatenate([unit_states(), np.zeros((1, 8, 8))])
-    units[8, 0, 1] = units[8, 1, 0] = 1.0
-    with pytest.raises(RuntimeError, match=r"^index block \[0, 1, 2, 4\] has 4 indices, not 1 or 3$"):
-        ent._two_blocks(units, ent._STATE_MAPS[QubitLabel.B.value])
-
-
-# ------------------------------------------------- global-qubit selection
+# ------------------------------------------------------ route stacks
 
 
 @pytest.fixture(scope="module")
-def selection_stacks():
+def route_stacks():
     taus = np.linspace(0.0, 20.0, 2 * BLOCK + 44)
     closed = sweep_states(math.pi / 3.0, [1.2], taus, n_max=40)
     rng = np.random.default_rng(41)
     a = rng.standard_normal((40, 8, 4)) + 1j * rng.standard_normal((40, 8, 4))
     generic = a @ a.conj().swapaxes(-1, -2)
     generic /= np.trace(generic, axis1=1, axis2=2).real[:, None, None]
-    noisy = oracle_states(noise_seed=41)
-    mixed = np.concatenate([closed[:3], generic[:2], noisy[:2], closed[200:203]])
     return {
         "closed": closed,
         "oracle": oracle_states(),
-        "noisy": noisy,
+        "noisy": oracle_states(noise_seed=41),
         "generic": generic,
-        "mixed": mixed,
     }
 
 
-@pytest.mark.parametrize("stack", ["closed", "oracle", "noisy", "generic", "mixed"])
-@pytest.mark.parametrize("selection", [(QubitLabel.B,), (QubitLabel.A1, QubitLabel.A2), ()])
-def test_global_selection_is_bit_identical_to_the_full_kernel(selection_stacks, stack, selection):
-    states = selection_stacks[stack]
-    full = negativity_batch(states)
-    subset = negativity_batch(states, global_qubits=selection)
-    for name in ("n_g", "e_3", "e_2", "e_0"):
-        assert list(getattr(subset, name)) == list(selection), name
-    for name in ("n_psdg", "e_psd"):
-        assert list(getattr(subset, name)) == list(getattr(full, name)), name
-    assert_bit_identical(subset, full)
-
-
-def test_selection_stacks_cover_both_block_paths(selection_stacks):
+def test_route_stacks_cover_both_block_paths(route_stacks):
     # the closed-form states span three kernel blocks, and they and the
     # oracle states are exactly zero off the pattern: the pattern route; the
     # noisy oracle states and the random states take the generic route
-    assert len(selection_stacks["closed"]) > 2 * BLOCK
+    assert len(route_stacks["closed"]) > 2 * BLOCK
     for name, pattern in (("closed", True), ("oracle", True), ("noisy", False), ("generic", False)):
-        assert (pattern_route(selection_stacks[name]) == pattern).all(), name
-    assert len(selection_stacks["oracle"]) == len(selection_stacks["noisy"]) == 36
-
-
-def test_selection_order_does_not_matter():
-    states = sweep_states(math.pi / 2.0, [1.2], [0.3, 0.8, 14.5])
-    forward = negativity_batch(states, global_qubits=(QubitLabel.A1, QubitLabel.B))
-    backward = negativity_batch(states, global_qubits=[QubitLabel.B, QubitLabel.A1])
-    assert list(backward.n_g) == [QubitLabel.A1, QubitLabel.B]
-    assert_bit_identical(backward, forward)
-
-
-@pytest.mark.parametrize(
-    "selection",
-    [
-        (QubitLabel.B, QubitLabel.B),
-        ("B",),
-        "B",
-        (2,),
-        QubitLabel.B,
-        None,
-        (QubitLabel.B, None),
-    ],
-)
-def test_bad_global_selection_names_the_keyword(selection):
-    states = sweep_states(math.pi / 2.0, [1.2], [0.8])
-    with pytest.raises(ValueError, match="global_qubits"):
-        negativity_batch(states, global_qubits=selection)
+        assert (pattern_route(route_stacks[name]) == pattern).all(), name
+    assert len(route_stacks["oracle"]) == len(route_stacks["noisy"]) == 36
 
 
 def assert_each_state_is_its_single_call(states):
@@ -714,14 +638,96 @@ def test_stack_is_bit_identical_to_per_point(length):
     assert_each_state_is_its_single_call(sweep_states(math.pi / 3.0, [1.2], taus, n_max=40))
 
 
-def test_mixed_stack_is_bit_identical_to_per_point(selection_stacks):
+def test_mixed_stack_is_bit_identical_to_per_point(route_stacks):
     # closed-form, noisy oracle and random states interleaved across two
     # kernel blocks, so each block holds states of both routes
-    closed, noisy, generic = (selection_stacks[name] for name in ("closed", "noisy", "generic"))
+    closed, noisy, generic = (route_stacks[name] for name in ("closed", "noisy", "generic"))
     states = np.concatenate([closed[:150], noisy, closed[150:180], generic, closed[180:220]])
     batch = assert_each_state_is_its_single_call(states)
     assert 0 < batch.pattern_ok[: BLOCK].sum() < BLOCK
     assert 0 < batch.pattern_ok[BLOCK :].sum() < len(states) - BLOCK
+
+
+A1, A2, B = QubitLabel.A1, QubitLabel.A2, QubitLabel.B
+
+
+def exchanged(states, p, q):
+    """``states`` with qubits ``p`` and ``q`` exchanged: the two bits of each basis index swapped."""
+    index = np.arange(8)
+    differ = ((index >> p.value) ^ (index >> q.value)) & 1
+    swapped = index ^ (differ << p.value) ^ (differ << q.value)
+    return states[:, swapped][:, :, swapped]
+
+
+# Per exchange of two qubits: the labels it maps onto each other, of the
+# qubits and of the specs whose image is a spec, and whether B's measures
+# stay where they are
+EXCHANGES = {
+    "A1-A2": ({A1: A2, A2: A1, B: B}, {"B-BA1": "B-BA2", "B-BA2": "B-BA1"}, True),
+    "A1-B": (
+        {A1: B, B: A1, A2: A2},
+        {"B-BA1": "A1-A1B", "A1-A1B": "B-BA1", "B-BA2": "A1-A1A2", "A1-A1A2": "B-BA2"},
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("stack", ["closed", "oracle", "noisy", "generic"])
+@pytest.mark.parametrize("exchange", list(EXCHANGES))
+def test_exchanging_two_qubits_exchanges_their_values(route_stacks, exchange, stack):
+    # a pattern state is its own A1<->A2 exchange, so its A1 and A2 values
+    # and its B-BA1 and B-BA2 shares agree; the A1<->B exchange takes it off
+    # the pattern, so B's closed form and the family minors meet A1's
+    # values from eight-index solves
+    qubits, specs, measures = EXCHANGES[exchange]
+    p, q = (label for label, image in qubits.items() if label is not image)
+    states = route_stacks[stack]
+    batch = negativity_batch(states)
+    moved = negativity_batch(exchanged(states, p, q))
+    for name in ("n_g", "e_3", "e_2", "e_0", "n_psdg"):
+        for label, image in qubits.items():
+            assert np.abs(getattr(moved, name)[image] - getattr(batch, name)[label]).max() <= TOL, (name, label)
+    for spec, image in specs.items():
+        assert np.abs(moved.e_psd[image] - batch.e_psd[spec]).max() <= TOL, spec
+    if measures:
+        for name in ("linear_entropy_b", "w1_fidelity", "bell_projection"):
+            assert np.abs(getattr(moved, name) - getattr(batch, name)).max() <= TOL, name
+        assert np.array_equal(moved.pattern_ok, batch.pattern_ok)
+    elif batch.pattern_ok.any():
+        assert (batch.pattern_ok & ~moved.pattern_ok).any()
+
+
+def local_unitary(rng, qubits):
+    """An 8x8 product of random 2x2 unitaries on ``qubits`` and the identity on the others."""
+    factors = []
+    # the Kronecker product takes the most significant bit first
+    for p in (B, A2, A1):
+        if p in qubits:
+            unitary, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+            factors.append(unitary)
+        else:
+            factors.append(np.eye(2))
+    return np.kron(np.kron(factors[0], factors[1]), factors[2])
+
+
+@pytest.mark.parametrize("stack", ["closed", "oracle", "noisy", "generic"])
+@pytest.mark.parametrize("qubits", [(A1,), (A2,), (B,), (A1, A2, B)], ids=["A1", "A2", "B", "all"])
+def test_local_unitaries_change_no_invariant(route_stacks, qubits, stack):
+    # N_G and B's linear entropy do not depend on each qubit's basis; a
+    # local unitary takes a pattern state to the generic route, so B's
+    # closed form meets the eight-index solves.  The K-way splits, the
+    # shares and the W1 and Bell weights are basis-dependent, and N_PSDG is
+    # not compared: the closed-form stack's second state has the weights
+    # 2.672e-6 and 2.678e-6, and a rotated decomposition mixes their kets,
+    # which moves it by 1.9e-14
+    states = route_stacks[stack]
+    u = local_unitary(np.random.default_rng(17), qubits)
+    batch = negativity_batch(states)
+    moved = negativity_batch(u @ states @ u.conj().T)
+    assert not moved.pattern_ok.any()
+    for p in QubitLabel:
+        assert np.abs(moved.n_g[p] - batch.n_g[p]).max() <= TOL, p
+    assert np.abs(moved.linear_entropy_b - batch.linear_entropy_b).max() <= TOL
 
 
 def test_negativity_report_is_kernel_grid_of_one():
@@ -899,7 +905,7 @@ def test_any_off_pattern_entry_takes_the_generic_route(size):
     assert negativity_batch(clean[None]).pattern_ok.all()
 
 
-def test_comparing_coherence_slots_changes_no_verdict_on_the_suites_stacks(selection_stacks):
+def test_comparing_coherence_slots_changes_no_verdict_on_the_suites_stacks(route_stacks):
     # closed-form, oracle, noisy oracle and random states, and Bell, W and
     # GHZ states: the pattern check with and without the coherences agree
     rng = np.random.default_rng(83)
@@ -914,7 +920,7 @@ def test_comparing_coherence_slots_changes_no_verdict_on_the_suites_stacks(selec
     named = np.array([np.outer(ket, ket) for ket in (bell, W1_STATE, ghz)])
     taus = np.linspace(0.0, 20.0, 30)
     closed = [sweep_states(theta, [0.3, 1.2], taus) for theta in (math.pi, math.pi / 2.0, 1.1)]
-    stacks = [*closed, selection_stacks["oracle"], selection_stacks["noisy"], random_states, named]
+    stacks = [*closed, route_stacks["oracle"], route_stacks["noisy"], random_states, named]
     verdicts = Counter()
     for states in stacks:
         pattern_ok = pattern_route(states)
@@ -923,4 +929,4 @@ def test_comparing_coherence_slots_changes_no_verdict_on_the_suites_stacks(selec
             assert ok == (ref_pattern_elements(m, compare_coherences=False) is not None)
             verdicts[bool(ok)] += 1
     assert verdicts[True]
-    assert verdicts[False] == len(selection_stacks["noisy"]) + len(random_states) + 2
+    assert verdicts[False] == len(route_stacks["noisy"]) + len(random_states) + 2

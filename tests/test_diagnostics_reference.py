@@ -239,7 +239,7 @@ def oracle_states(noise_seed=None, scale=1e-13):
 
 def pattern_route(states):
     """Which states of a stack the kernel sends down the pattern route."""
-    return negativity_batch(states, global_qubits=()).pattern_ok
+    return negativity_batch(states).pattern_ok
 
 
 # ------------------------------------------------------------------- tests
@@ -413,7 +413,7 @@ def test_b_global_negativity_matches_the_exact_two_block_form():
     worst = 0.0
     for states in stacks:
         assert pattern_route(states).all()
-        n_g_b = negativity_batch(states, global_qubits=(QubitLabel.B,)).n_g[QubitLabel.B]
+        n_g_b = negativity_batch(states).n_g[QubitLabel.B]
         exact = [two_block_negativity_b(m) for m in states]
         worst = max(worst, np.abs(n_g_b - exact).max())
     assert worst <= 1e-15
@@ -442,7 +442,7 @@ def cutoff_states():
 def test_b_blocks_at_the_cutoff_match_the_exact_form():
     states = cutoff_states()
     assert pattern_route(states).all()
-    n_g_b = negativity_batch(states, global_qubits=(QubitLabel.B,)).n_g[QubitLabel.B]
+    n_g_b = negativity_batch(states).n_g[QubitLabel.B]
     exact = np.array([two_block_negativity_b(m) for m in states])
     # inside the cutoff nothing counts; outside it both blocks do, each to
     # a relative 1e-8: the smaller eigenvalue is the determinant over the
@@ -466,7 +466,7 @@ def test_b_blocks_at_the_slot_spread_bound_match_the_exact_form(source):
     states = closed_form_states(1.1) if source == "closed form" else oracle_states()
     noisy = slot_noise(states, 0.98 * SLOT_SPREAD_TOL, seed=11)
     assert pattern_route(noisy).all()
-    n_g_b = negativity_batch(noisy, global_qubits=(QubitLabel.B,)).n_g[QubitLabel.B]
+    n_g_b = negativity_batch(noisy).n_g[QubitLabel.B]
     exact = [two_block_negativity_b(m) for m in noisy]
     assert np.abs(n_g_b - exact).max() <= TOL
 

@@ -89,9 +89,10 @@ def pattern_decomposition(elements):
     """The pattern route's decomposition of states with ``elements`` (N, 8), written out as dense kets.
 
     The kernel holds each ket of a 2x2 block as its (x, y) (`_family_kets`);
-    here they are placed by the slot table of `_FAMILIES`, followed by the
-    basis kets |110> and |001> (weights r33 and r44) and the two
-    antisymmetric null directions of zero weight, as eight columns.
+    here they are written out as x|000> + y(|101> + |011>)/sqrt2 and
+    x(|100> + |010>)/sqrt2 + y|111>, followed by the basis kets |110> and
+    |001> (weights r33 and r44) and the two antisymmetric null directions
+    of zero weight, as eight columns.
     """
     lam, x, y = ent._family_kets(elements)
     count = len(elements)
@@ -99,9 +100,10 @@ def pattern_decomposition(elements):
     probs[:, :4] = lam.reshape(4, count).T
     probs[:, 4:6] = elements[:, 2:4]
     vectors = np.zeros((count, 8, 8))
-    for family, (_, slots) in enumerate(ent._FAMILIES):
-        for i, (component, scale) in slots.items():
-            vectors[:, i, 2 * family : 2 * family + 2] = (x, y)[component][family].T * scale
+    half = 1.0 / math.sqrt(2.0)
+    for family, components in enumerate([{0: x, 5: half * y, 6: half * y}, {1: half * x, 2: half * x, 7: y}]):
+        for i, component in components.items():
+            vectors[:, i, 2 * family : 2 * family + 2] = component[family].T
     vectors[:, 3, 4] = vectors[:, 4, 5] = 1.0
     vectors[:, [1, 5], [6, 7]] = 1.0 / math.sqrt(2.0)
     vectors[:, [2, 6], [6, 7]] = -1.0 / math.sqrt(2.0)
@@ -392,6 +394,17 @@ def test_w1_fidelity_values():
     assert fidelity[1] == pytest.approx(1.0 / 3.0, abs=1e-9)
 
 
+def test_selective_specs_are_read_only():
+    # the pattern route's share tables are written in this order, so a
+    # mutated mapping would mislabel their values; a removed key took one
+    # e_psd entry out of every report without an error
+    with pytest.raises(TypeError):
+        SELECTIVE_SPECS["B-BA1"] = (A1, B)
+    with pytest.raises(AttributeError):
+        SELECTIVE_SPECS.pop("B-BA2")
+    assert list(negativity_report(pure(W1_STATE)).e_psd) == ["B-BA1", "B-BA2", "A1-A1A2", "A1-A1B"]
+
+
 def test_bell_projection_probability():
     cfg = FieldConfig(1.2, math.pi, 60)
     rho0, rho = closed_form_rho(0.0, cfg), closed_form_rho(2.3, cfg)
@@ -431,28 +444,3 @@ def test_report_consistency_with_individual_functions():
         assert got == pytest.approx(value, abs=TOL), (name, key)
     for value in (*report.n_g.values(), *report.n_psdg.values(), *report.e_psd.values()):
         assert value >= 0.0
-
-
-# -------------------------------------------------------------- bad inputs
-
-
-def scalar_state():
-    return closed_form_rho(0.8, FieldConfig(1.2, math.pi, 40)).matrix[None]
-
-
-@pytest.mark.parametrize("qubit", [2, 2.0, True, "B", None])
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda m, p: negativity_batch(m, global_qubits=(p,)),
-        lambda m, p: negativity_batch(m, global_qubits=[B, p]).e_2[p],
-        lambda m, p: negativity_batch(m, global_qubits=(p,)).n_g[p],
-        lambda m, p: negativity_batch(m, global_qubits=(A1, p)).e_3[p],
-    ],
-    ids=["transpose", "kway-transpose", "global", "kway-negativity"],
-)
-def test_qubit_must_be_a_label(call, qubit):
-    # global_qubits names the qubits whose global transpose (n_g) and K-way
-    # split (e_3, e_2, e_0) are solved; True would otherwise read as A2
-    with pytest.raises(ValueError, match="global_qubits must hold QubitLabel members"):
-        call(scalar_state(), qubit)

@@ -5,10 +5,10 @@ state's two 3-index blocks, a family.  The kernel takes such a ket's
 shares from the 2x2 minors of its split by the spec's first qubit, the
 same minors that give its decomposition negativity: the term of spec
 (p, q) is ``-|m_q|^2 / r``, m_q the minors whose two columns differ in
-qubit q alone and ``r`` the root of the summed squared minors.  An
-import-time table (`entanglement._family_minors`) lists each family's
-nonzero minors of `PATTERN_MASK`, one supported product each, and refuses
-a family on which that split would not be exact.  `reference_pairwise_shares`
+qubit q alone and ``r`` the root of the summed squared minors.  Literal
+tables (`entanglement._MINOR_SLOTS`, `entanglement._SPEC_READS`) list each
+family's two nonzero minors per qubit, one product each, and the minors
+each spec reads.  `reference_pairwise_shares`
 below solves every ket as one 8-index block with the stacked eigensolver
 (`_share_terms`), the route that kets of any other state take; it shares no
 code with the minors.  The two run different arithmetic, so agreement is
@@ -23,7 +23,6 @@ import pytest
 
 import cavity3q.entanglement as ent
 from cavity3q import (
-    PATTERN_MASK,
     SELECTIVE_SPECS,
     QubitLabel,
     closed_form_grid,
@@ -49,11 +48,11 @@ def reference_pairwise_shares(states):
     probs, rows, cols, kets = contributing_kets(states)
     terms = ent._share_terms(kets)
     shares = {}
-    for column, spec in enumerate(ent._SHARE_ORDER):
+    for column, spec in enumerate(SELECTIVE_SPECS):
         share = np.zeros(probs.shape)
         share[rows, cols] = terms[:, column]
         shares[spec] = -2.0 * (probs * share).sum(axis=-1)
-    return {spec: shares[spec] for spec in SELECTIVE_SPECS}
+    return shares
 
 
 def assert_shares_match_reference(states):
@@ -131,52 +130,6 @@ def test_shares_add_up_to_the_decomposition_negativity():
         assert (batch.n_psdg[p] > 0.01).any(), p
 
 
-def test_minor_split_check_passes_the_pattern_families():
-    # the families are the state's own blocks of two or more indices; each
-    # qubit has two nonzero minors in each, one supported product apiece;
-    # each spec reads the minors of one partner qubit, two per spec, and the
-    # specs of one qubit read disjoint minors
-    assert [b for b in ent._index_blocks(PATTERN_MASK) if len(b) > 1] == [(0, 5, 6), (1, 2, 7)]
-    table = ent._family_minors(PATTERN_MASK)
-    B, A1, A2 = QubitLabel.B, QubitLabel.A1, QubitLabel.A2
-    assert table == {
-        (0, 5, 6): {B: {0: (0, 5), 1: (0, 6)}, A1: {1: (0, 5), 5: (6, 5)}, A2: {1: (0, 6), 5: (5, 6)}},
-        (1, 2, 7): {B: {4: (1, 7), 5: (2, 7)}, A1: {0: (2, 1), 4: (2, 7)}, A2: {0: (1, 2), 4: (1, 7)}},
-    }
-    assert [len(minors) for minors in ent._SHARE_MINORS] == [2] * len(SELECTIVE_SPECS)
-    for first in (0, 2):
-        assert not set(ent._SHARE_MINORS[first]) & set(ent._SHARE_MINORS[first + 1])
-    # the kets the kernel holds are those families
-    assert [tuple(sorted(slots)) for _, slots in ent._FAMILIES] == list(table)
-
-
-def family_mask(*families):
-    mask = np.zeros((8, 8), dtype=bool)
-    for family in families:
-        mask[np.ix_(family, family)] = True
-    return mask
-
-
-def test_minor_split_check_rejects_a_tampered_family():
-    cases = [
-        # |000> joined to |111>: the B minor phi0 phi7 pairs columns 0 and 3,
-        # which differ in A1 and A2
-        ([(0, 5, 6), (1, 2, 7), (0, 7)], r"\[0, 1, 2, 5, 6, 7\], qubit B: minor phi0 phi7 .*two qubits"),
-        ([(0, 7)], r"ket family \[0, 7\], qubit B: minor phi0 phi7 - phi3 phi4 .*two qubits"),
-        # |000>, |100>, |001>, |101>
-        ([(0, 1, 4, 5)], r"\[0, 1, 4, 5\], qubit B: minor phi0 phi5 - phi1 phi4 has two supported"),
-        # the A1 split of |000>, |100>, |010>, |110>
-        ([(0, 1, 2, 3)], r"\[0, 1, 2, 3\], qubit A1: minor phi0 phi3 - phi2 phi1 has two supported"),
-        # |110> joined to |000>, |101>, |011>: every minor has one supported
-        # product on columns one qubit apart, but four of them are nonzero,
-        # so a summed square would add in an order of its own
-        ([(0, 3, 5, 6)], r"^ket family \[0, 3, 5, 6\], qubit B has 4 nonzero minors, more than two$"),
-    ]
-    for families, message in cases:
-        with pytest.raises(RuntimeError, match=message):
-            ent._family_minors(family_mask(*families))
-
-
 @pytest.fixture(scope="module")
 def off_pattern_states():
     # the oracle states are exactly zero off the pattern; seeded noise there
@@ -199,3 +152,80 @@ def test_off_pattern_shares_keep_the_eigensolver_route(off_pattern_states, stack
     batch = negativity_batch(states)
     for spec in SELECTIVE_SPECS:
         assert np.array_equal(batch.e_psd[spec], reference[spec]), spec
+
+
+# ------------------------------------------------- the families' literal tables
+#
+# Each literal table of the pattern route is checked against what it writes
+# down: the families' 2x2 blocks and kets written out as in the paper, the
+# dense minors of `_minor_products`, and the qubits in which a minor's two
+# columns differ.
+
+BASIS = np.eye(8)
+
+# Per family: its three basis indices, ascending, and the frame of its 2x2
+# block, x|000> + y(|101> + |011>)/sqrt2 and x(|100> + |010>)/sqrt2 + y|111>
+FAMILIES = [
+    ((0, 5, 6), np.array([BASIS[0], (BASIS[5] + BASIS[6]) / math.sqrt(2.0)])),
+    ((1, 2, 7), np.array([(BASIS[1] + BASIS[2]) / math.sqrt(2.0), BASIS[7]])),
+]
+FAMILY_IDS = ["first family", "second family"]
+
+
+@pytest.mark.parametrize("family", range(len(FAMILIES)), ids=FAMILY_IDS)
+def test_family_block_is_the_states_block_in_its_frame(family):
+    # `_FAMILY_BLOCKS` names the elements on the block's first diagonal,
+    # second diagonal and coupling
+    elements = np.random.default_rng(7).standard_normal((6, 8))
+    _, frame = FAMILIES[family]
+    blocks = frame @ states_from_elements(elements) @ frame.T
+    first, second, off = (elements[:, k] for k in ent._FAMILY_BLOCKS[family])
+    expected = np.moveaxis(np.array([[first, off], [off, second]]), -1, 0)
+    assert np.abs(blocks - expected).max() <= 1e-15
+
+
+@pytest.mark.parametrize("family", range(len(FAMILIES)), ids=FAMILY_IDS)
+def test_family_slots_are_the_components_of_its_kets(family):
+    # `_SLOT_COMPONENTS` and `_SLOT_SCALES` give the components of the ket
+    # (x, y) on the family's indices, ascending; it has no other component
+    x, y = np.random.default_rng(8).standard_normal((2, 6))
+    indices, frame = FAMILIES[family]
+    kets = x[:, None] * frame[0] + y[:, None] * frame[1]
+    entries = np.stack([x, y])[ent._SLOT_COMPONENTS[family]] * ent._SLOT_SCALES[family][:, None]
+    np.testing.assert_allclose(entries, kets[:, list(indices)].T, rtol=1e-15, atol=0.0)
+    assert not np.delete(kets, list(indices), axis=1).any()
+
+
+@pytest.mark.parametrize("qubit", list(QubitLabel), ids=[p.name for p in QubitLabel])
+@pytest.mark.parametrize("family", range(len(FAMILIES)), ids=FAMILY_IDS)
+def test_minor_slots_are_the_nonzero_dense_minors(family, qubit):
+    # a ket with independent components on the family's indices has exactly
+    # two nonzero minors split by the qubit, each one product, and they are
+    # those of `_MINOR_SLOTS`, bit for bit
+    indices, _ = FAMILIES[family]
+    phi = np.random.default_rng(9).standard_normal((3, 6))
+    kets = np.zeros((8, 6))
+    kets[list(indices)] = phi
+    dense = ent._squared_minors(kets, qubit)
+    nonzero = dense[dense.any(axis=1)]
+    a, b = ent._MINOR_SLOTS[:, qubit.value, family]
+    literal = (phi[a] * phi[b]) ** 2
+    assert sorted(map(tuple, nonzero.tolist())) == sorted(map(tuple, literal.tolist()))
+
+
+@pytest.mark.parametrize("spec", list(SELECTIVE_SPECS))
+@pytest.mark.parametrize("family", range(len(FAMILIES)), ids=FAMILY_IDS)
+def test_each_spec_reads_the_minors_whose_columns_differ_in_its_partner(family, spec):
+    # a minor phi_a phi_b of the first qubit p pairs an index with p's bit
+    # clear and one with it set; its columns are the two with p's bit
+    # cleared, and the spec (p, q) reads it when they differ in q alone
+    lead, partner = SELECTIVE_SPECS[spec]
+    indices, _ = FAMILIES[family]
+    a, b = ent._MINOR_SLOTS[:, lead.value, family]
+    expected = []
+    for i, j in zip(a, b):
+        differ = indices[i] ^ indices[j]
+        assert differ >> lead.value & 1
+        expected.append(float(differ & ~(1 << lead.value) == 1 << partner.value))
+    assert sorted(expected) == [0.0, 1.0]
+    assert ent._SPEC_READS[list(SELECTIVE_SPECS).index(spec), family].tolist() == expected
