@@ -21,17 +21,18 @@ dense state.
 The kernel refuses, by the name ``states``, a stack that does not hold
 finite numbers of a dtype numpy's LAPACK takes, an entry too large for its
 products (`_ENTRY_BOUND`) or a state that is not Hermitian to 1e-9 (named
-by its index in the caller's stack).  It evaluates the stack in fixed blocks of `_DIAGNOSTIC_BLOCK` rows
-and decides each state's route once; a block that is all one route is
-evaluated in place, with no gather of its rows.
+by its index in the caller's stack).  It evaluates the stack in fixed blocks
+of `_DIAGNOSTIC_BLOCK` rows and decides each state's route once; each route
+gathers its rows of a block and writes its values back to them.
 
 * The pattern route takes a state whose entries outside `PATTERN_MASK` are
   exactly zero and whose element slots spread by at most 3e-15 (two slots
   of one element apart, or a slot's imaginary part): every closed-form and
   brute-force oracle state.  `tavis_cummings` reads the elements back from
   the slot table that `states_from_elements` writes with, and every
-  diagnostic but A1's and A2's global negativities is computed from those
-  eight elements (N, 8), with no dense ket, gather or projector:
+  diagnostic but A1's global negativity is computed from those eight
+  elements (N, 8), with no dense ket, gather or projector; such a state is
+  its own A1<->A2 exchange, so A2's values are A1's mirror (`_mirrored`):
 
   - the pure-state decomposition is the two eigenpairs (lam, x, y) of each
     of the state's two 2x2 blocks, a family of two kets (`_family_kets`),
@@ -62,17 +63,16 @@ evaluated in place, with no gather of its rows.
   weight that is not a basis state has its shares solved as one 8-index
   block per qubit, and the auxiliary measures come from the dense state.
 
-On both routes the global transposes of A1 and A2, and on the generic route
-B's too, are solved whole: each is gathered as one 8x8 matrix by flat index
-maps (`_STATE_MAPS`), its negative eigenvalues give the global negativity,
-and the K-way split E_3/E_2/E_0 is ``Re tr(T P)``, T the K-way transpose
-(or the state) gathered the same way and P the projector on the negative
+A1's global transpose on both routes, and A2's and B's on the generic route,
+are solved whole: each is gathered as one 8x8 matrix by flat index maps
+(`_STATE_MAPS`), its negative eigenvalues give the global negativity, and
+the K-way split E_3/E_2/E_0 is ``Re tr(T P)``, T the K-way transpose (or
+the state) gathered the same way and P the projector on the negative
 eigenvectors, in one stacked symmetrised call.  The command-line sweeps
-report qubit B's global transpose only, and take it from the element entry,
-so they make no eigensolve and build no 8x8 state at all.  The closed-form
-states are real symmetric, so real arithmetic and real symmetric LAPACK
-solve them; a complex stack (a user's state, the generic route) takes the
-same lines with complex LAPACK.
+report B's alone, so they make no eigensolve.  The closed-form states are
+real symmetric, so real arithmetic and real symmetric LAPACK solve them; a
+complex stack (a user's state, the generic route) takes the same lines
+with complex LAPACK.
 """
 
 from __future__ import annotations
@@ -110,15 +110,16 @@ __all__ = [
 NEGATIVE_EIGENVALUE_CUTOFF = 1e-12
 
 # States evaluated together by `negativity_batch`.  Bounds the per-block
-# stacks of gathered transposes and decomposition kets: at 200, A1's and
-# A2's global transposes with their three projected maps each take 0.82 MB
-# of a real stack (the sweeps solve B's alone, in closed form, and gather
-# none).  Blocks grew from 32 to 128 while the pattern route gathered index
-# blocks of at most 3, at about the peak resident set of the 8x8 kernel at
-# 32; the closed-form pairwise shares dropped the kets' gathered blocks,
-# which made room for 200.  VmHWM of one `cli.main` call (MB, median of 5,
-# one BLAS thread, byte-compiled package), the gathered ket blocks at 128 ->
-# the closed-form shares at 128, 200 and 256:
+# stacks of gathered transposes and decomposition kets: at 200, a global
+# transpose with its three projected maps takes 0.41 MB of a real stack, A1's
+# on the pattern route and each qubit's on the generic route (the sweeps
+# solve B's alone, in closed form, and gather none).  Blocks grew from 32 to
+# 128 while the pattern route gathered index blocks of at most 3, at about
+# the peak resident set of the 8x8 kernel at 32; the closed-form pairwise
+# shares dropped the kets' gathered blocks, which made room for 200.  VmHWM
+# of one `cli.main` call (MB, median of 5, one BLAS thread, byte-compiled
+# package), the gathered ket blocks at 128 -> the closed-form shares at 128,
+# 200 and 256:
 #   tau-sweep        32.32 -> 32.18, 32.19, 32.41
 #   s-sweep          31.63 -> 31.48, 31.42, 31.42
 #   tau-sweep-dense  32.24 -> 32.20, 32.20, 32.29
@@ -453,7 +454,8 @@ class NegativityBatch(NamedTuple):
     order, except in the batch of the private element entry, which holds
     qubit B alone; every other field is complete.  ``pattern_ok`` marks the
     states that took the pattern route; the others took the generic route
-    (module docstring).
+    (module docstring).  A pattern-route state is its own A1<->A2 exchange,
+    so its A2 values and its B-BA2 share are copies of A1's and B-BA1's.
     """
 
     n_g: dict[QubitLabel, np.ndarray]
@@ -515,9 +517,7 @@ _STATE_MAPS = np.array(
 
 # Per qubit that leads a selective spec, B then A1: its two-way transpose,
 # then the selective transposes it projects, for the kets of generic-route
-# states.  Flattened, the specs run in `SELECTIVE_SPECS` order, and
-# `_SHARE_LEADS` holds the value of each one's first qubit.
-_SHARE_LEADS = [first.value for first, _ in SELECTIVE_SPECS.values()]
+# states.  Flattened, the specs run in `SELECTIVE_SPECS` order.
 _SHARE_MAPS = np.array(
     [
         [_transpose_positions(p, _kway_mask(2))]
@@ -545,32 +545,36 @@ _FAMILY_BLOCKS = ((0, 4, 6), (1, 5, 7))
 _SLOT_COMPONENTS = np.array([[0, 1, 1], [0, 0, 1]])
 _SLOT_SCALES = np.array([[1.0, _INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, _INV_SQRT2, 1.0]])
 
-# Per family and qubit, the two nonzero minors (`_minor_products`) of its
-# kets, each as the slots (a, b) of its one product phi_a phi_b, the other
-# product being zero; laid out (a and b, qubits, families, minors).  A1's
-# and A2's minors are the same products, with phi5 and phi6 (phi1 and phi2)
-# exchanged, which hold equal components.
+
+def _mirrored(rows: np.ndarray) -> np.ndarray:
+    """Rows (A1, B) or (B-BA1, A1-A1A2, A1-A1B) with the first's image, A2 or B-BA2, next to it."""
+    return rows[[0, *range(len(rows))]]
+
+
+# Per family and computed qubit, A1 then B, the two nonzero minors
+# (`_minor_products`) of its kets, each as the slots (a, b) of its one
+# product phi_a phi_b, the other product being zero; laid out (a and b,
+# qubits, families, minors).
 _MINOR_SLOTS = (
     np.array(
         [
             [[0, 1], [2, 1]],  # first family, A1: phi0 phi5, phi6 phi5
-            [[0, 2], [1, 2]],  # first family, A2: phi0 phi6, phi5 phi6
             [[0, 1], [0, 2]],  # first family, B: phi0 phi5, phi0 phi6
             [[1, 0], [1, 2]],  # second family, A1: phi2 phi1, phi2 phi7
-            [[0, 1], [0, 2]],  # second family, A2: phi1 phi2, phi1 phi7
             [[0, 2], [1, 2]],  # second family, B: phi1 phi7, phi2 phi7
         ]
     )
-    .reshape(2, 3, 2, 2)
+    .reshape(2, 2, 2, 2)
     .transpose(3, 1, 0, 2)
 )
 
-# Per spec, in `SELECTIVE_SPECS` order, and family: 1.0 for each minor of
-# its first qubit whose columns differ in its partner qubit alone.
+# Per computed spec, B-BA1, A1-A1A2 and A1-A1B, its first qubit's row of
+# `_MINOR_SLOTS`, and per family 1.0 for each minor of that qubit whose
+# columns differ in its partner qubit alone.
+_SHARE_LEADS = [1, 0, 0]
 _SPEC_READS = np.array(
     [
         [[1.0, 0.0], [0.0, 1.0]],  # B-BA1: phi0 phi5; phi2 phi7
-        [[0.0, 1.0], [1.0, 0.0]],  # B-BA2: phi0 phi6; phi1 phi7
         [[0.0, 1.0], [1.0, 0.0]],  # A1-A1A2: phi6 phi5; phi2 phi1
         [[1.0, 0.0], [0.0, 1.0]],  # A1-A1B: phi0 phi5; phi2 phi7
     ]
@@ -606,7 +610,8 @@ def _family_negativities(elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The basis kets |110> and |001> have no minor, and so no negativity and
     no share.  The weighted values are summed over each family's two kets,
     then over the families: the pairwise order in which numpy sums the
-    generic route's eight eigenpairs, had these four kets come first.
+    generic route's eight eigenpairs, had these four kets come first.  A2's
+    and B-BA2's values are A1's and B-BA1's (`_mirrored`).
     """
     lam, x, y = _family_kets(elements)
     weights = np.maximum(lam, 0.0)
@@ -622,7 +627,7 @@ def _family_negativities(elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scale = np.divide(-1.0, share_roots, out=np.zeros_like(share_roots), where=live)
     n_psdg = (weights * _ket_negativity(roots)).sum(axis=2).sum(axis=1)
     shares = -2.0 * (weights * (spec_squares * scale)).sum(axis=2).sum(axis=1)
-    return n_psdg, shares
+    return _mirrored(n_psdg), _mirrored(shares)
 
 
 # ------------------------------------------------- B's two-block closed form
@@ -639,9 +644,9 @@ def _family_negativities(elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # frame, so the K-way split reads each map that they project as its 2x2
 # block in the frame too, a quadratic form in the elements: the maps hold
 # the same diagonals, and the k = 2 map the transposed coupling, while the
-# k = 3 map and the state hold none.  A1's and A2's blocks, such as
-# {|000>, |110>, |011>}, are not exchange-invariant, so their transposes are
-# solved whole (`_global_split`).
+# k = 3 map and the state hold none.  A1's blocks, such as {|000>, |110>,
+# |011>}, are not exchange-invariant, so its transpose is solved whole
+# (`_global_split`), and A2's values are its mirror.
 
 # B's 1-index blocks: r11 and r66
 _B_SINGLES = [0, 5]
@@ -829,30 +834,24 @@ def negativity_batch(states) -> NegativityBatch:
     _require_states(stack)
     count = len(stack)
     arrays = _batch_arrays(count, len(QubitLabel))
-    # the pattern route solves A1's and A2's global transposes whole, and
-    # `_pattern_values` gives B's closed form and every other value
-    pattern_arrays = [array[:2] for array in arrays[:2]] + [array[2:] for array in arrays[:2]] + arrays[2:]
     pattern_ok = np.empty(count, dtype=bool)
     for start in range(0, count, _DIAGNOSTIC_BLOCK):
         block = stack[start : start + _DIAGNOSTIC_BLOCK]
         at = slice(start, start + len(block))
         pattern_ok[at], elements = _pattern_route(block)
         for on_pattern in (True, False):
-            route = pattern_ok[at] == on_pattern
-            if route.all():
-                rows, where = slice(None), at  # the whole block: no gather, no scatter
-            else:
-                rows = np.flatnonzero(route)
-                where = start + rows
-                if not rows.size:
-                    continue
+            rows = np.flatnonzero(pattern_ok[at] == on_pattern)
+            if not rows.size:
+                continue
             if on_pattern:
-                targets = pattern_arrays
-                values = (*_global_split(block[rows], _STATE_MAPS[:2]), *_pattern_values(elements[rows]))
+                # A1's global transpose is solved whole, and A2 is its mirror
+                n_g, split, *values = _pattern_values(elements[rows])
+                a1 = _global_split(block[rows], _STATE_MAPS[:1])
+                values = [_mirrored(np.concatenate(pair)) for pair in zip(a1, (n_g, split))] + values
             else:
-                targets, values = arrays, _generic_values(block[rows])
-            for array, route_values in zip(targets, values):
-                array[..., where] = route_values
+                values = _generic_values(block[rows])
+            for array, route_values in zip(arrays, values):
+                array[..., start + rows] = route_values
     return _as_batch(arrays, list(QubitLabel), pattern_ok)
 
 

@@ -102,6 +102,18 @@ def require_finite_nonnegative(name: str, values) -> np.ndarray:
     return array
 
 
+def require_finite_phases(taus: np.ndarray, rate: float) -> None:
+    """Refuse, by the name tau, checked taus whose largest phase ``tau * rate`` overflows.
+
+    ``rate`` is the largest rate the caller multiplies the taus by; an
+    overflowing phase would make its cos and sin NaN.  A NaN tau is the
+    finiteness check's to refuse, and passes.
+    """
+    largest = float(taus.max(initial=0.0))
+    if math.isinf(largest * rate):
+        raise ValueError(f"tau must keep its phase tau * {rate:.6g} finite, got {largest}")
+
+
 def require_nonnegative_number(name: str, value) -> float:
     """One value checked as in `require_finite_nonnegative`; a sequence is refused."""
     return _one(name, value, require_finite_nonnegative(name, value))

@@ -58,6 +58,7 @@ import numpy as np
 from .fock_field import (
     FieldConfig,
     require_finite_nonnegative,
+    require_finite_phases,
     require_nonnegative_number,
     require_photon_number,
     require_thetas,
@@ -255,9 +256,10 @@ def _evolved_components(num_atoms: int, dim: int, taus: np.ndarray, count: int) 
     per component size (`_coupling_components`), each block gathered from
     the edge list (`_coupling_edges`); each initial state j gets its
     component's propagator column ``V (e^(-i tau L) * V[j])`` from two real
-    matrix-vector products per tau, and exact zeros elsewhere.  The
-    propagators are unitary to rounding, so the norm check fails only on a
-    non-finite or failed solve.
+    matrix-vector products per tau, and exact zeros elsewhere.  A tau whose
+    phase overflows at a component's largest rate is refused by name before
+    that component's cos and sin.  The propagators are unitary to rounding,
+    so the norm check fails only on a non-finite or failed solve.
     """
     rows, cols, values = _coupling_edges(num_atoms, dim)
     size = 2**num_atoms * dim
@@ -275,6 +277,7 @@ def _evolved_components(num_atoms: int, dim: int, taus: np.ndarray, count: int) 
         blocks = np.zeros(nodes.size * width)
         blocks[place[rows[inside]] * width + place[cols[inside]] % width] = values[inside]
         vals, vecs = np.linalg.eigh(blocks.reshape(len(nodes), width, width))
+        require_finite_phases(taus, float(np.abs(vals).max()))
         # the (component, position) of each initial state
         comp, pos = np.nonzero(nodes < count)
         start = vecs[comp, pos, :, None]
@@ -374,7 +377,8 @@ def full_evolution_grid(taus, squeezes, thetas, n_max: int) -> np.ndarray:
     `_beam_splitter_columns`; each cavity's injected photon number is
     evolved through the bare-basis propagator (with two extra photon slots
     of headroom), and the external ports and both cavity fields are traced
-    out.  The state is
+    out; a tau whose phase overflows at a coupling rate is refused by name.
+    The state is
 
         rho(s) = sum_{n, m} lambda_n(s) lambda_m(s) X2[n, m] (x) X1[n, m]
 

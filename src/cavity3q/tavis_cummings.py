@@ -55,6 +55,7 @@ from .fock_field import (
     _real_array,
     binomial_amplitude_table,
     require_finite_nonnegative,
+    require_finite_phases,
     require_nonnegative_number,
     require_photon_number,
     require_theta,
@@ -440,11 +441,15 @@ def closed_form_grid(taus, squeezes, theta: float, n_max: int) -> np.ndarray:
     matrices.  Populations come from the diagonal field band, the two
     coherences from the m = n + 1 band.  With the exp(-i H tau) convention in
     both cavities the |000><101|-type coherence is minus the product of the
-    four real block amplitudes; the |100><111|-type coherence is plus.
+    four real block amplitudes; the |100><111|-type coherence is plus.  A
+    tau whose phase overflows at the largest rate, the pair's sqrt(4 n_max
+    + 2), is refused by name.
     """
     taus = require_finite_nonnegative("tau", taus).reshape(-1)
     squeezes = require_finite_nonnegative("squeeze parameter s", squeezes).reshape(-1)
     require_photon_number("n_max", n_max)
+    # the pair's rates sqrt(2 (2q - 1)), q <= n_max + 1, exceed cavity 2's sqrt(p)
+    require_finite_phases(taus, math.sqrt(4.0 * n_max + 2.0))
     require_theta(theta)  # before float() reads a bool as 1.0
     u0, u1 = _field_factors(float(theta), int(n_max))
     norm0, norm1 = _squeeze_norms(squeezes, n_max + 1)

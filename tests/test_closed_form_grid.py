@@ -284,6 +284,19 @@ def test_grid_rejects_bad_tau(tau):
         closed_form_rho(tau, FieldConfig(0.5, 1.0, 5))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_grid_refuses_a_tau_whose_phase_overflows():
+    # at n_max 5 the largest rate is the pair's sqrt(22): a finite tau of
+    # 1e308 has an infinite phase, whose cos and sin would be NaN; at n_max 0
+    # the rate sqrt2 keeps the same tau's phase finite
+    message = r"^tau must keep its phase tau \* 4.69042 finite, got 1e\+308$"
+    with pytest.raises(ValueError, match=message):
+        closed_form_grid([0.1, 1e308], [0.5], 1.0, 5)
+    with pytest.raises(ValueError, match=message):
+        closed_form_rho(1e308, FieldConfig(0.5, 1.0, 5))
+    assert np.isfinite(closed_form_grid([0.1, 1e308], [0.5], 1.0, 0)).all()
+
+
 @pytest.mark.parametrize("s", [math.nan, math.inf, -0.5])
 def test_grid_rejects_bad_squeeze(s):
     with pytest.raises(ValueError, match="squeeze parameter s must be finite and >= 0"):
@@ -317,8 +330,13 @@ def test_grid_rejects_bad_n_max(n_max):
         (["--mode", "tau-sweep", "--s", "inf"], "squeeze parameter s must be finite and >= 0, got inf"),
         (["--mode", "s-sweep", "--s-end", "nan"], "s_end must be finite and >= 0, got nan"),
         (["--mode", "tau-sweep", "--tau-end", "inf"], "tau_end must be finite and >= 0, got inf"),
+        # n_max 4 has the largest rate sqrt(18): a finite tau whose phase overflows
+        (["--mode", "single-point", "--tau", "1e308"], "tau must keep its phase tau * 4.24264 finite, got 1e+308"),
+        (["--mode", "tau-sweep", "--tau-end", "5e307"], "tau must keep its phase tau * 4.24264 finite, got 5e+307"),
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_names_the_bad_parameter(args, message, capsys):
+    # each is refused before any trig, so no RuntimeWarning is raised
     assert main([*args, "--n-max", "4", "--tau-steps", "3", "--s-steps", "3"]) == 2
     assert f"error: {message}" in capsys.readouterr().err

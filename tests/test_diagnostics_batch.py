@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import cavity3q.entanglement as ent
+import cavity3q.tavis_cummings as tc
 from cavity3q import (
     PATTERN_MASK,
     W1_STATE,
@@ -224,11 +225,11 @@ def test_product_states_have_exactly_zero_decomposition_negativity():
 
 def test_pairwise_solves_only_positive_weight_states(eigh_solves):
     states = sweep_states(math.pi, [0.0, 1.2], [0.0, 0.7, 3.0, 14.5])
-    # of a closed-form state only A1's and A2's global transposes are
-    # solved, each as one 8-index block (B's two 3x3 blocks come in closed
-    # form from the elements); its decomposition kets' shares come from the
-    # minors, with no eigensolve
-    assert eigh_solves(negativity_batch, states) == {8: 2 * len(states)}
+    # of a closed-form state only A1's global transpose is solved, as one
+    # 8-index block (A2's values are A1's mirror, and B's two 3x3 blocks come
+    # in closed form from the elements); its decomposition kets' shares come
+    # from the minors, with no eigensolve
+    assert eigh_solves(negativity_batch, states) == {8: len(states)}
     # off the pattern every state is one 8-index block per global transpose
     # and for its decomposition (its eigenpairs, the states being exactly
     # symmetric); of its kets, those of positive weight that are not basis
@@ -276,14 +277,14 @@ def test_mixed_stack_of_real_and_complex_states():
 
 def test_only_non_pattern_rows_take_generic_fallback(eigh_solves):
     # only the state off the pattern takes the eigensolver decomposition and
-    # the 8-index blocks; a stack of pattern states solves A1's and A2's
-    # global transposes, one 8x8 matrix each per state, and nothing else
+    # the 8-index blocks; a stack of pattern states solves A1's global
+    # transpose, one 8x8 matrix per state, and nothing else
     states = sweep_states(math.pi, [1.2], [0.5, 1.0, 1.5, 2.0])
     generic = random_states(np.random.default_rng(5), 1)
     stack = np.concatenate([states[:2], generic, states[2:]])
     assert negativity_batch(stack).pattern_ok.tolist() == [True, True, False, True, True]
     on_pattern = eigh_solves(negativity_batch, states)
-    assert on_pattern == {8: 2 * len(states)}
+    assert on_pattern == {8: len(states)}
     apart = on_pattern + eigh_solves(negativity_batch, generic)
     assert eigh_solves(negativity_batch, stack) == apart
 
@@ -540,13 +541,13 @@ def test_kernel_and_scalar_negativity_share_one_path():
 
 
 def test_scalar_functions_solve_only_the_global_tables_they_need(eigh_solves):
-    # grids of one: on the pattern route A1's and A2's transposes as one
-    # 8-index block each, and B's two blocks in closed form from the
-    # elements; nothing else is solved
+    # grids of one: on the pattern route A1's transpose as one 8-index
+    # block, A2's values its mirror, and B's two blocks in closed form from
+    # the elements; nothing else is solved
     states = sweep_states(math.pi / 2.0, [1.2], [0.3, 0.8, 14.5])
     for m in states:
-        assert eigh_solves(negativity_batch, m[None]) == {8: 2}
-        assert eigh_solves(negativity_report, m) == {8: 2}
+        assert eigh_solves(negativity_batch, m[None]) == {8: 1}
+        assert eigh_solves(negativity_report, m) == {8: 1}
     # off the zero pattern: the decomposition, the three transposes and two
     # two-way transposes per ket that can hold a share, as 8-index blocks
     for m in off_pattern(states):
@@ -695,6 +696,43 @@ def test_exchanging_two_qubits_exchanges_their_values(route_stacks, exchange, st
         assert np.array_equal(moved.pattern_ok, batch.pattern_ok)
     elif batch.pattern_ok.any():
         assert (batch.pattern_ok & ~moved.pattern_ok).any()
+
+
+# ------------------------------------------------------ the A1<->A2 mirror
+
+# The A1<->A2 exchange on basis indices: bits 0 and 1 swapped
+A1_A2_SWAP = [0, 2, 1, 3, 4, 6, 5, 7]
+
+
+def test_every_element_slot_set_is_exchange_invariant():
+    # the condition the pattern route's mirror rests on: each element's
+    # slots map onto themselves under the exchange, so every state on the
+    # pattern is its own A1<->A2 exchange
+    for slots in tc._ELEMENT_SLOTS:
+        assert {(A1_A2_SWAP[i], A1_A2_SWAP[j]) for i, j in slots} == set(slots), slots
+
+
+@pytest.mark.parametrize("stack", ["closed", "oracle", "noisy", "non-psd"])
+def test_pattern_rows_copy_a1_into_a2(route_stacks, stack):
+    # on the pattern route A2's five fields and the B-BA2 share are A1's and
+    # B-BA1's, bit for bit; the noisy oracle states, whose noise off the
+    # pattern breaks the exchange, take the generic route, which solves A2
+    # apart from A1
+    if stack == "non-psd":
+        states = states_from_elements(np.random.default_rng(19).standard_normal((50, 8)))
+        assert (np.linalg.eigvalsh(states)[:, 0] < 0.0).all()
+    else:
+        states = route_stacks[stack]
+    batch = negativity_batch(states)
+    fields = [(getattr(batch, name), A1, A2) for name in ("n_g", "e_3", "e_2", "e_0", "n_psdg")]
+    fields.append((batch.e_psd, "B-BA1", "B-BA2"))
+    if stack == "noisy":
+        assert not batch.pattern_ok.any()
+        assert not all(np.array_equal(field[a], field[b]) for field, a, b in fields)
+        return
+    assert batch.pattern_ok.all()
+    for field, a, b in fields:
+        assert np.array_equal(field[a], field[b]), b
 
 
 def local_unitary(rng, qubits):

@@ -173,6 +173,16 @@ def test_full_evolution_rejects_bad_tau(tau):
         full_evolution(FieldConfig(0.5, 1.0, 6), tau)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_grid_refuses_a_tau_whose_phase_overflows():
+    # at n_max 6 the coupling's largest rate is sqrt(22), that of the
+    # pair's six-photon component: 1e308 times it overflows; at n_max 1 the
+    # largest rate is sqrt2, and the same tau evolves
+    with pytest.raises(ValueError, match=r"^tau must keep its phase tau \* 4.69042 finite, got 1e\+308$"):
+        full_evolution_grid([0.5, 1e308], [0.3], [1.0], 6)
+    assert np.isfinite(full_evolution_grid([0.5, 1e308], [0.3], [1.0], 1)).all()
+
+
 @pytest.mark.parametrize("s", [math.nan, math.inf, -0.5])
 def test_grid_rejects_bad_squeeze(s):
     with pytest.raises(ValueError, match=f"squeeze parameter s must be finite and >= 0, got {s}"):

@@ -8,7 +8,8 @@ same minors that give its decomposition negativity: the term of spec
 qubit q alone and ``r`` the root of the summed squared minors.  Literal
 tables (`entanglement._MINOR_SLOTS`, `entanglement._SPEC_READS`) list each
 family's two nonzero minors per qubit, one product each, and the minors
-each spec reads.  `reference_pairwise_shares`
+each spec reads, for A1 and B and the specs B-BA1, A1-A1A2 and A1-A1B; A2's
+and B-BA2's values are copies of A1's and B-BA1's.  `reference_pairwise_shares`
 below solves every ket as one 8-index block with the stacked eigensolver
 (`_share_terms`), the route that kets of any other state take; it shares no
 code with the minors.  The two run different arithmetic, so agreement is
@@ -196,7 +197,13 @@ def test_family_slots_are_the_components_of_its_kets(family):
     assert not np.delete(kets, list(indices), axis=1).any()
 
 
-@pytest.mark.parametrize("qubit", list(QubitLabel), ids=[p.name for p in QubitLabel])
+# The rows of `_MINOR_SLOTS` and `_SPEC_READS`: the pattern route computes
+# these qubits and specs, and mirrors A1's and B-BA1's values into A2 and B-BA2
+COMPUTED_QUBITS = [QubitLabel.A1, QubitLabel.B]
+COMPUTED_SPECS = ["B-BA1", "A1-A1A2", "A1-A1B"]
+
+
+@pytest.mark.parametrize("qubit", COMPUTED_QUBITS, ids=[p.name for p in COMPUTED_QUBITS])
 @pytest.mark.parametrize("family", range(len(FAMILIES)), ids=FAMILY_IDS)
 def test_minor_slots_are_the_nonzero_dense_minors(family, qubit):
     # a ket with independent components on the family's indices has exactly
@@ -208,12 +215,12 @@ def test_minor_slots_are_the_nonzero_dense_minors(family, qubit):
     kets[list(indices)] = phi
     dense = ent._squared_minors(kets, qubit)
     nonzero = dense[dense.any(axis=1)]
-    a, b = ent._MINOR_SLOTS[:, qubit.value, family]
+    a, b = ent._MINOR_SLOTS[:, COMPUTED_QUBITS.index(qubit), family]
     literal = (phi[a] * phi[b]) ** 2
     assert sorted(map(tuple, nonzero.tolist())) == sorted(map(tuple, literal.tolist()))
 
 
-@pytest.mark.parametrize("spec", list(SELECTIVE_SPECS))
+@pytest.mark.parametrize("spec", COMPUTED_SPECS)
 @pytest.mark.parametrize("family", range(len(FAMILIES)), ids=FAMILY_IDS)
 def test_each_spec_reads_the_minors_whose_columns_differ_in_its_partner(family, spec):
     # a minor phi_a phi_b of the first qubit p pairs an index with p's bit
@@ -221,11 +228,13 @@ def test_each_spec_reads_the_minors_whose_columns_differ_in_its_partner(family, 
     # cleared, and the spec (p, q) reads it when they differ in q alone
     lead, partner = SELECTIVE_SPECS[spec]
     indices, _ = FAMILIES[family]
-    a, b = ent._MINOR_SLOTS[:, lead.value, family]
+    row = COMPUTED_SPECS.index(spec)
+    assert ent._SHARE_LEADS[row] == COMPUTED_QUBITS.index(lead)
+    a, b = ent._MINOR_SLOTS[:, ent._SHARE_LEADS[row], family]
     expected = []
     for i, j in zip(a, b):
         differ = indices[i] ^ indices[j]
         assert differ >> lead.value & 1
         expected.append(float(differ & ~(1 << lead.value) == 1 << partner.value))
     assert sorted(expected) == [0.0, 1.0]
-    assert ent._SPEC_READS[list(SELECTIVE_SPECS).index(spec), family].tolist() == expected
+    assert ent._SPEC_READS[row, family].tolist() == expected
