@@ -131,9 +131,17 @@ class SweepConfig(_SweepConfigFields):
             require_nonnegative_number(name, getattr(config, name))
         for axis in ("tau", "s"):
             start, end = getattr(config, f"{axis}_start"), getattr(config, f"{axis}_end")
+            steps = getattr(config, f"{axis}_steps")
             if end < start:
                 raise ValueError(
                     f"{axis}_end must be >= {axis}_start, got {axis}_start={start} {axis}_end={end}"
+                )
+            # `_grid` multiplies the span by each step index before it divides;
+            # a count above sys.maxsize, too large to convert, numpy refuses
+            if not math.isfinite((float(end) - float(start)) * min(int(steps) - 1, sys.maxsize)):
+                raise ValueError(
+                    f"{axis}_end must keep ({axis}_end - {axis}_start) * ({axis}_steps - 1) finite, "
+                    f"got {axis}_start={start} {axis}_end={end} {axis}_steps={steps}"
                 )
         require_theta(config.theta)
         require_photon_number("n_max", config.n_max)

@@ -40,12 +40,14 @@ gathers its rows of a block and writes its values back to them.
   - the decomposition negativity of a ket uses the pure-state identity
     ``N_G^p(phi) = 2 sqrt(det rho_p)``, ``rho_p`` its reduced state of
     qubit p, and ``det rho_p`` is the sum of the squared 2x2 minors of the
-    ket split by qubit p.  Literal tables (`_MINOR_SLOTS`) list each
-    family's two nonzero minors per qubit, one product of two components
-    each, so each sum has the same bits in any order;
+    ket split by qubit p.  A family ket has one lone component and two
+    equal pair components h, so its nonzero minors square to ``cross =
+    (lone h)^2`` or ``same = (h h)^2``: A1's are a cross and a same, B's
+    two crosses, and each sum of two has the same bits in any order;
   - the pairwise share term of spec (p, q) of a ket is
-    ``-|m_q|^2 / r``, m_q its minors whose columns differ in qubit q alone
-    (`_SPEC_READS`) and ``r = N_G^p / 2``;
+    ``-|m_q|^2 / r``, m_q its minor whose columns differ in qubit q alone,
+    a cross for B-BA1 and A1-A1B and a same for A1-A1A2, and ``r = N_G^p
+    / 2``;
   - qubit B's global negativity and its K-way split come from the paper's
     gated two-block closed form (`_b_global_split`): each of B's 3-index
     transpose blocks (Tavis & Cummings, Phys. Rev. 170, 379 (1968): each
@@ -163,7 +165,8 @@ class QubitLabel(Enum):
 # Selective two-qubit transposes: key -> (transposed qubit, partner qubit).
 # "B-BA1" transposes B on exactly those elements where the B and A1 indices
 # both change and A2 is a spectator, and so on.  Read-only: the pattern
-# route's share tables (`_SPEC_READS`) are written in this order.
+# route computes B-BA1, A1-A1A2 and A1-A1B from a family ket's cross, same
+# and cross minors (`_family_negativities`), and copies B-BA1 into B-BA2.
 SELECTIVE_SPECS = MappingProxyType(
     {
         "B-BA1": (QubitLabel.B, QubitLabel.A1),
@@ -538,47 +541,10 @@ _SHARE_MAPS = np.array(
 # r66]].
 _FAMILY_BLOCKS = ((0, 4, 6), (1, 5, 7))
 
-# Per family, its kets' three nonzero components phi_i, i ascending, as
-# slots: the component of each (0 for x, 1 for y) and its scale.
-#   x|000> + y(|101> + |011>)/sqrt2: phi0, phi5, phi6
-#   x(|100> + |010>)/sqrt2 + y|111>: phi1, phi2, phi7
-_SLOT_COMPONENTS = np.array([[0, 1, 1], [0, 0, 1]])
-_SLOT_SCALES = np.array([[1.0, _INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, _INV_SQRT2, 1.0]])
-
 
 def _mirrored(rows: np.ndarray) -> np.ndarray:
     """Rows (A1, B) or (B-BA1, A1-A1A2, A1-A1B) with the first's image, A2 or B-BA2, next to it."""
     return rows[[0, *range(len(rows))]]
-
-
-# Per family and computed qubit, A1 then B, the two nonzero minors
-# (`_minor_products`) of its kets, each as the slots (a, b) of its one
-# product phi_a phi_b, the other product being zero; laid out (a and b,
-# qubits, families, minors).
-_MINOR_SLOTS = (
-    np.array(
-        [
-            [[0, 1], [2, 1]],  # first family, A1: phi0 phi5, phi6 phi5
-            [[0, 1], [0, 2]],  # first family, B: phi0 phi5, phi0 phi6
-            [[1, 0], [1, 2]],  # second family, A1: phi2 phi1, phi2 phi7
-            [[0, 2], [1, 2]],  # second family, B: phi1 phi7, phi2 phi7
-        ]
-    )
-    .reshape(2, 2, 2, 2)
-    .transpose(3, 1, 0, 2)
-)
-
-# Per computed spec, B-BA1, A1-A1A2 and A1-A1B, its first qubit's row of
-# `_MINOR_SLOTS`, and per family 1.0 for each minor of that qubit whose
-# columns differ in its partner qubit alone.
-_SHARE_LEADS = [1, 0, 0]
-_SPEC_READS = np.array(
-    [
-        [[1.0, 0.0], [0.0, 1.0]],  # B-BA1: phi0 phi5; phi2 phi7
-        [[0.0, 1.0], [1.0, 0.0]],  # A1-A1A2: phi6 phi5; phi2 phi1
-        [[1.0, 0.0], [0.0, 1.0]],  # A1-A1B: phi0 phi5; phi2 phi7
-    ]
-)
 
 
 def _family_kets(elements: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -601,32 +567,35 @@ def _ket_negativity(root: np.ndarray) -> np.ndarray:
 def _family_negativities(elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """N_PSDG (qubits, N) and its shares (specs, N) of pattern-route elements (N, 8).
 
-    Each ket of a family is held as its (x, y) (`_family_kets`), and each
-    of its nonzero minors is one product ``phi_a phi_b`` of them
-    (`_MINOR_SLOTS`).  So ``N_G^p = 2 r``, ``r`` the root of two squared
-    products, and the share term of spec (p, q) is ``-|m_q|^2 / r``, m_q
-    its minors whose columns differ in qubit q alone (`_SPEC_READS`; 0
-    unless ``r`` exceeds the cutoff), with no dense ket and no eigensolve.
-    The basis kets |110> and |001> have no minor, and so no negativity and
-    no share.  The weighted values are summed over each family's two kets,
-    then over the families: the pairwise order in which numpy sums the
-    generic route's eight eigenpairs, had these four kets come first.  A2's
-    and B-BA2's values are A1's and B-BA1's (`_mirrored`).
+    A ket (x, y) of a family (`_family_kets`) has one lone component and
+    two equal pair components h: x|000> + y(|101> + |011>)/sqrt2 has the
+    lone x and h = y/sqrt2, x(|100> + |010>)/sqrt2 + y|111> the lone y and
+    h = x/sqrt2.  So each of its nonzero 2x2 minors is one product, ``lone
+    h`` or ``h h``, whose squares are ``cross`` and ``same``.  Split by A1
+    a ket has one minor of each, split by B two crosses, so ``N_G^p = 2 r``
+    with ``r`` the root of ``cross + same`` or ``cross + cross``.  The share
+    term of spec (p, q) is ``-|m_q|^2 / r``, m_q the minor whose columns
+    differ in qubit q alone: ``cross`` for B-BA1 and A1-A1B, ``same`` for
+    A1-A1A2 (0 unless ``r`` exceeds the cutoff).  No dense ket and no
+    eigensolve.  The basis kets |110> and |001> have no minor, and so no
+    negativity and no share.  The weighted values are summed over each
+    family's two kets, then over the families: the pairwise order in which
+    numpy sums the generic route's eight eigenpairs, had these four kets
+    come first.  A2's and B-BA2's values are A1's and B-BA1's
+    (`_mirrored`).
     """
     lam, x, y = _family_kets(elements)
     weights = np.maximum(lam, 0.0)
-    families = np.arange(len(_FAMILY_BLOCKS))[:, None]
-    entries = np.stack([x, y])[_SLOT_COMPONENTS, families] * _SLOT_SCALES[..., None, None]
-    a, b = _MINOR_SLOTS
-    squares = (entries[families, a] * entries[families, b]) ** 2
+    lone = np.stack([x[0], y[1]])
+    h = np.stack([y[0], x[1]]) * _INV_SQRT2
+    cross, same = (lone * h) ** 2, (h * h) ** 2
     # each sum has two terms, so it has the same bits in any order
-    roots = np.sqrt(squares.sum(axis=2))
-    spec_squares = (squares[_SHARE_LEADS] * _SPEC_READS[..., None, None]).sum(axis=2)
-    share_roots = roots[_SHARE_LEADS]
+    root_a1, root_b = np.sqrt(cross + same), np.sqrt(cross + cross)
+    share_roots = np.stack([root_b, root_a1, root_a1])
     live = share_roots > NEGATIVE_EIGENVALUE_CUTOFF
     scale = np.divide(-1.0, share_roots, out=np.zeros_like(share_roots), where=live)
-    n_psdg = (weights * _ket_negativity(roots)).sum(axis=2).sum(axis=1)
-    shares = -2.0 * (weights * (spec_squares * scale)).sum(axis=2).sum(axis=1)
+    n_psdg = (weights * _ket_negativity(np.stack([root_a1, root_b]))).sum(axis=2).sum(axis=1)
+    shares = -2.0 * (weights * (np.stack([cross, same, cross]) * scale)).sum(axis=2).sum(axis=1)
     return _mirrored(n_psdg), _mirrored(shares)
 
 

@@ -330,6 +330,13 @@ def test_step_counts_accept_numpy_ints():
     assert SweepConfig(tau_steps=np.int64(3), s_steps=np.int32(2)).tau_steps == 3
 
 
+def test_span_check_takes_step_counts_too_large_for_a_float():
+    # the count is capped at sys.maxsize, above which numpy refuses the grid
+    assert SweepConfig(s_steps=10**400).s_steps == 10**400
+    with pytest.raises(ValueError, match=r"^s_end must keep \(s_end - s_start\) \* \(s_steps - 1\) finite"):
+        SweepConfig(s_steps=10**400, s_end=1e300)
+
+
 @pytest.mark.parametrize(
     "args, message",
     [

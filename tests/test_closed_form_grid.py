@@ -333,6 +333,16 @@ def test_grid_rejects_bad_n_max(n_max):
         # n_max 4 has the largest rate sqrt(18): a finite tau whose phase overflows
         (["--mode", "single-point", "--tau", "1e308"], "tau must keep its phase tau * 4.24264 finite, got 1e+308"),
         (["--mode", "tau-sweep", "--tau-end", "5e307"], "tau must keep its phase tau * 4.24264 finite, got 5e+307"),
+        # `_grid` multiplies the span by each step index, up to tau_steps - 1 = 2
+        (
+            ["--mode", "tau-sweep", "--tau-end", "1e308"],
+            "tau_end must keep (tau_end - tau_start) * (tau_steps - 1) finite, "
+            "got tau_start=0.0 tau_end=1e+308 tau_steps=3",
+        ),
+        (
+            ["--mode", "s-sweep", "--s-end", "1e308"],
+            "s_end must keep (s_end - s_start) * (s_steps - 1) finite, got s_start=0.0 s_end=1e+308 s_steps=3",
+        ),
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -5,14 +5,14 @@ state's two 3-index blocks, a family.  The kernel takes such a ket's
 shares from the 2x2 minors of its split by the spec's first qubit, the
 same minors that give its decomposition negativity: the term of spec
 (p, q) is ``-|m_q|^2 / r``, m_q the minors whose two columns differ in
-qubit q alone and ``r`` the root of the summed squared minors.  Literal
-tables (`entanglement._MINOR_SLOTS`, `entanglement._SPEC_READS`) list each
-family's two nonzero minors per qubit, one product each, and the minors
-each spec reads, for A1 and B and the specs B-BA1, A1-A1A2 and A1-A1B; A2's
-and B-BA2's values are copies of A1's and B-BA1's.  `reference_pairwise_shares`
-below solves every ket as one 8-index block with the stacked eigensolver
-(`_share_terms`), the route that kets of any other state take; it shares no
-code with the minors.  The two run different arithmetic, so agreement is
+qubit q alone and ``r`` the root of the summed squared minors.  A family
+ket has one lone component and two equal pair components h, so its nonzero
+minors square to ``cross = (lone h)^2`` and ``same = (h h)^2``: A1's are a
+cross and a same, B's two crosses, and the specs B-BA1, A1-A1A2 and A1-A1B
+read a cross, a same and a cross; A2's and B-BA2's values are copies of
+A1's and B-BA1's.  `reference_pairwise_shares` below solves every ket as
+one 8-index block with the stacked eigensolver (`_share_terms`), the route
+that kets of any other state take; it shares no code with the minors.  The two run different arithmetic, so agreement is
 required to 1e-14, a few hundred ulps of the O(1) values.
 """
 
@@ -149,28 +149,45 @@ def test_off_pattern_shares_keep_the_eigensolver_route(off_pattern_states, stack
     states = off_pattern_states[stack]
     assert not pattern_route(states).any()
     reference = reference_pairwise_shares(states)
-    monkeypatch.setattr(ent, "_MINOR_SLOTS", None)
+    monkeypatch.setattr(ent, "_family_negativities", None)
     batch = negativity_batch(states)
     for spec in SELECTIVE_SPECS:
         assert np.array_equal(batch.e_psd[spec], reference[spec]), spec
 
 
-# ------------------------------------------------- the families' literal tables
+# ------------------------------------------------- the families' minors
 #
-# Each literal table of the pattern route is checked against what it writes
-# down: the families' 2x2 blocks and kets written out as in the paper, the
-# dense minors of `_minor_products`, and the qubits in which a minor's two
-# columns differ.
+# `_family_negativities` takes each family ket's minors as two products of
+# its lone component and its pair component h, ``cross = (lone h)^2`` and
+# ``same = (h h)^2``.  Its premises are checked against the kets written out
+# as in the paper, the dense minors of `_squared_minors` and the qubits in
+# which a minor's two columns differ.
 
 BASIS = np.eye(8)
 
-# Per family: its three basis indices, ascending, and the frame of its 2x2
-# block, x|000> + y(|101> + |011>)/sqrt2 and x(|100> + |010>)/sqrt2 + y|111>
+# Per family: the basis index of its lone component, those of its two pair
+# components, and the frame of its 2x2 block, x|000> + y(|101> + |011>)/sqrt2
+# and x(|100> + |010>)/sqrt2 + y|111>
 FAMILIES = [
-    ((0, 5, 6), np.array([BASIS[0], (BASIS[5] + BASIS[6]) / math.sqrt(2.0)])),
-    ((1, 2, 7), np.array([(BASIS[1] + BASIS[2]) / math.sqrt(2.0), BASIS[7]])),
+    (0, (5, 6), np.array([BASIS[0], (BASIS[5] + BASIS[6]) / math.sqrt(2.0)])),
+    (7, (1, 2), np.array([(BASIS[1] + BASIS[2]) / math.sqrt(2.0), BASIS[7]])),
 ]
 FAMILY_IDS = ["first family", "second family"]
+
+# The qubits and specs the pattern route computes; it mirrors A1's and
+# B-BA1's values into A2 and B-BA2.  Per qubit, the squared minors of its
+# split, and per spec, the squared minor its share reads.
+COMPUTED_MINORS = {QubitLabel.A1: ["cross", "same"], QubitLabel.B: ["cross", "cross"]}
+COMPUTED_SPECS = {"B-BA1": "cross", "A1-A1A2": "same", "A1-A1B": "cross"}
+
+
+def family_kets(family):
+    """Dense kets x frame0 + y frame1 (8, n) of a family, and the (lone, h, cross, same) of each."""
+    x, y = np.random.default_rng(8).standard_normal((2, 6))
+    _, _, frame = FAMILIES[family]
+    kets = (x[:, None] * frame[0] + y[:, None] * frame[1]).T
+    lone, h = (x, y * ent._INV_SQRT2) if family == 0 else (y, x * ent._INV_SQRT2)
+    return kets, {"lone": lone, "h": h, "cross": (lone * h) ** 2, "same": (h * h) ** 2}
 
 
 @pytest.mark.parametrize("family", range(len(FAMILIES)), ids=FAMILY_IDS)
@@ -178,7 +195,7 @@ def test_family_block_is_the_states_block_in_its_frame(family):
     # `_FAMILY_BLOCKS` names the elements on the block's first diagonal,
     # second diagonal and coupling
     elements = np.random.default_rng(7).standard_normal((6, 8))
-    _, frame = FAMILIES[family]
+    _, _, frame = FAMILIES[family]
     blocks = frame @ states_from_elements(elements) @ frame.T
     first, second, off = (elements[:, k] for k in ent._FAMILY_BLOCKS[family])
     expected = np.moveaxis(np.array([[first, off], [off, second]]), -1, 0)
@@ -186,55 +203,40 @@ def test_family_block_is_the_states_block_in_its_frame(family):
 
 
 @pytest.mark.parametrize("family", range(len(FAMILIES)), ids=FAMILY_IDS)
-def test_family_slots_are_the_components_of_its_kets(family):
-    # `_SLOT_COMPONENTS` and `_SLOT_SCALES` give the components of the ket
-    # (x, y) on the family's indices, ascending; it has no other component
-    x, y = np.random.default_rng(8).standard_normal((2, 6))
-    indices, frame = FAMILIES[family]
-    kets = x[:, None] * frame[0] + y[:, None] * frame[1]
-    entries = np.stack([x, y])[ent._SLOT_COMPONENTS[family]] * ent._SLOT_SCALES[family][:, None]
-    np.testing.assert_allclose(entries, kets[:, list(indices)].T, rtol=1e-15, atol=0.0)
-    assert not np.delete(kets, list(indices), axis=1).any()
+def test_family_ket_is_one_lone_and_two_equal_pair_components(family):
+    # the ket (x, y) has the lone component and h on the family's indices,
+    # bit for bit, and no other component
+    kets, values = family_kets(family)
+    lone_index, pair, _ = FAMILIES[family]
+    np.testing.assert_array_equal(kets[lone_index], values["lone"])
+    for index in pair:
+        np.testing.assert_array_equal(kets[index], values["h"])
+    assert not np.delete(kets, [lone_index, *pair], axis=0).any()
 
 
-# The rows of `_MINOR_SLOTS` and `_SPEC_READS`: the pattern route computes
-# these qubits and specs, and mirrors A1's and B-BA1's values into A2 and B-BA2
-COMPUTED_QUBITS = [QubitLabel.A1, QubitLabel.B]
-COMPUTED_SPECS = ["B-BA1", "A1-A1A2", "A1-A1B"]
-
-
-@pytest.mark.parametrize("qubit", COMPUTED_QUBITS, ids=[p.name for p in COMPUTED_QUBITS])
+@pytest.mark.parametrize("qubit", list(COMPUTED_MINORS), ids=[p.name for p in COMPUTED_MINORS])
 @pytest.mark.parametrize("family", range(len(FAMILIES)), ids=FAMILY_IDS)
-def test_minor_slots_are_the_nonzero_dense_minors(family, qubit):
-    # a ket with independent components on the family's indices has exactly
-    # two nonzero minors split by the qubit, each one product, and they are
-    # those of `_MINOR_SLOTS`, bit for bit
-    indices, _ = FAMILIES[family]
-    phi = np.random.default_rng(9).standard_normal((3, 6))
-    kets = np.zeros((8, 6))
-    kets[list(indices)] = phi
+def test_family_kets_nonzero_minors_are_cross_and_same(family, qubit):
+    # split by A1 a ket has one cross and one same minor, split by B two
+    # crosses, and no other nonzero minor, bit for bit
+    kets, values = family_kets(family)
     dense = ent._squared_minors(kets, qubit)
-    nonzero = dense[dense.any(axis=1)]
-    a, b = ent._MINOR_SLOTS[:, COMPUTED_QUBITS.index(qubit), family]
-    literal = (phi[a] * phi[b]) ** 2
-    assert sorted(map(tuple, nonzero.tolist())) == sorted(map(tuple, literal.tolist()))
+    assert (np.count_nonzero(dense, axis=0) == 2).all()
+    nonzero = np.sort(dense.T[dense.T != 0.0].reshape(-1, 2), axis=1)
+    expected = np.sort(np.array([values[name] for name in COMPUTED_MINORS[qubit]]).T, axis=1)
+    np.testing.assert_array_equal(nonzero, expected)
 
 
-@pytest.mark.parametrize("spec", COMPUTED_SPECS)
+@pytest.mark.parametrize("spec", list(COMPUTED_SPECS))
 @pytest.mark.parametrize("family", range(len(FAMILIES)), ids=FAMILY_IDS)
-def test_each_spec_reads_the_minors_whose_columns_differ_in_its_partner(family, spec):
-    # a minor phi_a phi_b of the first qubit p pairs an index with p's bit
-    # clear and one with it set; its columns are the two with p's bit
-    # cleared, and the spec (p, q) reads it when they differ in q alone
+def test_each_spec_reads_the_minor_whose_columns_differ_in_its_partner(family, spec):
+    # the minors of the first qubit p have as columns the basis indices with
+    # p's bit clear (`_minor_products`); the spec (p, q) reads those whose
+    # two columns differ in q alone, and of a family ket that is the cross
+    # or the same minor, bit for bit
     lead, partner = SELECTIVE_SPECS[spec]
-    indices, _ = FAMILIES[family]
-    row = COMPUTED_SPECS.index(spec)
-    assert ent._SHARE_LEADS[row] == COMPUTED_QUBITS.index(lead)
-    a, b = ent._MINOR_SLOTS[:, ent._SHARE_LEADS[row], family]
-    expected = []
-    for i, j in zip(a, b):
-        differ = indices[i] ^ indices[j]
-        assert differ >> lead.value & 1
-        expected.append(float(differ & ~(1 << lead.value) == 1 << partner.value))
-    assert sorted(expected) == [0.0, 1.0]
-    assert ent._SPEC_READS[row, family].tolist() == expected
+    kets, values = family_kets(family)
+    first_column, _, second_column, _ = ent._MINOR_PRODUCTS[lead]
+    read = ent._squared_minors(kets, lead)[(first_column ^ second_column) == 1 << partner.value]
+    assert (np.count_nonzero(read, axis=0) == 1).all()
+    np.testing.assert_array_equal(read.sum(axis=0), values[COMPUTED_SPECS[spec]])

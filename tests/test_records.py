@@ -126,6 +126,13 @@ BAD_CONFIGS = [
     (SweepConfig, "s", -1.0, "squeeze parameter s must be finite and >= 0, got -1.0"),
     (SweepConfig, "tau_steps", 0, "tau_steps must be a positive integer, got 0"),
     (SweepConfig, "tau_start", 30.0, "tau_end must be >= tau_start, got tau_start=30.0 tau_end=20.0"),
+    (
+        SweepConfig,
+        "tau_end",
+        1e306,
+        "tau_end must keep (tau_end - tau_start) * (tau_steps - 1) finite, "
+        "got tau_start=0.0 tau_end=1e+306 tau_steps=600",
+    ),
     (SweepConfig, "theta", math.nan, "theta must lie in [0, pi], got nan"),
     (SweepConfig, "oracle_n_max", True, "oracle_n_max must be a non-negative integer, got True"),
     (SweepConfig, "tolerance", 0.0, "tolerance must be finite and > 0, got 0.0"),
