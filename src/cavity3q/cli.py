@@ -87,6 +87,14 @@ ORACLE_CHECK_THETAS = (math.pi / 3.0, math.pi / 2.0, math.pi)
 # process (one BLAS thread, one pinned Xeon core).
 ORACLE_CHECK_MAX_N_MAX = 80
 
+# Largest --tau-steps and --s-steps.  A sweep holds about 1.6 KB per grid
+# point at its peak, mostly the CSV rows and their text: VmHWM 224 MB at
+# 100,000 tau steps and 537 MB at 300,000, 232 MB at 100,000 s steps (one
+# BLAS thread).  So a sweep at the bound peaks near 1.6 GB, far above the
+# default 600 and 200 steps and a 600 x 200 (tau, s) plane, and a count
+# too large to allocate is refused by name, not by numpy's allocator.
+MAX_SWEEP_STEPS = 1_000_000
+
 # A sweep that drops more norm than this to the Fock truncation (the oracle
 # tolerance) prints a warning to stderr; the CSV itself is unchanged.
 TRUNCATION_WARNING = 1e-8
@@ -126,6 +134,8 @@ class SweepConfig(_SweepConfigFields):
             steps = getattr(config, name)
             if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
                 raise ValueError(f"{name} must be a positive integer, got {steps!r}")
+            if steps > MAX_SWEEP_STEPS:
+                raise ValueError(f"{name} must be <= {MAX_SWEEP_STEPS}, got {steps}")
         require_nonnegative_number("squeeze parameter s", config.s)
         for name in ("tau", "tau_start", "tau_end", "s_start", "s_end"):
             require_nonnegative_number(name, getattr(config, name))
@@ -136,9 +146,8 @@ class SweepConfig(_SweepConfigFields):
                 raise ValueError(
                     f"{axis}_end must be >= {axis}_start, got {axis}_start={start} {axis}_end={end}"
                 )
-            # `_grid` multiplies the span by each step index before it divides;
-            # a count above sys.maxsize, too large to convert, numpy refuses
-            if not math.isfinite((float(end) - float(start)) * min(int(steps) - 1, sys.maxsize)):
+            # `_grid` multiplies the span by each step index before it divides
+            if not math.isfinite((float(end) - float(start)) * (int(steps) - 1)):
                 raise ValueError(
                     f"{axis}_end must keep ({axis}_end - {axis}_start) * ({axis}_steps - 1) finite, "
                     f"got {axis}_start={start} {axis}_end={end} {axis}_steps={steps}"

@@ -31,12 +31,16 @@ gathers its rows of a block and writes its values back to them.
   brute-force oracle state.  `tavis_cummings` reads the elements back from
   the slot table that `states_from_elements` writes with, and every
   diagnostic but A1's global negativity is computed from those eight
-  elements (N, 8), with no dense ket, gather or projector; such a state is
-  its own A1<->A2 exchange, so A2's values are A1's mirror (`_mirrored`):
+  elements (N, 8), with no dense ket, gather or projector.  Such a state is
+  its own A1<->A2 exchange, so A2's values are A1's mirror (`_mirrored`),
+  and in the exchange frame of symmetric pair vectors the state and B's
+  global transpose split into 2x2 blocks of the elements: four rows of one
+  table (`_BLOCKS`), whose eigenpairs (lam, x, y) one `_two_level_pairs`
+  call solves:
 
-  - the pure-state decomposition is the two eigenpairs (lam, x, y) of each
-    of the state's two 2x2 blocks, a family of two kets (`_family_kets`),
-    and the basis kets |110> and |001>;
+  - the pure-state decomposition is the two eigenpairs of each of the
+    state's two 2x2 blocks, a family of two kets, and the basis kets |110>
+    and |001>;
   - the decomposition negativity of a ket uses the pure-state identity
     ``N_G^p(phi) = 2 sqrt(det rho_p)``, ``rho_p`` its reduced state of
     qubit p, and ``det rho_p`` is the sum of the squared 2x2 minors of the
@@ -51,10 +55,11 @@ gathers its rows of a block and writes its values back to them.
   - qubit B's global negativity and its K-way split come from the paper's
     gated two-block closed form (`_b_global_split`): each of B's 3-index
     transpose blocks (Tavis & Cummings, Phys. Rev. 170, 379 (1968): each
-    field component conserves photon number plus atomic excitation) is a
-    2x2 block in the elements, [[r22, r15], [r15, r44]] and [[r55, r26],
-    [r26, r33]], plus an exact null direction, and E_3/E_2/E_0 are
-    quadratic forms of its kept eigenvectors;
+    field component conserves photon number plus atomic excitation) is the
+    table's 2x2 block [[r22, r15], [r15, r44]] or [[r55, r26], [r26, r33]]
+    plus an exact null direction, its lower eigenvalue is refined as the
+    determinant over the upper, and E_3/E_2/E_0 are quadratic forms of its
+    kept eigenvectors;
   - B's linear entropy, the W1 fidelity and the Bell weight are sums of
     the elements, with coefficients read at import from the dense
     functions on the unit states (`_MEASURE_COEFFICIENTS`).
@@ -318,35 +323,37 @@ def _pattern_route(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _two_level_pairs(d_first: np.ndarray, d_second: np.ndarray, off: np.ndarray):
     """Eigenpairs of [[d_first, off], [off, d_second]] per row, in no fixed order or sign.
 
-    Returns ``[(lam, x, y), (lam, x, y)]`` of arrays, the eigenvector being
-    ``(x, y)``, and the rows it rotated.  A row rotates when its angle
-    counts, ``tan 2phi = 2|off| / |d_first - d_second|`` above the
-    eigenvalue cutoff, and its half gap ``hypot(d_first - d_second, 2 off)
-    / 2`` exceeds the cutoff times its mean, so that rounding of the mean
-    cannot turn the eigenvectors.  Any other row keeps the basis vectors
-    where they are, ``(d_first, 1, 0)`` then ``(d_second, 0, 1)``: a ket
-    it leaves unrotated has a negativity of ``sin 2phi`` at most, inside
-    the cutoff, or lies in a pair that is degenerate to within the cutoff
-    of its mean, which the basis kets decompose as well.
+    Returns ``(lam, x, y)``, the eigenvector being ``(x, y)``, each with the
+    two eigenpairs stacked on axis -2 (..., 2, N), and the rows it rotated.
+    A row rotates when its angle counts, ``tan 2phi = 2|off| / |d_first -
+    d_second|`` above the eigenvalue cutoff, and its half gap
+    ``hypot(d_first - d_second, 2 off) / 2`` exceeds the cutoff times its
+    mean, so that rounding of the mean cannot turn the eigenvectors.  A
+    rotated row has ``mean - half_gap`` first; any other row keeps the
+    basis vectors where they are, ``(d_first, 1, 0)`` then ``(d_second, 0,
+    1)``: a ket it leaves unrotated has a negativity of ``sin 2phi`` at
+    most, inside the cutoff, or lies in a pair that is degenerate to within
+    the cutoff of its mean, which the basis kets decompose as well.
     """
     gap, twice = np.abs(d_first - d_second), 2.0 * np.abs(off)
     half_gap, mean = 0.5 * np.hypot(gap, twice), 0.5 * (d_first + d_second)
     cutoff = NEGATIVE_EIGENVALUE_CUTOFF
     rotated = (twice > cutoff * gap) & (half_gap > cutoff * np.abs(mean))
-    pairs = []
+    lam = np.stack([mean - half_gap, mean + half_gap], axis=-2)
+    d_first, d_second, off = (a[..., None, :] for a in (d_first, d_second, off))
     # every row is solved and the rows that keep their basis vectors are
     # put back after, so a row with nothing to rotate may divide 0 by 0
     with np.errstate(invalid="ignore"):
-        for lam, kept in ((mean - half_gap, (d_first, 1.0, 0.0)), (mean + half_gap, (d_second, 0.0, 1.0))):
-            to_first, to_second = lam - d_first, lam - d_second
-            # the better-conditioned of the two eigenvector formulas
-            norm_a, norm_b = np.hypot(off, to_first), np.hypot(to_second, off)
-            use_a = norm_a >= norm_b
-            norm = np.maximum(norm_a, norm_b)
-            x = np.where(use_a, off, to_second) / norm
-            y = np.where(use_a, to_first, off) / norm
-            pairs.append([np.where(rotated, value, basis) for value, basis in zip((lam, x, y), kept)])
-    return pairs, rotated
+        to_first, to_second = lam - d_first, lam - d_second
+        # the better-conditioned of the two eigenvector formulas
+        norm_a, norm_b = np.hypot(off, to_first), np.hypot(to_second, off)
+        use_a = norm_a >= norm_b
+        norm = np.maximum(norm_a, norm_b)
+        x = np.where(use_a, off, to_second) / norm
+        y = np.where(use_a, to_first, off) / norm
+    kept = (np.concatenate([d_first, d_second], axis=-2), [[1.0], [0.0]], [[0.0], [1.0]])
+    on = rotated[..., None, :]
+    return tuple(np.where(on, value, basis) for value, basis in zip((lam, x, y), kept)), rotated
 
 
 def _generic_decomposition(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -529,17 +536,42 @@ _SHARE_MAPS = np.array(
     ]
 )
 
-# ------------------------------------------------- the pattern route's kets
+# --------------------------------------------- the pattern route's 2x2 blocks
 #
-# A pattern-route state is block diagonal in {|000>, (|101> + |011>)/sqrt2},
-# {(|100> + |010>)/sqrt2, |111>}, |110> and |001>, plus the two
-# antisymmetric null directions.  Its decomposition is the two eigenpairs
-# (lam, x, y) of each 2x2 block, a family of two kets, and the two basis
-# kets, weighted r33 and r44.  Per family, the elements on its block's first
-# diagonal, second diagonal and coupling (elements r11, r22, r33, r44, r55,
-# r66, r15, r26 are 0..7): [[r11, r15], [r15, r55]] and [[r22, r26], [r26,
-# r66]].
-_FAMILY_BLOCKS = ((0, 4, 6), (1, 5, 7))
+# The A1<->A2 exchange swaps |100> with |010> and |101> with |011>.  Pattern
+# states are invariant under it, and qubit B's transposes commute with it,
+# so in a frame of symmetric pair vectors both the state and B's global
+# transpose split into 2x2 blocks of the elements, and the antisymmetric
+# pair vectors are exact null directions.
+#
+# The state is block diagonal in {|000>, (|101> + |011>)/sqrt2},
+# {(|100> + |010>)/sqrt2, |111>}, |110> and |001>.  Its decomposition is the
+# two eigenpairs (lam, x, y) of each 2x2 block, a family of two kets, and the
+# two basis kets, weighted r33 and r44.
+#
+# B's global transpose splits into the 1-index blocks {|000>} and {|111>},
+# which hold r11 and r66, and two 3-index blocks, each of one swapped pair and
+# a fixed |k>: in the frame of the symmetric pair vector and |k>, the paper's
+# 2x2 block, [[r22, r15], [r15, r44]] on {(|100> + |010>)/sqrt2, |001>} and
+# [[r55, r26], [r26, r33]] on {(|101> + |011>)/sqrt2, |110>}.  Its kept
+# eigenvectors (x, y) lie in that frame, so the K-way split reads each map
+# that they project as its 2x2 block in the frame too, a quadratic form in
+# the elements: the maps hold the same diagonals, and the k = 2 map the
+# transposed coupling, while the k = 3 map and the state hold none.  A1's
+# blocks, such as {|000>, |110>, |011>}, are not exchange-invariant, so its
+# transpose is solved whole (`_global_split`), and A2's values are its
+# mirror.
+
+# Per 2x2 block, the elements on its first diagonal, second diagonal and
+# coupling (elements r11, r22, r33, r44, r55, r66, r15, r26 are 0..7): the
+# state's two families [[r11, r15], [r15, r55]] and [[r22, r26], [r26, r66]],
+# then B's transpose blocks [[r22, r15], [r15, r44]] and [[r55, r26], [r26,
+# r33]].  `_pattern_values` solves all four in one `_two_level_pairs` call.
+_BLOCKS = np.array([(0, 4, 6), (1, 5, 7), (1, 3, 6), (4, 2, 7)])
+# B's 1-index blocks: r11 and r66
+_B_SINGLES = [0, 5]
+# whether the k = 3 map, the k = 2 map and the state hold B's coupling
+_B_COUPLED = np.array([0.0, 1.0, 0.0])
 
 
 def _mirrored(rows: np.ndarray) -> np.ndarray:
@@ -547,44 +579,30 @@ def _mirrored(rows: np.ndarray) -> np.ndarray:
     return rows[[0, *range(len(rows))]]
 
 
-def _family_kets(elements: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The kets of the 2x2 blocks of pattern-route states, from their elements (N, 8).
-
-    Returns ``lam``, ``x`` and ``y``, each (families, 2, N), per family of
-    `_FAMILY_BLOCKS` its two eigenpairs from `_two_level_pairs`.
-    """
-    first, second, off = (elements.T[list(k)] for k in zip(*_FAMILY_BLOCKS))
-    pairs, _ = _two_level_pairs(first, second, off)
-    lam, x, y = (np.stack(arrays, axis=1) for arrays in zip(*pairs))
-    return lam, x, y
-
-
 def _ket_negativity(root: np.ndarray) -> np.ndarray:
     """``N_G^p = 2 r`` of each ket from the root ``r`` of its summed squared minors, gated at the cutoff."""
     return np.where(root > NEGATIVE_EIGENVALUE_CUTOFF, 2.0 * root, 0.0)
 
 
-def _family_negativities(elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """N_PSDG (qubits, N) and its shares (specs, N) of pattern-route elements (N, 8).
+def _family_negativities(lam: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """N_PSDG (qubits, N) and its shares (specs, N) from the families' eigenpairs, each (families, 2, N).
 
-    A ket (x, y) of a family (`_family_kets`) has one lone component and
-    two equal pair components h: x|000> + y(|101> + |011>)/sqrt2 has the
-    lone x and h = y/sqrt2, x(|100> + |010>)/sqrt2 + y|111> the lone y and
-    h = x/sqrt2.  So each of its nonzero 2x2 minors is one product, ``lone
-    h`` or ``h h``, whose squares are ``cross`` and ``same``.  Split by A1
-    a ket has one minor of each, split by B two crosses, so ``N_G^p = 2 r``
-    with ``r`` the root of ``cross + same`` or ``cross + cross``.  The share
-    term of spec (p, q) is ``-|m_q|^2 / r``, m_q the minor whose columns
-    differ in qubit q alone: ``cross`` for B-BA1 and A1-A1B, ``same`` for
-    A1-A1A2 (0 unless ``r`` exceeds the cutoff).  No dense ket and no
-    eigensolve.  The basis kets |110> and |001> have no minor, and so no
-    negativity and no share.  The weighted values are summed over each
-    family's two kets, then over the families: the pairwise order in which
-    numpy sums the generic route's eight eigenpairs, had these four kets
-    come first.  A2's and B-BA2's values are A1's and B-BA1's
-    (`_mirrored`).
+    A ket (x, y) of a family (`_BLOCKS`) has one lone component and two
+    equal pair components h: x|000> + y(|101> + |011>)/sqrt2 has the lone x
+    and h = y/sqrt2, x(|100> + |010>)/sqrt2 + y|111> the lone y and h =
+    x/sqrt2.  So each of its nonzero 2x2 minors is one product, ``lone h``
+    or ``h h``, whose squares are ``cross`` and ``same``.  Split by A1 a ket
+    has one minor of each, split by B two crosses, so ``N_G^p = 2 r`` with
+    ``r`` the root of ``cross + same`` or ``cross + cross``.  The share term
+    of spec (p, q) is ``-|m_q|^2 / r``, m_q the minor whose columns differ
+    in qubit q alone: ``cross`` for B-BA1 and A1-A1B, ``same`` for A1-A1A2
+    (0 unless ``r`` exceeds the cutoff).  No dense ket and no eigensolve.
+    The basis kets |110> and |001> have no minor, and so no negativity and
+    no share.  The weighted values are summed over each family's two kets,
+    then over the families: the pairwise order in which numpy sums the
+    generic route's eight eigenpairs, had these four kets come first.  A2's
+    and B-BA2's values are A1's and B-BA1's (`_mirrored`).
     """
-    lam, x, y = _family_kets(elements)
     weights = np.maximum(lam, 0.0)
     lone = np.stack([x[0], y[1]])
     h = np.stack([y[0], x[1]]) * _INV_SQRT2
@@ -599,58 +617,29 @@ def _family_negativities(elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _mirrored(n_psdg), _mirrored(shares)
 
 
-# ------------------------------------------------- B's two-block closed form
-#
-# The A1<->A2 exchange swaps |100> with |010> and |101> with |011>.  Pattern
-# states are invariant under it, and qubit B's transposes commute with it,
-# so B's global transpose of a pattern state splits into the 1-index blocks
-# {|000>} and {|111>}, which hold r11 and r66, and two 3-index blocks, each
-# of one swapped pair and a fixed |k>.  In the basis of the symmetric pair
-# vector, |k> and the antisymmetric pair vector, the last is an exact null
-# direction and the rest is the paper's 2x2 block: [[r22, r15], [r15, r44]]
-# on {(|100> + |010>)/sqrt2, |001>} and [[r55, r26], [r26, r33]] on
-# {(|101> + |011>)/sqrt2, |110>}.  Its kept eigenvectors (x, y) lie in that
-# frame, so the K-way split reads each map that they project as its 2x2
-# block in the frame too, a quadratic form in the elements: the maps hold
-# the same diagonals, and the k = 2 map the transposed coupling, while the
-# k = 3 map and the state hold none.  A1's blocks, such as {|000>, |110>,
-# |011>}, are not exchange-invariant, so its transpose is solved whole
-# (`_global_split`), and A2's values are its mirror.
-
-# B's 1-index blocks: r11 and r66
-_B_SINGLES = [0, 5]
-# B's 2x2 blocks as the pair's diagonal, k's diagonal and their coupling, per
-# block: (r22, r44, r15) and (r55, r33, r26)
-_B_BLOCKS = [[1, 4], [3, 2], [6, 7]]
-# whether the k = 3 map, the k = 2 map and the state hold the coupling
-_B_COUPLED = np.array([0.0, 1.0, 0.0])
-
-
-def _b_global_split(elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _b_global_split(elements: np.ndarray, blocks: np.ndarray, pairs: tuple, rotated: np.ndarray) -> tuple:
     """N_G of qubit B (N,) and its split E_3, E_2, E_0 (3, N), from pattern-route elements (N, 8).
 
-    The 1-index blocks count their entry when it is below minus the
-    cutoff, in N_G and in every map.  Each 2x2 block gives its eigenpairs
-    (`_two_level_pairs`); those below minus the cutoff count in N_G, and in
-    each map's split as its quadratic form ``x^2 a + y^2 b + 2 x y c`` on
-    the kept eigenvector, [[a, c], [c, b]] the map's block in the frame
-    (`_B_BLOCKS`, `_B_COUPLED`).  The null direction is never kept.  On a
-    rotated block whose trace is not negative, as on every positive state,
-    the lower eigenvalue is the determinant over the upper: ``mean -
-    half_gap`` cancels where it is small.  Against 50-digit decimals, on the
-    negative blocks of the sweeps' grids at four angles, its worst relative
-    error is 3.5e-12 and the quotient's 1.4e-13.  The arrays hold the
-    states last, (..., blocks, eigenpairs, N), so every step runs on
-    contiguous rows.
+    ``blocks`` (3, blocks, N) are B's 2x2 blocks as their first diagonal,
+    second diagonal and coupling, ``pairs`` their eigenpairs (lam, x, y),
+    each (blocks, 2, N), and ``rotated`` the rows `_two_level_pairs`
+    rotated.  The 1-index blocks count their entry when it is below minus
+    the cutoff, in N_G and in every map.  The eigenvalues of the 2x2 blocks
+    below minus the cutoff count in N_G, and in each map's split as its
+    quadratic form ``x^2 a + y^2 b + 2 x y c`` on the kept eigenvector,
+    [[a, c], [c, b]] the map's block in the frame (`_B_COUPLED`).  The null
+    direction is never kept.  On a rotated block whose trace is not
+    negative, as on every positive state, the lower eigenvalue is the
+    determinant over the upper, written into ``lam``: ``mean - half_gap``
+    cancels where it is small.  Against 50-digit decimals, on the negative
+    blocks of the sweeps' grids at four angles, its worst relative error is
+    3.5e-12 and the quotient's 1.4e-13.  The arrays hold the states last,
+    (..., blocks, eigenpairs, N), so every step runs on contiguous rows.
     """
-    columns = elements.T
-    single = columns[_B_SINGLES]
+    single = elements.T[_B_SINGLES]
     single = np.where(single < -NEGATIVE_EIGENVALUE_CUTOFF, single, 0.0).sum(axis=0)
-    a, b, c = columns[_B_BLOCKS]
-    pairs, rotated = _two_level_pairs(a, b, c)
-    (lower, *_), (upper, *_) = pairs
-    np.divide(a * b - c * c, upper, out=lower, where=rotated & (a + b >= 0.0))
-    lam, x, y = (np.stack(arrays, axis=1) for arrays in zip(*pairs))
+    (a, b, c), (lam, x, y) = blocks, pairs
+    np.divide(a * b - c * c, lam[:, 1], out=lam[:, 0], where=rotated & (a + b >= 0.0))
     keep = lam < -NEGATIVE_EIGENVALUE_CUTOFF
     c = (c * _B_COUPLED[:, None, None])[:, :, None]
     forms = np.where(keep, x * x * a[:, None] + y * y * b[:, None] + 2.0 * x * y * c, 0.0)
@@ -722,13 +711,16 @@ def _decomposition_negativities(probs: np.ndarray, vectors: np.ndarray) -> tuple
 def _pattern_values(elements: np.ndarray) -> tuple:
     """Every diagnostic but A1's and A2's global split, of pattern-route elements (n, 8), states last.
 
-    B's global split comes from its closed form, N_PSDG and the shares from
-    the families, the auxiliary measures from their coefficients.  Returns
-    B's n_g (1, n) and its split (1, 3, n), N_PSDG (qubits, n), the shares
-    (specs, n) and the measures (3, n).
+    The four 2x2 blocks of `_BLOCKS` are solved in one `_two_level_pairs`
+    call: the families' eigenpairs give N_PSDG and the shares, B's blocks
+    its global split, with the 1-index blocks; the auxiliary measures come
+    from their coefficients.  Returns B's n_g (1, n) and its split (1, 3,
+    n), N_PSDG (qubits, n), the shares (specs, n) and the measures (3, n).
     """
-    n_g, split = _b_global_split(elements)
-    return n_g[None], split[None], *_family_negativities(elements), _element_measures(elements)
+    blocks = elements.T[_BLOCKS.T]
+    (lam, x, y), rotated = _two_level_pairs(*blocks)
+    n_g, split = _b_global_split(elements, blocks[:, 2:], (lam[2:], x[2:], y[2:]), rotated[2:])
+    return n_g[None], split[None], *_family_negativities(lam[:2], x[:2], y[:2]), _element_measures(elements)
 
 
 def _generic_values(m: np.ndarray) -> tuple:

@@ -16,7 +16,7 @@ from cavity3q import (
     negativity_report,
     truncation_deficit,
 )
-from cavity3q.cli import COLUMNS, MODES, SweepConfig, main, run_oracle_check, run_sweep
+from cavity3q.cli import COLUMNS, MAX_SWEEP_STEPS, MODES, SweepConfig, main, run_oracle_check, run_sweep
 
 
 def parse_csv(text):
@@ -330,11 +330,18 @@ def test_step_counts_accept_numpy_ints():
     assert SweepConfig(tau_steps=np.int64(3), s_steps=np.int32(2)).tau_steps == 3
 
 
-def test_span_check_takes_step_counts_too_large_for_a_float():
-    # the count is capped at sys.maxsize, above which numpy refuses the grid
-    assert SweepConfig(s_steps=10**400).s_steps == 10**400
-    with pytest.raises(ValueError, match=r"^s_end must keep \(s_end - s_start\) \* \(s_steps - 1\) finite"):
-        SweepConfig(s_steps=10**400, s_end=1e300)
+@pytest.mark.parametrize("axis", ["tau", "s"])
+def test_step_counts_above_the_bound_are_refused_before_the_span_check(axis):
+    # a count too large to allocate is refused by its name, whatever the
+    # span; at the bound the span check still applies
+    name = f"{axis}_steps"
+    assert SweepConfig(**{name: MAX_SWEEP_STEPS}) == SweepConfig()._replace(**{name: MAX_SWEEP_STEPS})
+    for steps in (MAX_SWEEP_STEPS + 1, 10**400):
+        with pytest.raises(ValueError, match=rf"^{name} must be <= {MAX_SWEEP_STEPS}, got {steps}$"):
+            SweepConfig(**{name: steps, f"{axis}_end": 1e300})
+    span = rf"^{axis}_end must keep \({axis}_end - {axis}_start\) \* \({name} - 1\) finite"
+    with pytest.raises(ValueError, match=span):
+        SweepConfig(**{name: MAX_SWEEP_STEPS, f"{axis}_end": 1e303})
 
 
 @pytest.mark.parametrize(
@@ -346,6 +353,8 @@ def test_span_check_takes_step_counts_too_large_for_a_float():
         (["--mode", "s-sweep", "--s-end", "inf"], "s_end must be finite and >= 0, got inf"),
         (["--mode", "s-sweep", "--tau", "nan"], "tau must be finite and >= 0, got nan"),
         (["--mode", "s-sweep", "--s-steps", "-2"], "s_steps must be a positive integer, got -2"),
+        (["--mode", "tau-sweep", "--tau-steps", str(10**30)], f"tau_steps must be <= 1000000, got {10**30}"),
+        (["--mode", "s-sweep", "--s-steps", str(10**14)], f"s_steps must be <= 1000000, got {10**14}"),
     ],
 )
 def test_cli_sweep_bounds_are_usage_errors(args, message, capsys):

@@ -139,9 +139,10 @@ def test_outputs_do_not_depend_on_ket_phases(dtype, monkeypatch):
     # each ket of a complex stack changes only the rounding; the generic
     # rows' pairwise shares come from 8x8 eigensolves, which amplify it to
     # several ulps (up to 6.2e-15 over 40 random stacks), so TOL.  The
-    # pattern route holds each ket of a 2x2 block, and each eigenvector of
-    # B's transpose blocks, as the real (x, y) of `_two_level_pairs`, in
-    # either dtype: a random sign on each changes no bit
+    # pattern route holds each ket of a family's 2x2 block, and each
+    # eigenvector of B's transpose blocks, as the real (x, y) of
+    # `_two_level_pairs`, in either dtype: a random sign on each changes no
+    # bit
     rng = np.random.default_rng(47)
     closed = sweep_states(1.1, [0.6, 2.0], np.linspace(0.0, 20.0, 30))
     a = rng.standard_normal((20, 8, 8)).astype(dtype)
@@ -155,10 +156,10 @@ def test_outputs_do_not_depend_on_ket_phases(dtype, monkeypatch):
 
     def resigned(solve):
         def two_level_pairs(*args):
-            pairs, rotated = solve(*args)
+            (lam, x, y), rotated = solve(*args)
             calls.append(np.shape(args[0]))
-            signs = [rng.choice([-1.0, 1.0], size=np.shape(args[0])) for _ in pairs]
-            return [(lam, x * sign, y * sign) for (lam, x, y), sign in zip(pairs, signs)], rotated
+            sign = rng.choice([-1.0, 1.0], size=lam.shape)
+            return (lam, x * sign, y * sign), rotated
 
         return two_level_pairs
 
@@ -177,9 +178,9 @@ def test_outputs_do_not_depend_on_ket_phases(dtype, monkeypatch):
     monkeypatch.setattr(ent, "_two_level_pairs", resigned(ent._two_level_pairs))
     monkeypatch.setattr(ent, "_generic_decomposition", rephased(ent._generic_decomposition))
     got = negativity_batch(states)
-    # B's two blocks and the two families of each closed-form state, then
-    # the generic states' eigenpairs
-    assert calls == [(2, len(closed)), (2, len(closed)), len(generic)]
+    # the four 2x2 blocks of the closed-form states in one call, then the
+    # generic states' eigenpairs
+    assert calls == [(len(ent._BLOCKS), len(closed)), len(generic)]
     if dtype is np.float64:
         assert_bit_identical(got, expected)
         return
@@ -557,26 +558,54 @@ def test_scalar_functions_solve_only_the_global_tables_they_need(eigh_solves):
         assert eigh_solves(negativity_batch, m[None]) == {8: 4 + 2 * kets}
 
 
-# ------------------------------------------------- B's two-block tables
+# ------------------------------------------------- the pattern route's block table
+
+BASIS = np.eye(8)
+
+# Per row of `_BLOCKS`: the frame of its 2x2 block, and whether the block is
+# the state's (a family) or B's global transpose's
+BLOCK_FRAMES = {
+    "first family": ((BASIS[0], (BASIS[5] + BASIS[6]) / SQRT2), False),
+    "second family": (((BASIS[1] + BASIS[2]) / SQRT2, BASIS[7]), False),
+    "B's first block": (((BASIS[1] + BASIS[2]) / SQRT2, BASIS[4]), True),
+    "B's second block": (((BASIS[5] + BASIS[6]) / SQRT2, BASIS[3]), True),
+}
+
+
+@pytest.mark.parametrize("row", range(len(BLOCK_FRAMES)), ids=list(BLOCK_FRAMES))
+def test_block_table_row_is_the_dense_block_in_its_exchange_frame(row):
+    # each row of `_BLOCKS` names the elements on the first diagonal, second
+    # diagonal and coupling of a 2x2 block in the exchange frame: a family
+    # row the dense state's, a B row that of B's dense global transpose
+    frame, transposed = list(BLOCK_FRAMES.values())[row]
+    assert len(BLOCK_FRAMES) == len(ent._BLOCKS)
+    elements = np.random.default_rng(7).standard_normal((6, 8))
+    states = states_from_elements(elements)
+    if transposed:
+        states = np.array([full_transpose(m, QubitLabel.B) for m in states])
+    frame = np.array(frame)
+    first, second, off = elements[:, ent._BLOCKS[row]].T
+    expected = np.moveaxis(np.array([[first, off], [off, second]]), -1, 0)
+    assert np.abs(frame @ states @ frame.T - expected).max() <= 1e-15
 
 
 @pytest.mark.parametrize("index, coupled", [(0, True), (1, False), (2, True), (3, False)], ids=["global", "k = 3", "k = 2", "state"])
 def test_b_block_tables_read_each_map_of_a_pattern_state(index, coupled):
     # every map of B's closed form holds r11 and r66 on |000> and |111>
     # (`_B_SINGLES`), and, in each block's frame of the symmetric pair vector
-    # and |k>, the block [[pair, coupling], [coupling, k]] of `_B_BLOCKS`:
-    # [[r22, r15], [r15, r44]] on (|100> + |010>)/sqrt2 and |001>, [[r55,
-    # r26], [r26, r33]] on (|101> + |011>)/sqrt2 and |110>.  B's transpose
-    # moves the coherences r15 and r26 into the blocks, as does its k = 2
-    # map; the k = 3 map and the state leave them out (`_B_COUPLED`)
+    # and |k>, the block [[pair, coupling], [coupling, k]] of B's rows of
+    # `_BLOCKS`: [[r22, r15], [r15, r44]] on (|100> + |010>)/sqrt2 and
+    # |001>, [[r55, r26], [r26, r33]] on (|101> + |011>)/sqrt2 and |110>.
+    # B's transpose moves the coherences r15 and r26 into the blocks, as
+    # does its k = 2 map; the k = 3 map and the state leave them out
+    # (`_B_COUPLED`)
     assert index == 0 or ent._B_COUPLED[index - 1] == float(coupled)
     elements = np.random.default_rng(11).standard_normal((6, 8))
     maps = states_from_elements(elements).reshape(-1, 64)[:, ent._STATE_MAPS[QubitLabel.B.value, index]]
     for single, i in zip(ent._B_SINGLES, (0, 7)):
         assert np.array_equal(maps[:, i, i], elements[:, single])
-    basis = np.eye(8)
-    frames = [((basis[1] + basis[2]) / SQRT2, basis[4]), ((basis[5] + basis[6]) / SQRT2, basis[3])]
-    pair, k, coupling = (elements[:, columns] for columns in ent._B_BLOCKS)
+    frames = [frame for frame, transposed in BLOCK_FRAMES.values() if transposed]
+    pair, k, coupling = (elements[:, columns] for columns in ent._BLOCKS[2:].T)
     expected = np.zeros_like(maps)
     expected[:, 0, 0], expected[:, 7, 7] = elements[:, 0], elements[:, 5]
     for block, (u, v) in enumerate(frames):

@@ -88,13 +88,14 @@ def kernel_maps(m):
 def pattern_decomposition(elements):
     """The pattern route's decomposition of states with ``elements`` (N, 8), written out as dense kets.
 
-    The kernel holds each ket of a 2x2 block as its (x, y) (`_family_kets`);
-    here they are written out as x|000> + y(|101> + |011>)/sqrt2 and
+    The kernel holds each ket of a family's 2x2 block as its (x, y), the
+    eigenpairs of the family rows of `_BLOCKS` (`_two_level_pairs`); here
+    they are written out as x|000> + y(|101> + |011>)/sqrt2 and
     x(|100> + |010>)/sqrt2 + y|111>, followed by the basis kets |110> and
     |001> (weights r33 and r44) and the two antisymmetric null directions
     of zero weight, as eight columns.
     """
-    lam, x, y = ent._family_kets(elements)
+    (lam, x, y), _ = ent._two_level_pairs(*elements.T[ent._BLOCKS[:2].T])
     count = len(elements)
     probs = np.zeros((count, 8))
     probs[:, :4] = lam.reshape(4, count).T

@@ -191,18 +191,6 @@ def family_kets(family):
 
 
 @pytest.mark.parametrize("family", range(len(FAMILIES)), ids=FAMILY_IDS)
-def test_family_block_is_the_states_block_in_its_frame(family):
-    # `_FAMILY_BLOCKS` names the elements on the block's first diagonal,
-    # second diagonal and coupling
-    elements = np.random.default_rng(7).standard_normal((6, 8))
-    _, _, frame = FAMILIES[family]
-    blocks = frame @ states_from_elements(elements) @ frame.T
-    first, second, off = (elements[:, k] for k in ent._FAMILY_BLOCKS[family])
-    expected = np.moveaxis(np.array([[first, off], [off, second]]), -1, 0)
-    assert np.abs(blocks - expected).max() <= 1e-15
-
-
-@pytest.mark.parametrize("family", range(len(FAMILIES)), ids=FAMILY_IDS)
 def test_family_ket_is_one_lone_and_two_equal_pair_components(family):
     # the ket (x, y) has the lone component and h on the family's indices,
     # bit for bit, and no other component

@@ -125,6 +125,7 @@ BAD_CONFIGS = [
     (SweepConfig, "mode", "bogus", "unknown mode 'bogus'"),
     (SweepConfig, "s", -1.0, "squeeze parameter s must be finite and >= 0, got -1.0"),
     (SweepConfig, "tau_steps", 0, "tau_steps must be a positive integer, got 0"),
+    (SweepConfig, "s_steps", 10**14, "s_steps must be <= 1000000, got 100000000000000"),
     (SweepConfig, "tau_start", 30.0, "tau_end must be >= tau_start, got tau_start=30.0 tau_end=20.0"),
     (
         SweepConfig,
