@@ -9,8 +9,8 @@ Modes:
 The three sweep modes are one path, `run_sweep`: each is a (tau, s) grid,
 with one s, one tau or one of each, evaluated as closed form -> the
 kernel's element entry -> CSV, so a sweep never assembles a dense 8x8
-state.  `SweepConfig` holds every default; the parser takes its defaults
-from there.
+state.  `SweepConfig` holds every default; the parser makes one flag per
+field from there, with the field's default and type.
 
 CSV output carries a '#' header block recording the full configuration and
 uses 12-significant-digit formatting, so identical configurations produce
@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -95,6 +96,14 @@ ORACLE_CHECK_MAX_N_MAX = 80
 # too large to allocate is refused by name, not by numpy's allocator.
 MAX_SWEEP_STEPS = 1_000_000
 
+# Largest --n-max, in every mode.  The closed form's dense field factors
+# take about 39 bytes per n_max squared: `--mode tau-sweep --theta pi/2
+# --tau-steps 3` peaks at VmHWM 656 MB and 1.5 s of CPU at n_max 4,000,
+# 821 MB at 4,500 and 1,008 MB at 5,000 (fresh process, one BLAS thread).
+# The bound keeps 1e-12 of the norm up to s = 3 (n_max 2,786), and a larger
+# n_max is refused by name, not by numpy's allocator.
+MAX_N_MAX = 4_000
+
 # A sweep that drops more norm than this to the Fock truncation (the oracle
 # tolerance) prints a warning to stderr; the CSV itself is unchanged.
 TRUNCATION_WARNING = 1e-8
@@ -154,6 +163,8 @@ class SweepConfig(_SweepConfigFields):
                 )
         require_theta(config.theta)
         require_photon_number("n_max", config.n_max)
+        if config.n_max > MAX_N_MAX:
+            raise ValueError(f"n_max must be <= {MAX_N_MAX}, got {config.n_max}")
         require_photon_number("oracle_n_max", config.oracle_n_max)
         tolerance = require_number("tolerance", config.tolerance, "> 0")
         if not (math.isfinite(tolerance) and tolerance > 0.0):
@@ -285,34 +296,36 @@ def run_oracle_check(cfg: SweepConfig) -> tuple[str, int]:
     oracle_states = full_evolution_grid(*grid, ORACLE_CHECK_THETAS, cfg.oracle_n_max)
     for theta, references in zip(ORACLE_CHECK_THETAS, oracle_states):
         closed_states = states_from_elements(closed_form_grid(*grid, theta, cfg.oracle_n_max))
-        for s_index, s in enumerate(ORACLE_CHECK_SQUEEZES):
-            for tau_index, tau in enumerate(ORACLE_CHECK_TAUS):
-                closed = closed_states[tau_index, s_index]
-                reference = references[tau_index, s_index]
-                report = compare_states(closed, reference)
-                ok = report.max_abs_diff < cfg.tolerance
-                worst = max(worst, report.max_abs_diff)
-                status = "ok" if ok else "FAIL"
-                lines.append(
-                    f"{_fmt(tau)} {_fmt(s)} {_fmt(theta)} {_fmt(report.max_abs_diff)} {status}"
+        points = product(enumerate(ORACLE_CHECK_SQUEEZES), enumerate(ORACLE_CHECK_TAUS))
+        for (s_index, s), (tau_index, tau) in points:
+            closed, reference = closed_states[tau_index, s_index], references[tau_index, s_index]
+            report = compare_states(closed, reference)
+            ok = report.max_abs_diff < cfg.tolerance
+            worst = max(worst, report.max_abs_diff)
+            status = "ok" if ok else "FAIL"
+            lines.append(f"{_fmt(tau)} {_fmt(s)} {_fmt(theta)} {_fmt(report.max_abs_diff)} {status}")
+            # the worst entry of a point out of tolerance, then every entry off the pattern
+            flagged = [] if ok else [("DISCREPANCY", *report.worst_entry)]
+            flagged += [("PATTERN", i, j) for i, j, _, _ in report.pattern_violations]
+            for kind, i, j in flagged:
+                failures.append(
+                    f"# {kind} tau={_fmt(tau)} s={_fmt(s)} theta={_fmt(theta)} entry=[{i},{j}] "
+                    f"closed={_CELL % closed[i, j]} reference={_CELL % reference[i, j]}"
                 )
-                if not ok:
-                    i, j = report.worst_entry
-                    failures.append(
-                        f"# DISCREPANCY tau={_fmt(tau)} s={_fmt(s)} theta={_fmt(theta)} "
-                        f"entry=[{i},{j}] closed={_CELL % closed[i, j]} "
-                        f"reference={_CELL % reference[i, j]}"
-                    )
-                for i, j, _, _ in report.pattern_violations:
-                    failures.append(
-                        f"# PATTERN tau={_fmt(tau)} s={_fmt(s)} theta={_fmt(theta)} "
-                        f"entry=[{i},{j}] closed={_CELL % closed[i, j]} "
-                        f"reference={_CELL % reference[i, j]}"
-                    )
     lines.extend(failures)
     status = 0 if not failures else 1
     lines.append(f"# result: {'PASS' if status == 0 else 'FAIL'} max_abs_diff={_fmt(worst)}")
     return "\n".join(lines) + "\n", status
+
+
+# The flags' help texts; every other flag is its `SweepConfig` field alone.
+_FLAG_HELP = {
+    "s": "squeeze parameter",
+    "theta": "beam-splitter angle, radians",
+    "n_max": "Fock truncation",
+    "tau": "interaction time for s-sweep/single-point",
+    "out": "output path, '-' for stdout",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,21 +333,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cavity3q",
         description="Entanglement diagnostics for three cavity qubits driven by squeezed light.",
     )
-    parser.add_argument("--mode", choices=MODES)
-    parser.add_argument("--s", type=float, help="squeeze parameter")
-    parser.add_argument("--theta", type=float, help="beam-splitter angle, radians")
-    parser.add_argument("--n-max", type=int, help="Fock truncation")
-    parser.add_argument("--tau-start", type=float)
-    parser.add_argument("--tau-end", type=float)
-    parser.add_argument("--tau-steps", type=int)
-    parser.add_argument("--s-start", type=float)
-    parser.add_argument("--s-end", type=float)
-    parser.add_argument("--s-steps", type=int)
-    parser.add_argument("--tau", type=float, help="interaction time for s-sweep/single-point")
-    parser.add_argument("--out", help="output path, '-' for stdout")
-    parser.add_argument("--oracle-n-max", type=int)
-    parser.add_argument("--tolerance", type=float)
-    parser.set_defaults(**SweepConfig._field_defaults)
+    for name, default in SweepConfig._field_defaults.items():
+        parser.add_argument(
+            "--" + name.replace("_", "-"),
+            type=type(default),
+            default=default,
+            choices=MODES if name == "mode" else None,
+            help=_FLAG_HELP.get(name),
+        )
     return parser
 
 

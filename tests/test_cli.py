@@ -16,7 +16,7 @@ from cavity3q import (
     negativity_report,
     truncation_deficit,
 )
-from cavity3q.cli import COLUMNS, MAX_SWEEP_STEPS, MODES, SweepConfig, main, run_oracle_check, run_sweep
+from cavity3q.cli import COLUMNS, MAX_N_MAX, MAX_SWEEP_STEPS, MODES, SweepConfig, main, run_oracle_check, run_sweep
 
 
 def parse_csv(text):
@@ -344,6 +344,16 @@ def test_step_counts_above_the_bound_are_refused_before_the_span_check(axis):
         SweepConfig(**{name: MAX_SWEEP_STEPS, f"{axis}_end": 1e303})
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_n_max_above_the_cap_is_refused_in_every_mode(mode):
+    # the cap lies above the truncation that keeps 1e-12 of the norm at s = 3
+    assert MAX_N_MAX >= 2786
+    assert SweepConfig(mode=mode, n_max=MAX_N_MAX).n_max == MAX_N_MAX
+    for n_max in (MAX_N_MAX + 1, 10**400):
+        with pytest.raises(ValueError, match=rf"^n_max must be <= {MAX_N_MAX}, got {n_max}$"):
+            SweepConfig(mode=mode, n_max=n_max)
+
+
 @pytest.mark.parametrize(
     "args, message",
     [
@@ -355,6 +365,7 @@ def test_step_counts_above_the_bound_are_refused_before_the_span_check(axis):
         (["--mode", "s-sweep", "--s-steps", "-2"], "s_steps must be a positive integer, got -2"),
         (["--mode", "tau-sweep", "--tau-steps", str(10**30)], f"tau_steps must be <= 1000000, got {10**30}"),
         (["--mode", "s-sweep", "--s-steps", str(10**14)], f"s_steps must be <= 1000000, got {10**14}"),
+        (["--mode", "tau-sweep", "--n-max", "10000000", "--tau-steps", "3"], "n_max must be <= 4000, got 10000000"),
     ],
 )
 def test_cli_sweep_bounds_are_usage_errors(args, message, capsys):
@@ -502,7 +513,16 @@ def test_parser_flags_are_the_config_fields_with_its_defaults():
     assert {name: action.default for name, action in actions.items()} == SweepConfig._field_defaults
     for name, action in actions.items():
         assert action.option_strings == ["--" + name.replace("_", "-")]
+        assert action.type is type(SweepConfig._field_defaults[name]), name
+        assert (action.choices is None) == (name != "mode"), name
     assert tuple(actions["mode"].choices) == MODES
+    assert {name: action.help for name, action in actions.items() if action.help is not None} == {
+        "s": "squeeze parameter",
+        "theta": "beam-splitter angle, radians",
+        "n_max": "Fock truncation",
+        "tau": "interaction time for s-sweep/single-point",
+        "out": "output path, '-' for stdout",
+    }
     assert SweepConfig(**vars(parser.parse_args([]))) == SweepConfig()
 
 

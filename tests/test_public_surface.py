@@ -4,6 +4,7 @@ import re
 from pathlib import Path
 
 import cavity3q
+from cavity3q import entanglement, fock_field, oracle, tavis_cummings
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -51,3 +52,7 @@ def test_package_exports_exactly_the_kept_names():
     assert set(cavity3q.__all__) == PUBLIC_NAMES
     for name in cavity3q.__all__:
         assert getattr(cavity3q, name) is not None, name
+    # each name is the object its defining module holds, not a copy or a shadow
+    for module in (entanglement, fock_field, oracle, tavis_cummings):
+        for name in module.__all__:
+            assert getattr(cavity3q, name) is getattr(module, name), (module.__name__, name)

@@ -135,6 +135,7 @@ BAD_CONFIGS = [
         "got tau_start=0.0 tau_end=1e+306 tau_steps=600",
     ),
     (SweepConfig, "theta", math.nan, "theta must lie in [0, pi], got nan"),
+    (SweepConfig, "n_max", 10**7, "n_max must be <= 4000, got 10000000"),
     (SweepConfig, "oracle_n_max", True, "oracle_n_max must be a non-negative integer, got True"),
     (SweepConfig, "tolerance", 0.0, "tolerance must be finite and > 0, got 0.0"),
 ]
