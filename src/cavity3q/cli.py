@@ -9,8 +9,13 @@ Modes:
 The three sweep modes are one path, `run_sweep`: each is a (tau, s) grid,
 with one s, one tau or one of each, evaluated as closed form -> the
 kernel's element entry -> CSV, so a sweep never assembles a dense 8x8
-state.  `SweepConfig` holds every default; the parser makes one flag per
-field from there, with the field's default and type.
+state.  `SweepConfig` holds every default, and each of its fields is one
+flag, spelled in full as `--tau-start 1` or `--tau-start=1` and converted
+by the type of the field's default; a repeated flag keeps its last value.
+An unknown or abbreviated flag, a flag with no value and a value its type
+refuses are usage errors that name the flag (`error: argument --tau:
+invalid float value: 'abc'`, exit 2), as is every value `SweepConfig`
+refuses.  `-h` or `--help` lists every flag with its default.
 
 CSV output carries a '#' header block recording the full configuration and
 uses 12-significant-digit formatting, so identical configurations produce
@@ -22,7 +27,6 @@ thread and at the default count.
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 from itertools import product
@@ -138,7 +142,7 @@ class SweepConfig(_SweepConfigFields):
     def __new__(cls, *args, **kwargs):
         config = super().__new__(cls, *args, **kwargs)
         if config.mode not in MODES:
-            raise ValueError(f"unknown mode {config.mode!r}")
+            raise ValueError(f"mode must be one of {', '.join(MODES)}, got {config.mode!r}")
         for name in ("tau_steps", "s_steps"):
             steps = getattr(config, name)
             if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
@@ -328,26 +332,63 @@ _FLAG_HELP = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cavity3q",
-        description="Entanglement diagnostics for three cavity qubits driven by squeezed light.",
-    )
-    for name, default in SweepConfig._field_defaults.items():
-        parser.add_argument(
-            "--" + name.replace("_", "-"),
-            type=type(default),
-            default=default,
-            choices=MODES if name == "mode" else None,
-            help=_FLAG_HELP.get(name),
-        )
-    return parser
+# Each field's flag, spelled in full: `tau_start` is --tau-start.
+_FLAGS = {"--" + name.replace("_", "-"): name for name in SweepConfig._fields}
+
+
+def _parse_args(argv: list[str]) -> SweepConfig:
+    """The `SweepConfig` of a command line.
+
+    Each flag takes the next token, or the text after ``=`` in
+    ``--name=value``, converted by the type of its field's default; a
+    repeated flag keeps its last value.  An unknown token, a flag with no
+    value and a value its type refuses raise a ValueError that names the
+    flag; `SweepConfig` refuses the rest.
+    """
+    values = {}
+    tokens = iter(argv)
+    for token in tokens:
+        flag, has_value, value = token.partition("=")
+        name = _FLAGS.get(flag)
+        if name is None:
+            raise ValueError(
+                f"unrecognized argument {token!r}; flags are spelled in full, see --help"
+            )
+        if not has_value:
+            value = next(tokens, None)
+            # a token that starts with "--" is the next flag, not a value
+            if value is None or value.startswith("--"):
+                raise ValueError(f"argument {flag}: expected one value")
+        kind = type(SweepConfig._field_defaults[name])
+        try:
+            values[name] = kind(value)
+        except ValueError:
+            raise ValueError(f"argument {flag}: invalid {kind.__name__} value: {value!r}") from None
+    return SweepConfig(**values)
+
+
+def _help_text() -> str:
+    lines = [
+        "Entanglement diagnostics for three cavity qubits driven by squeezed light.",
+        "",
+        "Flags are spelled in full, as --name value or --name=value.",
+        f"Modes: {', '.join(MODES)}.",
+        "",
+        f"  {'-h, --help':16s}  print this help and exit",
+    ]
+    for flag, (name, default) in zip(_FLAGS, SweepConfig._field_defaults.items()):
+        text = f"{_FLAG_HELP[name]} " if name in _FLAG_HELP else ""
+        lines.append(f"  {flag:16s}  {text}(default: {default})")
+    return "\n".join(lines) + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(_help_text())
+        return 0
     try:
-        cfg = SweepConfig(**vars(args))
+        cfg = _parse_args(argv)
         if cfg.mode == "oracle-check":
             text, status = run_oracle_check(cfg)
         else:

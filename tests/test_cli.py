@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,39 +230,26 @@ def test_negative_oracle_truncation_names_its_flag(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_bool_oracle_truncation_is_a_usage_error(tmp_path, capsys, monkeypatch):
+def test_bool_oracle_truncation_is_a_usage_error(tmp_path, capsys):
     with pytest.raises(ValueError, match="oracle_n_max must be a non-negative integer, got True"):
         SweepConfig(mode="oracle-check", oracle_n_max=True)
-    # no command-line string parses to True, so the parser's default carries it
-    parser = cli.build_parser()
-    parser.set_defaults(oracle_n_max=True)
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    # no command-line string parses to True: the flag's int type refuses the text
     out = tmp_path / "oracle.txt"
-    assert main(["--mode", "oracle-check", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        "error: oracle_n_max must be a non-negative integer, got True\n"
-    )
+    assert main(["--mode", "oracle-check", "--oracle-n-max", "True", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: argument --oracle-n-max: invalid int value: 'True'\n"
     assert not out.exists()
 
 
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("value", [-5, True])
-def test_bad_truncation_is_a_usage_error_in_every_mode(mode, value, tmp_path, capsys, monkeypatch):
+def test_bad_truncation_is_a_usage_error_in_every_mode(mode, value, tmp_path, capsys):
     # refused where it enters, also by oracle-check, which never reads n_max
     with pytest.raises(ValueError, match=f"^n_max must be a non-negative integer, got {value}$"):
         SweepConfig(mode=mode, n_max=value)
-    # no command-line string parses to True, so the parser's default carries it
-    parser = cli.build_parser()
-    parser.set_defaults(n_max=value)
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
     out = tmp_path / "out.txt"
-    assert main(["--mode", mode, "--out", str(out)]) == 2
     assert main(["--mode", mode, "--n-max", "-5", "--out", str(out)]) == 2
     captured = capsys.readouterr()
-    assert captured.err == (
-        f"error: n_max must be a non-negative integer, got {value}\n"
-        "error: n_max must be a non-negative integer, got -5\n"
-    )
+    assert captured.err == "error: n_max must be a non-negative integer, got -5\n"
     assert captured.out == ""
     assert not out.exists()
 
@@ -418,10 +408,11 @@ def test_main_identical_invocations_are_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_main_usage_error_exit_codes():
-    with pytest.raises(SystemExit) as exc:
-        main(["--mode", "nonsense"])
-    assert exc.value.code == 2
+def test_main_usage_error_exit_codes(capsys):
+    assert main(["--mode", "nonsense"]) == 2
+    assert capsys.readouterr().err == (
+        "error: mode must be one of tau-sweep, s-sweep, single-point, oracle-check, got 'nonsense'\n"
+    )
     # domain errors detected after parsing also exit with the usage code
     assert main(["--mode", "tau-sweep", "--tau-steps", "0"]) == 2
     assert main(["--theta", "9.0"]) == 2
@@ -507,23 +498,93 @@ def test_single_point_row_is_the_scalar_report():
     assert [float(f"{v + 0.0:.12g}") for v in row] == rows[0]
 
 
-def test_parser_flags_are_the_config_fields_with_its_defaults():
-    parser = cli.build_parser()
-    actions = {action.dest: action for action in parser._actions if action.dest != "help"}
-    assert {name: action.default for name, action in actions.items()} == SweepConfig._field_defaults
-    for name, action in actions.items():
-        assert action.option_strings == ["--" + name.replace("_", "-")]
-        assert action.type is type(SweepConfig._field_defaults[name]), name
-        assert (action.choices is None) == (name != "mode"), name
-    assert tuple(actions["mode"].choices) == MODES
-    assert {name: action.help for name, action in actions.items() if action.help is not None} == {
+def test_parser_flags_are_the_config_fields_with_its_defaults(capsys):
+    assert cli._parse_args([]) == SweepConfig()
+    custom = SweepConfig(
+        mode="s-sweep", s=0.5, theta=1.0, n_max=12, tau_start=1.0, tau_end=3.0, tau_steps=5,
+        s_start=0.25, s_end=1.5, s_steps=7, tau=2.5, out="x.csv", oracle_n_max=9, tolerance=1e-6,
+    )
+    # every field is the flag --name-with-dashes, and its text round-trips
+    for cfg in (SweepConfig(), custom):
+        argv = []
+        for name, value in cfg._asdict().items():
+            argv += ["--" + name.replace("_", "-"), str(value)]
+        parsed = cli._parse_args(argv)
+        assert parsed == cfg
+        assert [type(v) for v in parsed] == [type(v) for v in SweepConfig()]
+    assert main(["--help"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    flag_lines = {}
+    for name, default in SweepConfig._field_defaults.items():
+        flag = "--" + name.replace("_", "-")
+        flag_lines[name] = next(line for line in lines if line.split()[:1] == [flag])
+        assert flag_lines[name].endswith(f"(default: {default})"), flag_lines[name]
+    helps = {
         "s": "squeeze parameter",
         "theta": "beam-splitter angle, radians",
         "n_max": "Fock truncation",
         "tau": "interaction time for s-sweep/single-point",
         "out": "output path, '-' for stdout",
     }
-    assert SweepConfig(**vars(parser.parse_args([]))) == SweepConfig()
+    assert cli._FLAG_HELP == helps
+    for name, text in helps.items():
+        assert f" {text} (default: " in flag_lines[name]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--bogus", "1"], "unrecognized argument '--bogus'"),
+        (["stray"], "unrecognized argument 'stray'"),
+        # no prefix abbreviations: every flag is spelled in full
+        (["--tau-st", "1"], "unrecognized argument '--tau-st'"),
+        (["--tau-st=1"], "unrecognized argument '--tau-st=1'"),
+        (["--mode", "single-point", "--tau"], "argument --tau: expected one value"),
+        (["--tau", "--mode", "single-point"], "argument --tau: expected one value"),
+        (["--tau", "abc"], "argument --tau: invalid float value: 'abc'"),
+        (["--n-max", "2.5"], "argument --n-max: invalid int value: '2.5'"),
+        (["--tau-steps="], "argument --tau-steps: invalid int value: ''"),
+    ],
+)
+def test_malformed_command_lines_are_usage_errors(args, message, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(["--out", str(out), *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
+def test_flag_values_take_either_spelling_and_the_last_wins(capsys):
+    parse = cli._parse_args
+    assert parse(["--tau=0.8"]) == parse(["--tau", "0.8"]) == SweepConfig(tau=0.8)
+    # a value may itself hold "=", and a lone "-" (stdout) is a value, not a flag
+    assert parse(["--out=a=b.csv"]).out == "a=b.csv"
+    assert parse(["--out", "-"]).out == "-"
+    assert parse(["--tau", "1", "--s", "0.5", "--tau=2"]) == SweepConfig(tau=2.0, s=0.5)
+    assert parse(["--mode", "s-sweep", "--mode", "single-point"]).mode == "single-point"
+    for flag in ("-h", "--help"):
+        # help wins over any other token, as it is read before the flags
+        assert main(["--tau", "abc", flag]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and "--tau-start" in captured.out
+
+
+def test_main_imports_no_argparse(tmp_path):
+    # the command line is read without argparse, so a run imports neither it
+    # nor the gettext and locale modules its messages load
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = str(tmp_path / "point.csv")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import cavity3q.cli as cli; "
+        f"statuses = [cli.main(['--mode', 'single-point', '--tau', '0.8', '--out', {out!r}]), "
+        "cli.main(['--help'])]; "
+        "print(statuses, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert result.stdout.splitlines()[-1] == "[0, 0] []"
+    assert Path(out).read_text().startswith("# cavity3q sweep")
 
 
 @pytest.mark.parametrize("s", [400.0, 800.0])

@@ -122,7 +122,12 @@ BAD_CONFIGS = [
     (FieldConfig, "n_max", True, "n_max must be a non-negative integer, got True"),
     (FieldConfig, "s", -1.0, "squeeze parameter s must be finite and >= 0, got -1.0"),
     (FieldConfig, "theta", 4.0, "theta must lie in [0, pi], got 4.0"),
-    (SweepConfig, "mode", "bogus", "unknown mode 'bogus'"),
+    (
+        SweepConfig,
+        "mode",
+        "bogus",
+        "mode must be one of tau-sweep, s-sweep, single-point, oracle-check, got 'bogus'",
+    ),
     (SweepConfig, "s", -1.0, "squeeze parameter s must be finite and >= 0, got -1.0"),
     (SweepConfig, "tau_steps", 0, "tau_steps must be a positive integer, got 0"),
     (SweepConfig, "s_steps", 10**14, "s_steps must be <= 1000000, got 100000000000000"),
