@@ -42,7 +42,7 @@ from .fock_field import (
     require_theta,
     truncation_deficits,
 )
-from .oracle import compare_states, full_evolution_grid
+from .oracle import _compare_stacks, full_evolution_grid
 from .tavis_cummings import _populations, closed_form_grid, states_from_elements
 
 __all__ = [
@@ -281,8 +281,12 @@ def run_oracle_check(cfg: SweepConfig) -> tuple[str, int]:
     The brute-force states of every angle come from one
     `full_evolution_grid` call, so each cavity's propagators are built
     once; the closed-form states of each angle from one `closed_form_grid`
-    call.  Rows follow theta, then s, then tau.  Returns the report text
-    and an exit status (0 all within tolerance, 1 otherwise).
+    call.  The whole grid is compared in one call of the comparison that
+    `compare_states` makes on one point (`oracle._compare_stacks`).  Rows
+    follow theta, then s, then tau, and so do the flagged entries: per
+    point, the worst entry of a point out of tolerance, then every entry
+    off the pattern in row-major order.  Returns the report text and an
+    exit status (0 all within tolerance, 1 otherwise).
     """
     if cfg.oracle_n_max > ORACLE_CHECK_MAX_N_MAX:
         raise ValueError(
@@ -294,31 +298,37 @@ def run_oracle_check(cfg: SweepConfig) -> tuple[str, int]:
         f"# n_max={cfg.oracle_n_max} tolerance={_fmt(cfg.tolerance)}",
         "# tau s theta max_abs_diff status",
     ]
-    failures = []
-    worst = 0.0
     grid = (ORACLE_CHECK_TAUS, ORACLE_CHECK_SQUEEZES)
-    oracle_states = full_evolution_grid(*grid, ORACLE_CHECK_THETAS, cfg.oracle_n_max)
-    for theta, references in zip(ORACLE_CHECK_THETAS, oracle_states):
-        closed_states = states_from_elements(closed_form_grid(*grid, theta, cfg.oracle_n_max))
-        points = product(enumerate(ORACLE_CHECK_SQUEEZES), enumerate(ORACLE_CHECK_TAUS))
-        for (s_index, s), (tau_index, tau) in points:
-            closed, reference = closed_states[tau_index, s_index], references[tau_index, s_index]
-            report = compare_states(closed, reference)
-            ok = report.max_abs_diff < cfg.tolerance
-            worst = max(worst, report.max_abs_diff)
-            status = "ok" if ok else "FAIL"
-            lines.append(f"{_fmt(tau)} {_fmt(s)} {_fmt(theta)} {_fmt(report.max_abs_diff)} {status}")
-            # the worst entry of a point out of tolerance, then every entry off the pattern
-            flagged = [] if ok else [("DISCREPANCY", *report.worst_entry)]
-            flagged += [("PATTERN", i, j) for i, j, _, _ in report.pattern_violations]
-            for kind, i, j in flagged:
-                failures.append(
-                    f"# {kind} tau={_fmt(tau)} s={_fmt(s)} theta={_fmt(theta)} entry=[{i},{j}] "
-                    f"closed={_CELL % closed[i, j]} reference={_CELL % reference[i, j]}"
-                )
-    lines.extend(failures)
-    status = 0 if not failures else 1
-    lines.append(f"# result: {'PASS' if status == 0 else 'FAIL'} max_abs_diff={_fmt(worst)}")
+    references = full_evolution_grid(*grid, ORACLE_CHECK_THETAS, cfg.oracle_n_max)
+    closed = np.stack(
+        [
+            states_from_elements(closed_form_grid(*grid, theta, cfg.oracle_n_max))
+            for theta in ORACLE_CHECK_THETAS
+        ]
+    )
+    # (theta, s, tau), the order of the rows
+    closed, references = closed.swapaxes(1, 2), references.swapaxes(1, 2)
+    diffs, worst, violations = _compare_stacks(closed, references)
+    ok = diffs < cfg.tolerance
+    axes = (ORACLE_CHECK_THETAS, ORACLE_CHECK_SQUEEZES, ORACLE_CHECK_TAUS)
+    for (theta, s, tau), diff, good in zip(product(*axes), diffs.ravel().tolist(), ok.ravel()):
+        lines.append(f"{_fmt(tau)} {_fmt(s)} {_fmt(theta)} {_fmt(diff)} {'ok' if good else 'FAIL'}")
+    discrepancies = [
+        (*point, 0, *divmod(entry, 8))
+        for point, entry in zip(np.argwhere(~ok).tolist(), worst[~ok].tolist())
+    ]
+    patterns = [(*row[:3], 1, *row[3:]) for row in violations.tolist()]
+    # rows (theta, s, tau, kind, i, j): kind 0 sorts a point's worst entry first
+    flagged = sorted(discrepancies + patterns)
+    for *point, kind, i, j in flagged:
+        theta, s, tau = (axis[index] for axis, index in zip(axes, point))
+        a, b = closed[(*point, i, j)], references[(*point, i, j)]
+        lines.append(
+            f"# {('DISCREPANCY', 'PATTERN')[kind]} tau={_fmt(tau)} s={_fmt(s)} theta={_fmt(theta)} "
+            f"entry=[{i},{j}] closed={_CELL % a} reference={_CELL % b}"
+        )
+    status = 0 if not flagged else 1
+    lines.append(f"# result: {'PASS' if status == 0 else 'FAIL'} max_abs_diff={_fmt(diffs.max())}")
     return "\n".join(lines) + "\n", status
 
 

@@ -175,6 +175,38 @@ def test_oracle_check_pattern_lines_print_real_values(monkeypatch):
         assert closed == 1e-6 and abs(reference) <= 1e-14
 
 
+def test_oracle_check_flags_every_point_in_row_order(monkeypatch):
+    # a discrepancy at [4,4] and four entries off the pattern at every
+    # point: per (theta, s, tau) point, the worst entry first, then the
+    # pattern entries in row-major order, though [0,3] and [0,7] come before [4,4]
+    cfg = SweepConfig(mode="oracle-check", oracle_n_max=6, tolerance=1e-8)
+
+    def corrupt(matrices):
+        matrices[..., 4, 4] += 1e-3
+        matrices[..., 0, 3] = matrices[..., 3, 0] = 1e-6
+        matrices[..., 0, 7] = matrices[..., 6, 1] = -2e-6
+        return matrices
+
+    _corrupt_closed_forms(monkeypatch, corrupt)
+    report, status = run_oracle_check(cfg)
+    assert status == 1
+    lines = report.splitlines()
+    flagged = [line.split()[1:6] for line in lines if line.startswith(("# DISCREPANCY", "# PATTERN"))]
+    entries = [("DISCREPANCY", 4, 4)] + [("PATTERN", *e) for e in ((0, 3), (0, 7), (3, 0), (6, 1))]
+    expected = [
+        [kind, f"tau={cli._fmt(tau)}", f"s={cli._fmt(s)}", f"theta={cli._fmt(theta)}", f"entry=[{i},{j}]"]
+        for theta in cli.ORACLE_CHECK_THETAS
+        for s in cli.ORACLE_CHECK_SQUEEZES
+        for tau in cli.ORACLE_CHECK_TAUS
+        for kind, i, j in entries
+    ]
+    assert flagged == expected
+    assert len(flagged) == 36 + 144
+    rows = [line.split() for line in lines if not line.startswith("#")]
+    assert [row[4] for row in rows] == ["FAIL"] * 36
+    assert lines[-1] == "# result: FAIL max_abs_diff=0.001"
+
+
 def test_oracle_check_evaluates_one_closed_form_grid_per_angle(monkeypatch):
     cfg = SweepConfig(mode="oracle-check", oracle_n_max=6, tolerance=1e-8)
     calls = []

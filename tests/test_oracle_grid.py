@@ -19,9 +19,11 @@ from cavity3q import (
     PATTERN_MASK,
     FieldConfig,
     closed_form_grid,
+    compare_states,
     full_evolution,
     full_evolution_grid,
     states_from_elements,
+    truncation_deficits,
 )
 from cavity3q.cli import (
     ORACLE_CHECK_SQUEEZES,
@@ -43,6 +45,20 @@ def test_grid_matches_the_closed_forms(n_max):
     for theta, states in zip(thetas, grid):
         elements = closed_form_grid(ORACLE_CHECK_TAUS, ORACLE_CHECK_SQUEEZES, theta, n_max)
         assert np.abs(states - states_from_elements(elements)).max() <= 1e-14, theta
+
+
+def test_large_squeezing_point_matches_the_closed_forms():
+    # the check grid stops at s = 0.9; at s = 2 the truncation must reach
+    # n_max 380 to keep the norm to 1e-12 (deficit 7.5e-13), and the two
+    # angles agree to 1e-12 (measured 5.8e-16 and 6.8e-16); about 0.2 s of CPU
+    thetas = (math.pi / 2.0, math.pi)
+    assert truncation_deficits([2.0], 380)[0] < 1e-12
+    grid = full_evolution_grid([14.5], [2.0], thetas, 380)
+    closed = [states_from_elements(closed_form_grid([14.5], [2.0], theta, 380)) for theta in thetas]
+    for theta, reference, state in zip(thetas, grid, closed):
+        report = compare_states(state[0, 0], reference[0, 0])
+        assert report.max_abs_diff < 1e-12, theta
+        assert not report.pattern_violations, theta
 
 
 def test_full_evolution_is_the_grid_of_one():
