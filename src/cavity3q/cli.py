@@ -206,11 +206,8 @@ def _warn_truncation(deficits: np.ndarray, squeezes: np.ndarray, n_max: int) -> 
         )
 
 
-# One CSV row: `_CELL` for every column.
-_ROW_FORMAT = ",".join([_CELL] * len(COLUMNS))
-
-
 def _csv_text(cfg: SweepConfig, header_extra: list[str], rows: np.ndarray) -> str:
+    """The CSV of a sweep's rows (at least one), whose negative zeros it turns into 0 in place."""
     lines = [
         "# cavity3q sweep",
         f"# mode={cfg.mode} s={_fmt(cfg.s)} theta={_fmt(cfg.theta)} n_max={cfg.n_max}",
@@ -218,9 +215,13 @@ def _csv_text(cfg: SweepConfig, header_extra: list[str], rows: np.ndarray) -> st
         "# columns: " + ",".join(COLUMNS),
         ",".join(COLUMNS),
     ]
-    # the whole body in one %-format call; + 0.0 turns IEEE negative zero
-    # into plain 0, as in `_fmt`
-    body = ((_ROW_FORMAT + "\n") * len(rows)) % tuple((rows + 0.0).ravel().tolist())
+    # + 0.0 turns IEEE negative zero into plain 0, as in `_fmt`
+    rows += 0.0
+    # a column equal in every row, such as a tau-sweep's s, is formatted
+    # once into the row format; the rest of the body is one %-format call
+    same = (rows == rows[:1]).all(axis=0)
+    cells = [_CELL % value if fixed else _CELL for value, fixed in zip(rows[0].tolist(), same.tolist())]
+    body = ((",".join(cells) + "\n") * len(rows)) % tuple(rows[:, ~same].ravel().tolist())
     return "\n".join(lines) + "\n" + body
 
 

@@ -14,8 +14,11 @@ tables factor exactly as ``W(s) = U.T @ diag(norm(s)) @ U`` with ``U``
 depending only on (theta, n_max) and the squeezed-pair norms carrying all of
 the s dependence, so a whole (tau, s) grid costs a few small matrix
 products: `closed_form_grid`.  At theta = 0 and theta = pi the snapped
-half-angle makes every factor an exact 0/1 selection, which is applied by
-indexing instead of a product.  `closed_form_rho` is its grid of one.
+half-angle makes every factor an exact 0/1 selection, which takes no
+product: at theta = pi (``U0 = I``, ``U1 = [I 0]``) each band is the
+elementwise product of the amplitudes' leading columns, at theta = 0 a
+copy of the picked columns.  Either gives the values of the product, up
+to the sign of a zero.  `closed_form_rho` is its grid of one.
 
 The block amplitudes need cos and sin of every phase tau * rate, at the
 pair's rates sqrt(2(2q-1)) and cavity 2's sqrt(p).  When the tau axis is an
@@ -328,34 +331,44 @@ def _tau_trig(taus: np.ndarray, *rate_blocks: np.ndarray):
     return trig
 
 
-def _selection(factor: np.ndarray) -> np.ndarray | None:
+def _selection(factor: np.ndarray) -> np.ndarray | slice | None:
     """How a 0/1 selection factor picks columns: ``x @ factor.T`` is ``x[:, picks]``.
 
     A selection factor holds at most one nonzero entry per row, and that
     entry is exactly 1.  Returns the column each row picks (-1 for an
-    all-zero row), or None for any other factor.
+    all-zero row), or None for any other factor.  When row i picks column i
+    for every one of the m rows, as ``I`` and ``[I 0]`` do, the picks are
+    returned as the slice of the leading m columns.
     """
     nonzero = factor != 0.0
     if (nonzero.sum(axis=1) > 1).any() or (factor[nonzero] != 1.0).any():
         return None
-    return np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), -1)
+    picks = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), -1)
+    if np.array_equal(picks, np.arange(len(picks))):
+        return slice(len(picks))
+    return picks
 
 
 def _times_factor(
     a: np.ndarray,
     b: np.ndarray,
     factor: np.ndarray,
-    picks: np.ndarray | None,
+    picks: np.ndarray | slice | None,
     square: np.ndarray,
     out: np.ndarray,
 ) -> np.ndarray:
     """``(a * b) @ factor.T`` into out, with `_selection`'s ``picks`` of the factor.
 
-    a * b is formed in ``square``.  A selection is applied by indexing, with
-    no product, and an all-zero row writes 0: a product by a selection row
-    is its one picked entry times 1 plus products with 0, so the copy is bit
-    for bit the product.  Any other factor takes the BLAS product.
+    A product by a selection row is its one picked entry times 1 plus
+    products with 0, so a selection takes no product, only the picked
+    entries of a * b.  Picks that are the leading columns in order are
+    multiplied straight into out; other picks are formed in ``square`` and
+    copied out by indexing, with 0 for an all-zero row.  Either way the
+    values equal the BLAS product's, up to the sign of a zero.  Any other
+    factor takes the BLAS product of a * b, formed in ``square``.
     """
+    if isinstance(picks, slice):
+        return np.multiply(a[:, picks], b[:, picks], out=out)
     np.multiply(a, b, out=square)
     if picks is None:
         return np.matmul(square, factor.T, out=out)
@@ -383,9 +396,11 @@ def _fill_elements(
     C-contiguous view of the leading slots of one of them, the layout of a
     fresh array, so every element rounds as a freshly allocated product would.
     A field factor that is a 0/1 selection (`_selection`), as both are at
-    theta = 0 and theta = pi, is applied by indexing (`_times_factor`); any
-    other takes the BLAS product.  The squeeze norms always do.  The cos and
-    sin of every phase come from `_tau_trig`.
+    theta = 0 and theta = pi, takes no product (`_times_factor`): at theta =
+    pi the bands are the amplitudes' elementwise products, at theta = 0
+    copies of the picked columns.  Any other factor takes the BLAS product.
+    The squeeze norms always do.  The cos and sin of every phase come from
+    `_tau_trig`.
     """
     size, rows = u0.shape[0], min(_TAU_CHUNK, len(taus))
     picks0, picks1 = _selection(u0), _selection(u1)

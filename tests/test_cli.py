@@ -103,8 +103,8 @@ def test_csv_rows_match_str_format_byte_for_byte():
     values = np.array(specials)
     cfg = SweepConfig()
     reference = ",".join(["{:.12g}"] * len(COLUMNS))
-    # the whole body is one %-format call: a stack of every rotation, one row
-    # and a production-sized 600 rows
+    # the varying columns of the body are one %-format call: a stack of every
+    # rotation, one row and a production-sized 600 rows
     for count in (len(values), 1, 600):
         rows = np.stack([np.roll(values, k)[: len(COLUMNS)] for k in range(count)])
         text = cli._csv_text(cfg, [], rows)
@@ -112,6 +112,48 @@ def test_csv_rows_match_str_format_byte_for_byte():
         assert text.splitlines()[-len(rows) - 1:] == [",".join(COLUMNS), *expected]
         assert text.endswith("\n") and "-0," not in text and "nan" in text and "-inf" in text
         assert "1e+12" in text and "1.00000000002e+12" in text and "12345678901.2" in text
+
+
+def str_format_body(rows):
+    """The CSV body as the "{:.12g}" rendering of every cell, negative zero printed as 0."""
+    reference = ",".join(["{:.12g}"] * rows.shape[1])
+    return [reference.format(*row) for row in (rows + 0.0).tolist()]
+
+
+def test_constant_csv_columns_match_str_format_byte_for_byte():
+    # a column equal in every row is formatted once into the row format
+    cfg = SweepConfig()
+    varying = np.linspace(-2.5, 3.5, 5 * len(COLUMNS)).reshape(5, len(COLUMNS)) ** 3
+    varying[:, 0] = math.nan
+    varying[:, 1] = math.inf
+    varying[:, 2] = -math.inf
+    varying[:, 3] = -0.0
+    varying[:, 4] = [-0.0, 0.0, -0.0, 0.0, -0.0]  # one value once + 0.0 has run
+    varying[:, 5] = 0.1
+    varying[:, 6] = 1000000000005.0  # a 12-digit tie
+    for count in (1, 2, 5):
+        rows = varying[:count].copy()
+        rows[-1, 5] = 0.2  # equal except in the last row
+        expected = str_format_body(rows)
+        text = cli._csv_text(cfg, [], rows.copy())
+        assert text.splitlines()[-count - 1:] == [",".join(COLUMNS), *expected]
+        assert text.endswith("\n") and "-0," not in text
+
+
+@pytest.mark.parametrize("mode", ["tau-sweep", "s-sweep"])
+def test_default_sweep_body_matches_str_format_byte_for_byte(mode, monkeypatch):
+    csv_text, seen = cli._csv_text, []
+
+    def recording(cfg, header_extra, rows):
+        seen.append(rows.copy())
+        return csv_text(cfg, header_extra, rows)
+
+    monkeypatch.setattr(cli, "_csv_text", recording)
+    text = run_sweep(SweepConfig(mode=mode))
+    (rows,) = seen
+    # a tau-sweep's s and truncation deficit, an s-sweep's tau
+    assert (rows == rows[0]).all(axis=0).any()
+    assert text.splitlines()[-len(rows):] == str_format_body(rows)
 
 
 def test_analytic_and_eigensolver_columns_agree():

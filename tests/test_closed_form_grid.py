@@ -21,16 +21,20 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cavity3q.tavis_cummings as tavis_cummings
 from cavity3q import (
     FieldConfig,
     closed_form_grid,
     closed_form_rho,
+    compare_states,
     full_evolution_grid,
     states_from_elements,
+    truncation_deficits,
 )
-from cavity3q.cli import main
+from cavity3q.cli import ORACLE_CHECK_TAUS, main
 
 REFERENCE_TOL = 1e-14
 # two evaluations of one element by the same arithmetic in different BLAS row blocks
@@ -43,6 +47,10 @@ THETAS = (math.pi, math.pi / 2.0, math.pi / 3.0, 1.1, 0.0)
 SQUEEZES = (0.0, 0.3, 1.2, 2.0)
 N_MAXES = (0, 1, 2, 25, 80)
 TAUS = (0.0, 0.3, 0.8, 2.0, 14.5)
+# the closed form against brute force over (tau <= 20, s <= 2, theta), each
+# point at the n_max that keeps 1e-12 of the norm
+PROPERTY_TOL = 1e-12
+PROPERTY_EXAMPLES = 40
 
 
 @pytest.mark.parametrize("theta", THETAS)
@@ -54,6 +62,33 @@ def test_grid_matches_brute_force_evolution(theta):
         reference = full_evolution_grid(TAUS, SQUEEZES, theta, n_max)[0]
         worst = max(worst, np.abs(states_from_elements(grid) - reference).max())
     assert worst <= REFERENCE_TOL
+
+
+def deficit_n_max(s):
+    """The least n_max whose truncation drops at most 1e-12 of the norm at s: tanh(s)^(2 n_max + 2) <= 1e-12."""
+    if s == 0.0:
+        return 0
+    return max(0, math.ceil(math.log(1e-12) / (2.0 * math.log(math.tanh(s)))) - 1)
+
+
+# the whole parameter box, at the n_max its squeeze needs; theta = 0 and
+# theta = pi, where both field factors are selections, are drawn explicitly
+@settings(deadline=None, max_examples=PROPERTY_EXAMPLES, derandomize=True)
+@given(
+    st.floats(0.0, 20.0),
+    st.floats(0.0, 2.0),
+    st.one_of(st.sampled_from([0.0, math.pi]), st.floats(0.0, math.pi)),
+)
+@example(20.0, 2.0, math.pi)
+@example(20.0, 2.0, 0.0)
+def test_grid_matches_brute_force_evolution_over_the_parameter_box(tau, s, theta):
+    n_max = deficit_n_max(s)
+    assert truncation_deficits([s], n_max)[0] <= 1e-12 * (1.0 + 1e-9)
+    elements = closed_form_grid([tau], [s], theta, n_max)[0, 0]
+    reference = full_evolution_grid([tau], [s], [theta], n_max)[0, 0, 0]
+    report = compare_states(states_from_elements(elements), reference)
+    assert report.max_abs_diff <= PROPERTY_TOL
+    assert report.pattern_violations == []
 
 
 @pytest.mark.parametrize(
@@ -91,6 +126,27 @@ def test_only_rows_of_a_single_one_make_a_selection():
     assert selection(np.array([[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]])).tolist() == [1, -1, 0]
     assert selection(np.array([[0.0, 0.5]])) is None
     assert selection(np.array([[1.0, 1.0]])) is None
+    # rows that pick their own column, I and [I 0], are the leading columns
+    assert selection(np.eye(3)) == slice(3)
+    assert selection(np.eye(3, 4)) == slice(3)
+    assert selection(np.eye(1, 1)) == slice(1)
+    assert selection(np.zeros((0, 1))) == slice(0)
+    # out of order, shifted, or with a zero row: picks
+    assert selection(np.eye(3)[[1, 0, 2]]).tolist() == [1, 0, 2]
+    assert selection(np.eye(3, 4, k=1)).tolist() == [1, 2, 3]
+    assert selection(np.eye(4, 3)).tolist() == [0, 1, 2, -1]
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 25, 80])
+@pytest.mark.parametrize("theta", [math.pi, 0.0])
+def test_selections_equal_the_dense_product(theta, n_max, monkeypatch):
+    # theta = pi takes the leading columns, theta = 0 the picked copies; with
+    # no selection the same factors take the BLAS product
+    axes = (np.linspace(0.0, 20.0, 600), ORACLE_CHECK_TAUS)
+    selected = [closed_form_grid(taus, SQUEEZES, theta, n_max) for taus in axes]
+    monkeypatch.setattr(tavis_cummings, "_selection", lambda factor: None)
+    for taus, expected in zip(axes, selected):
+        assert np.array_equal(closed_form_grid(taus, SQUEEZES, theta, n_max), expected)
 
 
 def test_closed_form_rho_is_a_grid_of_one():
