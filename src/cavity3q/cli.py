@@ -88,8 +88,9 @@ ORACLE_CHECK_TAUS = (0.3, 0.8, 2.0, 14.5)
 ORACLE_CHECK_SQUEEZES = (0.3, 0.6, 0.9)
 ORACLE_CHECK_THETAS = (math.pi / 3.0, math.pi / 2.0, math.pi)
 # Largest --oracle-n-max: the sweeps' production truncation.  The 36-point
-# check takes about 0.027 s of CPU and 36 MB of VmHWM there, in a fresh
-# process (one BLAS thread, one pinned Xeon core).
+# check takes 0.012-0.014 s of CPU and 33.9 MB of VmHWM there, in a fresh
+# process with the package's bytecode compiled (one BLAS thread, one pinned
+# Xeon core); compiling the package in that process adds about 1 MB.
 ORACLE_CHECK_MAX_N_MAX = 80
 
 # Largest --tau-steps and --s-steps.  A sweep holds about 1.6 KB per grid

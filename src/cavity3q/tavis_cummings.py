@@ -170,34 +170,37 @@ def _pair_block_amplitudes(cos_f: np.ndarray, sin_f: np.ndarray) -> tuple[np.nda
     """Two-atom block amplitudes per tau (rows) against photon number q = 0..count-1.
 
     ``cos_f`` and ``sin_f`` hold cos and sin of the pair's phases
-    sqrt(2(2q-1)) tau for q = 1..count-1 (columns).
-    Returns (stay, one_up, two_up): the amplitudes for the symmetric pair to
-    absorb zero, one or two photons out of q.  The generic expressions
-    reference sqrt(2(2q-1)), which only exists for q >= 1, so the empty-cavity
-    entries (stay = 1, others 0) are set directly; at q = 1 the two-photon
-    rung vanishes through its sqrt(q(q-1)) factor.  The arithmetic runs in
-    place in the three returned arrays.
+    sqrt(2(2q-1)) tau for q = 1..count-1 (columns), after a column for q = 0
+    whose values are never read: any finite ones, such as those of a rate
+    of 0.  Returns (stay, one_up, two_up), of the same shape: the amplitudes
+    for the symmetric pair to absorb zero, one or two photons out of q.  The
+    generic expressions reference sqrt(2(2q-1)), which only exists for
+    q >= 1, so they run over whole rows and the empty-cavity column is then
+    written as stay = 1, others 0; at q = 1 the two-photon rung vanishes
+    through its sqrt(q(q-1)) factor.  The arithmetic runs in place in the
+    three returned arrays.
     """
-    shape = (cos_f.shape[0], cos_f.shape[1] + 1)
-    stay, one_up, two_up = np.empty(shape), np.empty(shape), np.empty(shape)
-    stay[:, :1], one_up[:, :1], two_up[:, :1] = 1.0, 0.0, 0.0
-    q = np.arange(1, shape[1], dtype=float)
+    stay, one_up, two_up = np.empty(cos_f.shape), np.empty(cos_f.shape), np.empty(cos_f.shape)
+    q = np.arange(cos_f.shape[1], dtype=float)
     denom = 2.0 * q - 1.0
-    stay_q, one_q, two_q = stay[:, 1:], one_up[:, 1:], two_up[:, 1:]
-    np.add(q - 1.0, np.multiply(q, cos_f, out=stay_q), out=stay_q)
-    stay_q /= denom
-    np.multiply(np.sqrt(q), sin_f, out=one_q)
-    one_q /= np.sqrt(denom)
-    np.multiply(np.sqrt(q * (q - 1.0)), np.subtract(cos_f, 1.0, out=two_q), out=two_q)
-    two_q /= denom
+    np.add(q - 1.0, np.multiply(q, cos_f, out=stay), out=stay)
+    stay /= denom
+    np.multiply(np.sqrt(q), sin_f, out=one_up)
+    # |denom| keeps q = 0's square root real; that column is overwritten below
+    one_up /= np.sqrt(np.abs(denom))
+    np.multiply(np.sqrt(q * (q - 1.0)), np.subtract(cos_f, 1.0, out=two_up), out=two_up)
+    two_up /= denom
+    stay[:, 0], one_up[:, 0], two_up[:, 0] = 1.0, 0.0, 0.0
     return stay, one_up, two_up
 
 
 # Tau points evaluated together.  Sizes the workspace that each
 # `closed_form_grid` call allocates once, after its result, and every chunk
-# reuses: (points, n_max + 2) work arrays for a whole 600-point sweep would
-# raise the peak resident set by MBs, and work arrays made afresh per chunk
-# would be trimmed from the heap and faulted back in by the next chunk.
+# reuses: rows of n_max + 2 values, one per tau, so that each elementwise
+# step of a chunk is one pass over a contiguous buffer.  Work arrays for a
+# whole 600-point sweep would raise the peak resident set by MBs, and work
+# arrays made afresh per chunk would be trimmed from the heap and faulted
+# back in by the next chunk.
 _TAU_CHUNK = 64
 # A tau axis is arithmetic when every point lies within this many ulps of
 # its largest tau from its chunk's first point plus j steps; the command
@@ -350,30 +353,39 @@ def _selection(factor: np.ndarray) -> np.ndarray | slice | None:
 
 
 def _times_factor(
-    a: np.ndarray,
-    b: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
+    shift: int,
     factor: np.ndarray,
     picks: np.ndarray | slice | None,
     square: np.ndarray,
     out: np.ndarray,
 ) -> np.ndarray:
-    """``(a * b) @ factor.T`` into out, with `_selection`'s ``picks`` of the factor.
+    """``(x[:, :k] * y[:, shift:shift + k]) @ factor.T`` into out's leading m columns, factor (m, k).
 
+    x, y, ``square`` and out are C-contiguous (points, width) arrays with
+    k + shift <= width, and ``picks`` is `_selection`'s of the factor.  The
+    product is formed over the whole flat buffers, y read ``shift`` (0 or 1)
+    slots on, so each row's columns from m on hold values that nothing is
+    meant to read: with a shift of 1 its last column pairs x's with the
+    next row's first, and the last row's last slot keeps what it held.
     A product by a selection row is its one picked entry times 1 plus
     products with 0, so a selection takes no product, only the picked
-    entries of a * b.  Picks that are the leading columns in order are
-    multiplied straight into out; other picks are formed in ``square`` and
-    copied out by indexing, with 0 for an all-zero row.  Either way the
-    values equal the BLAS product's, up to the sign of a zero.  Any other
-    factor takes the BLAS product of a * b, formed in ``square``.
+    entries of x * y.  Picks that are the leading columns in order, as
+    ``I`` and ``[I 0]`` make, are the flat product itself, formed straight
+    in out; other picks are formed in ``square`` and copied out by
+    indexing, with 0 for an all-zero row.  Either way the values equal the
+    BLAS product's, up to the sign of a zero.  Any other factor takes the
+    BLAS product of the leading columns of ``square``.
     """
-    if isinstance(picks, slice):
-        return np.multiply(a[:, picks], b[:, picks], out=out)
-    np.multiply(a, b, out=square)
+    m, k = factor.shape
+    flat = (out if isinstance(picks, slice) else square).reshape(-1)
+    np.multiply(x.reshape(-1)[: flat.size - shift], y.reshape(-1)[shift:], out=flat[: flat.size - shift])
     if picks is None:
-        return np.matmul(square, factor.T, out=out)
-    np.take(square, picks, axis=1, out=out, mode="wrap")
-    np.copyto(out, 0.0, where=picks < 0)
+        np.matmul(square[:, :k], factor.T, out=out[:, :m])
+    elif not isinstance(picks, slice):
+        np.take(square[:, :k], picks, axis=1, out=out[:, :m], mode="wrap")
+        np.copyto(out[:, :m], 0.0, where=picks < 0)
     return out
 
 
@@ -392,57 +404,64 @@ def _fill_elements(
 ) -> None:
     """`closed_form_grid` written to out (len(taus), S, 8), `_TAU_CHUNK` taus at a time.
 
-    Every chunk reuses one workspace of flat buffers.  Each product lands in a
-    C-contiguous view of the leading slots of one of them, the layout of a
-    fresh array, so every element rounds as a freshly allocated product would.
-    A field factor that is a 0/1 selection (`_selection`), as both are at
-    theta = 0 and theta = pi, takes no product (`_times_factor`): at theta =
-    pi the bands are the amplitudes' elementwise products, at theta = 0
-    copies of the picked columns.  Any other factor takes the BLAS product.
-    The squeeze norms always do.  The cos and sin of every phase come from
-    `_tau_trig`.
+    Every chunk reuses one workspace of flat buffers, zeroed once per call,
+    whose rows hold one tau's values at photon numbers 0..n_max + 1.  So
+    every elementwise step, from cos and sin to the bands, is one pass over
+    whole rows, and the columns past a band's width get finite values that
+    nothing reads.  A field factor that is a 0/1 selection (`_selection`),
+    as both are at theta = 0 and theta = pi, takes no product
+    (`_times_factor`): at theta = pi the bands are the amplitudes'
+    elementwise products, at theta = 0 copies of the picked columns.  Any
+    other factor takes the BLAS product, and so do the squeeze norms, each
+    on a view of a band's leading columns with rows n_max + 2 apart.  BLAS
+    reads such a view through its leading dimension, in the order it reads a
+    C-contiguous copy, so each element rounds the same: with OpenBLAS at one
+    and two threads, the elements of 1,296 grids (8 angles from 0 to pi,
+    n_max 0 to 80, axes of 1 to 600 taus, 1 to 200 squeezes) are bit for bit
+    those of products formed in C-contiguous arrays of each band's width,
+    and the tests hold `_times_factor` to it.  The cos and sin of every
+    phase come from `_tau_trig`.
     """
     size, rows = u0.shape[0], min(_TAU_CHUNK, len(taus))
+    width = size + 1
     picks0, picks1 = _selection(u0), _selection(u1)
     # a squared amplitude or product, cos^2 @ U0.T, sin^2 @ U0.T and the
     # cavity-2 coherence product
-    square_w, cos_u0_w, sin_u0_w, coh_w = (np.empty(rows * size) for _ in range(4))
-    band0_w, band1_w = np.empty(6 * rows * size), np.empty(2 * rows * (size - 1))
+    work = [np.zeros(rows * width) for _ in range(4)]
+    band0_w, band1_w = np.zeros(6 * rows * width), np.zeros(2 * rows * width)
     elements_w = np.empty(8 * rows * norm0.shape[0])
-    # the pair's phases for q = 1..size (block 0), then cavity 2's for p =
+    # the pair's phases for q = 0..size (block 0), with q = 0's rate 0 for a
+    # column `_pair_block_amplitudes` overwrites, then cavity 2's for p =
     # 0..size (block 1): one photon number beyond the table each, so the
     # shifted (q+1, p+1) bra factors of the coherence band stay in range
-    q = np.arange(1, size + 1, dtype=float)
-    trig = _tau_trig(taus, np.sqrt(2.0 * (2.0 * q - 1.0)), np.sqrt(np.arange(size + 1, dtype=float)))
+    q = np.arange(1, width, dtype=float)
+    pair_rates = np.concatenate(([0.0], np.sqrt(2.0 * (2.0 * q - 1.0))))
+    trig = _tau_trig(taus, pair_rates, np.sqrt(np.arange(width, dtype=float)))
     for start in range(0, len(taus), _TAU_CHUNK):
         # looked up through the module on every chunk, so a test can substitute it
         stay, one_up, two_up = _pair_block_amplitudes(*trig(start, 0))
         cos_b, sin_b = trig(start, 1)
         points = len(cos_b)
-        stay0, one0, two0 = stay[:, :size], one_up[:, :size], two_up[:, :size]
-        cos0, sin0 = cos_b[:, :size], sin_b[:, :size]
-        square, cos_u0, sin_u0 = (_leading(w, points, size) for w in (square_w, cos_u0_w, sin_u0_w))
-        band0 = _leading(band0_w, 6, points, size)
+        square, cos_u0, sin_u0, coh_u1 = (_leading(w, points, width) for w in work)
+        band0, band1 = _leading(band0_w, 6, points, width), _leading(band1_w, 2, points, width)
 
         # Each element is sum_{q,p} W[q, p] a[q] b[p] = sum_n norm[n] (U a)[n] (U b)[n].
-        _times_factor(cos0, cos0, u0, picks0, square, cos_u0)
-        _times_factor(sin0, sin0, u0, picks0, square, sin_u0)
-        for k, x in enumerate((stay0, one0, two0)):
-            pair = _times_factor(x, x, u0, picks0, square, band0[k + 3])
+        _times_factor(cos_b, cos_b, 0, u0, picks0, square, cos_u0)
+        _times_factor(sin_b, sin_b, 0, u0, picks0, square, sin_u0)
+        for k, x in enumerate((stay, one_up, two_up)):
+            pair = _times_factor(x, x, 0, u0, picks0, square, band0[k + 3])
             np.multiply(pair, cos_u0, out=band0[k])
             pair *= sin_u0
 
-        coh_u1 = _leading(coh_w, points, size - 1)
-        band1 = _leading(band1_w, 2, points, size - 1)
-        _times_factor(cos0, sin_b[:, 1:], u1, picks1, square, coh_u1)
-        for k, (x, y) in enumerate(((stay0, one_up[:, 1:]), (one0, two_up[:, 1:]))):
-            _times_factor(x, y, u1, picks1, square, band1[k])
+        _times_factor(cos_b, sin_b, 1, u1, picks1, square, coh_u1)
+        for k, (x, y) in enumerate(((stay, one_up), (one_up, two_up))):
+            _times_factor(x, y, 1, u1, picks1, square, band1[k])
             band1[k] *= coh_u1
         np.negative(band1[0], out=band1[0])
 
         elements = _leading(elements_w, 8, points, norm0.shape[0])
-        np.matmul(band0, norm0.T, out=elements[:6])
-        np.matmul(band1, norm1.T, out=elements[6:])
+        np.matmul(band0[..., :size], norm0.T, out=elements[:6])
+        np.matmul(band1[..., : size - 1], norm1.T, out=elements[6:])
         out[start : start + points] = np.moveaxis(elements, 0, -1)
 
 

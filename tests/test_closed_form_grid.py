@@ -51,6 +51,9 @@ TAUS = (0.0, 0.3, 0.8, 2.0, 14.5)
 # point at the n_max that keeps 1e-12 of the norm
 PROPERTY_TOL = 1e-12
 PROPERTY_EXAMPLES = 40
+# a DISCREPANCIES.md variant that moves its element by more than this must
+# fail PROPERTY_TOL: each of its slots moves by at least VARIANT_MOVE / sqrt2
+VARIANT_MOVE = 1e-10
 
 
 @pytest.mark.parametrize("theta", THETAS)
@@ -71,24 +74,55 @@ def deficit_n_max(s):
     return max(0, math.ceil(math.log(1e-12) / (2.0 * math.log(math.tanh(s)))) - 1)
 
 
-# the whole parameter box, at the n_max its squeeze needs; theta = 0 and
-# theta = pi, where both field factors are selections, are drawn explicitly
-@settings(deadline=None, max_examples=PROPERTY_EXAMPLES, derandomize=True)
-@given(
-    st.floats(0.0, 20.0),
-    st.floats(0.0, 2.0),
-    st.one_of(st.sampled_from([0.0, math.pi]), st.floats(0.0, math.pi)),
-)
-@example(20.0, 2.0, math.pi)
-@example(20.0, 2.0, 0.0)
-def test_grid_matches_brute_force_evolution_over_the_parameter_box(tau, s, theta):
-    n_max = deficit_n_max(s)
-    assert truncation_deficits([s], n_max)[0] <= 1e-12 * (1.0 + 1e-9)
-    elements = closed_form_grid([tau], [s], theta, n_max)[0, 0]
-    reference = full_evolution_grid([tau], [s], [theta], n_max)[0, 0, 0]
-    report = compare_states(states_from_elements(elements), reference)
-    assert report.max_abs_diff <= PROPERTY_TOL
-    assert report.pattern_violations == []
+AMPLITUDES = tavis_cummings._pair_block_amplitudes
+
+
+def slipped_amplitudes(cos_f, sin_f):
+    """`_pair_block_amplitudes` with DISCREPANCIES.md 2's slip: sqrt(q-1)/sqrt(2q-1) leading the one-photon rung."""
+    stay, one_up, two_up = AMPLITUDES(cos_f, sin_f)
+    q = np.arange(one_up.shape[1], dtype=float)
+    return stay, one_up * np.sqrt(np.maximum(q - 1.0, 0.0) / np.maximum(q, 1.0)), two_up
+
+
+def test_grid_matches_brute_force_evolution_over_the_parameter_box():
+    # DISCREPANCIES.md 1 flips the sign of r15 (element 6), 2 slips r26
+    # (element 7); wherever a variant moves its element by more than
+    # VARIANT_MOVE, far above PROPERTY_TOL, the same reference must reject it
+    rejected = Counter()
+
+    # the whole parameter box, at the n_max its squeeze needs; theta = 0 and
+    # theta = pi, where both field factors are selections, are drawn explicitly
+    @settings(deadline=None, max_examples=PROPERTY_EXAMPLES, derandomize=True)
+    @given(
+        st.floats(0.0, 20.0),
+        st.floats(0.0, 2.0),
+        st.one_of(st.sampled_from([0.0, math.pi]), st.floats(0.0, math.pi)),
+    )
+    @example(20.0, 2.0, math.pi)
+    @example(20.0, 2.0, 0.0)
+    def draw(tau, s, theta):
+        n_max = deficit_n_max(s)
+        assert truncation_deficits([s], n_max)[0] <= 1e-12 * (1.0 + 1e-9)
+        elements = closed_form_grid([tau], [s], theta, n_max)[0, 0]
+        reference = full_evolution_grid([tau], [s], [theta], n_max)[0, 0, 0]
+        report = compare_states(states_from_elements(elements), reference)
+        assert report.max_abs_diff <= PROPERTY_TOL
+        assert report.pattern_violations == []
+
+        flipped = elements.copy()
+        flipped[6] = -flipped[6]
+        slipped = elements.copy()
+        # a context manager, as hypothesis refuses the function-scoped monkeypatch fixture
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tavis_cummings, "_pair_block_amplitudes", slipped_amplitudes)
+            slipped[7] = closed_form_grid([tau], [s], theta, n_max)[0, 0, 7]
+        for variant, k, varied in (("r15 sign", 6, flipped), ("r26 slip", 7, slipped)):
+            if abs(varied[k] - elements[k]) > VARIANT_MOVE:
+                assert compare_states(states_from_elements(varied), reference).max_abs_diff > PROPERTY_TOL
+                rejected[variant] += 1
+
+    draw()
+    assert rejected["r15 sign"] >= 1 and rejected["r26 slip"] >= 1
 
 
 @pytest.mark.parametrize(
@@ -141,12 +175,44 @@ def test_only_rows_of_a_single_one_make_a_selection():
 @pytest.mark.parametrize("theta", [math.pi, 0.0])
 def test_selections_equal_the_dense_product(theta, n_max, monkeypatch):
     # theta = pi takes the leading columns, theta = 0 the picked copies; with
-    # no selection the same factors take the BLAS product
-    axes = (np.linspace(0.0, 20.0, 600), ORACLE_CHECK_TAUS)
+    # no selection the same factors take the BLAS product.  65 points are a
+    # full tau chunk and a chunk of one row, a single tau a chunk of one
+    axes = (np.linspace(0.0, 20.0, 600), ORACLE_CHECK_TAUS, np.linspace(0.0, 20.0, 65), [14.5])
     selected = [closed_form_grid(taus, SQUEEZES, theta, n_max) for taus in axes]
     monkeypatch.setattr(tavis_cummings, "_selection", lambda factor: None)
     for taus, expected in zip(axes, selected):
         assert np.array_equal(closed_form_grid(taus, SQUEEZES, theta, n_max), expected)
+
+
+@pytest.mark.parametrize("points", [1, 7, 64])
+@pytest.mark.parametrize("theta", [math.pi, 0.0, 1.1], ids=["slice", "picks", "blas"])
+@pytest.mark.parametrize("band", [0, 1])
+@pytest.mark.parametrize("shift", [0, 1])
+def test_row_padded_products_equal_products_of_unpadded_copies(shift, band, theta, points):
+    # rows of width n_max + 2, as the closed form's workspace holds them;
+    # theta = pi makes the factors I and [I 0], theta = 0 picks, 1.1 dense
+    n_max = 25
+    width = n_max + 2
+    factor = tavis_cummings._field_factors(theta, n_max)[band]
+    picks = tavis_cummings._selection(factor)
+    assert {math.pi: slice, 0.0: np.ndarray, 1.1: type(None)}[theta] is type(picks)
+    m, k = factor.shape
+    rng = np.random.default_rng(points + 10 * shift + 100 * band)
+    x, y = rng.uniform(-1.0, 1.0, (2, points, width))
+    expected = (x[:, :k].copy() * y[:, shift : shift + k].copy()) @ factor.T
+
+    def product(x, y, fill):
+        square, out = np.full((2, points, width), fill)
+        return tavis_cummings._times_factor(x, y, shift, factor, picks, square, out)[:, :m]
+
+    got = product(x, y, 0.0)
+    assert np.array_equal(got, expected)
+    # other finite values in every column nothing reads: x's last, y's last
+    # unless the shift reaches it, and all of the work and output buffers
+    x[:, -1] = rng.uniform(-1e3, 1e3, points)
+    if shift + k < width:
+        y[:, -1] = rng.uniform(-1e3, 1e3, points)
+    assert np.array_equal(product(x, y, 7.5), got)
 
 
 def test_closed_form_rho_is_a_grid_of_one():

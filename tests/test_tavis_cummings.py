@@ -49,8 +49,9 @@ def symmetric_ladder(taus, count):
 
 
 def pair_amplitudes(taus, count):
-    """`_pair_block_amplitudes` at the pair's phases sqrt(2(2q-1)) tau, q = 1..count-1."""
-    phase = np.multiply.outer(taus, np.sqrt(2.0 * (2.0 * np.arange(1, count) - 1.0)))
+    """`_pair_block_amplitudes` at the pair's phases sqrt(2(2q-1)) tau, q = 1..count-1, after q = 0's rate 0."""
+    rates = np.concatenate(([0.0], np.sqrt(2.0 * (2.0 * np.arange(1, count) - 1.0))))
+    phase = np.multiply.outer(taus, rates)
     return _pair_block_amplitudes(np.cos(phase), np.sin(phase))
 
 
