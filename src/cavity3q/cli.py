@@ -57,30 +57,29 @@ __all__ = [
     "main",
 ]
 
-COLUMNS = [
-    "tau",
-    "s",
-    "P1",
-    "P2",
-    "P3",
-    "P4",
-    "P5",
-    "P6",
-    "P7",
-    "P8",
-    "N_G_B",
-    "N_G_B_analytic",
-    "N_PSDG_B",
-    "N_PSDG_A1",
-    "E3_B",
-    "E_PSD_B_BA1",
-    "E_PSD_A1_A1A2",
-    "E_PSD_A1_A1B",
-    "S_lin_B",
-    "F_W1",
-    "bell_projection",
-    "truncation_deficit",
-]
+# The CSV's columns, in order: each is its name, the array it is read from
+# and a key into that array, or None.  The arrays, named in `run_sweep`, are
+# the fields of the kernel's `NegativityBatch` and the grid's taus,
+# squeezes, populations and truncation deficits.
+_COLUMN_TABLE = (
+    ("tau", "taus", None),
+    ("s", "squeezes", None),
+    *((f"P{i + 1}", "populations", i) for i in range(8)),
+    ("N_G_B", "n_g", QubitLabel.B),
+    # repeats N_G_B until the committed golden CSVs drop the column
+    ("N_G_B_analytic", "n_g", QubitLabel.B),
+    ("N_PSDG_B", "n_psdg", QubitLabel.B),
+    ("N_PSDG_A1", "n_psdg", QubitLabel.A1),
+    ("E3_B", "e_3", QubitLabel.B),
+    ("E_PSD_B_BA1", "e_psd", "B-BA1"),
+    ("E_PSD_A1_A1A2", "e_psd", "A1-A1A2"),
+    ("E_PSD_A1_A1B", "e_psd", "A1-A1B"),
+    ("S_lin_B", "linear_entropy_b", None),
+    ("F_W1", "w1_fidelity", None),
+    ("bell_projection", "bell_projection", None),
+    ("truncation_deficit", "deficits", None),
+)
+COLUMNS = [name for name, _, _ in _COLUMN_TABLE]
 
 MODES = ("tau-sweep", "s-sweep", "single-point", "oracle-check")
 
@@ -248,32 +247,23 @@ def run_sweep(cfg: SweepConfig) -> str:
     the populations through the slot table (`tavis_cummings._populations`)
     and the diagnostics from one call of the kernel's element entry
     (`entanglement._element_batch`), so no dense 8x8 state is assembled or
-    checked.  The CSV holds the global negativities of B only, which the
-    kernel takes in closed form, so no transpose is eigensolved.
+    checked.  One table, `_COLUMN_TABLE`, names the array and key of every
+    column, and `COLUMNS` is its names.  The CSV holds the global
+    negativities of B only, which the kernel takes in closed form, so no
+    transpose is eigensolved.
     """
     taus, squeezes, extra = _sweep_axes(cfg)
     elements = closed_form_grid(taus, squeezes, cfg.theta, cfg.n_max).reshape(-1, 8)
     deficits = truncation_deficits(squeezes, cfg.n_max)
     _warn_truncation(deficits, squeezes, cfg.n_max)
-    B, A1 = QubitLabel.B, QubitLabel.A1
-    batch = _element_batch(elements)
-    columns = [
-        np.repeat(taus, len(squeezes)),
-        np.tile(squeezes, len(taus)),
-        *_populations(elements).T,
-        batch.n_g[B],
-        batch.n_g[B],  # N_G_B_analytic: kept until the committed golden CSVs drop the column
-        batch.n_psdg[B],
-        batch.n_psdg[A1],
-        batch.e_3[B],
-        batch.e_psd["B-BA1"],
-        batch.e_psd["A1-A1A2"],
-        batch.e_psd["A1-A1B"],
-        batch.linear_entropy_b,
-        batch.w1_fidelity,
-        batch.bell_projection,
-        np.tile(deficits, len(taus)),
-    ]
+    arrays = {
+        **_element_batch(elements)._asdict(),
+        "taus": np.repeat(taus, len(squeezes)),
+        "squeezes": np.tile(squeezes, len(taus)),
+        "populations": _populations(elements).T,
+        "deficits": np.tile(deficits, len(taus)),
+    }
+    columns = [arrays[source] if key is None else arrays[source][key] for _, source, key in _COLUMN_TABLE]
     return _csv_text(cfg, [extra], np.column_stack(columns))
 
 

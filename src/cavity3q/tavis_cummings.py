@@ -13,12 +13,12 @@ in block amplitudes indexed by the photons left in each cavity.  The weight
 tables factor exactly as ``W(s) = U.T @ diag(norm(s)) @ U`` with ``U``
 depending only on (theta, n_max) and the squeezed-pair norms carrying all of
 the s dependence, so a whole (tau, s) grid costs a few small matrix
-products: `closed_form_grid`.  At theta = 0 and theta = pi the snapped
-half-angle makes every factor an exact 0/1 selection, which takes no
-product: at theta = pi (``U0 = I``, ``U1 = [I 0]``) each band is the
-elementwise product of the amplitudes' leading columns, at theta = 0 a
-copy of the picked columns.  Either gives the values of the product, up
-to the sign of a zero.  `closed_form_rho` is its grid of one.
+products: `closed_form_grid`.  At theta = pi the snapped half-angle makes
+the factors exactly ``U0 = I`` and ``U1 = [I 0]``, which take no product:
+each band is the elementwise product of the amplitudes' leading columns,
+the values of the product up to the sign of a zero.  Every other factor,
+theta = 0's included, takes the BLAS product.  `closed_form_rho` is its
+grid of one.
 
 The block amplitudes need cos and sin of every phase tau * rate, at the
 pair's rates sqrt(2(2q-1)) and cavity 2's sqrt(p).  When the tau axis is an
@@ -138,8 +138,8 @@ def _field_factors(theta: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     q = n - k); row n of ``U1`` is the reversed product of the rows for n and
     n + 1.  The squeezing only enters through the norms, see
     `_squeeze_norms`.  At theta = pi the factors are ``U0 = I`` and
-    ``U1 = [I 0]``; at theta = 0 every row of ``U0`` picks q = 0 and ``U1``
-    is zero: both are 0/1 selections (`_selection`).
+    ``U1 = [I 0]`` (`_is_identity_prefix`); at theta = 0 every row of ``U0``
+    picks q = 0 and ``U1`` is zero.
     """
     size = n_max + 1
     rows = binomial_amplitude_table(n_max, theta)
@@ -334,22 +334,15 @@ def _tau_trig(taus: np.ndarray, *rate_blocks: np.ndarray):
     return trig
 
 
-def _selection(factor: np.ndarray) -> np.ndarray | slice | None:
-    """How a 0/1 selection factor picks columns: ``x @ factor.T`` is ``x[:, picks]``.
+def _is_identity_prefix(factor: np.ndarray) -> bool:
+    """Whether an (m, k) factor is ``[I 0]``: ones on its diagonal, m <= k and no other nonzero.
 
-    A selection factor holds at most one nonzero entry per row, and that
-    entry is exactly 1.  Returns the column each row picks (-1 for an
-    all-zero row), or None for any other factor.  When row i picks column i
-    for every one of the m rows, as ``I`` and ``[I 0]`` do, the picks are
-    returned as the slice of the leading m columns.
+    Then ``x @ factor.T`` is the leading m columns of x, which is what
+    theta = pi's ``U0 = I`` and ``U1 = [I 0]`` select.  It counts the
+    nonzeros and reads the diagonal, so it allocates no (m, k) temporary.
     """
-    nonzero = factor != 0.0
-    if (nonzero.sum(axis=1) > 1).any() or (factor[nonzero] != 1.0).any():
-        return None
-    picks = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), -1)
-    if np.array_equal(picks, np.arange(len(picks))):
-        return slice(len(picks))
-    return picks
+    diagonal = np.diagonal(factor)
+    return bool(len(diagonal) == len(factor) == np.count_nonzero(factor) and (diagonal == 1.0).all())
 
 
 def _times_factor(
@@ -357,35 +350,29 @@ def _times_factor(
     y: np.ndarray,
     shift: int,
     factor: np.ndarray,
-    picks: np.ndarray | slice | None,
+    identity_prefix: bool,
     square: np.ndarray,
     out: np.ndarray,
 ) -> np.ndarray:
     """``(x[:, :k] * y[:, shift:shift + k]) @ factor.T`` into out's leading m columns, factor (m, k).
 
     x, y, ``square`` and out are C-contiguous (points, width) arrays with
-    k + shift <= width, and ``picks`` is `_selection`'s of the factor.  The
-    product is formed over the whole flat buffers, y read ``shift`` (0 or 1)
-    slots on, so each row's columns from m on hold values that nothing is
-    meant to read: with a shift of 1 its last column pairs x's with the
-    next row's first, and the last row's last slot keeps what it held.
-    A product by a selection row is its one picked entry times 1 plus
-    products with 0, so a selection takes no product, only the picked
-    entries of x * y.  Picks that are the leading columns in order, as
-    ``I`` and ``[I 0]`` make, are the flat product itself, formed straight
-    in out; other picks are formed in ``square`` and copied out by
-    indexing, with 0 for an all-zero row.  Either way the values equal the
-    BLAS product's, up to the sign of a zero.  Any other factor takes the
-    BLAS product of the leading columns of ``square``.
+    k + shift <= width, and ``identity_prefix`` is `_is_identity_prefix` of
+    the factor.  The product is formed over the whole flat buffers, y read
+    ``shift`` (0 or 1) slots on, so each row's columns from m on hold values
+    that nothing is meant to read: with a shift of 1 its last column pairs
+    x's with the next row's first, and the last row's last slot keeps what
+    it held.  For ``[I 0]`` the leading m columns of that flat product are
+    the result, formed straight in out with no product by the factor: each
+    value is its one entry times 1 plus products with 0, which the BLAS
+    product gives too, up to the sign of a zero.  Any other factor takes
+    the BLAS product of the leading columns of ``square``.
     """
     m, k = factor.shape
-    flat = (out if isinstance(picks, slice) else square).reshape(-1)
+    flat = (out if identity_prefix else square).reshape(-1)
     np.multiply(x.reshape(-1)[: flat.size - shift], y.reshape(-1)[shift:], out=flat[: flat.size - shift])
-    if picks is None:
+    if not identity_prefix:
         np.matmul(square[:, :k], factor.T, out=out[:, :m])
-    elif not isinstance(picks, slice):
-        np.take(square[:, :k], picks, axis=1, out=out[:, :m], mode="wrap")
-        np.copyto(out[:, :m], 0.0, where=picks < 0)
     return out
 
 
@@ -408,12 +395,11 @@ def _fill_elements(
     whose rows hold one tau's values at photon numbers 0..n_max + 1.  So
     every elementwise step, from cos and sin to the bands, is one pass over
     whole rows, and the columns past a band's width get finite values that
-    nothing reads.  A field factor that is a 0/1 selection (`_selection`),
-    as both are at theta = 0 and theta = pi, takes no product
-    (`_times_factor`): at theta = pi the bands are the amplitudes'
-    elementwise products, at theta = 0 copies of the picked columns.  Any
-    other factor takes the BLAS product, and so do the squeeze norms, each
-    on a view of a band's leading columns with rows n_max + 2 apart.  BLAS
+    nothing reads.  A field factor that is ``[I 0]`` (`_is_identity_prefix`),
+    as both are at theta = pi, takes no product (`_times_factor`): the
+    bands are the amplitudes' elementwise products.  Any other factor takes
+    the BLAS product, and so do the squeeze norms, each on a view of a
+    band's leading columns with rows n_max + 2 apart.  BLAS
     reads such a view through its leading dimension, in the order it reads a
     C-contiguous copy, so each element rounds the same: with OpenBLAS at one
     and two threads, the elements of 1,296 grids (8 angles from 0 to pi,
@@ -424,7 +410,7 @@ def _fill_elements(
     """
     size, rows = u0.shape[0], min(_TAU_CHUNK, len(taus))
     width = size + 1
-    picks0, picks1 = _selection(u0), _selection(u1)
+    prefix0, prefix1 = _is_identity_prefix(u0), _is_identity_prefix(u1)
     # a squared amplitude or product, cos^2 @ U0.T, sin^2 @ U0.T and the
     # cavity-2 coherence product
     work = [np.zeros(rows * width) for _ in range(4)]
@@ -446,16 +432,16 @@ def _fill_elements(
         band0, band1 = _leading(band0_w, 6, points, width), _leading(band1_w, 2, points, width)
 
         # Each element is sum_{q,p} W[q, p] a[q] b[p] = sum_n norm[n] (U a)[n] (U b)[n].
-        _times_factor(cos_b, cos_b, 0, u0, picks0, square, cos_u0)
-        _times_factor(sin_b, sin_b, 0, u0, picks0, square, sin_u0)
+        _times_factor(cos_b, cos_b, 0, u0, prefix0, square, cos_u0)
+        _times_factor(sin_b, sin_b, 0, u0, prefix0, square, sin_u0)
         for k, x in enumerate((stay, one_up, two_up)):
-            pair = _times_factor(x, x, 0, u0, picks0, square, band0[k + 3])
+            pair = _times_factor(x, x, 0, u0, prefix0, square, band0[k + 3])
             np.multiply(pair, cos_u0, out=band0[k])
             pair *= sin_u0
 
-        _times_factor(cos_b, sin_b, 1, u1, picks1, square, coh_u1)
+        _times_factor(cos_b, sin_b, 1, u1, prefix1, square, coh_u1)
         for k, (x, y) in enumerate(((stay, one_up), (one_up, two_up))):
-            _times_factor(x, y, 1, u1, picks1, square, band1[k])
+            _times_factor(x, y, 1, u1, prefix1, square, band1[k])
             band1[k] *= coh_u1
         np.negative(band1[0], out=band1[0])
 

@@ -544,17 +544,14 @@ def test_no_truncation_warning_on_default_tau_sweep(capsys):
     assert rows[0][header.index("truncation_deficit")] == pytest.approx(1.6e-13, rel=0.05)
 
 
-def test_single_point_row_is_the_scalar_report():
-    # the CSV columns against the scalar API, field by field
-    cfg = SweepConfig(mode="single-point", tau=2.3, **SMALL)
-    _, rows = parse_csv(run_sweep(cfg))
-    field = FieldConfig(cfg.s, cfg.theta, cfg.n_max)
-    rho = closed_form_rho(cfg.tau, field)
+def scalar_row(tau, field):
+    """A sweep's row at (tau, field) from `negativity_report(closed_form_rho(...))`, read back at 12 digits."""
+    rho = closed_form_rho(tau, field)
     report = negativity_report(rho)
     B, A1 = QubitLabel.B, QubitLabel.A1
     row = [
-        cfg.tau,
-        cfg.s,
+        tau,
+        field.s,
         *diagonal_probabilities(rho).tolist(),
         report.n_g[B],
         report.n_g[B],  # the N_G_B_analytic column
@@ -569,7 +566,34 @@ def test_single_point_row_is_the_scalar_report():
         report.bell_projection,
         truncation_deficit(field),
     ]
-    assert [float(f"{v + 0.0:.12g}") for v in row] == rows[0]
+    return [float(f"{v + 0.0:.12g}") for v in row]
+
+
+@pytest.mark.parametrize(
+    "cfg, taus, squeezes",
+    [
+        (SweepConfig(mode="single-point", tau=2.3, **SMALL), [2.3], [SMALL["s"]]),
+        (
+            SweepConfig(mode="tau-sweep", tau_end=6.0, tau_steps=13, **SMALL),
+            np.linspace(0.0, 6.0, 13),
+            [SMALL["s"]],
+        ),
+        (
+            SweepConfig(mode="s-sweep", tau=2.3, theta=1.1, n_max=25, s_end=1.6, s_steps=5),
+            [2.3],
+            np.linspace(0.0, 1.6, 5),
+        ),
+    ],
+    ids=["single-point", "tau-sweep", "s-sweep"],
+)
+def test_every_row_is_the_scalar_report(cfg, taus, squeezes):
+    # the CSV columns against the scalar API, field by field, at every
+    # point of the grid, tau outer
+    _, rows = parse_csv(run_sweep(cfg))
+    points = [(tau, s) for tau in taus for s in squeezes]
+    assert len(rows) == len(points)
+    for (tau, s), printed in zip(points, rows):
+        assert scalar_row(tau, FieldConfig(s, cfg.theta, cfg.n_max)) == printed
 
 
 def test_parser_flags_are_the_config_fields_with_its_defaults(capsys):

@@ -42,7 +42,7 @@ ROW_TOL = 1e-15
 # the addition path's cos and sin against those of the exact product tau * rate
 # (measured worst 1.5 eps, test_addition_trig_is_no_less_accurate_than_per_point)
 TRIG_TOL = 4.0 * np.finfo(float).eps
-# theta = pi and theta = 0 make every field factor a 0/1 selection
+# theta = pi makes both field factors [I 0]; theta = 0 reflects all the light
 THETAS = (math.pi, math.pi / 2.0, math.pi / 3.0, 1.1, 0.0)
 SQUEEZES = (0.0, 0.3, 1.2, 2.0)
 N_MAXES = (0, 1, 2, 25, 80)
@@ -125,14 +125,32 @@ def test_grid_matches_brute_force_evolution_over_the_parameter_box():
     assert rejected["r15 sign"] >= 1 and rejected["r26 slip"] >= 1
 
 
+@pytest.mark.parametrize("tau", [20.0, 200.0, 1000.0, 5000.0])
+@pytest.mark.parametrize("theta", [0.0, 1e-9, math.pi / 2.0, math.pi - 1e-15, math.pi])
+def test_grid_matches_brute_force_evolution_at_long_tau(theta, tau):
+    # Both sides round every phase tau * rate (the oracle's rates come from
+    # its eigensolver) to about ulp(tau * rate), so their difference grows
+    # linearly with tau: worst 6.0e-14 at tau 1,000 and 2.6e-13 at 5,000
+    # (s = 1.6, theta = pi), where this bound is twenty times that
+    bound = 1e-12 + 1e-15 * tau
+    for s in (0.6, 1.6):
+        n_max = deficit_n_max(s)
+        elements = closed_form_grid([tau], [s], theta, n_max)[0, 0]
+        reference = full_evolution_grid([tau], [s], [theta], n_max)[0, 0, 0]
+        report = compare_states(states_from_elements(elements), reference)
+        assert report.max_abs_diff <= bound
+        assert report.pattern_violations == []
+
+
 @pytest.mark.parametrize(
     "theta, u0_products, u1_products",
-    # U0 = I and U1 = [I 0]; U0 picks q = 0 in every row and U1 is zero;
-    # both dense, five cos^2, sin^2 and pair products with U0 and three
-    # coherence products with U1 per tau chunk
-    [(math.pi, 0, 0), (0.0, 0, 0), (math.pi / 2.0, 5, 3)],
+    # U0 = I and U1 = [I 0]; then U0 with a one in column 0 of every row and
+    # a zero U1, and two dense factors, each of which takes five cos^2,
+    # sin^2 and pair products with U0 and three coherence products with U1
+    # per tau chunk
+    [(math.pi, 0, 0), (0.0, 5, 3), (math.pi / 2.0, 5, 3)],
 )
-def test_selection_factors_take_no_product(theta, u0_products, u1_products, monkeypatch):
+def test_identity_prefix_factors_take_no_product(theta, u0_products, u1_products, monkeypatch):
     matmul, operands = np.matmul, []
 
     def recording(a, b, *args, **kwargs):
@@ -155,47 +173,60 @@ def test_selection_factors_take_no_product(theta, u0_products, u1_products, monk
     assert Counter(operands) == +Counter(expected)
 
 
-def test_only_rows_of_a_single_one_make_a_selection():
-    selection = tavis_cummings._selection
-    assert selection(np.array([[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]])).tolist() == [1, -1, 0]
-    assert selection(np.array([[0.0, 0.5]])) is None
-    assert selection(np.array([[1.0, 1.0]])) is None
-    # rows that pick their own column, I and [I 0], are the leading columns
-    assert selection(np.eye(3)) == slice(3)
-    assert selection(np.eye(3, 4)) == slice(3)
-    assert selection(np.eye(1, 1)) == slice(1)
-    assert selection(np.zeros((0, 1))) == slice(0)
-    # out of order, shifted, or with a zero row: picks
-    assert selection(np.eye(3)[[1, 0, 2]]).tolist() == [1, 0, 2]
-    assert selection(np.eye(3, 4, k=1)).tolist() == [1, 2, 3]
-    assert selection(np.eye(4, 3)).tolist() == [0, 1, 2, -1]
+def test_only_an_identity_with_zero_columns_after_it_is_an_identity_prefix():
+    is_prefix = tavis_cummings._is_identity_prefix
+    for factor in (np.eye(3), np.eye(3, 4), np.eye(1, 1), np.zeros((0, 1))):
+        assert is_prefix(factor) is True
+    refused = [
+        np.eye(3)[[1, 0, 2]],
+        np.eye(3, 4, k=1),
+        np.eye(4, 3),  # a zero row after the identity
+        np.diag([1.0, 2.0, 1.0]),
+        np.diag([1.0, 0.5]),
+        *tavis_cummings._field_factors(0.0, 25),  # a one in column 0 of every row, and zero
+    ]
+    for factor in refused:
+        assert is_prefix(factor) is False
+
+
+# 65 points are a full tau chunk and a chunk of one row, a single tau a chunk of one
+CHUNK_AXES = (np.linspace(0.0, 20.0, 600), ORACLE_CHECK_TAUS, np.linspace(0.0, 20.0, 65), [14.5])
 
 
 @pytest.mark.parametrize("n_max", [0, 1, 25, 80])
-@pytest.mark.parametrize("theta", [math.pi, 0.0])
-def test_selections_equal_the_dense_product(theta, n_max, monkeypatch):
-    # theta = pi takes the leading columns, theta = 0 the picked copies; with
-    # no selection the same factors take the BLAS product.  65 points are a
-    # full tau chunk and a chunk of one row, a single tau a chunk of one
-    axes = (np.linspace(0.0, 20.0, 600), ORACLE_CHECK_TAUS, np.linspace(0.0, 20.0, 65), [14.5])
-    selected = [closed_form_grid(taus, SQUEEZES, theta, n_max) for taus in axes]
-    monkeypatch.setattr(tavis_cummings, "_selection", lambda factor: None)
-    for taus, expected in zip(axes, selected):
-        assert np.array_equal(closed_form_grid(taus, SQUEEZES, theta, n_max), expected)
+def test_identity_prefixes_equal_the_dense_product(n_max, monkeypatch):
+    # theta = pi makes the factors I and [I 0], which take the leading
+    # columns; told otherwise, the same factors take the BLAS product
+    selected = [closed_form_grid(taus, SQUEEZES, math.pi, n_max) for taus in CHUNK_AXES]
+    monkeypatch.setattr(tavis_cummings, "_is_identity_prefix", lambda factor: False)
+    for taus, expected in zip(CHUNK_AXES, selected):
+        assert np.array_equal(closed_form_grid(taus, SQUEEZES, math.pi, n_max), expected)
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 25, 80])
+def test_full_reflection_leaves_every_atom_in_its_ground_state(n_max):
+    # theta = 0 reflects all the light, so every point is |000> with the
+    # norm that the truncation keeps, 1 - tanh(s)^(2 n_max + 2), to four
+    # ulps of 1 (measured worst 2.5), and every other element is exactly 0
+    kept = 1.0 - np.tanh(SQUEEZES) ** (2 * n_max + 2)
+    for taus in CHUNK_AXES:
+        elements = closed_form_grid(taus, SQUEEZES, 0.0, n_max)
+        assert (elements[..., 1:] == 0.0).all()
+        assert (np.abs(elements[..., 0] - kept) <= 4.0 * np.finfo(float).eps).all()
 
 
 @pytest.mark.parametrize("points", [1, 7, 64])
-@pytest.mark.parametrize("theta", [math.pi, 0.0, 1.1], ids=["slice", "picks", "blas"])
+@pytest.mark.parametrize("theta", [math.pi, 1.1], ids=["prefix", "blas"])
 @pytest.mark.parametrize("band", [0, 1])
 @pytest.mark.parametrize("shift", [0, 1])
 def test_row_padded_products_equal_products_of_unpadded_copies(shift, band, theta, points):
     # rows of width n_max + 2, as the closed form's workspace holds them;
-    # theta = pi makes the factors I and [I 0], theta = 0 picks, 1.1 dense
+    # theta = pi makes the factors I and [I 0], 1.1 dense
     n_max = 25
     width = n_max + 2
     factor = tavis_cummings._field_factors(theta, n_max)[band]
-    picks = tavis_cummings._selection(factor)
-    assert {math.pi: slice, 0.0: np.ndarray, 1.1: type(None)}[theta] is type(picks)
+    prefix = tavis_cummings._is_identity_prefix(factor)
+    assert prefix == (theta == math.pi)
     m, k = factor.shape
     rng = np.random.default_rng(points + 10 * shift + 100 * band)
     x, y = rng.uniform(-1.0, 1.0, (2, points, width))
@@ -203,7 +234,7 @@ def test_row_padded_products_equal_products_of_unpadded_copies(shift, band, thet
 
     def product(x, y, fill):
         square, out = np.full((2, points, width), fill)
-        return tavis_cummings._times_factor(x, y, shift, factor, picks, square, out)[:, :m]
+        return tavis_cummings._times_factor(x, y, shift, factor, prefix, square, out)[:, :m]
 
     got = product(x, y, 0.0)
     assert np.array_equal(got, expected)
