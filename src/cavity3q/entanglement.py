@@ -60,15 +60,19 @@ gathers its rows of a block and writes its values back to them.
     plus an exact null direction, its lower eigenvalue is refined as the
     determinant over the upper, and E_3/E_2/E_0 are quadratic forms of its
     kept eigenvectors;
-  - B's linear entropy, the W1 fidelity and the Bell weight are sums of
-    the elements, with coefficients read at import from the dense
-    functions on the unit states (`_MEASURE_COEFFICIENTS`).
+  - B's linear entropy, the W1 fidelity and the Bell weight come from six
+    linear functionals of the state (`_FUNCTIONALS`), read on the elements
+    through that table applied once, at import, to the unit states
+    (`_ELEMENT_FUNCTIONALS`).
 
 * The generic route takes every other state, rounding noise outside the
   pattern included: the decomposition is a stacked eigendecomposition,
   N_PSDG comes from the minors of its dense kets, each ket of positive
   weight that is not a basis state has its shares solved as one 8-index
-  block per qubit, and the auxiliary measures come from the dense state.
+  block per qubit, and the auxiliary measures come from the same six
+  functionals on the dense state.  On both routes one formula turns them
+  into the measures (`_measures`), B's linear entropy without cancellation
+  where B is nearly pure.
 
 A1's global transpose on both routes, and A2's and B's on the generic route,
 are solved whole: each is gathered as one 8x8 matrix by flat index maps
@@ -136,12 +140,15 @@ _DIAGNOSTIC_BLOCK = 200
 _HERMITICITY_TOL = 1e-9
 
 # The kernel refuses a state with a real or imaginary part of this magnitude
-# (about 8.4e152).  Its largest product of two entries is qubit B's linear
-# entropy: each entry of rho_B sums four of the state's, so for a Hermitian
-# state whose parts lie below P, ``2 tr rho_B^2`` stays below 192 P^2, here
-# three quarters of float64's largest value.  Every other step multiplies an
-# entry by at most one other entry of the state, or sums entries and their
-# products with unit vectors.
+# (about 8.4e152).  Its largest products of two entries are in qubit B's
+# linear entropy, ``2 ((1 - t)(1 + t) + 2 (p0 p1 - c01 c10))``: p0, p1, c01
+# and c10 each sum four of the state's entries and t eight, so for a
+# Hermitian state whose parts lie below P, ``(1 - t)(1 + t)`` stays below
+# 64 P^2, ``2 (p0 p1 - c01 c10)`` below 96 P^2, and their sum, which is
+# ``1 - p0^2 - p1^2 - 2 |c01|^2``, between -96 P^2 and 1, so the entropy
+# stays below 192 P^2, here three quarters of float64's largest value.
+# Every other step multiplies an entry by at most one other entry of the
+# state, or sums entries and their products with unit vectors.
 _ENTRY_BOUND = math.sqrt(np.finfo(np.float64).max) / 16.0
 
 # The float dtypes the kernel evaluates; numpy's LAPACK takes no other, and
@@ -225,14 +232,26 @@ def _minor_products(p: QubitLabel) -> tuple[np.ndarray, ...]:
 
 _MINOR_PRODUCTS = {p: _minor_products(p) for p in QubitLabel}
 
-_SQRT2 = math.sqrt(2.0)
-_INV_SQRT2 = 1.0 / _SQRT2
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-_BASIS = np.eye(8)
-_SYM_EXCITED = (_BASIS[5] + _BASIS[6]) / _SQRT2  # (|101> + |011>) / sqrt2
-
-W1_STATE = (_BASIS[0] + _BASIS[5] + _BASIS[6]) / math.sqrt(3.0)
+W1_STATE = np.eye(8)[[0, 5, 6]].sum(axis=0) / math.sqrt(3.0)
 W1_STATE.setflags(write=False)
+
+# The six linear functionals the auxiliary measures read, as real weights on
+# the 64 entries of a state, row-major (`_measures`): qubit B's populations p0
+# and p1 and rho_B's coherences c01 = <0|rho_B|1> and c10, each the sum of
+# the four entries whose A1 and A2 bits agree (B is bit 2), then the W1
+# projector and the projector on {|000>, (|101> + |011>)/sqrt2}, each the
+# outer product of its kets.
+_FUNCTIONALS = np.zeros((6, 8, 8))
+_FUNCTIONALS[0, range(4), range(4)] = 1.0
+_FUNCTIONALS[1, range(4, 8), range(4, 8)] = 1.0
+_FUNCTIONALS[2, range(4), range(4, 8)] = 1.0
+_FUNCTIONALS[3, range(4, 8), range(4)] = 1.0
+_FUNCTIONALS[4] = np.outer(W1_STATE, W1_STATE)
+_FUNCTIONALS[5, 0, 0] = 1.0
+_FUNCTIONALS[5][np.ix_([5, 6], [5, 6])] = _INV_SQRT2 * _INV_SQRT2
+_FUNCTIONALS = _FUNCTIONALS.reshape(6, 64)
 
 
 def _part_magnitudes(m: np.ndarray) -> np.ndarray:
@@ -377,70 +396,27 @@ def _squared_minors(kets: np.ndarray, p: QubitLabel) -> np.ndarray:
     return np.abs(minors) ** 2
 
 
-def _reduced_b(m: np.ndarray) -> np.ndarray:
-    """Qubit B's reduced state (..., 2, 2) of each state of a stack (..., 8, 8)."""
-    # axes of the (2,2,2, 2,2,2) view: (B, A2, A1) x (B, A2, A1); A2 is traced out, then A1
-    reduced = np.trace(m.reshape(*m.shape[:-2], 2, 2, 2, 2, 2, 2), axis1=-5, axis2=-2)
-    return np.trace(reduced, axis1=-3, axis2=-1)
+def _measures(entries: np.ndarray, functionals: np.ndarray) -> np.ndarray:
+    """B's linear entropy, the W1 fidelity and the Bell weight (3, N) of states given as entries (N, k).
 
-
-def _linear_entropy_b(m: np.ndarray) -> np.ndarray:
-    """Mixedness ``2 (1 - tr rho_B^2)`` of qubit B's reduced state, per state of a stack (N, 8, 8).
-
-    0 for a pure qubit, 1 for a maximally mixed one.
+    ``functionals`` (6, k) are `_FUNCTIONALS` on the flat entries of dense
+    states (k = 64) or `_ELEMENT_FUNCTIONALS` on elements (k = 8).  Each
+    state's six values are summed along its contiguous row, not taken as a
+    BLAS product, so they do not depend on the stack around it.  The linear
+    entropy ``2 (1 - tr rho_B^2)``, 0 for a pure qubit and 1 for a maximally
+    mixed one, is written as ``2 ((1 - t)(1 + t) + 2 (p0 p1 - c01 c10))``
+    with ``t = p0 + p1``, which keeps its relative accuracy where qubit B is
+    nearly pure and ``1 - p0^2 - p1^2`` would cancel.
     """
-    reduced = _reduced_b(m)
-    purity = np.real(np.trace(reduced @ reduced, axis1=-2, axis2=-1))
-    return 2.0 * (1.0 - purity)
+    p0, p1, c01, c10, w1_fidelity, bell_projection = (entries[:, None, :] * functionals).sum(axis=-1).T
+    t = p0 + p1
+    return np.real([2.0 * ((1.0 - t) * (1.0 + t) + 2.0 * (p0 * p1 - c01 * c10)), w1_fidelity, bell_projection])
 
 
-def _expectation(vector: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Real part of <v| m |v> for each state of a stack (..., 8, 8).
-
-    Elementwise, so each state's value does not depend on the stack around it
-    (a matrix-vector product over a stack may take another BLAS path).
-    """
-    return np.real((vector.conj()[:, None] * m * vector).sum(axis=(-2, -1)))
-
-
-def _bell_projection(m: np.ndarray) -> np.ndarray:
-    """Weight of the {|000>, (|101>+|011>)/sqrt2} sector of each state of a stack.
-
-    This is the probability of the two decomposition states in which the c1
-    pair, conditioned on finding B excited, is projected into the symmetric
-    Bell state.
-    """
-    return np.real(m[..., 0, 0]) + _expectation(_SYM_EXCITED, m)
-
-
-# The state of each unit element, as `states_from_elements` writes it.
-_UNIT_STATES = states_from_elements(np.eye(8))
-
-# On the pattern rho_B is diagonal, so B's linear entropy is
-# ``2 (1 - p0^2 - p1^2)`` of its populations, and they, the W1 fidelity and
-# the Bell weight are linear in the elements.  Their coefficients per element
-# (4, 8) are the dense functions above on the unit states, so each formula is
-# written once.
-_REDUCED_UNITS = _reduced_b(_UNIT_STATES)
-if _REDUCED_UNITS[:, 0, 1].any() or _REDUCED_UNITS[:, 1, 0].any():
-    raise RuntimeError("qubit B's reduced state of a pattern state is not diagonal")
-_MEASURE_COEFFICIENTS = np.concatenate(
-    [
-        np.diagonal(_REDUCED_UNITS, axis1=-2, axis2=-1).T,
-        [_expectation(W1_STATE, _UNIT_STATES), _bell_projection(_UNIT_STATES)],
-    ]
-)
-
-
-def _element_measures(elements: np.ndarray) -> np.ndarray:
-    """B's linear entropy, W1 fidelity and Bell weight (3, N) of pattern-route elements (N, 8).
-
-    Each coefficient row of `_MEASURE_COEFFICIENTS` is multiplied into the
-    elements and summed along each state's contiguous row, not taken as a
-    BLAS product, so a state's values do not depend on the stack around it.
-    """
-    p0, p1, w1_fidelity, bell_projection = (elements[:, None, :] * _MEASURE_COEFFICIENTS).sum(axis=-1).T
-    return np.array([2.0 * (1.0 - (p0 * p0 + p1 * p1)), w1_fidelity, bell_projection])
+# The table on the elements (6, 8): `_FUNCTIONALS` on the state of each unit
+# element, as `states_from_elements` writes it.  On the pattern rho_B is
+# diagonal, so its coherence rows are exactly 0.
+_ELEMENT_FUNCTIONALS = (states_from_elements(np.eye(8)).reshape(8, 1, 64) * _FUNCTIONALS).sum(axis=-1).T
 
 
 class NegativityReport(NamedTuple):
@@ -720,14 +696,13 @@ def _pattern_values(elements: np.ndarray) -> tuple:
     blocks = elements.T[_BLOCKS.T]
     (lam, x, y), rotated = _two_level_pairs(*blocks)
     n_g, split = _b_global_split(elements, blocks[:, 2:], (lam[2:], x[2:], y[2:]), rotated[2:])
-    return n_g[None], split[None], *_family_negativities(lam[:2], x[:2], y[:2]), _element_measures(elements)
+    return n_g[None], split[None], *_family_negativities(lam[:2], x[:2], y[:2]), _measures(elements, _ELEMENT_FUNCTIONALS)
 
 
 def _generic_values(m: np.ndarray) -> tuple:
     """Every diagnostic of generic-route states (n, 8, 8), in the layout of `_batch_arrays`."""
     n_psdg, shares = _decomposition_negativities(*_generic_decomposition(m))
-    measures = np.array([_linear_entropy_b(m), _expectation(W1_STATE, m), _bell_projection(m)])
-    return *_global_split(m, _STATE_MAPS), n_psdg, shares, measures
+    return *_global_split(m, _STATE_MAPS), n_psdg, shares, _measures(m.reshape(len(m), 64), _FUNCTIONALS)
 
 
 def _batch_arrays(count: int, qubits: int) -> list[np.ndarray]:

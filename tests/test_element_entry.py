@@ -12,6 +12,7 @@ by the name ``elements``.
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -80,6 +81,24 @@ def test_element_entry_matches_textbook_on_random_pattern_states():
         textbook = textbook_report(m)
         for key, values in batch.items():
             assert values[index] == pytest.approx(textbook[key], abs=TOL), (index, key)
+
+
+@pytest.mark.parametrize("theta", [1.1, math.pi / 2.0, math.pi], ids=["1.1", "pi/2", "pi"])
+def test_linear_entropy_keeps_its_relative_accuracy_where_b_is_nearly_pure(theta):
+    # at tau = 0 qubit B is pure up to the truncation deficit, where
+    # 2 (1 - p0^2 - p1^2) evaluated in floats cancels to a few digits
+    # (2.8e-10 relative off); both entries must stay within 1e-14 of that
+    # value in exact arithmetic from the row's elements, p0 = r11 + r22 + r33
+    # and p1 = r44 + r55 + r66 (measured 1.7e-15)
+    elements = closed_form_grid(np.linspace(0.0, 6.0, 13), [0.8, 1.2, 2.0], theta, 25).reshape(-1, 8)
+    exact = []
+    for row in elements.tolist():
+        r11, r22, r33, r44, r55, r66, _, _ = map(Fraction, row)
+        p0, p1 = r11 + r22 + r33, r44 + r55 + r66
+        exact.append(2 * (1 - p0 * p0 - p1 * p1))
+    for batch in (ent._element_batch(elements), negativity_batch(states_from_elements(elements))):
+        for got, value in zip(batch.linear_entropy_b.tolist(), exact):
+            assert abs(Fraction(got) - value) <= Fraction(1e-14) * abs(value), (got, float(value))
 
 
 def test_populations_are_the_dense_diagonal_bit_for_bit():
