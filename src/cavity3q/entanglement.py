@@ -67,12 +67,13 @@ gathers its rows of a block and writes its values back to them.
 
 * The generic route takes every other state, rounding noise outside the
   pattern included: the decomposition is a stacked eigendecomposition,
-  N_PSDG comes from the minors of its dense kets, each ket of positive
-  weight that is not a basis state has its shares solved as one 8-index
-  block per qubit, and the auxiliary measures come from the same six
-  functionals on the dense state.  On both routes one formula turns them
-  into the measures (`_measures`), B's linear entropy without cancellation
-  where B is nearly pure.
+  N_PSDG comes from the minors of its dense kets, every one of its eight
+  kets has its shares solved as one 8-index block per qubit that leads a
+  spec, all in one stacked call (a ket of zero weight adds nothing, and a
+  basis ket's terms are exactly 0), and the auxiliary measures come from
+  the same six functionals on the dense state.  On both routes one
+  formula turns them into the measures (`_measures`), B's linear entropy
+  without cancellation where B is nearly pure.
 
 A1's global transpose on both routes, and A2's and B's on the generic route,
 are solved whole: each is gathered as one 8x8 matrix by flat index maps
@@ -206,15 +207,6 @@ def _transpose_positions(p: QubitLabel, mask) -> np.ndarray:
     return np.where(mask, _SWAPPED[p.value], _POSITION)
 
 
-def _kway_mask(k: int) -> np.ndarray:
-    return _DIFF_COUNT == k
-
-
-def _selective_mask(spec: str) -> np.ndarray:
-    p, q = SELECTIVE_SPECS[spec]
-    return _XOR == ((1 << p.value) | (1 << q.value))
-
-
 def _minor_products(p: QubitLabel) -> tuple[np.ndarray, ...]:
     """Basis indices (a, b, c, d) of the six 2x2 minors ``phi_a phi_b - phi_c phi_d``.
 
@@ -313,18 +305,6 @@ def _symmetrised_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The check passes noise up to 1e-9, so the matrix is symmetrised first.
     """
     return np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2.0)
-
-
-def _negative_pairs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues below minus the eigenvalue cutoff, with eigenvectors, of each matrix of a stack.
-
-    The stack is checked Hermitian.  Returns all n eigenvalues (ascending)
-    and eigenvectors (as columns) of each matrix, those at or above minus
-    the cutoff set to zero, so every matrix gives arrays of the same shape.
-    """
-    vals, vecs = _symmetrised_eigh(m)
-    keep = vals < -NEGATIVE_EIGENVALUE_CUTOFF
-    return np.where(keep, vals, 0.0), vecs * keep[..., None, :]
 
 
 def _pattern_route(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -468,11 +448,6 @@ class NegativityBatch(NamedTuple):
         )
 
 
-def _projector(vecs: np.ndarray) -> np.ndarray:
-    """Sum of the outer products of the columns of ``vecs``, per state."""
-    return vecs @ vecs.conj().swapaxes(-1, -2)
-
-
 def _projected_trace(target: np.ndarray, projector: np.ndarray) -> np.ndarray:
     """``Re tr(target @ projector)`` per matrix: the summed ``Re <v| target |v>``.
 
@@ -495,19 +470,21 @@ def _projected_trace(target: np.ndarray, projector: np.ndarray) -> np.ndarray:
 _STATE_MAPS = np.array(
     [
         [_transpose_positions(p, True)]
-        + [_transpose_positions(p, _kway_mask(k)) for k in (3, 2)]
+        + [_transpose_positions(p, _DIFF_COUNT == k) for k in (3, 2)]
         + [_POSITION]
         for p in QubitLabel
     ]
 )
 
 # Per qubit that leads a selective spec, B then A1: its two-way transpose,
-# then the selective transposes it projects, for the kets of generic-route
-# states.  Flattened, the specs run in `SELECTIVE_SPECS` order.
+# then the selective transposes it projects, those of the entries whose
+# indices differ in the two qubits of the spec alone, for the kets of
+# generic-route states.  Flattened, the specs run in `SELECTIVE_SPECS` order.
 _SHARE_MAPS = np.array(
     [
-        [_transpose_positions(p, _kway_mask(2))]
-        + [_transpose_positions(p, _selective_mask(spec)) for spec in SELECTIVE_SPECS if SELECTIVE_SPECS[spec][0] is p]
+        [_transpose_positions(p, _DIFF_COUNT == 2)]
+        + [_transpose_positions(p, _XOR == (1 << p.value | 1 << q.value))
+           for lead, q in SELECTIVE_SPECS.values() if lead is p]
         for p in (QubitLabel.B, QubitLabel.A1)
     ]
 )
@@ -628,12 +605,16 @@ def _b_global_split(elements: np.ndarray, blocks: np.ndarray, pairs: tuple, rota
 def _projected_maps(gathered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve map 0 of gathered maps (..., maps, 8, 8) and project the other maps.
 
-    Returns the kept eigenvalues summed, and ``Re tr(map @ P)`` per
-    projected map, with P the projector on the kept eigenvectors.
+    Map 0 is checked Hermitian.  Its eigenvalues below minus the eigenvalue
+    cutoff are kept; returns them summed, and ``Re tr(map @ P)`` per
+    projected map, with P the projector on the kept eigenvectors, the sum
+    of their outer products.
     """
-    vals, vecs = _negative_pairs(gathered[..., 0, :, :])
-    traces = _projected_trace(gathered[..., 1:, :, :], _projector(vecs)[..., None, :, :])
-    return vals.sum(axis=-1), traces
+    vals, vecs = _symmetrised_eigh(gathered[..., 0, :, :])
+    keep = vals < -NEGATIVE_EIGENVALUE_CUTOFF
+    vecs = vecs * keep[..., None, :]
+    traces = _projected_trace(gathered[..., 1:, :, :], (vecs @ vecs.conj().swapaxes(-1, -2))[..., None, :, :])
+    return np.where(keep, vals, 0.0).sum(axis=-1), traces
 
 
 def _global_split(m: np.ndarray, maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -651,37 +632,10 @@ def _share_terms(kets: np.ndarray) -> np.ndarray:
 
     S is the spec's selective transpose of the ket's projector and P the
     projector on the negative eigenvectors of its two-way transpose of the
-    spec's qubit, both gathered whole by `_SHARE_MAPS`.  No kets give no
-    terms, with nothing solved.
+    spec's qubit, both gathered whole by `_SHARE_MAPS`.
     """
-    if not len(kets):
-        return np.zeros((0, len(SELECTIVE_SPECS)))
     pure = (kets[:, :, None] * kets[:, None, :].conj()).reshape(len(kets), 64)
     return _projected_maps(pure[:, _SHARE_MAPS])[1].reshape(len(kets), len(SELECTIVE_SPECS))
-
-
-def _decomposition_negativities(probs: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """N_PSDG (qubits, N) and its shares (specs, N) of a generic-route decomposition.
-
-    ``probs`` (N, 8) and ``vectors`` (N, 8, 8) are the eigenpairs
-    (`_generic_decomposition`).  Each ket of qubit p's split has
-    ``N_G^p = 2 r``, ``r`` the root of its summed squared minors
-    (`_squared_minors`), gated at the eigenvalue cutoff like every other
-    negativity; N_PSDG is the weighted sum.  A spec's share term of a ket
-    is ``Re tr(S P)``, S the spec's selective transpose of the ket's
-    projector and P the projector on the negative eigenvectors of its
-    two-way transpose of the spec's first qubit (`_share_terms`); the -2
-    weight makes the shares of a qubit add up to its N_PSDG.  Only the
-    kets that can contribute are solved: those of positive weight with
-    at least two nonzero components.  A basis-state ket such as |110> has a
-    diagonal two-way transpose, so its shares are exactly 0.
-    """
-    rows, cols = np.nonzero((probs > 0.0) & (np.count_nonzero(vectors, axis=-2) >= 2))
-    terms = np.zeros((len(SELECTIVE_SPECS), *probs.shape))
-    terms[:, rows, cols] = _share_terms(vectors[rows, :, cols]).T
-    roots = np.array([np.sqrt(_squared_minors(vectors, p).sum(axis=-2)) for p in QubitLabel])
-    n_psdg = (probs * _ket_negativity(roots)).sum(axis=-1)
-    return n_psdg, -2.0 * (probs * terms).sum(axis=-1)
 
 
 def _pattern_values(elements: np.ndarray) -> tuple:
@@ -700,8 +654,28 @@ def _pattern_values(elements: np.ndarray) -> tuple:
 
 
 def _generic_values(m: np.ndarray) -> tuple:
-    """Every diagnostic of generic-route states (n, 8, 8), in the layout of `_batch_arrays`."""
-    n_psdg, shares = _decomposition_negativities(*_generic_decomposition(m))
+    """Every diagnostic of generic-route states (n, 8, 8), in the layout of `_batch_arrays`.
+
+    The pure-state decomposition is the states' eigenpairs
+    (`_generic_decomposition`), eight kets per state.  Each ket of qubit p's
+    split has ``N_G^p = 2 r``, ``r`` the root of its summed squared minors
+    (`_squared_minors`), gated at the eigenvalue cutoff like every other
+    negativity; N_PSDG is the weighted sum.  A spec's share term of a ket
+    is ``Re tr(S P)``, S the spec's selective transpose of the ket's
+    projector and P the projector on the negative eigenvectors of its
+    two-way transpose of the spec's first qubit; the -2 weight makes the
+    shares of a qubit add up to its N_PSDG.  Every ket of every state is
+    solved, in one `_share_terms` call: a ket of zero weight adds 0 times
+    a finite term, and a basis ket such as |110> has a diagonal two-way
+    transpose, so its terms are exactly 0.
+    """
+    probs, vectors = _generic_decomposition(m)
+    terms = _share_terms(vectors.swapaxes(-1, -2).reshape(-1, 8)).T.reshape(len(SELECTIVE_SPECS), *probs.shape)
+    roots = np.array([np.sqrt(_squared_minors(vectors, p).sum(axis=-2)) for p in QubitLabel])
+    n_psdg = (probs * _ket_negativity(roots)).sum(axis=-1)
+    # laid out in C order, so each state's eight terms are summed along one
+    # contiguous axis, in an order that does not depend on the stack
+    shares = -2.0 * np.multiply(probs, terms, order="C").sum(axis=-1)
     return *_global_split(m, _STATE_MAPS), n_psdg, shares, _measures(m.reshape(len(m), 64), _FUNCTIONALS)
 
 

@@ -166,30 +166,30 @@ def _squeeze_norms(squeezes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndar
     return tanh_s**power * inv_cosh2, tanh_s ** (power[:-1] + 1) * inv_cosh2
 
 
-def _pair_block_amplitudes(cos_f: np.ndarray, sin_f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Two-atom block amplitudes per tau (rows) against photon number q = 0..count-1.
+def _pair_block_amplitudes(cos_f: np.ndarray, sin_f: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Two-atom block amplitudes per tau (rows) against photon number q = 0..count-1, in place.
 
     ``cos_f`` and ``sin_f`` hold cos and sin of the pair's phases
     sqrt(2(2q-1)) tau for q = 1..count-1 (columns), after a column for q = 0
     whose values are never read: any finite ones, such as those of a rate
-    of 0.  Returns (stay, one_up, two_up), of the same shape: the amplitudes
-    for the symmetric pair to absorb zero, one or two photons out of q.  The
-    generic expressions reference sqrt(2(2q-1)), which only exists for
-    q >= 1, so they run over whole rows and the empty-cavity column is then
-    written as stay = 1, others 0; at q = 1 the two-photon rung vanishes
-    through its sqrt(q(q-1)) factor.  The arithmetic runs in place in the
-    three returned arrays.
+    of 0.  Returns (stay, one_up, two_up): the amplitudes for the symmetric
+    pair to absorb zero, one or two photons out of q, written over
+    ``cos_f``, ``sin_f`` and ``spare``, an array of their shape whose values
+    are not read.  The generic expressions reference sqrt(2(2q-1)), which
+    only exists for q >= 1, so they run over whole rows and the
+    empty-cavity column is then written as stay = 1, others 0; at q = 1 the
+    two-photon rung vanishes through its sqrt(q(q-1)) factor.
     """
-    stay, one_up, two_up = np.empty(cos_f.shape), np.empty(cos_f.shape), np.empty(cos_f.shape)
     q = np.arange(cos_f.shape[1], dtype=float)
     denom = 2.0 * q - 1.0
-    np.add(q - 1.0, np.multiply(q, cos_f, out=stay), out=stay)
+    # two_up first, while cos_f still holds the cosines
+    two_up = np.multiply(np.sqrt(q * (q - 1.0)), np.subtract(cos_f, 1.0, out=spare), out=spare)
+    two_up /= denom
+    stay = np.add(q - 1.0, np.multiply(q, cos_f, out=cos_f), out=cos_f)
     stay /= denom
-    np.multiply(np.sqrt(q), sin_f, out=one_up)
+    one_up = np.multiply(np.sqrt(q), sin_f, out=sin_f)
     # |denom| keeps q = 0's square root real; that column is overwritten below
     one_up /= np.sqrt(np.abs(denom))
-    np.multiply(np.sqrt(q * (q - 1.0)), np.subtract(cos_f, 1.0, out=two_up), out=two_up)
-    two_up /= denom
     stay[:, 0], one_up[:, 0], two_up[:, 0] = 1.0, 0.0, 0.0
     return stay, one_up, two_up
 
@@ -197,10 +197,12 @@ def _pair_block_amplitudes(cos_f: np.ndarray, sin_f: np.ndarray) -> tuple[np.nda
 # Tau points evaluated together.  Sizes the workspace that each
 # `closed_form_grid` call allocates once, after its result, and every chunk
 # reuses: rows of n_max + 2 values, one per tau, so that each elementwise
-# step of a chunk is one pass over a contiguous buffer.  Work arrays for a
-# whole 600-point sweep would raise the peak resident set by MBs, and work
-# arrays made afresh per chunk would be trimmed from the heap and faulted
-# back in by the next chunk.
+# step of a chunk is one pass over a contiguous buffer.  One `_tau_trig`
+# call per chunk writes cos and sin of the pair's and cavity 2's phases into
+# it, and the pair's amplitudes are written over the pair's rows.  Work
+# arrays for a whole 600-point sweep would raise the peak resident set by
+# MBs, and work arrays made afresh per chunk would be trimmed from the heap
+# and faulted back in by the next chunk.
 _TAU_CHUNK = 64
 # A tau axis is arithmetic when every point lies within this many ulps of
 # its largest tau from its chunk's first point plus j steps; the command
@@ -222,21 +224,22 @@ def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _exact_phase_trig(
     x: np.ndarray, rates: np.ndarray, cos: np.ndarray, sin: np.ndarray, phase: np.ndarray, error: np.ndarray
 ) -> None:
-    """cos and sin of the exact products x[:, None] * rates into cos and sin, to a few ulps of 1.
+    """cos and sin of the exact products x * rates into cos and sin, to a few ulps of 1.
 
-    ``phase`` and ``error`` are work arrays of the same (len(x), len(rates))
-    shape.  The rounded product p and its rounding error e (Dekker's
-    two-product, p + e = x * rate exactly) give cos(p + e) = cos p - e sin p
-    and sin(p + e) = sin p + e cos p, to first order in |e| <= ulp(p) / 2.
+    x and rates broadcast to the shape of cos and sin, and ``phase`` and
+    ``error`` are work arrays of that shape too.  The rounded product p and
+    its rounding error e (Dekker's two-product, p + e = x * rate exactly)
+    give cos(p + e) = cos p - e sin p and sin(p + e) = sin p + e cos p, to
+    first order in |e| <= ulp(p) / 2.
     """
     (x_hi, x_lo), (r_hi, r_lo) = _split(x), _split(rates)
-    np.multiply.outer(x, rates, out=phase)
+    np.multiply(x, rates, out=phase)
     np.cos(phase, out=cos)
     np.sin(phase, out=sin)
-    np.subtract(np.multiply.outer(x_hi, r_hi, out=error), phase, out=error)
-    error += np.multiply.outer(x_hi, r_lo, out=phase)
-    error += np.multiply.outer(x_lo, r_hi, out=phase)
-    error += np.multiply.outer(x_lo, r_lo, out=phase)
+    np.subtract(np.multiply(x_hi, r_hi, out=error), phase, out=error)
+    error += np.multiply(x_hi, r_lo, out=phase)
+    error += np.multiply(x_lo, r_hi, out=phase)
+    error += np.multiply(x_lo, r_lo, out=phase)
     cos -= np.multiply(error, sin, out=phase)
     # with the corrected cos, which moves sin by e^2 only
     sin += np.multiply(error, cos, out=error)
@@ -276,12 +279,13 @@ def _grid_residuals(taus: np.ndarray) -> tuple[float, np.ndarray] | None:
     return step, residuals
 
 
-def _tau_trig(taus: np.ndarray, *rate_blocks: np.ndarray):
-    """cos and sin of the phases taus x rates, one `_TAU_CHUNK` of taus and one block of rates at a time.
+def _tau_trig(taus: np.ndarray, rates: np.ndarray):
+    """cos and sin of the phases taus x rates, one `_TAU_CHUNK` of taus at a time, every row of rates at once.
 
-    Returns ``trig(start, block)``: cos and sin of the chunk of taus from
-    ``start`` against ``rate_blocks[block]``, two (points, rates) views of
-    one workspace that the next call overwrites.  On an arithmetic axis
+    Returns ``trig(start)``: cos and sin of the chunk of taus from ``start``
+    against each row of ``rates`` (rows, width), and a spare of their shape
+    whose values are not read, three (rows, points, width) views of one
+    workspace that the next call overwrites.  On an arithmetic axis
     (`_grid_residuals`) libm runs once per in-chunk offset and once per
     chunk, not once per point: with a = tau_start * rate and b = j h * rate
     from per-call tables of their exact products (`_exact_phase_trig`),
@@ -292,44 +296,41 @@ def _tau_trig(taus: np.ndarray, *rate_blocks: np.ndarray):
     rounded product is off by up to ulp(tau * rate) / 2.  Any other axis is
     evaluated point by point.
     """
-    rows, width = min(_TAU_CHUNK, len(taus)), max(map(len, rate_blocks))
-    cos_w, sin_w, scratch_w = (np.empty(rows * width) for _ in range(3))
+    shape = (len(rates), min(_TAU_CHUNK, len(taus)), rates.shape[1])
+    cos_w, sin_w, scratch_w = np.empty((3, math.prod(shape)))
+    rates = rates[:, None, :]
     grid = _grid_residuals(taus)
-    tables = []
     if grid is not None:
         step, residuals = grid
-        offsets, starts = np.arange(rows) * step, taus[::_TAU_CHUNK]
-        for rates in rate_blocks:
-            # the offsets' table, with the chunk buffers as its work arrays
-            cos_step, sin_step = np.empty((2, rows, len(rates)))
-            work = (_leading(w, rows, len(rates)) for w in (cos_w, sin_w))
-            _exact_phase_trig(offsets, rates, cos_step, sin_step, *work)
-            cos_start, sin_start = np.empty((2, len(starts), len(rates)))
-            _exact_phase_trig(starts, rates, cos_start, sin_start, *np.empty((2, len(starts), len(rates))))
-            tables.append((cos_step, sin_step, cos_start, sin_start))
+        # the offsets' table, with the chunk buffers as its work arrays
+        cos_step, sin_step = np.empty((2, *shape))
+        offsets = np.arange(shape[1])[:, None] * step
+        _exact_phase_trig(offsets, rates, cos_step, sin_step, cos_w.reshape(shape), sin_w.reshape(shape))
+        starts = taus[::_TAU_CHUNK, None]
+        cos_start, sin_start, *work = np.empty((4, shape[0], len(starts), shape[2]))
+        _exact_phase_trig(starts, rates, cos_start, sin_start, *work)
 
-    def trig(start: int, block: int) -> tuple[np.ndarray, np.ndarray]:
-        rates = rate_blocks[block]
+    def trig(start: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         points = min(_TAU_CHUNK, len(taus) - start)
-        cos, sin, scratch = (_leading(w, points, len(rates)) for w in (cos_w, sin_w, scratch_w))
+        cos, sin, scratch = (_leading(w, shape[0], points, shape[2]) for w in (cos_w, sin_w, scratch_w))
         if grid is None:
-            np.multiply.outer(taus[start : start + points], rates, out=scratch)
+            np.multiply(taus[start : start + points, None], rates, out=scratch)
             np.cos(scratch, out=cos)
             np.sin(scratch, out=sin)
-            return cos, sin
-        cos_step, sin_step, cos_start, sin_start = tables[block]
-        cos_a, sin_a = cos_start[start // _TAU_CHUNK], sin_start[start // _TAU_CHUNK]
-        cos_b, sin_b = cos_step[:points], sin_step[:points]
+            return cos, sin, scratch
+        chunk = start // _TAU_CHUNK
+        cos_a, sin_a = cos_start[:, chunk, None], sin_start[:, chunk, None]
+        cos_b, sin_b = cos_step[:, :points], sin_step[:, :points]
         np.multiply(cos_b, cos_a, out=cos)
         cos -= np.multiply(sin_b, sin_a, out=scratch)
         np.multiply(cos_b, sin_a, out=sin)
         sin += np.multiply(sin_b, cos_a, out=scratch)
         # the residual phase is a few ulps of tau * rate, so its square is far
         # below rounding, and sin may take it in from the corrected cos
-        residual = residuals[start : start + points]
-        cos -= np.multiply(np.multiply.outer(residual, rates, out=scratch), sin, out=scratch)
-        sin += np.multiply(np.multiply.outer(residual, rates, out=scratch), cos, out=scratch)
-        return cos, sin
+        residual = residuals[start : start + points, None]
+        cos -= np.multiply(np.multiply(residual, rates, out=scratch), sin, out=scratch)
+        sin += np.multiply(np.multiply(residual, rates, out=scratch), cos, out=scratch)
+        return cos, sin, scratch
 
     return trig
 
@@ -395,18 +396,20 @@ def _fill_elements(
     whose rows hold one tau's values at photon numbers 0..n_max + 1.  So
     every elementwise step, from cos and sin to the bands, is one pass over
     whole rows, and the columns past a band's width get finite values that
-    nothing reads.  A field factor that is ``[I 0]`` (`_is_identity_prefix`),
-    as both are at theta = pi, takes no product (`_times_factor`): the
-    bands are the amplitudes' elementwise products.  Any other factor takes
-    the BLAS product, and so do the squeeze norms, each on a view of a
-    band's leading columns with rows n_max + 2 apart.  BLAS
-    reads such a view through its leading dimension, in the order it reads a
-    C-contiguous copy, so each element rounds the same: with OpenBLAS at one
-    and two threads, the elements of 1,296 grids (8 angles from 0 to pi,
-    n_max 0 to 80, axes of 1 to 600 taus, 1 to 200 squeezes) are bit for bit
-    those of products formed in C-contiguous arrays of each band's width,
-    and the tests hold `_times_factor` to it.  The cos and sin of every
-    phase come from `_tau_trig`.
+    nothing reads.  One `_tau_trig` call per chunk writes cos and sin of
+    both cavities' phases into its workspace, and the pair's amplitudes are
+    written over the pair's rows there (`_pair_block_amplitudes`).  A field
+    factor that is ``[I 0]`` (`_is_identity_prefix`), as both are at theta
+    = pi, takes no product (`_times_factor`): the bands are the amplitudes'
+    elementwise products.  Any other factor takes the BLAS product, and so
+    do the squeeze norms, each on a view of a band's leading columns with
+    rows n_max + 2 apart.  BLAS reads such a view through its leading
+    dimension, in the order it reads a C-contiguous copy, so each element
+    rounds the same: with OpenBLAS at one and two threads, the elements of
+    1,296 grids (8 angles from 0 to pi, n_max 0 to 80, axes of 1 to 600
+    taus, 1 to 200 squeezes) are bit for bit those of products formed in
+    C-contiguous arrays of each band's width, and the tests hold
+    `_times_factor` to it.
     """
     size, rows = u0.shape[0], min(_TAU_CHUNK, len(taus))
     width = size + 1
@@ -416,17 +419,17 @@ def _fill_elements(
     work = [np.zeros(rows * width) for _ in range(4)]
     band0_w, band1_w = np.zeros(6 * rows * width), np.zeros(2 * rows * width)
     elements_w = np.empty(8 * rows * norm0.shape[0])
-    # the pair's phases for q = 0..size (block 0), with q = 0's rate 0 for a
+    # the pair's rates for q = 0..size (row 0), with q = 0's rate 0 for a
     # column `_pair_block_amplitudes` overwrites, then cavity 2's for p =
-    # 0..size (block 1): one photon number beyond the table each, so the
+    # 0..size (row 1): one photon number beyond the table each, so the
     # shifted (q+1, p+1) bra factors of the coherence band stay in range
     q = np.arange(1, width, dtype=float)
     pair_rates = np.concatenate(([0.0], np.sqrt(2.0 * (2.0 * q - 1.0))))
-    trig = _tau_trig(taus, pair_rates, np.sqrt(np.arange(width, dtype=float)))
+    trig = _tau_trig(taus, np.stack((pair_rates, np.sqrt(np.arange(width, dtype=float)))))
     for start in range(0, len(taus), _TAU_CHUNK):
+        (cos_f, cos_b), (sin_f, sin_b), (spare, _) = trig(start)
         # looked up through the module on every chunk, so a test can substitute it
-        stay, one_up, two_up = _pair_block_amplitudes(*trig(start, 0))
-        cos_b, sin_b = trig(start, 1)
+        stay, one_up, two_up = _pair_block_amplitudes(cos_f, sin_f, spare)
         points = len(cos_b)
         square, cos_u0, sin_u0, coh_u1 = (_leading(w, points, width) for w in work)
         band0, band1 = _leading(band0_w, 6, points, width), _leading(band1_w, 2, points, width)

@@ -717,8 +717,8 @@ def test_oracle_check_rejects_discrepancy_variants(monkeypatch):
     # coherence; only that element (r26, the last) is taken from the slipped run
     amplitudes = tc._pair_block_amplitudes
 
-    def slipped(cos_f, sin_f):
-        stay, one_up, two_up = amplitudes(cos_f, sin_f)
+    def slipped(cos_f, sin_f, spare):
+        stay, one_up, two_up = amplitudes(cos_f, sin_f, spare)
         q = np.arange(one_up.shape[1], dtype=float)
         return stay, one_up * np.sqrt(np.maximum(q - 1.0, 0.0) / np.maximum(q, 1.0)), two_up
 

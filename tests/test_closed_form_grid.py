@@ -77,9 +77,9 @@ def deficit_n_max(s):
 AMPLITUDES = tavis_cummings._pair_block_amplitudes
 
 
-def slipped_amplitudes(cos_f, sin_f):
+def slipped_amplitudes(cos_f, sin_f, spare):
     """`_pair_block_amplitudes` with DISCREPANCIES.md 2's slip: sqrt(q-1)/sqrt(2q-1) leading the one-photon rung."""
-    stay, one_up, two_up = AMPLITUDES(cos_f, sin_f)
+    stay, one_up, two_up = AMPLITUDES(cos_f, sin_f, spare)
     q = np.arange(one_up.shape[1], dtype=float)
     return stay, one_up * np.sqrt(np.maximum(q - 1.0, 0.0) / np.maximum(q, 1.0)), two_up
 
@@ -365,8 +365,8 @@ def reference_trig(tau, rate):
 
 def chunk_trig(taus, rates):
     """cos and sin of taus x rates from `_tau_trig`, its chunks joined."""
-    trig = tavis_cummings._tau_trig(taus, rates)
-    cos, sin = zip(*(np.copy(trig(start, 0)) for start in range(0, len(taus), tavis_cummings._TAU_CHUNK)))
+    trig = tavis_cummings._tau_trig(taus, rates[None])
+    cos, sin = zip(*(np.copy(trig(start)[:2])[:, 0] for start in range(0, len(taus), tavis_cummings._TAU_CHUNK)))
     return np.concatenate(cos), np.concatenate(sin)
 
 
@@ -395,10 +395,19 @@ def test_addition_trig_is_no_less_accurate_than_per_point(taus):
     assert addition <= per_point
 
 
+def nudged_grid():
+    """The command line's 130-point axis on [0, 20] with point 100 moved by 1e-9."""
+    taus = cli_grid(0.0, 20.0, 130)
+    taus[100] += 1e-9
+    return taus
+
+
+# the last two pass the second-point shortcut of `_grid_residuals` and fail
+# its check of every residual
 @pytest.mark.parametrize(
     "taus",
-    [[14.5], [0.3, 0.8, 2.0, 14.5], [0.0, 1.0, 2.0, 3.0 + 1e-9], [1e300, 2e300]],
-    ids=["one", "oracle", "off-by-1e-9", "beyond-the-split"],
+    [[14.5], [0.3, 0.8, 2.0, 14.5], [0.0, 1.0, 2.0, 3.0 + 1e-9], [1e300, 2e300], [0.0, 1.0, 2.5, 3.0], nudged_grid()],
+    ids=["one", "oracle", "off-by-1e-9", "beyond-the-split", "uneven-after-two", "nudged-in-chunk-two"],
 )
 def test_other_axes_take_the_per_point_path(taus):
     taus = np.array(taus, dtype=float)

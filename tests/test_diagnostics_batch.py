@@ -224,7 +224,7 @@ def test_product_states_have_exactly_zero_decomposition_negativity():
         assert batch.n_psdg[p][0] == expected[("n_psdg", p)] == 0.0
 
 
-def test_pairwise_solves_only_positive_weight_states(eigh_solves):
+def test_pairwise_solves_every_decomposition_ket_off_the_pattern_alone(eigh_solves):
     states = sweep_states(math.pi, [0.0, 1.2], [0.0, 0.7, 3.0, 14.5])
     # of a closed-form state only A1's global transpose is solved, as one
     # 8-index block (A2's values are A1's mirror, and B's two 3x3 blocks come
@@ -233,9 +233,8 @@ def test_pairwise_solves_only_positive_weight_states(eigh_solves):
     assert eigh_solves(negativity_batch, states) == {8: len(states)}
     # off the pattern every state is one 8-index block per global transpose
     # and for its decomposition (its eigenpairs, the states being exactly
-    # symmetric); of its kets, those of positive weight that are not basis
-    # states, and only those, are solved once per qubit that leads a
-    # selective spec, B and A1
+    # symmetric); each of its eight kets, basis kets and kets of zero weight
+    # included, is solved once per qubit that leads a selective spec, B and A1
     # (the diagonal state coupled at [0,3] has basis kets of positive weight)
     coupled = np.eye(8) / 8.0
     coupled[0, 3] = coupled[3, 0] = 0.05
@@ -244,7 +243,7 @@ def test_pairwise_solves_only_positive_weight_states(eigh_solves):
     positive = (weights > 0.0) & (np.count_nonzero(kets, axis=-2) >= 2)
     assert 0 < positive.sum() < (weights > 0.0).sum()
     solved = eigh_solves(negativity_batch, noisy)
-    assert solved == {8: 4 * len(noisy) + 2 * int(positive.sum())}
+    assert solved == {8: (4 + 2 * 8) * len(noisy)}
 
 
 @pytest.mark.parametrize("theta", [math.pi, math.pi / 2.0])
@@ -550,12 +549,9 @@ def test_scalar_functions_solve_only_the_global_tables_they_need(eigh_solves):
         assert eigh_solves(negativity_batch, m[None]) == {8: 1}
         assert eigh_solves(negativity_report, m) == {8: 1}
     # off the zero pattern: the decomposition, the three transposes and two
-    # two-way transposes per ket that can hold a share, as 8-index blocks
+    # two-way transposes per decomposition ket, as 8-index blocks
     for m in off_pattern(states):
-        probs, vectors = ent._generic_decomposition(m[None])
-        kets = np.count_nonzero((probs > 0.0) & (np.count_nonzero(vectors, axis=-2) >= 2))
-        assert kets > 0
-        assert eigh_solves(negativity_batch, m[None]) == {8: 4 + 2 * kets}
+        assert eigh_solves(negativity_batch, m[None]) == {8: 4 + 2 * 8}
 
 
 # ------------------------------------------------- the pattern route's block table

@@ -502,7 +502,8 @@ def test_coherence_inside_the_cutoff_rotates_when_its_angle_counts():
 
 def test_diagonal_state_with_only_basis_kets_matches_textbook():
     # a generic-route state (its |100> and |010> populations differ) whose
-    # decomposition kets are all basis states: no ket reaches the shares' solve
+    # decomposition kets are all basis states, whose two-way transposes are
+    # diagonal, so every share term the solve gives is exactly 0
     state = np.diag(np.arange(1.0, 9.0)) / 36.0
     assert not pattern_route(state[None]).any()
     assert assert_matches_textbook(state[None]) <= TOL
